@@ -8,8 +8,9 @@
 //!
 //! Stdout carries only virtual-time figures and is byte-identical across
 //! `HCC_ENGINE_THREADS` settings (the tier-2 CI smoke diffs it).
-//! Wall-clock throughput (requests/sec, scenarios/sec, cache-hit rate)
-//! goes to the `--json` side file and the stderr engine-stats block.
+//! Wall-clock throughput (requests/sec) and the number of shapes the
+//! engine simulated go to the `--json` side file and the stderr
+//! engine-stats block.
 
 use hcc_bench::engine;
 use hcc_bench::serving::{self, ArrivalKind, SchedulerKind, ServingConfig};
@@ -113,12 +114,6 @@ fn main() {
     if let Some(path) = json_path {
         let stats = engine::global().stats();
         let secs = elapsed.as_secs_f64().max(1e-9);
-        let engine_requests = stats.scenarios_run + stats.cache_hits;
-        let hit_pct = if engine_requests > 0 {
-            (stats.cache_hits as f64 / engine_requests as f64 * 100.0).round() as u64
-        } else {
-            0
-        };
         let doc = Json::Obj(vec![
             (
                 "bench".to_string(),
@@ -128,10 +123,9 @@ fn main() {
                         Json::U64((cfg.requests as f64 / secs).round() as u64),
                     ),
                     (
-                        "scenarios_per_sec".to_string(),
-                        Json::U64((engine_requests as f64 / secs).round() as u64),
+                        "shapes_simulated".to_string(),
+                        Json::U64(stats.scenarios_run),
                     ),
-                    ("cache_hit_rate_pct".to_string(), Json::U64(hit_pct)),
                     ("wall_ms".to_string(), Json::U64(elapsed.as_millis() as u64)),
                 ]),
             ),

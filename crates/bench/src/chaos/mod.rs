@@ -13,21 +13,21 @@
 //! `RecoveryPolicy::{Retry, Degrade, Abort}`, so the per-tenant p99/p999
 //! and rejected-request verdicts differ *only* by policy.
 //!
-//! Shapes are memoized exactly as in [`crate::serving`]: the working set
-//! is `apps × {rising, peak} × replicas` fault scenarios per cell plus
-//! one shared calm scenario per app, so a 10⁵–10⁶ request soak costs a
-//! few hundred simulations. On top of the SLO verdicts, the lab audits
-//! soak-scale resource conservation: every surviving shape's
-//! [`LeakAudit`] must balance, session pools and depth gauges must drain
-//! to zero, and per-shape trace growth must stay bounded.
+//! Shapes are resolved exactly as in [`crate::serving`]: each cell's
+//! [`ShapeTable`] lists `apps` calm shapes (shared by every cell) and the
+//! cell's `apps × {rising, peak} × replicas` fault shapes, all simulated
+//! once in one engine batch, so a 10⁵–10⁶ request soak costs a few
+//! hundred simulations and each request resolves by index. On top of the
+//! SLO verdicts, the lab audits soak-scale resource conservation: every
+//! surviving shape's [`LeakAudit`] must balance, session pools and depth
+//! gauges must drain to zero, and per-shape trace growth must stay
+//! bounded.
 //!
 //! Everything is virtual-time deterministic: one seed fixes the storm
 //! calendars, the fault plans, the arrival trace, and every verdict, and
 //! the rendered report is byte-identical across `HCC_ENGINE_THREADS`.
 
 pub mod report;
-
-use std::collections::BTreeMap;
 
 use hcc_runtime::{LeakAudit, SimConfig};
 use hcc_trace::Series;
@@ -40,7 +40,9 @@ use hcc_workloads::{default_tenants, Scenario, TenantSpec};
 
 use crate::engine::ExperimentEngine;
 use crate::serving::report as serving_report;
-use crate::serving::{arrival, cluster, ArrivalKind, SchedulerKind};
+use crate::serving::{
+    arrival, cluster, distinct_apps, env_u64, ArrivalKind, Request, SchedulerKind, ShapeTable,
+};
 
 pub use report::{
     ChaosReport, FaultLedger, PolicyCell, ProfileReport, TenantVerdict, TimeToRecover,
@@ -78,7 +80,8 @@ pub struct ChaosConfig {
     /// trace all derive from it through decorrelated mixes.
     pub seed: u64,
     /// Requests in the shared trace; every (profile, policy) cell
-    /// replays all of them.
+    /// replays all of them. Zero yields cells that settle nothing
+    /// (conserved vacuously).
     pub requests: u64,
     /// Soak length in virtual days ([`DAY`] each).
     pub days: u64,
@@ -184,6 +187,44 @@ impl ChaosConfig {
         u32::try_from(u64::from(self.episodes_per_day).saturating_mul(self.days))
             .unwrap_or(u32::MAX)
     }
+
+    fn calm_cfg(&self) -> SimConfig {
+        SimConfig::new(CcMode::On).with_seed(self.shape_seed)
+    }
+
+    /// `profile`'s storm calendar over the soak horizon.
+    #[must_use]
+    pub fn schedule(&self, profile: &StormProfile) -> StormSchedule {
+        let storm_seed = mix(self.seed, profile.fingerprint());
+        StormSchedule::generate(storm_seed, self.horizon(), self.episodes())
+    }
+
+    /// The `SimConfig` of the shape a request rides when it arrives at
+    /// `intensity` of `profile`'s calendar on plan replica `replica`,
+    /// recovering by `policy`. Calm shapes carry no fault plan (which
+    /// never consults the policy), so every cell shares them. Plan seeds
+    /// depend on the storm and the (intensity, replica) slot but *not*
+    /// on the policy: every policy faces the same storm draws and differs
+    /// only in how it recovers.
+    #[must_use]
+    pub fn shape_cfg(
+        &self,
+        profile: &StormProfile,
+        policy: &RecoveryPolicy,
+        intensity: StormIntensity,
+        replica: u32,
+    ) -> SimConfig {
+        let calm = self.calm_cfg();
+        let stormy: u64 = match intensity {
+            StormIntensity::Calm => return calm,
+            StormIntensity::Rising => 0,
+            StormIntensity::Peak => 1,
+        };
+        let storm_seed = mix(self.seed, profile.fingerprint());
+        let plan_seed = mix(storm_seed, ((stormy + 1) << 32) | u64::from(replica));
+        calm.with_fault_plan(profile.plan(intensity, plan_seed))
+            .with_recovery(policy.clone())
+    }
 }
 
 /// Default per-tenant SLO contracts, calibrated against the default
@@ -215,17 +256,6 @@ pub fn default_budgets(tenants: &[TenantSpec]) -> Vec<LatencyBudget> {
         .collect()
 }
 
-fn env_u64(var: &str) -> Option<u64> {
-    let raw = std::env::var(var).ok()?;
-    let raw = raw.trim();
-    let parsed = if let Some(hex) = raw.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16)
-    } else {
-        raw.parse()
-    };
-    parsed.ok()
-}
-
 /// Decorrelating seed mix (distinct from both the injector's and the
 /// storm calendar's internal constants).
 fn mix(seed: u64, salt: u64) -> u64 {
@@ -235,51 +265,37 @@ fn mix(seed: u64, salt: u64) -> u64 {
 /// Salt separating the arrival stream from storm-calendar seeds.
 const ARRIVAL_SALT: u64 = 0xA55A_11E5;
 
-/// How one simulated shape resolves for the requests riding it.
-struct ShapeOutcome {
-    /// Solo service time, or the abort error.
-    service: Result<SimDuration, String>,
-    /// The shape's fault counters (zero when the run aborted — an
-    /// aborted context carries no ledger out).
-    fault: FaultCounts,
-    /// The shape's conservation snapshot (None when the run aborted).
-    audit: Option<LeakAudit>,
+/// Stormy intensities in escalation order, as a cell's storm shapes list
+/// them.
+const STORMY: [StormIntensity; 2] = [StormIntensity::Rising, StormIntensity::Peak];
+
+/// One storm profile's resolved soak inputs.
+#[derive(Debug, Clone)]
+pub struct StormShapes {
+    /// The profile's storm calendar.
+    pub schedule: StormSchedule,
+    /// Arrivals per storm intensity, indexed by [`StormIntensity::index`].
+    pub arrivals: [u64; StormIntensity::COUNT],
+    /// One table per recovery policy, in `cfg.policies` order: the calm
+    /// shapes (one per app) first, then the cell's storm shapes (per app,
+    /// rising then peak, plan replicas innermost).
+    pub tables: Vec<ShapeTable>,
 }
 
-impl ShapeOutcome {
-    /// Applies the shape's deterministic outcome to a riding request.
-    fn classify(&self, ledger: &mut FaultLedger) {
-        if self.service.is_err() {
-            ledger.rejected += 1;
-        } else if self.fault.degraded > 0 {
-            ledger.degraded += 1;
-        } else if self.fault.recovered > 0 {
-            ledger.recovered += 1;
-        } else {
-            ledger.clean += 1;
-        }
-    }
-}
-
-/// Runs the full chaos lab: one shared arrival trace, one storm calendar
-/// per profile, one cluster run per (profile, policy) cell.
-pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
-    assert!(!cfg.tenants.is_empty(), "chaos needs at least one tenant");
-    assert_eq!(
-        cfg.tenants.len(),
-        cfg.budgets.len(),
-        "one budget per tenant"
-    );
-    assert!(!cfg.profiles.is_empty(), "chaos needs at least one storm");
-    assert!(!cfg.policies.is_empty(), "chaos needs at least one policy");
-    assert!(cfg.replicas >= 1, "chaos needs at least one plan replica");
-
-    let horizon = cfg.horizon();
-    let horizon_secs = horizon.as_secs_f64().max(1e-9);
-
+/// Generates the shared arrival trace and resolves every cell's shape
+/// table, per profile in `cfg.profiles` order. Every distinct shape of
+/// the soak simulates once, in one engine batch, so a 10⁵–10⁶ request
+/// soak costs a few hundred simulations. A request rides the shape of
+/// the storm intensity in force at its arrival and of plan replica
+/// `seq % replicas`.
+pub fn shape_tables(
+    cfg: &ChaosConfig,
+    engine: &ExperimentEngine,
+) -> (Vec<Request>, Vec<StormShapes>) {
     // Shared trace: per-tenant rates sized so the whole request budget
     // spreads across the soak horizon (load_weight fixes each tenant's
     // share). Squeezing the same requests into fewer days raises load.
+    let horizon_secs = cfg.horizon().as_secs_f64().max(1e-9);
     let weight_sum: u64 = cfg.tenants.iter().map(|t| u64::from(t.load_weight)).sum();
     let rates: Vec<f64> = cfg
         .tenants
@@ -297,108 +313,103 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
         mix(cfg.seed, ARRIVAL_SALT),
     );
 
-    // Distinct shape working set: one app per (tenant, class), stable
-    // order.
-    let mut app_index: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for tenant in &cfg.tenants {
-        for class in &tenant.mix {
-            let next = app_index.len();
-            app_index.entry(class.app).or_insert(next);
-        }
-    }
-    let apps: Vec<&'static str> = {
-        let mut v = vec![""; app_index.len()];
-        for (app, &i) in &app_index {
-            v[i] = app;
-        }
-        v
-    };
-    let app_of: Vec<usize> = requests
+    // The soak's working set: calm shapes, then per (profile, policy)
+    // cell its storm shapes, in table order.
+    let (apps, slot) = distinct_apps(&cfg.tenants);
+    let n = apps.len();
+    let mut scenarios: Vec<Scenario> = apps
         .iter()
-        .map(|r| app_index[cfg.tenants[r.tenant].mix[r.class].app])
+        .map(|&app| Scenario::standard(app, cfg.calm_cfg()))
         .collect();
-
-    // Calm shapes are storm- and policy-independent (an empty fault plan
-    // never consults the recovery policy), so one scenario per app is
-    // shared by every cell.
-    let calm_cfg = SimConfig::new(CcMode::On).with_seed(cfg.shape_seed);
-    let calm_scen: Vec<Scenario> = apps
-        .iter()
-        .map(|&app| Scenario::standard(app, calm_cfg.clone()))
-        .collect();
-    let calm_entries = engine.run_all(&calm_scen);
-
-    // Stormy intensities, in escalation order: index 0 = rising, 1 = peak.
-    const STORMY: [StormIntensity; 2] = [StormIntensity::Rising, StormIntensity::Peak];
-    let replicas = cfg.replicas as usize;
-    let slot_of = |app: usize, stormy: usize, replica: usize| -> usize {
-        (app * STORMY.len() + stormy) * replicas + replica
-    };
-
-    let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.name.to_string()).collect();
-
-    let mut profiles_out = Vec::with_capacity(cfg.profiles.len());
     for profile in &cfg.profiles {
-        let storm_seed = mix(cfg.seed, profile.fingerprint());
-        let schedule = StormSchedule::generate(storm_seed, horizon, cfg.episodes());
-        let peak_ends = schedule.peak_ends();
-
-        // Per-request storm assignment: the intensity in force at the
-        // arrival instant, plus a deterministic plan replica.
-        let assignment: Vec<(StormIntensity, usize)> = requests
-            .iter()
-            .map(|r| {
-                (
-                    schedule.intensity_at(r.arrival),
-                    (r.seq % cfg.replicas as u64) as usize,
-                )
-            })
-            .collect();
-        let mut arrivals = [0u64; StormIntensity::COUNT];
-        for (intensity, _) in &assignment {
-            arrivals[intensity.index()] += 1;
-        }
-
-        let mut cells = Vec::with_capacity(cfg.policies.len());
         for policy in &cfg.policies {
-            // The cell's fault-shape table. Plan seeds depend on the
-            // storm and the (intensity, replica) slot but *not* on the
-            // policy: every policy faces the same storm draws and
-            // differs only in how it recovers.
-            let mut scenarios = Vec::with_capacity(apps.len() * STORMY.len() * replicas);
             for &app in &apps {
-                for (si, &intensity) in STORMY.iter().enumerate() {
-                    for k in 0..replicas {
-                        let plan_seed = mix(storm_seed, ((si as u64 + 1) << 32) | k as u64);
-                        let shape_cfg = SimConfig::new(CcMode::On)
-                            .with_seed(cfg.shape_seed)
-                            .with_fault_plan(profile.plan(intensity, plan_seed))
-                            .with_recovery(policy.clone());
+                for intensity in STORMY {
+                    for k in 0..cfg.replicas {
+                        let shape_cfg = cfg.shape_cfg(profile, policy, intensity, k);
                         scenarios.push(Scenario::standard(app, shape_cfg));
                     }
                 }
             }
-            let entries = engine.run_all(&scenarios);
+        }
+    }
+    let entries = engine.run_all(&scenarios);
+    let (calm, storm) = entries.split_at(n);
+    let mut cells = storm.chunks(n * STORMY.len() * cfg.replicas as usize);
 
-            // Resolve every simulated shape once: service result, fault
-            // counters, and conservation snapshot.
-            let resolve = |entry: &crate::engine::ScenarioResult| -> ShapeOutcome {
-                match entry.run() {
-                    Ok(r) => ShapeOutcome {
-                        service: Ok(SimDuration::from_nanos(r.end.as_nanos())),
-                        fault: r.fault,
-                        audit: Some(r.audit.clone()),
-                    },
-                    Err(f) => ShapeOutcome {
-                        service: Err(f.error),
-                        fault: FaultCounts::default(),
-                        audit: None,
-                    },
-                }
-            };
-            let calm_shapes: Vec<ShapeOutcome> = calm_entries.iter().map(|e| resolve(e)).collect();
-            let storm_shapes: Vec<ShapeOutcome> = entries.iter().map(|e| resolve(e)).collect();
+    let observed = cfg.watch.is_some() || cfg.flight.is_some();
+    let storms = cfg
+        .profiles
+        .iter()
+        .map(|profile| {
+            let schedule = cfg.schedule(profile);
+            let mut arrivals = [0u64; StormIntensity::COUNT];
+            let shape_of: Vec<u32> = requests
+                .iter()
+                .map(|r| {
+                    let intensity = schedule.intensity_at(r.arrival);
+                    arrivals[intensity.index()] += 1;
+                    let app = slot[r.tenant][r.class];
+                    let replica = (r.seq % u64::from(cfg.replicas)) as u32;
+                    match intensity {
+                        StormIntensity::Calm => app,
+                        StormIntensity::Rising | StormIntensity::Peak => {
+                            let stormy = u32::from(intensity == StormIntensity::Peak);
+                            n as u32 + (app * STORMY.len() as u32 + stormy) * cfg.replicas + replica
+                        }
+                    }
+                })
+                .collect();
+            let tables = cfg
+                .policies
+                .iter()
+                .map(|_| {
+                    let cell = cells.next().expect("one storm slice per cell");
+                    ShapeTable::new(calm.iter().chain(cell), shape_of.clone(), observed)
+                })
+                .collect();
+            StormShapes {
+                schedule,
+                arrivals,
+                tables,
+            }
+        })
+        .collect();
+    (requests, storms)
+}
 
+/// Runs the full chaos lab: one shared arrival trace, one storm calendar
+/// per profile, one cluster run per (profile, policy) cell.
+pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
+    assert!(!cfg.tenants.is_empty(), "chaos needs at least one tenant");
+    assert_eq!(
+        cfg.tenants.len(),
+        cfg.budgets.len(),
+        "one budget per tenant"
+    );
+    assert!(!cfg.profiles.is_empty(), "chaos needs at least one storm");
+    assert!(!cfg.policies.is_empty(), "chaos needs at least one policy");
+    assert!(cfg.replicas >= 1, "chaos needs at least one plan replica");
+
+    let horizon = cfg.horizon();
+    let (requests, storms) = shape_tables(cfg, engine);
+    let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.name.to_string()).collect();
+    let cluster = cluster::ClusterConfig {
+        tenants: &cfg.tenants,
+        cc: CcMode::On,
+        gpus: cfg.gpus,
+        kind: cfg.scheduler,
+        max_batch: cfg.max_batch,
+        tdx: &cfg.tdx,
+    };
+
+    let mut profiles_out = Vec::with_capacity(cfg.profiles.len());
+    for (profile, storm) in cfg.profiles.iter().zip(storms) {
+        let schedule = &storm.schedule;
+        let peak_ends = schedule.peak_ends();
+
+        let mut cells = Vec::with_capacity(cfg.policies.len());
+        for (policy, table) in cfg.policies.iter().zip(&storm.tables) {
             // Soak-scale leak audit over every simulated shape in the
             // cell (calm + stormy), before any request rides them.
             let mut audit = LeakAudit::default();
@@ -406,29 +417,25 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
             let mut violations: Vec<String> = Vec::new();
             let mut max_shape_events = 0usize;
             let mut aborted_shapes = 0usize;
-            let labelled = calm_entries
-                .iter()
-                .zip(&calm_shapes)
-                .chain(entries.iter().zip(&storm_shapes));
-            for (entry, shape) in labelled {
+            for shape in table.shapes() {
                 match &shape.audit {
                     Some(a) => {
                         if let Err(e) = a.check() {
-                            violations.push(format!("shape {}: {e}", entry.label));
+                            violations.push(format!("shape {}: {e}", shape.label));
                         }
                         if a.events > SHAPE_EVENT_BOUND {
                             violations.push(format!(
                                 "shape {}: {} trace events exceed the {} growth bound",
-                                entry.label, a.events, SHAPE_EVENT_BOUND
+                                shape.label, a.events, SHAPE_EVENT_BOUND
                             ));
                         }
                         max_shape_events = max_shape_events.max(a.events);
                         audit.absorb(a);
-                        sim_faults.injected += shape.fault.injected;
-                        sim_faults.retries += shape.fault.retries;
-                        sim_faults.recovered += shape.fault.recovered;
-                        sim_faults.degraded += shape.fault.degraded;
-                        sim_faults.aborted += shape.fault.aborted;
+                        sim_faults.injected += shape.faults.injected;
+                        sim_faults.retries += shape.faults.retries;
+                        sim_faults.recovered += shape.faults.recovered;
+                        sim_faults.degraded += shape.faults.degraded;
+                        sim_faults.aborted += shape.faults.aborted;
                     }
                     None => aborted_shapes += 1,
                 }
@@ -436,62 +443,40 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
             // The cell-aggregate check runs after the cluster pass, once
             // the flight recorder's store accounting has been folded in.
 
-            // Per-request service resolution + fault ledger.
-            let mut service: Vec<Result<SimDuration, String>> = Vec::with_capacity(requests.len());
+            // Per-request fault ledger: each request inherits its shape's
+            // deterministic outcome.
             let mut ledger = FaultLedger::default();
-            for (ri, &(intensity, replica)) in assignment.iter().enumerate() {
-                let shape = match intensity {
-                    StormIntensity::Calm => &calm_shapes[app_of[ri]],
-                    StormIntensity::Rising => &storm_shapes[slot_of(app_of[ri], 0, replica)],
-                    StormIntensity::Peak => &storm_shapes[slot_of(app_of[ri], 1, replica)],
-                };
-                shape.classify(&mut ledger);
-                service.push(shape.service.clone());
+            for ri in 0..requests.len() {
+                let shape = table.shape(ri);
+                *if shape.service.is_err() {
+                    &mut ledger.rejected
+                } else if shape.faults.degraded > 0 {
+                    &mut ledger.degraded
+                } else if shape.faults.recovered > 0 {
+                    &mut ledger.recovered
+                } else {
+                    &mut ledger.clean
+                } += 1;
             }
 
             // The cluster run: identical trace, identical calendar —
             // only the recovery policy differs between cells.
-            let mut rollup = if cfg.watch.is_some() {
-                hcc_trace::RollupCollector::enabled()
-            } else {
-                hcc_trace::RollupCollector::new()
-            };
-            let mut flight_rec = hcc_trace::FlightRecorder::for_planes(
-                hcc_types::Planes::NONE.set(hcc_types::Planes::FLIGHT, cfg.flight.is_some()),
-                cfg.flight.unwrap_or_default(),
-            );
-            let raw = cluster::simulate(
-                &requests,
-                &service,
-                &cfg.tenants,
-                CcMode::On,
-                cfg.gpus,
-                cfg.scheduler,
-                cfg.max_batch,
-                &cfg.tdx,
-                &mut rollup,
-                &mut flight_rec,
-            );
+            let mut obs = cluster::Observers::new(cfg.watch.is_some(), cfg.flight);
+            let raw = cluster::simulate(&requests, table, &cluster, &mut obs);
+            let cluster::Observers { rollup, flight } = obs;
 
             // Fold the flight store's accounting into the cell audit:
             // the exemplar store may never outgrow its
             // `windows × (worst + reservoir)` bound over the full soak.
-            audit.flight_kept = flight_rec.kept_entries();
-            audit.flight_windows = flight_rec.window_count();
+            audit.flight_kept = flight.kept_entries();
+            audit.flight_windows = flight.window_count();
             audit.flight_window_budget = cfg.flight.map_or(0, |f| f.per_window_budget());
             if let Err(e) = audit.check() {
                 violations.push(format!("cell aggregate: {e}"));
             }
             let sessions_established = raw.sessions_established;
             let sessions_closed = raw.sessions_closed;
-            let mode = serving_report::mode_run(
-                CcMode::On,
-                cfg.gpus,
-                &cfg.tenants,
-                &requests,
-                &service,
-                raw,
-            );
+            let mode = serving_report::mode_run(&cluster, &requests, table, raw);
 
             let ttr = time_to_recover(mode.metrics.gauge_series("serving.queue_depth"), &peak_ends);
 
@@ -501,11 +486,7 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
                 .zip(&cfg.budgets)
                 .map(|(t, &budget)| {
                     let total = t.completed + t.rejected;
-                    let reject_ppm = if total > 0 {
-                        t.rejected.saturating_mul(1_000_000) / total
-                    } else {
-                        0
-                    };
+                    let reject_ppm = t.rejected.saturating_mul(1_000_000).checked_div(total);
                     TenantVerdict {
                         name: t.name.clone(),
                         budget,
@@ -513,7 +494,7 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
                         rejected: t.rejected,
                         p99: t.latency.quantile(0.99),
                         p999: t.latency.quantile(0.999),
-                        reject_ppm,
+                        reject_ppm: reject_ppm.unwrap_or(0),
                     }
                 })
                 .collect();
@@ -522,34 +503,8 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
             // burn rates and incidents, correlated against this
             // profile's calendar and blamed via the critical paths of
             // the shapes its requests rode.
-            // Request→shape mapping shared by the watchtower's blame
-            // table and the flight recorder's span decomposition (calm
-            // shape table first, then the cell's storm table).
-            let shape_of: Vec<u32> = if cfg.watch.is_some() || cfg.flight.is_some() {
-                assignment
-                    .iter()
-                    .enumerate()
-                    .map(|(ri, &(intensity, replica))| {
-                        (match intensity {
-                            StormIntensity::Calm => app_of[ri],
-                            StormIntensity::Rising => apps.len() + slot_of(app_of[ri], 0, replica),
-                            StormIntensity::Peak => apps.len() + slot_of(app_of[ri], 1, replica),
-                        }) as u32
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
             let mut watch = cfg.watch.as_ref().map(|wcfg| {
                 let samples = rollup.into_sorted();
-                let attrs: Vec<hcc_trace::Attribution> = calm_entries
-                    .iter()
-                    .chain(entries.iter())
-                    .map(|entry| match entry.run() {
-                        Ok(r) => hcc_trace::critpath::extract(&r.timeline, &r.causal).attribution(),
-                        Err(_) => hcc_trace::Attribution::default(),
-                    })
-                    .collect();
                 crate::watch::observe(
                     wcfg,
                     &crate::watch::SoakView {
@@ -560,35 +515,19 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
                         queue: mode.metrics.gauge_series("serving.queue_depth"),
                         storm: Some(crate::watch::StormContext {
                             profile: profile.name,
-                            schedule: &schedule,
+                            schedule,
                         }),
-                        blame: Some(crate::watch::BlameView {
-                            shape_of: &shape_of,
-                            attrs: &attrs,
-                        }),
+                        blame: Some(table),
                     },
                 )
             });
 
             // Resolve the kept skeletons into span trees against the
-            // same shape tables the blame view indexes, then hand the
+            // same shape table the blame view indexes, then hand the
             // watchtower its incident→exemplar links.
-            let flight = cfg.flight.map(|_| {
-                let decomps: Vec<hcc_trace::flight::ShapeDecomp> = calm_entries
-                    .iter()
-                    .chain(entries.iter())
-                    .map(|entry| match entry.run() {
-                        Ok(r) => hcc_trace::flight::ShapeDecomp {
-                            total: SimDuration::from_nanos(r.end.as_nanos()),
-                            attr: hcc_trace::critpath::extract(&r.timeline, &r.causal)
-                                .attribution(),
-                            faults: r.fault,
-                        },
-                        Err(_) => hcc_trace::flight::ShapeDecomp::default(),
-                    })
-                    .collect();
-                flight_rec.resolve(&shape_of, &decomps)
-            });
+            let flight = cfg
+                .flight
+                .map(|_| flight.resolve(table.shape_of(), table.decomps()));
             if let (Some(w), Some(f)) = (watch.as_mut(), flight.as_ref()) {
                 w.link_exemplars(f);
             }
@@ -599,7 +538,7 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
                 ledger,
                 sim_faults,
                 audit,
-                shapes: calm_shapes.len() + storm_shapes.len(),
+                shapes: table.shapes().len(),
                 aborted_shapes,
                 max_shape_events,
                 sessions_established,
@@ -616,7 +555,7 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
             profile: profile.clone(),
             schedule_fingerprint: schedule.fingerprint(),
             coverage: schedule.coverage(),
-            arrivals,
+            arrivals: storm.arrivals,
             cells,
         });
     }
@@ -631,7 +570,7 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
         scheduler: cfg.scheduler,
         episodes: cfg.episodes(),
         replicas: cfg.replicas,
-        tenant_names: cfg.tenants.iter().map(|t| t.name.to_string()).collect(),
+        tenant_names,
         budgets: cfg.budgets.clone(),
         profiles: profiles_out,
     }

@@ -175,10 +175,21 @@ impl EngineStats {
             "serial-equivalent sim: {:.3} s\n",
             self.sim_wall.as_secs_f64()
         ));
+        // A speedup only means something when the batches mostly
+        // simulated; for hit-dominated or empty batches it would read as
+        // a bogus slowdown.
+        let speedup = if self.scenarios_run > 0 && self.cache_hits <= self.scenarios_run {
+            format!(" (x{:.2} vs serial baseline)", self.speedup())
+        } else {
+            String::new()
+        };
         out.push_str(&format!(
-            "engine wall clock:     {:.3} s (x{:.2} vs serial baseline)\n",
-            self.elapsed.as_secs_f64(),
-            self.speedup()
+            "engine wall clock:     {:.3} s{speedup}\n",
+            self.elapsed.as_secs_f64()
+        ));
+        out.push_str(&format!(
+            "cache lookup wall:     {:.3} s\n",
+            self.cache_service.as_secs_f64()
         ));
         out.push_str(&format!(
             "worker utilization:    {:.0}%\n",
@@ -675,10 +686,20 @@ mod tests {
     fn stats_render_mentions_cache_hits() {
         let engine = ExperimentEngine::new(2);
         let _ = engine.run(&toy(1));
+        let block = engine.stats().render();
+        assert!(block.contains("cache hits: 0"));
+        assert!(block.contains("worker threads:        2"));
+        assert!(block.contains("cache lookup wall:     "));
+        assert!(block.contains("vs serial baseline"), "{block}");
+        // Hit-dominated: no speedup claim.
+        let _ = engine.run(&toy(1));
         let _ = engine.run(&toy(1));
         let block = engine.stats().render();
-        assert!(block.contains("cache hits: 1"));
-        assert!(block.contains("worker threads:        2"));
+        assert!(block.contains("cache hits: 2"));
+        assert!(!block.contains("vs serial baseline"), "{block}");
+        // Nothing simulated: no speedup claim either.
+        let idle = ExperimentEngine::new(1).stats().render();
+        assert!(!idle.contains("vs serial baseline"), "{idle}");
     }
 
     #[test]

@@ -171,8 +171,11 @@ fn exponential(rng: &mut Xoshiro256, rate: f64) -> f64 {
 /// The serving layer weights by per-tenant arrival *rate*: every tenant
 /// then spans the same virtual horizon, and a tenant's `load_weight`
 /// governs its share of offered *busy time* rather than its request
-/// count.
+/// count. An empty trace splits to all zeros whatever the weights.
 pub fn split_counts(weights: &[f64], total: u64) -> Vec<u64> {
+    if total == 0 {
+        return vec![0; weights.len()];
+    }
     let weight_sum: f64 = weights.iter().sum();
     assert!(
         weight_sum > 0.0 && weight_sum.is_finite(),

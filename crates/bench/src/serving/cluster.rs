@@ -17,15 +17,16 @@
 use std::collections::{BTreeSet, BinaryHeap};
 
 use hcc_tee::{SessionPool, TdCounters};
-use hcc_trace::flight::{FlightRecorder, FlightSkeleton};
+use hcc_trace::flight::{FlightConfig, FlightRecorder, FlightSkeleton};
 use hcc_trace::rollup::CompletionSample;
 use hcc_trace::{Gauge, MetricsSet, RollupCollector};
 use hcc_types::calib::TdxCalib;
-use hcc_types::{CcMode, SimDuration, SimTime};
+use hcc_types::{CcMode, Planes, SimDuration, SimTime};
 use hcc_workloads::TenantSpec;
 
 use super::arrival::Request;
 use super::scheduler::{SchedQueue, SchedulerKind};
+use super::shapes::ShapeTable;
 
 /// Marginal cost of each additional request coalesced into a device
 /// batch, as a fraction of the shape's solo service time: a batch of `k`
@@ -80,35 +81,75 @@ pub struct ClusterRun {
     pub metrics: MetricsSet,
 }
 
-/// Simulates one scheduler draining the trace on `gpus` devices.
+/// The cluster a trace drains through: who is admitted, on how many
+/// devices, under which discipline.
+#[derive(Debug, Clone, Copy)]
+pub struct ClusterConfig<'a> {
+    /// Tenant population (the requests' `tenant` indexes it).
+    pub tenants: &'a [TenantSpec],
+    /// CC mode of every device's session pool.
+    pub cc: CcMode,
+    /// Cluster width.
+    pub gpus: usize,
+    /// Scheduling discipline.
+    pub kind: SchedulerKind,
+    /// Continuous-batching cap.
+    pub max_batch: usize,
+    /// TDX calibration for the per-device session pools.
+    pub tdx: &'a TdxCalib,
+}
+
+/// The observation planes a cluster run feeds. Both are disabled by
+/// default: a disabled collector or recorder costs one branch per settle
+/// and never allocates.
+#[derive(Debug, Default)]
+pub struct Observers {
+    /// Receives one [`CompletionSample`] per settled request.
+    pub rollup: RollupCollector,
+    /// Receives one [`FlightSkeleton`] per settled request.
+    pub flight: FlightRecorder,
+}
+
+impl Observers {
+    /// Rollups on iff `watch`; the flight plane on iff `flight` is set.
+    pub fn new(watch: bool, flight: Option<FlightConfig>) -> Self {
+        Observers {
+            rollup: if watch {
+                RollupCollector::enabled()
+            } else {
+                RollupCollector::new()
+            },
+            flight: FlightRecorder::for_planes(
+                Planes::NONE.set(Planes::FLIGHT, flight.is_some()),
+                flight.unwrap_or_default(),
+            ),
+        }
+    }
+}
+
+/// Simulates one scheduler draining the trace on `cfg.gpus` devices.
 ///
-/// `service` carries each request's memoized shape outcome: the solo
+/// `shapes` maps each request to its memoized shape outcome: the solo
 /// device time of its scenario, or the error a deterministic failure
 /// produced (those requests are rejected at dispatch, never losing
 /// conservation: every admitted request either completes or rejects
-/// exactly once).
+/// exactly once). A batch runs for its head request's shape.
 ///
-/// `rollup` receives one [`CompletionSample`] per settled request (at
+/// `obs.rollup` receives one [`CompletionSample`] per settled request (at
 /// its completion instant for admitted work, at its dispatch instant for
-/// rejections) when enabled; a disabled collector costs one branch per
-/// settle and never allocates. `flight` receives one [`FlightSkeleton`]
+/// rejections) when enabled. `obs.flight` receives one [`FlightSkeleton`]
 /// per settled request under the same contract — the skeleton carries
 /// this request's *own* SPDM/doorbell admission split (co-batched
 /// members' admissions surface later as the batch-margin span).
 pub fn simulate(
     requests: &[Request],
-    service: &[Result<SimDuration, String>],
-    tenants: &[TenantSpec],
-    cc: CcMode,
-    gpus: usize,
-    kind: SchedulerKind,
-    max_batch: usize,
-    tdx: &TdxCalib,
-    rollup: &mut RollupCollector,
-    flight: &mut FlightRecorder,
+    shapes: &ShapeTable,
+    cfg: &ClusterConfig<'_>,
+    obs: &mut Observers,
 ) -> ClusterRun {
-    assert_eq!(requests.len(), service.len());
-    assert!(gpus > 0, "a cluster needs at least one GPU");
+    assert_eq!(requests.len(), shapes.shape_of().len());
+    assert!(cfg.gpus > 0, "a cluster needs at least one GPU");
+    let Observers { rollup, flight } = obs;
 
     let placeholder = Outcome {
         dispatch: SimTime::ZERO,
@@ -122,16 +163,16 @@ pub fn simulate(
     let mut outcomes = vec![placeholder; requests.len()];
     let mut settled = vec![false; requests.len()];
 
-    let mut queue = SchedQueue::new(kind, tenants, max_batch, requests.len());
-    let mut idle: BTreeSet<usize> = (0..gpus).collect();
+    let mut queue = SchedQueue::new(cfg.kind, cfg.tenants, cfg.max_batch, requests.len());
+    let mut idle: BTreeSet<usize> = (0..cfg.gpus).collect();
     // Min-heap of (completion time, gpu); one in-flight batch per GPU.
     let mut completions: BinaryHeap<std::cmp::Reverse<(SimTime, usize)>> = BinaryHeap::new();
-    let mut pools: Vec<SessionPool> = (0..gpus)
-        .map(|_| SessionPool::new(cc, tdx.clone()))
+    let mut pools: Vec<SessionPool> = (0..cfg.gpus)
+        .map(|_| SessionPool::new(cfg.cc, cfg.tdx.clone()))
         .collect();
 
     let mut queue_depth = Gauge::enabled();
-    let mut gpu_depth: Vec<Gauge> = (0..gpus).map(|_| Gauge::enabled()).collect();
+    let mut gpu_depth: Vec<Gauge> = (0..cfg.gpus).map(|_| Gauge::enabled()).collect();
 
     let mut busy = SimDuration::ZERO;
     let mut batches = 0u64;
@@ -146,7 +187,7 @@ pub fn simulate(
                 break;
             };
             queue_depth.add(now, -(batch.len() as i64));
-            let shape = match &service[batch[0]] {
+            let shape = match shapes.service(batch[0]) {
                 Ok(p) => *p,
                 Err(_) => {
                     // The whole batch shares the failing shape: reject it
@@ -302,6 +343,7 @@ pub fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serving::shapes::Shape;
     use hcc_workloads::default_tenants;
 
     fn trace(gaps_us: &[(u64, usize, usize)]) -> Vec<Request> {
@@ -325,21 +367,46 @@ mod tests {
         vec![Ok(SimDuration::micros(us)); n]
     }
 
+    /// Drains `reqs` with one shape per request (`service[i]`) on a
+    /// default two-tenant cluster, batching capped at 8.
+    fn drain(
+        reqs: &[Request],
+        service: Vec<Result<SimDuration, String>>,
+        cc: CcMode,
+        gpus: usize,
+        kind: SchedulerKind,
+    ) -> ClusterRun {
+        let shapes = service
+            .into_iter()
+            .map(|service| Shape {
+                label: String::new(),
+                hash: 0,
+                service,
+                faults: Default::default(),
+                audit: None,
+            })
+            .collect();
+        let table = ShapeTable::from_shapes(shapes, (0..reqs.len() as u32).collect());
+        let cfg = ClusterConfig {
+            tenants: &default_tenants(2),
+            cc,
+            gpus,
+            kind,
+            max_batch: 8,
+            tdx: &TdxCalib::default(),
+        };
+        simulate(reqs, &table, &cfg, &mut Observers::default())
+    }
+
     #[test]
     fn single_gpu_fifo_is_work_conserving() {
-        let tenants = default_tenants(2);
         let reqs = trace(&[(0, 0, 0), (0, 0, 0), (0, 1, 0)]);
-        let run = simulate(
+        let run = drain(
             &reqs,
-            &flat_service(3, 100),
-            &tenants,
+            flat_service(3, 100),
             CcMode::Off,
             1,
             SchedulerKind::Fifo,
-            8,
-            &TdxCalib::default(),
-            &mut RollupCollector::new(),
-            &mut FlightRecorder::new(),
         );
         // All three ran back to back on one device.
         assert_eq!(run.batches, 3);
@@ -359,22 +426,10 @@ mod tests {
 
     #[test]
     fn failing_shapes_are_rejected_exactly_once() {
-        let tenants = default_tenants(2);
         let reqs = trace(&[(0, 0, 0), (5, 0, 1), (5, 1, 0)]);
         let mut service = flat_service(3, 50);
         service[1] = Err("boom".to_string());
-        let run = simulate(
-            &reqs,
-            &service,
-            &tenants,
-            CcMode::On,
-            2,
-            SchedulerKind::Fifo,
-            8,
-            &TdxCalib::default(),
-            &mut RollupCollector::new(),
-            &mut FlightRecorder::new(),
-        );
+        let run = drain(&reqs, service, CcMode::On, 2, SchedulerKind::Fifo);
         let rejected: Vec<bool> = run.outcomes.iter().map(|o| o.rejected).collect();
         assert_eq!(rejected, vec![false, true, false]);
         assert_eq!(run.outcomes[1].dispatch, run.outcomes[1].completion);
@@ -383,36 +438,25 @@ mod tests {
 
     #[test]
     fn cc_on_charges_cold_starts_per_tenant_per_device() {
-        let tenants = default_tenants(2);
-        // Two tenants, one device each admission lands on (2 GPUs, 4 reqs
-        // arriving far apart so each runs alone).
+        // Two tenants on one device, 4 requests arriving far apart so
+        // each runs alone.
         let reqs = trace(&[(0, 0, 0), (100_000, 1, 0), (100_000, 0, 0), (100_000, 1, 0)]);
-        let run = simulate(
+        let run = drain(
             &reqs,
-            &flat_service(4, 50),
-            &tenants,
+            flat_service(4, 50),
             CcMode::On,
             1,
             SchedulerKind::Fifo,
-            8,
-            &TdxCalib::default(),
-            &mut RollupCollector::new(),
-            &mut FlightRecorder::new(),
         );
         assert_eq!(run.cold_starts, 2, "one handshake per tenant on the device");
         assert!(run.outcomes[0].admission > run.outcomes[2].admission);
         assert!(run.td.hypercalls >= 2 * 16 + 4 * 2);
-        let off = simulate(
+        let off = drain(
             &reqs,
-            &flat_service(4, 50),
-            &tenants,
+            flat_service(4, 50),
             CcMode::Off,
             1,
             SchedulerKind::Fifo,
-            8,
-            &TdxCalib::default(),
-            &mut RollupCollector::new(),
-            &mut FlightRecorder::new(),
         );
         assert_eq!(off.cold_starts, 0);
         assert!(off.busy < run.busy, "CC-on admission costs device time");
@@ -420,32 +464,21 @@ mod tests {
 
     #[test]
     fn batching_amortizes_service() {
-        let tenants = default_tenants(2);
         // Four same-shape batchable chat requests arriving together.
         let reqs = trace(&[(0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)]);
-        let fifo = simulate(
+        let fifo = drain(
             &reqs,
-            &flat_service(4, 1000),
-            &tenants,
+            flat_service(4, 1000),
             CcMode::Off,
             1,
             SchedulerKind::Fifo,
-            8,
-            &TdxCalib::default(),
-            &mut RollupCollector::new(),
-            &mut FlightRecorder::new(),
         );
-        let cb = simulate(
+        let cb = drain(
             &reqs,
-            &flat_service(4, 1000),
-            &tenants,
+            flat_service(4, 1000),
             CcMode::Off,
             1,
             SchedulerKind::Batching,
-            8,
-            &TdxCalib::default(),
-            &mut RollupCollector::new(),
-            &mut FlightRecorder::new(),
         );
         assert_eq!(cb.batches, 1);
         assert_eq!(cb.outcomes[0].batch, 4);
@@ -459,19 +492,13 @@ mod tests {
 
     #[test]
     fn gauges_track_queue_and_device_occupancy() {
-        let tenants = default_tenants(2);
         let reqs = trace(&[(0, 0, 0), (0, 0, 2), (0, 1, 0)]);
-        let run = simulate(
+        let run = drain(
             &reqs,
-            &flat_service(3, 200),
-            &tenants,
+            flat_service(3, 200),
             CcMode::Off,
             1,
             SchedulerKind::Fifo,
-            8,
-            &TdxCalib::default(),
-            &mut RollupCollector::new(),
-            &mut FlightRecorder::new(),
         );
         let depth = run.metrics.gauge_series("serving.queue_depth").unwrap();
         assert_eq!(depth.peak(), 2, "two requests queued behind the first");

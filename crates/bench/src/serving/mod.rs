@@ -11,12 +11,12 @@
 //! CC-on and CC-off, so the report ([`report`]) shows exactly how the
 //! paper's per-request overheads compound into p99/p999 queueing pain.
 //!
-//! Request *shapes* are memoized: every request of a (tenant, class)
-//! resolves to the same `Scenario`, so the [`ExperimentEngine`] simulates
-//! each distinct shape once and serves the other ~10⁵ requests from its
-//! cache — which is what keeps million-request sweeps tractable (the
-//! engine's cache-hit counters double as the serving bench's hit-rate
-//! metric).
+//! Request *shapes* are resolved once: every request of a (tenant, class)
+//! rides the same `Scenario`, so the [`ExperimentEngine`] simulates each
+//! distinct shape once per mode and a [`ShapeTable`] ([`shapes`]) maps
+//! the ~10⁵ requests onto those results by index — the request stream
+//! never touches the engine, which is what keeps million-request sweeps
+//! tractable.
 //!
 //! Everything is virtual-time deterministic: one seed fixes the arrival
 //! trace, the scheduler decisions, and every latency in the report, and
@@ -26,12 +26,11 @@ pub mod arrival;
 pub mod cluster;
 pub mod report;
 pub mod scheduler;
-
-use std::collections::BTreeMap;
+pub mod shapes;
 
 use hcc_runtime::SimConfig;
 use hcc_types::calib::TdxCalib;
-use hcc_types::{CcMode, FaultPlan, RecoveryPolicy, SimDuration};
+use hcc_types::{CcMode, FaultPlan, RecoveryPolicy};
 use hcc_workloads::{default_tenants, Scenario, TenantSpec};
 
 use crate::engine::ExperimentEngine;
@@ -39,6 +38,8 @@ use crate::engine::ExperimentEngine;
 pub use arrival::{ArrivalKind, ArrivalProcess, Request};
 pub use report::{ModeRun, SchedulerRun, ServingReport, TenantStats};
 pub use scheduler::SchedulerKind;
+pub(crate) use shapes::distinct_apps;
+pub use shapes::{Shape, ShapeTable};
 
 /// Environment variable overriding the arrival-stream seed.
 pub const SEED_ENV: &str = "HCC_SERVE_SEED";
@@ -53,16 +54,13 @@ pub const DEFAULT_SEED: u64 = 0xCC_5E21;
 /// Default seed baked into every shape scenario's `SimConfig`.
 pub const DEFAULT_SHAPE_SEED: u64 = 0x5E21_2026;
 
-/// Engine batch size for the per-request cache stream: bounds peak
-/// scenario memory while still amortizing batch overhead.
-const STREAM_CHUNK: usize = 8192;
-
 /// Full configuration of one serving experiment.
 #[derive(Debug, Clone)]
 pub struct ServingConfig {
     /// Arrival-stream seed.
     pub seed: u64,
-    /// Total requests across all tenants.
+    /// Total requests across all tenants. Zero yields an empty report
+    /// whose runs settle nothing (conserved vacuously).
     pub requests: u64,
     /// Cluster width.
     pub gpus: usize,
@@ -148,7 +146,7 @@ impl ServingConfig {
     }
 }
 
-fn env_u64(var: &str) -> Option<u64> {
+pub(crate) fn env_u64(var: &str) -> Option<u64> {
     let raw = std::env::var(var).ok()?;
     let raw = raw.trim();
     let parsed = if let Some(hex) = raw.strip_prefix("0x") {
@@ -159,32 +157,17 @@ fn env_u64(var: &str) -> Option<u64> {
     parsed.ok()
 }
 
-/// Runs the full serving experiment: generates the trace, resolves every
-/// request shape through the memoizing engine (both modes), and drains
-/// the identical trace through each configured scheduler CC-off and
-/// CC-on.
-pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
-    assert!(!cfg.tenants.is_empty(), "serving needs at least one tenant");
-    assert!(
-        !cfg.schedulers.is_empty(),
-        "serving needs at least one scheduler"
-    );
-
-    // Distinct shape working set: one scenario per app per mode.
-    let mut app_index: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for tenant in &cfg.tenants {
-        for class in &tenant.mix {
-            let next = app_index.len();
-            app_index.entry(class.app).or_insert(next);
-        }
-    }
-    let apps: Vec<&'static str> = {
-        let mut v = vec![""; app_index.len()];
-        for (app, &i) in &app_index {
-            v[i] = app;
-        }
-        v
-    };
+/// Generates the serving trace and resolves its shape tables, one per
+/// CC mode in [`CcMode::ALL`] order: every distinct (app, mode) shape
+/// simulates once, in one engine batch, and every request maps to its
+/// app's shape. Only the CC-on table is analysed for the watch and
+/// flight planes (they observe the CC-on runs).
+pub fn shape_tables(
+    cfg: &ServingConfig,
+    engine: &ExperimentEngine,
+) -> (Vec<Request>, [ShapeTable; 2]) {
+    let (apps, slot) = distinct_apps(&cfg.tenants);
+    let n = apps.len();
     let prefetch: Vec<Scenario> = CcMode::ALL
         .iter()
         .flat_map(|&cc| {
@@ -192,16 +175,7 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
                 .map(move |&app| Scenario::standard(app, cfg.shape_cfg(cc)))
         })
         .collect();
-    // Parallel fan-out: every distinct shape simulates once, up front.
     let prefetched = engine.run_all(&prefetch);
-    let shape_of = |cc: CcMode, app: &str| -> Result<SimDuration, String> {
-        let mode_base = if cc.is_on() { apps.len() } else { 0 };
-        let entry = &prefetched[mode_base + app_index[app]];
-        match entry.run() {
-            Ok(r) => Ok(SimDuration::from_nanos(r.end.as_nanos())),
-            Err(f) => Err(f.error),
-        }
-    };
 
     // Offered load: size per-tenant rates off the CC-off mean service so
     // the baseline cluster sits near `target_util`.
@@ -209,12 +183,13 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
     let rates: Vec<f64> = cfg
         .tenants
         .iter()
-        .map(|tenant| {
+        .enumerate()
+        .map(|(ti, tenant)| {
             let mut weighted_ns = 0.0f64;
             let mut weight = 0.0f64;
-            for class in &tenant.mix {
-                if let Ok(p) = shape_of(CcMode::Off, class.app) {
-                    weighted_ns += p.as_nanos() as f64 * f64::from(class.weight);
+            for (ci, class) in tenant.mix.iter().enumerate() {
+                if let Ok(r) = &prefetched[slot[ti][ci] as usize].result {
+                    weighted_ns += r.end.as_nanos() as f64 * f64::from(class.weight);
                     weight += f64::from(class.weight);
                 }
             }
@@ -229,117 +204,63 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
         .collect();
 
     let requests = arrival::generate(&cfg.tenants, &rates, cfg.arrival, cfg.requests, cfg.seed);
-
-    // Resolve every request's shape through the engine cache, chunked so
-    // a 10^6-request stream never materializes all its scenarios at once.
-    // This is the honest accounting of the memoization win: ~2N requests
-    // hit a working set of `apps x modes` simulations.
-    let mut service: [Vec<Result<SimDuration, String>>; 2] = [
-        Vec::with_capacity(requests.len()),
-        Vec::with_capacity(requests.len()),
+    let shape_of: Vec<u32> = requests.iter().map(|r| slot[r.tenant][r.class]).collect();
+    let observed = cfg.watch.is_some() || cfg.flight.is_some();
+    let tables = [
+        ShapeTable::new(&prefetched[..n], shape_of.clone(), false),
+        ShapeTable::new(&prefetched[n..], shape_of, observed),
     ];
-    for (mi, &cc) in CcMode::ALL.iter().enumerate() {
-        let shape_cfg = cfg.shape_cfg(cc);
-        for chunk in requests.chunks(STREAM_CHUNK) {
-            let scenarios: Vec<Scenario> = chunk
-                .iter()
-                .map(|r| {
-                    let app = cfg.tenants[r.tenant].mix[r.class].app;
-                    Scenario::standard(app, shape_cfg.clone())
-                })
-                .collect();
-            for result in engine.run_all(&scenarios) {
-                service[mi].push(match result.run() {
-                    Ok(r) => Ok(SimDuration::from_nanos(r.end.as_nanos())),
-                    Err(f) => Err(f.error),
-                });
-            }
-        }
-    }
+    (requests, tables)
+}
 
-    // Watchtower inputs shared by every scheduler: tenant labels, the
-    // chaos lab's default budgets, and a per-request blame table built
-    // from the CC-on shape attributions (each request blames its app's
-    // critical path).
+/// Runs the full serving experiment: generates the trace, resolves its
+/// shape tables (both modes), and drains the identical trace through
+/// each configured scheduler CC-off and CC-on.
+pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
+    assert!(!cfg.tenants.is_empty(), "serving needs at least one tenant");
+    assert!(
+        !cfg.schedulers.is_empty(),
+        "serving needs at least one scheduler"
+    );
+    let (requests, tables) = shape_tables(cfg, engine);
+
+    // Watchtower inputs shared by every scheduler: tenant labels and the
+    // chaos lab's default budgets. Blame and flight decompositions read
+    // the CC-on table (each request blames its app's critical path).
     let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.name.to_string()).collect();
     let budgets = crate::chaos::default_budgets(&cfg.tenants);
-    let blame = cfg.watch.map(|_| {
-        let shape_of: Vec<u32> = requests
-            .iter()
-            .map(|r| app_index[cfg.tenants[r.tenant].mix[r.class].app] as u32)
-            .collect();
-        let attrs: Vec<hcc_trace::Attribution> = (0..apps.len())
-            .map(|ai| match prefetched[apps.len() + ai].run() {
-                Ok(r) => hcc_trace::critpath::extract(&r.timeline, &r.causal).attribution(),
-                Err(_) => hcc_trace::Attribution::default(),
-            })
-            .collect();
-        (shape_of, attrs)
-    });
-
-    // Flight-recorder inputs: the same request→shape mapping plus one
-    // full decomposition (service total, critical-path attribution,
-    // recovery counters) per distinct CC-on shape. Built once per soak,
-    // not per request.
-    let flight_tables = cfg.flight.map(|_| {
-        let shape_of: Vec<u32> = requests
-            .iter()
-            .map(|r| app_index[cfg.tenants[r.tenant].mix[r.class].app] as u32)
-            .collect();
-        let decomps: Vec<hcc_trace::flight::ShapeDecomp> = (0..apps.len())
-            .map(|ai| match prefetched[apps.len() + ai].run() {
-                Ok(r) => hcc_trace::flight::ShapeDecomp {
-                    total: SimDuration::from_nanos(r.end.as_nanos()),
-                    attr: hcc_trace::critpath::extract(&r.timeline, &r.causal).attribution(),
-                    faults: r.fault,
-                },
-                Err(_) => hcc_trace::flight::ShapeDecomp::default(),
-            })
-            .collect();
-        (shape_of, decomps)
-    });
+    let on_table = &tables[1];
 
     let runs = cfg
         .schedulers
         .iter()
         .map(|&kind| {
-            let mut rollup = hcc_trace::RollupCollector::new();
-            let mut flight_rec = hcc_trace::FlightRecorder::new();
-            let modes = [CcMode::Off, CcMode::On].map(|cc| {
-                let mi = usize::from(cc.is_on());
-                let mut collector = if cc.is_on() && cfg.watch.is_some() {
-                    hcc_trace::RollupCollector::enabled()
-                } else {
-                    hcc_trace::RollupCollector::new()
-                };
-                // The flight plane rides the Planes mask: only the
-                // CC-on run of a flight-enabled soak records.
-                let planes = hcc_types::Planes::NONE.set(
-                    hcc_types::Planes::FLIGHT,
-                    cc.is_on() && cfg.flight.is_some(),
-                );
-                let mut flight =
-                    hcc_trace::FlightRecorder::for_planes(planes, cfg.flight.unwrap_or_default());
-                let raw = cluster::simulate(
-                    &requests,
-                    &service[mi],
-                    &cfg.tenants,
+            let mut on_obs = cluster::Observers::default();
+            let modes = CcMode::ALL.map(|cc| {
+                let cluster = cluster::ClusterConfig {
+                    tenants: &cfg.tenants,
                     cc,
-                    cfg.gpus,
+                    gpus: cfg.gpus,
                     kind,
-                    cfg.max_batch,
-                    &cfg.tdx,
-                    &mut collector,
-                    &mut flight,
-                );
+                    max_batch: cfg.max_batch,
+                    tdx: &cfg.tdx,
+                };
+                let table = &tables[usize::from(cc.is_on())];
+                // The observation planes record only the CC-on run.
+                let mut obs = if cc.is_on() {
+                    cluster::Observers::new(cfg.watch.is_some(), cfg.flight)
+                } else {
+                    cluster::Observers::default()
+                };
+                let raw = cluster::simulate(&requests, table, &cluster, &mut obs);
                 if cc.is_on() {
-                    rollup = collector;
-                    flight_rec = flight;
+                    on_obs = obs;
                 }
-                report::mode_run(cc, cfg.gpus, &cfg.tenants, &requests, &service[mi], raw)
+                report::mode_run(&cluster, &requests, table, raw)
             });
+            let cluster::Observers { rollup, flight } = on_obs;
             let mut watch = cfg.watch.as_ref().map(|wcfg| {
-                let samples = std::mem::take(&mut rollup).into_sorted();
+                let samples = rollup.into_sorted();
                 let on = &modes[1];
                 crate::watch::observe(
                     wcfg,
@@ -350,15 +271,13 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
                         horizon: on.end,
                         queue: on.metrics.gauge_series("serving.queue_depth"),
                         storm: None,
-                        blame: blame
-                            .as_ref()
-                            .map(|(shape_of, attrs)| crate::watch::BlameView { shape_of, attrs }),
+                        blame: Some(on_table),
                     },
                 )
             });
-            let flight = flight_tables.as_ref().map(|(shape_of, decomps)| {
-                std::mem::take(&mut flight_rec).resolve(shape_of, decomps)
-            });
+            let flight = cfg
+                .flight
+                .map(|_| flight.resolve(on_table.shape_of(), on_table.decomps()));
             if let (Some(w), Some(f)) = (watch.as_mut(), flight.as_ref()) {
                 w.link_exemplars(f);
             }
@@ -376,8 +295,8 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
         requests: cfg.requests,
         gpus: cfg.gpus,
         arrival: cfg.arrival,
-        tenant_names: cfg.tenants.iter().map(|t| t.name.to_string()).collect(),
-        distinct_shapes: apps.len(),
+        tenant_names,
+        distinct_shapes: on_table.shapes().len(),
         runs,
     }
 }
@@ -413,13 +332,14 @@ mod tests {
     }
 
     #[test]
-    fn shapes_ride_the_engine_cache() {
+    fn each_shape_resolves_once_with_no_request_lookups() {
         let engine = ExperimentEngine::new(2);
         let rep = run(&small(), &engine);
         let stats = engine.stats();
-        // 2 modes x distinct apps simulate; the 2N request stream hits.
+        // 2 modes x distinct apps simulate; the request stream indexes
+        // the shape table and never asks the engine.
         assert_eq!(stats.scenarios_run, 2 * rep.distinct_shapes as u64);
-        assert!(stats.cache_hits >= 2 * 200);
+        assert_eq!(stats.cache_hits, 0);
     }
 
     #[test]

@@ -11,11 +11,11 @@ use hcc_tee::TdCounters;
 use hcc_trace::{Cdf, MetricsSet};
 use hcc_types::json::{Json, ToJson};
 use hcc_types::{CcMode, SimDuration, SimTime};
-use hcc_workloads::TenantSpec;
 
 use super::arrival::{ArrivalKind, Request};
-use super::cluster::ClusterRun;
+use super::cluster::{ClusterConfig, ClusterRun};
 use super::scheduler::SchedulerKind;
+use super::shapes::ShapeTable;
 
 /// One tenant's aggregate over one (scheduler, mode) run.
 #[derive(Debug)]
@@ -142,15 +142,15 @@ pub struct ServingReport {
     pub runs: Vec<SchedulerRun>,
 }
 
-/// Builds one tenant-resolved [`ModeRun`] from a raw cluster run.
+/// Builds one tenant-resolved [`ModeRun`] from a raw cluster run of
+/// `requests` over `shapes` on `cluster`.
 pub fn mode_run(
-    cc: CcMode,
-    gpus: usize,
-    tenants: &[TenantSpec],
+    cluster: &ClusterConfig<'_>,
     requests: &[Request],
-    service: &[Result<SimDuration, String>],
+    shapes: &ShapeTable,
     run: ClusterRun,
 ) -> ModeRun {
+    let tenants = cluster.tenants;
     let mut latency: Vec<Vec<SimDuration>> = vec![Vec::new(); tenants.len()];
     let mut wait: Vec<Vec<SimDuration>> = vec![Vec::new(); tenants.len()];
     let mut rejected = vec![0u64; tenants.len()];
@@ -161,7 +161,7 @@ pub fn mode_run(
     let mut shape_total = vec![zero; tenants.len()];
     let mut admission_total = vec![zero; tenants.len()];
 
-    for ((req, outcome), shape) in requests.iter().zip(&run.outcomes).zip(service) {
+    for (i, (req, outcome)) in requests.iter().zip(&run.outcomes).enumerate() {
         let t = req.tenant;
         if outcome.rejected {
             rejected[t] += 1;
@@ -175,7 +175,10 @@ pub fn mode_run(
         latency_total[t] += l;
         wait_total[t] += w;
         service_total[t] += s;
-        shape_total[t] += *shape.as_ref().expect("completed requests have a shape");
+        shape_total[t] += *shapes
+            .service(i)
+            .as_ref()
+            .expect("completed requests have a shape");
         admission_total[t] += outcome.admission;
     }
 
@@ -197,11 +200,11 @@ pub fn mode_run(
         .collect();
 
     ModeRun {
-        cc,
+        cc: cluster.cc,
         tenants,
         end: run.end,
         busy: run.busy,
-        gpus,
+        gpus: cluster.gpus,
         batches: run.batches,
         cold_starts: run.cold_starts,
         td: run.td,

@@ -22,11 +22,13 @@
 
 pub mod report;
 
-use hcc_trace::critpath::{Attribution, ResourceClass};
+use hcc_trace::critpath::ResourceClass;
 use hcc_trace::rollup;
 use hcc_trace::Series;
 use hcc_types::slo::burn_rate_milli;
 use hcc_types::{BurnPair, LatencyBudget, SimDuration, SimTime, StormIntensity, StormSchedule};
+
+use crate::serving::{env_u64, ShapeTable};
 
 pub use report::{Incident, IncidentBlame, IncidentStorm, TenantBurn, WatchReport, WindowRow};
 
@@ -104,17 +106,6 @@ impl WatchConfig {
     }
 }
 
-fn env_u64(var: &str) -> Option<u64> {
-    let raw = std::env::var(var).ok()?;
-    let raw = raw.trim();
-    let parsed = if let Some(hex) = raw.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16)
-    } else {
-        raw.parse()
-    };
-    parsed.ok()
-}
-
 /// The canonical stormy watch soak: a crypto-burst calendar over a
 /// 4-day, 2-GPU chaos run under the Abort policy, whose mass rejections
 /// in peak windows burn every tenant's error budget well past the 4×
@@ -158,16 +149,6 @@ pub struct StormContext<'a> {
     pub schedule: &'a StormSchedule,
 }
 
-/// Critical-path attributions for incident blame: `shape_of[req]`
-/// indexes `attrs` (aborted shapes carry a zero attribution).
-#[derive(Debug, Clone, Copy)]
-pub struct BlameView<'a> {
-    /// Per-request shape index, aligned with request arrival order.
-    pub shape_of: &'a [u32],
-    /// Per-shape critical-path attribution.
-    pub attrs: &'a [Attribution],
-}
-
 /// Everything the watchtower observes about one finished soak.
 #[derive(Debug, Clone, Copy)]
 pub struct SoakView<'a> {
@@ -185,8 +166,10 @@ pub struct SoakView<'a> {
     pub queue: Option<&'a Series>,
     /// Storm calendar, when the soak ran under one.
     pub storm: Option<StormContext<'a>>,
-    /// Attribution table, when the soak kept one.
-    pub blame: Option<BlameView<'a>>,
+    /// The soak's analysed shape table, for incident blame: each
+    /// request blames its shape's critical-path attribution (aborted
+    /// shapes carry a zero attribution).
+    pub blame: Option<&'a ShapeTable>,
 }
 
 /// Rolls a soak into the full watch report: per-window rollups,
@@ -335,7 +318,7 @@ fn build_incident(
         })
     });
 
-    let blame = view.blame.as_ref().and_then(|bv| {
+    let blame = view.blame.and_then(|table| {
         let span = rollup::Window {
             index: first,
             start: windows[first].start,
@@ -346,8 +329,10 @@ fn build_incident(
             if s.rejected || s.tenant as usize != tenant {
                 continue;
             }
-            let attr = &bv.attrs[bv.shape_of[s.req as usize] as usize];
-            for (k, (_, d)) in attr.iter().enumerate() {
+            let Some(decomp) = table.decomp(s.req as usize) else {
+                continue;
+            };
+            for (k, (_, d)) in decomp.attr.iter().enumerate() {
                 totals[k] += d;
             }
         }
@@ -399,8 +384,24 @@ mod tests {
         }
     }
 
-    fn names() -> Vec<String> {
-        vec!["solo".to_string()]
+    /// Observes a one-tenant (`solo`, [`budget`]) soak with no blame.
+    fn observe_solo(
+        cfg: &WatchConfig,
+        samples: &[CompletionSample],
+        horizon: SimTime,
+        queue: Option<&Series>,
+        storm: Option<StormContext<'_>>,
+    ) -> WatchReport {
+        let view = SoakView {
+            tenant_names: &["solo".to_string()],
+            budgets: &[budget()],
+            samples,
+            horizon,
+            queue,
+            storm,
+            blame: None,
+        };
+        observe(cfg, &view)
     }
 
     /// 10 requests per 100ms window; windows 3 and 4 are all-bad.
@@ -434,21 +435,8 @@ mod tests {
 
     #[test]
     fn alerts_need_both_windows_and_coalesce_into_one_incident() {
-        let names = names();
-        let budgets = [budget()];
         let samples = storm_samples();
-        let rep = observe(
-            &cfg(),
-            &SoakView {
-                tenant_names: &names,
-                budgets: &budgets,
-                samples: &samples,
-                horizon: t(800),
-                queue: None,
-                storm: None,
-                blame: None,
-            },
-        );
+        let rep = observe_solo(&cfg(), &samples, t(800), None, None);
         assert_eq!(rep.windows.len(), 8);
         // Fast burn in the bad windows: 10/10 bad against a 10% budget
         // = 10x. Slow (4-window trailing) at w3: 10/40 bad = 2.5x ≥ 2x.
@@ -473,8 +461,6 @@ mod tests {
     fn slow_window_vetoes_a_lone_spike() {
         // One all-bad window in an otherwise calm soak: fast burns hard
         // but the trailing slow window stays under threshold.
-        let names = names();
-        let budgets = [budget()];
         let mut samples = Vec::new();
         for w in 0..8u64 {
             for k in 0..10u64 {
@@ -491,18 +477,7 @@ mod tests {
             threshold_milli: 3_000,
             ..cfg()
         };
-        let rep = observe(
-            &wcfg,
-            &SoakView {
-                tenant_names: &names,
-                budgets: &budgets,
-                samples: &samples,
-                horizon: t(800),
-                queue: None,
-                storm: None,
-                blame: None,
-            },
-        );
+        let rep = observe_solo(&wcfg, &samples, t(800), None, None);
         // Fast hits 10x at w5 but slow = 10/40 = 2.5x < 3x: no alert.
         assert_eq!(rep.windows[5].burns[0].fast_milli, 10_000);
         assert!(!rep.windows[5].burns[0].alert);
@@ -512,20 +487,7 @@ mod tests {
 
     #[test]
     fn empty_soak_produces_an_empty_timeline() {
-        let names = names();
-        let budgets = [budget()];
-        let rep = observe(
-            &WatchConfig::default(),
-            &SoakView {
-                tenant_names: &names,
-                budgets: &budgets,
-                samples: &[],
-                horizon: SimTime::ZERO,
-                queue: None,
-                storm: None,
-                blame: None,
-            },
-        );
+        let rep = observe_solo(&WatchConfig::default(), &[], SimTime::ZERO, None, None);
         assert!(rep.windows.is_empty());
         assert!(rep.incidents.is_empty());
         assert_eq!(rep.alerts(), 0);
@@ -534,8 +496,6 @@ mod tests {
 
     #[test]
     fn incidents_correlate_against_the_storm_calendar() {
-        let names = names();
-        let budgets = [budget()];
         let samples = storm_samples();
         // Hand-built calendar: one episode covering [300, 500) peaking
         // exactly where the bad windows are.
@@ -564,20 +524,15 @@ mod tests {
             ],
             horizon: t(800),
         };
-        let rep = observe(
+        let rep = observe_solo(
             &cfg(),
-            &SoakView {
-                tenant_names: &names,
-                budgets: &budgets,
-                samples: &samples,
-                horizon: t(800),
-                queue: None,
-                storm: Some(StormContext {
-                    profile: "crypto-burst",
-                    schedule: &schedule,
-                }),
-                blame: None,
-            },
+            &samples,
+            t(800),
+            None,
+            Some(StormContext {
+                profile: "crypto-burst",
+                schedule: &schedule,
+            }),
         );
         let storm = rep.incidents[0].storm.as_ref().expect("storm-correlated");
         assert_eq!(storm.profile, "crypto-burst");
@@ -588,26 +543,13 @@ mod tests {
 
     #[test]
     fn queue_anomalies_flag_windows_far_above_the_soak_mean() {
-        let names = names();
-        let budgets = [budget()];
         let samples = storm_samples();
         // Queue holds depth 1 mostly, depth 20 inside [300, 500).
         let mut g = hcc_trace::Gauge::enabled();
         g.occupy(t(0), t(800));
         g.occupy_n(t(300), t(500), 19);
         let series = g.series("serving.queue_depth");
-        let rep = observe(
-            &cfg(),
-            &SoakView {
-                tenant_names: &names,
-                budgets: &budgets,
-                samples: &samples,
-                horizon: t(800),
-                queue: Some(&series),
-                storm: None,
-                blame: None,
-            },
-        );
+        let rep = observe_solo(&cfg(), &samples, t(800), Some(&series), None);
         let flags: Vec<bool> = rep.windows.iter().map(|w| w.anomaly).collect();
         assert_eq!(
             flags,
@@ -619,20 +561,9 @@ mod tests {
 
     #[test]
     fn observe_is_a_pure_function_of_the_view() {
-        let names = names();
-        let budgets = [budget()];
         let samples = storm_samples();
-        let view = SoakView {
-            tenant_names: &names,
-            budgets: &budgets,
-            samples: &samples,
-            horizon: t(800),
-            queue: None,
-            storm: None,
-            blame: None,
-        };
-        let a = observe(&cfg(), &view);
-        let b = observe(&cfg(), &view);
+        let a = observe_solo(&cfg(), &samples, t(800), None, None);
+        let b = observe_solo(&cfg(), &samples, t(800), None, None);
         assert_eq!(a.render(), b.render());
         assert_eq!(a.to_prometheus(), b.to_prometheus());
     }

@@ -173,7 +173,7 @@ echo "tier-2: OK (BENCH_summary.json exported)"
 # scheduler in both modes. stdout must be byte-identical at 1 and 4
 # engine threads, both report trailer invariants must hold, and the
 # BENCH_serving.json side file must record nonzero wall-clock throughput
-# and a nonzero engine cache-hit rate (the memoized-shape win).
+# and exactly one simulation per distinct shape per CC mode.
 echo "==> tier-2: serving cluster determinism and SLO invariants"
 HCC_ENGINE_THREADS=1 ./target/release/serve --requests 100000 --gpus 4 \
     >"$t2_dir/serve1.out" 2>/dev/null
@@ -197,17 +197,18 @@ if ! grep -q "^slo cc-on p99 > cc-off p99 (all tenants, all schedulers): true$" 
 fi
 
 rps=$(sed -n 's/.*"requests_per_sec":\([0-9][0-9]*\).*/\1/p' "$t2_dir/BENCH_serving.json")
-hit_rate=$(sed -n 's/.*"cache_hit_rate_pct":\([0-9][0-9]*\).*/\1/p' "$t2_dir/BENCH_serving.json")
+shapes=$(sed -n 's/.*"shapes_simulated":\([0-9][0-9]*\).*/\1/p' "$t2_dir/BENCH_serving.json")
+distinct=$(sed -n 's/.*"distinct_shapes":\([0-9][0-9]*\).*/\1/p' "$t2_dir/BENCH_serving.json")
 if [ -z "$rps" ] || [ "$rps" -eq 0 ]; then
     echo "tier-2: FAIL — BENCH_serving.json reports no wall-clock throughput" >&2
     exit 1
 fi
-if [ -z "$hit_rate" ] || [ "$hit_rate" -eq 0 ]; then
-    echo "tier-2: FAIL — serving run missed the engine shape cache" >&2
+if [ -z "$shapes" ] || [ -z "$distinct" ] || [ "$shapes" -ne $((2 * distinct)) ]; then
+    echo "tier-2: FAIL — serving simulated ${shapes:-?} shapes, expected 2 x ${distinct:-?}" >&2
     exit 1
 fi
 
-echo "tier-2: OK (serving: $rps req/s wall-clock, ${hit_rate}% shape-cache hits)"
+echo "tier-2: OK (serving: $rps req/s wall-clock, $shapes shapes simulated)"
 
 # Tier-2 hot-path wall-clock gate: full-suite scenarios/sec must stay
 # within the 30% regression budget of the committed BENCH_hotpaths.json
