@@ -137,6 +137,9 @@ pub struct EngineStats {
     /// Time spent in the memo-cache lookup section — the latency a
     /// cache hit actually pays before its memoized result comes back.
     pub cache_service: Duration,
+    /// Time spent computing the batches' [`Scenario::content_hash`] keys,
+    /// which every request pays, hit or miss.
+    pub hash_wall: Duration,
     /// Pool idle time: `batch_elapsed x workers - busy` summed over the
     /// parallel batches, i.e. capacity the queue tail left unused.
     pub worker_idle: Duration,
@@ -188,6 +191,10 @@ impl EngineStats {
             self.elapsed.as_secs_f64()
         ));
         out.push_str(&format!(
+            "content hash wall:     {:.3} s\n",
+            self.hash_wall.as_secs_f64()
+        ));
+        out.push_str(&format!(
             "cache lookup wall:     {:.3} s\n",
             self.cache_service.as_secs_f64()
         ));
@@ -228,9 +235,10 @@ impl EngineStats {
     /// The engine's self-profile through the same registry the simulator
     /// uses: counters for run/hit/fault totals, nanosecond counters for
     /// the wall-clock accounts (serial-equivalent sim time, batch
-    /// elapsed, worker idle, cache service), and a log2 histogram of
-    /// per-scenario wall times. Wall-clock values live only here — never
-    /// on the simulation path — so figure stdout stays deterministic.
+    /// elapsed, worker idle, content hashing, cache service), and a log2
+    /// histogram of per-scenario wall times. Wall-clock values live only
+    /// here — never on the simulation path — so figure stdout stays
+    /// deterministic.
     pub fn to_metrics(&self) -> MetricsSet {
         let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
         let mut set = MetricsSet::new();
@@ -244,6 +252,7 @@ impl EngineStats {
         set.push_counter("engine.sim_wall_ns", ns(self.sim_wall));
         set.push_counter("engine.elapsed_ns", ns(self.elapsed));
         set.push_counter("engine.worker_idle_ns", ns(self.worker_idle));
+        set.push_counter("engine.hash_wall_ns", ns(self.hash_wall));
         set.push_counter("engine.cache_service_ns", ns(self.cache_service));
         let mut wall = Histogram::new();
         for (_, w) in &self.per_scenario {
@@ -270,6 +279,7 @@ impl ToJson for EngineStats {
             field("sim_wall_ns", Json::U64(ns(self.sim_wall))),
             field("elapsed_ns", Json::U64(ns(self.elapsed))),
             field("worker_idle_ns", Json::U64(ns(self.worker_idle))),
+            field("hash_wall_ns", Json::U64(ns(self.hash_wall))),
             field("cache_service_ns", Json::U64(ns(self.cache_service))),
             field(
                 "per_scenario",
@@ -347,6 +357,7 @@ impl ExperimentEngine {
     pub fn run_all(&self, scenarios: &[Scenario]) -> Vec<Arc<ScenarioResult>> {
         let batch_start = Instant::now();
         let hashes: Vec<u64> = scenarios.iter().map(Scenario::content_hash).collect();
+        let hash_wall = batch_start.elapsed();
 
         // Collect the distinct cache misses, preserving first-seen order so
         // the work queue (and thus the stats listing) is deterministic.
@@ -378,6 +389,7 @@ impl ExperimentEngine {
             stats.scenarios_run += fresh.len() as u64;
             stats.cache_hits += (scenarios.len() - fresh.len()) as u64;
             stats.elapsed += batch_start.elapsed();
+            stats.hash_wall += hash_wall;
             stats.cache_service += lookup;
             // Idle capacity: the pool's tail latency. Only meaningful
             // when work actually fanned out.
@@ -689,6 +701,7 @@ mod tests {
         let block = engine.stats().render();
         assert!(block.contains("cache hits: 0"));
         assert!(block.contains("worker threads:        2"));
+        assert!(block.contains("content hash wall:     "));
         assert!(block.contains("cache lookup wall:     "));
         assert!(block.contains("vs serial baseline"), "{block}");
         // Hit-dominated: no speedup claim.
@@ -714,6 +727,12 @@ mod tests {
         assert_eq!(doc.get("cache_hits").and_then(Json::as_u64), Some(1));
         assert_eq!(doc.get("threads").and_then(Json::as_u64), Some(2));
         assert!(doc.get("sim_wall_ns").and_then(Json::as_u64).is_some());
+        assert!(doc.get("hash_wall_ns").and_then(Json::as_u64).is_some());
+        let metrics = stats.to_metrics();
+        assert_eq!(
+            metrics.counter_total("engine.hash_wall_ns"),
+            doc.get("hash_wall_ns").and_then(Json::as_u64)
+        );
         let Some(Json::Arr(rows)) = doc.get("per_scenario") else {
             panic!("per_scenario missing");
         };

@@ -38,15 +38,18 @@ impl Calibration {
 
     /// Stable content fingerprint over every calibration constant.
     ///
-    /// Hashes the canonical JSON rendering of the bundle: floats print in
-    /// shortest-roundtrip form, so any perturbation of any constant changes
-    /// the fingerprint. Used by `SimConfig::content_hash` so scenario cache
-    /// keys cannot alias two different calibrations.
+    /// Mixes the bundle's [`ToJson`](crate::json::ToJson) tree with
+    /// [`Json::mix`](crate::json::Json::mix), so the field list is the one
+    /// `impl_to_json!` already keeps and every float enters by its bits,
+    /// never formatted: any perturbation of any constant, NaN and the
+    /// infinities included, changes the fingerprint. Used by
+    /// `SimConfig::content_hash` so scenario cache keys cannot alias two
+    /// different calibrations.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         use crate::json::ToJson;
         let mut h = crate::hash::Fnv64::new();
-        h.write_str(&self.to_json_string());
+        self.to_json().mix(&mut h);
         h.finish()
     }
 }
@@ -627,17 +630,41 @@ mod tests {
         let base = Calibration::paper();
         assert_eq!(base.fingerprint(), base.clone().fingerprint());
 
-        let mut tweaked = Calibration::paper();
-        tweaked.tdx.hypercall_mult *= 1.25;
-        assert_ne!(base.fingerprint(), tweaked.fingerprint());
+        // One perturbation in each of the six sub-tables.
+        let tweaks: [fn(&mut Calibration); 6] = [
+            |c| c.pcie.dma_setup += SimDuration::from_nanos(1),
+            |c| c.tdx.hypercall_mult *= 1.25,
+            |c| c.alloc.jitter_frac *= 1.5,
+            |c| c.launch.klo_base += SimDuration::from_nanos(1),
+            |c| c.gpu.ring_depth += 1,
+            |c| c.uvm.prefetch = !c.uvm.prefetch,
+        ];
+        for (i, tweak) in tweaks.iter().enumerate() {
+            let mut tweaked = Calibration::paper();
+            tweak(&mut tweaked);
+            assert_ne!(base.fingerprint(), tweaked.fingerprint(), "sub-table {i}");
+        }
+    }
 
-        let mut tweaked = Calibration::paper();
-        tweaked.uvm.prefetch = !tweaked.uvm.prefetch;
-        assert_ne!(base.fingerprint(), tweaked.fingerprint());
-
-        let mut tweaked = Calibration::paper();
-        tweaked.launch.klo_base = tweaked.launch.klo_base + SimDuration::from_nanos(1);
-        assert_ne!(base.fingerprint(), tweaked.fingerprint());
+    #[test]
+    fn fingerprint_keeps_nonfinite_constants_apart() {
+        let with_mult = |v: f64| {
+            let mut c = Calibration::paper();
+            c.tdx.hypercall_mult = v;
+            c.fingerprint()
+        };
+        let prints = [
+            Calibration::paper().fingerprint(),
+            with_mult(f64::NAN),
+            with_mult(f64::INFINITY),
+            with_mult(f64::NEG_INFINITY),
+        ];
+        for i in 0..prints.len() {
+            for j in i + 1..prints.len() {
+                assert_ne!(prints[i], prints[j], "{i} vs {j}");
+            }
+        }
+        assert_eq!(with_mult(f64::NAN), with_mult(f64::NAN));
     }
 
     #[test]

@@ -20,6 +20,8 @@
 
 use std::fmt;
 
+use crate::hash::Fnv64;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -101,6 +103,54 @@ impl Json {
         }
     }
 
+    /// Folds the value into `h` without rendering it: a variant tag, then
+    /// the payload. Integers mix little-endian, floats as their raw
+    /// IEEE-754 bits (so NaN and both infinities stay apart, where the
+    /// text writer prints all three as `null`), strings and object keys
+    /// as their bytes plus a `0xFF` terminator (a byte UTF-8 never
+    /// contains, so one text cannot run into the next), arrays and
+    /// objects after their length.
+    pub fn mix(&self, h: &mut Fnv64) {
+        match self {
+            Json::Null => h.write_u8(0),
+            Json::Bool(b) => {
+                h.write_u8(1);
+                h.write_bool(*b);
+            }
+            Json::U64(v) => {
+                h.write_u8(2);
+                h.write_u64(*v);
+            }
+            Json::I64(v) => {
+                h.write_u8(3);
+                h.write(&v.to_le_bytes());
+            }
+            Json::F64(v) => {
+                h.write_u8(4);
+                h.write_f64(*v);
+            }
+            Json::Str(s) => {
+                h.write_u8(5);
+                mix_text(h, s);
+            }
+            Json::Arr(items) => {
+                h.write_u8(6);
+                h.write_u64(items.len() as u64);
+                for item in items {
+                    item.mix(h);
+                }
+            }
+            Json::Obj(fields) => {
+                h.write_u8(7);
+                h.write_u64(fields.len() as u64);
+                for (k, v) in fields {
+                    mix_text(h, k);
+                    v.mix(h);
+                }
+            }
+        }
+    }
+
     /// Parses a JSON document (a single value with optional surrounding
     /// whitespace).
     ///
@@ -165,6 +215,11 @@ impl fmt::Display for Json {
             }
         }
     }
+}
+
+fn mix_text(h: &mut Fnv64, s: &str) {
+    h.write(s.as_bytes());
+    h.write_u8(0xFF);
 }
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
@@ -640,6 +695,37 @@ mod tests {
     fn nonfinite_floats_serialize_as_null() {
         assert_eq!(Json::F64(f64::NAN).to_string(), "null");
         assert_eq!(Json::F64(f64::INFINITY).to_string(), "null");
+    }
+
+    fn digest(v: &Json) -> u64 {
+        let mut h = Fnv64::new();
+        v.mix(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn mix_separates_variants_keys_nesting_and_nonfinite_floats() {
+        let one = Json::Obj(vec![("a".into(), Json::U64(1))]);
+        assert_eq!(digest(&one), digest(&one.clone()));
+        let distinct = [
+            one.clone(),
+            Json::Obj(vec![("a".into(), Json::F64(1.0))]),
+            Json::Obj(vec![("a".into(), Json::I64(1))]),
+            Json::Obj(vec![("b".into(), Json::U64(1))]),
+            Json::Obj(vec![("a".into(), Json::Arr(vec![Json::U64(1)]))]),
+            Json::Obj(vec![("a".into(), Json::Str("1".into()))]),
+            Json::Arr(vec![Json::Str("a".into()), Json::U64(1)]),
+            Json::U64(1),
+            Json::Null,
+            Json::F64(f64::NAN),
+            Json::F64(f64::INFINITY),
+            Json::F64(f64::NEG_INFINITY),
+        ];
+        for (i, a) in distinct.iter().enumerate() {
+            for b in &distinct[i + 1..] {
+                assert_ne!(digest(a), digest(b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

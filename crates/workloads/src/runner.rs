@@ -102,12 +102,13 @@ pub struct RunResult {
 /// suite entry, and propagates [`run`] errors otherwise.
 pub fn run_scenario(scenario: &Scenario) -> Result<RunResult, RunError> {
     match &scenario.app {
-        // Ad-hoc programs run in place without the resolve-clone.
+        // Ad-hoc programs run in place, standard apps borrow their
+        // catalog entry; neither builds nor clones a spec.
         AppSelector::Adhoc(spec) => run(spec, scenario.cfg.clone()),
         AppSelector::Standard(name) => {
             let spec =
-                crate::suites::by_name(name).ok_or(RunError::UnknownApp { name, uvm: false })?;
-            run(&spec, scenario.cfg.clone())
+                crate::suites::spec(name).ok_or(RunError::UnknownApp { name, uvm: false })?;
+            run(spec, scenario.cfg.clone())
         }
         AppSelector::UvmVariant(name) => {
             let spec =
@@ -368,6 +369,20 @@ mod tests {
         let via_spec = run(&toy_spec(), SimConfig::new(CcMode::On)).unwrap();
         assert_eq!(via_scenario.timeline, via_spec.timeline);
         assert_eq!(via_scenario.end, via_spec.end);
+    }
+
+    #[test]
+    fn catalog_scenarios_match_their_adhoc_copies() {
+        for app in crate::suites::all() {
+            for cc in [CcMode::Off, CcMode::On] {
+                let cfg = SimConfig::new(cc);
+                let by_name = run_scenario(&Scenario::standard(app.name, cfg.clone())).unwrap();
+                let inline = run_scenario(&Scenario::adhoc(app.clone(), cfg)).unwrap();
+                assert_eq!(by_name.timeline, inline.timeline, "{} [{cc}]", app.name);
+                assert_eq!(by_name.end, inline.end, "{} [{cc}]", app.name);
+                assert_eq!(by_name.audit, inline.audit, "{} [{cc}]", app.name);
+            }
+        }
     }
 
     #[test]

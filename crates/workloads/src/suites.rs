@@ -4,6 +4,8 @@
 //! durations chosen to span the Kernel-to-Launch-Ratio (KLR) spectrum the
 //! case study examines.
 
+use std::sync::OnceLock;
+
 use hcc_types::{ByteSize, HostMemKind, SimDuration};
 
 use crate::spec::{Op, Suite, WorkloadSpec};
@@ -535,24 +537,42 @@ pub fn graph() -> Vec<WorkloadSpec> {
     ]
 }
 
+/// The standard-app catalog (rodinia, polybench, uvmbench, graph, in
+/// that order), built on first use and shared for the process's life.
+fn catalog() -> &'static [WorkloadSpec] {
+    static CATALOG: OnceLock<Vec<WorkloadSpec>> = OnceLock::new();
+    CATALOG.get_or_init(|| {
+        let mut v = rodinia();
+        v.extend(polybench());
+        v.extend(uvmbench());
+        v.extend(graph());
+        v
+    })
+}
+
 /// Every standard (non-micro) app.
 pub fn all() -> Vec<WorkloadSpec> {
-    let mut v = rodinia();
-    v.extend(polybench());
-    v.extend(uvmbench());
-    v.extend(graph());
-    v
+    catalog().to_vec()
 }
 
 /// Apps with more than one launch — the Fig. 7 population ("applications
 /// with no queuing time (e.g., only a single launch) are excluded").
 pub fn multi_launch() -> Vec<WorkloadSpec> {
-    all().into_iter().filter(|w| w.launch_count() > 1).collect()
+    catalog()
+        .iter()
+        .filter(|w| w.launch_count() > 1)
+        .cloned()
+        .collect()
+}
+
+/// Borrows a standard app from the catalog by name, without cloning it.
+pub fn spec(name: &str) -> Option<&'static WorkloadSpec> {
+    catalog().iter().find(|w| w.name == name)
 }
 
 /// Looks up a standard app by name.
 pub fn by_name(name: &str) -> Option<WorkloadSpec> {
-    all().into_iter().find(|w| w.name == name)
+    spec(name).cloned()
 }
 
 /// A managed-memory (UVM) variant of an explicit-copy app, for the
@@ -648,6 +668,32 @@ mod tests {
         assert_eq!(uvmbench().len(), 5);
         assert_eq!(graph().len(), 7);
         assert_eq!(all().len(), 38);
+    }
+
+    #[test]
+    fn all_keeps_the_catalog_order() {
+        let names: Vec<&str> = all().iter().map(|w| w.name).collect();
+        assert_eq!(
+            names.join(" "),
+            concat!(
+                "bfs backprop dwt2d gaussian hotspot kmeans lud nw particlefilter pathfinder sc ",
+                "srad 2dconv 3dconv 2mm 3mm atax bicg corr covar gemm gesummv gramschm mvt syrk ",
+                "syr2k bfs-uvm kmeans-uvm knn svm cnn bfs-gb dfs-gb pagerank sssp tigr-bfs ",
+                "tigr-sssp tigr-pr",
+            )
+        );
+    }
+
+    #[test]
+    fn spec_borrows_one_shared_entry() {
+        for w in all() {
+            let first = spec(w.name).expect("catalog app");
+            assert!(std::ptr::eq(first, spec(w.name).unwrap()), "{}", w.name);
+            assert_eq!(*first, w);
+            assert_eq!(by_name(w.name).as_ref(), Some(first));
+        }
+        assert!(spec("no-such-app").is_none());
+        assert!(by_name("no-such-app").is_none());
     }
 
     #[test]
