@@ -14,7 +14,7 @@
 //! submit/complete doorbell pair — so CC-on admission costs ride the
 //! same TD cost oracle as the rest of the lab.
 
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use hcc_tee::{SessionPool, TdCounters};
 use hcc_trace::flight::{FlightConfig, FlightRecorder, FlightSkeleton};
@@ -127,6 +127,55 @@ impl Observers {
     }
 }
 
+/// The idle GPUs as a bitset (bit `g % 64` of word `g / 64`) with a
+/// running count, so dispatch takes the lowest-numbered idle GPU without
+/// allocating, at any cluster width.
+#[derive(Debug)]
+struct IdleGpus {
+    words: Vec<u64>,
+    count: usize,
+}
+
+impl IdleGpus {
+    /// GPUs `0..gpus`, all idle.
+    fn all(gpus: usize) -> Self {
+        let mut words = vec![u64::MAX; gpus.div_ceil(64)];
+        if !gpus.is_multiple_of(64) {
+            words[gpus / 64] = (1 << (gpus % 64)) - 1;
+        }
+        IdleGpus { words, count: gpus }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Marks the lowest-numbered idle GPU busy and returns it.
+    ///
+    /// # Panics
+    /// If no GPU is idle.
+    fn take_lowest(&mut self) -> usize {
+        let (w, word) = self
+            .words
+            .iter_mut()
+            .enumerate()
+            .find(|(_, word)| **word != 0)
+            .expect("an idle GPU to take");
+        let bit = word.trailing_zeros() as usize;
+        *word &= *word - 1;
+        self.count -= 1;
+        w * 64 + bit
+    }
+
+    /// Marks `gpu` idle again.
+    fn insert(&mut self, gpu: usize) {
+        let mask = 1 << (gpu % 64);
+        debug_assert_eq!(self.words[gpu / 64] & mask, 0, "gpu {gpu} is already idle");
+        self.words[gpu / 64] |= mask;
+        self.count += 1;
+    }
+}
+
 /// Simulates one scheduler draining the trace on `cfg.gpus` devices.
 ///
 /// `shapes` maps each request to its memoized shape outcome: the solo
@@ -151,6 +200,8 @@ pub fn simulate(
     assert!(cfg.gpus > 0, "a cluster needs at least one GPU");
     let Observers { rollup, flight } = obs;
 
+    // `batch == 0` marks a request not yet settled: every settle writes
+    // the size of a batch it rode in, which is at least one.
     let placeholder = Outcome {
         dispatch: SimTime::ZERO,
         completion: SimTime::ZERO,
@@ -161,17 +212,22 @@ pub fn simulate(
         rejected: false,
     };
     let mut outcomes = vec![placeholder; requests.len()];
-    let mut settled = vec![false; requests.len()];
 
     let mut queue = SchedQueue::new(cfg.kind, cfg.tenants, cfg.max_batch, requests.len());
-    let mut idle: BTreeSet<usize> = (0..cfg.gpus).collect();
+    let mut batch: Vec<usize> = Vec::with_capacity(cfg.max_batch.max(1));
+    let mut idle = IdleGpus::all(cfg.gpus);
     // Min-heap of (completion time, gpu); one in-flight batch per GPU.
-    let mut completions: BinaryHeap<std::cmp::Reverse<(SimTime, usize)>> = BinaryHeap::new();
+    let mut completions: BinaryHeap<std::cmp::Reverse<(SimTime, usize)>> =
+        BinaryHeap::with_capacity(cfg.gpus);
     let mut pools: Vec<SessionPool> = (0..cfg.gpus)
         .map(|_| SessionPool::new(cfg.cc, cfg.tdx.clone()))
         .collect();
 
+    // Both gauges are recorded in time order (see the assertion after
+    // the loop), so materializing them never sorts.
     let mut queue_depth = Gauge::enabled();
+    // One +1 per arrival and at most one -n per dispatch.
+    queue_depth.reserve(2 * requests.len());
     let mut gpu_depth: Vec<Gauge> = (0..cfg.gpus).map(|_| Gauge::enabled()).collect();
 
     let mut busy = SimDuration::ZERO;
@@ -182,26 +238,23 @@ pub fn simulate(
 
     loop {
         // Dispatch everything we can at the current instant.
-        while !idle.is_empty() {
-            let Some(batch) = queue.next_batch(requests) else {
-                break;
-            };
-            queue_depth.add(now, -(batch.len() as i64));
+        while !idle.is_empty() && queue.next_batch(requests, &mut batch) {
+            let size = batch.len() as u32;
+            queue_depth.add(now, -i64::from(size));
             let shape = match shapes.service(batch[0]) {
                 Ok(p) => *p,
                 Err(_) => {
                     // The whole batch shares the failing shape: reject it
                     // without occupying a device.
                     for &i in &batch {
-                        debug_assert!(!settled[i]);
-                        settled[i] = true;
+                        debug_assert_eq!(outcomes[i].batch, 0, "request {i} settles once");
                         outcomes[i] = Outcome {
                             dispatch: now,
                             completion: now,
                             admission: SimDuration::ZERO,
                             spdm: SimDuration::ZERO,
                             cold: false,
-                            batch: batch.len() as u32,
+                            batch: size,
                             rejected: true,
                         };
                         rollup.record(CompletionSample {
@@ -215,7 +268,7 @@ pub fn simulate(
                             req: i as u32,
                             tenant: requests[i].tenant as u32,
                             gpu: 0,
-                            batch: batch.len() as u32,
+                            batch: size,
                             arrival: requests[i].arrival,
                             dispatch: now,
                             settle: now,
@@ -228,8 +281,7 @@ pub fn simulate(
                     continue;
                 }
             };
-            let gpu = *idle.iter().next().expect("idle set is non-empty");
-            idle.remove(&gpu);
+            let gpu = idle.take_lowest();
             let mut admission_sum = SimDuration::ZERO;
             for &i in &batch {
                 let adm = pools[gpu].admit(requests[i].tenant as u64);
@@ -244,13 +296,12 @@ pub fn simulate(
             let done = now + service_time;
             busy += service_time;
             batches += 1;
-            gpu_depth[gpu].occupy_n(now, done, batch.len() as i64);
+            gpu_depth[gpu].occupy_n(now, done, i64::from(size));
             for &i in &batch {
-                debug_assert!(!settled[i]);
-                settled[i] = true;
+                debug_assert_eq!(outcomes[i].batch, 0, "request {i} settles once");
                 outcomes[i].dispatch = now;
                 outcomes[i].completion = done;
-                outcomes[i].batch = batch.len() as u32;
+                outcomes[i].batch = size;
                 rollup.record(CompletionSample {
                     req: i as u32,
                     tenant: requests[i].tenant as u32,
@@ -262,7 +313,7 @@ pub fn simulate(
                     req: i as u32,
                     tenant: requests[i].tenant as u32,
                     gpu: gpu as u32,
-                    batch: batch.len() as u32,
+                    batch: size,
                     arrival: requests[i].arrival,
                     dispatch: now,
                     settle: done,
@@ -278,12 +329,14 @@ pub fn simulate(
         // Advance to the next event.
         let arrival = (next_arrival < requests.len()).then(|| requests[next_arrival].arrival);
         let completion = completions.peek().map(|std::cmp::Reverse((t, _))| *t);
-        now = match (arrival, completion) {
+        let next = match (arrival, completion) {
             (Some(a), Some(c)) => a.min(c),
             (Some(a), None) => a,
             (None, Some(c)) => c,
             (None, None) => break,
         };
+        debug_assert!(next >= now, "the virtual clock never runs backwards");
+        now = next;
         // Completions first: a device freed at `t` can serve a request
         // arriving at `t`.
         while completions
@@ -300,7 +353,16 @@ pub fn simulate(
         }
     }
     debug_assert!(queue.is_empty(), "dispatch drains the queue before exit");
-    debug_assert!(settled.iter().all(|&s| s), "every request settles once");
+    debug_assert!(
+        outcomes.iter().all(|o| o.batch > 0),
+        "every request settles once"
+    );
+    // The queue depth moves only at `now`, and a GPU's `-n` at `done`
+    // precedes its next `+n`, which needs the GPU idle again.
+    debug_assert!(
+        queue_depth.in_time_order() && gpu_depth.iter().all(Gauge::in_time_order),
+        "depth gauges are recorded in time order"
+    );
 
     let mut td = TdCounters::default();
     let mut sessions_established = 0u64;

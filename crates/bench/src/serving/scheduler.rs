@@ -14,11 +14,13 @@
 //!   marked batchable — into one device batch, amortizing per-launch
 //!   overhead the way vLLM-style servers amortize decode steps.
 //!
-//! All queue state is plain `Vec`/`BTreeMap` ordered by the globally
-//! ranked request sequence, so scheduling decisions are deterministic
-//! and independent of engine thread count by construction.
+//! All queue state is plain `Vec`/`VecDeque`/`BinaryHeap` ordered by the
+//! globally ranked request sequence, so scheduling decisions are
+//! deterministic and independent of engine thread count by construction.
+//! Batches are written into a caller-owned buffer, so draining a queue
+//! allocates nothing per batch.
 
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use hcc_workloads::TenantSpec;
 
@@ -72,14 +74,17 @@ pub struct SchedQueue {
     max_batch: usize,
     /// Tenant priorities, indexed by tenant.
     priorities: Vec<u8>,
-    /// Per-class batchability, indexed by (tenant, class).
-    batchable: Vec<Vec<bool>>,
+    /// First (tenant, class) slot of each tenant: slot = `slot_base[tenant] + class`.
+    slot_base: Vec<usize>,
+    /// Per-class batchability, indexed by (tenant, class) slot.
+    batchable: Vec<bool>,
     /// FIFO order (also the batching scheduler's primary order).
     fifo: VecDeque<usize>,
     /// Priority order: (priority, seq, index).
     prio: BinaryHeap<std::cmp::Reverse<(u8, u64, usize)>>,
-    /// Batching: per-(tenant, class) FIFO of *batchable* pending requests.
-    shape_queues: BTreeMap<(usize, usize), VecDeque<usize>>,
+    /// Batching: per-(tenant, class) slot FIFO of *batchable* pending
+    /// requests (empty for non-batchable slots).
+    shape_queues: Vec<VecDeque<usize>>,
     /// Batching: requests already pulled into a batch as followers.
     claimed: Vec<bool>,
     pending: usize,
@@ -93,20 +98,29 @@ impl SchedQueue {
         max_batch: usize,
         capacity: usize,
     ) -> Self {
+        let mut slot_base = Vec::with_capacity(tenants.len());
+        let mut batchable = Vec::new();
+        for t in tenants {
+            slot_base.push(batchable.len());
+            batchable.extend(t.mix.iter().map(|c| c.batchable));
+        }
         SchedQueue {
             kind,
             max_batch: max_batch.max(1),
             priorities: tenants.iter().map(|t| t.priority).collect(),
-            batchable: tenants
-                .iter()
-                .map(|t| t.mix.iter().map(|c| c.batchable).collect())
-                .collect(),
+            slot_base,
+            shape_queues: vec![VecDeque::new(); batchable.len()],
+            batchable,
             fifo: VecDeque::new(),
             prio: BinaryHeap::new(),
-            shape_queues: BTreeMap::new(),
             claimed: vec![false; capacity],
             pending: 0,
         }
+    }
+
+    /// The (tenant, class) slot of `req`.
+    fn slot(&self, req: &Request) -> usize {
+        self.slot_base[req.tenant] + req.class
     }
 
     /// Number of requests waiting.
@@ -133,40 +147,36 @@ impl SchedQueue {
             }
             SchedulerKind::Batching => {
                 self.fifo.push_back(idx);
-                if self.batchable[req.tenant][req.class] {
-                    self.shape_queues
-                        .entry((req.tenant, req.class))
-                        .or_default()
-                        .push_back(idx);
+                let slot = self.slot(req);
+                if self.batchable[slot] {
+                    self.shape_queues[slot].push_back(idx);
                 }
             }
         }
     }
 
-    /// Pops the next device batch: the scheduled head plus (for the
-    /// batching discipline) up to `max_batch - 1` same-shape followers.
-    /// Members come back in arrival order, head first.
-    pub fn next_batch(&mut self, requests: &[Request]) -> Option<Vec<usize>> {
+    /// Pops the next device batch into `batch` (cleared first): the
+    /// scheduled head plus (for the batching discipline) up to
+    /// `max_batch - 1` same-shape followers. Members come back in arrival
+    /// order, head first. Returns `false`, leaving `batch` empty, when
+    /// nothing is waiting.
+    pub fn next_batch(&mut self, requests: &[Request], batch: &mut Vec<usize>) -> bool {
+        batch.clear();
         let head = match self.kind {
-            SchedulerKind::Fifo => self.fifo.pop_front()?,
-            SchedulerKind::Priority => self.prio.pop()?.0 .2,
-            SchedulerKind::Batching => loop {
-                let idx = self.fifo.pop_front()?;
-                // Skip entries already claimed as batch followers.
-                if !self.claimed[idx] {
-                    break idx;
-                }
-            },
+            SchedulerKind::Fifo => self.fifo.pop_front(),
+            SchedulerKind::Priority => self.prio.pop().map(|r| r.0 .2),
+            // Skip entries already claimed as batch followers.
+            SchedulerKind::Batching => {
+                std::iter::from_fn(|| self.fifo.pop_front()).find(|&idx| !self.claimed[idx])
+            }
         };
+        let Some(head) = head else { return false };
         self.pending -= 1;
-        let mut batch = vec![head];
+        batch.push(head);
         if self.kind == SchedulerKind::Batching {
-            let req = &requests[head];
-            if self.batchable[req.tenant][req.class] {
-                let q = self
-                    .shape_queues
-                    .get_mut(&(req.tenant, req.class))
-                    .expect("batchable head has a shape queue");
+            let slot = self.slot(&requests[head]);
+            if self.batchable[slot] {
+                let q = &mut self.shape_queues[slot];
                 let front = q.pop_front();
                 debug_assert_eq!(front, Some(head), "head leads its shape queue");
                 while batch.len() < self.max_batch {
@@ -177,7 +187,7 @@ impl SchedQueue {
                 }
             }
         }
-        Some(batch)
+        true
     }
 }
 
@@ -198,9 +208,14 @@ mod tests {
 
     fn drain(q: &mut SchedQueue, reqs: &[Request]) -> Vec<Vec<usize>> {
         let mut out = Vec::new();
-        while let Some(b) = q.next_batch(reqs) {
-            out.push(b);
+        let mut batch = vec![usize::MAX];
+        while q.next_batch(reqs, &mut batch) {
+            out.push(batch.clone());
         }
+        assert!(
+            batch.is_empty(),
+            "an exhausted queue leaves the buffer empty"
+        );
         assert!(q.is_empty());
         out
     }

@@ -111,7 +111,7 @@ impl ShapeTable {
     ///
     /// # Panics
     /// If a `shape_of` entry does not index `shapes`.
-    pub(crate) fn from_shapes(shapes: Vec<Shape>, shape_of: Vec<u32>) -> Self {
+    pub fn from_shapes(shapes: Vec<Shape>, shape_of: Vec<u32>) -> Self {
         let n = shapes.len();
         assert!(
             shape_of.iter().all(|&s| (s as usize) < n),

@@ -221,6 +221,41 @@ mod tests {
         }
     }
 
+    /// Admission totals and counters, pinned in nanoseconds for the
+    /// default calibration and a non-default one, so a change to how
+    /// transition costs are computed cannot move them.
+    #[test]
+    fn admission_costs_are_pinned() {
+        let base = TdxCalib::default();
+        let custom = TdxCalib {
+            vmexit: SimDuration::from_nanos(1_337),
+            hypercall_mult: 3.21,
+            seamcall: SimDuration::from_nanos(2_900),
+            ..base.clone()
+        };
+        // (calib, mode, cold setup, doorbell pair, hypercalls, transition time)
+        let cases = [
+            (base.clone(), CcMode::On, 8_327_080, 10_260, 40, 205_200),
+            (base, CcMode::Off, 0, 1_800, 8, 7_200),
+            (custom.clone(), CcMode::On, 8_313_672, 8_584, 40, 171_680),
+            (custom, CcMode::Off, 0, 2_674, 8, 10_696),
+        ];
+        for (calib, cc, setup, pair, hypercalls, transition) in cases {
+            let mut pool = SessionPool::new(cc, calib);
+            for (tenant, first) in [(1, true), (1, false), (2, true), (1, false)] {
+                let a = pool.admit(tenant);
+                let cold = cc == CcMode::On && first;
+                assert_eq!(a.cold, cold);
+                assert_eq!(a.setup.as_nanos(), if cold { setup } else { 0 });
+                assert_eq!(a.transitions.as_nanos(), pair, "{cc:?}");
+            }
+            let c = pool.counters();
+            assert_eq!(c.hypercalls, hypercalls, "{cc:?}");
+            assert_eq!((c.seamcalls, c.pages_converted), (0, 0));
+            assert_eq!(c.transition_time.as_nanos(), transition, "{cc:?}");
+        }
+    }
+
     #[test]
     fn admissions_are_deterministic() {
         let run = || {

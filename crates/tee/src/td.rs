@@ -27,6 +27,9 @@ use hcc_types::{CcMode, SimDuration};
 pub struct TdContext {
     cc: CcMode,
     calib: TdxCalib,
+    /// One guest→host transition in this mode: `calib.hypercall()` in a
+    /// TD, `calib.vmexit` in a VM. Fixed by `calib`, so computed once.
+    hypercall_cost: SimDuration,
     counters: TdCounters,
 }
 
@@ -46,9 +49,14 @@ pub struct TdCounters {
 impl TdContext {
     /// Creates a context for the given mode and calibration.
     pub fn new(cc: CcMode, calib: TdxCalib) -> Self {
+        let hypercall_cost = match cc {
+            CcMode::Off => calib.vmexit,
+            CcMode::On => calib.hypercall(),
+        };
         TdContext {
             cc,
             calib,
+            hypercall_cost,
             counters: TdCounters::default(),
         }
     }
@@ -74,13 +82,9 @@ impl TdContext {
     /// is for callers that mirror the cost into a trace event.
     pub fn hypercall(&mut self, reason: &'static str) -> SimDuration {
         let _ = reason;
-        let cost = match self.cc {
-            CcMode::Off => self.calib.vmexit,
-            CcMode::On => self.calib.hypercall(),
-        };
         self.counters.hypercalls += 1;
-        self.counters.transition_time += cost;
-        cost
+        self.counters.transition_time += self.hypercall_cost;
+        self.hypercall_cost
     }
 
     /// Charges a seamcall into the TDX module. Free (and uncounted) in a
@@ -119,11 +123,7 @@ impl TdContext {
     /// Cost of `n` consecutive hypercalls without charging them — used by
     /// planners estimating a path before executing it.
     pub fn peek_hypercall_cost(&self, n: u64) -> SimDuration {
-        let unit = match self.cc {
-            CcMode::Off => self.calib.vmexit,
-            CcMode::On => self.calib.hypercall(),
-        };
-        unit * n
+        self.hypercall_cost * n
     }
 }
 
@@ -173,6 +173,28 @@ mod tests {
         // so well above 10x the single-page cost.
         assert!(c100 > c1 * 10);
         assert_eq!(td.convert_pages(0), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn cached_hypercall_cost_matches_the_calibration() {
+        let custom = TdxCalib {
+            vmexit: SimDuration::from_nanos(1_337),
+            hypercall_mult: 3.21,
+            ..TdxCalib::default()
+        };
+        for calib in [TdxCalib::default(), custom] {
+            let mut td = TdContext::new(CcMode::On, calib.clone());
+            let mut vm = TdContext::new(CcMode::Off, calib.clone());
+            for _ in 0..3 {
+                assert_eq!(td.hypercall("x"), calib.hypercall());
+                assert_eq!(vm.hypercall("x"), calib.vmexit);
+            }
+            assert_eq!(td.peek_hypercall_cost(2), calib.hypercall() * 2);
+            assert_eq!(vm.peek_hypercall_cost(2), calib.vmexit * 2);
+            assert_eq!(td.counters().hypercalls, 3);
+            assert_eq!(td.counters().transition_time, calib.hypercall() * 3);
+            assert_eq!(vm.counters().transition_time, calib.vmexit * 3);
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! - **Order-independence.** Change-points may be recorded out of time
 //!   order (engine completions interleave); [`Gauge::series`] sorts and
 //!   merges them, so the snapshot depends only on the *set* of samples.
+//!   Change-points already in time order are merged in place, unsorted.
 //!
 //! ```
 //! use hcc_trace::metrics::Gauge;
@@ -99,7 +100,8 @@ impl Counter {
 /// Recording is append-only (`(SimTime, delta)` pairs); the sorted,
 /// merged step series is materialized by [`Gauge::series`]. This keeps
 /// the hot path branch-plus-push and makes the snapshot independent of
-/// recording order.
+/// recording order. Recorders that already record in time order (a
+/// discrete-event loop whose clock never runs backwards) skip the sort.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Gauge {
     enabled: bool,
@@ -152,34 +154,45 @@ impl Gauge {
         }
     }
 
+    /// Reserves room for `additional` more change-points.
+    pub fn reserve(&mut self, additional: usize) {
+        if self.enabled {
+            self.deltas.reserve(additional);
+        }
+    }
+
     /// Number of raw change-points recorded.
     pub fn raw_len(&self) -> usize {
         self.deltas.len()
     }
 
+    /// Whether every change-point so far was recorded at or after the
+    /// one before it — the case [`Gauge::series`] coalesces without
+    /// copying or sorting.
+    pub fn in_time_order(&self) -> bool {
+        self.deltas.windows(2).all(|w| w[0].0 <= w[1].0)
+    }
+
     /// Materializes the sorted, merged step series under `name`.
     pub fn series(&self, name: &str) -> Series {
-        let mut deltas = self.deltas.clone();
-        deltas.sort_by_key(|(t, _)| *t);
+        let mut sorted = Vec::new();
+        let deltas = if self.in_time_order() {
+            &self.deltas
+        } else {
+            sorted.clone_from(&self.deltas);
+            sorted.sort_by_key(|(t, _)| *t);
+            &sorted
+        };
         let mut samples: Vec<(SimTime, i64)> = Vec::with_capacity(deltas.len());
         let mut value = 0i64;
-        for (t, d) in deltas {
-            value += d;
-            match samples.last_mut() {
-                Some((last_t, last_v)) if *last_t == t => *last_v = value,
-                _ => samples.push((t, value)),
+        for group in deltas.chunk_by(|a, b| a.0 == b.0) {
+            value += group.iter().map(|&(_, d)| d).sum::<i64>();
+            // Coalesced no-ops (e.g. +1/-1 at the same instant) leave the
+            // value where it was; skip them so the series is minimal.
+            if value != samples.last().map_or(0, |&(_, v)| v) {
+                samples.push((group[0].0, value));
             }
         }
-        // Coalesced no-ops (e.g. +1/-1 at the same instant) leave samples
-        // equal to their predecessor; drop them so the series is minimal.
-        let mut prev = 0i64;
-        samples.retain(|&(_, v)| {
-            let keep = v != prev;
-            if keep {
-                prev = v;
-            }
-            keep
-        });
         Series {
             name: name.to_string(),
             samples,

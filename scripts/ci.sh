@@ -171,7 +171,7 @@ echo "tier-2: OK (BENCH_summary.json exported)"
 # Tier-2 serving smoke: the multi-tenant CC serving simulator drains a
 # seeded 100k-request, 2-tenant, 4-GPU open-loop trace through every
 # scheduler in both modes. stdout must be byte-identical at 1 and 4
-# engine threads, both report trailer invariants must hold, and the
+# engine threads (also for a 20k-request trace on 65 GPUs), both report trailer invariants must hold, and the
 # BENCH_serving.json side file must record nonzero wall-clock throughput
 # and exactly one simulation per distinct shape per CC mode.
 echo "==> tier-2: serving cluster determinism and SLO invariants"
@@ -183,6 +183,16 @@ HCC_ENGINE_THREADS=4 ./target/release/serve --requests 100000 --gpus 4 \
 
 if ! diff -u "$t2_dir/serve1.out" "$t2_dir/serve4.out"; then
     echo "tier-2: FAIL — serve stdout differs between 1 and 4 threads" >&2
+    exit 1
+fi
+
+# 65 GPUs span two words of the cluster's idle-GPU bitset.
+HCC_ENGINE_THREADS=1 ./target/release/serve --requests 20000 --gpus 65 \
+    >"$t2_dir/serve65_1.out" 2>/dev/null
+HCC_ENGINE_THREADS=4 ./target/release/serve --requests 20000 --gpus 65 \
+    >"$t2_dir/serve65_4.out" 2>/dev/null
+if ! diff -u "$t2_dir/serve65_1.out" "$t2_dir/serve65_4.out"; then
+    echo "tier-2: FAIL — 65-GPU serve stdout differs between 1 and 4 threads" >&2
     exit 1
 fi
 if ! grep -q "^conservation: admitted == completed + rejected (all runs): true$" \

@@ -4,7 +4,7 @@
 
 use hcc::prelude::*;
 use hcc::runtime::{KernelDesc, ManagedAccess};
-use hcc::trace::KernelId;
+use hcc::trace::{Gauge, KernelId, Series};
 use hcc_bench::engine::ExperimentEngine;
 use hcc_check::strategy::{u64s, u8s, vecs};
 use hcc_check::{ensure, ensure_eq, forall, Config};
@@ -150,4 +150,77 @@ fn obs_replay_is_worker_count_invariant() {
             ensure_eq!(s.metrics, direct.metrics);
         }
     );
+}
+
+/// The reference materialization: clone the change-points, stable-sort
+/// them by time, fold each instant into its final value, then drop the
+/// instants that leave the value where it was.
+fn sorted_reference(name: &str, deltas: &[(SimTime, i64)]) -> Series {
+    let mut deltas = deltas.to_vec();
+    deltas.sort_by_key(|(t, _)| *t);
+    let mut samples: Vec<(SimTime, i64)> = Vec::new();
+    let mut value = 0i64;
+    for (t, d) in deltas {
+        value += d;
+        match samples.last_mut() {
+            Some((last_t, last_v)) if *last_t == t => *last_v = value,
+            _ => samples.push((t, value)),
+        }
+    }
+    let mut prev = 0i64;
+    samples.retain(|&(_, v)| {
+        let keep = v != prev;
+        if keep {
+            prev = v;
+        }
+        keep
+    });
+    Series {
+        name: name.to_string(),
+        samples,
+    }
+}
+
+fn recorded(deltas: &[(SimTime, i64)]) -> Gauge {
+    let mut g = Gauge::enabled();
+    for &(t, d) in deltas {
+        g.add(t, d);
+    }
+    g
+}
+
+/// `Gauge::series` gives the reference series on both of its paths: the
+/// in-order path (change-points recorded in time order, merged without a
+/// copy or sort) and the sorting path (any other recording order). The
+/// inputs crowd few instants with small signed deltas, so same-instant
+/// `+n`/`-n` pairs cancel, zero deltas occur, and gauges are often empty.
+#[test]
+fn gauge_in_order_fast_path_matches_the_sorted_reference() {
+    forall!(
+        Config::new(0x0B5_0004).with_cases(64),
+        (raw, cancel) in (vecs((u64s(0..16), u64s(0..7)), 0..40), u64s(0..4)) => {
+            let mut deltas: Vec<(SimTime, i64)> = raw
+                .iter()
+                .map(|&(t, d)| (SimTime::from_nanos(t), d as i64 - 3))
+                .collect();
+            // An explicit same-instant pair that cancels to no change.
+            let t = SimTime::from_nanos(cancel * 5);
+            deltas.extend([(t, 2), (t, -2)]);
+            let want = sorted_reference("g", &deltas);
+
+            let unsorted = recorded(&deltas);
+            ensure_eq!(unsorted.series("g"), want);
+
+            let mut in_order = deltas.clone();
+            in_order.sort_by_key(|(t, _)| *t);
+            let fast = recorded(&in_order);
+            ensure!(fast.in_time_order());
+            ensure_eq!(fast.series("g"), want);
+        }
+    );
+    let empty = Gauge::enabled();
+    assert!(empty.in_time_order());
+    assert_eq!(empty.series("e"), sorted_reference("e", &[]));
+    let t = SimTime::from_nanos(7);
+    assert!(recorded(&[(t, 0), (t, 3), (t, -3)]).series("z").is_empty());
 }

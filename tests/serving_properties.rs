@@ -4,11 +4,19 @@
 //! harness. Every property pins its seed so CI failures replay
 //! bit-for-bit (`HCC_CHECK_SEED=<seed>` overrides).
 
+use std::collections::BTreeMap;
+
 use hcc_bench::chaos::{self, ChaosConfig};
 use hcc_bench::engine::{ExperimentEngine, ScenarioResult};
-use hcc_bench::serving::{self, arrival, ArrivalKind, SchedulerKind, ServingConfig};
-use hcc_check::strategy::{f64s, u64s};
+use hcc_bench::serving::cluster::{self, ClusterConfig, Observers, Outcome};
+use hcc_bench::serving::{self, arrival, ArrivalKind, Request, SchedulerKind, ServingConfig};
+use hcc_bench::serving::{Shape, ShapeTable};
+use hcc_bench::watch::{WatchConfig, WatchReport};
+use hcc_check::strategy::{f64s, u64s, vecs};
 use hcc_check::{ensure, ensure_eq, forall, Config};
+use hcc_tee::{SessionPool, TdCounters};
+use hcc_trace::{FlightConfig, FlightLog, Series};
+use hcc_types::calib::TdxCalib;
 use hcc_types::json::ToJson;
 use hcc_types::rng::Xoshiro256;
 use hcc_types::{CcMode, FaultPlan, RecoveryPolicy, SimDuration, SimTime, StormProfile};
@@ -288,8 +296,8 @@ fn serving_with(requests: u64, gpus: usize) -> ServingConfig {
     ServingConfig {
         requests,
         gpus,
-        watch: Some(hcc_bench::watch::WatchConfig::default()),
-        flight: Some(hcc_trace::FlightConfig::default()),
+        watch: Some(WatchConfig::default()),
+        flight: Some(FlightConfig::default()),
         ..ServingConfig::default()
     }
 }
@@ -301,41 +309,120 @@ fn chaos_with(requests: u64, gpus: usize) -> ChaosConfig {
         gpus,
         profiles: vec![StormProfile::bounce_squall()],
         replicas: 1,
-        watch: Some(hcc_bench::watch::WatchConfig::default()),
-        flight: Some(hcc_trace::FlightConfig::default()),
+        watch: Some(WatchConfig::default()),
+        flight: Some(FlightConfig::default()),
         ..ChaosConfig::default()
     }
 }
 
-/// Degenerate widths and lengths: a single GPU, a single request, and
-/// an empty trace all run both table-backed soaks to a conserved,
-/// healthy report. Zero requests is defined as an empty report — every
-/// run settles nothing, conservation holds vacuously, and nothing
-/// panics.
+/// A window longer than any degenerate soak below: the serving soaks
+/// settle within seconds, and a chaos day is 60 virtual seconds.
+const LONG_WINDOW: SimDuration = SimDuration::secs(3_600);
+
+/// The defined behaviour of one soak's planes over `requests`, beyond
+/// conservation: the flight recorder saw every request, each kept
+/// exemplar's spans partition its latency, and the exemplar store stays
+/// inside its `windows × (worst + reservoir)` bound. Caps of zero keep
+/// nothing; caps no window's population reaches keep every request; a
+/// soak shorter than one window lands in exactly one watch and one
+/// flight window.
+fn check_planes(
+    watch: Option<&WatchReport>,
+    flight: Option<&FlightLog>,
+    requests: u64,
+    what: &str,
+) {
+    let flight = flight.expect("flight plane on");
+    assert_eq!(flight.recorded, requests, "{what}");
+    assert!(flight.identity_holds(), "{what}");
+    assert!(flight.kept_entries <= flight.entry_bound(), "{what}");
+    if flight.cfg.per_window_budget() == 0 {
+        assert!(flight.samples.is_empty(), "{what}: zero caps keep nothing");
+    }
+    if flight.cfg.worst as u64 >= requests {
+        assert_eq!(
+            flight.samples.len() as u64,
+            requests,
+            "{what}: every request kept"
+        );
+    }
+    let watch = watch.expect("watch plane on");
+    if requests > 0 && flight.cfg.window == LONG_WINDOW {
+        assert_eq!(flight.windows, 1, "{what}: one flight window");
+    }
+    if requests > 0 && watch.cfg.fast == LONG_WINDOW {
+        assert_eq!(watch.windows.len(), 1, "{what}: one watch window");
+    }
+}
+
+/// Degenerate widths, lengths, horizons and flight caps all run both
+/// table-backed soaks to a conserved, leak-free report with the plane
+/// behaviour `check_planes` defines: a single GPU, more GPUs than one
+/// word of the idle-GPU bitset, a single request, an empty trace (an
+/// empty report — every run settles nothing, conservation holds
+/// vacuously, and nothing panics), windows longer than the whole soak,
+/// and flight caps of 0 and 1024.
 #[test]
 fn degenerate_soaks_conserve() {
     let engine = ExperimentEngine::new(2);
-    for (requests, gpus) in [(400, 1), (1, 4), (1, 1), (0, 2)] {
-        let rep = serving::run(&serving_with(requests, gpus), &engine);
-        assert!(rep.conserved(), "serving {requests} req / {gpus} gpu");
+    let long_watch = WatchConfig {
+        fast: LONG_WINDOW,
+        ..WatchConfig::default()
+    };
+    let long_flight = FlightConfig {
+        window: LONG_WINDOW,
+        ..FlightConfig::default()
+    };
+    let caps = |n| FlightConfig {
+        worst: n,
+        reservoir: n,
+        ..FlightConfig::default()
+    };
+    let default = (WatchConfig::default(), FlightConfig::default());
+    let cases = [
+        (400, 1, default),
+        (1, 4, default),
+        (1, 1, default),
+        (0, 2, default),
+        (400, 130, default),
+        (400, 2, (long_watch, long_flight)),
+        (1, 2, (long_watch, long_flight)),
+        (400, 2, (WatchConfig::default(), caps(0))),
+        (400, 2, (WatchConfig::default(), caps(1024))),
+    ];
+    for (requests, gpus, (watch, flight)) in cases {
+        let what = format!("{requests} req / {gpus} gpu / {watch:?} / {flight:?}");
+        let rep = serving::run(
+            &ServingConfig {
+                watch: Some(watch),
+                flight: Some(flight),
+                ..serving_with(requests, gpus)
+            },
+            &engine,
+        );
+        assert!(rep.conserved(), "serving {what}");
         assert!(rep.render().contains("(all runs): true"));
         for run in &rep.runs {
             for mode in &run.modes {
                 assert_eq!(mode.completed() + mode.rejected(), requests);
             }
-            let flight = run.flight.as_ref().expect("flight plane on");
-            assert_eq!(flight.recorded, requests);
-            assert!(flight.identity_holds());
+            check_planes(run.watch.as_ref(), run.flight.as_ref(), requests, &what);
         }
 
-        let rep = chaos::run(&chaos_with(requests, gpus), &engine);
-        assert!(
-            rep.healthy(),
-            "chaos {requests} req / {gpus} gpu: {:?}",
-            rep.first_violation()
+        let rep = chaos::run(
+            &ChaosConfig {
+                watch: Some(watch),
+                flight: Some(flight),
+                ..chaos_with(requests, gpus)
+            },
+            &engine,
         );
-        assert!(rep.conserved());
+        assert!(rep.healthy(), "chaos {what}: {:?}", rep.first_violation());
+        assert!(rep.conserved() && rep.leak_free());
         assert_eq!(rep.total_requests(), 3 * requests);
+        for cell in rep.cells() {
+            check_planes(cell.watch.as_ref(), cell.flight.as_ref(), requests, &what);
+        }
         let _ = rep.render();
     }
 }
@@ -365,4 +452,286 @@ fn every_shape_failing_rejects_every_request() {
     assert!(rep
         .render()
         .contains("conservation: admitted == completed + rejected (all runs): true"));
+}
+
+/// What the reference cluster reports, field for field the parts of a
+/// `ClusterRun` the oracle pins.
+#[derive(Debug, PartialEq)]
+struct ReferenceRun {
+    outcomes: Vec<Outcome>,
+    end: SimTime,
+    busy: SimDuration,
+    batches: u64,
+    cold_starts: u64,
+    td: TdCounters,
+    /// `(established, closed)` over every device pool.
+    sessions: (u64, u64),
+    /// Queue depth, then one depth series per GPU.
+    gauges: Vec<Series>,
+}
+
+/// A step series from raw `(time, delta)` change-points: net the deltas
+/// per instant in a sorted map and keep the instants that move the value.
+fn reference_series(name: &str, deltas: &[(SimTime, i64)]) -> Series {
+    let mut net: BTreeMap<SimTime, i64> = BTreeMap::new();
+    for &(t, d) in deltas {
+        *net.entry(t).or_default() += d;
+    }
+    let mut value = 0;
+    let mut samples = Vec::new();
+    for (t, d) in net {
+        if d != 0 {
+            value += d;
+            samples.push((t, value));
+        }
+    }
+    Series {
+        name: name.to_string(),
+        samples,
+    }
+}
+
+/// The cluster drain spelled out naively: the waiting requests are one
+/// `Vec` in arrival order, every choice is a linear scan (the priority
+/// head, batch followers, the lowest idle GPU, the next event), and
+/// nothing is a heap, a bitset or a scheduler queue. Only the TD cost
+/// model (`SessionPool`) is shared with `cluster::simulate`.
+///
+/// The rules it spells out: completions at an instant free their GPUs
+/// before that instant's arrivals join the queue; dispatch then runs
+/// while some GPU is idle, onto the lowest-numbered one; a batch whose
+/// head's shape fails is rejected at dispatch without a GPU; a batch of
+/// `k` runs `P * (1 + 0.35 * (k - 1))` plus its members' admissions.
+fn reference_cluster(
+    reqs: &[Request],
+    service: &[Result<SimDuration, String>],
+    cfg: &ClusterConfig<'_>,
+) -> ReferenceRun {
+    let mut outcomes: Vec<Option<Outcome>> = vec![None; reqs.len()];
+    let mut waiting: Vec<usize> = Vec::new();
+    let mut busy_until: Vec<Option<SimTime>> = vec![None; cfg.gpus];
+    let mut pools: Vec<SessionPool> = (0..cfg.gpus)
+        .map(|_| SessionPool::new(cfg.cc, cfg.tdx.clone()))
+        .collect();
+    let mut queue_deltas = Vec::new();
+    let mut gpu_deltas = vec![Vec::new(); cfg.gpus];
+    let (mut busy, mut batches, mut cold_starts) = (SimDuration::ZERO, 0, 0);
+    let mut arrived = 0;
+    let mut now = SimTime::ZERO;
+    loop {
+        while busy_until.contains(&None) && !waiting.is_empty() {
+            let head_at = match cfg.kind {
+                SchedulerKind::Fifo | SchedulerKind::Batching => 0,
+                SchedulerKind::Priority => (0..waiting.len())
+                    .min_by_key(|&w| {
+                        let r = &reqs[waiting[w]];
+                        (cfg.tenants[r.tenant].priority, r.seq)
+                    })
+                    .expect("something waits"),
+            };
+            let head = waiting.remove(head_at);
+            let h = &reqs[head];
+            let mut batch = vec![head];
+            if cfg.kind == SchedulerKind::Batching && cfg.tenants[h.tenant].mix[h.class].batchable {
+                let mut w = 0;
+                while w < waiting.len() && batch.len() < cfg.max_batch {
+                    let r = &reqs[waiting[w]];
+                    if (r.tenant, r.class) == (h.tenant, h.class) {
+                        batch.push(waiting.remove(w));
+                    } else {
+                        w += 1;
+                    }
+                }
+            }
+            let k = batch.len() as u32;
+            queue_deltas.push((now, -i64::from(k)));
+            let Ok(shape) = &service[head] else {
+                for &i in &batch {
+                    outcomes[i] = Some(Outcome {
+                        dispatch: now,
+                        completion: now,
+                        admission: SimDuration::ZERO,
+                        spdm: SimDuration::ZERO,
+                        cold: false,
+                        batch: k,
+                        rejected: true,
+                    });
+                }
+                continue;
+            };
+            let gpu = busy_until
+                .iter()
+                .position(Option::is_none)
+                .expect("an idle GPU");
+            let admissions: Vec<_> = batch
+                .iter()
+                .map(|&i| pools[gpu].admit(reqs[i].tenant as u64))
+                .collect();
+            let service_time = *shape
+                + shape.scale(0.35 * f64::from(k - 1))
+                + admissions.iter().map(|a| a.total()).sum::<SimDuration>();
+            let done = now + service_time;
+            busy_until[gpu] = Some(done);
+            gpu_deltas[gpu].push((now, i64::from(k)));
+            gpu_deltas[gpu].push((done, -i64::from(k)));
+            busy += service_time;
+            batches += 1;
+            for (&i, a) in batch.iter().zip(&admissions) {
+                cold_starts += u64::from(a.cold);
+                outcomes[i] = Some(Outcome {
+                    dispatch: now,
+                    completion: done,
+                    admission: a.total(),
+                    spdm: a.setup,
+                    cold: a.cold,
+                    batch: k,
+                    rejected: false,
+                });
+            }
+        }
+        let next = reqs
+            .get(arrived)
+            .map(|r| r.arrival)
+            .into_iter()
+            .chain(busy_until.iter().flatten().copied())
+            .min();
+        let Some(next) = next else { break };
+        now = next;
+        for slot in &mut busy_until {
+            if *slot == Some(now) {
+                *slot = None;
+            }
+        }
+        while arrived < reqs.len() && reqs[arrived].arrival == now {
+            waiting.push(arrived);
+            queue_deltas.push((now, 1));
+            arrived += 1;
+        }
+    }
+
+    let mut td = TdCounters::default();
+    let mut sessions = (0, 0);
+    for pool in &mut pools {
+        let c = pool.counters();
+        td.hypercalls += c.hypercalls;
+        td.seamcalls += c.seamcalls;
+        td.pages_converted += c.pages_converted;
+        td.transition_time += c.transition_time;
+        sessions.0 += pool.established() as u64;
+        sessions.1 += pool.close_all();
+    }
+    let mut gauges = vec![reference_series("serving.queue_depth", &queue_deltas)];
+    for (g, deltas) in gpu_deltas.iter().enumerate() {
+        gauges.push(reference_series(&format!("serving.gpu{g}.depth"), deltas));
+    }
+    ReferenceRun {
+        outcomes: outcomes
+            .into_iter()
+            .map(|o| o.expect("every request settles"))
+            .collect(),
+        end: now,
+        busy,
+        batches,
+        cold_starts,
+        td,
+        sessions,
+        gauges,
+    }
+}
+
+/// Oracle: over random small traces (bursts of same-instant arrivals,
+/// 1–4 tenants, batch caps 1–4, one shape per (tenant, class) with some
+/// failing), `cluster::simulate` matches the naive reference cluster in
+/// every outcome, the end time, busy time, batch and cold-start counts,
+/// TD counters, session ledger and every gauge series — under every
+/// scheduler, both CC modes, and 1, 2, 3 and 65 GPUs (65 spans two words
+/// of the idle-GPU bitset).
+#[test]
+fn cluster_matches_the_reference_cluster() {
+    forall!(
+        Config::new(0x5E21_0014).with_cases(24),
+        ((trace, slot_us), (tenants, max_batch)) in (
+            (
+                vecs((u64s(0..600), u64s(0..4), u64s(0..4)), 0..40),
+                vecs(u64s(0..500), 11..12)
+            ),
+            (u64s(1..5), u64s(1..5))
+        ) => {
+            let tenants = default_tenants(tenants as usize);
+            let slot_base: Vec<usize> = tenants
+                .iter()
+                .scan(0, |next, t| {
+                    *next += t.mix.len();
+                    Some(*next - t.mix.len())
+                })
+                .collect();
+            let mut at = SimTime::ZERO;
+            let mut reqs = Vec::new();
+            let mut shape_of = Vec::new();
+            for (seq, &(gap, t, c)) in trace.iter().enumerate() {
+                // Two gaps in five are zero: same-instant bursts.
+                at += SimDuration::micros(gap.saturating_sub(240));
+                let tenant = t as usize % tenants.len();
+                let class = c as usize % tenants[tenant].mix.len();
+                reqs.push(Request { seq: seq as u64, tenant, class, arrival: at });
+                shape_of.push((slot_base[tenant] + class) as u32);
+            }
+            // A slot under 60 µs stands for a deterministically failing shape.
+            let slot_service: Vec<Result<SimDuration, String>> = slot_us
+                .iter()
+                .map(|&us| {
+                    if us < 60 {
+                        Err("shape fails".to_string())
+                    } else {
+                        Ok(SimDuration::micros(us))
+                    }
+                })
+                .collect();
+            let service: Vec<_> = shape_of
+                .iter()
+                .map(|&s| slot_service[s as usize].clone())
+                .collect();
+            let shapes = slot_service
+                .iter()
+                .map(|service| Shape {
+                    label: String::new(),
+                    hash: 0,
+                    service: service.clone(),
+                    faults: Default::default(),
+                    audit: None,
+                })
+                .collect();
+            let table = ShapeTable::from_shapes(shapes, shape_of);
+            let tdx = TdxCalib::default();
+            for kind in SchedulerKind::ALL {
+                for cc in CcMode::ALL {
+                    for gpus in [1, 2, 3, 65] {
+                        let cfg = ClusterConfig {
+                            tenants: &tenants,
+                            cc,
+                            gpus,
+                            kind,
+                            max_batch: max_batch as usize,
+                            tdx: &tdx,
+                        };
+                        let run = cluster::simulate(&reqs, &table, &cfg, &mut Observers::default());
+                        let want = reference_cluster(&reqs, &service, &cfg);
+                        let got = ReferenceRun {
+                            outcomes: run.outcomes,
+                            end: run.end,
+                            busy: run.busy,
+                            batches: run.batches,
+                            cold_starts: run.cold_starts,
+                            td: run.td,
+                            sessions: (run.sessions_established, run.sessions_closed),
+                            gauges: run.metrics.gauges.clone(),
+                        };
+                        ensure!(got == want, "{kind}/{cc}/{gpus} gpus:\n  got:  {got:?}\n  want: {want:?}");
+                        ensure_eq!(run.metrics.counter_total("serving.batches"), Some(want.batches));
+                        ensure_eq!(run.metrics.counter_total("serving.cold_starts"), Some(want.cold_starts));
+                    }
+                }
+            }
+        }
+    );
 }
