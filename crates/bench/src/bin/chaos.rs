@@ -14,80 +14,27 @@
 //! 1 = leak / conservation / identity violation, 2 = usage error.
 
 use hcc_bench::chaos::{self, ChaosConfig};
+use hcc_bench::cli::{self, CliError};
 use hcc_bench::engine;
-use hcc_bench::serving::ArrivalKind;
 use hcc_bench::serving::SchedulerKind;
 use hcc_types::json::{Json, ToJson};
 use hcc_types::{RecoveryPolicy, StormProfile};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: chaos [--requests N] [--days N] [--seed S] [--gpus N] [--tenants N] \
-         [--profiles p1,p2|all] [--policies retry,degrade,abort|all] [--replicas N] \
-         [--episodes-per-day N] [--arrival poisson|bursty|diurnal] \
-         [--scheduler fifo|priority|batching] [--watch] [--flight] [--json <path>]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: chaos [--requests N] [--days N] [--seed S] [--gpus N] [--tenants N] \
+     [--profiles p1,p2|all] [--policies retry,degrade,abort|all] [--replicas N] \
+     [--episodes-per-day N] [--arrival poisson|bursty|diurnal] \
+     [--scheduler fifo|priority|batching] [--watch] [--flight] [--json <path>]";
 
-/// One-line diagnostic naming the flag and the offending value, then the
-/// usage line and a nonzero exit.
-fn bad(flag: &str, detail: &str) -> ! {
-    eprintln!("chaos: {flag}: {detail}");
-    usage()
-}
-
-fn parse_u64(flag: &str, value: Option<String>) -> u64 {
-    let Some(raw) = value else {
-        bad(flag, "missing value")
-    };
-    let raw = raw.trim();
-    let parsed = if let Some(hex) = raw.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        raw.parse().ok()
-    };
-    parsed.unwrap_or_else(|| bad(flag, &format!("cannot parse {raw:?} as an integer")))
-}
-
-fn parse_profiles(raw: &str) -> Vec<StormProfile> {
+/// A comma list of names parsed by `one`, or `all`.
+fn list<T>(
+    raw: &str,
+    all: impl FnOnce() -> Vec<T>,
+    one: impl Fn(String) -> Result<T, CliError>,
+) -> Result<Vec<T>, CliError> {
     if raw.trim() == "all" {
-        return StormProfile::builtin();
+        return Ok(all());
     }
-    raw.split(',')
-        .map(|name| {
-            StormProfile::by_name(name.trim()).unwrap_or_else(|| {
-                let known: Vec<&str> = StormProfile::builtin().iter().map(|p| p.name).collect();
-                bad(
-                    "--profiles",
-                    &format!(
-                        "unknown storm profile {:?} (profiles: {}, or all)",
-                        name.trim(),
-                        known.join(", ")
-                    ),
-                )
-            })
-        })
-        .collect()
-}
-
-fn parse_policies(raw: &str) -> Vec<RecoveryPolicy> {
-    if raw.trim() == "all" {
-        return ChaosConfig::default().policies;
-    }
-    raw.split(',')
-        .map(|name| {
-            RecoveryPolicy::parse(name.trim()).unwrap_or_else(|| {
-                bad(
-                    "--policies",
-                    &format!(
-                        "unknown recovery policy {:?} (policies: retry, degrade, abort, or all)",
-                        name.trim()
-                    ),
-                )
-            })
-        })
-        .collect()
+    raw.split(',').map(|name| one(name.to_string())).collect()
 }
 
 fn main() {
@@ -96,58 +43,52 @@ fn main() {
     let mut json_path: Option<String> = None;
     let mut tenant_count = 2usize;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--requests" => cfg.requests = parse_u64(&arg, args.next()).max(1),
-            "--days" => cfg.days = parse_u64(&arg, args.next()).clamp(1, 3650),
-            "--seed" => cfg.seed = parse_u64(&arg, args.next()),
-            "--gpus" => cfg.gpus = parse_u64(&arg, args.next()).max(1) as usize,
-            "--tenants" => tenant_count = parse_u64(&arg, args.next()).max(1) as usize,
-            "--replicas" => cfg.replicas = parse_u64(&arg, args.next()).clamp(1, 16) as u32,
-            "--episodes-per-day" => {
-                cfg.episodes_per_day = parse_u64(&arg, args.next()).clamp(1, 1440) as u32;
+    cli::parse_or_exit("chaos", USAGE, |args| {
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--requests" => cfg.requests = args.u64(&flag)?.max(1),
+                "--days" => cfg.days = args.u64(&flag)?.clamp(1, 3650),
+                "--seed" => cfg.seed = args.u64(&flag)?,
+                "--gpus" => cfg.gpus = args.u64(&flag)?.max(1) as usize,
+                "--tenants" => tenant_count = args.u64(&flag)?.max(1) as usize,
+                "--replicas" => cfg.replicas = args.u64(&flag)?.clamp(1, 16) as u32,
+                "--episodes-per-day" => {
+                    cfg.episodes_per_day = args.u64(&flag)?.clamp(1, 1440) as u32;
+                }
+                "--profiles" => {
+                    cfg.profiles = list(&args.value(&flag)?, StormProfile::builtin, |name| {
+                        cli::storm_profile(&flag, name, ", or all")
+                    })?;
+                }
+                "--policies" => {
+                    let all = || ChaosConfig::default().policies;
+                    cfg.policies = list(&args.value(&flag)?, all, |name| {
+                        cli::lookup(
+                            &flag,
+                            "recovery policy",
+                            "policies: retry, degrade, abort, or all",
+                            name,
+                            RecoveryPolicy::parse,
+                        )
+                    })?;
+                }
+                "--arrival" => cfg.arrival = args.arrival(&flag)?,
+                "--scheduler" => {
+                    cfg.scheduler = args.name(
+                        &flag,
+                        "scheduler",
+                        "expected fifo|priority|batching",
+                        SchedulerKind::parse,
+                    )?;
+                }
+                "--watch" => cfg.watch = Some(hcc_bench::watch::WatchConfig::default().from_env()),
+                "--flight" => cfg.flight = Some(cli::flight_from_env()),
+                "--json" => json_path = Some(args.value(&flag)?),
+                _ => return Err(CliError::Unknown { arg: flag }),
             }
-            "--profiles" => match args.next() {
-                Some(raw) => cfg.profiles = parse_profiles(&raw),
-                None => bad(&arg, "missing value"),
-            },
-            "--policies" => match args.next() {
-                Some(raw) => cfg.policies = parse_policies(&raw),
-                None => bad(&arg, "missing value"),
-            },
-            "--arrival" => match args.next() {
-                Some(raw) => match ArrivalKind::parse(&raw) {
-                    Some(kind) => cfg.arrival = kind,
-                    None => bad(
-                        &arg,
-                        &format!(
-                            "unknown arrival process {raw:?} (expected poisson|bursty|diurnal)"
-                        ),
-                    ),
-                },
-                None => bad(&arg, "missing value"),
-            },
-            "--scheduler" => match args.next() {
-                Some(raw) => match SchedulerKind::parse(&raw) {
-                    Some(kind) => cfg.scheduler = kind,
-                    None => bad(
-                        &arg,
-                        &format!("unknown scheduler {raw:?} (expected fifo|priority|batching)"),
-                    ),
-                },
-                None => bad(&arg, "missing value"),
-            },
-            "--watch" => {
-                cfg.watch = Some(hcc_bench::watch::WatchConfig::default().from_env());
-            }
-            "--flight" => {
-                cfg.flight = Some(hcc_trace::FlightConfig::default().from_env());
-            }
-            "--json" => json_path = args.next(),
-            _ => bad(&arg, "unknown flag"),
         }
-    }
+        Ok(())
+    });
     cfg.tenants = hcc_workloads::default_tenants(tenant_count);
     cfg.budgets = chaos::default_budgets(&cfg.tenants);
 
@@ -185,10 +126,7 @@ fn main() {
             ("report".to_string(), report.to_json()),
             ("engine".to_string(), stats.to_json()),
         ]);
-        if let Err(e) = std::fs::write(&path, doc.to_string()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        cli::write_or_exit(&path, doc.to_string());
     }
 
     engine::emit_stats();

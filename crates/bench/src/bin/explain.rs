@@ -11,6 +11,7 @@
 //!
 //! `--json <path>` additionally writes every explanation as a JSON array.
 
+use hcc_bench::cli::{self, CliError};
 use hcc_bench::explain::{explain_all, AppExplanation};
 use hcc_bench::{engine, report};
 use hcc_trace::critpath::ResourceClass;
@@ -65,16 +66,15 @@ fn print_table(rows: &[AppExplanation]) {
 
 fn main() {
     let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json_path = args.next(),
-            other => {
-                eprintln!("unknown argument {other:?} (expected --json <path>)");
-                std::process::exit(2);
+    cli::parse_or_exit("explain", "usage: explain [--json <path>]", |args| {
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--json" => json_path = Some(args.value(&flag)?),
+                _ => return Err(CliError::Unknown { arg: flag }),
             }
         }
-    }
+        Ok(())
+    });
 
     report::section("slowdown explainer — exposed critical time per resource (CC-on minus CC-off)");
     let (rows, failures) = explain_all();
@@ -106,10 +106,7 @@ fn main() {
 
     if let Some(path) = json_path {
         let doc = Json::Arr(rows.iter().map(ToJson::to_json).collect());
-        if let Err(e) = std::fs::write(&path, doc.to_string()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        cli::write_or_exit(&path, doc.to_string());
     }
 
     report::exit_on_failures(&failures);

@@ -13,6 +13,7 @@
 //! deliberately panicking ad-hoc scenario is contained as a structured
 //! failure while the rest of the batch completes.
 
+use hcc_bench::cli::{self, CliError};
 use hcc_bench::engine;
 use hcc_bench::report;
 use hcc_runtime::SimConfig;
@@ -22,37 +23,29 @@ use hcc_workloads::{suites, Op, Scenario, Suite, WorkloadSpec};
 const DEFAULT_PLAN: &str = "seed=7,gcm=0.35,bounce=0.3,ring=0.3,uvm=0.35,max=6";
 
 fn main() {
-    let mut plan_spec = DEFAULT_PLAN.to_string();
-    let mut panic_smoke = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--plan" => {
-                plan_spec = args.next().unwrap_or_else(|| {
-                    eprintln!("fault_sweep: --plan: missing value");
-                    std::process::exit(2);
-                });
-            }
-            "--panic-smoke" => panic_smoke = true,
-            other => {
-                eprintln!(
-                    "fault_sweep: unknown argument {other:?} (expected --plan <spec> | --panic-smoke)"
-                );
-                std::process::exit(2);
+    let usage = "usage: fault_sweep [--plan <spec>] [--panic-smoke]";
+    let (plan, panic_smoke) = cli::parse_or_exit("fault_sweep", usage, |args| {
+        let mut plan = DEFAULT_PLAN.to_string();
+        let mut panic_smoke = false;
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--plan" => plan = args.value(&flag)?,
+                "--panic-smoke" => panic_smoke = true,
+                _ => return Err(CliError::Unknown { arg: flag }),
             }
         }
-    }
+        let plan = FaultPlan::parse(&plan).map_err(|detail| CliError::Invalid {
+            flag: "--plan".to_string(),
+            detail,
+        })?;
+        Ok((plan, panic_smoke))
+    });
 
     if panic_smoke {
         panic_smoke_check();
-        return;
+    } else {
+        sweep(plan);
     }
-
-    let plan = FaultPlan::parse(&plan_spec).unwrap_or_else(|e| {
-        eprintln!("fault_sweep: --plan: {e}");
-        std::process::exit(2);
-    });
-    sweep(plan);
 }
 
 /// Runs every standard app under CC with the plan and prints the

@@ -1,11 +1,25 @@
 //! Fig. 4b: single-core crypto throughput per CPU.
 
+use hcc_bench::cli::{self, CliError};
 use hcc_bench::figures::fig04b;
 use hcc_bench::report;
 
 fn main() {
+    let functional = cli::parse_or_exit(
+        "fig04b_crypto",
+        "usage: fig04b_crypto [--functional]",
+        |args| {
+            let mut functional = false;
+            for flag in args.by_ref() {
+                match flag.as_str() {
+                    "--functional" => functional = true,
+                    _ => return Err(CliError::Unknown { arg: flag }),
+                }
+            }
+            Ok(functional)
+        },
+    );
     report::section("Fig. 4b — single-core crypto throughput (GB/s)");
-    let functional = std::env::args().any(|a| a == "--functional");
     println!(
         "{:<14} {:<20} {:>10} {:>12}",
         "cpu", "algorithm", "modeled", "functional"

@@ -2,6 +2,7 @@
 //! (c) stream overlap. Pass `a`, `b`, or `c` to run one panel; default
 //! runs all.
 
+use hcc_bench::cli;
 use hcc_bench::figures::fig12;
 use hcc_bench::report;
 use hcc_types::{ByteSize, CcMode, SimDuration};
@@ -62,15 +63,27 @@ fn panel_c() {
 }
 
 fn main() {
-    let arg = std::env::args().nth(1);
-    match arg.as_deref() {
-        Some("a") => panel_a(),
-        Some("b") => panel_b(),
-        Some("c") => panel_c(),
-        _ => {
-            panel_a();
-            panel_b();
-            panel_c();
-        }
+    let panels: Vec<fn()> =
+        cli::parse_or_exit("fig12_micro", "usage: fig12_micro [a|b|c]", |args| {
+            let panels = match args.next() {
+                None => vec![panel_a as fn(), panel_b, panel_c],
+                Some(raw) => vec![cli::lookup(
+                    "<panel>",
+                    "panel",
+                    "expected a|b|c",
+                    raw,
+                    |p| match p {
+                        "a" => Some(panel_a as fn()),
+                        "b" => Some(panel_b),
+                        "c" => Some(panel_c),
+                        _ => None,
+                    },
+                )?],
+            };
+            args.end()?;
+            Ok(panels)
+        });
+    for panel in panels {
+        panel();
     }
 }

@@ -8,33 +8,50 @@
 //! cargo run -p hcc-bench --bin hcc_lab -- trace gemm --cc   # JSON events
 //! ```
 
+use hcc_bench::cli::{self, Args, CliError};
 use hcc_core::{CcReport, PerfModel, PhaseBreakdown};
 use hcc_runtime::SimConfig;
 use hcc_types::json::ToJson;
 use hcc_types::CcMode;
 use hcc_workloads::{parse_workload, runner, suites, WorkloadSpec};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: hcc_lab <command>\n\
-         \n\
-         commands:\n\
-         \x20 list                      list the built-in benchmark apps\n\
-         \x20 run <app> [--cc]          run one app, print the phase breakdown\n\
-         \x20 report <app>              base-vs-CC characterization + advice\n\
-         \x20 deck <file> [--cc|--report]  run a workload deck (text format)\n\
-         \x20 trace <app> [--cc]        dump the trace as JSON lines\n\
-         \x20 chrome <app> [--cc]       dump a chrome://tracing JSON file to stdout"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: hcc_lab <command>\n\
+     \n\
+     commands:\n\
+     \x20 list                      list the built-in benchmark apps\n\
+     \x20 run <app> [--cc]          run one app, print the phase breakdown\n\
+     \x20 report <app>              base-vs-CC characterization + advice\n\
+     \x20 deck <file> [--cc|--report]  run a workload deck (text format)\n\
+     \x20 trace <app> [--cc]        dump the trace as JSON lines\n\
+     \x20 chrome <app> [--cc]       dump a chrome://tracing JSON file to stdout";
 
-fn cc_flag(args: &[String]) -> CcMode {
-    if args.iter().any(|a| a == "--cc") {
-        CcMode::On
-    } else {
-        CcMode::Off
+/// Parses `<command> [<app>|<file>] [--cc] [--report]` into the command,
+/// its target and its switches, refusing switches the command lacks.
+fn parse(args: &mut Args) -> Result<(String, String, CcMode, bool), CliError> {
+    let command = args.name(
+        "<command>",
+        "command",
+        "expected list|run|report|deck|trace|chrome",
+        |c| {
+            ["list", "run", "report", "deck", "trace", "chrome"]
+                .contains(&c)
+                .then(|| c.to_string())
+        },
+    )?;
+    let target = match command.as_str() {
+        "list" => String::new(),
+        "deck" => args.value("<file>")?,
+        _ => args.value("<app>")?,
+    };
+    let (mut cc, mut report) = (CcMode::Off, false);
+    for flag in args.by_ref() {
+        match (flag.as_str(), command.as_str()) {
+            ("--cc", "run" | "deck" | "trace" | "chrome") => cc = CcMode::On,
+            ("--report", "deck") => report = true,
+            _ => return Err(CliError::Unknown { arg: flag }),
+        }
     }
+    Ok((command, target, cc, report))
 }
 
 fn load_spec(name: &str) -> WorkloadSpec {
@@ -83,59 +100,34 @@ fn run_and_print(spec: &WorkloadSpec, cc: CcMode) {
     );
 }
 
-fn cmd_run(args: &[String]) {
-    let Some(name) = args.first() else { usage() };
-    let spec = load_spec(name);
-    run_and_print(&spec, cc_flag(args));
-}
-
-fn cmd_report(args: &[String]) {
-    let Some(name) = args.first() else { usage() };
-    let spec = load_spec(name);
-    let base = runner::run(&spec, SimConfig::new(CcMode::Off)).expect("base run");
-    let cc = runner::run(&spec, SimConfig::new(CcMode::On)).expect("cc run");
+fn cmd_report(spec: &WorkloadSpec) {
+    let base = runner::run(spec, SimConfig::new(CcMode::Off)).expect("base run");
+    let cc = runner::run(spec, SimConfig::new(CcMode::On)).expect("cc run");
     let report = CcReport::generate(spec.name, &base.timeline, &cc.timeline);
     print!("{}", report.to_markdown());
 }
 
-fn cmd_deck(args: &[String]) {
-    let Some(path) = args.first() else { usage() };
+fn load_deck(path: &str) -> WorkloadSpec {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(1);
     });
-    let spec = parse_workload(&text).unwrap_or_else(|e| {
+    parse_workload(&text).unwrap_or_else(|e| {
         eprintln!("{path}: {e}");
         std::process::exit(1);
-    });
-    if args.iter().any(|a| a == "--report") {
-        let base = runner::run(&spec, SimConfig::new(CcMode::Off)).expect("base run");
-        let cc = runner::run(&spec, SimConfig::new(CcMode::On)).expect("cc run");
-        print!(
-            "{}",
-            CcReport::generate(spec.name, &base.timeline, &cc.timeline).to_markdown()
-        );
-    } else {
-        run_and_print(&spec, cc_flag(args));
-    }
+    })
 }
 
-fn cmd_trace(args: &[String]) {
-    let Some(name) = args.first() else { usage() };
-    let spec = load_spec(name);
-    let r = runner::run(&spec, SimConfig::new(cc_flag(args))).expect("run");
+fn cmd_trace(spec: &WorkloadSpec, cc: CcMode) {
+    let r = runner::run(spec, SimConfig::new(cc)).expect("run");
     for event in r.timeline.events() {
         println!("{}", event.to_json_string());
     }
 }
 
-fn cmd_chrome(args: &[String]) {
-    let Some(name) = args.first() else { usage() };
-    let spec = load_spec(name);
-    let cfg = SimConfig::new(cc_flag(args))
-        .with_metrics(true)
-        .with_causal(true);
-    let r = runner::run(&spec, cfg).expect("run");
+fn cmd_chrome(spec: &WorkloadSpec, cc: CcMode) {
+    let cfg = SimConfig::new(cc).with_metrics(true).with_causal(true);
+    let r = runner::run(spec, cfg).expect("run");
     let mut export = hcc_trace::ChromeExport::new().with_causal(&r.causal);
     if let Some(set) = r.metrics.as_ref() {
         export = export.with_metrics(set);
@@ -144,14 +136,14 @@ fn cmd_chrome(args: &[String]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("run") => cmd_run(&args[1..]),
-        Some("report") => cmd_report(&args[1..]),
-        Some("deck") => cmd_deck(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("chrome") => cmd_chrome(&args[1..]),
-        _ => usage(),
+    let (command, target, cc, report) = cli::parse_or_exit("hcc_lab", USAGE, parse);
+    match command.as_str() {
+        "list" => cmd_list(),
+        "run" => run_and_print(&load_spec(&target), cc),
+        "report" => cmd_report(&load_spec(&target)),
+        "deck" if report => cmd_report(&load_deck(&target)),
+        "deck" => run_and_print(&load_deck(&target), cc),
+        "trace" => cmd_trace(&load_spec(&target), cc),
+        _ => cmd_chrome(&load_spec(&target), cc),
     }
 }

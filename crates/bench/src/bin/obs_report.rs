@@ -19,6 +19,7 @@
 //! back to zero usually means a release was never recorded.
 
 use hcc_bench::chaos::ChaosConfig;
+use hcc_bench::cli::{self, CliError};
 use hcc_bench::serving::ServingConfig;
 use hcc_bench::{chaos, engine, figures, report, serving};
 use hcc_trace::metrics::{to_prometheus, MetricsSet};
@@ -125,27 +126,25 @@ fn soak_snapshots(serve: bool, storm: bool) -> Vec<(String, SimTime, MetricsSet)
     out
 }
 
+const USAGE: &str = "usage: obs_report [--serve] [--chaos] [--json <path>] [--prom <path>]";
+
 fn main() {
     let mut json_path: Option<String> = None;
     let mut prom_path: Option<String> = None;
     let mut serve_soak = false;
     let mut chaos_soak = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json_path = args.next(),
-            "--prom" => prom_path = args.next(),
-            "--serve" => serve_soak = true,
-            "--chaos" => chaos_soak = true,
-            other => {
-                eprintln!(
-                    "unknown argument {other:?} \
-                     (expected --serve | --chaos | --json <path> | --prom <path>)"
-                );
-                std::process::exit(2);
+    cli::parse_or_exit("obs_report", USAGE, |args| {
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--json" => json_path = Some(args.value(&flag)?),
+                "--prom" => prom_path = Some(args.value(&flag)?),
+                "--serve" => serve_soak = true,
+                "--chaos" => chaos_soak = true,
+                _ => return Err(CliError::Unknown { arg: flag }),
             }
         }
-    }
+        Ok(())
+    });
 
     report::section("observability — queue depth & saturation per scenario");
     println!(
@@ -302,20 +301,14 @@ fn main() {
 
     if let Some(path) = json_path {
         let doc = Json::Arr(json_rows);
-        if let Err(e) = std::fs::write(&path, doc.to_string()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        cli::write_or_exit(&path, doc.to_string());
     }
     if let Some(path) = prom_path {
         let page = match &worst {
             Some((_, _, set)) => to_prometheus(set),
             None => String::new(),
         };
-        if let Err(e) = std::fs::write(&path, page) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        cli::write_or_exit(&path, page);
     }
 
     engine::emit_stats();

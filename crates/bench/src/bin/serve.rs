@@ -12,38 +12,14 @@
 //! engine simulated go to the `--json` side file and the stderr
 //! engine-stats block.
 
+use hcc_bench::cli::{self, CliError};
 use hcc_bench::engine;
-use hcc_bench::serving::{self, ArrivalKind, SchedulerKind, ServingConfig};
+use hcc_bench::serving::{self, SchedulerKind, ServingConfig};
 use hcc_types::json::{Json, ToJson};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: serve [--requests N] [--gpus N] [--tenants N] [--seed S] \
-         [--arrival poisson|bursty|diurnal] [--scheduler fifo|priority|batching|all] \
-         [--util F] [--max-batch N] [--watch] [--flight] [--json <path>]"
-    );
-    std::process::exit(2);
-}
-
-/// One-line diagnostic naming the flag and the offending value, then the
-/// usage line and a nonzero exit.
-fn bad(flag: &str, detail: &str) -> ! {
-    eprintln!("serve: {flag}: {detail}");
-    usage()
-}
-
-fn parse_u64(flag: &str, value: Option<String>) -> u64 {
-    let Some(raw) = value else {
-        bad(flag, "missing value")
-    };
-    let raw = raw.trim();
-    let parsed = if let Some(hex) = raw.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        raw.parse().ok()
-    };
-    parsed.unwrap_or_else(|| bad(flag, &format!("cannot parse {raw:?} as an integer")))
-}
+const USAGE: &str = "usage: serve [--requests N] [--gpus N] [--tenants N] [--seed S] \
+     [--arrival poisson|bursty|diurnal] [--scheduler fifo|priority|batching|all] \
+     [--util F] [--max-batch N] [--watch] [--flight] [--json <path>]";
 
 fn main() {
     // Harness default, then env overrides (HCC_SERVE_*), then flags.
@@ -55,54 +31,35 @@ fn main() {
     let mut json_path: Option<String> = None;
     let mut tenant_count = 2usize;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--requests" => cfg.requests = parse_u64(&arg, args.next()).max(1),
-            "--gpus" => cfg.gpus = parse_u64(&arg, args.next()).max(1) as usize,
-            "--tenants" => tenant_count = parse_u64(&arg, args.next()).max(1) as usize,
-            "--seed" => cfg.seed = parse_u64(&arg, args.next()),
-            "--max-batch" => cfg.max_batch = parse_u64(&arg, args.next()).max(1) as usize,
-            "--util" => match args.next() {
-                Some(raw) => match raw.parse::<f64>() {
-                    Ok(v) => cfg.target_util = v.clamp(0.05, 0.95),
-                    Err(_) => bad(&arg, &format!("cannot parse {raw:?} as a fraction")),
-                },
-                None => bad(&arg, "missing value"),
-            },
-            "--arrival" => match args.next() {
-                Some(raw) => match ArrivalKind::parse(&raw) {
-                    Some(kind) => cfg.arrival = kind,
-                    None => bad(
-                        &arg,
-                        &format!(
-                            "unknown arrival process {raw:?} (expected poisson|bursty|diurnal)"
-                        ),
-                    ),
-                },
-                None => bad(&arg, "missing value"),
-            },
-            "--scheduler" => match args.next() {
-                Some(raw) if raw == "all" => cfg.schedulers = SchedulerKind::ALL.to_vec(),
-                Some(raw) => match SchedulerKind::parse(&raw) {
-                    Some(kind) => cfg.schedulers = vec![kind],
-                    None => bad(
-                        &arg,
-                        &format!("unknown scheduler {raw:?} (expected fifo|priority|batching|all)"),
-                    ),
-                },
-                None => bad(&arg, "missing value"),
-            },
-            "--watch" => {
-                cfg.watch = Some(hcc_bench::watch::WatchConfig::default().from_env());
+    cli::parse_or_exit("serve", USAGE, |args| {
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--requests" => cfg.requests = args.u64(&flag)?.max(1),
+                "--gpus" => cfg.gpus = args.u64(&flag)?.max(1) as usize,
+                "--tenants" => tenant_count = args.u64(&flag)?.max(1) as usize,
+                "--seed" => cfg.seed = args.u64(&flag)?,
+                "--max-batch" => cfg.max_batch = args.u64(&flag)?.max(1) as usize,
+                "--util" => cfg.target_util = args.fraction(&flag)?.clamp(0.05, 0.95),
+                "--arrival" => cfg.arrival = args.arrival(&flag)?,
+                "--scheduler" => {
+                    cfg.schedulers = args.name(
+                        &flag,
+                        "scheduler",
+                        "expected fifo|priority|batching|all",
+                        |raw| match raw {
+                            "all" => Some(SchedulerKind::ALL.to_vec()),
+                            _ => SchedulerKind::parse(raw).map(|kind| vec![kind]),
+                        },
+                    )?;
+                }
+                "--watch" => cfg.watch = Some(hcc_bench::watch::WatchConfig::default().from_env()),
+                "--flight" => cfg.flight = Some(cli::flight_from_env()),
+                "--json" => json_path = Some(args.value(&flag)?),
+                _ => return Err(CliError::Unknown { arg: flag }),
             }
-            "--flight" => {
-                cfg.flight = Some(hcc_trace::FlightConfig::default().from_env());
-            }
-            "--json" => json_path = args.next(),
-            _ => bad(&arg, "unknown flag"),
         }
-    }
+        Ok(())
+    });
     cfg.tenants = hcc_workloads::default_tenants(tenant_count);
 
     let wall = std::time::Instant::now();
@@ -132,10 +89,7 @@ fn main() {
             ("report".to_string(), report.to_json()),
             ("engine".to_string(), stats.to_json()),
         ]);
-        if let Err(e) = std::fs::write(&path, doc.to_string()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        cli::write_or_exit(&path, doc.to_string());
     }
 
     engine::emit_stats();

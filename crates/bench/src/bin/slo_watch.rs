@@ -22,110 +22,45 @@
 //! Exit codes: 0 = soak healthy, 1 = underlying soak violated a
 //! structural invariant, 2 = usage error.
 
-use hcc_bench::watch::{self, WatchReport};
+use hcc_bench::cli::{self, CanonicalSoak, CliError};
+use hcc_bench::watch::WatchReport;
 use hcc_bench::{chaos, engine, serving};
 use hcc_types::json::{Json, ToJson};
-use hcc_types::StormProfile;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: slo_watch [--serve] [--flight] [--requests N] [--days N] [--gpus N] [--seed S] \
-         [--profile NAME] [--util F] [--json <path>] [--prom <path>]"
-    );
-    std::process::exit(2);
-}
-
-/// One-line diagnostic naming the flag and the offending value, then the
-/// usage line and a nonzero exit.
-fn bad(flag: &str, detail: &str) -> ! {
-    eprintln!("slo_watch: {flag}: {detail}");
-    usage()
-}
-
-fn parse_u64(flag: &str, value: Option<String>) -> u64 {
-    let Some(raw) = value else {
-        bad(flag, "missing value")
-    };
-    let raw = raw.trim();
-    let parsed = if let Some(hex) = raw.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        raw.parse().ok()
-    };
-    parsed.unwrap_or_else(|| bad(flag, &format!("cannot parse {raw:?} as an integer")))
-}
+const USAGE: &str = "usage: slo_watch [--serve] [--flight] [--requests N] [--days N] [--gpus N] \
+     [--seed S] [--profile NAME] [--util F] [--json <path>] [--prom <path>]";
 
 fn main() {
-    let mut serve_mode = false;
+    let mut soak = CanonicalSoak::default();
     let mut flight = false;
-    let mut requests: Option<u64> = None;
-    let mut days: Option<u64> = None;
-    let mut gpus: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut profile: Option<StormProfile> = None;
+    let mut profile = None;
     let mut util: Option<f64> = None;
     let mut json_path: Option<String> = None;
     let mut prom_path: Option<String> = None;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--serve" => serve_mode = true,
-            "--flight" => flight = true,
-            "--requests" => requests = Some(parse_u64(&arg, args.next()).max(1)),
-            "--days" => days = Some(parse_u64(&arg, args.next()).clamp(1, 3650)),
-            "--gpus" => gpus = Some(parse_u64(&arg, args.next()).max(1) as usize),
-            "--seed" => seed = Some(parse_u64(&arg, args.next())),
-            "--profile" => match args.next() {
-                Some(raw) => match StormProfile::by_name(raw.trim()) {
-                    Some(p) => profile = Some(p),
-                    None => {
-                        let known: Vec<&str> =
-                            StormProfile::builtin().iter().map(|p| p.name).collect();
-                        bad(
-                            &arg,
-                            &format!(
-                                "unknown storm profile {:?} (profiles: {})",
-                                raw.trim(),
-                                known.join(", ")
-                            ),
-                        )
-                    }
-                },
-                None => bad(&arg, "missing value"),
-            },
-            "--util" => match args.next() {
-                Some(raw) => match raw.parse::<f64>() {
-                    Ok(v) => util = Some(v.clamp(0.05, 0.95)),
-                    Err(_) => bad(&arg, &format!("cannot parse {raw:?} as a fraction")),
-                },
-                None => bad(&arg, "missing value"),
-            },
-            "--json" => json_path = args.next(),
-            "--prom" => prom_path = args.next(),
-            _ => bad(&arg, "unknown flag"),
+    cli::parse_or_exit("slo_watch", USAGE, |args| {
+        while let Some(flag) = args.next() {
+            if soak.flag(&flag, args)? {
+                continue;
+            }
+            match flag.as_str() {
+                "--flight" => flight = true,
+                "--profile" => profile = Some(cli::storm_profile(&flag, args.value(&flag)?, "")?),
+                "--util" => util = Some(args.fraction(&flag)?.clamp(0.05, 0.95)),
+                "--json" => json_path = Some(args.value(&flag)?),
+                "--prom" => prom_path = Some(args.value(&flag)?),
+                _ => return Err(CliError::Unknown { arg: flag }),
+            }
         }
-    }
+        Ok(())
+    });
+    let flight = flight.then(cli::flight_from_env);
 
     let wall = std::time::Instant::now();
-    let (header, report, healthy): (String, WatchReport, bool) = if serve_mode {
-        let mut cfg = watch::calm_soak();
-        cfg.watch = Some(watch::WatchConfig::default().from_env());
-        if flight {
-            cfg.flight = Some(hcc_trace::FlightConfig::default().from_env());
-        }
-        if let Some(n) = requests {
-            cfg.requests = n;
-        }
-        if let Some(g) = gpus {
-            cfg.gpus = g;
-        }
-        if let Some(s) = seed {
-            cfg.seed = s;
-        }
-        if let Some(u) = util {
-            cfg.target_util = u;
-        }
+    let (header, report, healthy): (String, WatchReport, bool) = if soak.serve {
+        let mut cfg = soak.serving();
+        cfg.flight = flight;
+        cfg.target_util = util.unwrap_or(cfg.target_util);
         let rep = serving::run(&cfg, engine::global());
         let header = format!(
             "=== slo watchtower: serve-shaped soak ===\n\
@@ -141,23 +76,8 @@ fn main() {
             .expect("watch plane enabled");
         (header, watch, healthy)
     } else {
-        let mut cfg = watch::stormy_soak();
-        cfg.watch = Some(watch::WatchConfig::default().from_env());
-        if flight {
-            cfg.flight = Some(hcc_trace::FlightConfig::default().from_env());
-        }
-        if let Some(n) = requests {
-            cfg.requests = n;
-        }
-        if let Some(d) = days {
-            cfg.days = d;
-        }
-        if let Some(g) = gpus {
-            cfg.gpus = g;
-        }
-        if let Some(s) = seed {
-            cfg.seed = s;
-        }
+        let mut cfg = soak.chaos();
+        cfg.flight = flight;
         if let Some(p) = profile {
             cfg.profiles = vec![p];
         }
@@ -169,10 +89,8 @@ fn main() {
         );
         let healthy = rep.healthy();
         let watch = rep
-            .profiles
-            .into_iter()
+            .into_cells()
             .next()
-            .and_then(|p| p.cells.into_iter().next())
             .and_then(|c| c.watch)
             .expect("watch plane enabled");
         (header, watch, healthy)
@@ -183,10 +101,7 @@ fn main() {
     print!("{}", report.render());
 
     if let Some(path) = prom_path {
-        if let Err(e) = std::fs::write(&path, report.to_prometheus()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        cli::write_or_exit(&path, report.to_prometheus());
     }
 
     if let Some(path) = json_path {
@@ -219,10 +134,7 @@ fn main() {
             ("watch".to_string(), report.to_json()),
             ("engine".to_string(), stats.to_json()),
         ]);
-        if let Err(e) = std::fs::write(&path, doc.to_string()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        cli::write_or_exit(&path, doc.to_string());
     }
 
     engine::emit_stats();

@@ -6,6 +6,7 @@
 //! cargo run --release -p hcc-bench --bin summary
 //! ```
 
+use hcc_bench::cli::{self, CliError};
 use hcc_bench::engine;
 use hcc_bench::figures::{self, fig04a, fig05, fig06, fig07, fig09, fig12};
 use hcc_bench::report;
@@ -60,16 +61,15 @@ fn bench_summary(failures: &mut Vec<engine::ScenarioFailure>) -> Json {
 
 fn main() {
     let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json_path = args.next(),
-            other => {
-                eprintln!("unknown argument {other:?} (expected --json <path>)");
-                std::process::exit(2);
+    cli::parse_or_exit("summary", "usage: summary [--json <path>]", |args| {
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--json" => json_path = Some(args.value(&flag)?),
+                _ => return Err(CliError::Unknown { arg: flag }),
             }
         }
-    }
+        Ok(())
+    });
     // Prefetch every simulation-backed figure population in one parallel
     // batch; the per-figure calls below then resolve from the engine's
     // cache (overlapping populations — e.g. Fig. 7 ⊂ Fig. 5's apps plus
@@ -269,10 +269,7 @@ fn main() {
     // thread counts; the per-app entries are deterministic.
     if let Some(path) = json_path {
         let doc = bench_summary(&mut failures);
-        if let Err(e) = std::fs::write(&path, doc.to_string()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        cli::write_or_exit(&path, doc.to_string());
     }
 
     // Engine statistics carry wall-clock times, so they go to stderr:

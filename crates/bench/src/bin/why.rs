@@ -25,39 +25,15 @@
 //! Exit codes: 0 = healthy, 1 = span-identity violation / unknown
 //! request or incident / unhealthy soak, 2 = usage error.
 
-use hcc_bench::watch::{self, WatchReport};
+use hcc_bench::cli::{self, CanonicalSoak, CliError};
+use hcc_bench::watch::WatchReport;
 use hcc_bench::{chaos, engine, serving};
 use hcc_trace::metrics::to_prometheus_with_exemplars;
-use hcc_trace::{ChromeExport, FlightConfig, FlightLog, Histogram, MetricsSet};
+use hcc_trace::{ChromeExport, FlightLog, Histogram, MetricsSet};
 use hcc_types::json::{Json, ToJson};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: why [--serve] [--request N] [--incident N] [--requests N] [--days N] \
-         [--gpus N] [--seed S] [--chrome <path>] [--prom <path>] [--json <path>]"
-    );
-    std::process::exit(2);
-}
-
-/// One-line diagnostic naming the flag and the offending value, then the
-/// usage line and a nonzero exit.
-fn bad(flag: &str, detail: &str) -> ! {
-    eprintln!("why: {flag}: {detail}");
-    usage()
-}
-
-fn parse_u64(flag: &str, value: Option<String>) -> u64 {
-    let Some(raw) = value else {
-        bad(flag, "missing value")
-    };
-    let raw = raw.trim();
-    let parsed = if let Some(hex) = raw.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        raw.parse().ok()
-    };
-    parsed.unwrap_or_else(|| bad(flag, &format!("cannot parse {raw:?} as an integer")))
-}
+const USAGE: &str = "usage: why [--serve] [--request N] [--incident N] [--requests N] [--days N] \
+     [--gpus N] [--seed S] [--chrome <path>] [--prom <path>] [--json <path>]";
 
 /// One incident summary line with its exemplar links — the bridge from a
 /// watchtower page to a `--request` invocation.
@@ -86,81 +62,39 @@ fn incident_line(watch: &WatchReport, inc: &hcc_bench::watch::Incident) -> Strin
     )
 }
 
-fn write_or_die(path: &str, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-}
-
 fn main() {
-    let mut serve_mode = false;
+    let mut soak = CanonicalSoak::default();
     let mut request: Option<u32> = None;
     let mut incident: Option<usize> = None;
-    let mut requests: Option<u64> = None;
-    let mut days: Option<u64> = None;
-    let mut gpus: Option<usize> = None;
-    let mut seed: Option<u64> = None;
     let mut chrome_path: Option<String> = None;
     let mut prom_path: Option<String> = None;
     let mut json_path: Option<String> = None;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--serve" => serve_mode = true,
-            "--request" => request = Some(parse_u64(&arg, args.next()) as u32),
-            "--incident" => incident = Some(parse_u64(&arg, args.next()) as usize),
-            "--requests" => requests = Some(parse_u64(&arg, args.next()).max(1)),
-            "--days" => days = Some(parse_u64(&arg, args.next()).clamp(1, 3650)),
-            "--gpus" => gpus = Some(parse_u64(&arg, args.next()).max(1) as usize),
-            "--seed" => seed = Some(parse_u64(&arg, args.next())),
-            "--chrome" => chrome_path = args.next(),
-            "--prom" => prom_path = args.next(),
-            "--json" => json_path = args.next(),
-            _ => bad(&arg, "unknown flag"),
+    cli::parse_or_exit("why", USAGE, |args| {
+        while let Some(flag) = args.next() {
+            if soak.flag(&flag, args)? {
+                continue;
+            }
+            match flag.as_str() {
+                "--request" => request = Some(args.u32(&flag)?),
+                "--incident" => incident = Some(args.u64(&flag)? as usize),
+                "--chrome" => chrome_path = Some(args.value(&flag)?),
+                "--prom" => prom_path = Some(args.value(&flag)?),
+                "--json" => json_path = Some(args.value(&flag)?),
+                _ => return Err(CliError::Unknown { arg: flag }),
+            }
         }
-    }
-
-    let flight_cfg = FlightConfig::default().from_env();
-    let serve_cfg = |flight: Option<FlightConfig>| {
-        let mut cfg = watch::calm_soak();
-        cfg.watch = Some(watch::WatchConfig::default().from_env());
-        cfg.flight = flight;
-        if let Some(n) = requests {
-            cfg.requests = n;
-        }
-        if let Some(g) = gpus {
-            cfg.gpus = g;
-        }
-        if let Some(s) = seed {
-            cfg.seed = s;
-        }
-        cfg
-    };
-    let chaos_cfg = |flight: Option<FlightConfig>| {
-        let mut cfg = watch::stormy_soak();
-        cfg.watch = Some(watch::WatchConfig::default().from_env());
-        cfg.flight = flight;
-        if let Some(n) = requests {
-            cfg.requests = n;
-        }
-        if let Some(d) = days {
-            cfg.days = d;
-        }
-        if let Some(g) = gpus {
-            cfg.gpus = g;
-        }
-        if let Some(s) = seed {
-            cfg.seed = s;
-        }
-        cfg
-    };
+        Ok(())
+    });
+    let flight = Some(cli::flight_from_env());
 
     let wall = std::time::Instant::now();
     let (header, watch_rep, flight, healthy): (String, Option<WatchReport>, FlightLog, bool) =
-        if serve_mode {
-            let cfg = serve_cfg(Some(flight_cfg));
+        if soak.serve {
+            let cfg = serving::ServingConfig {
+                flight,
+                ..soak.serving()
+            };
             let rep = serving::run(&cfg, engine::global());
             let header = format!(
                 "=== why: request flight forensics ===\n\
@@ -172,7 +106,10 @@ fn main() {
             let flight = run.flight.expect("flight plane enabled");
             (header, run.watch, flight, healthy)
         } else {
-            let cfg = chaos_cfg(Some(flight_cfg));
+            let cfg = chaos::ChaosConfig {
+                flight,
+                ..soak.chaos()
+            };
             let rep = chaos::run(&cfg, engine::global());
             let header = format!(
                 "=== why: request flight forensics ===\n\
@@ -180,12 +117,7 @@ fn main() {
                 cfg.requests, cfg.days, cfg.gpus, cfg.profiles[0].name, cfg.policies[0], cfg.seed,
             );
             let healthy = rep.healthy();
-            let cell = rep
-                .profiles
-                .into_iter()
-                .next()
-                .and_then(|p| p.cells.into_iter().next())
-                .expect("one policy cell");
+            let cell = rep.into_cells().next().expect("one policy cell");
             let flight = cell.flight.expect("flight plane enabled");
             (header, cell.watch, flight, healthy)
         };
@@ -278,7 +210,7 @@ fn main() {
     );
 
     if let Some(path) = chrome_path {
-        write_or_die(&path, &ChromeExport::render_flight(&flight));
+        cli::write_or_exit(&path, ChromeExport::render_flight(&flight));
     }
 
     if let Some(path) = prom_path {
@@ -287,9 +219,9 @@ fn main() {
             "request.latency",
             Histogram::from_durations(flight.samples.iter().map(|s| s.latency())),
         );
-        write_or_die(
+        cli::write_or_exit(
             &path,
-            &to_prometheus_with_exemplars(&set, &flight.exemplar_points()),
+            to_prometheus_with_exemplars(&set, &flight.exemplar_points()),
         );
     }
 
@@ -299,11 +231,11 @@ fn main() {
         // for it but cold for the flight-on run — any bias overstates
         // the recorder's overhead, never hides it.
         let off_wall = std::time::Instant::now();
-        if serve_mode {
-            let rep = serving::run(&serve_cfg(None), engine::global());
+        if soak.serve {
+            let rep = serving::run(&soak.serving(), engine::global());
             assert!(rep.conserved());
         } else {
-            let rep = chaos::run(&chaos_cfg(None), engine::global());
+            let rep = chaos::run(&soak.chaos(), engine::global());
             assert!(rep.healthy());
         }
         let off_elapsed = off_wall.elapsed();
@@ -334,7 +266,7 @@ fn main() {
             ("flight".to_string(), flight.to_json()),
             ("engine".to_string(), stats.to_json()),
         ]);
-        write_or_die(&path, &doc.to_string());
+        cli::write_or_exit(&path, doc.to_string());
     }
 
     engine::emit_stats();

@@ -41,7 +41,8 @@ use hcc_workloads::{default_tenants, Scenario, TenantSpec};
 use crate::engine::ExperimentEngine;
 use crate::serving::report as serving_report;
 use crate::serving::{
-    arrival, cluster, distinct_apps, env_u64, ArrivalKind, Request, SchedulerKind, ShapeTable,
+    arrival, cluster, distinct_apps, env_u64, observe, ArrivalKind, Request, SchedulerKind,
+    ShapeTable,
 };
 
 pub use report::{
@@ -111,19 +112,17 @@ pub struct ChaosConfig {
     pub shape_seed: u64,
     /// TDX calibration for the per-device session pools.
     pub tdx: TdxCalib,
-    /// SLO watchtower: when set, every cell records completion rollups
-    /// and carries a windowed burn-rate/incident timeline correlated
-    /// against the cell's storm calendar. `None` (the default) keeps the
-    /// rollup plane disabled and the rendered report byte-identical to
-    /// a watch-free build.
+    /// SLO watchtower: when set, every cell carries a windowed
+    /// burn-rate/incident timeline correlated against the cell's storm
+    /// calendar. `None` (the default) builds no rollups.
     pub watch: Option<crate::watch::WatchConfig>,
     /// Request flight recorder: when set, every cell samples per-request
     /// span trees (tail exemplars plus a seeded uniform reservoir per
     /// tumbling window), the cell's leak audit enforces the exemplar
     /// store's `windows × budget` memory bound over the full soak, and
     /// the cell carries the resolved [`hcc_trace::FlightLog`]. `None`
-    /// (the default) keeps the flight plane disabled and the rendered
-    /// report byte-identical to a flight-free build.
+    /// (the default) builds no flight log, and the rendered report is
+    /// byte-identical either way.
     pub flight: Option<hcc_trace::FlightConfig>,
 }
 
@@ -407,6 +406,15 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
     for (profile, storm) in cfg.profiles.iter().zip(storms) {
         let schedule = &storm.schedule;
         let peak_ends = schedule.peak_ends();
+        let soak = crate::watch::SoakContext {
+            tenant_names: &tenant_names,
+            budgets: &cfg.budgets,
+            horizon: SimTime::ZERO + horizon,
+            storm: Some(crate::watch::StormContext {
+                profile: profile.name,
+                schedule,
+            }),
+        };
 
         let mut cells = Vec::with_capacity(cfg.policies.len());
         for (policy, table) in cfg.policies.iter().zip(&storm.tables) {
@@ -461,16 +469,27 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
 
             // The cluster run: identical trace, identical calendar —
             // only the recovery policy differs between cells.
-            let mut obs = cluster::Observers::new(cfg.watch.is_some(), cfg.flight);
-            let raw = cluster::simulate(&requests, table, &cluster, &mut obs);
-            let cluster::Observers { rollup, flight } = obs;
+            let raw = cluster::simulate(&requests, table, &cluster);
+
+            // Incidents correlate against this profile's calendar; blame
+            // and exemplars resolve against the cell's shape table.
+            let (watch, flight) = observe::cluster_run(
+                &requests,
+                &raw,
+                table,
+                cfg.watch.as_ref(),
+                cfg.flight,
+                &soak,
+            );
 
             // Fold the flight store's accounting into the cell audit:
             // the exemplar store may never outgrow its
             // `windows × (worst + reservoir)` bound over the full soak.
-            audit.flight_kept = flight.kept_entries();
-            audit.flight_windows = flight.window_count();
-            audit.flight_window_budget = cfg.flight.map_or(0, |f| f.per_window_budget());
+            if let Some(f) = &flight {
+                audit.flight_kept = f.kept_entries;
+                audit.flight_windows = f.windows;
+                audit.flight_window_budget = f.cfg.per_window_budget();
+            }
             if let Err(e) = audit.check() {
                 violations.push(format!("cell aggregate: {e}"));
             }
@@ -498,39 +517,6 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
                     }
                 })
                 .collect();
-
-            // The watchtower: roll the cell's completions into windowed
-            // burn rates and incidents, correlated against this
-            // profile's calendar and blamed via the critical paths of
-            // the shapes its requests rode.
-            let mut watch = cfg.watch.as_ref().map(|wcfg| {
-                let samples = rollup.into_sorted();
-                crate::watch::observe(
-                    wcfg,
-                    &crate::watch::SoakView {
-                        tenant_names: &tenant_names,
-                        budgets: &cfg.budgets,
-                        samples: &samples,
-                        horizon: (SimTime::ZERO + horizon).max(mode.end),
-                        queue: mode.metrics.gauge_series("serving.queue_depth"),
-                        storm: Some(crate::watch::StormContext {
-                            profile: profile.name,
-                            schedule,
-                        }),
-                        blame: Some(table),
-                    },
-                )
-            });
-
-            // Resolve the kept skeletons into span trees against the
-            // same shape table the blame view indexes, then hand the
-            // watchtower its incident→exemplar links.
-            let flight = cfg
-                .flight
-                .map(|_| flight.resolve(table.shape_of(), table.decomps()));
-            if let (Some(w), Some(f)) = (watch.as_mut(), flight.as_ref()) {
-                w.link_exemplars(f);
-            }
 
             cells.push(PolicyCell {
                 policy: policy.clone(),

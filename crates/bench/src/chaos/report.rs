@@ -294,6 +294,11 @@ impl ChaosReport {
         self.profiles.iter().flat_map(|p| p.cells.iter())
     }
 
+    /// Every cell across every profile, by value.
+    pub fn into_cells(self) -> impl Iterator<Item = PolicyCell> {
+        self.profiles.into_iter().flat_map(|p| p.cells)
+    }
+
     /// Requests pushed through the whole run (trace length × cells).
     #[must_use]
     pub fn total_requests(&self) -> u64 {

@@ -1,0 +1,395 @@
+//! One flag parser for every bench binary.
+//!
+//! A binary walks its arguments with [`Args`], whose readers return a
+//! typed [`CliError`] instead of exiting, and runs that walk under
+//! [`parse_or_exit`]: the one place that prints `<bin>: <flag>: <detail>`
+//! and the usage line, then exits 2. Integers are decimal or `0x`-hex
+//! ([`parse_int`], shared with the `HCC_*` environment overrides) and
+//! fractions must be finite.
+
+use std::fmt;
+
+use hcc_trace::FlightConfig;
+use hcc_types::{SimDuration, StormProfile};
+
+use crate::chaos::ChaosConfig;
+use crate::serving::{env_u64, ArrivalKind, ServingConfig};
+use crate::watch::{self, WatchConfig};
+
+/// Why an argument was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CliError {
+    /// A flag that takes a value came last.
+    MissingValue { flag: String },
+    /// An argument the binary does not take.
+    Unknown { arg: String },
+    /// A value that is not a decimal or `0x`-hex integer.
+    NotAnInteger { flag: String, raw: String },
+    /// An integer above the flag's maximum.
+    OutOfRange { flag: String, raw: String, max: u64 },
+    /// A value that is not a finite number.
+    NotAFraction { flag: String, raw: String },
+    /// A name outside the flag's vocabulary (`kind` names what it was
+    /// meant to be, `expected` lists the choices).
+    UnknownName {
+        flag: String,
+        kind: &'static str,
+        raw: String,
+        expected: String,
+    },
+    /// A value the flag's own parser refused.
+    Invalid { flag: String, detail: String },
+}
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CliError::MissingValue { flag } => write!(f, "{flag}: missing value"),
+            CliError::Unknown { arg } if arg.starts_with('-') => write!(f, "{arg}: unknown flag"),
+            CliError::Unknown { arg } => write!(f, "{arg}: unknown argument"),
+            CliError::NotAnInteger { flag, raw } => {
+                write!(f, "{flag}: cannot parse {raw:?} as an integer")
+            }
+            CliError::OutOfRange { flag, raw, max } => {
+                write!(f, "{flag}: {raw} is out of range (at most {max})")
+            }
+            CliError::NotAFraction { flag, raw } => {
+                write!(f, "{flag}: cannot parse {raw:?} as a finite fraction")
+            }
+            CliError::UnknownName {
+                flag,
+                kind,
+                raw,
+                expected,
+            } => write!(f, "{flag}: unknown {kind} {raw:?} ({expected})"),
+            CliError::Invalid { flag, detail } => write!(f, "{flag}: {detail}"),
+        }
+    }
+}
+
+/// A decimal or `0x`-hex `u64`, surrounding whitespace ignored.
+pub fn parse_int(raw: &str) -> Option<u64> {
+    let raw = raw.trim();
+    match raw.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => raw.parse().ok(),
+    }
+}
+
+/// The default flight recorder with the `HCC_FLIGHT_WINDOW_MS` (at
+/// least 1), `HCC_FLIGHT_WORST` and `HCC_FLIGHT_RESERVOIR` (at most 1024
+/// each) and `HCC_FLIGHT_SEED` overrides applied.
+pub fn flight_from_env() -> FlightConfig {
+    let mut cfg = FlightConfig::default();
+    if let Some(ms) = env_u64("HCC_FLIGHT_WINDOW_MS") {
+        cfg.window = SimDuration::millis(ms.max(1));
+    }
+    if let Some(k) = env_u64("HCC_FLIGHT_WORST") {
+        cfg.worst = k.min(1024) as usize;
+    }
+    if let Some(r) = env_u64("HCC_FLIGHT_RESERVOIR") {
+        cfg.reservoir = r.min(1024) as usize;
+    }
+    if let Some(s) = env_u64("HCC_FLIGHT_SEED") {
+        cfg.seed = s;
+    }
+    cfg
+}
+
+/// `raw` looked up by `parse`, or an [`CliError::UnknownName`].
+pub fn lookup<T>(
+    flag: &str,
+    kind: &'static str,
+    expected: &str,
+    raw: String,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, CliError> {
+    parse(raw.trim()).ok_or_else(|| CliError::UnknownName {
+        flag: flag.to_string(),
+        kind,
+        raw: raw.trim().to_string(),
+        expected: expected.to_string(),
+    })
+}
+
+/// The built-in storm profile `raw`; the error lists the built-ins,
+/// then `more` (e.g. `", or all"`).
+pub fn storm_profile(flag: &str, raw: String, more: &str) -> Result<StormProfile, CliError> {
+    let known: Vec<&str> = StormProfile::builtin().iter().map(|p| p.name).collect();
+    let expected = format!("profiles: {}{more}", known.join(", "));
+    lookup(flag, "storm profile", &expected, raw, StormProfile::by_name)
+}
+
+/// The arguments after the program name, consumed front to back.
+#[derive(Debug)]
+pub struct Args(std::vec::IntoIter<String>);
+
+impl Iterator for Args {
+    type Item = String;
+
+    fn next(&mut self) -> Option<String> {
+        self.0.next()
+    }
+}
+
+impl Args {
+    /// Arguments to parse, program name excluded.
+    pub fn new<S: Into<String>>(args: impl IntoIterator<Item = S>) -> Self {
+        Args(
+            args.into_iter()
+                .map(Into::into)
+                .collect::<Vec<_>>()
+                .into_iter(),
+        )
+    }
+
+    /// The value following `flag`.
+    pub fn value(&mut self, flag: &str) -> Result<String, CliError> {
+        self.next().ok_or_else(|| CliError::MissingValue {
+            flag: flag.to_string(),
+        })
+    }
+
+    /// `flag`'s value as a decimal or `0x`-hex integer.
+    pub fn u64(&mut self, flag: &str) -> Result<u64, CliError> {
+        let raw = self.value(flag)?;
+        parse_int(&raw).ok_or_else(|| CliError::NotAnInteger {
+            flag: flag.to_string(),
+            raw: raw.trim().to_string(),
+        })
+    }
+
+    /// `flag`'s value as an integer that fits in a `u32`.
+    pub fn u32(&mut self, flag: &str) -> Result<u32, CliError> {
+        let n = self.u64(flag)?;
+        u32::try_from(n).map_err(|_| CliError::OutOfRange {
+            flag: flag.to_string(),
+            raw: n.to_string(),
+            max: u64::from(u32::MAX),
+        })
+    }
+
+    /// `flag`'s value as a finite number (`NaN` and infinities are
+    /// refused: no clamp can make them a fraction).
+    pub fn fraction(&mut self, flag: &str) -> Result<f64, CliError> {
+        let raw = self.value(flag)?;
+        match raw.trim().parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(v),
+            _ => Err(CliError::NotAFraction {
+                flag: flag.to_string(),
+                raw,
+            }),
+        }
+    }
+
+    /// `flag`'s value looked up by `parse` (see [`lookup`]).
+    pub fn name<T>(
+        &mut self,
+        flag: &str,
+        kind: &'static str,
+        expected: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, CliError> {
+        let raw = self.value(flag)?;
+        lookup(flag, kind, expected, raw, parse)
+    }
+
+    /// `flag`'s value as an arrival process.
+    pub fn arrival(&mut self, flag: &str) -> Result<ArrivalKind, CliError> {
+        let expected = "expected poisson|bursty|diurnal";
+        self.name(flag, "arrival process", expected, ArrivalKind::parse)
+    }
+
+    /// Refuses whatever arguments remain.
+    pub fn end(&mut self) -> Result<(), CliError> {
+        match self.next() {
+            Some(arg) => Err(CliError::Unknown { arg }),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Writes `contents` to `path`, or reports the failure and exits 1.
+pub fn write_or_exit(path: &str, contents: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Runs `parse` over the process arguments. On error, prints
+/// `<bin>: <flag>: <detail>` and `usage` to stderr and exits 2.
+pub fn parse_or_exit<T>(
+    bin: &str,
+    usage: &str,
+    parse: impl FnOnce(&mut Args) -> Result<T, CliError>,
+) -> T {
+    parse(&mut Args::new(std::env::args().skip(1))).unwrap_or_else(|e| {
+        eprintln!("{bin}: {e}");
+        eprintln!("{usage}");
+        std::process::exit(2)
+    })
+}
+
+/// The canonical watch soak the forensics bins (`slo_watch`, `why`)
+/// replay: the stormy chaos soak ([`watch::stormy_soak`]) or, with
+/// `--serve`, the calm serving soak ([`watch::calm_soak`]), resized by
+/// `--requests`, `--days` (chaos only), `--gpus` and `--seed`. The
+/// watchtower is on, tuned by the `HCC_WATCH_*` overrides; the flight
+/// recorder is off.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CanonicalSoak {
+    /// `--serve`: replay the calm serving soak.
+    pub serve: bool,
+    requests: Option<u64>,
+    days: Option<u64>,
+    gpus: Option<usize>,
+    seed: Option<u64>,
+}
+
+impl CanonicalSoak {
+    /// Consumes `flag` and its value when it selects or resizes the
+    /// soak; `Ok(false)` leaves an unrelated flag to the caller.
+    pub fn flag(&mut self, flag: &str, args: &mut Args) -> Result<bool, CliError> {
+        match flag {
+            "--serve" => self.serve = true,
+            "--requests" => self.requests = Some(args.u64(flag)?.max(1)),
+            "--days" => self.days = Some(args.u64(flag)?.clamp(1, 3650)),
+            "--gpus" => self.gpus = Some(args.u64(flag)?.max(1) as usize),
+            "--seed" => self.seed = Some(args.u64(flag)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The calm serving soak with these overrides.
+    pub fn serving(&self) -> ServingConfig {
+        let cfg = watch::calm_soak();
+        ServingConfig {
+            watch: Some(WatchConfig::default().from_env()),
+            requests: self.requests.unwrap_or(cfg.requests),
+            gpus: self.gpus.unwrap_or(cfg.gpus),
+            seed: self.seed.unwrap_or(cfg.seed),
+            ..cfg
+        }
+    }
+
+    /// The stormy chaos soak with these overrides.
+    pub fn chaos(&self) -> ChaosConfig {
+        let cfg = watch::stormy_soak();
+        ChaosConfig {
+            watch: Some(WatchConfig::default().from_env()),
+            requests: self.requests.unwrap_or(cfg.requests),
+            days: self.days.unwrap_or(cfg.days),
+            gpus: self.gpus.unwrap_or(cfg.gpus),
+            seed: self.seed.unwrap_or(cfg.seed),
+            ..cfg
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serving::SchedulerKind;
+    use hcc_types::RecoveryPolicy;
+
+    /// `flag`'s value read by `read` from `[raw]`, or the typed error.
+    fn read<T>(
+        raw: &str,
+        read: impl FnOnce(&mut Args) -> Result<T, CliError>,
+    ) -> Result<T, CliError> {
+        read(&mut Args::new([raw]))
+    }
+
+    #[test]
+    fn integers_parse_in_both_radices() {
+        assert_eq!(read("123", |a| a.u64("--seed")), Ok(123));
+        assert_eq!(read(" 0xff ", |a| a.u64("--seed")), Ok(255));
+        let err = read("-1", |a| a.u64("--gpus")).unwrap_err();
+        assert!(matches!(&err, CliError::NotAnInteger { raw, .. } if raw == "-1"));
+        assert_eq!(err.to_string(), "--gpus: cannot parse \"-1\" as an integer");
+    }
+
+    #[test]
+    fn missing_values_and_unknown_arguments_are_refused() {
+        let err = Args::new(Vec::<String>::new())
+            .u64("--requests")
+            .unwrap_err();
+        assert!(matches!(&err, CliError::MissingValue { flag } if flag == "--requests"));
+        assert_eq!(err.to_string(), "--requests: missing value");
+        let err = Args::new(["--bogus"]).end().unwrap_err();
+        assert!(matches!(&err, CliError::Unknown { arg } if arg == "--bogus"));
+        assert_eq!(err.to_string(), "--bogus: unknown flag");
+        let err = Args::new(["bogus"]).end().unwrap_err();
+        assert_eq!(err.to_string(), "bogus: unknown argument");
+    }
+
+    /// `why --request 4294967297` used to wrap to request #1.
+    #[test]
+    fn u32_flags_refuse_values_that_would_wrap() {
+        assert_eq!(read("4294967295", |a| a.u32("--request")), Ok(u32::MAX));
+        let err = read("4294967297", |a| a.u32("--request")).unwrap_err();
+        assert!(matches!(err, CliError::OutOfRange { max, .. } if max == u64::from(u32::MAX)));
+    }
+
+    /// `serve --util NaN` used to panic sizing the tenants' rates.
+    #[test]
+    fn fractions_must_be_finite() {
+        assert_eq!(read("0.4", |a| a.fraction("--util")), Ok(0.4));
+        for raw in ["NaN", "nan", "inf", "-infinity", "half"] {
+            let err = read(raw, |a| a.fraction("--util")).unwrap_err();
+            assert!(matches!(err, CliError::NotAFraction { .. }), "{raw}");
+        }
+    }
+
+    #[test]
+    fn unknown_names_list_the_choices() {
+        let expected = "expected fifo|priority|batching";
+        let scheduler = |raw| {
+            read(raw, |a| {
+                a.name("--scheduler", "scheduler", expected, SchedulerKind::parse)
+            })
+        };
+        assert_eq!(scheduler("fifo"), Ok(SchedulerKind::Fifo));
+        assert_eq!(
+            scheduler("lifo").unwrap_err().to_string(),
+            "--scheduler: unknown scheduler \"lifo\" (expected fifo|priority|batching)"
+        );
+        let unknown = |err: CliError| match err {
+            CliError::UnknownName { kind, .. } => kind,
+            other => panic!("{other:?}"),
+        };
+        let arrival = read("uniform", |a| a.arrival("--arrival"));
+        assert_eq!(unknown(arrival.unwrap_err()), "arrival process");
+        let policy = lookup(
+            "--policies",
+            "recovery policy",
+            "",
+            "panic".into(),
+            RecoveryPolicy::parse,
+        );
+        assert_eq!(unknown(policy.unwrap_err()), "recovery policy");
+        assert!(storm_profile("--profile", "crypto-burst".into(), "").is_ok());
+        let err = storm_profile("--profile", "hail".into(), ", or all").unwrap_err();
+        assert!(err.to_string().ends_with(", or all)"), "{err}");
+        assert_eq!(unknown(err), "storm profile");
+    }
+
+    #[test]
+    fn canonical_soak_flags_resize_either_soak() {
+        let mut soak = CanonicalSoak::default();
+        let mut args = Args::new("--requests 0 --days 9999 --gpus 3 --seed 0x7 --x".split(' '));
+        while let Some(flag) = args.next() {
+            assert_eq!(soak.flag(&flag, &mut args), Ok(flag != "--x"));
+        }
+        let chaos = soak.chaos();
+        assert_eq!(
+            (chaos.requests, chaos.days, chaos.gpus, chaos.seed),
+            (1, 3650, 3, 7)
+        );
+        assert!(chaos.watch.is_some() && !soak.serve);
+        let serving = soak.serving();
+        assert_eq!((serving.requests, serving.gpus, serving.seed), (1, 3, 7));
+    }
+}

@@ -18,6 +18,7 @@
 //! exactly once per process no matter how many figures ask for it.
 
 pub mod chaos;
+pub mod cli;
 pub mod engine;
 pub mod explain;
 pub mod figures;

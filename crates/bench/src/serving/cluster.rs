@@ -17,11 +17,9 @@
 use std::collections::BinaryHeap;
 
 use hcc_tee::{SessionPool, TdCounters};
-use hcc_trace::flight::{FlightConfig, FlightRecorder, FlightSkeleton};
-use hcc_trace::rollup::CompletionSample;
-use hcc_trace::{Gauge, MetricsSet, RollupCollector};
+use hcc_trace::{Gauge, MetricsSet};
 use hcc_types::calib::TdxCalib;
-use hcc_types::{CcMode, Planes, SimDuration, SimTime};
+use hcc_types::{CcMode, SimDuration, SimTime};
 use hcc_workloads::TenantSpec;
 
 use super::arrival::Request;
@@ -50,6 +48,8 @@ pub struct Outcome {
     pub cold: bool,
     /// Size of the device batch the request rode in.
     pub batch: u32,
+    /// GPU the batch ran on (0 for rejections).
+    pub gpu: u32,
     /// Whether the request was rejected because its shape scenario fails
     /// deterministically (e.g. an aborted fault-injection run).
     pub rejected: bool,
@@ -97,34 +97,6 @@ pub struct ClusterConfig<'a> {
     pub max_batch: usize,
     /// TDX calibration for the per-device session pools.
     pub tdx: &'a TdxCalib,
-}
-
-/// The observation planes a cluster run feeds. Both are disabled by
-/// default: a disabled collector or recorder costs one branch per settle
-/// and never allocates.
-#[derive(Debug, Default)]
-pub struct Observers {
-    /// Receives one [`CompletionSample`] per settled request.
-    pub rollup: RollupCollector,
-    /// Receives one [`FlightSkeleton`] per settled request.
-    pub flight: FlightRecorder,
-}
-
-impl Observers {
-    /// Rollups on iff `watch`; the flight plane on iff `flight` is set.
-    pub fn new(watch: bool, flight: Option<FlightConfig>) -> Self {
-        Observers {
-            rollup: if watch {
-                RollupCollector::enabled()
-            } else {
-                RollupCollector::new()
-            },
-            flight: FlightRecorder::for_planes(
-                Planes::NONE.set(Planes::FLIGHT, flight.is_some()),
-                flight.unwrap_or_default(),
-            ),
-        }
-    }
 }
 
 /// The idle GPUs as a bitset (bit `g % 64` of word `g / 64`) with a
@@ -184,21 +156,12 @@ impl IdleGpus {
 /// conservation: every admitted request either completes or rejects
 /// exactly once). A batch runs for its head request's shape.
 ///
-/// `obs.rollup` receives one [`CompletionSample`] per settled request (at
-/// its completion instant for admitted work, at its dispatch instant for
-/// rejections) when enabled. `obs.flight` receives one [`FlightSkeleton`]
-/// per settled request under the same contract — the skeleton carries
-/// this request's *own* SPDM/doorbell admission split (co-batched
-/// members' admissions surface later as the batch-margin span).
-pub fn simulate(
-    requests: &[Request],
-    shapes: &ShapeTable,
-    cfg: &ClusterConfig<'_>,
-    obs: &mut Observers,
-) -> ClusterRun {
+/// The loop records nothing beyond the returned [`ClusterRun`]: the
+/// observation planes (rollups, flight recording) are views built from
+/// its outcomes after the drain.
+pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'_>) -> ClusterRun {
     assert_eq!(requests.len(), shapes.shape_of().len());
     assert!(cfg.gpus > 0, "a cluster needs at least one GPU");
-    let Observers { rollup, flight } = obs;
 
     // `batch == 0` marks a request not yet settled: every settle writes
     // the size of a batch it rode in, which is at least one.
@@ -209,6 +172,7 @@ pub fn simulate(
         spdm: SimDuration::ZERO,
         cold: false,
         batch: 0,
+        gpu: 0,
         rejected: false,
     };
     let mut outcomes = vec![placeholder; requests.len()];
@@ -251,32 +215,10 @@ pub fn simulate(
                         outcomes[i] = Outcome {
                             dispatch: now,
                             completion: now,
-                            admission: SimDuration::ZERO,
-                            spdm: SimDuration::ZERO,
-                            cold: false,
                             batch: size,
                             rejected: true,
+                            ..placeholder
                         };
-                        rollup.record(CompletionSample {
-                            req: i as u32,
-                            tenant: requests[i].tenant as u32,
-                            at: now,
-                            latency: now.saturating_since(requests[i].arrival),
-                            rejected: true,
-                        });
-                        flight.record(FlightSkeleton {
-                            req: i as u32,
-                            tenant: requests[i].tenant as u32,
-                            gpu: 0,
-                            batch: size,
-                            arrival: requests[i].arrival,
-                            dispatch: now,
-                            settle: now,
-                            spdm: SimDuration::ZERO,
-                            doorbell: SimDuration::ZERO,
-                            cold: false,
-                            rejected: true,
-                        });
                     }
                     continue;
                 }
@@ -302,26 +244,7 @@ pub fn simulate(
                 outcomes[i].dispatch = now;
                 outcomes[i].completion = done;
                 outcomes[i].batch = size;
-                rollup.record(CompletionSample {
-                    req: i as u32,
-                    tenant: requests[i].tenant as u32,
-                    at: done,
-                    latency: done.saturating_since(requests[i].arrival),
-                    rejected: false,
-                });
-                flight.record(FlightSkeleton {
-                    req: i as u32,
-                    tenant: requests[i].tenant as u32,
-                    gpu: gpu as u32,
-                    batch: size,
-                    arrival: requests[i].arrival,
-                    dispatch: now,
-                    settle: done,
-                    spdm: outcomes[i].spdm,
-                    doorbell: outcomes[i].admission - outcomes[i].spdm,
-                    cold: outcomes[i].cold,
-                    rejected: false,
-                });
+                outcomes[i].gpu = gpu as u32;
             }
             completions.push(std::cmp::Reverse((done, gpu)));
         }
@@ -457,7 +380,7 @@ mod tests {
             max_batch: 8,
             tdx: &TdxCalib::default(),
         };
-        simulate(reqs, &table, &cfg, &mut Observers::default())
+        simulate(reqs, &table, &cfg)
     }
 
     #[test]

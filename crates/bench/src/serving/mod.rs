@@ -24,13 +24,14 @@
 
 pub mod arrival;
 pub mod cluster;
+pub mod observe;
 pub mod report;
 pub mod scheduler;
 pub mod shapes;
 
 use hcc_runtime::SimConfig;
 use hcc_types::calib::TdxCalib;
-use hcc_types::{CcMode, FaultPlan, RecoveryPolicy};
+use hcc_types::{CcMode, FaultPlan, RecoveryPolicy, SimTime};
 use hcc_workloads::{default_tenants, Scenario, TenantSpec};
 
 use crate::engine::ExperimentEngine;
@@ -84,19 +85,16 @@ pub struct ServingConfig {
     pub recovery: Option<RecoveryPolicy>,
     /// TDX calibration for the per-device session pools.
     pub tdx: TdxCalib,
-    /// SLO watchtower: when set, the CC-on run of every scheduler
-    /// records completion rollups and the report carries a windowed
-    /// burn-rate/incident timeline. `None` (the default) keeps the
-    /// rollup plane disabled and the rendered report byte-identical to
-    /// a watch-free build.
+    /// SLO watchtower: when set, the CC-on run of every scheduler is
+    /// rolled into a windowed burn-rate/incident timeline the report
+    /// carries. `None` (the default) builds no rollups.
     pub watch: Option<crate::watch::WatchConfig>,
     /// Request flight recorder: when set, the CC-on run of every
     /// scheduler samples per-request span trees (tail exemplars plus a
     /// seeded uniform reservoir per tumbling window) and the report
     /// carries the resolved [`hcc_trace::FlightLog`]. `None` (the
-    /// default) keeps the flight plane disabled — the cluster loop pays
-    /// one branch per settled request and the rendered report stays
-    /// byte-identical to a flight-free build.
+    /// default) builds no flight log, and the rendered report is
+    /// byte-identical either way.
     pub flight: Option<hcc_trace::FlightConfig>,
 }
 
@@ -146,15 +144,9 @@ impl ServingConfig {
     }
 }
 
+/// The integer (decimal or `0x`-hex) environment variable `var` holds.
 pub(crate) fn env_u64(var: &str) -> Option<u64> {
-    let raw = std::env::var(var).ok()?;
-    let raw = raw.trim();
-    let parsed = if let Some(hex) = raw.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16)
-    } else {
-        raw.parse()
-    };
-    parsed.ok()
+    crate::cli::parse_int(&std::env::var(var).ok()?)
 }
 
 /// Generates the serving trace and resolves its shape tables, one per
@@ -229,13 +221,19 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
     // the CC-on table (each request blames its app's critical path).
     let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.name.to_string()).collect();
     let budgets = crate::chaos::default_budgets(&cfg.tenants);
+    let soak = crate::watch::SoakContext {
+        tenant_names: &tenant_names,
+        budgets: &budgets,
+        horizon: SimTime::ZERO,
+        storm: None,
+    };
     let on_table = &tables[1];
 
     let runs = cfg
         .schedulers
         .iter()
         .map(|&kind| {
-            let mut on_obs = cluster::Observers::default();
+            let (mut watch, mut flight) = (None, None);
             let modes = CcMode::ALL.map(|cc| {
                 let cluster = cluster::ClusterConfig {
                     tenants: &cfg.tenants,
@@ -246,41 +244,20 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
                     tdx: &cfg.tdx,
                 };
                 let table = &tables[usize::from(cc.is_on())];
-                // The observation planes record only the CC-on run.
-                let mut obs = if cc.is_on() {
-                    cluster::Observers::new(cfg.watch.is_some(), cfg.flight)
-                } else {
-                    cluster::Observers::default()
-                };
-                let raw = cluster::simulate(&requests, table, &cluster, &mut obs);
+                let raw = cluster::simulate(&requests, table, &cluster);
+                // The observation planes view only the CC-on run.
                 if cc.is_on() {
-                    on_obs = obs;
+                    (watch, flight) = observe::cluster_run(
+                        &requests,
+                        &raw,
+                        table,
+                        cfg.watch.as_ref(),
+                        cfg.flight,
+                        &soak,
+                    );
                 }
                 report::mode_run(&cluster, &requests, table, raw)
             });
-            let cluster::Observers { rollup, flight } = on_obs;
-            let mut watch = cfg.watch.as_ref().map(|wcfg| {
-                let samples = rollup.into_sorted();
-                let on = &modes[1];
-                crate::watch::observe(
-                    wcfg,
-                    &crate::watch::SoakView {
-                        tenant_names: &tenant_names,
-                        budgets: &budgets,
-                        samples: &samples,
-                        horizon: on.end,
-                        queue: on.metrics.gauge_series("serving.queue_depth"),
-                        storm: None,
-                        blame: Some(on_table),
-                    },
-                )
-            });
-            let flight = cfg
-                .flight
-                .map(|_| flight.resolve(on_table.shape_of(), on_table.decomps()));
-            if let (Some(w), Some(f)) = (watch.as_mut(), flight.as_ref()) {
-                w.link_exemplars(f);
-            }
             SchedulerRun {
                 scheduler: kind,
                 modes,

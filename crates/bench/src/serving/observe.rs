@@ -1,0 +1,139 @@
+//! The observation planes of a finished cluster run.
+//!
+//! [`cluster::simulate`](super::cluster::simulate) records nothing but
+//! its [`ClusterRun`]. The SLO watchtower and the flight recorder are
+//! views of that record, built here after the drain. The serving and
+//! chaos soaks both observe their runs through [`cluster_run`], so a plane
+//! that is off costs nothing and a plane that is on cannot perturb the
+//! run it observes.
+
+use hcc_trace::rollup::CompletionSample;
+use hcc_trace::{FlightConfig, FlightLog, FlightRecorder, FlightSkeleton};
+
+use super::arrival::Request;
+use super::cluster::{ClusterRun, Outcome};
+use super::shapes::ShapeTable;
+use crate::watch::{self, SoakContext, WatchConfig, WatchReport};
+
+/// One rollup sample per settled request, in canonical `(at, req)`
+/// order whatever order `settled` lists them in. A request settles at
+/// its completion (its dispatch, for rejections).
+pub fn completion_samples<'a>(
+    requests: &[Request],
+    settled: impl IntoIterator<Item = (usize, &'a Outcome)>,
+) -> Vec<CompletionSample> {
+    let mut samples: Vec<CompletionSample> = settled
+        .into_iter()
+        .map(|(i, o)| CompletionSample {
+            req: i as u32,
+            tenant: requests[i].tenant as u32,
+            at: o.completion,
+            latency: o.completion.saturating_since(requests[i].arrival),
+            rejected: o.rejected,
+        })
+        .collect();
+    samples.sort_unstable_by_key(|s| (s.at, s.req));
+    samples
+}
+
+/// Request `i`'s flight record. The doorbell span is this request's own
+/// admission minus its SPDM share; co-batched members' admissions
+/// surface as the batch-margin span.
+fn skeleton(i: usize, request: &Request, o: &Outcome) -> FlightSkeleton {
+    FlightSkeleton {
+        req: i as u32,
+        tenant: request.tenant as u32,
+        gpu: o.gpu,
+        batch: o.batch,
+        arrival: request.arrival,
+        dispatch: o.dispatch,
+        settle: o.completion,
+        spdm: o.spdm,
+        doorbell: o.admission - o.spdm,
+        cold: o.cold,
+        rejected: o.rejected,
+    }
+}
+
+/// Builds the planes `watch` and `flight` ask for from one finished
+/// run: the watch report (blamed through `table`'s critical paths) and
+/// the resolved flight log, with the report's incidents already linked
+/// to the log's exemplars.
+pub fn cluster_run(
+    requests: &[Request],
+    run: &ClusterRun,
+    table: &ShapeTable,
+    watch: Option<&WatchConfig>,
+    flight: Option<FlightConfig>,
+    soak: &SoakContext<'_>,
+) -> (Option<WatchReport>, Option<FlightLog>) {
+    let mut watch = watch.map(|wcfg| {
+        let samples = completion_samples(requests, run.outcomes.iter().enumerate());
+        watch::observe(
+            wcfg,
+            &watch::SoakView {
+                soak: SoakContext {
+                    horizon: soak.horizon.max(run.end),
+                    ..*soak
+                },
+                samples: &samples,
+                queue: run.metrics.gauge_series("serving.queue_depth"),
+                blame: Some(table),
+            },
+        )
+    });
+    let flight = flight.map(|fcfg| {
+        let mut recorder = FlightRecorder::new(fcfg);
+        for (i, (request, o)) in requests.iter().zip(&run.outcomes).enumerate() {
+            recorder.record(skeleton(i, request, o));
+        }
+        recorder.resolve(table.shape_of(), table.decomps())
+    });
+    if let (Some(w), Some(f)) = (watch.as_mut(), flight.as_ref()) {
+        w.link_exemplars(f);
+    }
+    (watch, flight)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hcc_types::{SimDuration, SimTime};
+
+    #[test]
+    fn samples_are_canonical_whatever_the_settle_order() {
+        // Four requests arriving at 0 (tenants alternating): #2 is
+        // rejected at 5 µs, #1 and #3 settle together at 10 µs.
+        let requests: Vec<Request> = (0..4)
+            .map(|seq| Request {
+                seq,
+                tenant: seq as usize % 2,
+                class: 0,
+                arrival: SimTime::ZERO,
+            })
+            .collect();
+        let outcomes: Vec<Outcome> = [(30, false), (10, false), (5, true), (10, false)]
+            .map(|(us, rejected)| Outcome {
+                dispatch: SimTime::ZERO + SimDuration::micros(us.min(5)),
+                completion: SimTime::ZERO + SimDuration::micros(us),
+                admission: SimDuration::ZERO,
+                spdm: SimDuration::ZERO,
+                cold: false,
+                batch: 1,
+                gpu: 0,
+                rejected,
+            })
+            .to_vec();
+        let fwd = completion_samples(&requests, outcomes.iter().enumerate());
+        let rev = completion_samples(&requests, outcomes.iter().enumerate().rev());
+        assert_eq!(fwd, rev);
+        let order: Vec<u32> = fwd.iter().map(|s| s.req).collect();
+        assert_eq!(order, vec![2, 1, 3, 0], "(at, req) order, ties by request");
+        assert!(fwd[0].rejected);
+        assert_eq!(fwd[0].latency, SimDuration::micros(5));
+        assert_eq!(
+            (fwd[1].tenant, fwd[3].latency),
+            (1, SimDuration::micros(30))
+        );
+    }
+}

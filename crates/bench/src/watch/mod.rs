@@ -4,7 +4,7 @@
 //!
 //! The serving and chaos planes end a 30-day soak with one CDF and one
 //! PASS/FAIL verdict; this layer keeps the *when*: request completions
-//! recorded by [`hcc_trace::rollup`] are rolled into tumbling fast
+//! ([`hcc_trace::rollup`] samples) are rolled into tumbling fast
 //! windows, each tenant's [`LatencyBudget`]-derived error budget is
 //! tracked per window, and an alert fires only when budget consumption
 //! exceeds the threshold in **both** the fast window and the trailing
@@ -15,10 +15,10 @@
 //! it — "incident #1: tenant chat, burning 14×, storm crypto-burst@peak
 //! ep3, blame crypto 61%".
 //!
-//! Everything runs on the virtual clock over data the deterministic
-//! cluster loop produced, so a watch report is a pure function of the
-//! soak's inputs: byte-identical across `HCC_ENGINE_THREADS`, and absent
-//! entirely (zero samples, zero cost) when the plane is disabled.
+//! Everything runs on the virtual clock over a finished cluster run's
+//! outcomes, so a watch report is a pure function of the soak's inputs:
+//! byte-identical across `HCC_ENGINE_THREADS`, and absent entirely (no
+//! samples built, zero cost) when the plane is off.
 
 pub mod report;
 
@@ -149,23 +149,30 @@ pub struct StormContext<'a> {
     pub schedule: &'a StormSchedule,
 }
 
-/// Everything the watchtower observes about one finished soak.
+/// What the watchtower knows of a soak beyond its settled requests.
 #[derive(Debug, Clone, Copy)]
-pub struct SoakView<'a> {
+pub struct SoakContext<'a> {
     /// Tenant labels, in population order.
     pub tenant_names: &'a [String],
     /// Per-tenant SLO budgets, aligned with `tenant_names`.
     pub budgets: &'a [LatencyBudget],
-    /// Settled requests in canonical order
-    /// ([`hcc_trace::RollupCollector::into_sorted`]).
-    pub samples: &'a [rollup::CompletionSample],
     /// Window generation bound (the configured horizon; extended to the
     /// makespan automatically when completions run past it).
     pub horizon: SimTime,
-    /// Cluster queue-depth series, for anomaly detection.
-    pub queue: Option<&'a Series>,
     /// Storm calendar, when the soak ran under one.
     pub storm: Option<StormContext<'a>>,
+}
+
+/// Everything the watchtower observes about one finished soak.
+#[derive(Debug, Clone, Copy)]
+pub struct SoakView<'a> {
+    /// Tenants, budgets, horizon and storm calendar.
+    pub soak: SoakContext<'a>,
+    /// Settled requests in canonical `(at, req)` order
+    /// ([`crate::serving::observe::completion_samples`]).
+    pub samples: &'a [rollup::CompletionSample],
+    /// Cluster queue-depth series, for anomaly detection.
+    pub queue: Option<&'a Series>,
     /// The soak's analysed shape table, for incident blame: each
     /// request blames its shape's critical-path attribution (aborted
     /// shapes carry a zero attribution).
@@ -176,15 +183,15 @@ pub struct SoakView<'a> {
 /// per-tenant burn rates and alerts, queue anomalies, and the coalesced
 /// incident timeline.
 pub fn observe(cfg: &WatchConfig, view: &SoakView<'_>) -> WatchReport {
-    let tenants = view.tenant_names.len();
-    assert_eq!(tenants, view.budgets.len(), "one budget per tenant");
+    let tenants = view.soak.tenant_names.len();
+    assert_eq!(tenants, view.soak.budgets.len(), "one budget per tenant");
 
     let end = view
         .samples
         .last()
         .map(|s| SimTime::from_nanos(s.at.as_nanos() + 1))
         .unwrap_or(SimTime::ZERO)
-        .max(view.horizon);
+        .max(view.soak.horizon);
     let windows = rollup::tumbling(end, cfg.fast);
     let stats = rollup::window_stats(view.samples, &windows);
     let pair = cfg.pair();
@@ -197,7 +204,7 @@ pub fn observe(cfg: &WatchConfig, view: &SoakView<'_>) -> WatchReport {
         for s in rollup::window_range(view.samples, w) {
             let t = s.tenant as usize;
             tot[t][wi] += 1;
-            if view.budgets[t].is_bad(s.latency, s.rejected) {
+            if view.soak.budgets[t].is_bad(s.latency, s.rejected) {
                 bad[t][wi] += 1;
             }
         }
@@ -214,7 +221,7 @@ pub fn observe(cfg: &WatchConfig, view: &SoakView<'_>) -> WatchReport {
     for (wi, w) in windows.iter().enumerate() {
         let mut burns = Vec::with_capacity(tenants);
         for t in 0..tenants {
-            let budget_ppm = view.budgets[t].error_budget_ppm();
+            let budget_ppm = view.soak.budgets[t].error_budget_ppm();
             let fast_milli = burn_rate_milli(bad[t][wi], tot[t][wi], budget_ppm);
             let lo = wi + 1 - slow_n.min(wi + 1);
             let slow_bad: u64 = bad[t][lo..=wi].iter().sum();
@@ -275,8 +282,8 @@ pub fn observe(cfg: &WatchConfig, view: &SoakView<'_>) -> WatchReport {
 
     WatchReport {
         cfg: *cfg,
-        tenant_names: view.tenant_names.to_vec(),
-        budgets: view.budgets.to_vec(),
+        tenant_names: view.soak.tenant_names.to_vec(),
+        budgets: view.soak.budgets.to_vec(),
         windows: rows,
         incidents,
     }
@@ -298,7 +305,7 @@ fn build_incident(
         peak_burn = peak_burn.max(row.burns[tenant].fast_milli);
     }
 
-    let storm = view.storm.as_ref().and_then(|sc| {
+    let storm = view.soak.storm.as_ref().and_then(|sc| {
         let mut best: Option<(StormIntensity, u32)> = None;
         for w in &windows[first..=last] {
             let mid = w.mid();
@@ -393,12 +400,14 @@ mod tests {
         storm: Option<StormContext<'_>>,
     ) -> WatchReport {
         let view = SoakView {
-            tenant_names: &["solo".to_string()],
-            budgets: &[budget()],
+            soak: SoakContext {
+                tenant_names: &["solo".to_string()],
+                budgets: &[budget()],
+                horizon,
+                storm,
+            },
             samples,
-            horizon,
             queue,
-            storm,
             blame: None,
         };
         observe(cfg, &view)

@@ -429,7 +429,7 @@ mod tests {
     fn flight_log_exports_per_gpu_tracks_and_request_arrows() {
         use crate::flight::{FlightConfig, FlightRecorder, FlightSkeleton, ShapeDecomp};
 
-        let mut rec = FlightRecorder::enabled(FlightConfig::default());
+        let mut rec = FlightRecorder::new(FlightConfig::default());
         rec.record(FlightSkeleton {
             req: 7,
             tenant: 1,
@@ -488,7 +488,7 @@ mod tests {
     fn empty_flight_log_is_an_empty_array() {
         use crate::flight::{FlightConfig, FlightRecorder, ShapeDecomp};
 
-        let rec = FlightRecorder::enabled(FlightConfig::default());
+        let rec = FlightRecorder::new(FlightConfig::default());
         let log = rec.resolve(&[], &[ShapeDecomp::default()]);
         assert_eq!(ChromeExport::render_flight(&log), "[\n\n]\n");
     }

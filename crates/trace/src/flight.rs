@@ -24,16 +24,15 @@
 //! at any `HCC_ENGINE_THREADS`.
 //!
 //! Determinism contract (shared with the metrics and rollup planes):
-//! virtual-time only, order-independent, and zero-cost when disabled —
-//! a disabled recorder's `record` is a single branch and never
-//! allocates. Enablement is gated through the existing
-//! [`Planes`] mask via [`FlightRecorder::for_planes`]
-//! ([`Planes::FLIGHT`]).
+//! virtual-time only and order-independent. The recorder is a view of a
+//! finished soak: it is fed one [`FlightSkeleton`] per settled request
+//! after the cluster drain, and only when the soak's config asks for a
+//! flight log — the drain itself records nothing.
 
 use std::collections::BTreeMap;
 
 use hcc_types::json::{Json, ToJson};
-use hcc_types::{FaultCounts, Planes, SimDuration, SimTime};
+use hcc_types::{FaultCounts, SimDuration, SimTime};
 
 use crate::critpath::{Attribution, ResourceClass};
 
@@ -61,36 +60,7 @@ impl Default for FlightConfig {
     }
 }
 
-fn env_u64(name: &str) -> Option<u64> {
-    let raw = std::env::var(name).ok()?;
-    let raw = raw.trim();
-    if let Some(hex) = raw.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        raw.parse().ok()
-    }
-}
-
 impl FlightConfig {
-    /// Applies `HCC_FLIGHT_WINDOW_MS`, `HCC_FLIGHT_WORST`,
-    /// `HCC_FLIGHT_RESERVOIR`, and `HCC_FLIGHT_SEED` overrides.
-    #[must_use]
-    pub fn from_env(mut self) -> Self {
-        if let Some(ms) = env_u64("HCC_FLIGHT_WINDOW_MS") {
-            self.window = SimDuration::millis(ms.max(1));
-        }
-        if let Some(k) = env_u64("HCC_FLIGHT_WORST") {
-            self.worst = k.min(1024) as usize;
-        }
-        if let Some(r) = env_u64("HCC_FLIGHT_RESERVOIR") {
-            self.reservoir = r.min(1024) as usize;
-        }
-        if let Some(s) = env_u64("HCC_FLIGHT_SEED") {
-            self.seed = s;
-        }
-        self
-    }
-
     /// Hard per-window entry bound the sampler may never exceed (the
     /// figure `LeakAudit` checks against a full soak).
     pub fn per_window_budget(&self) -> u64 {
@@ -110,8 +80,8 @@ fn mix(seed: u64, window: u64, req: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The compact per-request record the cluster loop emits while
-/// simulating — everything needed to rebuild the span tree later except
+/// The compact per-request record built from a settled request's cluster
+/// outcome — everything needed to rebuild the span tree except
 /// the service-shape decomposition, which is resolved once per distinct
 /// shape (not per request) by [`FlightRecorder::resolve`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,74 +158,31 @@ impl WindowSampler {
     }
 }
 
-/// Thread-invariant per-request recorder. Disabled by default; the
-/// cluster loop threads one through unconditionally and pays a single
-/// branch per settled request when the plane is off.
-#[derive(Debug, Clone, Default)]
+/// Thread-invariant per-request recorder: feed it every settled request
+/// of a soak, in any order, then [`resolve`](Self::resolve) the keeps.
+#[derive(Debug, Clone)]
 pub struct FlightRecorder {
-    enabled: bool,
     cfg: FlightConfig,
     windows: BTreeMap<u64, WindowSampler>,
     recorded: u64,
 }
 
 impl FlightRecorder {
-    /// A disabled (no-op) recorder — the default state.
-    pub fn new() -> Self {
-        FlightRecorder::default()
-    }
-
-    /// An enabled recorder with no samples.
-    pub fn enabled(cfg: FlightConfig) -> Self {
+    /// A recorder with no samples.
+    pub fn new(cfg: FlightConfig) -> Self {
         FlightRecorder {
-            enabled: true,
             cfg,
             windows: BTreeMap::new(),
             recorded: 0,
         }
     }
 
-    /// Gates enablement through the [`Planes`] mask: enabled only when
-    /// `planes` contains [`Planes::FLIGHT`].
-    pub fn for_planes(planes: Planes, cfg: FlightConfig) -> Self {
-        if planes.contains(Planes::FLIGHT) {
-            FlightRecorder::enabled(cfg)
-        } else {
-            FlightRecorder::new()
-        }
-    }
-
-    /// Whether this recorder records.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records one settled request (no-op while disabled).
+    /// Records one settled request.
     pub fn record(&mut self, s: FlightSkeleton) {
-        if !self.enabled {
-            return;
-        }
         self.recorded += 1;
         let w = s.settle.as_nanos() / self.cfg.window.as_nanos().max(1);
         let cfg = self.cfg;
         self.windows.entry(w).or_default().insert(s, w, &cfg);
-    }
-
-    /// Total requests seen (kept or not).
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Distinct windows holding at least one exemplar.
-    pub fn window_count(&self) -> u64 {
-        self.windows.len() as u64
-    }
-
-    /// Total kept sampler entries across all windows (before the
-    /// worst∩reservoir dedup that `resolve` performs) — the figure the
-    /// `kept ≤ windows × budget` memory bound is checked against.
-    pub fn kept_entries(&self) -> u64 {
-        self.windows.values().map(WindowSampler::entries).sum()
     }
 
     /// Resolves the kept skeletons into full span trees. `shape_of`
@@ -361,7 +288,7 @@ impl ToJson for SpanKind {
 /// One resolved exemplar: the skeleton plus its ordered span tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightSample {
-    /// The compact record the cluster loop emitted.
+    /// The request's compact record.
     pub skeleton: FlightSkeleton,
     /// Tumbling-window ordinal (settle ns / window width).
     pub window: u64,
@@ -533,11 +460,6 @@ impl FlightLog {
             .map(|s| (s.spans.len() * std::mem::size_of::<(SpanKind, SimDuration)>()) as u64)
             .sum();
         skeletons + spans
-    }
-
-    /// The tumbling window holding instant `t`.
-    pub fn window_of(&self, t: SimTime) -> u64 {
-        t.as_nanos() / self.cfg.window.as_nanos().max(1)
     }
 
     /// The window's p50 exemplar: the median-latency member of the
@@ -763,27 +685,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_is_a_no_op() {
-        let mut r = FlightRecorder::new();
-        assert!(!r.is_enabled());
-        r.record(skel(0, 0, 10, 100));
-        assert_eq!(r.recorded(), 0);
-        assert_eq!(r.kept_entries(), 0);
-        let log = r.resolve(&[], &[]);
-        assert!(log.samples.is_empty());
-        assert!(log.identity_holds());
-    }
-
-    #[test]
-    fn planes_mask_gates_enablement() {
-        let cfg = FlightConfig::default();
-        assert!(!FlightRecorder::for_planes(Planes::ALL, cfg).is_enabled());
-        assert!(FlightRecorder::for_planes(Planes::ALL | Planes::FLIGHT, cfg).is_enabled());
-    }
-
-    #[test]
     fn span_identity_partitions_latency_exactly() {
-        let mut r = FlightRecorder::enabled(FlightConfig::default());
+        let mut r = FlightRecorder::new(FlightConfig::default());
         // dispatch-arrival=10, spdm=3, doorbell=1, shape=40 (attr 20+10,
         // other 10), margin = 90-3-1-40 = 46.
         r.record(skel(7, 0, 10, 100));
@@ -812,7 +715,7 @@ mod tests {
 
     #[test]
     fn rejection_is_a_single_queue_wait_span() {
-        let mut r = FlightRecorder::enabled(FlightConfig::default());
+        let mut r = FlightRecorder::new(FlightConfig::default());
         let mut s = skel(3, 5, 5, 5);
         s.rejected = true;
         s.spdm = SimDuration::ZERO;
@@ -827,7 +730,7 @@ mod tests {
 
     #[test]
     fn unresolvable_shape_collapses_to_service_other() {
-        let mut r = FlightRecorder::enabled(FlightConfig::default());
+        let mut r = FlightRecorder::new(FlightConfig::default());
         r.record(skel(9, 0, 10, 100));
         // No shape tables at all: service decomposes to a zero `other`
         // span and the margin absorbs the rest — identity still exact.
@@ -849,7 +752,7 @@ mod tests {
             attr,
             faults: FaultCounts::default(),
         };
-        let mut r = FlightRecorder::enabled(FlightConfig::default());
+        let mut r = FlightRecorder::new(FlightConfig::default());
         r.record(skel(1, 0, 10, 100));
         let log = r.resolve(&[0, 0], &[d]);
         let s = log.find(1).expect("kept");
@@ -871,15 +774,14 @@ mod tests {
         let skels: Vec<FlightSkeleton> = (0..200u32)
             .map(|i| skel(i, 0, 10, 20 + u64::from(i % 37) * 13))
             .collect();
-        let mut fwd = FlightRecorder::enabled(cfg);
-        let mut rev = FlightRecorder::enabled(cfg);
+        let mut fwd = FlightRecorder::new(cfg);
+        let mut rev = FlightRecorder::new(cfg);
         for s in &skels {
             fwd.record(*s);
         }
         for s in skels.iter().rev() {
             rev.record(*s);
         }
-        assert_eq!(fwd.kept_entries(), rev.kept_entries());
         let a = fwd.resolve(&[], &[]);
         let b = rev.resolve(&[], &[]);
         assert_eq!(a, b);
@@ -896,7 +798,7 @@ mod tests {
             reservoir: 0,
             seed: 1,
         };
-        let mut r = FlightRecorder::enabled(cfg);
+        let mut r = FlightRecorder::new(cfg);
         for i in 0..50u32 {
             r.record(skel(i, 0, 10, 20 + u64::from(i)));
         }
@@ -914,7 +816,7 @@ mod tests {
             reservoir: 8,
             seed: 1,
         };
-        let mut r = FlightRecorder::enabled(cfg);
+        let mut r = FlightRecorder::new(cfg);
         for i in 0..4u32 {
             r.record(skel(i, 0, 10, 20 + u64::from(i)));
         }
@@ -934,7 +836,7 @@ mod tests {
             seed: 0xAB,
         };
         let run = |seed: u64| {
-            let mut r = FlightRecorder::enabled(FlightConfig { seed, ..base });
+            let mut r = FlightRecorder::new(FlightConfig { seed, ..base });
             for i in 0..300u32 {
                 r.record(skel(i, 0, 10, 500));
             }
@@ -948,6 +850,63 @@ mod tests {
         assert_ne!(run(0xAB), run(0xCD), "different seed, different sample");
     }
 
+    /// Oracle: each window keeps exactly "sort by (latency desc, req),
+    /// take `worst`" as its tail and "sort by (mix hash, req), take
+    /// `reservoir`" as its uniform sample. Latencies tie often, odd
+    /// windows are always empty, and both keep counts range over
+    /// {0, 1, 4}.
+    #[test]
+    fn window_keeps_match_sort_and_take() {
+        use hcc_check::strategy::{choice, u64s, vecs};
+        use hcc_check::{ensure_eq, forall, Config};
+        use std::cmp::Reverse;
+
+        forall!(
+            Config::new(0x7ACE_0016),
+            ((raw, worst), (reservoir, seed)) in (
+                (vecs((u64s(0..6), u64s(0..4)), 0..60), choice(&[0usize, 1, 4])),
+                (choice(&[0usize, 1, 4]), u64s(0..u64::MAX))
+            ) => {
+                let cfg = FlightConfig { window: SimDuration::millis(1), worst, reservoir, seed };
+                let mut r = FlightRecorder::new(cfg);
+                let mut by_window: BTreeMap<u64, Vec<FlightSkeleton>> = BTreeMap::new();
+                for (i, &(slot, lat)) in raw.iter().enumerate() {
+                    // Window 10 + 2 * slot, latency a multiple of 100 µs.
+                    let settle = 1_000 * (10 + 2 * slot) + i as u64 % 3;
+                    let s = skel(i as u32, settle - 100 * lat, settle - 100 * lat, settle);
+                    r.record(s);
+                    by_window.entry(10 + 2 * slot).or_default().push(s);
+                }
+                let log = r.resolve(&[], &[]);
+
+                // (window, req) -> (tail, uniform), from sort-and-take.
+                let mut want = BTreeMap::new();
+                for (&w, members) in &by_window {
+                    let mut by_latency = members.clone();
+                    by_latency.sort_by_key(|s| (Reverse(s.latency()), s.req));
+                    for s in by_latency.iter().take(worst) {
+                        want.entry((w, s.req)).or_insert((false, false)).0 = true;
+                    }
+                    let mut by_hash = members.clone();
+                    by_hash.sort_by_key(|s| (mix(seed, w, s.req), s.req));
+                    for s in by_hash.iter().take(reservoir) {
+                        want.entry((w, s.req)).or_insert((false, false)).1 = true;
+                    }
+                }
+                let got: BTreeMap<(u64, u32), (bool, bool)> = log
+                    .samples
+                    .iter()
+                    .map(|s| ((s.window, s.req()), (s.tail, s.uniform)))
+                    .collect();
+                ensure_eq!(got, want);
+                let kept: usize = by_window.values().map(|m| m.len().min(worst) + m.len().min(reservoir)).sum();
+                ensure_eq!(log.kept_entries, kept as u64);
+                ensure_eq!(log.windows, by_window.len() as u64);
+                ensure_eq!(log.recorded, raw.len() as u64);
+            }
+        );
+    }
+
     #[test]
     fn p50_exemplar_is_the_reservoir_median() {
         let cfg = FlightConfig {
@@ -956,7 +915,7 @@ mod tests {
             reservoir: 16,
             seed: 7,
         };
-        let mut r = FlightRecorder::enabled(cfg);
+        let mut r = FlightRecorder::new(cfg);
         for i in 0..10u32 {
             r.record(skel(i, 0, 10, 20 + u64::from(i) * 10));
         }
@@ -976,7 +935,7 @@ mod tests {
             reservoir: 4,
             seed: 7,
         };
-        let mut r = FlightRecorder::enabled(cfg);
+        let mut r = FlightRecorder::new(cfg);
         for i in 0..8u32 {
             r.record(skel(i, 0, 10, 100 + u64::from(i) * 100));
         }
@@ -994,7 +953,7 @@ mod tests {
 
     #[test]
     fn waterfall_renders_every_span_and_the_identity_trailer() {
-        let mut r = FlightRecorder::enabled(FlightConfig::default());
+        let mut r = FlightRecorder::new(FlightConfig::default());
         r.record(skel(7, 0, 10, 100));
         r.record(skel(8, 0, 12, 60));
         let log = r.resolve(&[0; 9], &[decomp_for(40)]);
@@ -1024,11 +983,11 @@ mod tests {
 
     #[test]
     fn estimated_bytes_tracks_keeps() {
-        let mut r = FlightRecorder::enabled(FlightConfig::default());
+        let mut r = FlightRecorder::new(FlightConfig::default());
         r.record(skel(0, 0, 10, 100));
         let log = r.resolve(&[], &[]);
         assert!(log.estimated_bytes() > 0);
-        let empty = FlightRecorder::new().resolve(&[], &[]);
+        let empty = FlightRecorder::new(FlightConfig::default()).resolve(&[], &[]);
         assert_eq!(empty.estimated_bytes(), 0);
     }
 }

@@ -52,7 +52,7 @@ pub use export::ChromeExport;
 pub use flight::{FlightConfig, FlightLog, FlightRecorder, FlightSample, FlightSkeleton, SpanKind};
 pub use histogram::Histogram;
 pub use metrics::{Counter, Gauge, MetricsSet, Series};
-pub use rollup::{CompletionSample, RollupCollector, Window, WindowStats};
+pub use rollup::{CompletionSample, Window, WindowStats};
 pub use stats::{geomean, mean_ratio, Cdf, Summary};
 pub use timeline::{KernelRecord, LaunchMetrics, LaunchRecord, MemMetrics, PhaseTotals, Timeline};
 
@@ -272,7 +272,7 @@ mod proptests {
         cfg: FlightConfig,
         skels: impl IntoIterator<Item = flight::FlightSkeleton>,
     ) -> (FlightLog, usize) {
-        let mut rec = FlightRecorder::enabled(cfg);
+        let mut rec = FlightRecorder::new(cfg);
         let mut n = 0;
         for s in skels {
             rec.record(s);

@@ -12,13 +12,10 @@
 //! - **Virtual-time only.** A [`CompletionSample`] carries the settle
 //!   instant on the sim clock; window boundaries are pure arithmetic on
 //!   it. No wall-clock read anywhere.
-//! - **Order-independence.** Samples may be recorded in any order (the
-//!   serving loop settles completions as it dispatches, not as they
-//!   finish); [`RollupCollector::into_sorted`] canonicalizes by
-//!   `(at, req)` so every rollup depends only on the *set* of samples.
-//! - **Zero-cost when disabled.** A disabled collector's `record` is a
-//!   single branch and never allocates, so runs with the plane off are
-//!   byte-identical to runs before the plane existed.
+//! - **Order-independence.** Every rollup reads samples in canonical
+//!   `(at, req)` order, so it depends only on the *set* of settled
+//!   requests. The serving layer builds that sorted set from a finished
+//!   cluster run's outcomes; the drain itself records nothing.
 
 use hcc_types::{SimDuration, SimTime};
 
@@ -36,61 +33,6 @@ pub struct CompletionSample {
     pub latency: SimDuration,
     /// True when admission control turned the request away.
     pub rejected: bool,
-}
-
-/// Append-only recorder for [`CompletionSample`]s. Disabled by default;
-/// the serving loop threads one through unconditionally and pays a
-/// single branch per settled request when the plane is off.
-#[derive(Debug, Clone, Default)]
-pub struct RollupCollector {
-    enabled: bool,
-    samples: Vec<CompletionSample>,
-}
-
-impl RollupCollector {
-    /// A disabled (no-op) collector — the default state.
-    pub fn new() -> Self {
-        RollupCollector::default()
-    }
-
-    /// An enabled collector with no samples.
-    pub fn enabled() -> Self {
-        RollupCollector {
-            enabled: true,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Whether this collector records.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records one settled request (no-op while disabled).
-    pub fn record(&mut self, sample: CompletionSample) {
-        if self.enabled {
-            self.samples.push(sample);
-        }
-    }
-
-    /// Number of samples recorded so far.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Consumes the collector and returns samples in canonical
-    /// `(at, req)` order — the form every rollup function expects, and
-    /// the reason recording order (thread interleaving, dispatch order)
-    /// can never leak into a report.
-    pub fn into_sorted(mut self) -> Vec<CompletionSample> {
-        self.samples.sort_by_key(|s| (s.at, s.req));
-        self.samples
-    }
 }
 
 /// One half-open rollup window `[start, end)`.
@@ -220,8 +162,7 @@ impl WindowStats {
     }
 }
 
-/// Rolls `samples` (canonically sorted — see
-/// [`RollupCollector::into_sorted`]) into one [`WindowStats`] per
+/// Rolls `samples` (sorted by `(at, req)`) into one [`WindowStats`] per
 /// window.
 pub fn window_stats(samples: &[CompletionSample], windows: &[Window]) -> Vec<WindowStats> {
     windows
@@ -271,36 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_collector_is_a_no_op() {
-        let mut c = RollupCollector::new();
-        assert!(!c.is_enabled());
-        c.record(sample(0, 1, 1, false));
-        assert!(c.is_empty());
-        assert!(c.into_sorted().is_empty());
-    }
-
-    #[test]
-    fn collector_canonicalizes_recording_order() {
-        let mut fwd = RollupCollector::enabled();
-        let mut rev = RollupCollector::enabled();
-        let samples = [
-            sample(0, 30, 3, false),
-            sample(1, 10, 1, false),
-            sample(2, 10, 2, true),
-        ];
-        for s in &samples {
-            fwd.record(*s);
-        }
-        for s in samples.iter().rev() {
-            rev.record(*s);
-        }
-        let canon = fwd.into_sorted();
-        assert_eq!(canon, rev.into_sorted());
-        assert_eq!(canon[0].req, 1, "ties broken by request index");
-        assert_eq!(canon[1].req, 2);
-    }
-
-    #[test]
     fn tumbling_tiles_horizon_exactly() {
         let ws = tumbling(t(95), SimDuration::millis(10));
         assert_eq!(ws.len(), 10);
@@ -334,15 +245,15 @@ mod tests {
 
     #[test]
     fn window_stats_count_and_rank_correctly() {
-        let mut c = RollupCollector::enabled();
-        // Window [0,10): three completions 1/2/100ms, one rejection.
-        c.record(sample(0, 1, 1, false));
-        c.record(sample(1, 2, 2, false));
-        c.record(sample(2, 3, 100, false));
-        c.record(sample(3, 4, 0, true));
-        // Window [10,20): empty. Window [20,30): one rejection only.
-        c.record(sample(4, 25, 0, true));
-        let samples = c.into_sorted();
+        let samples = [
+            // Window [0,10): three completions 1/2/100ms, one rejection.
+            sample(0, 1, 1, false),
+            sample(1, 2, 2, false),
+            sample(2, 3, 100, false),
+            sample(3, 4, 0, true),
+            // Window [10,20): empty. Window [20,30): one rejection only.
+            sample(4, 25, 0, true),
+        ];
         let ws = tumbling(t(30), SimDuration::millis(10));
         let stats = window_stats(&samples, &ws);
         assert_eq!(stats.len(), 3);

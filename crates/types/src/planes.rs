@@ -29,15 +29,8 @@ impl Planes {
     pub const CAUSAL: Planes = Planes(1 << 1);
     /// Fault injection (a non-empty [`crate::FaultPlan`]).
     pub const FAULT: Planes = Planes(1 << 2);
-    /// Request flight recording (per-request span trees sampled by the
-    /// serving layer). Deliberately outside [`Planes::ALL`]: the three
-    /// simulator planes feed the scenario engine, while flight recording
-    /// is a serving-layer plane gated at the cluster loop.
-    pub const FLIGHT: Planes = Planes(1 << 3);
 
-    /// All three simulator planes (metrics, causal, fault). Does not
-    /// include [`Planes::FLIGHT`], which no simulator emission site
-    /// tests.
+    /// All three simulator planes (metrics, causal, fault).
     pub const ALL: Planes = Planes(0b111);
 
     /// Builds a set from individual toggles.
@@ -150,14 +143,5 @@ mod tests {
         assert_eq!(p.set(Planes::FAULT, false), Planes::METRICS);
         assert_eq!(p.without(Planes::ALL), Planes::NONE);
         assert_eq!(Planes::ALL.bits(), 0b111);
-    }
-
-    #[test]
-    fn flight_plane_is_outside_the_simulator_set() {
-        assert_eq!(Planes::FLIGHT.bits(), 0b1000);
-        assert!(!Planes::ALL.contains(Planes::FLIGHT));
-        let p = Planes::ALL | Planes::FLIGHT;
-        assert!(p.contains(Planes::FLIGHT));
-        assert_eq!(p.without(Planes::FLIGHT), Planes::ALL);
     }
 }

@@ -218,7 +218,23 @@ if [ -z "$shapes" ] || [ -z "$distinct" ] || [ "$shapes" -ne $((2 * distinct)) ]
     exit 1
 fi
 
-echo "tier-2: OK (serving: $rps req/s wall-clock, $shapes shapes simulated)"
+# Every argv-reading bin refuses bad input through the one flag parser
+# (hcc_bench::cli): exit 2, and a first stderr line naming the bin.
+for cmd in "serve --bogus" "serve --util NaN" "chaos --bogus" "slo_watch --bogus" \
+    "why --bogus" "obs_report --bogus" "summary --bogus" "explain --bogus" \
+    "fault_sweep --bogus" "hcc_lab --bogus" "fig04b_crypto --bogus" "fig12_micro --bogus"; do
+    bin=${cmd%% *}
+    status=0
+    # $cmd is left unquoted: a bin name followed by its arguments.
+    ./target/release/$cmd >/dev/null 2>"$t2_dir/cli.err" || status=$?
+    first=$(head -n 1 "$t2_dir/cli.err")
+    if [ "$status" -ne 2 ] || [ "${first#"$bin: "}" = "$first" ]; then
+        echo "tier-2: FAIL — '$cmd' exited $status, stderr '$first' (expected 2, '$bin: ...')" >&2
+        exit 1
+    fi
+done
+
+echo "tier-2: OK (serving: $rps req/s wall-clock, $shapes shapes simulated, bad flags exit 2)"
 
 # Tier-2 hot-path wall-clock gate: full-suite scenarios/sec must stay
 # within the 30% regression budget of the committed BENCH_hotpaths.json

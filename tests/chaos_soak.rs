@@ -13,7 +13,7 @@
 //! To bless a deliberate change:
 //! `HCC_BLESS=1 cargo test --test chaos_soak`.
 
-use std::path::PathBuf;
+mod golden;
 
 use hcc_bench::chaos::{self, ChaosConfig, ChaosReport};
 use hcc_bench::engine::ExperimentEngine;
@@ -34,30 +34,9 @@ fn report() -> ChaosReport {
     chaos::run(&fixture(), &ExperimentEngine::new(2))
 }
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/chaos_report.txt")
-}
-
 #[test]
 fn chaos_report_matches_golden_snapshot() {
-    let text = report().render();
-    let path = golden_path();
-    if std::env::var_os("HCC_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &text).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); bless with HCC_BLESS=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        text, golden,
-        "chaos report drifted from the golden snapshot; \
-         if intentional, re-bless with HCC_BLESS=1"
-    );
+    golden::assert_matches("chaos_report.txt", &report().render());
 }
 
 /// The soak renders byte-identically on 1 and 4 worker threads: nothing

@@ -7,24 +7,30 @@
 //! a waterfall; the exemplar store must respect its hard memory bound;
 //! the whole plane must be thread-count invariant and — when disabled —
 //! perturbation-free: not a single byte of the soak's own figures moves.
+//!
+//! The stormy soak's flight page (summary, every kept tail exemplar's
+//! waterfall against its window's p50, and each incident's exemplar
+//! ids) is frozen in `tests/golden/flight.txt`. To bless a deliberate
+//! change: `HCC_BLESS=1 cargo test --test flight`.
+
+mod golden;
+mod perturbation;
+
+use std::fmt::Write as _;
 
 use hcc_bench::engine::ExperimentEngine;
 use hcc_bench::watch::{calm_soak, stormy_soak, WatchReport};
 use hcc_bench::{chaos, serving};
 use hcc_trace::{FlightConfig, FlightLog};
 use hcc_types::json::ToJson;
+use perturbation::Soak;
 
 fn stormy_flight(threads: usize) -> (WatchReport, FlightLog) {
     let mut cfg = stormy_soak();
     cfg.flight = Some(FlightConfig::default());
     let rep = chaos::run(&cfg, &ExperimentEngine::new(threads));
     assert!(rep.healthy(), "stormy flight soak must stay healthy");
-    let cell = rep
-        .profiles
-        .into_iter()
-        .next()
-        .and_then(|p| p.cells.into_iter().next())
-        .expect("one policy cell");
+    let cell = rep.into_cells().next().expect("one policy cell");
     (
         cell.watch.expect("stormy fixture enables the watch plane"),
         cell.flight.expect("flight plane enabled"),
@@ -130,61 +136,50 @@ fn flight_log_is_thread_count_invariant() {
     }
 }
 
-/// Perturbation-freedom, chaos side: enabling the flight plane must not
-/// move a single byte of the soak's own figures. Rendering the
-/// flight-enabled report with its flight logs (and exemplar links)
-/// stripped reproduces the flight-off render exactly.
-#[test]
-fn flight_plane_is_perturbation_free_for_chaos_soaks() {
-    let engine = ExperimentEngine::new(2);
-    let mut cfg = stormy_soak();
-    cfg.flight = Some(FlightConfig::default());
-    let with_flight = {
-        let mut rep = chaos::run(&cfg, &engine);
-        for p in &mut rep.profiles {
-            for c in &mut p.cells {
-                assert!(c.flight.is_some());
-                c.flight = None;
-                if let Some(w) = &mut c.watch {
-                    for inc in &mut w.incidents {
-                        inc.exemplars.clear();
-                    }
-                }
-            }
-        }
-        rep.render()
-    };
-    cfg.flight = None;
-    let without = chaos::run(&cfg, &engine).render();
-    assert_eq!(
-        with_flight, without,
-        "flight plane perturbed the chaos figures"
+/// The stormy soak's flight page: the sampler summary, each incident's
+/// exemplar ids, then every kept tail exemplar's waterfall against its
+/// window's p50 exemplar (as `why --request` renders it).
+fn flight_page(watch: &WatchReport, flight: &FlightLog) -> String {
+    let c = &flight.cfg;
+    let mut out = format!(
+        "flight | window {}ms | worst {} | reservoir {} | seed {:#x}\n\
+         requests {} | windows {} | kept {} | bound {} | samples {}\n",
+        c.window.as_nanos() / 1_000_000,
+        c.worst,
+        c.reservoir,
+        c.seed,
+        flight.recorded,
+        flight.windows,
+        flight.kept_entries,
+        flight.entry_bound(),
+        flight.samples.len(),
     );
+    for inc in &watch.incidents {
+        let _ = writeln!(out, "incident #{}: exemplars {:?}", inc.id, inc.exemplars);
+    }
+    for s in flight.samples.iter().filter(|s| s.tail) {
+        let baseline = flight.p50_exemplar(s.window).filter(|b| b.req() != s.req());
+        out.push_str(&flight.render_waterfall(s, baseline));
+    }
+    out
 }
 
-/// Perturbation-freedom, serving side.
+#[test]
+fn stormy_flight_page_matches_golden_snapshot() {
+    let (watch, flight) = stormy_flight(2);
+    golden::assert_matches("flight.txt", &flight_page(&watch, &flight));
+}
+
+/// Perturbation-freedom, chaos side: enabling the flight plane, alone
+/// or next to the watch plane, must not move a single byte of the
+/// stormy soak's own figures.
+#[test]
+fn flight_plane_is_perturbation_free_for_chaos_soaks() {
+    perturbation::assert_perturbation_free(Soak::Stormy, &[(false, true), (true, true)]);
+}
+
+/// Perturbation-freedom, serving side: the same holds on the calm soak.
 #[test]
 fn flight_plane_is_perturbation_free_for_serving_soaks() {
-    let engine = ExperimentEngine::new(2);
-    let mut cfg = calm_soak();
-    cfg.flight = Some(FlightConfig::default());
-    let with_flight = {
-        let mut rep = serving::run(&cfg, &engine);
-        for r in &mut rep.runs {
-            assert!(r.flight.is_some());
-            r.flight = None;
-            if let Some(w) = &mut r.watch {
-                for inc in &mut w.incidents {
-                    inc.exemplars.clear();
-                }
-            }
-        }
-        rep.render()
-    };
-    cfg.flight = None;
-    let without = serving::run(&cfg, &engine).render();
-    assert_eq!(
-        with_flight, without,
-        "flight plane perturbed the serving figures"
-    );
+    perturbation::assert_perturbation_free(Soak::Calm, &[(false, true), (true, true)]);
 }

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 
 use hcc_bench::chaos::{self, ChaosConfig};
 use hcc_bench::engine::{ExperimentEngine, ScenarioResult};
-use hcc_bench::serving::cluster::{self, ClusterConfig, Observers, Outcome};
+use hcc_bench::serving::cluster::{self, ClusterConfig, Outcome};
 use hcc_bench::serving::{self, arrival, ArrivalKind, Request, SchedulerKind, ServingConfig};
 use hcc_bench::serving::{Shape, ShapeTable};
 use hcc_bench::watch::{WatchConfig, WatchReport};
@@ -500,8 +500,9 @@ fn reference_series(name: &str, deltas: &[(SimTime, i64)]) -> Series {
 /// The rules it spells out: completions at an instant free their GPUs
 /// before that instant's arrivals join the queue; dispatch then runs
 /// while some GPU is idle, onto the lowest-numbered one; a batch whose
-/// head's shape fails is rejected at dispatch without a GPU; a batch of
-/// `k` runs `P * (1 + 0.35 * (k - 1))` plus its members' admissions.
+/// head's shape fails is rejected at dispatch without a GPU (its
+/// outcomes name GPU 0); a batch of `k` runs `P * (1 + 0.35 * (k - 1))`
+/// plus its members' admissions.
 fn reference_cluster(
     reqs: &[Request],
     service: &[Result<SimDuration, String>],
@@ -554,6 +555,7 @@ fn reference_cluster(
                         spdm: SimDuration::ZERO,
                         cold: false,
                         batch: k,
+                        gpu: 0,
                         rejected: true,
                     });
                 }
@@ -585,6 +587,7 @@ fn reference_cluster(
                     spdm: a.setup,
                     cold: a.cold,
                     batch: k,
+                    gpu: gpu as u32,
                     rejected: false,
                 });
             }
@@ -642,7 +645,7 @@ fn reference_cluster(
 /// Oracle: over random small traces (bursts of same-instant arrivals,
 /// 1–4 tenants, batch caps 1–4, one shape per (tenant, class) with some
 /// failing), `cluster::simulate` matches the naive reference cluster in
-/// every outcome, the end time, busy time, batch and cold-start counts,
+/// every outcome (its GPU included), the end time, busy time, batch and cold-start counts,
 /// TD counters, session ledger and every gauge series — under every
 /// scheduler, both CC modes, and 1, 2, 3 and 65 GPUs (65 spans two words
 /// of the idle-GPU bitset).
@@ -714,7 +717,7 @@ fn cluster_matches_the_reference_cluster() {
                             max_batch: max_batch as usize,
                             tdx: &tdx,
                         };
-                        let run = cluster::simulate(&reqs, &table, &cfg, &mut Observers::default());
+                        let run = cluster::simulate(&reqs, &table, &cfg);
                         let want = reference_cluster(&reqs, &service, &cfg);
                         let got = ReferenceRun {
                             outcomes: run.outcomes,

@@ -11,7 +11,7 @@
 //! To bless a deliberate change:
 //! `HCC_BLESS=1 cargo test --test serving_slo`.
 
-use std::path::PathBuf;
+mod golden;
 
 use hcc_bench::engine::ExperimentEngine;
 use hcc_bench::serving::{self, SchedulerKind, ServingConfig, ServingReport};
@@ -30,30 +30,9 @@ fn report() -> ServingReport {
     serving::run(&fixture(), &ExperimentEngine::new(2))
 }
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serving_report.txt")
-}
-
 #[test]
 fn serving_report_matches_golden_snapshot() {
-    let text = report().render();
-    let path = golden_path();
-    if std::env::var_os("HCC_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &text).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); bless with HCC_BLESS=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        text, golden,
-        "serving report drifted from the golden snapshot; \
-         if intentional, re-bless with HCC_BLESS=1"
-    );
+    golden::assert_matches("serving_report.txt", &report().render());
 }
 
 /// The headline result: at identical offered load, turning CC on pushes

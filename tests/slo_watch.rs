@@ -13,18 +13,18 @@
 //! To bless a deliberate change:
 //! `HCC_BLESS=1 cargo test --test slo_watch`.
 
-use std::path::PathBuf;
+mod golden;
+mod perturbation;
 
 use hcc_bench::engine::ExperimentEngine;
 use hcc_bench::watch::{calm_soak, stormy_soak, WatchReport};
 use hcc_bench::{chaos, serving};
+use perturbation::Soak;
 
 fn stormy_watch(threads: usize) -> WatchReport {
     let rep = chaos::run(&stormy_soak(), &ExperimentEngine::new(threads));
-    rep.profiles
-        .into_iter()
+    rep.into_cells()
         .next()
-        .and_then(|p| p.cells.into_iter().next())
         .and_then(|c| c.watch)
         .expect("stormy fixture enables the watch plane")
 }
@@ -48,30 +48,9 @@ fn snapshot(threads: usize) -> String {
     )
 }
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/slo_watch.txt")
-}
-
 #[test]
 fn watch_reports_match_golden_snapshot() {
-    let text = snapshot(2);
-    let path = golden_path();
-    if std::env::var_os("HCC_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &text).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); bless with HCC_BLESS=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        text, golden,
-        "watch report drifted from the golden snapshot; \
-         if intentional, re-bless with HCC_BLESS=1"
-    );
+    golden::assert_matches("slo_watch.txt", &snapshot(2));
 }
 
 /// Every alert and incident replays byte-identically on 1 and 4 worker
@@ -131,48 +110,14 @@ fn calm_soak_renders_an_empty_timeline() {
 }
 
 /// Perturbation-freedom, chaos side: enabling the watch plane must not
-/// move a single byte of the soak's own figures. Rendering the
-/// watch-enabled report with its watch sections stripped reproduces the
-/// watch-off render exactly.
+/// move a single byte of the stormy soak's own figures.
 #[test]
 fn watch_plane_is_perturbation_free_for_chaos_soaks() {
-    let engine = ExperimentEngine::new(2);
-    let mut cfg = stormy_soak();
-    let with_watch = {
-        let mut rep = chaos::run(&cfg, &engine);
-        for p in &mut rep.profiles {
-            for c in &mut p.cells {
-                assert!(c.watch.is_some());
-                c.watch = None;
-            }
-        }
-        rep.render()
-    };
-    cfg.watch = None;
-    let without = chaos::run(&cfg, &engine).render();
-    assert_eq!(
-        with_watch, without,
-        "watch plane perturbed the chaos figures"
-    );
+    perturbation::assert_perturbation_free(Soak::Stormy, &[(true, false)]);
 }
 
-/// Perturbation-freedom, serving side.
+/// Perturbation-freedom, serving side: the same holds on the calm soak.
 #[test]
 fn watch_plane_is_perturbation_free_for_serving_soaks() {
-    let engine = ExperimentEngine::new(2);
-    let mut cfg = calm_soak();
-    let with_watch = {
-        let mut rep = serving::run(&cfg, &engine);
-        for r in &mut rep.runs {
-            assert!(r.watch.is_some());
-            r.watch = None;
-        }
-        rep.render()
-    };
-    cfg.watch = None;
-    let without = serving::run(&cfg, &engine).render();
-    assert_eq!(
-        with_watch, without,
-        "watch plane perturbed the serving figures"
-    );
+    perturbation::assert_perturbation_free(Soak::Calm, &[(true, false)]);
 }

@@ -5,7 +5,7 @@
 //! replay bit-for-bit (`HCC_CHECK_SEED=<seed>` overrides).
 
 use hcc_bench::chaos::default_budgets;
-use hcc_bench::watch::{observe, SoakView, WatchConfig};
+use hcc_bench::watch::{observe, SoakContext, SoakView, WatchConfig};
 use hcc_check::strategy::u64s;
 use hcc_check::{ensure, ensure_eq, forall, Config};
 use hcc_trace::rollup::CompletionSample;
@@ -41,12 +41,14 @@ fn view<'a>(
     horizon: SimTime,
 ) -> SoakView<'a> {
     SoakView {
-        tenant_names,
-        budgets,
+        soak: SoakContext {
+            tenant_names,
+            budgets,
+            horizon,
+            storm: None,
+        },
         samples,
-        horizon,
         queue: None,
-        storm: None,
         blame: None,
     }
 }
