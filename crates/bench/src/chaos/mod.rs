@@ -29,6 +29,8 @@
 
 pub mod report;
 
+use std::sync::Arc;
+
 use hcc_runtime::{LeakAudit, SimConfig};
 use hcc_trace::Series;
 use hcc_types::calib::TdxCalib;
@@ -343,7 +345,7 @@ pub fn shape_tables(
         .map(|profile| {
             let schedule = cfg.schedule(profile);
             let mut arrivals = [0u64; StormIntensity::COUNT];
-            let shape_of: Vec<u32> = requests
+            let shape_of: Arc<[u32]> = requests
                 .iter()
                 .map(|r| {
                     let intensity = schedule.intensity_at(r.arrival);
@@ -364,7 +366,7 @@ pub fn shape_tables(
                 .iter()
                 .map(|_| {
                     let cell = cells.next().expect("one storm slice per cell");
-                    ShapeTable::new(calm.iter().chain(cell), shape_of.clone(), observed)
+                    ShapeTable::new(calm.iter().chain(cell), Arc::clone(&shape_of), observed)
                 })
                 .collect();
             StormShapes {

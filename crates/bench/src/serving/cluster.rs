@@ -17,7 +17,7 @@
 use std::collections::BinaryHeap;
 
 use hcc_tee::{SessionPool, TdCounters};
-use hcc_trace::{Gauge, MetricsSet};
+use hcc_trace::{MetricsSet, OrderedGauge};
 use hcc_types::calib::TdxCalib;
 use hcc_types::{CcMode, SimDuration, SimTime};
 use hcc_workloads::TenantSpec;
@@ -187,12 +187,11 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
         .map(|_| SessionPool::new(cfg.cc, cfg.tdx.clone()))
         .collect();
 
-    // Both gauges are recorded in time order (see the assertion after
-    // the loop), so materializing them never sorts.
-    let mut queue_depth = Gauge::enabled();
-    // One +1 per arrival and at most one -n per dispatch.
-    queue_depth.reserve(2 * requests.len());
-    let mut gpu_depth: Vec<Gauge> = (0..cfg.gpus).map(|_| Gauge::enabled()).collect();
+    // Both depth gauges coalesce as they record: the queue depth moves
+    // only at `now`, and a GPU's `-n` at `done` precedes its next `+n`,
+    // which needs the GPU idle again.
+    let mut queue_depth = OrderedGauge::new();
+    let mut gpu_depth: Vec<OrderedGauge> = (0..cfg.gpus).map(|_| OrderedGauge::new()).collect();
 
     let mut busy = SimDuration::ZERO;
     let mut batches = 0u64;
@@ -280,12 +279,6 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
         outcomes.iter().all(|o| o.batch > 0),
         "every request settles once"
     );
-    // The queue depth moves only at `now`, and a GPU's `-n` at `done`
-    // precedes its next `+n`, which needs the GPU idle again.
-    debug_assert!(
-        queue_depth.in_time_order() && gpu_depth.iter().all(Gauge::in_time_order),
-        "depth gauges are recorded in time order"
-    );
 
     let mut td = TdCounters::default();
     let mut sessions_established = 0u64;
@@ -307,9 +300,9 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
     metrics.push_counter("serving.requests", requests.len() as u64);
     metrics.push_counter("serving.batches", batches);
     metrics.push_counter("serving.cold_starts", cold_starts);
-    metrics.gauge("serving.queue_depth", &queue_depth);
-    for (g, gauge) in gpu_depth.iter().enumerate() {
-        metrics.gauge(&format!("serving.gpu{g}.depth"), gauge);
+    metrics.push_series(queue_depth.finish("serving.queue_depth"));
+    for (g, gauge) in gpu_depth.into_iter().enumerate() {
+        metrics.push_series(gauge.finish(&format!("serving.gpu{g}.depth")));
     }
 
     ClusterRun {

@@ -29,6 +29,8 @@ pub mod report;
 pub mod scheduler;
 pub mod shapes;
 
+use std::sync::Arc;
+
 use hcc_runtime::SimConfig;
 use hcc_types::calib::TdxCalib;
 use hcc_types::{CcMode, FaultPlan, RecoveryPolicy, SimTime};
@@ -196,10 +198,10 @@ pub fn shape_tables(
         .collect();
 
     let requests = arrival::generate(&cfg.tenants, &rates, cfg.arrival, cfg.requests, cfg.seed);
-    let shape_of: Vec<u32> = requests.iter().map(|r| slot[r.tenant][r.class]).collect();
+    let shape_of: Arc<[u32]> = requests.iter().map(|r| slot[r.tenant][r.class]).collect();
     let observed = cfg.watch.is_some() || cfg.flight.is_some();
     let tables = [
-        ShapeTable::new(&prefetched[..n], shape_of.clone(), false),
+        ShapeTable::new(&prefetched[..n], Arc::clone(&shape_of), false),
         ShapeTable::new(&prefetched[n..], shape_of, observed),
     ];
     (requests, tables)

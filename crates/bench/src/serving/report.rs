@@ -151,8 +151,15 @@ pub fn mode_run(
     run: ClusterRun,
 ) -> ModeRun {
     let tenants = cluster.tenants;
-    let mut latency: Vec<Vec<SimDuration>> = vec![Vec::new(); tenants.len()];
-    let mut wait: Vec<Vec<SimDuration>> = vec![Vec::new(); tenants.len()];
+    // Size each tenant's CDF samples exactly: the report keeps them.
+    let mut completed = vec![0usize; tenants.len()];
+    for (req, outcome) in requests.iter().zip(&run.outcomes) {
+        completed[req.tenant] += usize::from(!outcome.rejected);
+    }
+    let mut latency: Vec<Vec<SimDuration>> =
+        completed.iter().map(|&n| Vec::with_capacity(n)).collect();
+    let mut wait: Vec<Vec<SimDuration>> =
+        completed.iter().map(|&n| Vec::with_capacity(n)).collect();
     let mut rejected = vec![0u64; tenants.len()];
     let zero = SimDuration::ZERO;
     let mut latency_total = vec![zero; tenants.len()];

@@ -61,17 +61,20 @@ pub struct ShapeTable {
     shapes: Vec<Shape>,
     /// One decomposition per shape; empty unless the table was analysed.
     decomps: Vec<ShapeDecomp>,
-    shape_of: Vec<u32>,
+    /// Shared by every table over the same trace whose shapes line up
+    /// (serving's two modes, a chaos profile's policy cells).
+    shape_of: Arc<[u32]>,
 }
 
 impl ShapeTable {
     /// Resolves one engine result per distinct shape; `shape_of[req]`
-    /// indexes `entries`. With `analyse`, each shape's critical path is
-    /// extracted once for watch blame and flight decomposition (a failed
-    /// shape decomposes to zero).
+    /// indexes `entries`, and tables built from clones of one
+    /// `shape_of` share it. With `analyse`, each shape's critical path
+    /// is extracted once for watch blame and flight decomposition (a
+    /// failed shape decomposes to zero).
     pub fn new<'a>(
         entries: impl IntoIterator<Item = &'a Arc<ScenarioResult>>,
-        shape_of: Vec<u32>,
+        shape_of: Arc<[u32]>,
         analyse: bool,
     ) -> Self {
         let mut decomps = Vec::new();
@@ -111,7 +114,7 @@ impl ShapeTable {
     ///
     /// # Panics
     /// If a `shape_of` entry does not index `shapes`.
-    pub fn from_shapes(shapes: Vec<Shape>, shape_of: Vec<u32>) -> Self {
+    pub fn from_shapes(shapes: Vec<Shape>, shape_of: Arc<[u32]>) -> Self {
         let n = shapes.len();
         assert!(
             shape_of.iter().all(|&s| (s as usize) < n),

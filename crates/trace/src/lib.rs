@@ -51,7 +51,7 @@ pub use event::{EventKind, HypercallReason, KernelId, StreamId, TraceEvent};
 pub use export::ChromeExport;
 pub use flight::{FlightConfig, FlightLog, FlightRecorder, FlightSample, FlightSkeleton, SpanKind};
 pub use histogram::Histogram;
-pub use metrics::{Counter, Gauge, MetricsSet, Series};
+pub use metrics::{Counter, Gauge, MetricsSet, OrderedGauge, Series};
 pub use rollup::{CompletionSample, Window, WindowStats};
 pub use stats::{geomean, mean_ratio, Cdf, Summary};
 pub use timeline::{KernelRecord, LaunchMetrics, LaunchRecord, MemMetrics, PhaseTotals, Timeline};

@@ -16,13 +16,16 @@
 //!   periodic poller and no wall-clock read anywhere on the simulation
 //!   path, so an obs-enabled run replays bit-for-bit for a given seed at
 //!   any `HCC_ENGINE_THREADS`.
-//! - **Zero-cost when disabled.** Every instrument is a no-op unless
+//! - **Zero-cost when disabled.** Every instrument except
+//!   [`OrderedGauge`] (which has no disabled state) is a no-op unless
 //!   explicitly enabled; disabled runs take no samples, draw no RNG, and
 //!   produce byte-identical figure output.
 //! - **Order-independence.** Change-points may be recorded out of time
 //!   order (engine completions interleave); [`Gauge::series`] sorts and
 //!   merges them, so the snapshot depends only on the *set* of samples.
 //!   Change-points already in time order are merged in place, unsorted.
+//!   A recorder whose clock never runs backwards uses [`OrderedGauge`]
+//!   instead, which coalesces as it records and keeps no raw log.
 //!
 //! ```
 //! use hcc_trace::metrics::Gauge;
@@ -154,13 +157,6 @@ impl Gauge {
         }
     }
 
-    /// Reserves room for `additional` more change-points.
-    pub fn reserve(&mut self, additional: usize) {
-        if self.enabled {
-            self.deltas.reserve(additional);
-        }
-    }
-
     /// Number of raw change-points recorded.
     pub fn raw_len(&self) -> usize {
         self.deltas.len()
@@ -169,7 +165,7 @@ impl Gauge {
     /// Whether every change-point so far was recorded at or after the
     /// one before it — the case [`Gauge::series`] coalesces without
     /// copying or sorting.
-    pub fn in_time_order(&self) -> bool {
+    fn in_time_order(&self) -> bool {
         self.deltas.windows(2).all(|w| w[0].0 <= w[1].0)
     }
 
@@ -196,6 +192,83 @@ impl Gauge {
         Series {
             name: name.to_string(),
             samples,
+        }
+    }
+}
+
+/// A gauge for recorders whose clock never runs backwards: it folds
+/// same-instant deltas into one pending group as they arrive and keeps
+/// only the change-points where the value moved, so it never holds a raw
+/// delta log. [`OrderedGauge::finish`] returns exactly the [`Series`]
+/// that [`Gauge::series`] builds from the same deltas.
+///
+/// ```
+/// use hcc_trace::metrics::OrderedGauge;
+/// use hcc_types::{SimDuration, SimTime};
+///
+/// let t = |us| SimTime::ZERO + SimDuration::micros(us);
+/// let mut g = OrderedGauge::new();
+/// g.add(t(0), 2);
+/// g.add(t(5), -1);
+/// g.add(t(5), 1); // nets to no change at 5us: no sample
+/// g.occupy_n(t(7), t(9), 3);
+/// assert_eq!(g.finish("q").samples, vec![(t(0), 2), (t(7), 5), (t(9), 2)]);
+/// ```
+#[derive(Debug, Default)]
+pub struct OrderedGauge {
+    samples: Vec<(SimTime, i64)>,
+    /// Instant of the pending group.
+    at: SimTime,
+    /// Value after the pending group.
+    value: i64,
+    /// Value after the last pushed change-point (0 before the first).
+    committed: i64,
+}
+
+impl OrderedGauge {
+    /// An empty gauge at value 0.
+    pub fn new() -> Self {
+        OrderedGauge::default()
+    }
+
+    /// Records a signed step at `at`.
+    ///
+    /// # Panics
+    /// If `at` is earlier than an instant already recorded.
+    pub fn add(&mut self, at: SimTime, delta: i64) {
+        assert!(at >= self.at, "ordered gauge recorded out of time order");
+        if at != self.at {
+            self.flush();
+            self.at = at;
+        }
+        self.value += delta;
+    }
+
+    /// Records `amount` units occupying `[from, to)`. Zero-length
+    /// intervals cancel and leave no sample; both edges must keep time
+    /// order, so `to` bounds every later record.
+    pub fn occupy_n(&mut self, from: SimTime, to: SimTime, amount: i64) {
+        if from < to {
+            self.add(from, amount);
+            self.add(to, -amount);
+        }
+    }
+
+    /// Closes the pending group: a change-point if the value moved.
+    fn flush(&mut self) {
+        if self.value != self.committed {
+            self.samples.push((self.at, self.value));
+            self.committed = self.value;
+        }
+    }
+
+    /// The step series under `name`, holding no spare capacity.
+    pub fn finish(mut self, name: &str) -> Series {
+        self.flush();
+        self.samples.shrink_to_fit();
+        Series {
+            name: name.to_string(),
+            samples: self.samples,
         }
     }
 }
@@ -695,6 +768,17 @@ mod tests {
         assert_eq!(s.peak(), 1);
         assert_eq!(s.final_value(), 0);
         assert_eq!(s.integral(), SimDuration::micros(20));
+    }
+
+    #[test]
+    fn in_time_order_tells_the_fast_path_from_the_sort() {
+        assert!(Gauge::enabled().in_time_order());
+        let mut g = Gauge::enabled();
+        g.occupy(t(0), t(10));
+        g.occupy(t(10), t(20));
+        assert!(g.in_time_order());
+        g.add(t(5), 1);
+        assert!(!g.in_time_order());
     }
 
     #[test]

@@ -83,7 +83,9 @@ echo "tier-2: OK (fault sweep deterministic, panic contained)"
 # Tier-2 obs smoke: the metrics plane must observe (nonzero samples, a
 # detected saturated resource, JSON snapshots that survive the in-repo
 # parser) without perturbing anything (figure stdout byte-identical with
-# HCC_METRICS on and off).
+# HCC_METRICS on and off). The serving and chaos soaks' depth gauges must
+# reach the soak-snapshot section and all drain back to zero (no WARN
+# drift line).
 echo "==> tier-2: observability plane smoke"
 ./target/release/obs_report --json "$t2_dir/obs.json" \
     >"$t2_dir/obs.out" 2>/dev/null
@@ -104,6 +106,18 @@ if [ ! -s "$t2_dir/obs.json" ]; then
     exit 1
 fi
 
+./target/release/obs_report --serve --chaos --json "$t2_dir/obs_soak.json" \
+    >"$t2_dir/obs_soak.out" 2>/dev/null
+if ! grep -q '^=== observability — soak snapshots (serving.queue_depth) ===$' "$t2_dir/obs_soak.out" \
+    || ! grep -q '^serve:' "$t2_dir/obs_soak.out" || ! grep -q '^chaos:' "$t2_dir/obs_soak.out"; then
+    echo "tier-2: FAIL — obs_report --serve --chaos printed no serve and chaos soak snapshots" >&2
+    exit 1
+fi
+if grep '^WARN .* drifted' "$t2_dir/obs_soak.out" >&2; then
+    echo "tier-2: FAIL — a soak gauge did not drain back to zero" >&2
+    exit 1
+fi
+
 HCC_METRICS=1 HCC_ENGINE_STATS_JSON="$t2_dir/engine.json" \
     ./target/release/summary >"$t2_dir/obs_on.out" 2>/dev/null
 if ! diff -u "$t2_dir/serial.out" "$t2_dir/obs_on.out"; then
@@ -115,7 +129,7 @@ if ! grep -q '"scenarios_run"' "$t2_dir/engine.json"; then
     exit 1
 fi
 
-echo "tier-2: OK (obs: $samples samples, $saturated saturated, stdout unperturbed)"
+echo "tier-2: OK (obs: $samples samples, $saturated saturated, soak gauges drained, stdout unperturbed)"
 
 # Tier-2 explain smoke: the causal-graph/critical-path plane must be
 # deterministic (stdout byte-identical across worker counts) and must

@@ -1,0 +1,176 @@
+//! Fuzzing the one flag parser every bench binary shares
+//! (`hcc_bench::cli`): on random strings, each typed value reader and
+//! each name vocabulary (scheduler, arrival process, storm profile,
+//! recovery policy) returns either a value or its typed `CliError`,
+//! never a panic, and every accepted name re-parses from its printed
+//! form to itself.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use hcc_bench::cli::{self, Args, CanonicalSoak, CliError};
+use hcc_bench::serving::{ArrivalKind, SchedulerKind};
+use hcc_check::strategy::{bytes, choice, u64s, vecs};
+use hcc_check::{ensure, ensure_eq, forall, Config, PropResult};
+use hcc_types::{RecoveryPolicy, StormProfile};
+
+const FLAG: &str = "--flag";
+
+/// Pieces random inputs are glued from, `|`-separated: number syntax,
+/// signs and radices, overflow edges, whitespace, non-ASCII, and every
+/// name (with aliases and wrong cases) the vocabularies know.
+const FRAGMENTS: &str = "|0|1|7|9|0x|0X|ff|G|-|+|.|e|E|_| |\t|\n|NaN|inf|infinity\
+    |4294967295|4294967296|18446744073709551615|18446744073709551616|1e308|1e309|é|∞|\0\
+    |fifo|FIFO|prio|priority|batch|batching|cb|continuous|poisson|bursty|mmpp|diurnal|sin\
+    |retry|degrade|abort|Abort|bounce-squall|crypto-burst|uvm-thrash|ring-flap|all\
+    |--requests|--days|--gpus|--seed|--serve";
+
+/// A random string: raw bytes read as UTF-8 lossily, one fragment
+/// alone (so every exact name turns up), or fragments glued together.
+fn text(pick: &(Vec<&'static str>, Vec<u8>, u64)) -> String {
+    let (parts, raw, mode) = pick;
+    match mode {
+        0 => String::from_utf8_lossy(raw).into_owned(),
+        1 => parts.first().copied().unwrap_or_default().to_string(),
+        _ => parts.concat(),
+    }
+}
+
+fn strings() -> impl hcc_check::Strategy<Value = (Vec<&'static str>, Vec<u8>, u64)> {
+    (
+        vecs(choice(&FRAGMENTS.split('|').collect::<Vec<_>>()), 0..5),
+        vecs(bytes(), 0..12),
+        u64s(0..4),
+    )
+}
+
+/// `f()`, or a failed case naming the panic.
+fn no_panic<T>(what: &str, raw: &str, f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|_| format!("{what} panicked on {raw:?}"))
+}
+
+/// The error's message leads with the flag it refused.
+fn names_the_flag(err: &CliError) -> PropResult {
+    let msg = err.to_string();
+    ensure!(
+        msg.starts_with(FLAG),
+        "error {msg:?} does not lead with {FLAG}"
+    );
+    Ok(())
+}
+
+#[test]
+fn value_readers_return_a_value_or_a_typed_error() {
+    forall!(Config::new(0xC11_0001).with_cases(2048), pick in strings() => {
+        let raw = text(&pick);
+        match no_panic("u64", &raw, || Args::new([raw.as_str()]).u64(FLAG))? {
+            Ok(v) => {
+                ensure_eq!(cli::parse_int(&raw), Some(v));
+                ensure_eq!(cli::parse_int(&v.to_string()), Some(v));
+            }
+            Err(e) => {
+                ensure!(matches!(e, CliError::NotAnInteger { .. }), "u64: {e:?}");
+                names_the_flag(&e)?;
+            }
+        }
+        match no_panic("u32", &raw, || Args::new([raw.as_str()]).u32(FLAG))? {
+            Ok(v) => ensure_eq!(cli::parse_int(&raw), Some(u64::from(v))),
+            Err(e) => {
+                ensure!(
+                    matches!(e, CliError::NotAnInteger { .. } | CliError::OutOfRange { .. }),
+                    "u32: {e:?}"
+                );
+                names_the_flag(&e)?;
+            }
+        }
+        match no_panic("fraction", &raw, || Args::new([raw.as_str()]).fraction(FLAG))? {
+            Ok(v) => ensure!(v.is_finite(), "fraction accepted {v}"),
+            Err(e) => {
+                ensure!(matches!(e, CliError::NotAFraction { .. }), "fraction: {e:?}");
+                names_the_flag(&e)?;
+            }
+        }
+    });
+}
+
+/// An accepted name, printed and parsed again, is the same value; a
+/// refused one is an `UnknownName` naming the flag.
+fn round_trips<T: PartialEq + std::fmt::Debug>(
+    kind: &str,
+    got: Result<T, CliError>,
+    print: impl Fn(&T) -> String,
+    parse: impl Fn(&str) -> Option<T>,
+) -> PropResult {
+    match got {
+        Ok(v) => {
+            let shown = print(&v);
+            let back = parse(&shown);
+            ensure!(
+                back.as_ref() == Some(&v),
+                "{kind} {shown:?} re-parses to {back:?}"
+            );
+        }
+        Err(e) => {
+            ensure!(matches!(e, CliError::UnknownName { .. }), "{kind}: {e:?}");
+            names_the_flag(&e)?;
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn name_parsers_accept_round_trips_or_refuse_by_name() {
+    forall!(Config::new(0xC11_0002).with_cases(2048), pick in strings() => {
+        let raw = text(&pick);
+        let scheduler = no_panic("scheduler", &raw, || {
+            Args::new([raw.as_str()]).name(FLAG, "scheduler", "", SchedulerKind::parse)
+        })?;
+        round_trips("scheduler", scheduler, SchedulerKind::to_string, SchedulerKind::parse)?;
+
+        let arrival = no_panic("arrival", &raw, || Args::new([raw.as_str()]).arrival(FLAG))?;
+        round_trips("arrival", arrival, ArrivalKind::to_string, ArrivalKind::parse)?;
+
+        let profile = no_panic("storm profile", &raw, || {
+            cli::storm_profile(FLAG, raw.clone(), "")
+        })?;
+        round_trips("storm profile", profile, |p| p.name.to_string(), StormProfile::by_name)?;
+
+        let policy = no_panic("recovery policy", &raw, || {
+            cli::lookup(FLAG, "recovery policy", "", raw.clone(), RecoveryPolicy::parse)
+        })?;
+        round_trips("recovery policy", policy, RecoveryPolicy::to_string, RecoveryPolicy::parse)?;
+    });
+}
+
+/// Random argument lists through the canonical soak's flags: each flag
+/// is consumed, left to the caller, or refused with a typed error naming
+/// it, and whatever is accepted builds both soaks within their clamps.
+#[test]
+fn canonical_soak_flags_never_panic() {
+    forall!(
+        Config::new(0xC11_0003).with_cases(256),
+        picks in vecs(strings(), 0..6) =>
+    {
+        let argv: Vec<String> = picks.iter().map(text).collect();
+        let (serving, chaos, refused) = no_panic("canonical soak", &format!("{argv:?}"), || {
+            let mut soak = CanonicalSoak::default();
+            let mut args = Args::new(argv.clone());
+            let mut refused = None;
+            while let Some(flag) = args.next() {
+                if let Err(e) = soak.flag(&flag, &mut args) {
+                    refused = Some((flag, e));
+                    break;
+                }
+            }
+            (soak.serving(), soak.chaos(), refused)
+        })?;
+        if let Some((flag, e)) = refused {
+            ensure!(
+                matches!(e, CliError::NotAnInteger { .. } | CliError::MissingValue { .. }),
+                "{flag}: {e:?}"
+            );
+            ensure!(e.to_string().starts_with(&flag), "error {e} does not lead with {flag}");
+        }
+        ensure!(serving.requests >= 1 && serving.gpus >= 1);
+        ensure!(chaos.requests >= 1 && chaos.gpus >= 1 && (1..=3650).contains(&chaos.days));
+    });
+}

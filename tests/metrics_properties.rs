@@ -4,7 +4,7 @@
 
 use hcc::prelude::*;
 use hcc::runtime::{KernelDesc, ManagedAccess};
-use hcc::trace::{Gauge, KernelId, Series};
+use hcc::trace::{Gauge, KernelId, OrderedGauge, Series};
 use hcc_bench::engine::ExperimentEngine;
 use hcc_check::strategy::{u64s, u8s, vecs};
 use hcc_check::{ensure, ensure_eq, forall, Config};
@@ -213,14 +213,72 @@ fn gauge_in_order_fast_path_matches_the_sorted_reference() {
 
             let mut in_order = deltas.clone();
             in_order.sort_by_key(|(t, _)| *t);
-            let fast = recorded(&in_order);
-            ensure!(fast.in_time_order());
-            ensure_eq!(fast.series("g"), want);
+            ensure_eq!(recorded(&in_order).series("g"), want);
         }
     );
-    let empty = Gauge::enabled();
-    assert!(empty.in_time_order());
-    assert_eq!(empty.series("e"), sorted_reference("e", &[]));
+    assert_eq!(Gauge::enabled().series("e"), sorted_reference("e", &[]));
     let t = SimTime::from_nanos(7);
     assert!(recorded(&[(t, 0), (t, 3), (t, -3)]).series("z").is_empty());
+}
+
+/// `OrderedGauge::finish` is `Gauge::series` over any time-ordered
+/// record stream, and holds no spare capacity. Ops `(kind, step, delta,
+/// len)` advance a cursor by `step` (often 0, so instants crowd into
+/// same-instant groups); kind 0 is `add(cursor, delta)`, kind 1 is
+/// `occupy_n(cursor, cursor + len, delta)` and moves the cursor to its
+/// end (`len == 0` is a zero-length interval). Deltas span `-3..=3`, so
+/// zero deltas and groups netting to zero both occur.
+#[test]
+fn ordered_gauge_matches_gauge_series() {
+    forall!(
+        Config::new(0x0B5_0005).with_cases(128),
+        (ops, cancel) in (vecs((u64s(0..2), u64s(0..3), u64s(0..7), u64s(0..3)), 0..48), u64s(0..2)) => {
+            let mut ordered = OrderedGauge::new();
+            let mut reference = Gauge::enabled();
+            let mut cursor = SimTime::ZERO;
+            for &(kind, step, delta, len) in &ops {
+                cursor += SimDuration::from_nanos(step);
+                let delta = delta as i64 - 3;
+                if kind == 0 {
+                    ordered.add(cursor, delta);
+                    reference.add(cursor, delta);
+                } else {
+                    let end = cursor + SimDuration::from_nanos(len);
+                    ordered.occupy_n(cursor, end, delta);
+                    reference.occupy_n(cursor, end, delta);
+                    cursor = end;
+                }
+            }
+            // A trailing same-instant pair that nets to no change.
+            if cancel == 1 {
+                for d in [4, -4] {
+                    ordered.add(cursor, d);
+                    reference.add(cursor, d);
+                }
+            }
+            let got = ordered.finish("g");
+            ensure_eq!(got, reference.series("g"));
+            ensure_eq!(got.samples.capacity(), got.samples.len());
+        }
+    );
+    assert_eq!(
+        OrderedGauge::new().finish("e"),
+        Gauge::enabled().series("e")
+    );
+}
+
+#[test]
+#[should_panic(expected = "out of time order")]
+fn ordered_gauge_rejects_an_earlier_instant() {
+    let mut g = OrderedGauge::new();
+    g.add(SimTime::from_nanos(5), 1);
+    g.add(SimTime::from_nanos(4), 1);
+}
+
+#[test]
+#[should_panic(expected = "out of time order")]
+fn ordered_gauge_rejects_a_record_inside_an_occupied_interval() {
+    let mut g = OrderedGauge::new();
+    g.occupy_n(SimTime::from_nanos(0), SimTime::from_nanos(10), 2);
+    g.add(SimTime::from_nanos(5), 1);
 }

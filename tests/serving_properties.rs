@@ -177,7 +177,8 @@ fn oracle_service(slow: &ScenarioResult) -> Result<SimDuration, String> {
 /// modes' shape tables resolve every request to exactly the scenario and
 /// service result an independent per-request `engine.run` produces, and
 /// every scheduler completes precisely the requests whose oracle service
-/// succeeded, charging exactly their oracle shape time.
+/// succeeded, charging exactly their oracle shape time. The two modes'
+/// tables share one request→shape map.
 #[test]
 fn serving_shape_tables_match_the_per_request_oracle() {
     let engine = ExperimentEngine::new(2);
@@ -204,6 +205,10 @@ fn serving_shape_tables_match_the_per_request_oracle() {
             };
             let (reqs, tables) = serving::shape_tables(&cfg, &engine);
             ensure_eq!(reqs.len() as u64, requests);
+            ensure!(
+                std::ptr::eq(tables[0].shape_of(), tables[1].shape_of()),
+                "CC-off and CC-on tables share one shape map"
+            );
             let mut oracle: Vec<Vec<Result<SimDuration, String>>> = Vec::new();
             for (&cc, table) in CcMode::ALL.iter().zip(&tables) {
                 ensure_eq!(table.shape_of().len(), reqs.len());
@@ -244,7 +249,8 @@ fn serving_shape_tables_match_the_per_request_oracle() {
 /// horizon, cluster width, scheduler), every cell's shape table resolves
 /// each request to exactly the scenario an independent per-request
 /// `engine.run` picks from the storm intensity at its arrival and its
-/// plan replica, with the same service result.
+/// plan replica, with the same service result. A profile's policy tables
+/// share one request→shape map.
 #[test]
 fn chaos_shape_tables_match_the_per_request_oracle() {
     let engine = ExperimentEngine::new(2);
@@ -273,6 +279,10 @@ fn chaos_shape_tables_match_the_per_request_oracle() {
                 let schedule = cfg.schedule(profile);
                 ensure_eq!(storm.tables.len(), cfg.policies.len());
                 for (policy, table) in cfg.policies.iter().zip(&storm.tables) {
+                    ensure!(
+                        std::ptr::eq(table.shape_of(), storm.tables[0].shape_of()),
+                        "a profile's policy tables share one shape map"
+                    );
                     ensure_eq!(table.shape_of().len(), reqs.len());
                     for (ri, r) in reqs.iter().enumerate() {
                         let si = table.shape_of()[ri] as usize;
@@ -704,7 +714,7 @@ fn cluster_matches_the_reference_cluster() {
                     audit: None,
                 })
                 .collect();
-            let table = ShapeTable::from_shapes(shapes, shape_of);
+            let table = ShapeTable::from_shapes(shapes, shape_of.into());
             let tdx = TdxCalib::default();
             for kind in SchedulerKind::ALL {
                 for cc in CcMode::ALL {
