@@ -11,12 +11,14 @@
 //! side file and the stderr engine-stats block.
 //!
 //! Exit codes: 0 = run healthy (budget FAIL verdicts are expected data),
-//! 1 = leak / conservation / identity violation, 2 = usage error.
+//! 1 = leak / conservation / identity violation, 2 = usage error (a bad
+//! flag or `HCC_CHAOS_*` override).
 
 use hcc_bench::chaos::{self, ChaosConfig};
 use hcc_bench::cli::{self, CliError};
 use hcc_bench::engine;
 use hcc_bench::serving::SchedulerKind;
+use hcc_bench::watch::WatchConfig;
 use hcc_types::json::{Json, ToJson};
 use hcc_types::{RecoveryPolicy, StormProfile};
 
@@ -38,12 +40,12 @@ fn list<T>(
 }
 
 fn main() {
-    // Harness default, then env overrides (HCC_CHAOS_*), then flags.
-    let mut cfg = ChaosConfig::default().from_env();
     let mut json_path: Option<String> = None;
     let mut tenant_count = 2usize;
 
-    cli::parse_or_exit("chaos", USAGE, |args| {
+    let mut cfg = cli::parse_or_exit("chaos", USAGE, |args| {
+        // Harness default, then env overrides (HCC_CHAOS_*), then flags.
+        let mut cfg = ChaosConfig::default().from_env()?;
         while let Some(flag) = args.next() {
             match flag.as_str() {
                 "--requests" => cfg.requests = args.u64(&flag)?.max(1),
@@ -81,13 +83,13 @@ fn main() {
                         SchedulerKind::parse,
                     )?;
                 }
-                "--watch" => cfg.watch = Some(hcc_bench::watch::WatchConfig::default().from_env()),
-                "--flight" => cfg.flight = Some(cli::flight_from_env()),
+                "--watch" => cfg.watch = Some(WatchConfig::default().from_env()?),
+                "--flight" => cfg.flight = Some(cli::flight_from_env()?),
                 "--json" => json_path = Some(args.value(&flag)?),
                 _ => return Err(CliError::Unknown { arg: flag }),
             }
         }
-        Ok(())
+        Ok(cfg)
     });
     cfg.tenants = hcc_workloads::default_tenants(tenant_count);
     cfg.budgets = chaos::default_budgets(&cfg.tenants);

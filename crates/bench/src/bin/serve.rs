@@ -11,10 +11,15 @@
 //! Wall-clock throughput (requests/sec) and the number of shapes the
 //! engine simulated go to the `--json` side file and the stderr
 //! engine-stats block.
+//!
+//! Exit codes: 0 = every run healthy, 1 = a run broke its latency
+//! identity, conservation, session ledger or gauge drain, 2 = usage
+//! error (a bad flag or `HCC_SERVE_*` override).
 
 use hcc_bench::cli::{self, CliError};
 use hcc_bench::engine;
 use hcc_bench::serving::{self, SchedulerKind, ServingConfig};
+use hcc_bench::watch::WatchConfig;
 use hcc_types::json::{Json, ToJson};
 
 const USAGE: &str = "usage: serve [--requests N] [--gpus N] [--tenants N] [--seed S] \
@@ -22,16 +27,16 @@ const USAGE: &str = "usage: serve [--requests N] [--gpus N] [--tenants N] [--see
      [--util F] [--max-batch N] [--watch] [--flight] [--json <path>]";
 
 fn main() {
-    // Harness default, then env overrides (HCC_SERVE_*), then flags.
-    let mut cfg = ServingConfig {
-        requests: 100_000,
-        ..ServingConfig::default()
-    }
-    .from_env();
     let mut json_path: Option<String> = None;
     let mut tenant_count = 2usize;
 
-    cli::parse_or_exit("serve", USAGE, |args| {
+    let mut cfg = cli::parse_or_exit("serve", USAGE, |args| {
+        // Harness default, then env overrides (HCC_SERVE_*), then flags.
+        let mut cfg = ServingConfig {
+            requests: 100_000,
+            ..ServingConfig::default()
+        }
+        .from_env()?;
         while let Some(flag) = args.next() {
             match flag.as_str() {
                 "--requests" => cfg.requests = args.u64(&flag)?.max(1),
@@ -52,13 +57,13 @@ fn main() {
                         },
                     )?;
                 }
-                "--watch" => cfg.watch = Some(hcc_bench::watch::WatchConfig::default().from_env()),
-                "--flight" => cfg.flight = Some(cli::flight_from_env()),
+                "--watch" => cfg.watch = Some(WatchConfig::default().from_env()?),
+                "--flight" => cfg.flight = Some(cli::flight_from_env()?),
                 "--json" => json_path = Some(args.value(&flag)?),
                 _ => return Err(CliError::Unknown { arg: flag }),
             }
         }
-        Ok(())
+        Ok(cfg)
     });
     cfg.tenants = hcc_workloads::default_tenants(tenant_count);
 
@@ -94,8 +99,8 @@ fn main() {
 
     engine::emit_stats();
 
-    if !report.conserved() {
-        eprintln!("request conservation violated");
+    if !report.healthy() {
+        eprintln!("serve: a run violated a structural invariant");
         std::process::exit(1);
     }
 }

@@ -20,25 +20,26 @@
 //! exposition with `tenant`/`window` labels.
 //!
 //! Exit codes: 0 = soak healthy, 1 = underlying soak violated a
-//! structural invariant, 2 = usage error.
+//! structural invariant, 2 = usage error (a bad flag or `HCC_WATCH_*` /
+//! `HCC_FLIGHT_*` override).
 
 use hcc_bench::cli::{self, CanonicalSoak, CliError};
-use hcc_bench::watch::WatchReport;
-use hcc_bench::{chaos, engine, serving};
+use hcc_bench::engine;
+use hcc_bench::watch::Soak;
 use hcc_types::json::{Json, ToJson};
 
 const USAGE: &str = "usage: slo_watch [--serve] [--flight] [--requests N] [--days N] [--gpus N] \
      [--seed S] [--profile NAME] [--util F] [--json <path>] [--prom <path>]";
 
 fn main() {
-    let mut soak = CanonicalSoak::default();
-    let mut flight = false;
     let mut profile = None;
     let mut util: Option<f64> = None;
     let mut json_path: Option<String> = None;
     let mut prom_path: Option<String> = None;
 
-    cli::parse_or_exit("slo_watch", USAGE, |args| {
+    let mut canonical = cli::parse_or_exit("slo_watch", USAGE, |args| {
+        let mut soak = CanonicalSoak::default();
+        let mut flight = false;
         while let Some(flag) = args.next() {
             if soak.flag(&flag, args)? {
                 continue;
@@ -52,50 +53,34 @@ fn main() {
                 _ => return Err(CliError::Unknown { arg: flag }),
             }
         }
-        Ok(())
+        let flight = flight.then(cli::flight_from_env).transpose()?;
+        Ok(soak.canonical()?.with_flight(flight))
     });
-    let flight = flight.then(cli::flight_from_env);
+    let header = match &mut canonical {
+        Soak::Calm(cfg) => {
+            cfg.target_util = util.unwrap_or(cfg.target_util);
+            format!(
+                "=== slo watchtower: serve-shaped soak ===\n\
+                 soak serve | requests {} | gpus {} | util {:.2} | scheduler {} | seed {:#x}\n",
+                cfg.requests, cfg.gpus, cfg.target_util, cfg.schedulers[0], cfg.seed,
+            )
+        }
+        Soak::Stormy(cfg) => {
+            if let Some(p) = profile {
+                cfg.profiles = vec![p];
+            }
+            format!(
+                "=== slo watchtower: chaos-shaped soak ===\n\
+                 soak chaos | requests {} | days {} | gpus {} | profile {} | policy {} | seed {:#x}\n",
+                cfg.requests, cfg.days, cfg.gpus, cfg.profiles[0].name, cfg.policies[0], cfg.seed,
+            )
+        }
+    };
 
     let wall = std::time::Instant::now();
-    let (header, report, healthy): (String, WatchReport, bool) = if soak.serve {
-        let mut cfg = soak.serving();
-        cfg.flight = flight;
-        cfg.target_util = util.unwrap_or(cfg.target_util);
-        let rep = serving::run(&cfg, engine::global());
-        let header = format!(
-            "=== slo watchtower: serve-shaped soak ===\n\
-             soak serve | requests {} | gpus {} | util {:.2} | scheduler {} | seed {:#x}\n",
-            cfg.requests, cfg.gpus, cfg.target_util, cfg.schedulers[0], cfg.seed,
-        );
-        let healthy = rep.conserved();
-        let watch = rep
-            .runs
-            .into_iter()
-            .next()
-            .and_then(|r| r.watch)
-            .expect("watch plane enabled");
-        (header, watch, healthy)
-    } else {
-        let mut cfg = soak.chaos();
-        cfg.flight = flight;
-        if let Some(p) = profile {
-            cfg.profiles = vec![p];
-        }
-        let rep = chaos::run(&cfg, engine::global());
-        let header = format!(
-            "=== slo watchtower: chaos-shaped soak ===\n\
-             soak chaos | requests {} | days {} | gpus {} | profile {} | policy {} | seed {:#x}\n",
-            cfg.requests, cfg.days, cfg.gpus, cfg.profiles[0].name, cfg.policies[0], cfg.seed,
-        );
-        let healthy = rep.healthy();
-        let watch = rep
-            .into_cells()
-            .next()
-            .and_then(|c| c.watch)
-            .expect("watch plane enabled");
-        (header, watch, healthy)
-    };
+    let soak = canonical.run(engine::global());
     let elapsed = wall.elapsed();
+    let report = soak.watch.expect("watch plane enabled");
 
     print!("{header}");
     print!("{}", report.render());
@@ -139,7 +124,7 @@ fn main() {
 
     engine::emit_stats();
 
-    if !healthy {
+    if !soak.healthy {
         eprintln!("slo_watch: underlying soak violated a structural invariant");
         std::process::exit(1);
     }

@@ -23,13 +23,14 @@
 //! `--json <path>` writes the full flight log.
 //!
 //! Exit codes: 0 = healthy, 1 = span-identity violation / unknown
-//! request or incident / unhealthy soak, 2 = usage error.
+//! request or incident / unhealthy soak, 2 = usage error (a bad flag or
+//! `HCC_WATCH_*` / `HCC_FLIGHT_*` override).
 
 use hcc_bench::cli::{self, CanonicalSoak, CliError};
-use hcc_bench::watch::WatchReport;
-use hcc_bench::{chaos, engine, serving};
+use hcc_bench::engine;
+use hcc_bench::watch::{Soak, WatchReport};
 use hcc_trace::metrics::to_prometheus_with_exemplars;
-use hcc_trace::{ChromeExport, FlightLog, Histogram, MetricsSet};
+use hcc_trace::{ChromeExport, Histogram, MetricsSet};
 use hcc_types::json::{Json, ToJson};
 
 const USAGE: &str = "usage: why [--serve] [--request N] [--incident N] [--requests N] [--days N] \
@@ -63,14 +64,14 @@ fn incident_line(watch: &WatchReport, inc: &hcc_bench::watch::Incident) -> Strin
 }
 
 fn main() {
-    let mut soak = CanonicalSoak::default();
     let mut request: Option<u32> = None;
     let mut incident: Option<usize> = None;
     let mut chrome_path: Option<String> = None;
     let mut prom_path: Option<String> = None;
     let mut json_path: Option<String> = None;
 
-    cli::parse_or_exit("why", USAGE, |args| {
+    let canonical = cli::parse_or_exit("why", USAGE, |args| {
+        let mut soak = CanonicalSoak::default();
         while let Some(flag) = args.next() {
             if soak.flag(&flag, args)? {
                 continue;
@@ -84,44 +85,25 @@ fn main() {
                 _ => return Err(CliError::Unknown { arg: flag }),
             }
         }
-        Ok(())
+        Ok(soak.canonical()?.with_flight(Some(cli::flight_from_env()?)))
     });
-    let flight = Some(cli::flight_from_env());
+    let header = match &canonical {
+        Soak::Calm(cfg) => format!(
+            "=== why: request flight forensics ===\n\
+             soak serve | requests {} | gpus {} | scheduler {} | seed {:#x}\n",
+            cfg.requests, cfg.gpus, cfg.schedulers[0], cfg.seed,
+        ),
+        Soak::Stormy(cfg) => format!(
+            "=== why: request flight forensics ===\n\
+             soak chaos | requests {} | days {} | gpus {} | profile {} | policy {} | seed {:#x}\n",
+            cfg.requests, cfg.days, cfg.gpus, cfg.profiles[0].name, cfg.policies[0], cfg.seed,
+        ),
+    };
 
     let wall = std::time::Instant::now();
-    let (header, watch_rep, flight, healthy): (String, Option<WatchReport>, FlightLog, bool) =
-        if soak.serve {
-            let cfg = serving::ServingConfig {
-                flight,
-                ..soak.serving()
-            };
-            let rep = serving::run(&cfg, engine::global());
-            let header = format!(
-                "=== why: request flight forensics ===\n\
-                 soak serve | requests {} | gpus {} | scheduler {} | seed {:#x}\n",
-                cfg.requests, cfg.gpus, cfg.schedulers[0], cfg.seed,
-            );
-            let healthy = rep.conserved();
-            let run = rep.runs.into_iter().next().expect("one scheduler run");
-            let flight = run.flight.expect("flight plane enabled");
-            (header, run.watch, flight, healthy)
-        } else {
-            let cfg = chaos::ChaosConfig {
-                flight,
-                ..soak.chaos()
-            };
-            let rep = chaos::run(&cfg, engine::global());
-            let header = format!(
-                "=== why: request flight forensics ===\n\
-                 soak chaos | requests {} | days {} | gpus {} | profile {} | policy {} | seed {:#x}\n",
-                cfg.requests, cfg.days, cfg.gpus, cfg.profiles[0].name, cfg.policies[0], cfg.seed,
-            );
-            let healthy = rep.healthy();
-            let cell = rep.into_cells().next().expect("one policy cell");
-            let flight = cell.flight.expect("flight plane enabled");
-            (header, cell.watch, flight, healthy)
-        };
+    let soak = canonical.run(engine::global());
     let elapsed = wall.elapsed();
+    let (watch_rep, flight) = (soak.watch, soak.flight.expect("flight plane enabled"));
 
     print!("{header}");
     println!(
@@ -135,12 +117,7 @@ fn main() {
     let mut lookup_failed = false;
     if let Some(req) = request {
         match flight.find(req) {
-            Some(sample) => {
-                let baseline = flight
-                    .p50_exemplar(sample.window)
-                    .filter(|b| b.skeleton.req != req);
-                print!("{}", flight.render_waterfall(sample, baseline));
-            }
+            Some(sample) => print!("{}", flight.render_against_p50(sample)),
             None => {
                 println!(
                     "request #{req} was not kept by the sampler \
@@ -158,12 +135,7 @@ fn main() {
                 let watch = watch_rep.as_ref().expect("incident came from the report");
                 println!("{}", incident_line(watch, inc));
                 match inc.exemplars.first().and_then(|r| flight.find(*r)) {
-                    Some(worst) => {
-                        let baseline = flight
-                            .p50_exemplar(worst.window)
-                            .filter(|b| b.skeleton.req != worst.skeleton.req);
-                        print!("{}", flight.render_waterfall(worst, baseline));
-                    }
+                    Some(worst) => print!("{}", flight.render_against_p50(worst)),
                     None => println!("  (no exemplar settled inside the incident span)"),
                 }
             }
@@ -231,13 +203,8 @@ fn main() {
         // for it but cold for the flight-on run — any bias overstates
         // the recorder's overhead, never hides it.
         let off_wall = std::time::Instant::now();
-        if soak.serve {
-            let rep = serving::run(&soak.serving(), engine::global());
-            assert!(rep.conserved());
-        } else {
-            let rep = chaos::run(&soak.chaos(), engine::global());
-            assert!(rep.healthy());
-        }
+        let off = canonical.with_flight(None).run(engine::global());
+        assert!(off.healthy);
         let off_elapsed = off_wall.elapsed();
         let stats = engine::global().stats();
         let doc = Json::Obj(vec![
@@ -271,7 +238,7 @@ fn main() {
 
     engine::emit_stats();
 
-    if !healthy {
+    if !soak.healthy {
         eprintln!("why: underlying soak violated a structural invariant");
         std::process::exit(1);
     }

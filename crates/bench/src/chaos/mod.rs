@@ -40,11 +40,10 @@ use hcc_types::{
 };
 use hcc_workloads::{default_tenants, Scenario, TenantSpec};
 
+use crate::cli::{env_u64, CliError};
 use crate::engine::ExperimentEngine;
-use crate::serving::report as serving_report;
 use crate::serving::{
-    arrival, cluster, distinct_apps, env_u64, observe, ArrivalKind, Request, SchedulerKind,
-    ShapeTable,
+    arrival, cluster, distinct_apps, observe, ArrivalKind, Request, SchedulerKind, ShapeTable,
 };
 
 pub use report::{
@@ -161,19 +160,19 @@ impl Default for ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// Applies [`SEED_ENV`], [`DAYS_ENV`], and [`REQUESTS_ENV`] overrides.
-    #[must_use]
-    pub fn from_env(mut self) -> Self {
-        if let Some(seed) = env_u64(SEED_ENV) {
+    /// Applies [`SEED_ENV`], [`DAYS_ENV`], and [`REQUESTS_ENV`]
+    /// overrides; a value that is not an integer is refused.
+    pub fn from_env(mut self) -> Result<Self, CliError> {
+        if let Some(seed) = env_u64(SEED_ENV)? {
             self.seed = seed;
         }
-        if let Some(days) = env_u64(DAYS_ENV) {
+        if let Some(days) = env_u64(DAYS_ENV)? {
             self.days = days.clamp(1, 3650);
         }
-        if let Some(n) = env_u64(REQUESTS_ENV) {
+        if let Some(n) = env_u64(REQUESTS_ENV)? {
             self.requests = n.max(1);
         }
-        self
+        Ok(self)
     }
 
     /// The storm-calendar horizon: `days` × [`DAY`].
@@ -470,15 +469,13 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
             }
 
             // The cluster run: identical trace, identical calendar —
-            // only the recovery policy differs between cells.
-            let raw = cluster::simulate(&requests, table, &cluster);
-
-            // Incidents correlate against this profile's calendar; blame
-            // and exemplars resolve against the cell's shape table.
-            let (watch, flight) = observe::cluster_run(
+            // only the recovery policy differs between cells. Incidents
+            // correlate against this profile's calendar; blame and
+            // exemplars resolve against the cell's shape table.
+            let (mode, watch, flight) = observe::cell(
                 &requests,
-                &raw,
                 table,
+                &cluster,
                 cfg.watch.as_ref(),
                 cfg.flight,
                 &soak,
@@ -495,9 +492,6 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
             if let Err(e) = audit.check() {
                 violations.push(format!("cell aggregate: {e}"));
             }
-            let sessions_established = raw.sessions_established;
-            let sessions_closed = raw.sessions_closed;
-            let mode = serving_report::mode_run(&cluster, &requests, table, raw);
 
             let ttr = time_to_recover(mode.metrics.gauge_series("serving.queue_depth"), &peak_ends);
 
@@ -529,8 +523,6 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
                 shapes: table.shapes().len(),
                 aborted_shapes,
                 max_shape_events,
-                sessions_established,
-                sessions_closed,
                 ttr,
                 verdicts,
                 violations,
@@ -633,11 +625,6 @@ mod tests {
         let engine = ExperimentEngine::new(2);
         let rep = run(&small(), &engine);
         assert!(rep.healthy(), "{:?}", rep.first_violation());
-        assert!(rep.latency_identity());
-        assert!(rep.conserved());
-        assert!(rep.fault_conserved());
-        assert!(rep.sessions_ok());
-        assert!(rep.gauges_drained());
         assert_eq!(rep.profiles.len(), 1);
         assert_eq!(rep.profiles[0].cells.len(), 3);
         assert_eq!(rep.total_requests(), 3 * 400);
@@ -646,13 +633,6 @@ mod tests {
         let retry = &rep.profiles[0].cells[0];
         let abort = &rep.profiles[0].cells[2];
         assert!(abort.ledger.rejected >= retry.ledger.rejected);
-    }
-
-    #[test]
-    fn reports_are_deterministic_and_thread_invariant() {
-        let a = run(&small(), &ExperimentEngine::new(1));
-        let b = run(&small(), &ExperimentEngine::new(4));
-        assert_eq!(a.render(), b.render());
     }
 
     #[test]

@@ -148,10 +148,6 @@ pub struct PolicyCell {
     pub aborted_shapes: usize,
     /// Largest single-shape trace-event count (arena-growth bound input).
     pub max_shape_events: usize,
-    /// Sessions attested across every device pool.
-    pub sessions_established: u64,
-    /// Sessions torn down by the end-of-run drain.
-    pub sessions_closed: u64,
     /// Post-peak queue-drain measurements.
     pub ttr: TimeToRecover,
     /// Per-tenant SLO verdicts, in population order.
@@ -180,22 +176,6 @@ impl PolicyCell {
         self.verdicts.len() as u64 - self.passes()
     }
 
-    /// Exact per-tenant latency identity: `latency == wait + service`,
-    /// summed over completed requests, to the nanosecond.
-    #[must_use]
-    pub fn latency_identity(&self) -> bool {
-        self.mode
-            .tenants
-            .iter()
-            .all(|t| t.latency_total == t.wait_total + t.service_total)
-    }
-
-    /// Request conservation: admitted == completed + rejected.
-    #[must_use]
-    pub fn conserved(&self, admitted: u64) -> bool {
-        self.mode.completed() + self.mode.rejected() == admitted
-    }
-
     /// Fault-ledger conservation: the clean/recovered/degraded/rejected
     /// partition covers every admitted request exactly once, and the
     /// ledger's rejection count matches the cluster's.
@@ -204,40 +184,10 @@ impl PolicyCell {
         self.ledger.total() == admitted && self.ledger.rejected == self.mode.rejected()
     }
 
-    /// Session ledger: every attested session closed exactly once, and
-    /// each cold-start admission attested exactly one session.
-    #[must_use]
-    pub fn sessions_ok(&self) -> bool {
-        self.sessions_established == self.sessions_closed
-            && self.sessions_established == self.mode.cold_starts
-    }
-
-    /// Every queue/occupancy gauge drained back to zero.
-    #[must_use]
-    pub fn gauges_drained(&self) -> bool {
-        let queue_ok = self
-            .mode
-            .metrics
-            .gauge_series("serving.queue_depth")
-            .is_none_or(|s| s.final_value() == 0);
-        let gpus_ok = (0..self.mode.gpus).all(|g| {
-            self.mode
-                .metrics
-                .gauge_series(&format!("serving.gpu{g}.depth"))
-                .is_none_or(|s| s.final_value() == 0)
-        });
-        queue_ok && gpus_ok
-    }
-
     /// No leak-audit violations and all structural identities hold.
     #[must_use]
     pub fn healthy(&self, admitted: u64) -> bool {
-        self.violations.is_empty()
-            && self.latency_identity()
-            && self.conserved(admitted)
-            && self.fault_conserved(admitted)
-            && self.sessions_ok()
-            && self.gauges_drained()
+        self.violations.is_empty() && self.mode.healthy(admitted) && self.fault_conserved(admitted)
     }
 }
 
@@ -294,11 +244,6 @@ impl ChaosReport {
         self.profiles.iter().flat_map(|p| p.cells.iter())
     }
 
-    /// Every cell across every profile, by value.
-    pub fn into_cells(self) -> impl Iterator<Item = PolicyCell> {
-        self.profiles.into_iter().flat_map(|p| p.cells)
-    }
-
     /// Requests pushed through the whole run (trace length × cells).
     #[must_use]
     pub fn total_requests(&self) -> u64 {
@@ -311,17 +256,11 @@ impl ChaosReport {
         self.cells().all(|c| c.violations.is_empty())
     }
 
-    /// `latency == wait + service` exactly, for every tenant in every
-    /// cell.
+    /// `check`, one of the run-level checks of [`ModeRun`], holds for
+    /// every cell's run.
     #[must_use]
-    pub fn latency_identity(&self) -> bool {
-        self.cells().all(PolicyCell::latency_identity)
-    }
-
-    /// Request conservation in every cell.
-    #[must_use]
-    pub fn conserved(&self) -> bool {
-        self.cells().all(|c| c.conserved(self.requests_per_cell))
+    pub fn every_run(&self, check: impl Fn(&ModeRun) -> bool) -> bool {
+        self.cells().all(|c| check(&c.mode))
     }
 
     /// Fault-ledger conservation in every cell.
@@ -329,18 +268,6 @@ impl ChaosReport {
     pub fn fault_conserved(&self) -> bool {
         self.cells()
             .all(|c| c.fault_conserved(self.requests_per_cell))
-    }
-
-    /// Session ledger balanced in every cell.
-    #[must_use]
-    pub fn sessions_ok(&self) -> bool {
-        self.cells().all(PolicyCell::sessions_ok)
-    }
-
-    /// Every gauge in every cell drained to zero.
-    #[must_use]
-    pub fn gauges_drained(&self) -> bool {
-        self.cells().all(PolicyCell::gauges_drained)
     }
 
     /// `(pass, fail)` verdict totals across every cell.
@@ -438,8 +365,8 @@ impl ChaosReport {
                     cell.mode.end.saturating_since(SimTime::ZERO),
                     cell.mode.batches,
                     cell.mode.cold_starts,
-                    cell.sessions_established,
-                    cell.sessions_closed,
+                    cell.mode.sessions_established,
+                    cell.mode.sessions_closed,
                 );
                 let _ = writeln!(
                     out,
@@ -502,12 +429,12 @@ impl ChaosReport {
         let _ = writeln!(
             out,
             "\nlatency identity: latency == wait + service (all tenants, all cells): {}",
-            self.latency_identity()
+            self.every_run(ModeRun::latency_identity)
         );
         let _ = writeln!(
             out,
             "conservation: admitted == completed + rejected (all cells): {}",
-            self.conserved()
+            self.every_run(|m| m.conserved(self.requests_per_cell))
         );
         let _ = writeln!(
             out,
@@ -517,12 +444,12 @@ impl ChaosReport {
         let _ = writeln!(
             out,
             "sessions: established == closed == cold-starts (all cells): {}",
-            self.sessions_ok()
+            self.every_run(ModeRun::sessions_ok)
         );
         let _ = writeln!(
             out,
             "gauges: queue and device depth drained to zero (all cells): {}",
-            self.gauges_drained()
+            self.every_run(ModeRun::gauges_drained)
         );
         let _ = writeln!(
             out,
@@ -687,13 +614,19 @@ impl ToJson for ChaosReport {
             ("replicas".to_string(), Json::U64(u64::from(self.replicas))),
             (
                 "latency_identity".to_string(),
-                Json::Bool(self.latency_identity()),
+                Json::Bool(self.every_run(ModeRun::latency_identity)),
             ),
-            ("conserved".to_string(), Json::Bool(self.conserved())),
-            ("sessions_ok".to_string(), Json::Bool(self.sessions_ok())),
+            (
+                "conserved".to_string(),
+                Json::Bool(self.every_run(|m| m.conserved(self.requests_per_cell))),
+            ),
+            (
+                "sessions_ok".to_string(),
+                Json::Bool(self.every_run(ModeRun::sessions_ok)),
+            ),
             (
                 "gauges_drained".to_string(),
-                Json::Bool(self.gauges_drained()),
+                Json::Bool(self.every_run(ModeRun::gauges_drained)),
             ),
             ("leak_free".to_string(), Json::Bool(self.leak_free())),
             ("healthy".to_string(), Json::Bool(self.healthy())),

@@ -13,8 +13,8 @@ use hcc_trace::FlightConfig;
 use hcc_types::{SimDuration, StormProfile};
 
 use crate::chaos::ChaosConfig;
-use crate::serving::{env_u64, ArrivalKind, ServingConfig};
-use crate::watch::{self, WatchConfig};
+use crate::serving::{ArrivalKind, ServingConfig};
+use crate::watch::{self, Canonical, Soak, WatchConfig};
 
 /// Why an argument was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,24 +76,42 @@ pub fn parse_int(raw: &str) -> Option<u64> {
     }
 }
 
+/// `raw` as a decimal or `0x`-hex integer, or an
+/// [`CliError::NotAnInteger`] naming `flag`.
+fn int(flag: &str, raw: &str) -> Result<u64, CliError> {
+    parse_int(raw).ok_or_else(|| CliError::NotAnInteger {
+        flag: flag.to_string(),
+        raw: raw.trim().to_string(),
+    })
+}
+
+/// The integer the environment variable `var` holds: `None` when it is
+/// unset, an error naming `var` when it holds anything but a decimal or
+/// `0x`-hex integer.
+pub fn env_u64(var: &str) -> Result<Option<u64>, CliError> {
+    std::env::var_os(var)
+        .map(|raw| int(var, &raw.to_string_lossy()))
+        .transpose()
+}
+
 /// The default flight recorder with the `HCC_FLIGHT_WINDOW_MS` (at
 /// least 1), `HCC_FLIGHT_WORST` and `HCC_FLIGHT_RESERVOIR` (at most 1024
 /// each) and `HCC_FLIGHT_SEED` overrides applied.
-pub fn flight_from_env() -> FlightConfig {
+pub fn flight_from_env() -> Result<FlightConfig, CliError> {
     let mut cfg = FlightConfig::default();
-    if let Some(ms) = env_u64("HCC_FLIGHT_WINDOW_MS") {
+    if let Some(ms) = env_u64("HCC_FLIGHT_WINDOW_MS")? {
         cfg.window = SimDuration::millis(ms.max(1));
     }
-    if let Some(k) = env_u64("HCC_FLIGHT_WORST") {
+    if let Some(k) = env_u64("HCC_FLIGHT_WORST")? {
         cfg.worst = k.min(1024) as usize;
     }
-    if let Some(r) = env_u64("HCC_FLIGHT_RESERVOIR") {
+    if let Some(r) = env_u64("HCC_FLIGHT_RESERVOIR")? {
         cfg.reservoir = r.min(1024) as usize;
     }
-    if let Some(s) = env_u64("HCC_FLIGHT_SEED") {
+    if let Some(s) = env_u64("HCC_FLIGHT_SEED")? {
         cfg.seed = s;
     }
-    cfg
+    Ok(cfg)
 }
 
 /// `raw` looked up by `parse`, or an [`CliError::UnknownName`].
@@ -152,11 +170,7 @@ impl Args {
 
     /// `flag`'s value as a decimal or `0x`-hex integer.
     pub fn u64(&mut self, flag: &str) -> Result<u64, CliError> {
-        let raw = self.value(flag)?;
-        parse_int(&raw).ok_or_else(|| CliError::NotAnInteger {
-            flag: flag.to_string(),
-            raw: raw.trim().to_string(),
-        })
+        int(flag, &self.value(flag)?)
     }
 
     /// `flag`'s value as an integer that fits in a `u32`.
@@ -234,9 +248,7 @@ pub fn parse_or_exit<T>(
 /// The canonical watch soak the forensics bins (`slo_watch`, `why`)
 /// replay: the stormy chaos soak ([`watch::stormy_soak`]) or, with
 /// `--serve`, the calm serving soak ([`watch::calm_soak`]), resized by
-/// `--requests`, `--days` (chaos only), `--gpus` and `--seed`. The
-/// watchtower is on, tuned by the `HCC_WATCH_*` overrides; the flight
-/// recorder is off.
+/// `--requests`, `--days` (chaos only), `--gpus` and `--seed`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CanonicalSoak {
     /// `--serve`: replay the calm serving soak.
@@ -262,29 +274,29 @@ impl CanonicalSoak {
         Ok(true)
     }
 
-    /// The calm serving soak with these overrides.
-    pub fn serving(&self) -> ServingConfig {
-        let cfg = watch::calm_soak();
-        ServingConfig {
-            watch: Some(WatchConfig::default().from_env()),
-            requests: self.requests.unwrap_or(cfg.requests),
-            gpus: self.gpus.unwrap_or(cfg.gpus),
-            seed: self.seed.unwrap_or(cfg.seed),
-            ..cfg
-        }
-    }
-
-    /// The stormy chaos soak with these overrides.
-    pub fn chaos(&self) -> ChaosConfig {
-        let cfg = watch::stormy_soak();
-        ChaosConfig {
-            watch: Some(WatchConfig::default().from_env()),
-            requests: self.requests.unwrap_or(cfg.requests),
-            days: self.days.unwrap_or(cfg.days),
-            gpus: self.gpus.unwrap_or(cfg.gpus),
-            seed: self.seed.unwrap_or(cfg.seed),
-            ..cfg
-        }
+    /// The selected soak with these overrides, the watchtower on (tuned
+    /// by the `HCC_WATCH_*` overrides) and the flight recorder off.
+    pub fn canonical(&self) -> Result<Canonical, CliError> {
+        let watch = Some(WatchConfig::default().from_env()?);
+        let (serving, chaos) = (watch::calm_soak(), watch::stormy_soak());
+        Ok(if self.serve {
+            Soak::Calm(ServingConfig {
+                watch,
+                requests: self.requests.unwrap_or(serving.requests),
+                gpus: self.gpus.unwrap_or(serving.gpus),
+                seed: self.seed.unwrap_or(serving.seed),
+                ..serving
+            })
+        } else {
+            Soak::Stormy(ChaosConfig {
+                watch,
+                requests: self.requests.unwrap_or(chaos.requests),
+                days: self.days.unwrap_or(chaos.days),
+                gpus: self.gpus.unwrap_or(chaos.gpus),
+                seed: self.seed.unwrap_or(chaos.seed),
+                ..chaos
+            })
+        })
     }
 }
 
@@ -383,13 +395,18 @@ mod tests {
         while let Some(flag) = args.next() {
             assert_eq!(soak.flag(&flag, &mut args), Ok(flag != "--x"));
         }
-        let chaos = soak.chaos();
+        let Ok(Soak::Stormy(chaos)) = soak.canonical() else {
+            panic!("the stormy soak is the default");
+        };
         assert_eq!(
             (chaos.requests, chaos.days, chaos.gpus, chaos.seed),
             (1, 3650, 3, 7)
         );
-        assert!(chaos.watch.is_some() && !soak.serve);
-        let serving = soak.serving();
+        assert!(chaos.watch.is_some() && chaos.flight.is_none());
+        soak.serve = true;
+        let Ok(Soak::Calm(serving)) = soak.canonical() else {
+            panic!("--serve selects the calm soak");
+        };
         assert_eq!((serving.requests, serving.gpus, serving.seed), (1, 3, 7));
     }
 }

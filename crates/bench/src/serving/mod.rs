@@ -36,6 +36,7 @@ use hcc_types::calib::TdxCalib;
 use hcc_types::{CcMode, FaultPlan, RecoveryPolicy, SimTime};
 use hcc_workloads::{default_tenants, Scenario, TenantSpec};
 
+use crate::cli::{env_u64, CliError};
 use crate::engine::ExperimentEngine;
 
 pub use arrival::{ArrivalKind, ArrivalProcess, Request};
@@ -122,15 +123,16 @@ impl Default for ServingConfig {
 }
 
 impl ServingConfig {
-    /// Applies [`SEED_ENV`] and [`REQUESTS_ENV`] overrides.
-    pub fn from_env(mut self) -> Self {
-        if let Some(seed) = env_u64(SEED_ENV) {
+    /// Applies [`SEED_ENV`] and [`REQUESTS_ENV`] overrides; a value
+    /// that is not an integer is refused.
+    pub fn from_env(mut self) -> Result<Self, CliError> {
+        if let Some(seed) = env_u64(SEED_ENV)? {
             self.seed = seed;
         }
-        if let Some(n) = env_u64(REQUESTS_ENV) {
+        if let Some(n) = env_u64(REQUESTS_ENV)? {
             self.requests = n.max(1);
         }
-        self
+        Ok(self)
     }
 
     /// The `SimConfig` every shape scenario runs under in `cc` mode.
@@ -144,11 +146,6 @@ impl ServingConfig {
         }
         cfg
     }
-}
-
-/// The integer (decimal or `0x`-hex) environment variable `var` holds.
-pub(crate) fn env_u64(var: &str) -> Option<u64> {
-    crate::cli::parse_int(&std::env::var(var).ok()?)
 }
 
 /// Generates the serving trace and resolves its shape tables, one per
@@ -229,40 +226,40 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
         horizon: SimTime::ZERO,
         storm: None,
     };
-    let on_table = &tables[1];
 
+    // The cells: every scheduler CC-off then CC-on, in report order,
+    // each through the one cell step. The observation planes view only
+    // the CC-on runs.
+    let mut cells = cfg.schedulers.iter().flat_map(|&kind| {
+        CcMode::ALL.map(|cc| {
+            let cluster = cluster::ClusterConfig {
+                tenants: &cfg.tenants,
+                cc,
+                gpus: cfg.gpus,
+                kind,
+                max_batch: cfg.max_batch,
+                tdx: &cfg.tdx,
+            };
+            let on = cc.is_on();
+            observe::cell(
+                &requests,
+                &tables[usize::from(on)],
+                &cluster,
+                cfg.watch.as_ref().filter(|_| on),
+                cfg.flight.filter(|_| on),
+                &soak,
+            )
+        })
+    });
     let runs = cfg
         .schedulers
         .iter()
-        .map(|&kind| {
-            let (mut watch, mut flight) = (None, None);
-            let modes = CcMode::ALL.map(|cc| {
-                let cluster = cluster::ClusterConfig {
-                    tenants: &cfg.tenants,
-                    cc,
-                    gpus: cfg.gpus,
-                    kind,
-                    max_batch: cfg.max_batch,
-                    tdx: &cfg.tdx,
-                };
-                let table = &tables[usize::from(cc.is_on())];
-                let raw = cluster::simulate(&requests, table, &cluster);
-                // The observation planes view only the CC-on run.
-                if cc.is_on() {
-                    (watch, flight) = observe::cluster_run(
-                        &requests,
-                        &raw,
-                        table,
-                        cfg.watch.as_ref(),
-                        cfg.flight,
-                        &soak,
-                    );
-                }
-                report::mode_run(&cluster, &requests, table, raw)
-            });
+        .map(|&scheduler| {
+            let (off, ..) = cells.next().expect("a CC-off cell per scheduler");
+            let (on, watch, flight) = cells.next().expect("a CC-on cell per scheduler");
             SchedulerRun {
-                scheduler: kind,
-                modes,
+                scheduler,
+                modes: [off, on],
                 watch,
                 flight,
             }
@@ -275,7 +272,7 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
         gpus: cfg.gpus,
         arrival: cfg.arrival,
         tenant_names,
-        distinct_shapes: on_table.shapes().len(),
+        distinct_shapes: tables[1].shapes().len(),
         runs,
     }
 }
@@ -296,7 +293,7 @@ mod tests {
     fn end_to_end_run_conserves_and_orders_modes() {
         let engine = ExperimentEngine::new(2);
         let rep = run(&small(), &engine);
-        assert!(rep.conserved());
+        assert!(rep.healthy());
         assert!(rep.slo_holds());
         assert_eq!(rep.runs.len(), 3);
         for r in &rep.runs {
@@ -322,13 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn reports_are_deterministic_and_thread_invariant() {
-        let a = run(&small(), &ExperimentEngine::new(1));
-        let b = run(&small(), &ExperimentEngine::new(2));
-        assert_eq!(a.render(), b.render());
-    }
-
-    #[test]
     fn json_export_round_trips() {
         use hcc_types::json::{Json, ToJson};
         let rep = run(&small(), &ExperimentEngine::new(2));
@@ -344,12 +334,22 @@ mod tests {
 
     #[test]
     fn env_overrides_parse_both_radices() {
-        assert_eq!(env_u64("HCC_NO_SUCH_VAR_EVER"), None);
+        assert_eq!(env_u64("HCC_NO_SUCH_VAR_EVER"), Ok(None));
         std::env::set_var("HCC_SERVE_TEST_DEC", "123");
         std::env::set_var("HCC_SERVE_TEST_HEX", "0xff");
-        assert_eq!(env_u64("HCC_SERVE_TEST_DEC"), Some(123));
-        assert_eq!(env_u64("HCC_SERVE_TEST_HEX"), Some(255));
-        std::env::remove_var("HCC_SERVE_TEST_DEC");
-        std::env::remove_var("HCC_SERVE_TEST_HEX");
+        std::env::set_var("HCC_SERVE_TEST_BAD", "2O00");
+        assert_eq!(env_u64("HCC_SERVE_TEST_DEC"), Ok(Some(123)));
+        assert_eq!(env_u64("HCC_SERVE_TEST_HEX"), Ok(Some(255)));
+        assert_eq!(
+            env_u64("HCC_SERVE_TEST_BAD").unwrap_err().to_string(),
+            "HCC_SERVE_TEST_BAD: cannot parse \"2O00\" as an integer"
+        );
+        for var in [
+            "HCC_SERVE_TEST_DEC",
+            "HCC_SERVE_TEST_HEX",
+            "HCC_SERVE_TEST_BAD",
+        ] {
+            std::env::remove_var(var);
+        }
     }
 }

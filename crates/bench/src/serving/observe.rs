@@ -1,17 +1,19 @@
-//! The observation planes of a finished cluster run.
+//! The one step every soak cell takes.
 //!
-//! [`cluster::simulate`](super::cluster::simulate) records nothing but
-//! its [`ClusterRun`]. The SLO watchtower and the flight recorder are
-//! views of that record, built here after the drain. The serving and
-//! chaos soaks both observe their runs through [`cluster_run`], so a plane
-//! that is off costs nothing and a plane that is on cannot perturb the
-//! run it observes.
+//! [`cell`] drains one cell through
+//! [`cluster::simulate`](super::cluster::simulate), builds the
+//! observation planes that are on from the finished run, and folds the
+//! run into the [`ModeRun`] its report keeps. The serving and chaos
+//! soaks both run every cell through it, so a plane that is off costs
+//! nothing, a plane that is on cannot perturb the run it observes, and
+//! each cell's outcome log is freed before the next cell drains.
 
 use hcc_trace::rollup::CompletionSample;
 use hcc_trace::{FlightConfig, FlightLog, FlightRecorder, FlightSkeleton};
 
 use super::arrival::Request;
-use super::cluster::{ClusterRun, Outcome};
+use super::cluster::{self, ClusterConfig, Outcome};
+use super::report::{self, ModeRun};
 use super::shapes::ShapeTable;
 use crate::watch::{self, SoakContext, WatchConfig, WatchReport};
 
@@ -55,18 +57,20 @@ fn skeleton(i: usize, request: &Request, o: &Outcome) -> FlightSkeleton {
     }
 }
 
-/// Builds the planes `watch` and `flight` ask for from one finished
-/// run: the watch report (blamed through `table`'s critical paths) and
-/// the resolved flight log, with the report's incidents already linked
-/// to the log's exemplars.
-pub fn cluster_run(
+/// Drains `requests` over `table` on `cluster` and returns the run's
+/// [`ModeRun`] with the planes `watch` and `flight` ask for: the watch
+/// report (blamed through `table`'s critical paths) and the resolved
+/// flight log, with the report's incidents already linked to the log's
+/// exemplars.
+pub fn cell(
     requests: &[Request],
-    run: &ClusterRun,
     table: &ShapeTable,
+    cluster: &ClusterConfig<'_>,
     watch: Option<&WatchConfig>,
     flight: Option<FlightConfig>,
     soak: &SoakContext<'_>,
-) -> (Option<WatchReport>, Option<FlightLog>) {
+) -> (ModeRun, Option<WatchReport>, Option<FlightLog>) {
+    let run = cluster::simulate(requests, table, cluster);
     let mut watch = watch.map(|wcfg| {
         let samples = completion_samples(requests, run.outcomes.iter().enumerate());
         watch::observe(
@@ -92,7 +96,8 @@ pub fn cluster_run(
     if let (Some(w), Some(f)) = (watch.as_mut(), flight.as_ref()) {
         w.link_exemplars(f);
     }
-    (watch, flight)
+    let mode = report::mode_run(cluster, requests, table, run);
+    (mode, watch, flight)
 }
 
 #[cfg(test)]

@@ -59,6 +59,10 @@ pub struct ModeRun {
     pub batches: u64,
     /// Cold-start (SPDM) admissions.
     pub cold_starts: u64,
+    /// Sessions attested across every device pool.
+    pub sessions_established: u64,
+    /// Sessions torn down by the end-of-run drain.
+    pub sessions_closed: u64,
     /// TD transition counters summed over every device/tenant context.
     pub td: TdCounters,
     /// Queue-depth and per-GPU occupancy gauges plus run counters.
@@ -92,6 +96,45 @@ impl ModeRun {
     /// Rejected requests across all tenants.
     pub fn rejected(&self) -> u64 {
         self.tenants.iter().map(|t| t.rejected).sum()
+    }
+
+    /// Exact per-tenant latency identity: `latency == wait + service`,
+    /// summed over completed requests, to the nanosecond.
+    pub fn latency_identity(&self) -> bool {
+        self.tenants
+            .iter()
+            .all(|t| t.latency_total == t.wait_total + t.service_total)
+    }
+
+    /// Request conservation: admitted == completed + rejected.
+    pub fn conserved(&self, admitted: u64) -> bool {
+        self.completed() + self.rejected() == admitted
+    }
+
+    /// Session ledger: every attested session closed exactly once, and
+    /// each cold-start admission attested exactly one session.
+    pub fn sessions_ok(&self) -> bool {
+        self.sessions_established == self.sessions_closed
+            && self.sessions_established == self.cold_starts
+    }
+
+    /// Every queue/occupancy gauge drained back to zero.
+    pub fn gauges_drained(&self) -> bool {
+        let drained = |name: &str| {
+            self.metrics
+                .gauge_series(name)
+                .is_none_or(|s| s.final_value() == 0)
+        };
+        drained("serving.queue_depth")
+            && (0..self.gpus).all(|g| drained(&format!("serving.gpu{g}.depth")))
+    }
+
+    /// All four run-level checks hold for `admitted` requests.
+    pub fn healthy(&self, admitted: u64) -> bool {
+        self.latency_identity()
+            && self.conserved(admitted)
+            && self.sessions_ok()
+            && self.gauges_drained()
     }
 }
 
@@ -144,7 +187,7 @@ pub struct ServingReport {
 
 /// Builds one tenant-resolved [`ModeRun`] from a raw cluster run of
 /// `requests` over `shapes` on `cluster`.
-pub fn mode_run(
+pub(super) fn mode_run(
     cluster: &ClusterConfig<'_>,
     requests: &[Request],
     shapes: &ShapeTable,
@@ -214,20 +257,29 @@ pub fn mode_run(
         gpus: cluster.gpus,
         batches: run.batches,
         cold_starts: run.cold_starts,
+        sessions_established: run.sessions_established,
+        sessions_closed: run.sessions_closed,
         td: run.td,
         metrics: run.metrics,
     }
 }
 
 impl ServingReport {
+    /// `check`, one of the run-level checks of [`ModeRun`], holds for
+    /// every run of every scheduler.
+    pub fn every_run(&self, check: impl Fn(&ModeRun) -> bool) -> bool {
+        self.runs.iter().flat_map(|r| &r.modes).all(check)
+    }
+
     /// Conservation invariant: in every run, every admitted request
     /// either completed or was rejected — exactly once, none lost.
     pub fn conserved(&self) -> bool {
-        self.runs.iter().all(|r| {
-            r.modes
-                .iter()
-                .all(|m| m.completed() + m.rejected() == self.requests)
-        })
+        self.every_run(|m| m.conserved(self.requests))
+    }
+
+    /// Every run passes every run-level check ([`ModeRun::healthy`]).
+    pub fn healthy(&self) -> bool {
+        self.every_run(|m| m.healthy(self.requests))
     }
 
     /// SLO ordering: CC-on p99 latency strictly above CC-off p99 for

@@ -23,12 +23,14 @@
 pub mod report;
 
 use hcc_trace::critpath::ResourceClass;
-use hcc_trace::rollup;
-use hcc_trace::Series;
+use hcc_trace::{rollup, FlightConfig, FlightLog, Series};
 use hcc_types::slo::burn_rate_milli;
 use hcc_types::{BurnPair, LatencyBudget, SimDuration, SimTime, StormIntensity, StormSchedule};
 
-use crate::serving::{env_u64, ShapeTable};
+use crate::chaos::{self, ChaosConfig, ChaosReport};
+use crate::cli::{env_u64, CliError};
+use crate::engine::ExperimentEngine;
+use crate::serving::{self, ServingConfig, ServingReport, ShapeTable};
 
 pub use report::{Incident, IncidentBlame, IncidentStorm, TenantBurn, WatchReport, WindowRow};
 
@@ -77,22 +79,22 @@ impl Default for WatchConfig {
 }
 
 impl WatchConfig {
-    /// Applies the `HCC_WATCH_*` environment overrides.
-    #[must_use]
-    pub fn from_env(mut self) -> Self {
-        if let Some(ms) = env_u64(FAST_MS_ENV) {
+    /// Applies the `HCC_WATCH_*` environment overrides; a value that is
+    /// not an integer is refused.
+    pub fn from_env(mut self) -> Result<Self, CliError> {
+        if let Some(ms) = env_u64(FAST_MS_ENV)? {
             self.fast = SimDuration::millis(ms.max(1));
         }
-        if let Some(f) = env_u64(SLOW_FACTOR_ENV) {
+        if let Some(f) = env_u64(SLOW_FACTOR_ENV)? {
             self.slow_factor = f.clamp(1, 1_000) as u32;
         }
-        if let Some(m) = env_u64(BURN_ENV) {
+        if let Some(m) = env_u64(BURN_ENV)? {
             self.threshold_milli = m.max(1);
         }
-        if let Some(m) = env_u64(ANOMALY_ENV) {
+        if let Some(m) = env_u64(ANOMALY_ENV)? {
             self.anomaly_milli = m.max(1);
         }
-        self
+        Ok(self)
     }
 
     /// The fast/slow pair this config alerts on.
@@ -112,8 +114,8 @@ impl WatchConfig {
 /// alert threshold — the `slo_watch` bin's default and the golden
 /// fixture's incident polarity.
 #[must_use]
-pub fn stormy_soak() -> crate::chaos::ChaosConfig {
-    crate::chaos::ChaosConfig {
+pub fn stormy_soak() -> ChaosConfig {
+    ChaosConfig {
         requests: 4_000,
         days: 4,
         gpus: 2,
@@ -121,7 +123,7 @@ pub fn stormy_soak() -> crate::chaos::ChaosConfig {
         profiles: vec![hcc_types::StormProfile::crypto_burst()],
         policies: vec![hcc_types::RecoveryPolicy::Abort],
         watch: Some(WatchConfig::default()),
-        ..crate::chaos::ChaosConfig::default()
+        ..ChaosConfig::default()
     }
 }
 
@@ -129,14 +131,83 @@ pub fn stormy_soak() -> crate::chaos::ChaosConfig {
 /// with no storm calendar, whose timeline stays empty — the golden
 /// fixture's quiet polarity (`slo_watch --serve`).
 #[must_use]
-pub fn calm_soak() -> crate::serving::ServingConfig {
-    crate::serving::ServingConfig {
+pub fn calm_soak() -> ServingConfig {
+    ServingConfig {
         requests: 3_000,
         gpus: 4,
         target_util: 0.15,
-        schedulers: vec![crate::serving::SchedulerKind::Fifo],
+        schedulers: vec![serving::SchedulerKind::Fifo],
         watch: Some(WatchConfig::default()),
-        ..crate::serving::ServingConfig::default()
+        ..ServingConfig::default()
+    }
+}
+
+/// One of the two canonical soaks, each with a single observed cell:
+/// the calm serving soak ([`calm_soak`]; its first scheduler's CC-on
+/// run) or the stormy chaos soak ([`stormy_soak`]; its first profile
+/// and policy). [`Canonical`] configures one, [`CanonicalReport`] is its
+/// report.
+#[derive(Debug, Clone)]
+pub enum Soak<Calm, Stormy> {
+    /// The calm serving soak.
+    Calm(Calm),
+    /// The stormy chaos soak.
+    Stormy(Stormy),
+}
+
+/// A canonical soak, resized and with its planes set as the caller
+/// likes.
+pub type Canonical = Soak<ServingConfig, ChaosConfig>;
+
+/// A canonical soak's report, its observed cell's planes moved out.
+pub type CanonicalReport = Soak<ServingReport, ChaosReport>;
+
+/// What [`Canonical::run`] hands back: the soak's report with the
+/// observed cell's planes moved out, whether the soak passed its
+/// structural checks ([`ServingReport::healthy`] or
+/// [`ChaosReport::healthy`]), and the planes (each `None` when off).
+#[derive(Debug)]
+pub struct Observed {
+    pub report: CanonicalReport,
+    pub healthy: bool,
+    pub watch: Option<WatchReport>,
+    pub flight: Option<FlightLog>,
+}
+
+impl Canonical {
+    /// The same soak with the flight recorder set to `flight`.
+    #[must_use]
+    pub fn with_flight(mut self, flight: Option<FlightConfig>) -> Self {
+        match &mut self {
+            Soak::Calm(cfg) => cfg.flight = flight,
+            Soak::Stormy(cfg) => cfg.flight = flight,
+        }
+        self
+    }
+
+    /// Runs the soak on `engine` and moves its observed cell's planes
+    /// out of the report.
+    pub fn run(&self, engine: &ExperimentEngine) -> Observed {
+        let (healthy, report, (watch, flight)) = match self {
+            Soak::Calm(cfg) => {
+                let mut rep = serving::run(cfg, engine);
+                let run = &mut rep.runs[0];
+                let planes = (run.watch.take(), run.flight.take());
+                (rep.healthy(), Soak::Calm(rep), planes)
+            }
+            Soak::Stormy(cfg) => {
+                let mut rep = chaos::run(cfg, engine);
+                let cell = &mut rep.profiles[0].cells[0];
+                let planes = (cell.watch.take(), cell.flight.take());
+                (rep.healthy(), Soak::Stormy(rep), planes)
+            }
+        };
+        Observed {
+            report,
+            healthy,
+            watch,
+            flight,
+        }
     }
 }
 

@@ -482,6 +482,15 @@ impl FlightLog {
         pick(true).or_else(|| pick(false))
     }
 
+    /// `sample`'s span waterfall against its window's p50 exemplar
+    /// (alone when it is that exemplar) — the page `why` prints.
+    pub fn render_against_p50(&self, sample: &FlightSample) -> String {
+        let baseline = self
+            .p50_exemplar(sample.window)
+            .filter(|b| b.skeleton.req != sample.skeleton.req);
+        self.render_waterfall(sample, baseline)
+    }
+
     /// Every kept exemplar as a `(request id, latency, settle)` triple
     /// in request-id order — the feed for the OpenMetrics exemplar
     /// export ([`crate::metrics::to_prometheus_with_exemplars`]).

@@ -362,4 +362,80 @@ mod proptests {
             ensure_eq!(fwd.series("q"), rev.series("q"));
         });
     }
+
+    /// Rollup oracle: every window `tumbling`/`sliding` generate, its
+    /// `window_range` slice and its `WindowStats` agree with a brute-force
+    /// recount — list the windows from their definition, filter all
+    /// samples by `[start, end)`, sort the completed latencies and take
+    /// the nearest rank with integer per-mille arithmetic. Small integer
+    /// instants put many samples exactly on window edges; empty windows,
+    /// rejections, horizons that are not a multiple of the width and
+    /// strides below (and above) the width all turn up.
+    #[test]
+    fn rollup_matches_brute_force_recount() {
+        use hcc_check::strategy::bools;
+        use rollup::{sliding, tumbling, window_range, window_stats};
+
+        forall!(
+            Config::new(0x7ACE_000C),
+            (raw, horizon, width, stride) in (
+                vecs((u64s(0..90), u64s(0..1_000), bools()), 0..80),
+                u64s(1..80),
+                u64s(1..20),
+                u64s(1..20),
+            ) =>
+        {
+            let mut samples: Vec<CompletionSample> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(at, latency, rejected))| CompletionSample {
+                    req: i as u32,
+                    tenant: 0,
+                    at: SimTime::from_nanos(at),
+                    latency: SimDuration::from_nanos(latency),
+                    rejected,
+                })
+                .collect();
+            samples.sort_by_key(|s| (s.at, s.req));
+            let ns = SimDuration::from_nanos;
+            let end = SimTime::from_nanos(horizon);
+            for (stride, windows) in [
+                (width, tumbling(end, ns(width))),
+                (stride, sliding(end, ns(width), ns(stride))),
+            ] {
+                let starts: Vec<u64> = (0..horizon).step_by(stride as usize).collect();
+                ensure_eq!(windows.len(), starts.len());
+                let stats = window_stats(&samples, &windows);
+                for ((w, st), start) in windows.iter().zip(&stats).zip(starts) {
+                    let stop = (start + width).min(horizon);
+                    ensure_eq!((w.start.as_nanos(), w.end.as_nanos()), (start, stop));
+                    let inside: Vec<CompletionSample> = samples
+                        .iter()
+                        .filter(|s| (start..stop).contains(&s.at.as_nanos()))
+                        .copied()
+                        .collect();
+                    ensure_eq!((w.index, window_range(&samples, w)), (w.index, &inside[..]));
+                    let mut latencies: Vec<u64> = inside
+                        .iter()
+                        .filter(|s| !s.rejected)
+                        .map(|s| s.latency.as_nanos())
+                        .collect();
+                    latencies.sort_unstable();
+                    let n = latencies.len() as u64;
+                    let rank = |per_mille: u64| match n {
+                        0 => 0,
+                        _ => latencies[((per_mille * n).div_ceil(1_000).max(1) - 1) as usize],
+                    };
+                    ensure_eq!(
+                        (st.window, st.completed, st.rejected),
+                        (*w, n, inside.len() as u64 - n)
+                    );
+                    ensure_eq!(
+                        (w.index, [st.p50, st.p99, st.p999, st.latency_sum].map(|d| d.as_nanos())),
+                        (w.index, [rank(500), rank(990), rank(999), latencies.iter().sum()])
+                    );
+                }
+            }
+        });
+    }
 }

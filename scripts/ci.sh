@@ -25,6 +25,9 @@ fi
 
 run cargo build --release --workspace
 run cargo test -q --workspace
+# The benchmark package (its own workspace) drives the serving and chaos
+# soaks through their public entry points.
+run cargo test -q --release --offline --manifest-path hcc_benchmark/Cargo.toml
 
 echo "tier-1: OK"
 
@@ -233,14 +236,19 @@ if [ -z "$shapes" ] || [ -z "$distinct" ] || [ "$shapes" -ne $((2 * distinct)) ]
 fi
 
 # Every argv-reading bin refuses bad input through the one flag parser
-# (hcc_bench::cli): exit 2, and a first stderr line naming the bin.
+# (hcc_bench::cli): exit 2, and a first stderr line naming the bin. So
+# does a malformed HCC_* override, given as a leading VAR=value.
 for cmd in "serve --bogus" "serve --util NaN" "chaos --bogus" "slo_watch --bogus" \
     "why --bogus" "obs_report --bogus" "summary --bogus" "explain --bogus" \
-    "fault_sweep --bogus" "hcc_lab --bogus" "fig04b_crypto --bogus" "fig12_micro --bogus"; do
+    "fault_sweep --bogus" "hcc_lab --bogus" "fig04b_crypto --bogus" "fig12_micro --bogus" \
+    "HCC_SERVE_REQUESTS=abc serve" "HCC_WATCH_FAST_MS=5s slo_watch"; do
+    override=
+    case $cmd in HCC_*) override=${cmd%% *} cmd=${cmd#* } ;; esac
     bin=${cmd%% *}
     status=0
-    # $cmd is left unquoted: a bin name followed by its arguments.
-    ./target/release/$cmd >/dev/null 2>"$t2_dir/cli.err" || status=$?
+    # $override and $cmd are left unquoted: an optional VAR=value, then
+    # a bin name followed by its arguments.
+    env $override ./target/release/$cmd >/dev/null 2>"$t2_dir/cli.err" || status=$?
     first=$(head -n 1 "$t2_dir/cli.err")
     if [ "$status" -ne 2 ] || [ "${first#"$bin: "}" = "$first" ]; then
         echo "tier-2: FAIL — '$cmd' exited $status, stderr '$first' (expected 2, '$bin: ...')" >&2

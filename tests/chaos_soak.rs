@@ -5,8 +5,9 @@
 //! recovery policies) is frozen byte-for-byte in
 //! `tests/golden/chaos_report.txt` so any drift in the storm calendars,
 //! fault-plan seeding, scheduler decisions, verdict math, or text
-//! rendering is caught immediately. On top of the snapshot, the run must
-//! be thread-count invariant, leak-free, exactly conserving, and the
+//! rendering is caught immediately. The snapshot and the report JSON
+//! must be thread-count invariant (the soak matrix's chaos-fixture row,
+//! `perturbation`), the run must be leak-free, exactly conserving, and the
 //! fixture must exercise both verdict polarities (at least one PASS and
 //! at least one FAIL), so the SLO gate is demonstrably live.
 //!
@@ -14,9 +15,11 @@
 //! `HCC_BLESS=1 cargo test --test chaos_soak`.
 
 mod golden;
+mod perturbation;
 
-use hcc_bench::chaos::{self, ChaosConfig, ChaosReport};
+use hcc_bench::chaos::{self, ChaosConfig};
 use hcc_bench::engine::ExperimentEngine;
+use hcc_types::json::ToJson;
 
 /// The frozen fixture: defaults (both storm profiles, all three
 /// policies, diurnal arrivals) narrowed to 1500 requests per cell over 3
@@ -30,22 +33,15 @@ fn fixture() -> ChaosConfig {
     }
 }
 
-fn report() -> ChaosReport {
-    chaos::run(&fixture(), &ExperimentEngine::new(2))
-}
-
+/// The six-cell soak renders and exports byte-identically on 1 and 4
+/// worker threads, and the rendering matches the snapshot.
 #[test]
 fn chaos_report_matches_golden_snapshot() {
-    golden::assert_matches("chaos_report.txt", &report().render());
-}
-
-/// The soak renders byte-identically on 1 and 4 worker threads: nothing
-/// on the report path reads wall time or thread identity.
-#[test]
-fn chaos_report_is_thread_count_invariant() {
-    let a = chaos::run(&fixture(), &ExperimentEngine::new(1));
-    let b = chaos::run(&fixture(), &ExperimentEngine::new(4));
-    assert_eq!(a.render(), b.render());
+    let (render, _) = perturbation::thread_invariant("chaos fixture", |engine| {
+        let rep = chaos::run(&fixture(), engine);
+        (rep.render(), rep.to_json_string())
+    });
+    golden::assert_matches("chaos_report.txt", &render);
 }
 
 /// The frozen soak is healthy (leak-free, conserving, exact latency
@@ -54,14 +50,8 @@ fn chaos_report_is_thread_count_invariant() {
 /// regression can move the needle in either direction and be seen.
 #[test]
 fn fixture_is_healthy_and_exercises_both_verdict_polarities() {
-    let rep = report();
+    let rep = chaos::run(&fixture(), &ExperimentEngine::new(2));
     assert!(rep.healthy(), "{:?}", rep.first_violation());
-    assert!(rep.leak_free());
-    assert!(rep.latency_identity());
-    assert!(rep.conserved());
-    assert!(rep.fault_conserved());
-    assert!(rep.sessions_ok());
-    assert!(rep.gauges_drained());
 
     let (pass, fail) = rep.verdict_counts();
     assert!(pass > 0, "fixture produced no PASS verdict");

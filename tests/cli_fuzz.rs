@@ -3,17 +3,22 @@
 //! each name vocabulary (scheduler, arrival process, storm profile,
 //! recovery policy) returns either a value or its typed `CliError`,
 //! never a panic, and every accepted name re-parses from its printed
-//! form to itself.
+//! form to itself. Random `HCC_*` override values read the same way,
+//! with errors naming the variable.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hcc_bench::cli::{self, Args, CanonicalSoak, CliError};
 use hcc_bench::serving::{ArrivalKind, SchedulerKind};
+use hcc_bench::watch::Soak;
 use hcc_check::strategy::{bytes, choice, u64s, vecs};
 use hcc_check::{ensure, ensure_eq, forall, Config, PropResult};
 use hcc_types::{RecoveryPolicy, StormProfile};
 
 const FLAG: &str = "--flag";
+
+/// The environment variable the override readers are fuzzed through.
+const ENV: &str = "HCC_CLI_FUZZ_OVERRIDE";
 
 /// Pieces random inputs are glued from, `|`-separated: number syntax,
 /// signs and radices, overflow edges, whitespace, non-ASCII, and every
@@ -62,7 +67,22 @@ fn names_the_flag(err: &CliError) -> PropResult {
 fn value_readers_return_a_value_or_a_typed_error() {
     forall!(Config::new(0xC11_0001).with_cases(2048), pick in strings() => {
         let raw = text(&pick);
-        match no_panic("u64", &raw, || Args::new([raw.as_str()]).u64(FLAG))? {
+        let int = no_panic("u64", &raw, || Args::new([raw.as_str()]).u64(FLAG))?;
+        // An override holding the same text (NUL cannot be set) reads the
+        // same, or is refused naming the variable.
+        if !raw.contains('\0') {
+            std::env::set_var(ENV, &raw);
+            match no_panic("env_u64", &raw, || cli::env_u64(ENV))? {
+                Ok(v) => ensure!(v.is_some() && v == int.clone().ok(), "{ENV}={raw:?}: {v:?}"),
+                Err(e) => ensure!(
+                    matches!(e, CliError::NotAnInteger { .. })
+                        && int.is_err()
+                        && e.to_string().starts_with(ENV),
+                    "{ENV}={raw:?}: {e}"
+                ),
+            }
+        }
+        match int {
             Ok(v) => {
                 ensure_eq!(cli::parse_int(&raw), Some(v));
                 ensure_eq!(cli::parse_int(&v.to_string()), Some(v));
@@ -151,7 +171,7 @@ fn canonical_soak_flags_never_panic() {
         picks in vecs(strings(), 0..6) =>
     {
         let argv: Vec<String> = picks.iter().map(text).collect();
-        let (serving, chaos, refused) = no_panic("canonical soak", &format!("{argv:?}"), || {
+        let (soaks, refused) = no_panic("canonical soak", &format!("{argv:?}"), || {
             let mut soak = CanonicalSoak::default();
             let mut args = Args::new(argv.clone());
             let mut refused = None;
@@ -161,7 +181,11 @@ fn canonical_soak_flags_never_panic() {
                     break;
                 }
             }
-            (soak.serving(), soak.chaos(), refused)
+            let mut canonical = |serve| {
+                soak.serve = serve;
+                soak.canonical()
+            };
+            ([canonical(false), canonical(true)], refused)
         })?;
         if let Some((flag, e)) = refused {
             ensure!(
@@ -170,6 +194,9 @@ fn canonical_soak_flags_never_panic() {
             );
             ensure!(e.to_string().starts_with(&flag), "error {e} does not lead with {flag}");
         }
+        let [Ok(Soak::Stormy(chaos)), Ok(Soak::Calm(serving))] = soaks else {
+            return Err(format!("the soaks did not build: {soaks:?}"));
+        };
         ensure!(serving.requests >= 1 && serving.gpus >= 1);
         ensure!(chaos.requests >= 1 && chaos.gpus >= 1 && (1..=3650).contains(&chaos.days));
     });

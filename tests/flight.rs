@@ -5,8 +5,9 @@
 //! sampler keeps on a real stormy soak; every watchtower incident must
 //! link to at least one concrete exemplar request id resolvable back to
 //! a waterfall; the exemplar store must respect its hard memory bound;
-//! the whole plane must be thread-count invariant and — when disabled —
-//! perturbation-free: not a single byte of the soak's own figures moves.
+//! and the flight rows of the soak matrix (`perturbation`) hold the
+//! plane thread-count invariant and perturbation-free: not a single
+//! byte of the soak's own figures moves.
 //!
 //! The stormy soak's flight page (summary, every kept tail exemplar's
 //! waterfall against its window's p50, and each incident's exemplar
@@ -19,34 +20,21 @@ mod perturbation;
 use std::fmt::Write as _;
 
 use hcc_bench::engine::ExperimentEngine;
-use hcc_bench::watch::{calm_soak, stormy_soak, WatchReport};
-use hcc_bench::{chaos, serving};
+use hcc_bench::watch::{calm_soak, stormy_soak, Canonical, Soak, WatchReport};
 use hcc_trace::{FlightConfig, FlightLog};
-use hcc_types::json::ToJson;
-use perturbation::Soak;
 
-fn stormy_flight(threads: usize) -> (WatchReport, FlightLog) {
-    let mut cfg = stormy_soak();
-    cfg.flight = Some(FlightConfig::default());
-    let rep = chaos::run(&cfg, &ExperimentEngine::new(threads));
-    assert!(rep.healthy(), "stormy flight soak must stay healthy");
-    let cell = rep.into_cells().next().expect("one policy cell");
+/// `soak` run with the flight recorder on: its watch report and flight
+/// log, after checking the soak stayed healthy.
+fn flight(soak: Canonical) -> (WatchReport, FlightLog) {
+    let soak = soak
+        .with_flight(Some(FlightConfig::default()))
+        .run(&ExperimentEngine::new(2));
+    assert!(soak.healthy, "flight soak must stay healthy");
     (
-        cell.watch.expect("stormy fixture enables the watch plane"),
-        cell.flight.expect("flight plane enabled"),
+        soak.watch
+            .expect("the canonical soaks enable the watch plane"),
+        soak.flight.expect("flight plane enabled"),
     )
-}
-
-fn calm_flight(threads: usize) -> FlightLog {
-    let mut cfg = calm_soak();
-    cfg.flight = Some(FlightConfig::default());
-    let rep = serving::run(&cfg, &ExperimentEngine::new(threads));
-    assert!(rep.conserved());
-    rep.runs
-        .into_iter()
-        .next()
-        .and_then(|r| r.flight)
-        .expect("flight plane enabled")
 }
 
 /// The tentpole invariant on a real soak: every kept exemplar's spans
@@ -54,7 +42,7 @@ fn calm_flight(threads: usize) -> FlightLog {
 /// its `windows × (worst + reservoir)` bound.
 #[test]
 fn stormy_flight_log_holds_the_span_identity() {
-    let (_, flight) = stormy_flight(2);
+    let (_, flight) = flight(Soak::Stormy(stormy_soak()));
     assert!(flight.recorded > 0, "stormy soak recorded no requests");
     assert!(!flight.samples.is_empty(), "sampler kept no exemplars");
     for s in &flight.samples {
@@ -76,7 +64,7 @@ fn stormy_flight_log_holds_the_span_identity() {
 /// Serving side of the same identity, on the calm CC-on soak.
 #[test]
 fn calm_flight_log_holds_the_span_identity() {
-    let flight = calm_flight(2);
+    let (_, flight) = flight(Soak::Calm(calm_soak()));
     assert!(!flight.samples.is_empty());
     assert!(flight.identity_holds());
     assert!(flight.kept_entries <= flight.entry_bound());
@@ -87,7 +75,7 @@ fn calm_flight_log_holds_the_span_identity() {
 /// waterfall — the `why --incident` contract.
 #[test]
 fn every_stormy_incident_links_to_a_resolvable_exemplar() {
-    let (watch, flight) = stormy_flight(2);
+    let (watch, flight) = flight(Soak::Stormy(stormy_soak()));
     assert!(
         !watch.incidents.is_empty(),
         "stormy soak raised no incidents"
@@ -109,30 +97,6 @@ fn every_stormy_incident_links_to_a_resolvable_exemplar() {
                 inc.id
             );
         }
-    }
-}
-
-/// The flight log — samples, spans, exemplar flags, store accounting —
-/// replays byte-identically on 1 and 4 worker threads; so does every
-/// rendered waterfall. Nothing on the flight path reads wall time or
-/// thread identity.
-#[test]
-fn flight_log_is_thread_count_invariant() {
-    let (watch1, flight1) = stormy_flight(1);
-    let (watch4, flight4) = stormy_flight(4);
-    assert_eq!(flight1.to_json().to_string(), flight4.to_json().to_string());
-    assert_eq!(
-        watch1.to_json().to_string(),
-        watch4.to_json().to_string(),
-        "incident exemplar links drifted across thread counts"
-    );
-    for (a, b) in flight1.samples.iter().zip(&flight4.samples) {
-        let base1 = flight1.p50_exemplar(a.window);
-        let base4 = flight4.p50_exemplar(b.window);
-        assert_eq!(
-            flight1.render_waterfall(a, base1),
-            flight4.render_waterfall(b, base4)
-        );
     }
 }
 
@@ -158,28 +122,31 @@ fn flight_page(watch: &WatchReport, flight: &FlightLog) -> String {
         let _ = writeln!(out, "incident #{}: exemplars {:?}", inc.id, inc.exemplars);
     }
     for s in flight.samples.iter().filter(|s| s.tail) {
-        let baseline = flight.p50_exemplar(s.window).filter(|b| b.req() != s.req());
-        out.push_str(&flight.render_waterfall(s, baseline));
+        out.push_str(&flight.render_against_p50(s));
     }
     out
 }
 
 #[test]
 fn stormy_flight_page_matches_golden_snapshot() {
-    let (watch, flight) = stormy_flight(2);
+    let (watch, flight) = flight(Soak::Stormy(stormy_soak()));
     golden::assert_matches("flight.txt", &flight_page(&watch, &flight));
 }
 
 /// Perturbation-freedom, chaos side: enabling the flight plane, alone
 /// or next to the watch plane, must not move a single byte of the
-/// stormy soak's own figures.
+/// stormy soak's own figures, and the flight log, exemplar links
+/// included, must not depend on the engine's thread count.
 #[test]
 fn flight_plane_is_perturbation_free_for_chaos_soaks() {
-    perturbation::assert_perturbation_free(Soak::Stormy, &[(false, true), (true, true)]);
+    perturbation::assert_perturbation_free(
+        Soak::Stormy(stormy_soak()),
+        &[(false, true), (true, true)],
+    );
 }
 
 /// Perturbation-freedom, serving side: the same holds on the calm soak.
 #[test]
 fn flight_plane_is_perturbation_free_for_serving_soaks() {
-    perturbation::assert_perturbation_free(Soak::Calm, &[(false, true), (true, true)]);
+    perturbation::assert_perturbation_free(Soak::Calm(calm_soak()), &[(false, true), (true, true)]);
 }

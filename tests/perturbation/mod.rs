@@ -1,72 +1,87 @@
-//! Perturbation-freedom check shared by the observation-plane suites:
-//! with any set of observation planes on, a canonical soak renders
-//! byte-identically to its planes-off run once the planes' sections are
-//! stripped.
+//! The soak matrix the soak suites share. Every soak renders, and
+//! exports its report, watch and flight JSON, byte-identically on 1 and
+//! 4 engine threads; and with any set of observation planes on, a
+//! canonical soak renders and exports its report byte-identically to its
+//! planes-off run once the planes are moved out.
+//!
+//! The rows: {calm, stormy} × {off, watch, flight, both} × {1, 4}
+//! threads through [`assert_perturbation_free`], plus the multi-cell
+//! chaos and serving fixtures at {1, 4} threads through
+//! [`thread_invariant`].
+
+// Each suite uses part of the matrix.
+#![allow(dead_code)]
 
 use hcc_bench::engine::ExperimentEngine;
-use hcc_bench::watch::{calm_soak, stormy_soak, WatchConfig};
-use hcc_bench::{chaos, serving};
+use hcc_bench::watch::{Canonical, Soak, WatchConfig};
 use hcc_trace::FlightConfig;
+use hcc_types::json::ToJson;
 
-/// The canonical soak a check runs on.
-#[derive(Clone, Copy, Debug)]
-pub enum Soak {
-    /// The calm low-utilisation serving soak.
-    Calm,
-    /// The stormy chaos-shaped soak.
-    Stormy,
-}
-
-/// Renders `soak` with the watch and flight planes set as given, after
-/// checking every run carries exactly the enabled planes and stripping
-/// them from the report.
-fn render(soak: Soak, engine: &ExperimentEngine, watch: bool, flight: bool) -> String {
-    let (watch_cfg, flight_cfg) = (
-        watch.then(WatchConfig::default),
-        flight.then(FlightConfig::default),
+/// Runs `run` on a 1- and a 4-thread engine, asserts both see the same,
+/// and returns what they saw.
+pub fn thread_invariant<T: PartialEq>(what: &str, run: impl Fn(&ExperimentEngine) -> T) -> T {
+    let [narrow, wide] = [1, 4].map(|threads| run(&ExperimentEngine::new(threads)));
+    assert!(
+        narrow == wide,
+        "{what} differs between 1 and 4 engine threads"
     );
-    match soak {
-        Soak::Calm => {
-            let cfg = serving::ServingConfig {
-                watch: watch_cfg,
-                flight: flight_cfg,
-                ..calm_soak()
-            };
-            let mut rep = serving::run(&cfg, engine);
-            for r in &mut rep.runs {
-                assert_eq!(r.watch.is_some(), watch);
-                assert_eq!(r.flight.is_some(), flight);
-                (r.watch, r.flight) = (None, None);
-            }
-            rep.render()
-        }
-        Soak::Stormy => {
-            let cfg = chaos::ChaosConfig {
-                watch: watch_cfg,
-                flight: flight_cfg,
-                ..stormy_soak()
-            };
-            let mut rep = chaos::run(&cfg, engine);
-            for c in rep.profiles.iter_mut().flat_map(|p| &mut p.cells) {
-                assert_eq!(c.watch.is_some(), watch);
-                assert_eq!(c.flight.is_some(), flight);
-                (c.watch, c.flight) = (None, None);
-            }
-            rep.render()
-        }
-    }
+    narrow
 }
 
-/// Asserts that `soak` renders identically with planes off and with
-/// each `(watch, flight)` combination in `planes` on.
-pub fn assert_perturbation_free(soak: Soak, planes: &[(bool, bool)]) {
-    let engine = ExperimentEngine::new(2);
-    let off = render(soak, &engine, false, false);
+/// What a row shows: the rendered report, then the JSON of the report
+/// and of each observation plane that was on.
+#[derive(PartialEq)]
+struct Seen {
+    render: String,
+    report: String,
+    watch: Option<String>,
+    flight: Option<String>,
+}
+
+/// `base` with the watch and flight planes set as given, run at both
+/// engine widths; the run is healthy and carries exactly those planes.
+fn row(base: &Canonical, watch: bool, flight: bool) -> Seen {
+    let mut canonical = base.clone().with_flight(flight.then(FlightConfig::default));
+    let watch_cfg = watch.then(WatchConfig::default);
+    let soak = match &mut canonical {
+        Soak::Calm(cfg) => {
+            cfg.watch = watch_cfg;
+            "calm"
+        }
+        Soak::Stormy(cfg) => {
+            cfg.watch = watch_cfg;
+            "stormy"
+        }
+    };
+    let what = format!("{soak} soak with watch={watch} flight={flight}");
+    thread_invariant(&what, |engine| {
+        let run = canonical.run(engine);
+        assert!(run.healthy, "{what} is unhealthy");
+        assert_eq!((run.watch.is_some(), run.flight.is_some()), (watch, flight));
+        let (render, report) = match &run.report {
+            Soak::Calm(rep) => (rep.render(), rep.to_json_string()),
+            Soak::Stormy(rep) => (rep.render(), rep.to_json_string()),
+        };
+        Seen {
+            render,
+            report,
+            watch: run.watch.map(|w| w.to_json_string()),
+            flight: run.flight.map(|f| f.to_json_string()),
+        }
+    })
+}
+
+/// Asserts the rows of the canonical soak `base` with planes off and
+/// with each `(watch, flight)` combination in `planes` on: each is
+/// thread-count invariant, and each renders and exports its report as
+/// planes-off does.
+pub fn assert_perturbation_free(base: Canonical, planes: &[(bool, bool)]) {
+    let off = row(&base, false, false);
     for &(watch, flight) in planes {
-        assert_eq!(
-            render(soak, &engine, watch, flight),
-            off,
-            "{soak:?} soak perturbed by watch={watch} flight={flight}"
+        let on = row(&base, watch, flight);
+        assert!(
+            on.render == off.render && on.report == off.report,
+            "soak perturbed by watch={watch} flight={flight}"
         );
     }
 }

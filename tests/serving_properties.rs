@@ -17,7 +17,6 @@ use hcc_check::{ensure, ensure_eq, forall, Config};
 use hcc_tee::{SessionPool, TdCounters};
 use hcc_trace::{FlightConfig, FlightLog, Series};
 use hcc_types::calib::TdxCalib;
-use hcc_types::json::ToJson;
 use hcc_types::rng::Xoshiro256;
 use hcc_types::{CcMode, FaultPlan, RecoveryPolicy, SimDuration, SimTime, StormProfile};
 use hcc_workloads::{default_tenants, Scenario};
@@ -85,7 +84,8 @@ fn poisson_inter_arrival_mean_tracks_the_rate() {
 /// Conservation under fault injection: whatever the fault plan does to
 /// the request shapes (deterministic failures become rejections), every
 /// admitted request settles exactly once — completed or rejected, none
-/// lost, under every scheduler in both modes.
+/// lost — and every other run check holds, under every scheduler in
+/// both modes.
 #[test]
 fn conservation_survives_fault_driven_rejections() {
     let engine = ExperimentEngine::new(2);
@@ -106,12 +106,7 @@ fn conservation_survives_fault_driven_rejections() {
                 ..ServingConfig::default()
             };
             let rep = serving::run(&cfg, &engine);
-            ensure!(rep.conserved(), "conservation broke under plan {plan_seed:#x}");
-            for run in &rep.runs {
-                for mode in &run.modes {
-                    ensure_eq!(mode.completed() + mode.rejected(), 160);
-                }
-            }
+            ensure!(rep.healthy(), "a run check broke under plan {plan_seed:#x}");
         }
     );
 }
@@ -130,7 +125,7 @@ fn aggressive_fault_plans_reject_without_losing_requests() {
         ..ServingConfig::default()
     };
     let rep = serving::run(&cfg, &engine);
-    assert!(rep.conserved());
+    assert!(rep.healthy());
     let rejected: u64 = rep
         .runs
         .iter()
@@ -140,27 +135,6 @@ fn aggressive_fault_plans_reject_without_losing_requests() {
     assert!(rejected > 0, "a 95% fault rate must reject something");
     let text = rep.render();
     assert!(text.contains("conservation: admitted == completed + rejected (all runs): true"));
-}
-
-/// Engine worker-pool width is invisible in the serving report: a
-/// 1-thread and a 4-thread engine produce byte-identical text and JSON
-/// for the full multi-scheduler run.
-#[test]
-fn serving_report_is_invariant_to_engine_thread_count() {
-    let cfg = ServingConfig {
-        requests: 1_500,
-        gpus: 3,
-        schedulers: SchedulerKind::ALL.to_vec(),
-        ..ServingConfig::default()
-    };
-    let narrow = serving::run(&cfg, &ExperimentEngine::new(1));
-    let wide = serving::run(&cfg, &ExperimentEngine::new(4));
-    assert_eq!(
-        narrow.render(),
-        wide.render(),
-        "report text must not depend on HCC_ENGINE_THREADS"
-    );
-    assert_eq!(narrow.to_json_string(), wide.to_json_string());
 }
 
 /// The slow path the shape table replaced: one engine resolution per
@@ -226,7 +200,7 @@ fn serving_shape_tables_match_the_per_request_oracle() {
                 oracle.push(mode);
             }
             let rep = serving::run(&cfg, &engine);
-            ensure!(rep.conserved());
+            ensure!(rep.healthy());
             for run in &rep.runs {
                 for (mode, services) in run.modes.iter().zip(&oracle) {
                     for (t, stats) in mode.tenants.iter().enumerate() {
@@ -297,7 +271,7 @@ fn chaos_shape_tables_match_the_per_request_oracle() {
                     }
                 }
             }
-            ensure!(chaos::run(&cfg, &engine).conserved());
+            ensure!(chaos::run(&cfg, &engine).healthy());
         }
     );
 }
@@ -410,12 +384,9 @@ fn degenerate_soaks_conserve() {
             },
             &engine,
         );
-        assert!(rep.conserved(), "serving {what}");
+        assert!(rep.healthy(), "serving {what}");
         assert!(rep.render().contains("(all runs): true"));
         for run in &rep.runs {
-            for mode in &run.modes {
-                assert_eq!(mode.completed() + mode.rejected(), requests);
-            }
             check_planes(run.watch.as_ref(), run.flight.as_ref(), requests, &what);
         }
 
@@ -428,7 +399,6 @@ fn degenerate_soaks_conserve() {
             &engine,
         );
         assert!(rep.healthy(), "chaos {what}: {:?}", rep.first_violation());
-        assert!(rep.conserved() && rep.leak_free());
         assert_eq!(rep.total_requests(), 3 * requests);
         for cell in rep.cells() {
             check_planes(cell.watch.as_ref(), cell.flight.as_ref(), requests, &what);
@@ -453,7 +423,7 @@ fn every_shape_failing_rejects_every_request() {
     let (_, tables) = serving::shape_tables(&cfg, &engine);
     assert!(tables[1].shapes().iter().all(|s| s.service.is_err()));
     let rep = serving::run(&cfg, &engine);
-    assert!(rep.conserved());
+    assert!(rep.healthy());
     for run in &rep.runs {
         assert_eq!(run.on().rejected(), 300, "{}", run.scheduler);
         assert_eq!(run.on().batches, 0);

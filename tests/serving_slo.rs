@@ -3,7 +3,8 @@
 //! One fixed configuration (seed `0xCC_5E21`, 2 tenants, 2 GPUs, 500
 //! requests) is frozen byte-for-byte in `tests/golden/serving_report.txt`
 //! so any drift in the arrival process, scheduler decisions, latency
-//! aggregation, or text rendering is caught immediately. On top of the
+//! aggregation, or text rendering is caught immediately, at 1 and 4
+//! engine threads (`perturbation`). On top of the
 //! snapshot, the SLO ordering (CC-on p99 strictly above CC-off p99 for
 //! every tenant under every scheduler) and the latency-accounting
 //! identities are asserted directly.
@@ -12,9 +13,11 @@
 //! `HCC_BLESS=1 cargo test --test serving_slo`.
 
 mod golden;
+mod perturbation;
 
 use hcc_bench::engine::ExperimentEngine;
 use hcc_bench::serving::{self, SchedulerKind, ServingConfig, ServingReport};
+use hcc_types::json::ToJson;
 
 /// The frozen fixture: defaults (2 tenants, Poisson, all schedulers,
 /// seed `0xCC_5E21`) narrowed to 500 requests on a 2-GPU cluster.
@@ -30,9 +33,15 @@ fn report() -> ServingReport {
     serving::run(&fixture(), &ExperimentEngine::new(2))
 }
 
+/// The three-scheduler soak renders and exports byte-identically on 1
+/// and 4 worker threads, and the rendering matches the snapshot.
 #[test]
 fn serving_report_matches_golden_snapshot() {
-    golden::assert_matches("serving_report.txt", &report().render());
+    let (render, _) = perturbation::thread_invariant("serving fixture", |engine| {
+        let rep = serving::run(&fixture(), engine);
+        (rep.render(), rep.to_json_string())
+    });
+    golden::assert_matches("serving_report.txt", &render);
 }
 
 /// The headline result: at identical offered load, turning CC on pushes

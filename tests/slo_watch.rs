@@ -7,8 +7,9 @@
 //! must stay empty). Any drift in window layout, burn-rate math,
 //! incident coalescing, storm correlation, blame attribution, or text
 //! rendering is caught immediately. On top of the snapshot, the watch
-//! plane must be thread-count invariant and perturbation-free: enabling
-//! it must not move a single byte of the underlying soak figures.
+//! rows of the soak matrix (`perturbation`) hold the plane thread-count
+//! invariant and perturbation-free: enabling it must not move a single
+//! byte of the underlying soak figures.
 //!
 //! To bless a deliberate change:
 //! `HCC_BLESS=1 cargo test --test slo_watch`.
@@ -17,48 +18,24 @@ mod golden;
 mod perturbation;
 
 use hcc_bench::engine::ExperimentEngine;
-use hcc_bench::watch::{calm_soak, stormy_soak, WatchReport};
-use hcc_bench::{chaos, serving};
-use perturbation::Soak;
+use hcc_bench::watch::{calm_soak, stormy_soak, Canonical, Soak, WatchReport};
 
-fn stormy_watch(threads: usize) -> WatchReport {
-    let rep = chaos::run(&stormy_soak(), &ExperimentEngine::new(threads));
-    rep.into_cells()
-        .next()
-        .and_then(|c| c.watch)
-        .expect("stormy fixture enables the watch plane")
-}
-
-fn calm_watch(threads: usize) -> WatchReport {
-    let rep = serving::run(&calm_soak(), &ExperimentEngine::new(threads));
-    rep.runs
-        .into_iter()
-        .next()
-        .and_then(|r| r.watch)
-        .expect("calm fixture enables the watch plane")
+fn watch(soak: Canonical) -> WatchReport {
+    soak.run(&ExperimentEngine::new(2))
+        .watch
+        .expect("the canonical soaks enable the watch plane")
 }
 
 /// Both polarities in one snapshot: the stormy timeline full of
 /// incidents, then the calm empty one.
-fn snapshot(threads: usize) -> String {
-    format!(
-        "=== stormy: chaos crypto-burst / abort ===\n{}\n=== calm: serve fifo ===\n{}",
-        stormy_watch(threads).render(),
-        calm_watch(threads).render()
-    )
-}
-
 #[test]
 fn watch_reports_match_golden_snapshot() {
-    golden::assert_matches("slo_watch.txt", &snapshot(2));
-}
-
-/// Every alert and incident replays byte-identically on 1 and 4 worker
-/// threads: nothing on the watch path reads wall time or thread
-/// identity.
-#[test]
-fn watch_reports_are_thread_count_invariant() {
-    assert_eq!(snapshot(1), snapshot(4));
+    let snapshot = format!(
+        "=== stormy: chaos crypto-burst / abort ===\n{}\n=== calm: serve fifo ===\n{}",
+        watch(Soak::Stormy(stormy_soak())).render(),
+        watch(Soak::Calm(calm_soak())).render()
+    );
+    golden::assert_matches("slo_watch.txt", &snapshot);
 }
 
 /// The stormy polarity: the default chaos-shaped soak produces a
@@ -67,7 +44,7 @@ fn watch_reports_are_thread_count_invariant() {
 /// blamed resource class.
 #[test]
 fn stormy_soak_produces_a_fully_attributed_incident_timeline() {
-    let watch = stormy_watch(2);
+    let watch = watch(Soak::Stormy(stormy_soak()));
     assert!(
         !watch.incidents.is_empty(),
         "stormy soak raised no incidents"
@@ -103,21 +80,22 @@ fn stormy_soak_produces_a_fully_attributed_incident_timeline() {
 /// and renders the explicit empty-timeline marker.
 #[test]
 fn calm_soak_renders_an_empty_timeline() {
-    let watch = calm_watch(2);
+    let watch = watch(Soak::Calm(calm_soak()));
     assert_eq!(watch.alerts(), 0, "calm soak must not alert");
     assert!(watch.incidents.is_empty());
     assert!(watch.render().contains("(no incidents)"));
 }
 
 /// Perturbation-freedom, chaos side: enabling the watch plane must not
-/// move a single byte of the stormy soak's own figures.
+/// move a single byte of the stormy soak's own figures, at 1 or 4
+/// engine threads.
 #[test]
 fn watch_plane_is_perturbation_free_for_chaos_soaks() {
-    perturbation::assert_perturbation_free(Soak::Stormy, &[(true, false)]);
+    perturbation::assert_perturbation_free(Soak::Stormy(stormy_soak()), &[(true, false)]);
 }
 
 /// Perturbation-freedom, serving side: the same holds on the calm soak.
 #[test]
 fn watch_plane_is_perturbation_free_for_serving_soaks() {
-    perturbation::assert_perturbation_free(Soak::Calm, &[(true, false)]);
+    perturbation::assert_perturbation_free(Soak::Calm(calm_soak()), &[(true, false)]);
 }
