@@ -507,8 +507,8 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
                         budget,
                         completed: t.completed,
                         rejected: t.rejected,
-                        p99: t.latency.quantile(0.99),
-                        p999: t.latency.quantile(0.999),
+                        p99: t.latency.p99,
+                        p999: t.latency.p999,
                         reject_ppm: reject_ppm.unwrap_or(0),
                     }
                 })

@@ -132,7 +132,7 @@ impl TenantVerdict {
 pub struct PolicyCell {
     /// The recovery policy under test.
     pub policy: RecoveryPolicy,
-    /// The cluster run (per-tenant latency/wait CDFs, utilization,
+    /// The cluster run (per-tenant latency/wait tails, utilization,
     /// gauges) over the shared trace.
     pub mode: ModeRun,
     /// Request-level fault accounting.

@@ -46,13 +46,6 @@ pub struct Computed<T> {
     pub failures: Vec<ScenarioFailure>,
 }
 
-impl<T> Computed<T> {
-    /// `true` when every scenario produced its row.
-    pub fn is_complete(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
 /// The fault plan selected by [`FAULT_PLAN_ENV`], parsed once per
 /// process. `None` when unset; a malformed spec is reported on stderr
 /// and ignored.

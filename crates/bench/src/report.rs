@@ -1,5 +1,5 @@
 //! Small output helpers shared by the figure harnesses: fixed-width
-//! tables on stdout plus optional JSON row dumps.
+//! tables and failure lines on stdout.
 
 use std::fmt::Display;
 
@@ -12,12 +12,6 @@ pub fn section(title: &str) {
 pub fn row<D: Display>(cells: &[D]) {
     let line: Vec<String> = cells.iter().map(|c| format!("{c:>14}")).collect();
     println!("{}", line.join(" "));
-}
-
-/// Prints a row with a wide first (label) column.
-pub fn labeled_row<D: Display>(label: &str, cells: &[D]) {
-    let line: Vec<String> = cells.iter().map(|c| format!("{c:>12}")).collect();
-    println!("{label:<16} {}", line.join(" "));
 }
 
 /// Formats a ratio as `x N.NN`.
@@ -59,18 +53,6 @@ pub fn exit_on_failures(failures: &[crate::engine::ScenarioFailure]) {
         eprintln!("  {f}");
     }
     std::process::exit(1);
-}
-
-/// Serializes any [`ToJson`](hcc_types::json::ToJson) rows as a JSON
-/// lines block when the
-/// `HCC_JSON` environment variable is set (for downstream plotting).
-pub fn maybe_json<T: hcc_types::json::ToJson>(name: &str, rows: &[T]) {
-    if std::env::var_os("HCC_JSON").is_none() {
-        return;
-    }
-    for r in rows {
-        println!("JSON {name} {}", r.to_json_string());
-    }
 }
 
 #[cfg(test)]

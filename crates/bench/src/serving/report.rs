@@ -1,14 +1,14 @@
 //! Aggregation and rendering of serving-cluster results.
 //!
 //! A [`ServingReport`] holds, per scheduler and per CC mode, the
-//! per-tenant latency/wait CDFs and the cluster-level utilization and
+//! per-tenant latency/wait tails and the cluster-level utilization and
 //! throughput figures — all measured on the virtual clock, so the text
 //! rendering is byte-identical across engine thread counts. The trailer
 //! lines state the two invariants CI greps for: request conservation and
 //! the CC-on vs CC-off p99 SLO ordering.
 
 use hcc_tee::TdCounters;
-use hcc_trace::{Cdf, MetricsSet};
+use hcc_trace::{MetricsSet, Tail};
 use hcc_types::json::{Json, ToJson};
 use hcc_types::{CcMode, SimDuration, SimTime};
 
@@ -26,10 +26,10 @@ pub struct TenantStats {
     pub completed: u64,
     /// Requests rejected because their shape fails deterministically.
     pub rejected: u64,
-    /// End-to-end latency CDF (arrival → completion), completed only.
-    pub latency: Cdf,
-    /// Queueing-wait CDF (arrival → dispatch), completed only.
-    pub wait: Cdf,
+    /// End-to-end latency tail (arrival → completion), completed only.
+    pub latency: Tail,
+    /// Queueing-wait tail (arrival → dispatch), completed only.
+    pub wait: Tail,
     /// Σ (completion − arrival) over completed requests.
     pub latency_total: SimDuration,
     /// Σ (dispatch − arrival) over completed requests.
@@ -186,7 +186,9 @@ pub struct ServingReport {
 }
 
 /// Builds one tenant-resolved [`ModeRun`] from a raw cluster run of
-/// `requests` over `shapes` on `cluster`.
+/// `requests` over `shapes` on `cluster`. Each tenant's latencies and
+/// waits pass through one scratch buffer into their [`Tail`]s, so no
+/// per-request vector outlives the call.
 pub(super) fn mode_run(
     cluster: &ClusterConfig<'_>,
     requests: &[Request],
@@ -194,17 +196,21 @@ pub(super) fn mode_run(
     run: ClusterRun,
 ) -> ModeRun {
     let tenants = cluster.tenants;
-    // Size each tenant's CDF samples exactly: the report keeps them.
-    let mut completed = vec![0usize; tenants.len()];
-    for (req, outcome) in requests.iter().zip(&run.outcomes) {
-        completed[req.tenant] += usize::from(!outcome.rejected);
+    // Tenant t's latencies fill `latency[start[t]..filled[t]]`, a region
+    // sized by its request count, and its waits the same range of
+    // `wait`; indexing by tenant keeps the fill pass branch-free.
+    let mut start = vec![0usize; tenants.len() + 1];
+    for req in requests {
+        start[req.tenant + 1] += 1;
     }
-    let mut latency: Vec<Vec<SimDuration>> =
-        completed.iter().map(|&n| Vec::with_capacity(n)).collect();
-    let mut wait: Vec<Vec<SimDuration>> =
-        completed.iter().map(|&n| Vec::with_capacity(n)).collect();
-    let mut rejected = vec![0u64; tenants.len()];
+    for t in 0..tenants.len() {
+        start[t + 1] += start[t];
+    }
+    let mut filled = start[..tenants.len()].to_vec();
     let zero = SimDuration::ZERO;
+    let mut scratch = vec![zero; 2 * requests.len()];
+    let (latency, wait) = scratch.split_at_mut(requests.len());
+    let mut rejected = vec![0u64; tenants.len()];
     let mut latency_total = vec![zero; tenants.len()];
     let mut wait_total = vec![zero; tenants.len()];
     let mut service_total = vec![zero; tenants.len()];
@@ -220,8 +226,9 @@ pub(super) fn mode_run(
         let l = outcome.completion.saturating_since(req.arrival);
         let w = outcome.dispatch.saturating_since(req.arrival);
         let s = outcome.completion.saturating_since(outcome.dispatch);
-        latency[t].push(l);
-        wait[t].push(w);
+        latency[filled[t]] = l;
+        wait[filled[t]] = w;
+        filled[t] += 1;
         latency_total[t] += l;
         wait_total[t] += w;
         service_total[t] += s;
@@ -235,17 +242,20 @@ pub(super) fn mode_run(
     let tenants = tenants
         .iter()
         .enumerate()
-        .map(|(t, spec)| TenantStats {
-            name: spec.name.to_string(),
-            completed: latency[t].len() as u64,
-            rejected: rejected[t],
-            latency: Cdf::from_durations(std::mem::take(&mut latency[t])),
-            wait: Cdf::from_durations(std::mem::take(&mut wait[t])),
-            latency_total: latency_total[t],
-            wait_total: wait_total[t],
-            service_total: service_total[t],
-            shape_total: shape_total[t],
-            admission_total: admission_total[t],
+        .map(|(t, spec)| {
+            let served = start[t]..filled[t];
+            TenantStats {
+                name: spec.name.to_string(),
+                completed: served.len() as u64,
+                rejected: rejected[t],
+                latency: Tail::of(&mut latency[served.clone()]),
+                wait: Tail::of(&mut wait[served]),
+                latency_total: latency_total[t],
+                wait_total: wait_total[t],
+                service_total: service_total[t],
+                shape_total: shape_total[t],
+                admission_total: admission_total[t],
+            }
         })
         .collect();
 
@@ -294,7 +304,7 @@ impl ServingReport {
                 .all(|(off, on)| {
                     off.latency.is_empty()
                         || on.latency.is_empty()
-                        || on.latency.quantile(0.99) > off.latency.quantile(0.99)
+                        || on.latency.p99 > off.latency.p99
                 })
         })
     }
@@ -330,11 +340,11 @@ impl ServingReport {
                         mode.cc.to_string(),
                         t.completed,
                         t.rejected,
-                        t.latency.mean().to_string(),
-                        t.latency.quantile(0.5).to_string(),
-                        t.latency.quantile(0.99).to_string(),
-                        t.latency.quantile(0.999).to_string(),
-                        t.wait.quantile(0.5).to_string(),
+                        t.latency.mean.to_string(),
+                        t.latency.p50.to_string(),
+                        t.latency.p99.to_string(),
+                        t.latency.p999.to_string(),
+                        t.wait.p50.to_string(),
                     );
                 }
             }
@@ -361,9 +371,7 @@ impl ServingReport {
                     format!(
                         "{} {}",
                         off.name,
-                        crate::report::ratio(
-                            on.latency.quantile(0.99) / off.latency.quantile(0.99)
-                        )
+                        crate::report::ratio(on.latency.p99 / off.latency.p99)
                     )
                 })
                 .collect();

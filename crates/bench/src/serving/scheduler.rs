@@ -85,7 +85,8 @@ pub struct SchedQueue {
     /// Batching: per-(tenant, class) slot FIFO of *batchable* pending
     /// requests (empty for non-batchable slots).
     shape_queues: Vec<VecDeque<usize>>,
-    /// Batching: requests already pulled into a batch as followers.
+    /// Batching: requests already pulled into a batch as followers
+    /// (empty under the other disciplines).
     claimed: Vec<bool>,
     pending: usize,
 }
@@ -113,7 +114,11 @@ impl SchedQueue {
             batchable,
             fifo: VecDeque::new(),
             prio: BinaryHeap::new(),
-            claimed: vec![false; capacity],
+            claimed: if kind == SchedulerKind::Batching {
+                vec![false; capacity]
+            } else {
+                Vec::new()
+            },
             pending: 0,
         }
     }

@@ -29,8 +29,6 @@
 //! after the cluster drain, and only when the soak's config asks for a
 //! flight log — the drain itself records nothing.
 
-use std::collections::BTreeMap;
-
 use hcc_types::json::{Json, ToJson};
 use hcc_types::{FaultCounts, SimDuration, SimTime};
 
@@ -132,14 +130,16 @@ struct WindowSampler {
 
 impl WindowSampler {
     fn insert(&mut self, s: FlightSkeleton, window: u64, cfg: &FlightConfig) {
+        // A full keep drops its last entry before the insert, so it
+        // never grows past its bound (nor reallocates to make room).
         if cfg.worst > 0 {
             let key = (std::cmp::Reverse(s.latency()), s.req);
             let pos = self
                 .worst
                 .partition_point(|o| (std::cmp::Reverse(o.latency()), o.req) < key);
             if pos < cfg.worst {
+                self.worst.truncate(cfg.worst - 1);
                 self.worst.insert(pos, s);
-                self.worst.truncate(cfg.worst);
             }
         }
         if cfg.reservoir > 0 {
@@ -147,8 +147,8 @@ impl WindowSampler {
             let key = (h, s.req);
             let pos = self.pool.partition_point(|&(oh, ref o)| (oh, o.req) < key);
             if pos < cfg.reservoir {
+                self.pool.truncate(cfg.reservoir - 1);
                 self.pool.insert(pos, (h, s));
-                self.pool.truncate(cfg.reservoir);
             }
         }
     }
@@ -160,10 +160,19 @@ impl WindowSampler {
 
 /// Thread-invariant per-request recorder: feed it every settled request
 /// of a soak, in any order, then [`resolve`](Self::resolve) the keeps.
+///
+/// The samplers sit in a vector sorted by window, one per window that
+/// was recorded into, with a cursor on the last one hit. A record in the
+/// cursor's window or past the last window costs O(1), so a soak fed
+/// roughly in settle order never searches; any other record finds its
+/// window by binary search.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     cfg: FlightConfig,
-    windows: BTreeMap<u64, WindowSampler>,
+    /// `(window ordinal, sampler)`, ascending by window.
+    windows: Vec<(u64, WindowSampler)>,
+    /// Index into `windows` of the last window recorded into.
+    cursor: usize,
     recorded: u64,
 }
 
@@ -172,7 +181,8 @@ impl FlightRecorder {
     pub fn new(cfg: FlightConfig) -> Self {
         FlightRecorder {
             cfg,
-            windows: BTreeMap::new(),
+            windows: Vec::new(),
+            cursor: 0,
             recorded: 0,
         }
     }
@@ -181,8 +191,23 @@ impl FlightRecorder {
     pub fn record(&mut self, s: FlightSkeleton) {
         self.recorded += 1;
         let w = s.settle.as_nanos() / self.cfg.window.as_nanos().max(1);
+        if self.windows.get(self.cursor).is_none_or(|&(cw, _)| cw != w) {
+            self.cursor = match self.windows.last() {
+                Some(&(last, _)) if last >= w => {
+                    let pos = self.windows.partition_point(|&(ow, _)| ow < w);
+                    if self.windows[pos].0 != w {
+                        self.windows.insert(pos, (w, WindowSampler::default()));
+                    }
+                    pos
+                }
+                _ => {
+                    self.windows.push((w, WindowSampler::default()));
+                    self.windows.len() - 1
+                }
+            };
+        }
         let cfg = self.cfg;
-        self.windows.entry(w).or_default().insert(s, w, &cfg);
+        self.windows[self.cursor].1.insert(s, w, &cfg);
     }
 
     /// Resolves the kept skeletons into full span trees. `shape_of`
@@ -193,7 +218,7 @@ impl FlightRecorder {
         let mut samples: Vec<FlightSample> = Vec::new();
         let windows = self.windows.len() as u64;
         let mut kept_entries = 0u64;
-        for (&w, sampler) in &self.windows {
+        for &(w, ref sampler) in &self.windows {
             kept_entries += sampler.entries();
             let mut members: Vec<(FlightSkeleton, bool, bool)> =
                 sampler.worst.iter().map(|&s| (s, true, false)).collect();
@@ -426,7 +451,8 @@ pub struct FlightLog {
     pub cfg: FlightConfig,
     /// Total requests the recorder saw.
     pub recorded: u64,
-    /// Distinct windows holding at least one exemplar.
+    /// Distinct windows recorded into (each holds at least one
+    /// exemplar unless both keep counts are zero).
     pub windows: u64,
     /// Total kept sampler entries (before worst∩reservoir dedup).
     pub kept_entries: u64,
@@ -471,9 +497,9 @@ impl FlightLog {
     pub fn p50_exemplar(&self, window: u64) -> Option<&FlightSample> {
         let pick = |uniform_only: bool| {
             let mut members: Vec<&FlightSample> = self
-                .samples
+                .in_windows(window, window)
                 .iter()
-                .filter(|s| s.window == window && (!uniform_only || s.uniform))
+                .filter(|s| !uniform_only || s.uniform)
                 .collect();
             members.sort_by_key(|s| (s.latency(), s.skeleton.req));
             let mid = members.len().checked_sub(1)? / 2;
@@ -501,11 +527,24 @@ impl FlightLog {
             .collect()
     }
 
+    /// The exemplars of windows `first..=last`: a sub-slice, since
+    /// the samples are sorted by window.
+    fn in_windows(&self, first: u64, last: u64) -> &[FlightSample] {
+        let lo = self.samples.partition_point(|s| s.window < first);
+        let hi = self.samples.partition_point(|s| s.window <= last);
+        &self.samples[lo..hi.max(lo)]
+    }
+
     /// Exemplar request ids settling inside `[start, end)`, worst
-    /// first; `tenant` narrows to one tenant when given.
+    /// first; `tenant` narrows to one tenant when given. Only the
+    /// windows the span overlaps are scanned.
     pub fn exemplars_between(&self, tenant: Option<u32>, start: SimTime, end: SimTime) -> Vec<u32> {
-        let mut hits: Vec<&FlightSample> = self
-            .samples
+        if start >= end {
+            return Vec::new();
+        }
+        let width = self.cfg.window.as_nanos().max(1);
+        let windows = self.in_windows(start.as_nanos() / width, (end.as_nanos() - 1) / width);
+        let mut hits: Vec<&FlightSample> = windows
             .iter()
             .filter(|s| start <= s.skeleton.settle && s.skeleton.settle < end)
             .filter(|s| tenant.map_or(true, |t| s.skeleton.tenant == t))
@@ -658,6 +697,7 @@ impl ToJson for FlightLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn t(us: u64) -> SimTime {
         SimTime::ZERO + SimDuration::micros(us)
@@ -914,6 +954,145 @@ mod tests {
                 ensure_eq!(log.recorded, raw.len() as u64);
             }
         );
+    }
+
+    /// Settle-ordered, reverse-settle and shuffled feeds of the same
+    /// records give the same log: the cursor and the binary-search path
+    /// of `record` land every record in the same sampler.
+    #[test]
+    fn keeps_match_across_settle_order_reversed_and_shuffled() {
+        let cfg = FlightConfig {
+            window: SimDuration::micros(50),
+            worst: 2,
+            reservoir: 2,
+            seed: 9,
+        };
+        let mut skels: Vec<FlightSkeleton> = (0..400u32)
+            .map(|i| {
+                let settle = 100 + mix(1, 0, i) % 5_000;
+                skel(i, settle - 40 - u64::from(i % 7), settle - 20, settle)
+            })
+            .collect();
+        skels.sort_by_key(|s| (s.settle, s.req));
+        let log = |order: &[FlightSkeleton]| {
+            let mut r = FlightRecorder::new(cfg);
+            for s in order {
+                r.record(*s);
+            }
+            assert!(r.windows.windows(2).all(|p| p[0].0 < p[1].0));
+            r.resolve(&[], &[])
+        };
+        let settled = log(&skels);
+        let reversed: Vec<FlightSkeleton> = skels.iter().rev().copied().collect();
+        let mut shuffled = skels.clone();
+        shuffled.sort_by_key(|s| mix(2, 0, s.req));
+        assert_eq!(log(&reversed), settled);
+        assert_eq!(log(&shuffled), settled);
+        let distinct: BTreeSet<u64> = skels.iter().map(|s| s.settle.as_nanos() / 50_000).collect();
+        assert_eq!(settled.windows, distinct.len() as u64);
+    }
+
+    /// Memory follows the windows that were recorded into, not the
+    /// horizon: 1 ns windows over settles spread to ~2⁴⁰ ns hold one
+    /// sampler per distinct settle instant.
+    #[test]
+    fn sparse_windows_hold_one_sampler_each() {
+        let cfg = FlightConfig {
+            window: SimDuration::from_nanos(1),
+            ..FlightConfig::default()
+        };
+        let mut r = FlightRecorder::new(cfg);
+        let mut settles = BTreeSet::new();
+        for i in 0..300u32 {
+            // Every third request shares its predecessor's instant.
+            let settle = mix(3, 0, i - i % 3) >> 24;
+            settles.insert(settle);
+            let at = SimTime::from_nanos(settle);
+            r.record(FlightSkeleton {
+                arrival: at,
+                dispatch: at,
+                settle: at,
+                ..skel(i, 0, 0, 0)
+            });
+        }
+        assert_eq!(r.windows.len(), settles.len());
+        let held: Vec<u64> = r.windows.iter().map(|&(w, _)| w).collect();
+        assert_eq!(held, settles.into_iter().collect::<Vec<_>>());
+        assert!(held.last().is_some_and(|&w| w > 1 << 38));
+    }
+
+    /// A window recorded into counts even when nothing may be kept.
+    #[test]
+    fn keepless_windows_still_count() {
+        let cfg = FlightConfig {
+            window: SimDuration::micros(10),
+            worst: 0,
+            reservoir: 0,
+            seed: 1,
+        };
+        let mut r = FlightRecorder::new(cfg);
+        for (i, settle) in [15u64, 5, 95, 12, 55].into_iter().enumerate() {
+            r.record(skel(i as u32, 0, 0, settle));
+        }
+        let log = r.resolve(&[], &[]);
+        assert_eq!((log.windows, log.kept_entries), (4, 0));
+        assert!(log.samples.is_empty());
+        assert_eq!(log.recorded, 5);
+    }
+
+    /// Oracle: narrowing to the overlapped windows first returns what
+    /// the linear filter over every exemplar returns — for spans that do
+    /// not line up with the flight windows (5 s watch windows over 3 s
+    /// flight windows), arbitrary spans, and empty or inverted ones.
+    #[test]
+    fn exemplars_between_matches_the_linear_filter() {
+        use hcc_check::strategy::{u64s, vecs};
+        use hcc_check::{ensure_eq, forall, Config};
+        use std::cmp::Reverse;
+
+        forall!(
+            Config::new(0x7ACE_0019),
+            (raw, spans) in (
+                vecs((u64s(0..60_000), u64s(1..4_000)), 0..120),
+                vecs((u64s(0..70_000), u64s(0..70_000)), 0..8),
+            ) =>
+        {
+            let cfg = FlightConfig {
+                window: SimDuration::secs(3),
+                worst: 2,
+                reservoir: 1,
+                seed: 5,
+            };
+            let ms = |v: u64| SimTime::ZERO + SimDuration::millis(v);
+            let mut r = FlightRecorder::new(cfg);
+            for (i, &(settle, latency)) in raw.iter().enumerate() {
+                let arrival = settle.saturating_sub(latency);
+                let mut s = skel(i as u32, 0, 0, 0);
+                (s.arrival, s.dispatch, s.settle) = (ms(arrival), ms(arrival), ms(settle));
+                s.tenant = i as u32 % 3;
+                r.record(s);
+            }
+            let log = r.resolve(&[], &[]);
+            let linear = |tenant: Option<u32>, start: SimTime, end: SimTime| {
+                let mut hits: Vec<&FlightSample> = log
+                    .samples
+                    .iter()
+                    .filter(|s| start <= s.skeleton.settle && s.skeleton.settle < end)
+                    .filter(|s| tenant.is_none_or(|t| s.skeleton.tenant == t))
+                    .collect();
+                hits.sort_by_key(|s| (Reverse(s.latency()), s.req()));
+                hits.into_iter().map(FlightSample::req).collect::<Vec<u32>>()
+            };
+            let watch = (0..13).map(|k| (5_000 * k, 5_000 * (k + 1)));
+            for (a, b) in watch.chain(spans.iter().copied()).chain([(7_000, 7_000), (9_000, 2_000)]) {
+                for tenant in [None, Some(0), Some(2)] {
+                    ensure_eq!(
+                        (a, b, tenant, log.exemplars_between(tenant, ms(a), ms(b))),
+                        (a, b, tenant, linear(tenant, ms(a), ms(b)))
+                    );
+                }
+            }
+        });
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Nsight-Systems-style tracing for the `hcc` simulators: typed spans
 //! ([`TraceEvent`]), a per-run container ([`Timeline`]), extraction of the
 //! paper's launch/kernel/memory metrics (KLO, LQT, KQT, KET, `T_mem`,
-//! `T_other`), distribution statistics ([`Cdf`], [`Summary`]), and the
+//! `T_other`), distribution statistics ([`Cdf`], [`Tail`], [`Summary`]), and the
 //! call-stack cost trees behind Fig. 8 ([`CallFrame`]).
 //!
 //! Every figure in the paper's evaluation is a function of this event
@@ -53,7 +53,7 @@ pub use flight::{FlightConfig, FlightLog, FlightRecorder, FlightSample, FlightSk
 pub use histogram::Histogram;
 pub use metrics::{Counter, Gauge, MetricsSet, OrderedGauge, Series};
 pub use rollup::{CompletionSample, Window, WindowStats};
-pub use stats::{geomean, mean_ratio, Cdf, Summary};
+pub use stats::{geomean, mean_ratio, Cdf, Summary, Tail};
 pub use timeline::{KernelRecord, LaunchMetrics, LaunchRecord, MemMetrics, PhaseTotals, Timeline};
 
 #[cfg(test)]
@@ -360,6 +360,51 @@ mod proptests {
                 rev.occupy(s, s + SimDuration::from_nanos(len));
             }
             ensure_eq!(fwd.series("q"), rev.series("q"));
+        });
+    }
+
+    /// Tail oracle: selecting a population's [`Tail`] gives exactly what
+    /// sorting it into a [`Cdf`] gives — count, mean, the four quantiles
+    /// and the JSON byte for byte. Random populations are full of ties
+    /// (values modulo a small spread) or spread over the whole `u64`
+    /// range; the fixed cases are the empty, single-sample and all-equal
+    /// populations and the lengths 999, 1000 and 1001, where the p999
+    /// rank moves.
+    #[test]
+    fn tail_matches_cdf() {
+        use hcc_check::strategy::choice;
+        use hcc_types::json::ToJson as _;
+
+        fn agree(samples: &[SimDuration]) -> hcc_check::PropResult {
+            let cdf = Cdf::from_durations(samples.to_vec());
+            let tail = Tail::of(&mut samples.to_vec());
+            ensure_eq!((tail.count, tail.mean), (cdf.len() as u64, cdf.mean()));
+            ensure_eq!(
+                [tail.p50, tail.p90, tail.p99, tail.p999],
+                Tail::QUANTILES.map(|p| cdf.quantile(p))
+            );
+            ensure_eq!(tail.to_json_string(), cdf.to_json_string());
+            Ok(())
+        }
+
+        let ns = SimDuration::from_nanos;
+        let mut fixed = vec![vec![], vec![ns(7)], vec![ns(42); 1000]];
+        for len in [999u64, 1000, 1001] {
+            fixed.push((0..len).map(|i| ns(i * 7919 % len)).collect());
+            fixed.push((0..len).map(|i| ns(i * 7919 % 13)).collect());
+        }
+        for samples in &fixed {
+            if let Err(e) = agree(samples) {
+                panic!("{} samples: {e}", samples.len());
+            }
+        }
+
+        forall!(
+            Config::new(0x7ACE_001A),
+            (raw, spread) in (vecs(u64s(0..u64::MAX), 0..300), choice(&[1u64, 3, 1_000, u64::MAX])) =>
+        {
+            let samples: Vec<SimDuration> = raw.iter().map(|&v| ns(v % spread)).collect();
+            agree(&samples)?;
         });
     }
 

@@ -1,10 +1,11 @@
 //! The one nearest-rank quantile used everywhere in the trace crate.
 //!
-//! [`crate::rollup::quantile_sorted`], [`crate::Cdf::quantile`], and
-//! [`crate::Histogram::quantile`] historically carried three copies of
-//! the same integer rank formula; they now all delegate here so the
-//! rank math can never drift between the rollup, CDF, and histogram
-//! views of the same latency population.
+//! [`crate::Cdf::quantile`], [`crate::Histogram::quantile`], the
+//! rollup windows and [`crate::Tail`] all take their ranks from here, so
+//! the rank math can never drift between the views of the same latency
+//! population. [`nearest_ranks`] reads the same ranks off an unsorted
+//! population by selection, for callers that want a few quantiles and
+//! not the sorted samples.
 
 use hcc_types::SimDuration;
 
@@ -32,6 +33,34 @@ pub fn nearest_rank(sorted: &[SimDuration], p: f64) -> SimDuration {
     nearest_rank_index(sorted.len(), p)
         .map(|i| sorted[i])
         .unwrap_or(SimDuration::ZERO)
+}
+
+/// Nearest-rank quantiles at each of `ps` (ascending) of an unsorted
+/// duration population, by selection instead of a full sort: each rank
+/// is selected from the sub-slice above the previous one, so `samples`
+/// ends up partitioned around every selected rank. Every entry is
+/// `SimDuration::ZERO` when `samples` is empty, exactly as
+/// [`nearest_rank`] on the sorted population.
+pub fn nearest_ranks<const N: usize>(
+    samples: &mut [SimDuration],
+    ps: [f64; N],
+) -> [SimDuration; N] {
+    let mut out = [SimDuration::ZERO; N];
+    let mut lo = 0;
+    for (slot, p) in out.iter_mut().zip(ps) {
+        let Some(i) = nearest_rank_index(samples.len(), p) else {
+            break;
+        };
+        debug_assert!(i + 1 >= lo, "quantiles must be ascending");
+        if i < lo {
+            // Same rank as the previous quantile: already in place.
+            *slot = samples[i];
+            continue;
+        }
+        *slot = *samples[lo..].select_nth_unstable(i - lo).1;
+        lo = i + 1;
+    }
+    out
 }
 
 #[cfg(test)]
@@ -68,6 +97,22 @@ mod tests {
         let one = [SimDuration::millis(7)];
         for p in [0.0, 0.5, 0.99, 0.999, 1.0] {
             assert_eq!(nearest_rank(&one, p), SimDuration::millis(7), "p={p}");
+        }
+    }
+
+    #[test]
+    fn selection_matches_the_sorted_ranks() {
+        let ps = [0.0, 0.5, 0.5, 0.9, 0.99, 0.999, 1.0];
+        assert_eq!(nearest_ranks(&mut [], ps), [SimDuration::ZERO; 7]);
+        for len in [1u64, 2, 7, 999, 1000, 1001] {
+            // A scrambled population with ties: values repeat every 37.
+            let mut samples: Vec<SimDuration> = (0..len)
+                .map(|i| SimDuration::from_nanos(i * 7919 % len % 37))
+                .collect();
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            let want = ps.map(|p| nearest_rank(&sorted, p));
+            assert_eq!(nearest_ranks(&mut samples, ps), want, "len {len}");
         }
     }
 

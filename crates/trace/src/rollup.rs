@@ -106,14 +106,6 @@ pub fn window_range<'a>(
     &samples[lo..hi]
 }
 
-/// Nearest-rank `p`-quantile over an ascending-sorted latency slice
-/// (`SimDuration::ZERO` when empty) — integer rank math, no
-/// interpolation, so rollup tails are bit-stable. Thin alias for
-/// [`crate::quantile::nearest_rank`], the shared rank formula.
-pub fn quantile_sorted(sorted: &[SimDuration], p: f64) -> SimDuration {
-    crate::quantile::nearest_rank(sorted, p)
-}
-
 /// Per-window rollup of settled requests: counts, tail latencies, and
 /// throughput for one [`Window`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,30 +155,27 @@ impl WindowStats {
 }
 
 /// Rolls `samples` (sorted by `(at, req)`) into one [`WindowStats`] per
-/// window.
+/// window. Each window's tails are selected
+/// ([`crate::quantile::nearest_ranks`]) from one scratch buffer reused
+/// across windows, not sorted.
 pub fn window_stats(samples: &[CompletionSample], windows: &[Window]) -> Vec<WindowStats> {
+    let mut latencies: Vec<SimDuration> = Vec::new();
     windows
         .iter()
         .map(|w| {
             let slice = window_range(samples, w);
-            let mut latencies: Vec<SimDuration> = slice
-                .iter()
-                .filter(|s| !s.rejected)
-                .map(|s| s.latency)
-                .collect();
-            latencies.sort_unstable();
-            let rejected = slice.len() as u64 - latencies.len() as u64;
-            let mut latency_sum = SimDuration::ZERO;
-            for l in &latencies {
-                latency_sum += *l;
-            }
+            latencies.clear();
+            latencies.extend(slice.iter().filter(|s| !s.rejected).map(|s| s.latency));
+            let latency_sum: SimDuration = latencies.iter().copied().sum();
+            let [p50, p99, p999] =
+                crate::quantile::nearest_ranks(&mut latencies, [0.50, 0.99, 0.999]);
             WindowStats {
                 window: *w,
                 completed: latencies.len() as u64,
-                rejected,
-                p50: quantile_sorted(&latencies, 0.50),
-                p99: quantile_sorted(&latencies, 0.99),
-                p999: quantile_sorted(&latencies, 0.999),
+                rejected: (slice.len() - latencies.len()) as u64,
+                p50,
+                p99,
+                p999,
                 latency_sum,
             }
         })
@@ -296,12 +285,33 @@ mod tests {
         assert_eq!(slice[1].req, 2);
     }
 
+    /// A window large enough that p50, p99 and p999 are three different
+    /// ranks, with its latencies in scrambled order.
     #[test]
-    fn quantile_sorted_degenerate_inputs() {
-        assert_eq!(quantile_sorted(&[], 0.99), SimDuration::ZERO);
-        let one = [SimDuration::millis(7)];
-        for p in [0.0, 0.5, 0.999] {
-            assert_eq!(quantile_sorted(&one, p), SimDuration::millis(7));
-        }
+    fn window_tails_are_the_nearest_ranks() {
+        let samples: Vec<CompletionSample> = (0..1000u32)
+            .map(|i| sample(i, 1, 1 + u64::from(i * 7919 % 1000), false))
+            .collect();
+        let stats = window_stats(&samples, &tumbling(t(10), SimDuration::millis(10)));
+        let ms = SimDuration::millis;
+        assert_eq!(
+            [stats[0].p50, stats[0].p99, stats[0].p999],
+            [ms(500), ms(990), ms(999)]
+        );
+        assert_eq!(stats[0].latency_sum, ms(500_500));
+    }
+
+    #[test]
+    fn single_completion_is_every_window_quantile() {
+        let samples = [sample(0, 5, 7, false), sample(1, 6, 0, true)];
+        let ws = tumbling(t(20), SimDuration::millis(10));
+        let stats = window_stats(&samples, &ws);
+        assert_eq!((stats[0].completed, stats[0].rejected), (1, 1));
+        let ms7 = SimDuration::millis(7);
+        assert_eq!([stats[0].p50, stats[0].p99, stats[0].p999], [ms7; 3]);
+        assert_eq!(
+            [stats[1].p50, stats[1].p99, stats[1].p999],
+            [SimDuration::ZERO; 3]
+        );
     }
 }

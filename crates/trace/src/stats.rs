@@ -84,23 +84,97 @@ impl Cdf {
             .map(|(i, d)| (*d, (i + 1) as f64 / n))
             .collect()
     }
+
+    /// The CDF's [`Tail`]: its count, mean and tail quantiles.
+    pub fn tail(&self) -> Tail {
+        let [p50, p90, p99, p999] = Tail::QUANTILES.map(|p| self.quantile(p));
+        Tail {
+            count: self.len() as u64,
+            mean: self.mean(),
+            p50,
+            p90,
+            p99,
+            p999,
+        }
+    }
 }
 
 impl ToJson for Cdf {
-    /// Summary export for plotting pipelines: sample count, mean, and the
-    /// tail quantiles the serving reports table (p50/p90/p99/p999), all in
-    /// nanoseconds. Raw samples are deliberately omitted — a 10⁵-request
-    /// serving run would otherwise dump 10⁵ numbers per tenant; use
-    /// [`Cdf::points`] directly when the full curve is wanted.
+    /// The CDF's [`Tail`] export. Raw samples are deliberately omitted —
+    /// a 10⁵-request serving run would otherwise dump 10⁵ numbers per
+    /// tenant; use [`Cdf::points`] directly when the full curve is
+    /// wanted.
     fn to_json(&self) -> Json {
-        let q = |p: f64| Json::U64(self.quantile(p).as_nanos());
+        self.tail().to_json()
+    }
+}
+
+/// The fixed-size summary a serving report keeps of a latency
+/// population: sample count, exact mean and the nearest-rank
+/// p50/p90/p99/p999 — the same figures [`Cdf`] reports, without keeping
+/// the samples.
+///
+/// ```
+/// use hcc_trace::Tail;
+/// use hcc_types::SimDuration;
+/// let mut samples: Vec<SimDuration> = (1..=100).rev().map(SimDuration::micros).collect();
+/// let tail = Tail::of(&mut samples);
+/// assert_eq!((tail.count, tail.p50, tail.p99), (100, SimDuration::micros(50), SimDuration::micros(99)));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tail {
+    /// Number of samples.
+    pub count: u64,
+    /// Arithmetic mean over every sample (ZERO when empty).
+    pub mean: SimDuration,
+    /// Nearest-rank median (ZERO when empty).
+    pub p50: SimDuration,
+    /// Nearest-rank 90th percentile.
+    pub p90: SimDuration,
+    /// Nearest-rank 99th percentile.
+    pub p99: SimDuration,
+    /// Nearest-rank 99.9th percentile.
+    pub p999: SimDuration,
+}
+
+impl Tail {
+    /// The quantiles a tail keeps, ascending.
+    pub const QUANTILES: [f64; 4] = [0.50, 0.90, 0.99, 0.999];
+
+    /// Summarizes `samples` by selection, in linear time; the slice is
+    /// left reordered. Equal to `Cdf::from_durations(samples).tail()`.
+    pub fn of(samples: &mut [SimDuration]) -> Tail {
+        let total: u128 = samples.iter().map(|d| u128::from(d.as_nanos())).sum();
+        let mean = total.checked_div(samples.len() as u128).unwrap_or(0);
+        let [p50, p90, p99, p999] = crate::quantile::nearest_ranks(samples, Tail::QUANTILES);
+        Tail {
+            count: samples.len() as u64,
+            mean: SimDuration::from_nanos(mean as u64),
+            p50,
+            p90,
+            p99,
+            p999,
+        }
+    }
+
+    /// `true` when the population was empty.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+}
+
+impl ToJson for Tail {
+    /// Sample count, mean and the four tail quantiles, all in
+    /// nanoseconds.
+    fn to_json(&self) -> Json {
+        let ns = |d: SimDuration| Json::U64(d.as_nanos());
         Json::Obj(vec![
-            ("count".to_string(), Json::U64(self.len() as u64)),
-            ("mean_ns".to_string(), Json::U64(self.mean().as_nanos())),
-            ("p50_ns".to_string(), q(0.50)),
-            ("p90_ns".to_string(), q(0.90)),
-            ("p99_ns".to_string(), q(0.99)),
-            ("p999_ns".to_string(), q(0.999)),
+            ("count".to_string(), Json::U64(self.count)),
+            ("mean_ns".to_string(), ns(self.mean)),
+            ("p50_ns".to_string(), ns(self.p50)),
+            ("p90_ns".to_string(), ns(self.p90)),
+            ("p99_ns".to_string(), ns(self.p99)),
+            ("p999_ns".to_string(), ns(self.p999)),
         ])
     }
 }
@@ -271,6 +345,7 @@ mod tests {
         let doc = Json::parse(&cdf.to_json_string()).unwrap();
         assert_eq!(doc.get("count").and_then(Json::as_u64), Some(100));
         assert_eq!(doc.get("p50_ns").and_then(Json::as_u64), Some(50_000));
+        assert_eq!(doc.get("p90_ns").and_then(Json::as_u64), Some(90_000));
         assert_eq!(doc.get("p99_ns").and_then(Json::as_u64), Some(99_000));
         assert_eq!(doc.get("p999_ns").and_then(Json::as_u64), Some(100_000));
         // Empty CDFs export zeros, not errors.

@@ -370,9 +370,10 @@ echo "tier-2: OK (slo watchtower: $slo_wps windows/s wall-clock, $slo_incidents 
 # byte-identical forensics page at 1 and 4 engine threads, hold the
 # per-request span identity on the stormy soak, link every incident to
 # concrete exemplar request ids, and resolve a linked id back to a
-# span waterfall with `why --request`. The BENCH_flight.json side file
-# must record the flight-on vs flight-off wall cost and the exemplar
-# store's peak bytes.
+# span waterfall with `why --request`. The same holds with 1 ms flight
+# windows, where nearly every request opens a window of its own. The
+# BENCH_flight.json side file must record the flight-on vs flight-off
+# wall cost and the exemplar store's peak bytes.
 echo "==> tier-2: request flight recorder forensics"
 HCC_ENGINE_THREADS=1 ./target/release/why \
     >"$t2_dir/why1.out" 2>/dev/null
@@ -389,6 +390,19 @@ if ! grep -q "span-identity OK$" "$t2_dir/why1.out"; then
 fi
 if ! grep -q "incident #.*exemplars #" "$t2_dir/why1.out"; then
     echo "tier-2: FAIL — no incident links a flight exemplar" >&2
+    exit 1
+fi
+
+HCC_FLIGHT_WINDOW_MS=1 HCC_ENGINE_THREADS=1 ./target/release/why \
+    >"$t2_dir/why1_fine.out" 2>/dev/null
+HCC_FLIGHT_WINDOW_MS=1 HCC_ENGINE_THREADS=4 ./target/release/why \
+    >"$t2_dir/why4_fine.out" 2>/dev/null
+if ! diff -u "$t2_dir/why1_fine.out" "$t2_dir/why4_fine.out"; then
+    echo "tier-2: FAIL — why stdout with 1 ms flight windows differs between 1 and 4 threads" >&2
+    exit 1
+fi
+if ! grep -q "span-identity OK$" "$t2_dir/why1_fine.out"; then
+    echo "tier-2: FAIL — span identity violated with 1 ms flight windows" >&2
     exit 1
 fi
 

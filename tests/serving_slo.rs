@@ -60,12 +60,12 @@ fn cc_on_p99_strictly_dominates_cc_off_per_tenant() {
                 run.scheduler
             );
             assert!(
-                on.latency.quantile(0.99) > off.latency.quantile(0.99),
+                on.latency.p99 > off.latency.p99,
                 "{} under {}: CC-on p99 {} must strictly exceed CC-off p99 {}",
                 on.name,
                 run.scheduler,
-                on.latency.quantile(0.99),
-                off.latency.quantile(0.99),
+                on.latency.p99,
+                off.latency.p99,
             );
         }
     }
