@@ -11,16 +11,20 @@
 //! machine-readable exports (all snapshots as JSON; the worst scenario's
 //! Prometheus text page).
 //!
-//! `--serve` / `--chaos` additionally drive a small serving or chaos
-//! soak and report its `serving.queue_depth` snapshot per cell, so soak
-//! metrics flow through the same self-check, drift audit, and exports
-//! as the per-scenario planes. Any gauge whose final change-point is
-//! nonzero earns a `WARN ... drift` line: a queue that never drained
-//! back to zero usually means a release was never recorded.
+//! `--serve` / `--chaos` additionally report each cell's
+//! `serving.queue_depth` snapshot of a small serving or chaos soak, so
+//! soak metrics flow through the same self-check, drift audit, and
+//! exports as the per-scenario planes. A finished soak cell keeps no
+//! gauge series, so this bin drains its own snapshot cells with
+//! `cluster::simulate`, over the soak's shape tables and cluster config
+//! (`ServingConfig::cluster`, `ChaosConfig::cluster`). Any gauge whose
+//! final change-point is nonzero earns a `WARN ... drift` line: a queue
+//! that never drained back to zero usually means a release was never
+//! recorded.
 
 use hcc_bench::chaos::ChaosConfig;
 use hcc_bench::cli::{self, CliError};
-use hcc_bench::serving::ServingConfig;
+use hcc_bench::serving::{cluster, ServingConfig};
 use hcc_bench::{chaos, engine, figures, report, serving};
 use hcc_trace::metrics::{to_prometheus, MetricsSet};
 use hcc_types::json::{Json, ToJson};
@@ -92,14 +96,12 @@ fn soak_snapshots(serve: bool, storm: bool) -> Vec<(String, SimTime, MetricsSet)
             gpus: 2,
             ..ServingConfig::default()
         };
-        let rep = serving::run(&cfg, engine::global());
-        for run in &rep.runs {
-            for mode in &run.modes {
-                out.push((
-                    format!("serve:{}/{}", run.scheduler, mode.cc),
-                    mode.end,
-                    mode.metrics.clone(),
-                ));
+        let (requests, tables) = serving::shape_tables(&cfg, engine::global());
+        for &kind in &cfg.schedulers {
+            for cc in CcMode::ALL {
+                let table = &tables[usize::from(cc.is_on())];
+                let run = cluster::simulate(&requests, table, &cfg.cluster(kind, cc));
+                out.push((format!("serve:{kind}/{cc}"), run.end, run.metrics));
             }
         }
     }
@@ -112,14 +114,12 @@ fn soak_snapshots(serve: bool, storm: bool) -> Vec<(String, SimTime, MetricsSet)
             policies: vec![RecoveryPolicy::Abort],
             ..ChaosConfig::default()
         };
-        let rep = chaos::run(&cfg, engine::global());
-        for prof in &rep.profiles {
-            for cell in &prof.cells {
-                out.push((
-                    format!("chaos:{}/{}", prof.profile.name, cell.policy),
-                    cell.mode.end,
-                    cell.mode.metrics.clone(),
-                ));
+        let (requests, storms) = chaos::shape_tables(&cfg, engine::global());
+        for (profile, storm) in cfg.profiles.iter().zip(&storms) {
+            for (policy, table) in cfg.policies.iter().zip(&storm.tables) {
+                let run = cluster::simulate(&requests, table, &cfg.cluster());
+                let label = format!("chaos:{}/{policy}", profile.name);
+                out.push((label, run.end, run.metrics));
             }
         }
     }

@@ -32,7 +32,6 @@ pub mod report;
 use std::sync::Arc;
 
 use hcc_runtime::{LeakAudit, SimConfig};
-use hcc_trace::Series;
 use hcc_types::calib::TdxCalib;
 use hcc_types::{
     ByteSize, CcMode, FaultCounts, LatencyBudget, RecoveryPolicy, SimDuration, SimTime,
@@ -46,9 +45,8 @@ use crate::serving::{
     arrival, cluster, distinct_apps, observe, ArrivalKind, Request, SchedulerKind, ShapeTable,
 };
 
-pub use report::{
-    ChaosReport, FaultLedger, PolicyCell, ProfileReport, TenantVerdict, TimeToRecover,
-};
+pub use crate::serving::report::TimeToRecover;
+pub use report::{ChaosReport, FaultLedger, PolicyCell, ProfileReport, TenantVerdict};
 
 /// Environment variable overriding the master seed.
 pub const SEED_ENV: &str = "HCC_CHAOS_SEED";
@@ -186,6 +184,20 @@ impl ChaosConfig {
     pub fn episodes(&self) -> u32 {
         u32::try_from(u64::from(self.episodes_per_day).saturating_mul(self.days))
             .unwrap_or(u32::MAX)
+    }
+
+    /// The cluster every cell drains through: CC-on, `gpus` wide,
+    /// under `scheduler`.
+    #[must_use]
+    pub fn cluster(&self) -> cluster::ClusterConfig<'_> {
+        cluster::ClusterConfig {
+            tenants: &self.tenants,
+            cc: CcMode::On,
+            gpus: self.gpus,
+            kind: self.scheduler,
+            max_batch: self.max_batch,
+            tdx: &self.tdx,
+        }
     }
 
     fn calm_cfg(&self) -> SimConfig {
@@ -394,19 +406,12 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
     let horizon = cfg.horizon();
     let (requests, storms) = shape_tables(cfg, engine);
     let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.name.to_string()).collect();
-    let cluster = cluster::ClusterConfig {
-        tenants: &cfg.tenants,
-        cc: CcMode::On,
-        gpus: cfg.gpus,
-        kind: cfg.scheduler,
-        max_batch: cfg.max_batch,
-        tdx: &cfg.tdx,
-    };
+    let cluster = cfg.cluster();
 
+    let mut retired = hcc_trace::MetricsSet::default();
     let mut profiles_out = Vec::with_capacity(cfg.profiles.len());
     for (profile, storm) in cfg.profiles.iter().zip(storms) {
         let schedule = &storm.schedule;
-        let peak_ends = schedule.peak_ends();
         let soak = crate::watch::SoakContext {
             tenant_names: &tenant_names,
             budgets: &cfg.budgets,
@@ -470,8 +475,8 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
 
             // The cluster run: identical trace, identical calendar —
             // only the recovery policy differs between cells. Incidents
-            // correlate against this profile's calendar; blame and
-            // exemplars resolve against the cell's shape table.
+            // and time-to-recover read this profile's calendar; blame
+            // and exemplars resolve against the cell's shape table.
             let (mode, watch, flight) = observe::cell(
                 &requests,
                 table,
@@ -479,6 +484,7 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
                 cfg.watch.as_ref(),
                 cfg.flight,
                 &soak,
+                &mut retired,
             );
 
             // Fold the flight store's accounting into the cell audit:
@@ -492,8 +498,6 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
             if let Err(e) = audit.check() {
                 violations.push(format!("cell aggregate: {e}"));
             }
-
-            let ttr = time_to_recover(mode.metrics.gauge_series("serving.queue_depth"), &peak_ends);
 
             let verdicts = mode
                 .tenants
@@ -523,7 +527,6 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
                 shapes: table.shapes().len(),
                 aborted_shapes,
                 max_shape_events,
-                ttr,
                 verdicts,
                 violations,
                 watch,
@@ -556,58 +559,11 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
     }
 }
 
-/// Measures how long after each peak window's end the cluster queue
-/// drained back to zero. A peak counts as `drained` when the queue was
-/// already empty at the window's end (drain time zero) or a later gauge
-/// change-point reaches zero; peaks whose backlog never returns to zero
-/// before the run ends are left out of the mean/max.
-fn time_to_recover(queue: Option<&Series>, peak_ends: &[SimTime]) -> TimeToRecover {
-    let mut out = TimeToRecover {
-        peaks: peak_ends.len(),
-        ..TimeToRecover::default()
-    };
-    let Some(series) = queue else {
-        // No gauge means no queueing ever happened: every peak drained
-        // instantly.
-        out.drained = out.peaks;
-        return out;
-    };
-    let mut sum = 0u64;
-    let mut max = 0u64;
-    for &t in peak_ends {
-        // Gauge samples are (time, value-after-time) change-points in
-        // nondecreasing time order.
-        let idx = series.samples.partition_point(|&(st, _)| st <= t);
-        let value_at = if idx == 0 {
-            0
-        } else {
-            series.samples[idx - 1].1
-        };
-        let recovered_at = if value_at == 0 {
-            Some(t)
-        } else {
-            series.samples[idx..]
-                .iter()
-                .find(|&&(_, v)| v == 0)
-                .map(|&(st, _)| st)
-        };
-        if let Some(r) = recovered_at {
-            let d = r.saturating_since(t).as_nanos();
-            out.drained += 1;
-            sum += d;
-            max = max.max(d);
-        }
-    }
-    if out.drained > 0 {
-        out.mean = SimDuration::from_nanos(sum / out.drained as u64);
-        out.max = SimDuration::from_nanos(max);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serving::report::time_to_recover;
+    use hcc_trace::Series;
 
     fn small() -> ChaosConfig {
         ChaosConfig {

@@ -14,7 +14,7 @@ use hcc_types::{
     FaultCounts, LatencyBudget, RecoveryPolicy, SimDuration, SimTime, StormIntensity, StormProfile,
 };
 
-use crate::serving::report::ModeRun;
+use crate::serving::report::{ModeRun, TimeToRecover};
 use crate::serving::{ArrivalKind, SchedulerKind};
 
 /// Request-level fault accounting for one cell. Every request replays its
@@ -46,20 +46,6 @@ impl FaultLedger {
     pub fn total(&self) -> u64 {
         self.clean + self.faulty()
     }
-}
-
-/// Post-storm drain measurements: for each peak window's end, how long
-/// until the cluster queue returned to zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TimeToRecover {
-    /// Peak windows in the storm calendar.
-    pub peaks: usize,
-    /// Peaks after which the queue demonstrably drained to zero.
-    pub drained: usize,
-    /// Mean drain time over drained peaks.
-    pub mean: SimDuration,
-    /// Worst drain time over drained peaks.
-    pub max: SimDuration,
 }
 
 /// One tenant's SLO verdict inside one cell.
@@ -133,7 +119,7 @@ pub struct PolicyCell {
     /// The recovery policy under test.
     pub policy: RecoveryPolicy,
     /// The cluster run (per-tenant latency/wait tails, utilization,
-    /// gauges) over the shared trace.
+    /// gauge drain, time-to-recover) over the shared trace.
     pub mode: ModeRun,
     /// Request-level fault accounting.
     pub ledger: FaultLedger,
@@ -148,8 +134,6 @@ pub struct PolicyCell {
     pub aborted_shapes: usize,
     /// Largest single-shape trace-event count (arena-growth bound input).
     pub max_shape_events: usize,
-    /// Post-peak queue-drain measurements.
-    pub ttr: TimeToRecover,
     /// Per-tenant SLO verdicts, in population order.
     pub verdicts: Vec<TenantVerdict>,
     /// Leak-audit and bounded-growth violations (empty = healthy).
@@ -164,6 +148,14 @@ pub struct PolicyCell {
 }
 
 impl PolicyCell {
+    /// Post-peak queue-drain measurements, read by the cell step.
+    #[must_use]
+    pub fn ttr(&self) -> TimeToRecover {
+        self.mode
+            .ttr
+            .expect("a chaos cell runs under a storm calendar")
+    }
+
     /// Passing tenant verdicts.
     #[must_use]
     pub fn passes(&self) -> u64 {
@@ -382,10 +374,11 @@ impl ChaosReport {
                     cell.ledger.degraded,
                     cell.ledger.rejected,
                 );
+                let ttr = cell.ttr();
                 let _ = writeln!(
                     out,
                     "recover: peaks {} drained {} | ttr mean {} max {}",
-                    cell.ttr.peaks, cell.ttr.drained, cell.ttr.mean, cell.ttr.max,
+                    ttr.peaks, ttr.drained, ttr.mean, ttr.max,
                 );
                 let _ = writeln!(
                     out,
@@ -489,6 +482,7 @@ impl ToJson for TenantVerdict {
 
 impl ToJson for PolicyCell {
     fn to_json(&self) -> Json {
+        let ttr = self.ttr();
         let mut fields = vec![
             (
                 "policy".to_string(),
@@ -521,16 +515,10 @@ impl ToJson for PolicyCell {
                 "aborted_shapes".to_string(),
                 Json::U64(self.aborted_shapes as u64),
             ),
-            ("ttr_peaks".to_string(), Json::U64(self.ttr.peaks as u64)),
-            (
-                "ttr_drained".to_string(),
-                Json::U64(self.ttr.drained as u64),
-            ),
-            (
-                "ttr_mean_ns".to_string(),
-                Json::U64(self.ttr.mean.as_nanos()),
-            ),
-            ("ttr_max_ns".to_string(), Json::U64(self.ttr.max.as_nanos())),
+            ("ttr_peaks".to_string(), Json::U64(ttr.peaks as u64)),
+            ("ttr_drained".to_string(), Json::U64(ttr.drained as u64)),
+            ("ttr_mean_ns".to_string(), Json::U64(ttr.mean.as_nanos())),
+            ("ttr_max_ns".to_string(), Json::U64(ttr.max.as_nanos())),
             ("passes".to_string(), Json::U64(self.passes())),
             ("fails".to_string(), Json::U64(self.fails())),
             (

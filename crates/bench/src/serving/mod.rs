@@ -135,6 +135,19 @@ impl ServingConfig {
         Ok(self)
     }
 
+    /// The cluster a `kind` cell drains through in `cc` mode.
+    #[must_use]
+    pub fn cluster(&self, kind: SchedulerKind, cc: CcMode) -> cluster::ClusterConfig<'_> {
+        cluster::ClusterConfig {
+            tenants: &self.tenants,
+            cc,
+            gpus: self.gpus,
+            kind,
+            max_batch: self.max_batch,
+            tdx: &self.tdx,
+        }
+    }
+
     /// The `SimConfig` every shape scenario runs under in `cc` mode.
     pub fn shape_cfg(&self, cc: CcMode) -> SimConfig {
         let mut cfg = SimConfig::new(cc).with_seed(self.shape_seed);
@@ -230,24 +243,18 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
     // The cells: every scheduler CC-off then CC-on, in report order,
     // each through the one cell step. The observation planes view only
     // the CC-on runs.
+    let mut retired = hcc_trace::MetricsSet::default();
     let mut cells = cfg.schedulers.iter().flat_map(|&kind| {
         CcMode::ALL.map(|cc| {
-            let cluster = cluster::ClusterConfig {
-                tenants: &cfg.tenants,
-                cc,
-                gpus: cfg.gpus,
-                kind,
-                max_batch: cfg.max_batch,
-                tdx: &cfg.tdx,
-            };
             let on = cc.is_on();
             observe::cell(
                 &requests,
                 &tables[usize::from(on)],
-                &cluster,
+                &cfg.cluster(kind, cc),
                 cfg.watch.as_ref().filter(|_| on),
                 cfg.flight.filter(|_| on),
                 &soak,
+                &mut retired,
             )
         })
     });

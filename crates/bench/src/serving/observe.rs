@@ -6,10 +6,11 @@
 //! run into the [`ModeRun`] its report keeps. The serving and chaos
 //! soaks both run every cell through it, so a plane that is off costs
 //! nothing, a plane that is on cannot perturb the run it observes, and
-//! each cell's outcome log is freed before the next cell drains.
+//! each cell's outcome log is freed before the next cell drains (its
+//! depth-gauge series right after).
 
 use hcc_trace::rollup::CompletionSample;
-use hcc_trace::{FlightConfig, FlightLog, FlightRecorder, FlightSkeleton};
+use hcc_trace::{FlightConfig, FlightLog, FlightRecorder, FlightSkeleton, MetricsSet};
 
 use super::arrival::Request;
 use super::cluster::{self, ClusterConfig, Outcome};
@@ -61,7 +62,8 @@ fn skeleton(i: usize, request: &Request, o: &Outcome) -> FlightSkeleton {
 /// [`ModeRun`] with the planes `watch` and `flight` ask for: the watch
 /// report (blamed through `table`'s critical paths) and the resolved
 /// flight log, with the report's incidents already linked to the log's
-/// exemplars.
+/// exemplars. `retired` holds the previous cell's depth gauges, freed
+/// once this cell has drained; this cell's take their place.
 pub fn cell(
     requests: &[Request],
     table: &ShapeTable,
@@ -69,8 +71,9 @@ pub fn cell(
     watch: Option<&WatchConfig>,
     flight: Option<FlightConfig>,
     soak: &SoakContext<'_>,
+    retired: &mut MetricsSet,
 ) -> (ModeRun, Option<WatchReport>, Option<FlightLog>) {
-    let run = cluster::simulate(requests, table, cluster);
+    let mut run = cluster::simulate(requests, table, cluster);
     let mut watch = watch.map(|wcfg| {
         let samples = completion_samples(requests, run.outcomes.iter().enumerate());
         watch::observe(
@@ -96,7 +99,20 @@ pub fn cell(
     if let (Some(w), Some(f)) = (watch.as_mut(), flight.as_ref()) {
         w.link_exemplars(f);
     }
-    let mode = report::mode_run(cluster, requests, table, run);
+    // A cell keeps two verdicts of its depth gauges: whether every gauge
+    // drained, and (under a storm calendar) the queue's time-to-recover
+    // after each peak. The series themselves outlive the cell only until
+    // the next cell has drained (`retired`), so each drain recycles the
+    // heap the last one freed: freed at once, they would leave the
+    // allocator a free top-of-heap large enough to hand back to the OS,
+    // and the next drain would fault those pages in again.
+    let drained = report::depth_gauges_drained(&run.metrics, cluster.gpus);
+    let ttr = soak.storm.map(|storm| {
+        let queue = run.metrics.gauge_series("serving.queue_depth");
+        report::time_to_recover(queue, &storm.schedule.peak_ends())
+    });
+    *retired = std::mem::take(&mut run.metrics);
+    let mode = report::mode_run(cluster, requests, table, run, drained, ttr);
     (mode, watch, flight)
 }
 

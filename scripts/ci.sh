@@ -87,8 +87,8 @@ echo "tier-2: OK (fault sweep deterministic, panic contained)"
 # detected saturated resource, JSON snapshots that survive the in-repo
 # parser) without perturbing anything (figure stdout byte-identical with
 # HCC_METRICS on and off). The serving and chaos soaks' depth gauges must
-# reach the soak-snapshot section and all drain back to zero (no WARN
-# drift line).
+# reach the soak-snapshot section, identically at 1 and 4 engine threads,
+# and all drain back to zero (no WARN drift line).
 echo "==> tier-2: observability plane smoke"
 ./target/release/obs_report --json "$t2_dir/obs.json" \
     >"$t2_dir/obs.out" 2>/dev/null
@@ -109,8 +109,20 @@ if [ ! -s "$t2_dir/obs.json" ]; then
     exit 1
 fi
 
-./target/release/obs_report --serve --chaos --json "$t2_dir/obs_soak.json" \
+# The soak snapshots are drained by obs_report itself; they must not
+# depend on the engine's worker count, in stdout or in the JSON export.
+HCC_ENGINE_THREADS=1 ./target/release/obs_report --serve --chaos --json "$t2_dir/obs_soak.json" \
     >"$t2_dir/obs_soak.out" 2>/dev/null
+HCC_ENGINE_THREADS=4 ./target/release/obs_report --serve --chaos --json "$t2_dir/obs_soak4.json" \
+    >"$t2_dir/obs_soak4.out" 2>/dev/null
+if ! diff -u "$t2_dir/obs_soak.out" "$t2_dir/obs_soak4.out"; then
+    echo "tier-2: FAIL — obs_report --serve --chaos stdout differs between 1 and 4 threads" >&2
+    exit 1
+fi
+if ! cmp -s "$t2_dir/obs_soak.json" "$t2_dir/obs_soak4.json"; then
+    echo "tier-2: FAIL — obs_report --serve --chaos --json differs between 1 and 4 threads" >&2
+    exit 1
+fi
 if ! grep -q '^=== observability — soak snapshots (serving.queue_depth) ===$' "$t2_dir/obs_soak.out" \
     || ! grep -q '^serve:' "$t2_dir/obs_soak.out" || ! grep -q '^chaos:' "$t2_dir/obs_soak.out"; then
     echo "tier-2: FAIL — obs_report --serve --chaos printed no serve and chaos soak snapshots" >&2
@@ -132,7 +144,7 @@ if ! grep -q '"scenarios_run"' "$t2_dir/engine.json"; then
     exit 1
 fi
 
-echo "tier-2: OK (obs: $samples samples, $saturated saturated, soak gauges drained, stdout unperturbed)"
+echo "tier-2: OK (obs: $samples samples, $saturated saturated, soak gauges drained and thread-invariant, stdout unperturbed)"
 
 # Tier-2 explain smoke: the causal-graph/critical-path plane must be
 # deterministic (stdout byte-identical across worker counts) and must

@@ -9,13 +9,14 @@ use std::collections::BTreeMap;
 use hcc_bench::chaos::{self, ChaosConfig};
 use hcc_bench::engine::{ExperimentEngine, ScenarioResult};
 use hcc_bench::serving::cluster::{self, ClusterConfig, Outcome};
+use hcc_bench::serving::report::{depth_gauges_drained, time_to_recover};
 use hcc_bench::serving::{self, arrival, ArrivalKind, Request, SchedulerKind, ServingConfig};
 use hcc_bench::serving::{Shape, ShapeTable};
 use hcc_bench::watch::{WatchConfig, WatchReport};
 use hcc_check::strategy::{f64s, u64s, vecs};
 use hcc_check::{ensure, ensure_eq, forall, Config};
 use hcc_tee::{SessionPool, TdCounters};
-use hcc_trace::{FlightConfig, FlightLog, Series};
+use hcc_trace::{FlightConfig, FlightLog, MetricsSet, Series};
 use hcc_types::calib::TdxCalib;
 use hcc_types::rng::Xoshiro256;
 use hcc_types::{CcMode, FaultPlan, RecoveryPolicy, SimDuration, SimTime, StormProfile};
@@ -717,4 +718,102 @@ fn cluster_matches_the_reference_cluster() {
             }
         }
     );
+}
+
+/// The final-value check over a whole gauge set: every series ended at
+/// zero.
+fn every_gauge_ends_at_zero(set: &MetricsSet) -> bool {
+    set.gauges.iter().all(|s| s.final_value() == 0)
+}
+
+/// The cell step's drained fold agrees with [`every_gauge_ends_at_zero`]
+/// on `set` and on every copy of it with one series left stuck at 1.
+fn check_drained_fold(set: &MetricsSet, gpus: usize, what: &str) {
+    assert_eq!(
+        depth_gauges_drained(set, gpus),
+        every_gauge_ends_at_zero(set),
+        "{what}"
+    );
+    for i in 0..set.gauges.len() {
+        let mut stuck = set.clone();
+        let series = &mut stuck.gauges[i];
+        let last = series.samples.last().map_or(SimTime::ZERO, |&(t, _)| t);
+        series.samples.push((last + SimDuration::from_nanos(1), 1));
+        let name = series.name.clone();
+        assert!(
+            !depth_gauges_drained(&stuck, gpus),
+            "{what}: {name} ends at 1 yet the fold says drained"
+        );
+    }
+}
+
+/// Oracle: a finished cell keeps no gauge series, only what the cell
+/// step read from them. Re-draining every cell of a small chaos soak
+/// and a small serving soak with `cluster::simulate`, on the same shape
+/// table and cluster config, recovers the full series: each chaos
+/// cell's time-to-recover is the queue series' over its calendar's peak
+/// ends, each cell's `gauges_drained()` is the final-value check over
+/// the whole `MetricsSet`, and serving cells (no calendar) carry no
+/// time-to-recover. The chaos soak is loaded enough that some peak ends
+/// with a backlog, so the time-to-recover is not vacuously zero.
+#[test]
+fn cells_keep_exactly_what_their_depth_gauges_say() {
+    let engine = ExperimentEngine::new(2);
+
+    let cfg = ChaosConfig {
+        requests: 1_000,
+        days: 1,
+        gpus: 2,
+        profiles: vec![StormProfile::bounce_squall()],
+        replicas: 1,
+        ..ChaosConfig::default()
+    };
+    let rep = chaos::run(&cfg, &engine);
+    let (requests, storms) = chaos::shape_tables(&cfg, &engine);
+    let mut backlogged = false;
+    for (prof, storm) in rep.profiles.iter().zip(&storms) {
+        let peak_ends = storm.schedule.peak_ends();
+        for (cell, table) in prof.cells.iter().zip(&storm.tables) {
+            let what = format!("chaos {}/{}", prof.profile.name, cell.policy);
+            let run = cluster::simulate(&requests, table, &cfg.cluster());
+            assert_eq!(cell.mode.end, run.end, "{what}: the re-drain diverged");
+            let queue = run.metrics.gauge_series("serving.queue_depth");
+            let want = time_to_recover(queue, &peak_ends);
+            assert_eq!(cell.mode.ttr, Some(want), "{what}");
+            backlogged |= want.max > SimDuration::ZERO;
+            assert_eq!(
+                cell.mode.gauges_drained(),
+                every_gauge_ends_at_zero(&run.metrics),
+                "{what}"
+            );
+            check_drained_fold(&run.metrics, cfg.gpus, &what);
+        }
+    }
+    assert!(
+        backlogged,
+        "no peak ended with a backlog: the TTR check is vacuous"
+    );
+
+    let cfg = ServingConfig {
+        requests: 400,
+        gpus: 2,
+        ..ServingConfig::default()
+    };
+    let rep = serving::run(&cfg, &engine);
+    let (requests, tables) = serving::shape_tables(&cfg, &engine);
+    for sched in &rep.runs {
+        for mode in &sched.modes {
+            let what = format!("serve {}/{}", sched.scheduler, mode.cc);
+            let table = &tables[usize::from(mode.cc.is_on())];
+            let run = cluster::simulate(&requests, table, &cfg.cluster(sched.scheduler, mode.cc));
+            assert_eq!(mode.end, run.end, "{what}: the re-drain diverged");
+            assert_eq!(mode.ttr, None, "{what}");
+            assert_eq!(
+                mode.gauges_drained(),
+                every_gauge_ends_at_zero(&run.metrics),
+                "{what}"
+            );
+            check_drained_fold(&run.metrics, cfg.gpus, &what);
+        }
+    }
 }
