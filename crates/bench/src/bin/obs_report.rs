@@ -17,18 +17,20 @@
 //! exports as the per-scenario planes. A finished soak cell keeps no
 //! gauge series, so this bin drains its own snapshot cells with
 //! `cluster::simulate`, over the soak's shape tables and cluster config
-//! (`ServingConfig::cluster`, `ChaosConfig::cluster`). Any gauge whose
+//! (`ServingConfig::cluster`, `ChaosConfig::cluster`) with the metrics
+//! plane on, which records the depth gauges. Any gauge whose
 //! final change-point is nonzero earns a `WARN ... drift` line: a queue
 //! that never drained back to zero usually means a release was never
 //! recorded.
 
 use hcc_bench::chaos::ChaosConfig;
 use hcc_bench::cli::{self, CliError};
-use hcc_bench::serving::{cluster, ServingConfig};
+use hcc_bench::serving::cluster::{self, ClusterConfig};
+use hcc_bench::serving::ServingConfig;
 use hcc_bench::{chaos, engine, figures, report, serving};
 use hcc_trace::metrics::{to_prometheus, MetricsSet};
 use hcc_types::json::{Json, ToJson};
-use hcc_types::{CcMode, RecoveryPolicy, SimDuration, SimTime, StormProfile};
+use hcc_types::{CcMode, Planes, RecoveryPolicy, SimDuration, SimTime, StormProfile};
 use hcc_workloads::{suites, Scenario};
 
 /// Queue-style gauges (unit: items waiting) ranked when flagging the
@@ -85,6 +87,15 @@ fn warn_drift(label: &str, set: &MetricsSet) -> usize {
     fired
 }
 
+/// `cluster` with the metrics plane on: its drains record the depth
+/// gauges.
+fn gauged(cluster: ClusterConfig<'_>) -> ClusterConfig<'_> {
+    ClusterConfig {
+        planes: Planes::METRICS,
+        ..cluster
+    }
+}
+
 /// Soak snapshots taken by `--serve` / `--chaos`: one labelled metrics
 /// set per (scheduler|policy, cc-mode) cell, with the cell's virtual
 /// end time for mean-depth normalisation.
@@ -100,7 +111,7 @@ fn soak_snapshots(serve: bool, storm: bool) -> Vec<(String, SimTime, MetricsSet)
         for &kind in &cfg.schedulers {
             for cc in CcMode::ALL {
                 let table = &tables[usize::from(cc.is_on())];
-                let run = cluster::simulate(&requests, table, &cfg.cluster(kind, cc));
+                let run = cluster::simulate(&requests, table, &gauged(cfg.cluster(kind, cc)));
                 out.push((format!("serve:{kind}/{cc}"), run.end, run.metrics));
             }
         }
@@ -117,7 +128,7 @@ fn soak_snapshots(serve: bool, storm: bool) -> Vec<(String, SimTime, MetricsSet)
         let (requests, storms) = chaos::shape_tables(&cfg, engine::global());
         for (profile, storm) in cfg.profiles.iter().zip(&storms) {
             for (policy, table) in cfg.policies.iter().zip(&storm.tables) {
-                let run = cluster::simulate(&requests, table, &cfg.cluster());
+                let run = cluster::simulate(&requests, table, &gauged(cfg.cluster()));
                 let label = format!("chaos:{}/{policy}", profile.name);
                 out.push((label, run.end, run.metrics));
             }

@@ -1,6 +1,7 @@
 //! One-command reproduction summary: regenerates every headline statistic
-//! and scores all nine observations. This is the number-for-number source
-//! of EXPERIMENTS.md.
+//! and scores all nine observations (Observation 6 from the KLR points of
+//! Fig. 7's runs, the same points `tests/observations.rs` checks). This
+//! is the number-for-number source of EXPERIMENTS.md.
 //!
 //! ```sh
 //! cargo run --release -p hcc-bench --bin summary
@@ -204,6 +205,8 @@ fn main() {
         obs::obs3_copy(&rows5.iter().map(fig05::Row::slowdown).collect::<Vec<_>>()),
         obs::obs4_launch(klo, lqt, kqt),
         obs::obs5_ket(hcc_trace::mean_ratio(&nonuvm), geomean(&uvm_cc)),
+        // Fig. 7's runs, whose failures are already reported above.
+        obs::obs6_klr(&fig07::try_klr_points().data),
         {
             // obs7 inputs from the launch train and a short-kernel fusion sweep.
             let recs = fig12::launch_train(CcMode::On, 100, 100);

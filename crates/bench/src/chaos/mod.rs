@@ -34,7 +34,7 @@ use std::sync::Arc;
 use hcc_runtime::{LeakAudit, SimConfig};
 use hcc_types::calib::TdxCalib;
 use hcc_types::{
-    ByteSize, CcMode, FaultCounts, LatencyBudget, RecoveryPolicy, SimDuration, SimTime,
+    ByteSize, CcMode, FaultCounts, LatencyBudget, Planes, RecoveryPolicy, SimDuration, SimTime,
     StormIntensity, StormProfile, StormSchedule,
 };
 use hcc_workloads::{default_tenants, Scenario, TenantSpec};
@@ -45,7 +45,7 @@ use crate::serving::{
     arrival, cluster, distinct_apps, observe, ArrivalKind, Request, SchedulerKind, ShapeTable,
 };
 
-pub use crate::serving::report::TimeToRecover;
+pub use crate::serving::cluster::TimeToRecover;
 pub use report::{ChaosReport, FaultLedger, PolicyCell, ProfileReport, TenantVerdict};
 
 /// Environment variable overriding the master seed.
@@ -197,6 +197,8 @@ impl ChaosConfig {
             kind: self.scheduler,
             max_batch: self.max_batch,
             tdx: &self.tdx,
+            peak_ends: None,
+            planes: Planes::NONE,
         }
     }
 
@@ -408,7 +410,6 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
     let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.name.to_string()).collect();
     let cluster = cfg.cluster();
 
-    let mut retired = hcc_trace::MetricsSet::default();
     let mut profiles_out = Vec::with_capacity(cfg.profiles.len());
     for (profile, storm) in cfg.profiles.iter().zip(storms) {
         let schedule = &storm.schedule;
@@ -484,7 +485,6 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
                 cfg.watch.as_ref(),
                 cfg.flight,
                 &soak,
-                &mut retired,
             );
 
             // Fold the flight store's accounting into the cell audit:
@@ -562,8 +562,7 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serving::report::time_to_recover;
-    use hcc_trace::Series;
+    use crate::serving::cluster::Recovery;
 
     fn small() -> ChaosConfig {
         ChaosConfig {
@@ -626,21 +625,21 @@ mod tests {
 
     #[test]
     fn time_to_recover_reads_gauge_changepoints() {
-        let series = Series {
-            name: "q".to_string(),
-            samples: vec![
-                (SimTime::from_nanos(10), 3),
-                (SimTime::from_nanos(50), 0),
-                (SimTime::from_nanos(80), 2),
-                (SimTime::from_nanos(120), 0),
-            ],
-        };
+        // The queue's end-of-instant depths: 3 at 10, 0 at 50, 2 at 80,
+        // 0 at 120, each held until the next instant.
+        let t = SimTime::from_nanos;
         let peaks = [
-            SimTime::from_nanos(20),  // backlog 3, drains at 50 → ttr 30
-            SimTime::from_nanos(60),  // already drained → ttr 0
-            SimTime::from_nanos(100), // backlog 2, drains at 120 → ttr 20
+            t(20),  // backlog 3, drains at 50 → ttr 30
+            t(60),  // already drained → ttr 0
+            t(100), // backlog 2, drains at 120 → ttr 20
         ];
-        let ttr = time_to_recover(Some(&series), &peaks);
+        let mut cursor = Recovery::new(&peaks);
+        cursor.settle(t(0), 0, Some(t(10)));
+        cursor.settle(t(10), 3, Some(t(50)));
+        cursor.settle(t(50), 0, Some(t(80)));
+        cursor.settle(t(80), 2, Some(t(120)));
+        cursor.settle(t(120), 0, None);
+        let ttr = cursor.finish();
         assert_eq!(ttr.peaks, 3);
         assert_eq!(ttr.drained, 3);
         assert_eq!(ttr.max, SimDuration::from_nanos(30));

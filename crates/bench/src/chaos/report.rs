@@ -14,7 +14,8 @@ use hcc_types::{
     FaultCounts, LatencyBudget, RecoveryPolicy, SimDuration, SimTime, StormIntensity, StormProfile,
 };
 
-use crate::serving::report::{ModeRun, TimeToRecover};
+use crate::serving::cluster::TimeToRecover;
+use crate::serving::report::ModeRun;
 use crate::serving::{ArrivalKind, SchedulerKind};
 
 /// Request-level fault accounting for one cell. Every request replays its
@@ -148,7 +149,7 @@ pub struct PolicyCell {
 }
 
 impl PolicyCell {
-    /// Post-peak queue-drain measurements, read by the cell step.
+    /// Post-peak queue-drain measurements, measured by the drain.
     #[must_use]
     pub fn ttr(&self) -> TimeToRecover {
         self.mode

@@ -665,6 +665,38 @@ pub mod fig07 {
         crate::report::surface(try_rows())
     }
 
+    /// Observation 6's points over the same population and runs: each
+    /// app's CC-off KLR and its CC slowdown over the launch window (first
+    /// launch to last kernel end), which isolates the launch path from
+    /// copy slowdowns. Failures are collected per app.
+    pub fn try_klr_points() -> super::Computed<Vec<(f64, f64)>> {
+        let results = crate::engine::global().run_all(&scenarios());
+        let mut data = Vec::new();
+        let mut failures = Vec::new();
+        for pair in results.chunks_exact(2) {
+            match (pair[0].run(), pair[1].run()) {
+                (Ok(base), Ok(cc)) => {
+                    let klr = hcc_core::KlrAnalysis::of(&base.timeline.launch_metrics()).klr;
+                    data.push((klr, launch_window(cc) / launch_window(base)));
+                }
+                (base, cc) => failures.extend(base.err().into_iter().chain(cc.err())),
+            }
+        }
+        super::Computed { data, failures }
+    }
+
+    /// From a run's first launch to its last kernel's end.
+    fn launch_window(run: &hcc_workloads::RunResult) -> hcc_types::SimDuration {
+        let lm = run.timeline.launch_metrics();
+        let start = lm.launches.first().expect("has launches").start;
+        let end = lm
+            .kernels
+            .last()
+            .map(|k| k.start + k.ket)
+            .expect("has kernels");
+        end.saturating_since(start)
+    }
+
     /// Mean (KLO, LQT, KQT) ratios across apps.
     pub fn means(rows: &[Row]) -> (f64, f64, f64) {
         let klo: Vec<f64> = rows.iter().map(|r| r.klo).collect();

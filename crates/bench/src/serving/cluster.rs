@@ -13,13 +13,19 @@
 //! pays the full SPDM handshake (CC-on), and every request pays the
 //! submit/complete doorbell pair — so CC-on admission costs ride the
 //! same TD cost oracle as the rest of the lab.
+//!
+//! The drain computes its own verdicts as it runs: whether every queue
+//! and device depth ended at zero, and (given a storm calendar's peak
+//! ends) the queue's time-to-recover after each peak. Depth-gauge
+//! series are recorded only under [`Planes::METRICS`], for the views
+//! that read them.
 
 use std::collections::BinaryHeap;
 
 use hcc_tee::{SessionPool, TdCounters};
 use hcc_trace::{MetricsSet, OrderedGauge};
 use hcc_types::calib::TdxCalib;
-use hcc_types::{CcMode, SimDuration, SimTime};
+use hcc_types::{CcMode, Planes, SimDuration, SimTime};
 use hcc_workloads::TenantSpec;
 
 use super::arrival::Request;
@@ -77,8 +83,29 @@ pub struct ClusterRun {
     pub sessions_closed: u64,
     /// TD transition counters summed over every (device, tenant) context.
     pub td: TdCounters,
-    /// Queue-depth and per-GPU occupancy gauges.
+    /// Whether the queue and every device ended the run empty.
+    pub drained: bool,
+    /// The queue's time-to-recover after each of the config's peak ends:
+    /// `Some` exactly when [`ClusterConfig::peak_ends`] is.
+    pub ttr: Option<TimeToRecover>,
+    /// Queue-depth and per-GPU occupancy gauges plus the `serving.*`
+    /// counters; empty unless the config's planes include
+    /// [`Planes::METRICS`].
     pub metrics: MetricsSet,
+}
+
+/// Post-storm drain measurements: for each peak window's end, how long
+/// until the cluster queue returned to zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TimeToRecover {
+    /// Peak windows in the storm calendar.
+    pub peaks: usize,
+    /// Peaks after which the queue demonstrably drained to zero.
+    pub drained: usize,
+    /// Mean drain time over drained peaks.
+    pub mean: SimDuration,
+    /// Worst drain time over drained peaks.
+    pub max: SimDuration,
 }
 
 /// The cluster a trace drains through: who is admitted, on how many
@@ -97,6 +124,12 @@ pub struct ClusterConfig<'a> {
     pub max_batch: usize,
     /// TDX calibration for the per-device session pools.
     pub tdx: &'a TdxCalib,
+    /// Storm peak-window ends, ascending, to measure time-to-recover
+    /// at; `None` outside a storm calendar.
+    pub peak_ends: Option<&'a [SimTime]>,
+    /// Observation planes: [`Planes::METRICS`] records the depth-gauge
+    /// series and `serving.*` counters into [`ClusterRun::metrics`].
+    pub planes: Planes,
 }
 
 /// The idle GPUs as a bitset (bit `g % 64` of word `g / 64`) with a
@@ -148,6 +181,86 @@ impl IdleGpus {
     }
 }
 
+/// The depth-gauge series a drain records under [`Planes::METRICS`].
+#[derive(Debug)]
+struct DepthGauges {
+    queue: OrderedGauge,
+    gpu: Vec<OrderedGauge>,
+}
+
+impl DepthGauges {
+    fn new(gpus: usize) -> Self {
+        DepthGauges {
+            queue: OrderedGauge::new(),
+            gpu: (0..gpus).map(|_| OrderedGauge::new()).collect(),
+        }
+    }
+}
+
+/// A cursor over ascending peak ends that measures the queue's
+/// time-to-recover as the clock advances. A peak drains at once when
+/// the queue is empty at its end, and otherwise at the end of the first
+/// later virtual instant that leaves the queue empty; peaks still
+/// backlogged when the run ends are left out of the mean and max.
+#[derive(Debug)]
+pub(crate) struct Recovery<'a> {
+    peaks: &'a [SimTime],
+    /// Peaks before this index have been classified against an instant.
+    classified: usize,
+    /// Peaks in `pending..classified` are still backlogged.
+    pending: usize,
+    drained: usize,
+    sum_ns: u64,
+    max_ns: u64,
+}
+
+impl<'a> Recovery<'a> {
+    pub(crate) fn new(peaks: &'a [SimTime]) -> Self {
+        assert!(peaks.is_sorted(), "peak ends ascend");
+        Recovery {
+            peaks,
+            classified: 0,
+            pending: 0,
+            drained: 0,
+            sum_ns: 0,
+            max_ns: 0,
+        }
+    }
+
+    /// The queue held `depth` at the end of instant `now` and keeps it
+    /// until `until`, the next instant (`None`: the run is over).
+    pub(crate) fn settle(&mut self, now: SimTime, depth: usize, until: Option<SimTime>) {
+        let before_until = |&p: &SimTime| until.is_none_or(|u| p < u);
+        while self.peaks.get(self.classified).is_some_and(before_until) {
+            self.classified += 1;
+        }
+        if depth == 0 {
+            // Backlogged peaks recover now; peaks in `[now, until)` find
+            // the queue already empty.
+            for &p in &self.peaks[self.pending..self.classified] {
+                let d = now.saturating_since(p).as_nanos();
+                self.drained += 1;
+                self.sum_ns += d;
+                self.max_ns = self.max_ns.max(d);
+            }
+            self.pending = self.classified;
+        }
+    }
+
+    pub(crate) fn finish(self) -> TimeToRecover {
+        let mut out = TimeToRecover {
+            peaks: self.peaks.len(),
+            drained: self.drained,
+            ..TimeToRecover::default()
+        };
+        if self.drained > 0 {
+            out.mean = SimDuration::from_nanos(self.sum_ns / self.drained as u64);
+            out.max = SimDuration::from_nanos(self.max_ns);
+        }
+        out
+    }
+}
+
 /// Simulates one scheduler draining the trace on `cfg.gpus` devices.
 ///
 /// `shapes` maps each request to its memoized shape outcome: the solo
@@ -158,7 +271,8 @@ impl IdleGpus {
 ///
 /// The loop records nothing beyond the returned [`ClusterRun`]: the
 /// observation planes (rollups, flight recording) are views built from
-/// its outcomes after the drain.
+/// its outcomes after the drain, and the depth gauges are recorded only
+/// under [`Planes::METRICS`].
 pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'_>) -> ClusterRun {
     assert_eq!(requests.len(), shapes.shape_of().len());
     assert!(cfg.gpus > 0, "a cluster needs at least one GPU");
@@ -180,18 +294,25 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
     let mut queue = SchedQueue::new(cfg.kind, cfg.tenants, cfg.max_batch, requests.len());
     let mut batch: Vec<usize> = Vec::with_capacity(cfg.max_batch.max(1));
     let mut idle = IdleGpus::all(cfg.gpus);
-    // Min-heap of (completion time, gpu); one in-flight batch per GPU.
-    let mut completions: BinaryHeap<std::cmp::Reverse<(SimTime, usize)>> =
+    // Min-heap of (completion time, gpu, batch size); one in-flight
+    // batch per GPU.
+    let mut completions: BinaryHeap<std::cmp::Reverse<(SimTime, usize, u32)>> =
         BinaryHeap::with_capacity(cfg.gpus);
     let mut pools: Vec<SessionPool> = (0..cfg.gpus)
         .map(|_| SessionPool::new(cfg.cc, cfg.tdx.clone()))
         .collect();
 
+    // The running depths behind `drained` and the time-to-recover.
+    let mut queued = 0usize;
+    let mut in_flight = vec![0u32; cfg.gpus];
+    let mut recovery = cfg.peak_ends.map(Recovery::new);
     // Both depth gauges coalesce as they record: the queue depth moves
     // only at `now`, and a GPU's `-n` at `done` precedes its next `+n`,
     // which needs the GPU idle again.
-    let mut queue_depth = OrderedGauge::new();
-    let mut gpu_depth: Vec<OrderedGauge> = (0..cfg.gpus).map(|_| OrderedGauge::new()).collect();
+    let mut gauges = cfg
+        .planes
+        .contains(Planes::METRICS)
+        .then(|| DepthGauges::new(cfg.gpus));
 
     let mut busy = SimDuration::ZERO;
     let mut batches = 0u64;
@@ -203,7 +324,10 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
         // Dispatch everything we can at the current instant.
         while !idle.is_empty() && queue.next_batch(requests, &mut batch) {
             let size = batch.len() as u32;
-            queue_depth.add(now, -i64::from(size));
+            queued -= batch.len();
+            if let Some(g) = gauges.as_mut() {
+                g.queue.add(now, -i64::from(size));
+            }
             let shape = match shapes.service(batch[0]) {
                 Ok(p) => *p,
                 Err(_) => {
@@ -237,7 +361,10 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
             let done = now + service_time;
             busy += service_time;
             batches += 1;
-            gpu_depth[gpu].occupy_n(now, done, i64::from(size));
+            in_flight[gpu] += size;
+            if let Some(g) = gauges.as_mut() {
+                g.gpu[gpu].occupy_n(now, done, i64::from(size));
+            }
             for &i in &batch {
                 debug_assert_eq!(outcomes[i].batch, 0, "request {i} settles once");
                 outcomes[i].dispatch = now;
@@ -245,12 +372,12 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
                 outcomes[i].batch = size;
                 outcomes[i].gpu = gpu as u32;
             }
-            completions.push(std::cmp::Reverse((done, gpu)));
+            completions.push(std::cmp::Reverse((done, gpu, size)));
         }
 
         // Advance to the next event.
         let arrival = (next_arrival < requests.len()).then(|| requests[next_arrival].arrival);
-        let completion = completions.peek().map(|std::cmp::Reverse((t, _))| *t);
+        let completion = completions.peek().map(|std::cmp::Reverse((t, ..))| *t);
         let next = match (arrival, completion) {
             (Some(a), Some(c)) => a.min(c),
             (Some(a), None) => a,
@@ -258,22 +385,36 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
             (None, None) => break,
         };
         debug_assert!(next >= now, "the virtual clock never runs backwards");
+        if next > now {
+            if let Some(r) = recovery.as_mut() {
+                r.settle(now, queued, Some(next));
+            }
+        }
         now = next;
         // Completions first: a device freed at `t` can serve a request
         // arriving at `t`.
         while completions
             .peek()
-            .is_some_and(|std::cmp::Reverse((t, _))| *t == now)
+            .is_some_and(|std::cmp::Reverse((t, ..))| *t == now)
         {
-            let std::cmp::Reverse((_, gpu)) = completions.pop().expect("peeked");
+            let std::cmp::Reverse((_, gpu, size)) = completions.pop().expect("peeked");
+            in_flight[gpu] -= size;
             idle.insert(gpu);
         }
         while next_arrival < requests.len() && requests[next_arrival].arrival == now {
             queue.push(next_arrival, &requests[next_arrival]);
-            queue_depth.add(now, 1);
+            queued += 1;
+            if let Some(g) = gauges.as_mut() {
+                g.queue.add(now, 1);
+            }
             next_arrival += 1;
         }
     }
+    let ttr = recovery.map(|mut r| {
+        r.settle(now, queued, None);
+        r.finish()
+    });
+    let drained = queued == 0 && in_flight.iter().all(|&n| n == 0);
     debug_assert!(queue.is_empty(), "dispatch drains the queue before exit");
     debug_assert!(
         outcomes.iter().all(|o| o.batch > 0),
@@ -297,12 +438,14 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
     }
 
     let mut metrics = MetricsSet::new();
-    metrics.push_counter("serving.requests", requests.len() as u64);
-    metrics.push_counter("serving.batches", batches);
-    metrics.push_counter("serving.cold_starts", cold_starts);
-    metrics.push_series(queue_depth.finish("serving.queue_depth"));
-    for (g, gauge) in gpu_depth.into_iter().enumerate() {
-        metrics.push_series(gauge.finish(&format!("serving.gpu{g}.depth")));
+    if let Some(gauges) = gauges {
+        metrics.push_counter("serving.requests", requests.len() as u64);
+        metrics.push_counter("serving.batches", batches);
+        metrics.push_counter("serving.cold_starts", cold_starts);
+        metrics.push_series(gauges.queue.finish("serving.queue_depth"));
+        for (g, gauge) in gauges.gpu.into_iter().enumerate() {
+            metrics.push_series(gauge.finish(&format!("serving.gpu{g}.depth")));
+        }
     }
 
     ClusterRun {
@@ -314,6 +457,8 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
         sessions_established,
         sessions_closed,
         td,
+        drained,
+        ttr,
         metrics,
     }
 }
@@ -346,13 +491,28 @@ mod tests {
     }
 
     /// Drains `reqs` with one shape per request (`service[i]`) on a
-    /// default two-tenant cluster, batching capped at 8.
+    /// default two-tenant cluster, batching capped at 8, with no planes
+    /// and no peak ends.
     fn drain(
         reqs: &[Request],
         service: Vec<Result<SimDuration, String>>,
         cc: CcMode,
         gpus: usize,
         kind: SchedulerKind,
+    ) -> ClusterRun {
+        drain_observed(reqs, service, cc, gpus, kind, Planes::NONE, None)
+    }
+
+    /// [`drain`] under `planes`, measuring time-to-recover at
+    /// `peak_ends`.
+    fn drain_observed(
+        reqs: &[Request],
+        service: Vec<Result<SimDuration, String>>,
+        cc: CcMode,
+        gpus: usize,
+        kind: SchedulerKind,
+        planes: Planes,
+        peak_ends: Option<&[SimTime]>,
     ) -> ClusterRun {
         let shapes = service
             .into_iter()
@@ -372,6 +532,8 @@ mod tests {
             kind,
             max_batch: 8,
             tdx: &TdxCalib::default(),
+            peak_ends,
+            planes,
         };
         simulate(reqs, &table, &cfg)
     }
@@ -471,12 +633,14 @@ mod tests {
     #[test]
     fn gauges_track_queue_and_device_occupancy() {
         let reqs = trace(&[(0, 0, 0), (0, 0, 2), (0, 1, 0)]);
-        let run = drain(
+        let run = drain_observed(
             &reqs,
             flat_service(3, 200),
             CcMode::Off,
             1,
             SchedulerKind::Fifo,
+            Planes::METRICS,
+            None,
         );
         let depth = run.metrics.gauge_series("serving.queue_depth").unwrap();
         assert_eq!(depth.peak(), 2, "two requests queued behind the first");
@@ -484,5 +648,48 @@ mod tests {
         let gpu0 = run.metrics.gauge_series("serving.gpu0.depth").unwrap();
         assert_eq!(gpu0.peak(), 1);
         assert_eq!(run.metrics.counter_total("serving.batches"), Some(3));
+    }
+
+    #[test]
+    fn a_plane_off_drain_records_no_series_but_reports_its_verdicts() {
+        // Three requests at 0 on one GPU: the queue holds 2, then 1
+        // from the second dispatch, and empties at the third.
+        let reqs = trace(&[(0, 0, 0), (0, 0, 2), (0, 1, 0)]);
+        let observed = |planes, peak_ends| {
+            drain_observed(
+                &reqs,
+                flat_service(3, 200),
+                CcMode::Off,
+                1,
+                SchedulerKind::Fifo,
+                planes,
+                peak_ends,
+            )
+        };
+        let probe = observed(Planes::NONE, None);
+        let [second, third] = [1, 2].map(|i| probe.outcomes[i].dispatch);
+        let far = SimTime::ZERO + SimDuration::secs(3600);
+        let peaks = [SimTime::ZERO, second, third, far];
+
+        let off = observed(Planes::NONE, Some(&peaks));
+        assert!(off.metrics.gauges.is_empty() && off.metrics.counters.is_empty());
+        assert!(off.drained);
+        let at = |t: SimTime| t.saturating_since(SimTime::ZERO).as_nanos();
+        let recovery = [at(third), at(third) - at(second), 0, 0];
+        assert_eq!(
+            off.ttr,
+            Some(TimeToRecover {
+                peaks: 4,
+                drained: 4,
+                mean: SimDuration::from_nanos(recovery.iter().sum::<u64>() / 4),
+                max: SimDuration::from_nanos(at(third)),
+            })
+        );
+
+        let on = observed(Planes::METRICS, Some(&peaks));
+        assert!(!on.metrics.gauges.is_empty());
+        assert_eq!((on.drained, on.ttr), (off.drained, off.ttr));
+        assert_eq!((on.outcomes, on.end), (off.outcomes, off.end));
+        assert_eq!(probe.ttr, None, "no peak ends, no time-to-recover");
     }
 }

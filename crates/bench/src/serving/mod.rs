@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use hcc_runtime::SimConfig;
 use hcc_types::calib::TdxCalib;
-use hcc_types::{CcMode, FaultPlan, RecoveryPolicy, SimTime};
+use hcc_types::{CcMode, FaultPlan, Planes, RecoveryPolicy, SimTime};
 use hcc_workloads::{default_tenants, Scenario, TenantSpec};
 
 use crate::cli::{env_u64, CliError};
@@ -145,6 +145,8 @@ impl ServingConfig {
             kind,
             max_batch: self.max_batch,
             tdx: &self.tdx,
+            peak_ends: None,
+            planes: Planes::NONE,
         }
     }
 
@@ -243,7 +245,6 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
     // The cells: every scheduler CC-off then CC-on, in report order,
     // each through the one cell step. The observation planes view only
     // the CC-on runs.
-    let mut retired = hcc_trace::MetricsSet::default();
     let mut cells = cfg.schedulers.iter().flat_map(|&kind| {
         CcMode::ALL.map(|cc| {
             let on = cc.is_on();
@@ -254,7 +255,6 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
                 cfg.watch.as_ref().filter(|_| on),
                 cfg.flight.filter(|_| on),
                 &soak,
-                &mut retired,
             )
         })
     });

@@ -6,11 +6,13 @@
 //! run into the [`ModeRun`] its report keeps. The serving and chaos
 //! soaks both run every cell through it, so a plane that is off costs
 //! nothing, a plane that is on cannot perturb the run it observes, and
-//! each cell's outcome log is freed before the next cell drains (its
-//! depth-gauge series right after).
+//! each cell's outcome log is freed before the next cell drains. The
+//! drain measures the cell's drained flag and time-to-recover itself;
+//! it records depth-gauge series only for the watch plane.
 
 use hcc_trace::rollup::CompletionSample;
-use hcc_trace::{FlightConfig, FlightLog, FlightRecorder, FlightSkeleton, MetricsSet};
+use hcc_trace::{FlightConfig, FlightLog, FlightRecorder, FlightSkeleton};
+use hcc_types::Planes;
 
 use super::arrival::Request;
 use super::cluster::{self, ClusterConfig, Outcome};
@@ -62,8 +64,10 @@ fn skeleton(i: usize, request: &Request, o: &Outcome) -> FlightSkeleton {
 /// [`ModeRun`] with the planes `watch` and `flight` ask for: the watch
 /// report (blamed through `table`'s critical paths) and the resolved
 /// flight log, with the report's incidents already linked to the log's
-/// exemplars. `retired` holds the previous cell's depth gauges, freed
-/// once this cell has drained; this cell's take their place.
+/// exemplars. Under `soak.storm`, the drain measures time-to-recover at
+/// the calendar's peak ends; it records the depth-gauge series
+/// ([`Planes::METRICS`]) only for the watch, whose queue-anomaly
+/// detector reads `serving.queue_depth`.
 pub fn cell(
     requests: &[Request],
     table: &ShapeTable,
@@ -71,9 +75,14 @@ pub fn cell(
     watch: Option<&WatchConfig>,
     flight: Option<FlightConfig>,
     soak: &SoakContext<'_>,
-    retired: &mut MetricsSet,
 ) -> (ModeRun, Option<WatchReport>, Option<FlightLog>) {
-    let mut run = cluster::simulate(requests, table, cluster);
+    let peak_ends = soak.storm.map(|storm| storm.schedule.peak_ends());
+    let cluster = ClusterConfig {
+        peak_ends: peak_ends.as_deref(),
+        planes: cluster.planes.set(Planes::METRICS, watch.is_some()),
+        ..*cluster
+    };
+    let mut run = cluster::simulate(requests, table, &cluster);
     let mut watch = watch.map(|wcfg| {
         let samples = completion_samples(requests, run.outcomes.iter().enumerate());
         watch::observe(
@@ -99,20 +108,10 @@ pub fn cell(
     if let (Some(w), Some(f)) = (watch.as_mut(), flight.as_ref()) {
         w.link_exemplars(f);
     }
-    // A cell keeps two verdicts of its depth gauges: whether every gauge
-    // drained, and (under a storm calendar) the queue's time-to-recover
-    // after each peak. The series themselves outlive the cell only until
-    // the next cell has drained (`retired`), so each drain recycles the
-    // heap the last one freed: freed at once, they would leave the
-    // allocator a free top-of-heap large enough to hand back to the OS,
-    // and the next drain would fault those pages in again.
-    let drained = report::depth_gauges_drained(&run.metrics, cluster.gpus);
-    let ttr = soak.storm.map(|storm| {
-        let queue = run.metrics.gauge_series("serving.queue_depth");
-        report::time_to_recover(queue, &storm.schedule.peak_ends())
-    });
-    *retired = std::mem::take(&mut run.metrics);
-    let mode = report::mode_run(cluster, requests, table, run, drained, ttr);
+    // Free the watch's gauge series before the report allocates its
+    // tenant scratch, so the two never add up in the peak heap.
+    drop(std::mem::take(&mut run.metrics));
+    let mode = report::mode_run(&cluster, requests, table, run);
     (mode, watch, flight)
 }
 

@@ -8,12 +8,12 @@
 //! the CC-on vs CC-off p99 SLO ordering.
 
 use hcc_tee::TdCounters;
-use hcc_trace::{MetricsSet, Series, Tail};
+use hcc_trace::Tail;
 use hcc_types::json::{Json, ToJson};
 use hcc_types::{CcMode, SimDuration, SimTime};
 
 use super::arrival::{ArrivalKind, Request};
-use super::cluster::{ClusterConfig, ClusterRun};
+use super::cluster::{ClusterConfig, ClusterRun, TimeToRecover};
 use super::scheduler::SchedulerKind;
 use super::shapes::ShapeTable;
 
@@ -68,77 +68,8 @@ pub struct ModeRun {
     /// Post-peak queue-drain measurements: `Some` exactly for cells
     /// that ran under a storm calendar.
     pub ttr: Option<TimeToRecover>,
-    /// Whether every queue/occupancy depth gauge ended at zero.
+    /// Whether the queue and every device ended the run empty.
     drained: bool,
-}
-
-/// Post-storm drain measurements: for each peak window's end, how long
-/// until the cluster queue returned to zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TimeToRecover {
-    /// Peak windows in the storm calendar.
-    pub peaks: usize,
-    /// Peaks after which the queue demonstrably drained to zero.
-    pub drained: usize,
-    /// Mean drain time over drained peaks.
-    pub mean: SimDuration,
-    /// Worst drain time over drained peaks.
-    pub max: SimDuration,
-}
-
-/// Measures how long after each peak window's end the cluster queue
-/// drained back to zero. A peak counts as `drained` when the queue was
-/// already empty at the window's end (drain time zero) or a later gauge
-/// change-point reaches zero; peaks whose backlog never returns to zero
-/// before the run ends are left out of the mean/max.
-pub fn time_to_recover(queue: Option<&Series>, peak_ends: &[SimTime]) -> TimeToRecover {
-    let mut out = TimeToRecover {
-        peaks: peak_ends.len(),
-        ..TimeToRecover::default()
-    };
-    let Some(series) = queue else {
-        // No gauge means no queueing ever happened: every peak drained
-        // instantly.
-        out.drained = out.peaks;
-        return out;
-    };
-    let mut sum = 0u64;
-    let mut max = 0u64;
-    for &t in peak_ends {
-        let recovered_at = if series.value_at(t) == 0 {
-            Some(t)
-        } else {
-            // The first later change-point back at zero.
-            let later = series.samples.partition_point(|&(st, _)| st <= t);
-            series.samples[later..]
-                .iter()
-                .find(|&&(_, v)| v == 0)
-                .map(|&(st, _)| st)
-        };
-        if let Some(r) = recovered_at {
-            let d = r.saturating_since(t).as_nanos();
-            out.drained += 1;
-            sum += d;
-            max = max.max(d);
-        }
-    }
-    if out.drained > 0 {
-        out.mean = SimDuration::from_nanos(sum / out.drained as u64);
-        out.max = SimDuration::from_nanos(max);
-    }
-    out
-}
-
-/// Whether every depth gauge of a `gpus`-wide cluster run
-/// (`serving.queue_depth` and each `serving.gpu{g}.depth`) ended at
-/// zero. An absent series never moved, so it counts as drained.
-pub fn depth_gauges_drained(metrics: &MetricsSet, gpus: usize) -> bool {
-    let drained = |name: &str| {
-        metrics
-            .gauge_series(name)
-            .is_none_or(|s| s.final_value() == 0)
-    };
-    drained("serving.queue_depth") && (0..gpus).all(|g| drained(&format!("serving.gpu{g}.depth")))
 }
 
 impl ModeRun {
@@ -190,7 +121,7 @@ impl ModeRun {
             && self.sessions_established == self.cold_starts
     }
 
-    /// Every queue/occupancy gauge drained back to zero.
+    /// The queue and every device drained back to zero depth.
     pub fn gauges_drained(&self) -> bool {
         self.drained
     }
@@ -252,17 +183,15 @@ pub struct ServingReport {
 }
 
 /// Builds one tenant-resolved [`ModeRun`] from a raw cluster run of
-/// `requests` over `shapes` on `cluster`, whose depth gauges the cell
-/// step has already folded into `drained` and `ttr`. Each tenant's
-/// latencies and waits pass through one scratch buffer into their
-/// [`Tail`]s, so no per-request vector outlives the call.
+/// `requests` over `shapes` on `cluster`, keeping the drain's own
+/// `drained` and `ttr` verdicts. Each tenant's latencies and waits pass
+/// through one scratch buffer into their [`Tail`]s, so no per-request
+/// vector outlives the call.
 pub(super) fn mode_run(
     cluster: &ClusterConfig<'_>,
     requests: &[Request],
     shapes: &ShapeTable,
     run: ClusterRun,
-    drained: bool,
-    ttr: Option<TimeToRecover>,
 ) -> ModeRun {
     let tenants = cluster.tenants;
     // Tenant t's latencies fill `latency[start[t]..filled[t]]`, a region
@@ -339,8 +268,8 @@ pub(super) fn mode_run(
         sessions_established: run.sessions_established,
         sessions_closed: run.sessions_closed,
         td: run.td,
-        ttr,
-        drained,
+        ttr: run.ttr,
+        drained: run.drained,
     }
 }
 

@@ -47,6 +47,11 @@ if ! diff -u "$t2_dir/serial.out" "$t2_dir/parallel.out"; then
     echo "tier-2: FAIL — summary stdout differs between 1 and 4 threads" >&2
     exit 1
 fi
+# Every one of the paper's nine observations is scored, and holds.
+if ! grep -q '^9/9 observation checks pass$' "$t2_dir/serial.out"; then
+    echo "tier-2: FAIL — summary does not pass all nine observation checks" >&2
+    exit 1
+fi
 
 hits=$(sed -n 's/^cache hits: \([0-9][0-9]*\)$/\1/p' "$t2_dir/parallel.stats")
 if [ -z "$hits" ] || [ "$hits" -eq 0 ]; then

@@ -77,31 +77,9 @@ fn observation_5_ket_split() {
 
 #[test]
 fn observation_6_klr_determines_sensitivity() {
-    use hcc::prelude::*;
-    use hcc::workloads::{runner, suites};
-    let mut points = Vec::new();
-    for spec in suites::all() {
-        if spec.uvm || spec.launch_count() < 2 {
-            continue;
-        }
-        let base = runner::run(&spec, SimConfig::new(CcMode::Off)).expect("run");
-        let cc = runner::run(&spec, SimConfig::new(CcMode::On)).expect("run");
-        let klr = hcc::core::KlrAnalysis::of(&base.timeline.launch_metrics()).klr;
-        // Compare only the kernel-phase span to isolate the launch effect
-        // from copy slowdowns: the launch..end window.
-        let speed = |r: &hcc::workloads::RunResult| {
-            let lm = r.timeline.launch_metrics();
-            let start = lm.launches.first().expect("has launches").start;
-            let end = lm
-                .kernels
-                .last()
-                .map(|k| k.start + k.ket)
-                .expect("has kernels");
-            end.saturating_since(start)
-        };
-        let slowdown = speed(&cc) / speed(&base);
-        points.push((klr, slowdown));
-    }
+    let computed = fig07::try_klr_points();
+    assert!(computed.failures.is_empty(), "{:?}", computed.failures);
+    let points = computed.data;
     let check = obs::obs6_klr(&points);
     assert!(check.holds, "{check} — points {points:?}");
 }

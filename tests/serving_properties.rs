@@ -8,8 +8,7 @@ use std::collections::BTreeMap;
 
 use hcc_bench::chaos::{self, ChaosConfig};
 use hcc_bench::engine::{ExperimentEngine, ScenarioResult};
-use hcc_bench::serving::cluster::{self, ClusterConfig, Outcome};
-use hcc_bench::serving::report::{depth_gauges_drained, time_to_recover};
+use hcc_bench::serving::cluster::{self, ClusterConfig, Outcome, TimeToRecover};
 use hcc_bench::serving::{self, arrival, ArrivalKind, Request, SchedulerKind, ServingConfig};
 use hcc_bench::serving::{Shape, ShapeTable};
 use hcc_bench::watch::{WatchConfig, WatchReport};
@@ -19,7 +18,7 @@ use hcc_tee::{SessionPool, TdCounters};
 use hcc_trace::{FlightConfig, FlightLog, MetricsSet, Series};
 use hcc_types::calib::TdxCalib;
 use hcc_types::rng::Xoshiro256;
-use hcc_types::{CcMode, FaultPlan, RecoveryPolicy, SimDuration, SimTime, StormProfile};
+use hcc_types::{CcMode, FaultPlan, Planes, RecoveryPolicy, SimDuration, SimTime, StormProfile};
 use hcc_workloads::{default_tenants, Scenario};
 
 /// Replaying a seed reproduces the arrival trace bit for bit — every
@@ -623,21 +622,119 @@ fn reference_cluster(
     }
 }
 
+/// Test-only oracle for the drain's time-to-recover: for each peak end,
+/// how long until the queue-depth series is back at zero. A peak counts
+/// as drained when the series is already zero at its end (drain time
+/// zero) or a later change-point reaches zero; peaks whose backlog never
+/// returns to zero are left out of the mean and max. No series means
+/// the queue never moved, so every peak drained at once.
+fn time_to_recover(queue: Option<&Series>, peak_ends: &[SimTime]) -> TimeToRecover {
+    let mut out = TimeToRecover {
+        peaks: peak_ends.len(),
+        ..TimeToRecover::default()
+    };
+    let Some(series) = queue else {
+        out.drained = out.peaks;
+        return out;
+    };
+    let mut sum = 0u64;
+    let mut max = 0u64;
+    for &t in peak_ends {
+        let recovered_at = if series.value_at(t) == 0 {
+            Some(t)
+        } else {
+            let later = series.samples.partition_point(|&(st, _)| st <= t);
+            series.samples[later..]
+                .iter()
+                .find(|&&(_, v)| v == 0)
+                .map(|&(st, _)| st)
+        };
+        if let Some(r) = recovered_at {
+            let d = r.saturating_since(t).as_nanos();
+            out.drained += 1;
+            sum += d;
+            max = max.max(d);
+        }
+    }
+    if out.drained > 0 {
+        out.mean = SimDuration::from_nanos(sum / out.drained as u64);
+        out.max = SimDuration::from_nanos(max);
+    }
+    out
+}
+
+/// Test-only oracle for the drain's `drained` flag: every depth gauge of
+/// a `gpus`-wide run (`serving.queue_depth` and each
+/// `serving.gpu{g}.depth`) ended at zero. An absent series never moved,
+/// so it counts as drained.
+fn depth_gauges_drained(metrics: &MetricsSet, gpus: usize) -> bool {
+    let drained = |name: &str| {
+        metrics
+            .gauge_series(name)
+            .is_none_or(|s| s.final_value() == 0)
+    };
+    drained("serving.queue_depth") && (0..gpus).all(|g| drained(&format!("serving.gpu{g}.depth")))
+}
+
+/// Sorted peak ends over `reqs`, one per pick: the pick's low two bits
+/// place it at 0, on an arrival instant, between arrival instants, or
+/// past the horizon (an hour after the last arrival).
+fn peak_ends(reqs: &[Request], picks: &[u64]) -> Vec<SimTime> {
+    let last = reqs.last().map_or(SimTime::ZERO, |r| r.arrival);
+    let mut peaks: Vec<SimTime> = picks
+        .iter()
+        .map(|&pick| {
+            let (kind, rest) = (pick % 4, pick / 4);
+            let on_arrival = reqs
+                .get(rest as usize % reqs.len().max(1))
+                .map_or(SimTime::ZERO, |r| r.arrival);
+            match kind {
+                0 => SimTime::ZERO,
+                1 => on_arrival,
+                2 => on_arrival + SimDuration::from_nanos(1 + rest % 700_000),
+                _ => last + SimDuration::secs(3600),
+            }
+        })
+        .collect();
+    peaks.sort_unstable();
+    peaks
+}
+
+/// Everything a `ClusterRun` reports but its `metrics`.
+fn verdicts(run: &cluster::ClusterRun) -> impl PartialEq + std::fmt::Debug + '_ {
+    (
+        &run.outcomes,
+        run.end,
+        run.busy,
+        (run.batches, run.cold_starts),
+        (run.sessions_established, run.sessions_closed),
+        run.td,
+        (run.drained, run.ttr),
+    )
+}
+
 /// Oracle: over random small traces (bursts of same-instant arrivals,
 /// 1–4 tenants, batch caps 1–4, one shape per (tenant, class) with some
 /// failing), `cluster::simulate` matches the naive reference cluster in
 /// every outcome (its GPU included), the end time, busy time, batch and cold-start counts,
 /// TD counters, session ledger and every gauge series — under every
 /// scheduler, both CC modes, and 1, 2, 3 and 65 GPUs (65 spans two words
-/// of the idle-GPU bitset).
+/// of the idle-GPU bitset). Its online verdicts match the series: over
+/// random sorted peak ends (at 0, on and between arrival instants, past
+/// the horizon), `ttr` is the queue series' time-to-recover and
+/// `drained` says every depth gauge ended at zero; with no peak ends it
+/// reports no time-to-recover, and with an empty list an empty one. A
+/// run with the metrics plane off reports the same in every field but
+/// `metrics`, which is empty.
 #[test]
 fn cluster_matches_the_reference_cluster() {
     forall!(
         Config::new(0x5E21_0014).with_cases(24),
-        ((trace, slot_us), (tenants, max_batch)) in (
+        ((trace, slot_us, picks), (tenants, max_batch)) in (
             (
                 vecs((u64s(0..600), u64s(0..4), u64s(0..4)), 0..40),
-                vecs(u64s(0..500), 11..12)
+                vecs(u64s(0..500), 11..12),
+                vecs(u64s(0..u64::MAX), 0..8)
             ),
             (u64s(1..5), u64s(1..5))
         ) => {
@@ -660,6 +757,7 @@ fn cluster_matches_the_reference_cluster() {
                 reqs.push(Request { seq: seq as u64, tenant, class, arrival: at });
                 shape_of.push((slot_base[tenant] + class) as u32);
             }
+            let peaks = peak_ends(&reqs, &picks);
             // A slot under 60 µs stands for a deterministically failing shape.
             let slot_service: Vec<Result<SimDuration, String>> = slot_us
                 .iter()
@@ -697,11 +795,13 @@ fn cluster_matches_the_reference_cluster() {
                             kind,
                             max_batch: max_batch as usize,
                             tdx: &tdx,
+                            peak_ends: Some(&peaks),
+                            planes: Planes::METRICS,
                         };
                         let run = cluster::simulate(&reqs, &table, &cfg);
                         let want = reference_cluster(&reqs, &service, &cfg);
                         let got = ReferenceRun {
-                            outcomes: run.outcomes,
+                            outcomes: run.outcomes.clone(),
                             end: run.end,
                             busy: run.busy,
                             batches: run.batches,
@@ -713,6 +813,21 @@ fn cluster_matches_the_reference_cluster() {
                         ensure!(got == want, "{kind}/{cc}/{gpus} gpus:\n  got:  {got:?}\n  want: {want:?}");
                         ensure_eq!(run.metrics.counter_total("serving.batches"), Some(want.batches));
                         ensure_eq!(run.metrics.counter_total("serving.cold_starts"), Some(want.cold_starts));
+
+                        let queue = run.metrics.gauge_series("serving.queue_depth");
+                        let ttr = Some(time_to_recover(queue, &peaks));
+                        ensure!(run.ttr == ttr, "{kind}/{cc}/{gpus} gpus, peaks {peaks:?}: ttr {:?}, series says {ttr:?}", run.ttr);
+                        ensure_eq!(run.drained, depth_gauges_drained(&run.metrics, gpus));
+
+                        let off = cluster::simulate(&reqs, &table, &ClusterConfig { planes: Planes::NONE, ..cfg });
+                        let (off_says, on_says) = (verdicts(&off), verdicts(&run));
+                        ensure!(off_says == on_says, "{kind}/{cc}/{gpus} gpus, plane off:\n  {off_says:?}\n  on: {on_says:?}");
+                        ensure!(off.metrics.counters.is_empty() && off.metrics.gauges.is_empty());
+
+                        let no_peaks = cluster::simulate(&reqs, &table, &ClusterConfig { peak_ends: None, ..cfg });
+                        ensure_eq!(no_peaks.ttr, None);
+                        let empty = cluster::simulate(&reqs, &table, &ClusterConfig { peak_ends: Some(&[]), ..cfg });
+                        ensure_eq!(empty.ttr, Some(time_to_recover(queue, &[])));
                     }
                 }
             }
@@ -747,10 +862,19 @@ fn check_drained_fold(set: &MetricsSet, gpus: usize, what: &str) {
     }
 }
 
-/// Oracle: a finished cell keeps no gauge series, only what the cell
-/// step read from them. Re-draining every cell of a small chaos soak
-/// and a small serving soak with `cluster::simulate`, on the same shape
-/// table and cluster config, recovers the full series: each chaos
+/// `cluster` with the metrics plane on.
+fn gauged(cluster: ClusterConfig<'_>) -> ClusterConfig<'_> {
+    ClusterConfig {
+        planes: Planes::METRICS,
+        ..cluster
+    }
+}
+
+/// Oracle: a finished cell keeps no gauge series, only the drain's own
+/// verdicts. Re-draining every cell of a small chaos soak and a small
+/// serving soak with `cluster::simulate`, on the same shape table and
+/// cluster config with the metrics plane on, recovers the full series:
+/// each chaos
 /// cell's time-to-recover is the queue series' over its calendar's peak
 /// ends, each cell's `gauges_drained()` is the final-value check over
 /// the whole `MetricsSet`, and serving cells (no calendar) carry no
@@ -775,7 +899,7 @@ fn cells_keep_exactly_what_their_depth_gauges_say() {
         let peak_ends = storm.schedule.peak_ends();
         for (cell, table) in prof.cells.iter().zip(&storm.tables) {
             let what = format!("chaos {}/{}", prof.profile.name, cell.policy);
-            let run = cluster::simulate(&requests, table, &cfg.cluster());
+            let run = cluster::simulate(&requests, table, &gauged(cfg.cluster()));
             assert_eq!(cell.mode.end, run.end, "{what}: the re-drain diverged");
             let queue = run.metrics.gauge_series("serving.queue_depth");
             let want = time_to_recover(queue, &peak_ends);
@@ -805,7 +929,8 @@ fn cells_keep_exactly_what_their_depth_gauges_say() {
         for mode in &sched.modes {
             let what = format!("serve {}/{}", sched.scheduler, mode.cc);
             let table = &tables[usize::from(mode.cc.is_on())];
-            let run = cluster::simulate(&requests, table, &cfg.cluster(sched.scheduler, mode.cc));
+            let cluster = gauged(cfg.cluster(sched.scheduler, mode.cc));
+            let run = cluster::simulate(&requests, table, &cluster);
             assert_eq!(mode.end, run.end, "{what}: the re-drain diverged");
             assert_eq!(mode.ttr, None, "{what}");
             assert_eq!(
