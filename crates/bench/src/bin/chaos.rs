@@ -12,11 +12,14 @@
 //!
 //! Exit codes: 0 = run healthy (budget FAIL verdicts are expected data),
 //! 1 = leak / conservation / identity violation, 2 = usage error (a bad
-//! flag or `HCC_CHAOS_*` override).
+//! flag or `HCC_CHAOS_*` override, or a `--requests` or `--gpus` above
+//! `u32::MAX`).
 
 use hcc_bench::chaos::{self, ChaosConfig};
 use hcc_bench::cli::{self, CliError};
 use hcc_bench::engine;
+use hcc_bench::serving::arrival::MAX_REQUESTS;
+use hcc_bench::serving::cluster::MAX_GPUS;
 use hcc_bench::serving::SchedulerKind;
 use hcc_bench::watch::WatchConfig;
 use hcc_types::json::{Json, ToJson};
@@ -48,10 +51,10 @@ fn main() {
         let mut cfg = ChaosConfig::default().from_env()?;
         while let Some(flag) = args.next() {
             match flag.as_str() {
-                "--requests" => cfg.requests = args.u64(&flag)?.max(1),
+                "--requests" => cfg.requests = args.at_most(&flag, MAX_REQUESTS)?.max(1),
                 "--days" => cfg.days = args.u64(&flag)?.clamp(1, 3650),
                 "--seed" => cfg.seed = args.u64(&flag)?,
-                "--gpus" => cfg.gpus = args.u64(&flag)?.max(1) as usize,
+                "--gpus" => cfg.gpus = args.at_most(&flag, MAX_GPUS)?.max(1) as usize,
                 "--tenants" => tenant_count = args.u64(&flag)?.max(1) as usize,
                 "--replicas" => cfg.replicas = args.u64(&flag)?.clamp(1, 16) as u32,
                 "--episodes-per-day" => {

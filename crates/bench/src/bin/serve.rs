@@ -14,10 +14,14 @@
 //!
 //! Exit codes: 0 = every run healthy, 1 = a run broke its latency
 //! identity, conservation, session ledger or gauge drain, 2 = usage
-//! error (a bad flag or `HCC_SERVE_*` override).
+//! error (a bad flag or `HCC_SERVE_*` override, or a `--requests`,
+//! `--gpus` or `--max-batch` above what the simulator's records hold:
+//! `u32::MAX`, `u32::MAX` and `u16::MAX`).
 
 use hcc_bench::cli::{self, CliError};
 use hcc_bench::engine;
+use hcc_bench::serving::arrival::MAX_REQUESTS;
+use hcc_bench::serving::cluster::{MAX_BATCH, MAX_GPUS};
 use hcc_bench::serving::{self, SchedulerKind, ServingConfig};
 use hcc_bench::watch::WatchConfig;
 use hcc_types::json::{Json, ToJson};
@@ -39,11 +43,11 @@ fn main() {
         .from_env()?;
         while let Some(flag) = args.next() {
             match flag.as_str() {
-                "--requests" => cfg.requests = args.u64(&flag)?.max(1),
-                "--gpus" => cfg.gpus = args.u64(&flag)?.max(1) as usize,
+                "--requests" => cfg.requests = args.at_most(&flag, MAX_REQUESTS)?.max(1),
+                "--gpus" => cfg.gpus = args.at_most(&flag, MAX_GPUS)?.max(1) as usize,
                 "--tenants" => tenant_count = args.u64(&flag)?.max(1) as usize,
                 "--seed" => cfg.seed = args.u64(&flag)?,
-                "--max-batch" => cfg.max_batch = args.u64(&flag)?.max(1) as usize,
+                "--max-batch" => cfg.max_batch = args.at_most(&flag, MAX_BATCH)?.max(1) as usize,
                 "--util" => cfg.target_util = args.fraction(&flag)?.clamp(0.05, 0.95),
                 "--arrival" => cfg.arrival = args.arrival(&flag)?,
                 "--scheduler" => {

@@ -39,7 +39,7 @@ use hcc_types::{
 };
 use hcc_workloads::{default_tenants, Scenario, TenantSpec};
 
-use crate::cli::{env_u64, CliError};
+use crate::cli::{env_at_most, env_u64, CliError};
 use crate::engine::ExperimentEngine;
 use crate::serving::{
     arrival, cluster, distinct_apps, observe, ArrivalKind, Request, SchedulerKind, ShapeTable,
@@ -79,13 +79,13 @@ pub struct ChaosConfig {
     /// Master seed: storm calendars, fault-plan seeds, and the arrival
     /// trace all derive from it through decorrelated mixes.
     pub seed: u64,
-    /// Requests in the shared trace; every (profile, policy) cell
-    /// replays all of them. Zero yields cells that settle nothing
-    /// (conserved vacuously).
+    /// Requests in the shared trace, at most [`arrival::MAX_REQUESTS`]; every
+    /// (profile, policy) cell replays all of them. Zero yields cells
+    /// that settle nothing (conserved vacuously).
     pub requests: u64,
     /// Soak length in virtual days ([`DAY`] each).
     pub days: u64,
-    /// Cluster width.
+    /// Cluster width, at most [`cluster::MAX_GPUS`].
     pub gpus: usize,
     /// Tenant population.
     pub tenants: Vec<TenantSpec>,
@@ -105,7 +105,7 @@ pub struct ChaosConfig {
     pub arrival: ArrivalKind,
     /// Scheduler used by every cell.
     pub scheduler: SchedulerKind,
-    /// Continuous-batching cap.
+    /// Continuous-batching cap, at most [`cluster::MAX_BATCH`].
     pub max_batch: usize,
     /// Seed baked into every shape scenario's config.
     pub shape_seed: u64,
@@ -159,7 +159,8 @@ impl Default for ChaosConfig {
 
 impl ChaosConfig {
     /// Applies [`SEED_ENV`], [`DAYS_ENV`], and [`REQUESTS_ENV`]
-    /// overrides; a value that is not an integer is refused.
+    /// overrides; a value that is not an integer, or a request count
+    /// above [`arrival::MAX_REQUESTS`], is refused.
     pub fn from_env(mut self) -> Result<Self, CliError> {
         if let Some(seed) = env_u64(SEED_ENV)? {
             self.seed = seed;
@@ -167,7 +168,7 @@ impl ChaosConfig {
         if let Some(days) = env_u64(DAYS_ENV)? {
             self.days = days.clamp(1, 3650);
         }
-        if let Some(n) = env_u64(REQUESTS_ENV)? {
+        if let Some(n) = env_at_most(REQUESTS_ENV, arrival::MAX_REQUESTS)? {
             self.requests = n.max(1);
         }
         Ok(self)
@@ -301,7 +302,7 @@ pub struct StormShapes {
 /// the soak simulates once, in one engine batch, so a 10⁵–10⁶ request
 /// soak costs a few hundred simulations. A request rides the shape of
 /// the storm intensity in force at its arrival and of plan replica
-/// `seq % replicas`.
+/// `i % replicas`, where `i` is its index (arrival rank) in the trace.
 pub fn shape_tables(
     cfg: &ChaosConfig,
     engine: &ExperimentEngine,
@@ -360,11 +361,12 @@ pub fn shape_tables(
             let mut arrivals = [0u64; StormIntensity::COUNT];
             let shape_of: Arc<[u32]> = requests
                 .iter()
-                .map(|r| {
+                .enumerate()
+                .map(|(i, r)| {
                     let intensity = schedule.intensity_at(r.arrival);
                     arrivals[intensity.index()] += 1;
-                    let app = slot[r.tenant][r.class];
-                    let replica = (r.seq % u64::from(cfg.replicas)) as u32;
+                    let app = slot[r.tenant as usize][r.class as usize];
+                    let replica = (i % cfg.replicas as usize) as u32;
                     match intensity {
                         StormIntensity::Calm => app,
                         StormIntensity::Rising | StormIntensity::Peak => {

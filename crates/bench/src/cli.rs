@@ -4,8 +4,9 @@
 //! typed [`CliError`] instead of exiting, and runs that walk under
 //! [`parse_or_exit`]: the one place that prints `<bin>: <flag>: <detail>`
 //! and the usage line, then exits 2. Integers are decimal or `0x`-hex
-//! ([`parse_int`], shared with the `HCC_*` environment overrides) and
-//! fractions must be finite.
+//! ([`parse_int`], shared with the `HCC_*` environment overrides), a
+//! bounded one above its maximum is refused rather than wrapped
+//! ([`Args::at_most`], [`env_at_most`]), and fractions must be finite.
 
 use std::fmt;
 
@@ -13,6 +14,8 @@ use hcc_trace::FlightConfig;
 use hcc_types::{SimDuration, StormProfile};
 
 use crate::chaos::ChaosConfig;
+use crate::serving::arrival::MAX_REQUESTS;
+use crate::serving::cluster::MAX_GPUS;
 use crate::serving::{ArrivalKind, ServingConfig};
 use crate::watch::{self, Canonical, Soak, WatchConfig};
 
@@ -85,12 +88,33 @@ fn int(flag: &str, raw: &str) -> Result<u64, CliError> {
     })
 }
 
+/// `raw` as an integer of at most `max`: an [`CliError::NotAnInteger`]
+/// or [`CliError::OutOfRange`] naming `flag` otherwise. The one bounded
+/// reader behind [`Args::at_most`] and [`env_at_most`].
+fn int_at_most(flag: &str, raw: &str, max: u64) -> Result<u64, CliError> {
+    let n = int(flag, raw)?;
+    if n > max {
+        return Err(CliError::OutOfRange {
+            flag: flag.to_string(),
+            raw: n.to_string(),
+            max,
+        });
+    }
+    Ok(n)
+}
+
 /// The integer the environment variable `var` holds: `None` when it is
 /// unset, an error naming `var` when it holds anything but a decimal or
 /// `0x`-hex integer.
 pub fn env_u64(var: &str) -> Result<Option<u64>, CliError> {
+    env_at_most(var, u64::MAX)
+}
+
+/// [`env_u64`], refusing a value above `max` with an
+/// [`CliError::OutOfRange`] naming `var`.
+pub fn env_at_most(var: &str, max: u64) -> Result<Option<u64>, CliError> {
     std::env::var_os(var)
-        .map(|raw| int(var, &raw.to_string_lossy()))
+        .map(|raw| int_at_most(var, &raw.to_string_lossy(), max))
         .transpose()
 }
 
@@ -170,17 +194,18 @@ impl Args {
 
     /// `flag`'s value as a decimal or `0x`-hex integer.
     pub fn u64(&mut self, flag: &str) -> Result<u64, CliError> {
-        int(flag, &self.value(flag)?)
+        self.at_most(flag, u64::MAX)
+    }
+
+    /// `flag`'s value as an integer of at most `max`, refused with an
+    /// [`CliError::OutOfRange`] above it.
+    pub fn at_most(&mut self, flag: &str, max: u64) -> Result<u64, CliError> {
+        int_at_most(flag, &self.value(flag)?, max)
     }
 
     /// `flag`'s value as an integer that fits in a `u32`.
     pub fn u32(&mut self, flag: &str) -> Result<u32, CliError> {
-        let n = self.u64(flag)?;
-        u32::try_from(n).map_err(|_| CliError::OutOfRange {
-            flag: flag.to_string(),
-            raw: n.to_string(),
-            max: u64::from(u32::MAX),
-        })
+        Ok(self.at_most(flag, u64::from(u32::MAX))? as u32)
     }
 
     /// `flag`'s value as a finite number (`NaN` and infinities are
@@ -248,7 +273,8 @@ pub fn parse_or_exit<T>(
 /// The canonical watch soak the forensics bins (`slo_watch`, `why`)
 /// replay: the stormy chaos soak ([`watch::stormy_soak`]) or, with
 /// `--serve`, the calm serving soak ([`watch::calm_soak`]), resized by
-/// `--requests`, `--days` (chaos only), `--gpus` and `--seed`.
+/// `--requests` (at most [`MAX_REQUESTS`]), `--days` (chaos only),
+/// `--gpus` (at most [`MAX_GPUS`]) and `--seed`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CanonicalSoak {
     /// `--serve`: replay the calm serving soak.
@@ -265,9 +291,9 @@ impl CanonicalSoak {
     pub fn flag(&mut self, flag: &str, args: &mut Args) -> Result<bool, CliError> {
         match flag {
             "--serve" => self.serve = true,
-            "--requests" => self.requests = Some(args.u64(flag)?.max(1)),
+            "--requests" => self.requests = Some(args.at_most(flag, MAX_REQUESTS)?.max(1)),
             "--days" => self.days = Some(args.u64(flag)?.clamp(1, 3650)),
-            "--gpus" => self.gpus = Some(args.u64(flag)?.max(1) as usize),
+            "--gpus" => self.gpus = Some(args.at_most(flag, MAX_GPUS)?.max(1) as usize),
             "--seed" => self.seed = Some(args.u64(flag)?),
             _ => return Ok(false),
         }

@@ -17,6 +17,10 @@ use hcc_types::rng::Xoshiro256;
 use hcc_types::SimTime;
 use hcc_workloads::TenantSpec;
 
+/// The most requests one trace holds: request ids are `u32` wherever a
+/// soak records them.
+pub const MAX_REQUESTS: u64 = u32::MAX as u64;
+
 /// Which arrival process drives a tenant's request stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrivalKind {
@@ -57,20 +61,23 @@ impl std::fmt::Display for ArrivalKind {
     }
 }
 
-/// One request in the open-loop trace. `seq` is the global arrival rank
-/// (ties broken by tenant then per-tenant order), so sorting and every
-/// scheduler tie-break are fully deterministic.
+/// One request in the open-loop trace: 16 bytes, the largest per-request
+/// record a soak keeps for its whole run. A request's global arrival
+/// rank is its index in the trace [`generate`] returns (ties broken by
+/// tenant, then per-tenant order), so sorting and every scheduler
+/// tie-break are fully deterministic without storing the rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
-    /// Global arrival rank, assigned after the per-tenant streams merge.
-    pub seq: u64,
-    /// Index into the tenant population.
-    pub tenant: usize,
-    /// Index into the tenant's request-class mix.
-    pub class: usize,
     /// Arrival time on the virtual clock.
     pub arrival: SimTime,
+    /// Index into the tenant population.
+    pub tenant: u32,
+    /// Index into the tenant's request-class mix.
+    pub class: u32,
 }
+
+// A new field must not silently regrow every soak's trace.
+const _: () = assert!(std::mem::size_of::<Request>() == 16);
 
 /// Burst-state mean sojourn (seconds) and rate multiplier for the MMPP.
 const BURST_SOJOURN: f64 = 0.5;
@@ -201,11 +208,17 @@ pub fn split_counts(weights: &[f64], total: u64) -> Vec<u64> {
 }
 
 /// Generates the full open-loop trace: per-tenant arrival streams at the
-/// given rates (requests per virtual second), merged and globally ranked.
+/// given rates (requests per virtual second), merged and globally ranked
+/// by arrival, then tenant, then per-tenant order. A request's rank is
+/// its index in the returned trace.
 ///
 /// Each tenant gets two decorrelated RNG streams forked off the master
 /// seed — one for inter-arrival times, one for class picks — so changing
 /// one tenant's count never perturbs another tenant's stream.
+///
+/// # Panics
+/// If `tenants` and `rates` differ in length, or `total` exceeds
+/// [`MAX_REQUESTS`] (request ids are `u32`).
 pub fn generate(
     tenants: &[TenantSpec],
     rates: &[f64],
@@ -214,6 +227,10 @@ pub fn generate(
     seed: u64,
 ) -> Vec<Request> {
     assert_eq!(tenants.len(), rates.len());
+    assert!(
+        total <= MAX_REQUESTS,
+        "{total} requests exceed the {MAX_REQUESTS} a trace can rank"
+    );
     let counts = split_counts(rates, total);
     let mut master = Xoshiro256::seed_from_u64(seed);
     let mut merged: Vec<Request> = Vec::with_capacity(total as usize);
@@ -222,20 +239,17 @@ pub fn generate(
         let mut class_rng = master.fork();
         let mut proc = ArrivalProcess::new(kind, rates[ti], arrivals_rng);
         let weight = tenant.total_weight();
-        for local in 0..counts[ti] {
+        // Each tenant's stream is pushed in its own order, which the
+        // stable sort below keeps among same-instant arrivals.
+        for _ in 0..counts[ti] {
             merged.push(Request {
-                // Temporarily carry the per-tenant order for tie-breaking.
-                seq: local,
-                tenant: ti,
-                class: tenant.pick(class_rng.next_range(weight)),
                 arrival: proc.next_arrival(),
+                tenant: ti as u32,
+                class: tenant.pick(class_rng.next_range(weight)) as u32,
             });
         }
     }
-    merged.sort_by_key(|r| (r.arrival, r.tenant, r.seq));
-    for (rank, req) in merged.iter_mut().enumerate() {
-        req.seq = rank as u64;
-    }
+    merged.sort_by_key(|r| (r.arrival, r.tenant));
     merged
 }
 
@@ -264,9 +278,42 @@ mod tests {
         for (i, pair) in trace.windows(2).enumerate() {
             assert!(pair[0].arrival <= pair[1].arrival, "at {i}");
         }
-        for (i, r) in trace.iter().enumerate() {
-            assert_eq!(r.seq, i as u64);
-            assert!(r.class < tenants[r.tenant].mix.len());
+        for r in &trace {
+            assert!((r.class as usize) < tenants[r.tenant as usize].mix.len());
+        }
+
+        // Same-instant arrivals rank by tenant, and each tenant's
+        // requests keep their own stream's order: at nanosecond-scale
+        // gaps most arrivals tie, and the merged trace filtered to one
+        // tenant is still exactly that tenant's (arrival, class) stream.
+        let rates = [2e9, 1e9];
+        let trace = generate(&tenants, &rates, ArrivalKind::Poisson, 3000, 5);
+        let key = |r: &Request| (r.arrival, r.tenant);
+        let mut ties = [0; 2];
+        for (i, pair) in trace.windows(2).enumerate() {
+            assert!(key(&pair[0]) <= key(&pair[1]), "at {i}");
+            if pair[0].arrival == pair[1].arrival {
+                ties[usize::from(pair[0].tenant != pair[1].tenant)] += 1;
+            }
+        }
+        assert!(ties[0] > 0 && ties[1] > 0, "ties within and across tenants");
+        let counts = split_counts(&rates, 3000);
+        let mut master = Xoshiro256::seed_from_u64(5);
+        for (ti, tenant) in tenants.iter().enumerate() {
+            let mut proc = ArrivalProcess::new(ArrivalKind::Poisson, rates[ti], master.fork());
+            let mut class_rng = master.fork();
+            let own: Vec<(SimTime, u32)> = (0..counts[ti])
+                .map(|_| {
+                    let class = tenant.pick(class_rng.next_range(tenant.total_weight()));
+                    (proc.next_arrival(), class as u32)
+                })
+                .collect();
+            let merged: Vec<(SimTime, u32)> = trace
+                .iter()
+                .filter(|r| r.tenant as usize == ti)
+                .map(|r| (r.arrival, r.class))
+                .collect();
+            assert_eq!(merged, own, "tenant {ti}");
         }
     }
 

@@ -12,7 +12,9 @@
 //! Each GPU owns a [`SessionPool`]: a tenant's first request on a device
 //! pays the full SPDM handshake (CC-on), and every request pays the
 //! submit/complete doorbell pair — so CC-on admission costs ride the
-//! same TD cost oracle as the rest of the lab.
+//! same TD cost oracle as the rest of the lab. Those two charges are
+//! constants of a run, so an [`Outcome`] keeps only whether its
+//! admission was cold, and [`AdmissionCosts::of`] prices it.
 //!
 //! The drain computes its own verdicts as it runs: whether every queue
 //! and device depth ended at zero, and (given a storm calendar's peak
@@ -28,7 +30,7 @@ use hcc_types::calib::TdxCalib;
 use hcc_types::{CcMode, Planes, SimDuration, SimTime};
 use hcc_workloads::TenantSpec;
 
-use super::arrival::Request;
+use super::arrival::{Request, MAX_REQUESTS};
 use super::scheduler::{SchedQueue, SchedulerKind};
 use super::shapes::ShapeTable;
 
@@ -37,28 +39,58 @@ use super::shapes::ShapeTable;
 /// runs for `P * (1 + SLOPE * (k - 1))` plus its admission charges.
 const BATCH_MARGIN: f64 = 0.35;
 
-/// What happened to one request.
+/// The widest cluster a run drains on: GPU ids are `u32`.
+pub const MAX_GPUS: u64 = u32::MAX as u64;
+
+/// The largest continuous-batching cap: batch sizes are `u16`.
+pub const MAX_BATCH: u64 = u16::MAX as u64;
+
+/// What happened to one request: 24 bytes, the log a drain fills one
+/// entry per request. Its admission charges are not stored:
+/// [`AdmissionCosts::of`] derives them from `cold`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Outcome {
     /// When the scheduler handed the request to a device (or rejected it).
     pub dispatch: SimTime,
     /// When its batch finished (equals `dispatch` for rejections).
     pub completion: SimTime,
-    /// Admission charge (session setup + doorbells) folded into the
-    /// batch's service on this request's behalf; zero for rejections.
-    pub admission: SimDuration,
-    /// SPDM session-establishment share of `admission` (zero on session
-    /// reuse and for rejections); the remainder is the doorbell pair.
-    pub spdm: SimDuration,
-    /// Whether admission was a cold start (paid the SPDM handshake).
-    pub cold: bool,
-    /// Size of the device batch the request rode in.
-    pub batch: u32,
     /// GPU the batch ran on (0 for rejections).
     pub gpu: u32,
+    /// Size of the device batch the request rode in.
+    pub batch: u16,
+    /// Whether admission was a cold start (paid the SPDM handshake).
+    pub cold: bool,
     /// Whether the request was rejected because its shape scenario fails
     /// deterministically (e.g. an aborted fault-injection run).
     pub rejected: bool,
+}
+
+// A new field must not silently regrow every drain's outcome log.
+const _: () = assert!(std::mem::size_of::<Outcome>() == 24);
+
+/// The admission charges of one run, priced by
+/// [`SessionPool::cold_admission`]. Every device's pool charges the same
+/// SPDM handshake to a cold admission and the same doorbell pair to
+/// every admission, so a request's charges follow from its [`Outcome`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AdmissionCosts {
+    /// The SPDM session handshake a cold admission pays.
+    pub spdm: SimDuration,
+    /// The submit/complete doorbell pair every admission pays.
+    pub doorbell: SimDuration,
+}
+
+impl AdmissionCosts {
+    /// `(spdm, doorbell)` folded into the batch's service on `o`'s
+    /// behalf: the handshake only for a cold start, and nothing for a
+    /// rejection.
+    pub fn of(&self, o: &Outcome) -> (SimDuration, SimDuration) {
+        if o.rejected {
+            return (SimDuration::ZERO, SimDuration::ZERO);
+        }
+        let spdm = if o.cold { self.spdm } else { SimDuration::ZERO };
+        (spdm, self.doorbell)
+    }
 }
 
 /// One (scheduler, mode) cluster run over the shared request trace.
@@ -66,6 +98,8 @@ pub struct Outcome {
 pub struct ClusterRun {
     /// Per-request outcomes, aligned with the request slice.
     pub outcomes: Vec<Outcome>,
+    /// What each outcome's admission was charged.
+    pub admission: AdmissionCosts,
     /// Virtual time of the last event (the makespan).
     pub end: SimTime,
     /// Total device-busy virtual time, summed across GPUs.
@@ -116,11 +150,11 @@ pub struct ClusterConfig<'a> {
     pub tenants: &'a [TenantSpec],
     /// CC mode of every device's session pool.
     pub cc: CcMode,
-    /// Cluster width.
+    /// Cluster width, at most [`MAX_GPUS`].
     pub gpus: usize,
     /// Scheduling discipline.
     pub kind: SchedulerKind,
-    /// Continuous-batching cap.
+    /// Continuous-batching cap, at most [`MAX_BATCH`].
     pub max_batch: usize,
     /// TDX calibration for the per-device session pools.
     pub tdx: &'a TdxCalib,
@@ -273,26 +307,33 @@ impl<'a> Recovery<'a> {
 /// observation planes (rollups, flight recording) are views built from
 /// its outcomes after the drain, and the depth gauges are recorded only
 /// under [`Planes::METRICS`].
+///
+/// # Panics
+/// If `requests` and `shapes` disagree in length, the cluster has no
+/// GPU, or the run exceeds a width its records hold: more than
+/// [`MAX_REQUESTS`] requests, [`MAX_GPUS`] GPUs or a
+/// [`MAX_BATCH`]-request batch cap.
 pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'_>) -> ClusterRun {
     assert_eq!(requests.len(), shapes.shape_of().len());
     assert!(cfg.gpus > 0, "a cluster needs at least one GPU");
+    assert!(requests.len() as u64 <= MAX_REQUESTS, "request ids are u32");
+    assert!(cfg.gpus as u64 <= MAX_GPUS, "GPU ids are u32");
+    assert!(cfg.max_batch as u64 <= MAX_BATCH, "batch sizes are u16");
 
     // `batch == 0` marks a request not yet settled: every settle writes
     // the size of a batch it rode in, which is at least one.
     let placeholder = Outcome {
         dispatch: SimTime::ZERO,
         completion: SimTime::ZERO,
-        admission: SimDuration::ZERO,
-        spdm: SimDuration::ZERO,
-        cold: false,
-        batch: 0,
         gpu: 0,
+        batch: 0,
+        cold: false,
         rejected: false,
     };
     let mut outcomes = vec![placeholder; requests.len()];
 
     let mut queue = SchedQueue::new(cfg.kind, cfg.tenants, cfg.max_batch, requests.len());
-    let mut batch: Vec<usize> = Vec::with_capacity(cfg.max_batch.max(1));
+    let mut batch: Vec<u32> = Vec::with_capacity(cfg.max_batch.max(1));
     let mut idle = IdleGpus::all(cfg.gpus);
     // Min-heap of (completion time, gpu, batch size); one in-flight
     // batch per GPU.
@@ -301,6 +342,8 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
     let mut pools: Vec<SessionPool> = (0..cfg.gpus)
         .map(|_| SessionPool::new(cfg.cc, cfg.tdx.clone()))
         .collect();
+    let (spdm, doorbell) = pools[0].cold_admission().flight_split();
+    let admission = AdmissionCosts { spdm, doorbell };
 
     // The running depths behind `drained` and the time-to-recover.
     let mut queued = 0usize;
@@ -323,17 +366,18 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
     loop {
         // Dispatch everything we can at the current instant.
         while !idle.is_empty() && queue.next_batch(requests, &mut batch) {
-            let size = batch.len() as u32;
+            let size = batch.len() as u16;
             queued -= batch.len();
             if let Some(g) = gauges.as_mut() {
                 g.queue.add(now, -i64::from(size));
             }
-            let shape = match shapes.service(batch[0]) {
+            let shape = match shapes.service(batch[0] as usize) {
                 Ok(p) => *p,
                 Err(_) => {
                     // The whole batch shares the failing shape: reject it
                     // without occupying a device.
                     for &i in &batch {
+                        let i = i as usize;
                         debug_assert_eq!(outcomes[i].batch, 0, "request {i} settles once");
                         outcomes[i] = Outcome {
                             dispatch: now,
@@ -349,30 +393,35 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
             let gpu = idle.take_lowest();
             let mut admission_sum = SimDuration::ZERO;
             for &i in &batch {
-                let adm = pools[gpu].admit(requests[i].tenant as u64);
+                let i = i as usize;
+                let adm = pools[gpu].admit(u64::from(requests[i].tenant));
                 cold_starts += u64::from(adm.cold);
                 admission_sum += adm.total();
-                outcomes[i].admission = adm.total();
-                outcomes[i].spdm = adm.flight_split().0;
                 outcomes[i].cold = adm.cold;
+                debug_assert_eq!(
+                    admission.of(&outcomes[i]),
+                    adm.flight_split(),
+                    "request {i}'s admission follows from its cold flag"
+                );
             }
             let extra = shape.scale(BATCH_MARGIN * (batch.len() - 1) as f64);
             let service_time = shape + extra + admission_sum;
             let done = now + service_time;
             busy += service_time;
             batches += 1;
-            in_flight[gpu] += size;
+            in_flight[gpu] += u32::from(size);
             if let Some(g) = gauges.as_mut() {
                 g.gpu[gpu].occupy_n(now, done, i64::from(size));
             }
             for &i in &batch {
+                let i = i as usize;
                 debug_assert_eq!(outcomes[i].batch, 0, "request {i} settles once");
                 outcomes[i].dispatch = now;
                 outcomes[i].completion = done;
                 outcomes[i].batch = size;
                 outcomes[i].gpu = gpu as u32;
             }
-            completions.push(std::cmp::Reverse((done, gpu, size)));
+            completions.push(std::cmp::Reverse((done, gpu, u32::from(size))));
         }
 
         // Advance to the next event.
@@ -402,7 +451,7 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
             idle.insert(gpu);
         }
         while next_arrival < requests.len() && requests[next_arrival].arrival == now {
-            queue.push(next_arrival, &requests[next_arrival]);
+            queue.push(next_arrival as u32, &requests[next_arrival]);
             queued += 1;
             if let Some(g) = gauges.as_mut() {
                 g.queue.add(now, 1);
@@ -450,6 +499,7 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
 
     ClusterRun {
         outcomes,
+        admission,
         end: now,
         busy,
         batches,
@@ -469,18 +519,16 @@ mod tests {
     use crate::serving::shapes::Shape;
     use hcc_workloads::default_tenants;
 
-    fn trace(gaps_us: &[(u64, usize, usize)]) -> Vec<Request> {
+    fn trace(gaps_us: &[(u64, u32, u32)]) -> Vec<Request> {
         let mut t = SimTime::ZERO;
         gaps_us
             .iter()
-            .enumerate()
-            .map(|(i, &(gap, tenant, class))| {
+            .map(|&(gap, tenant, class)| {
                 t += SimDuration::micros(gap);
                 Request {
-                    seq: i as u64,
+                    arrival: t,
                     tenant,
                     class,
-                    arrival: t,
                 }
             })
             .collect()
@@ -555,9 +603,10 @@ mod tests {
             assert!(!o.rejected, "request {i}");
             assert_eq!(o.batch, 1);
             // FIFO identity: service = shape + admission, exactly.
+            let (spdm, doorbell) = run.admission.of(o);
             assert_eq!(
                 o.completion.saturating_since(o.dispatch),
-                SimDuration::micros(100) + o.admission
+                SimDuration::micros(100) + spdm + doorbell
             );
         }
         // Later requests wait on earlier ones.
@@ -589,7 +638,10 @@ mod tests {
             SchedulerKind::Fifo,
         );
         assert_eq!(run.cold_starts, 2, "one handshake per tenant on the device");
-        assert!(run.outcomes[0].admission > run.outcomes[2].admission);
+        let cold: Vec<bool> = run.outcomes.iter().map(|o| o.cold).collect();
+        assert_eq!(cold, vec![true, true, false, false]);
+        let [first, third] = [0, 2].map(|i| run.admission.of(&run.outcomes[i]));
+        assert!(first.0 > third.0 && first.1 == third.1);
         assert!(run.td.hypercalls >= 2 * 16 + 4 * 2);
         let off = drain(
             &reqs,

@@ -36,7 +36,7 @@ use hcc_types::calib::TdxCalib;
 use hcc_types::{CcMode, FaultPlan, Planes, RecoveryPolicy, SimTime};
 use hcc_workloads::{default_tenants, Scenario, TenantSpec};
 
-use crate::cli::{env_u64, CliError};
+use crate::cli::{env_at_most, env_u64, CliError};
 use crate::engine::ExperimentEngine;
 
 pub use arrival::{ArrivalKind, ArrivalProcess, Request};
@@ -63,10 +63,11 @@ pub const DEFAULT_SHAPE_SEED: u64 = 0x5E21_2026;
 pub struct ServingConfig {
     /// Arrival-stream seed.
     pub seed: u64,
-    /// Total requests across all tenants. Zero yields an empty report
-    /// whose runs settle nothing (conserved vacuously).
+    /// Total requests across all tenants, at most
+    /// [`arrival::MAX_REQUESTS`]. Zero yields an empty report whose runs
+    /// settle nothing (conserved vacuously).
     pub requests: u64,
-    /// Cluster width.
+    /// Cluster width, at most [`cluster::MAX_GPUS`].
     pub gpus: usize,
     /// Tenant population.
     pub tenants: Vec<TenantSpec>,
@@ -78,7 +79,7 @@ pub struct ServingConfig {
     /// rates are sized so the CC-off run sits near this utilization (the
     /// CC-on run then shows what the overhead does at the *same* load).
     pub target_util: f64,
-    /// Continuous-batching cap.
+    /// Continuous-batching cap, at most [`cluster::MAX_BATCH`].
     pub max_batch: usize,
     /// Seed baked into every shape scenario's config.
     pub shape_seed: u64,
@@ -124,12 +125,13 @@ impl Default for ServingConfig {
 
 impl ServingConfig {
     /// Applies [`SEED_ENV`] and [`REQUESTS_ENV`] overrides; a value
-    /// that is not an integer is refused.
+    /// that is not an integer, or a request count above
+    /// [`arrival::MAX_REQUESTS`], is refused.
     pub fn from_env(mut self) -> Result<Self, CliError> {
         if let Some(seed) = env_u64(SEED_ENV)? {
             self.seed = seed;
         }
-        if let Some(n) = env_u64(REQUESTS_ENV)? {
+        if let Some(n) = env_at_most(REQUESTS_ENV, arrival::MAX_REQUESTS)? {
             self.requests = n.max(1);
         }
         Ok(self)
@@ -210,7 +212,10 @@ pub fn shape_tables(
         .collect();
 
     let requests = arrival::generate(&cfg.tenants, &rates, cfg.arrival, cfg.requests, cfg.seed);
-    let shape_of: Arc<[u32]> = requests.iter().map(|r| slot[r.tenant][r.class]).collect();
+    let shape_of: Arc<[u32]> = requests
+        .iter()
+        .map(|r| slot[r.tenant as usize][r.class as usize])
+        .collect();
     let observed = cfg.watch.is_some() || cfg.flight.is_some();
     let tables = [
         ShapeTable::new(&prefetched[..n], Arc::clone(&shape_of), false),

@@ -15,7 +15,7 @@ use hcc_trace::{FlightConfig, FlightLog, FlightRecorder, FlightSkeleton};
 use hcc_types::Planes;
 
 use super::arrival::Request;
-use super::cluster::{self, ClusterConfig, Outcome};
+use super::cluster::{self, AdmissionCosts, ClusterConfig, Outcome};
 use super::report::{self, ModeRun};
 use super::shapes::ShapeTable;
 use crate::watch::{self, SoakContext, WatchConfig, WatchReport};
@@ -31,7 +31,7 @@ pub fn completion_samples<'a>(
         .into_iter()
         .map(|(i, o)| CompletionSample {
             req: i as u32,
-            tenant: requests[i].tenant as u32,
+            tenant: requests[i].tenant,
             at: o.completion,
             latency: o.completion.saturating_since(requests[i].arrival),
             rejected: o.rejected,
@@ -41,20 +41,26 @@ pub fn completion_samples<'a>(
     samples
 }
 
-/// Request `i`'s flight record. The doorbell span is this request's own
-/// admission minus its SPDM share; co-batched members' admissions
-/// surface as the batch-margin span.
-fn skeleton(i: usize, request: &Request, o: &Outcome) -> FlightSkeleton {
+/// Request `i`'s flight record. Its SPDM and doorbell spans are this
+/// request's own admission charges, priced by `admission`; co-batched
+/// members' admissions surface as the batch-margin span.
+fn skeleton(
+    i: usize,
+    request: &Request,
+    o: &Outcome,
+    admission: &AdmissionCosts,
+) -> FlightSkeleton {
+    let (spdm, doorbell) = admission.of(o);
     FlightSkeleton {
         req: i as u32,
-        tenant: request.tenant as u32,
+        tenant: request.tenant,
         gpu: o.gpu,
-        batch: o.batch,
+        batch: u32::from(o.batch),
         arrival: request.arrival,
         dispatch: o.dispatch,
         settle: o.completion,
-        spdm: o.spdm,
-        doorbell: o.admission - o.spdm,
+        spdm,
+        doorbell,
         cold: o.cold,
         rejected: o.rejected,
     }
@@ -101,7 +107,7 @@ pub fn cell(
     let flight = flight.map(|fcfg| {
         let mut recorder = FlightRecorder::new(fcfg);
         for (i, (request, o)) in requests.iter().zip(&run.outcomes).enumerate() {
-            recorder.record(skeleton(i, request, o));
+            recorder.record(skeleton(i, request, o, &run.admission));
         }
         recorder.resolve(table.shape_of(), table.decomps())
     });
@@ -125,22 +131,19 @@ mod tests {
         // Four requests arriving at 0 (tenants alternating): #2 is
         // rejected at 5 µs, #1 and #3 settle together at 10 µs.
         let requests: Vec<Request> = (0..4)
-            .map(|seq| Request {
-                seq,
-                tenant: seq as usize % 2,
-                class: 0,
+            .map(|i| Request {
                 arrival: SimTime::ZERO,
+                tenant: i % 2,
+                class: 0,
             })
             .collect();
         let outcomes: Vec<Outcome> = [(30, false), (10, false), (5, true), (10, false)]
             .map(|(us, rejected)| Outcome {
                 dispatch: SimTime::ZERO + SimDuration::micros(us.min(5)),
                 completion: SimTime::ZERO + SimDuration::micros(us),
-                admission: SimDuration::ZERO,
-                spdm: SimDuration::ZERO,
-                cold: false,
-                batch: 1,
                 gpu: 0,
+                batch: 1,
+                cold: false,
                 rejected,
             })
             .to_vec();

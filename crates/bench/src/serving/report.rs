@@ -13,7 +13,7 @@ use hcc_types::json::{Json, ToJson};
 use hcc_types::{CcMode, SimDuration, SimTime};
 
 use super::arrival::{ArrivalKind, Request};
-use super::cluster::{ClusterConfig, ClusterRun, TimeToRecover};
+use super::cluster::{ClusterConfig, ClusterRun, Outcome, TimeToRecover};
 use super::scheduler::SchedulerKind;
 use super::shapes::ShapeTable;
 
@@ -184,9 +184,9 @@ pub struct ServingReport {
 
 /// Builds one tenant-resolved [`ModeRun`] from a raw cluster run of
 /// `requests` over `shapes` on `cluster`, keeping the drain's own
-/// `drained` and `ttr` verdicts. Each tenant's latencies and waits pass
-/// through one scratch buffer into their [`Tail`]s, so no per-request
-/// vector outlives the call.
+/// `drained` and `ttr` verdicts. Every tenant's latencies, then every
+/// tenant's waits, pass through one n-slot scratch buffer into their
+/// [`Tail`]s, so no per-request vector outlives the call.
 pub(super) fn mode_run(
     cluster: &ClusterConfig<'_>,
     requests: &[Request],
@@ -194,66 +194,70 @@ pub(super) fn mode_run(
     run: ClusterRun,
 ) -> ModeRun {
     let tenants = cluster.tenants;
-    // Tenant t's latencies fill `latency[start[t]..filled[t]]`, a region
-    // sized by its request count, and its waits the same range of
-    // `wait`; indexing by tenant keeps the fill pass branch-free.
-    let mut start = vec![0usize; tenants.len() + 1];
-    for req in requests {
-        start[req.tenant + 1] += 1;
-    }
-    for t in 0..tenants.len() {
-        start[t + 1] += start[t];
-    }
-    let mut filled = start[..tenants.len()].to_vec();
     let zero = SimDuration::ZERO;
-    let mut scratch = vec![zero; 2 * requests.len()];
-    let (latency, wait) = scratch.split_at_mut(requests.len());
     let mut rejected = vec![0u64; tenants.len()];
     let mut latency_total = vec![zero; tenants.len()];
     let mut wait_total = vec![zero; tenants.len()];
     let mut service_total = vec![zero; tenants.len()];
     let mut shape_total = vec![zero; tenants.len()];
     let mut admission_total = vec![zero; tenants.len()];
+    // Tenant t's samples fill `scratch[start[t]..]`, a region sized by
+    // its request count; indexing by tenant keeps the fill branch-free.
+    let mut start = vec![0usize; tenants.len() + 1];
 
     for (i, (req, outcome)) in requests.iter().zip(&run.outcomes).enumerate() {
-        let t = req.tenant;
+        let t = req.tenant as usize;
+        start[t + 1] += 1;
         if outcome.rejected {
             rejected[t] += 1;
             continue;
         }
-        let l = outcome.completion.saturating_since(req.arrival);
-        let w = outcome.dispatch.saturating_since(req.arrival);
-        let s = outcome.completion.saturating_since(outcome.dispatch);
-        latency[filled[t]] = l;
-        wait[filled[t]] = w;
-        filled[t] += 1;
-        latency_total[t] += l;
-        wait_total[t] += w;
-        service_total[t] += s;
+        let (spdm, doorbell) = run.admission.of(outcome);
+        latency_total[t] += outcome.completion.saturating_since(req.arrival);
+        wait_total[t] += outcome.dispatch.saturating_since(req.arrival);
+        service_total[t] += outcome.completion.saturating_since(outcome.dispatch);
         shape_total[t] += *shapes
             .service(i)
             .as_ref()
             .expect("completed requests have a shape");
-        admission_total[t] += outcome.admission;
+        admission_total[t] += spdm + doorbell;
     }
+    for t in 0..tenants.len() {
+        start[t + 1] += start[t];
+    }
+
+    let mut scratch = vec![zero; requests.len()];
+    let mut tails = |sample: fn(&Request, &Outcome) -> SimDuration| -> Vec<Tail> {
+        let mut filled = start[..tenants.len()].to_vec();
+        for (req, outcome) in requests.iter().zip(&run.outcomes) {
+            if !outcome.rejected {
+                let t = req.tenant as usize;
+                scratch[filled[t]] = sample(req, outcome);
+                filled[t] += 1;
+            }
+        }
+        (0..tenants.len())
+            .map(|t| Tail::of(&mut scratch[start[t]..filled[t]]))
+            .collect()
+    };
+    let latency = tails(|req, o| o.completion.saturating_since(req.arrival));
+    let wait = tails(|req, o| o.dispatch.saturating_since(req.arrival));
 
     let tenants = tenants
         .iter()
+        .zip(latency.into_iter().zip(wait))
         .enumerate()
-        .map(|(t, spec)| {
-            let served = start[t]..filled[t];
-            TenantStats {
-                name: spec.name.to_string(),
-                completed: served.len() as u64,
-                rejected: rejected[t],
-                latency: Tail::of(&mut latency[served.clone()]),
-                wait: Tail::of(&mut wait[served]),
-                latency_total: latency_total[t],
-                wait_total: wait_total[t],
-                service_total: service_total[t],
-                shape_total: shape_total[t],
-                admission_total: admission_total[t],
-            }
+        .map(|(t, (spec, (latency, wait)))| TenantStats {
+            name: spec.name.to_string(),
+            completed: latency.count,
+            rejected: rejected[t],
+            latency,
+            wait,
+            latency_total: latency_total[t],
+            wait_total: wait_total[t],
+            service_total: service_total[t],
+            shape_total: shape_total[t],
+            admission_total: admission_total[t],
         })
         .collect();
 

@@ -14,11 +14,11 @@
 //!   marked batchable — into one device batch, amortizing per-launch
 //!   overhead the way vLLM-style servers amortize decode steps.
 //!
-//! All queue state is plain `Vec`/`VecDeque`/`BinaryHeap` ordered by the
-//! globally ranked request sequence, so scheduling decisions are
-//! deterministic and independent of engine thread count by construction.
-//! Batches are written into a caller-owned buffer, so draining a queue
-//! allocates nothing per batch.
+//! All queue state is plain `Vec`/`VecDeque`/`BinaryHeap` of `u32`
+//! request indices. A request's index is its global arrival rank, so
+//! scheduling decisions are deterministic and independent of engine
+//! thread count by construction. Batches are written into a caller-owned
+//! buffer, so draining a queue allocates nothing per batch.
 
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -67,7 +67,8 @@ impl std::fmt::Display for SchedulerKind {
 }
 
 /// The pending-request queue for one cluster run. Requests are referred
-/// to by their index into the run's request slice.
+/// to by their `u32` index into the run's request slice, which is also
+/// their arrival rank.
 #[derive(Debug)]
 pub struct SchedQueue {
     kind: SchedulerKind,
@@ -79,12 +80,12 @@ pub struct SchedQueue {
     /// Per-class batchability, indexed by (tenant, class) slot.
     batchable: Vec<bool>,
     /// FIFO order (also the batching scheduler's primary order).
-    fifo: VecDeque<usize>,
-    /// Priority order: (priority, seq, index).
-    prio: BinaryHeap<std::cmp::Reverse<(u8, u64, usize)>>,
+    fifo: VecDeque<u32>,
+    /// Priority order: (priority, index).
+    prio: BinaryHeap<std::cmp::Reverse<(u8, u32)>>,
     /// Batching: per-(tenant, class) slot FIFO of *batchable* pending
     /// requests (empty for non-batchable slots).
-    shape_queues: Vec<VecDeque<usize>>,
+    shape_queues: Vec<VecDeque<u32>>,
     /// Batching: requests already pulled into a batch as followers
     /// (empty under the other disciplines).
     claimed: Vec<bool>,
@@ -125,7 +126,7 @@ impl SchedQueue {
 
     /// The (tenant, class) slot of `req`.
     fn slot(&self, req: &Request) -> usize {
-        self.slot_base[req.tenant] + req.class
+        self.slot_base[req.tenant as usize] + req.class as usize
     }
 
     /// Number of requests waiting.
@@ -139,16 +140,13 @@ impl SchedQueue {
     }
 
     /// Enqueues one request (by index into the run's request slice).
-    pub fn push(&mut self, idx: usize, req: &Request) {
+    pub fn push(&mut self, idx: u32, req: &Request) {
         self.pending += 1;
         match self.kind {
             SchedulerKind::Fifo => self.fifo.push_back(idx),
             SchedulerKind::Priority => {
-                self.prio.push(std::cmp::Reverse((
-                    self.priorities[req.tenant],
-                    req.seq,
-                    idx,
-                )));
+                let priority = self.priorities[req.tenant as usize];
+                self.prio.push(std::cmp::Reverse((priority, idx)));
             }
             SchedulerKind::Batching => {
                 self.fifo.push_back(idx);
@@ -165,28 +163,27 @@ impl SchedQueue {
     /// `max_batch - 1` same-shape followers. Members come back in arrival
     /// order, head first. Returns `false`, leaving `batch` empty, when
     /// nothing is waiting.
-    pub fn next_batch(&mut self, requests: &[Request], batch: &mut Vec<usize>) -> bool {
+    pub fn next_batch(&mut self, requests: &[Request], batch: &mut Vec<u32>) -> bool {
         batch.clear();
         let head = match self.kind {
             SchedulerKind::Fifo => self.fifo.pop_front(),
-            SchedulerKind::Priority => self.prio.pop().map(|r| r.0 .2),
+            SchedulerKind::Priority => self.prio.pop().map(|r| r.0 .1),
             // Skip entries already claimed as batch followers.
-            SchedulerKind::Batching => {
-                std::iter::from_fn(|| self.fifo.pop_front()).find(|&idx| !self.claimed[idx])
-            }
+            SchedulerKind::Batching => std::iter::from_fn(|| self.fifo.pop_front())
+                .find(|&idx| !self.claimed[idx as usize]),
         };
         let Some(head) = head else { return false };
         self.pending -= 1;
         batch.push(head);
         if self.kind == SchedulerKind::Batching {
-            let slot = self.slot(&requests[head]);
+            let slot = self.slot(&requests[head as usize]);
             if self.batchable[slot] {
                 let q = &mut self.shape_queues[slot];
                 let front = q.pop_front();
                 debug_assert_eq!(front, Some(head), "head leads its shape queue");
                 while batch.len() < self.max_batch {
                     let Some(follower) = q.pop_front() else { break };
-                    self.claimed[follower] = true;
+                    self.claimed[follower as usize] = true;
                     self.pending -= 1;
                     batch.push(follower);
                 }
@@ -202,18 +199,25 @@ mod tests {
     use hcc_types::SimTime;
     use hcc_workloads::default_tenants;
 
-    fn req(seq: u64, tenant: usize, class: usize) -> Request {
+    /// The request of rank `rank` (it arrives at `rank` ns).
+    fn req(rank: u64, tenant: u32, class: u32) -> Request {
         Request {
-            seq,
+            arrival: SimTime::from_nanos(rank),
             tenant,
             class,
-            arrival: SimTime::from_nanos(seq),
         }
     }
 
-    fn drain(q: &mut SchedQueue, reqs: &[Request]) -> Vec<Vec<usize>> {
+    /// Enqueues every request of `reqs` in rank order.
+    fn push_all(q: &mut SchedQueue, reqs: &[Request]) {
+        for (i, r) in reqs.iter().enumerate() {
+            q.push(i as u32, r);
+        }
+    }
+
+    fn drain(q: &mut SchedQueue, reqs: &[Request]) -> Vec<Vec<u32>> {
         let mut out = Vec::new();
-        let mut batch = vec![usize::MAX];
+        let mut batch = vec![u32::MAX];
         while q.next_batch(reqs, &mut batch) {
             out.push(batch.clone());
         }
@@ -228,11 +232,9 @@ mod tests {
     #[test]
     fn fifo_preserves_arrival_order() {
         let tenants = default_tenants(2);
-        let reqs: Vec<Request> = (0..4).map(|i| req(i, (i % 2) as usize, 0)).collect();
+        let reqs: Vec<Request> = (0..4).map(|i| req(i, (i % 2) as u32, 0)).collect();
         let mut q = SchedQueue::new(SchedulerKind::Fifo, &tenants, 8, reqs.len());
-        for (i, r) in reqs.iter().enumerate() {
-            q.push(i, r);
-        }
+        push_all(&mut q, &reqs);
         assert_eq!(
             drain(&mut q, &reqs),
             vec![vec![0], vec![1], vec![2], vec![3]]
@@ -244,10 +246,8 @@ mod tests {
         let tenants = default_tenants(2); // chat prio 0, batch prio 1
         let reqs = [req(0, 1, 0), req(1, 0, 0), req(2, 1, 1), req(3, 0, 1)];
         let mut q = SchedQueue::new(SchedulerKind::Priority, &tenants, 8, reqs.len());
-        for (i, r) in reqs.iter().enumerate() {
-            q.push(i, r);
-        }
-        // Both chat requests (1, 3) go first, in seq order.
+        push_all(&mut q, &reqs);
+        // Both chat requests (1, 3) go first, in rank order.
         assert_eq!(
             drain(&mut q, &reqs),
             vec![vec![1], vec![3], vec![0], vec![2]]
@@ -261,9 +261,7 @@ mod tests {
         // non-batchable chat class 2 ("embed").
         let reqs = [req(0, 0, 0), req(1, 0, 2), req(2, 0, 0), req(3, 0, 0)];
         let mut q = SchedQueue::new(SchedulerKind::Batching, &tenants, 8, reqs.len());
-        for (i, r) in reqs.iter().enumerate() {
-            q.push(i, r);
-        }
+        push_all(&mut q, &reqs);
         // Head 0 pulls the later same-shape 2 and 3 past the embed.
         assert_eq!(drain(&mut q, &reqs), vec![vec![0, 2, 3], vec![1]]);
     }
@@ -281,9 +279,7 @@ mod tests {
             req(4, 0, 0),
         ];
         let mut q = SchedQueue::new(SchedulerKind::Batching, &tenants, 3, reqs.len());
-        for (i, r) in reqs.iter().enumerate() {
-            q.push(i, r);
-        }
+        push_all(&mut q, &reqs);
         assert_eq!(
             drain(&mut q, &reqs),
             vec![vec![0, 2, 3], vec![1], vec![4]],

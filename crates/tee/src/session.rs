@@ -49,6 +49,22 @@ impl Admission {
     }
 }
 
+/// Charges one admission to `td`: the full SPDM handshake when `cold`,
+/// then the submit/complete doorbell pair.
+fn charge(td: &mut TdContext, cold: bool) -> Admission {
+    let setup = if cold {
+        SpdmSession::establish(td).total_time
+    } else {
+        SimDuration::ZERO
+    };
+    let transitions = td.hypercall("serve_submit") + td.hypercall("serve_complete");
+    Admission {
+        setup,
+        transitions,
+        cold,
+    }
+}
+
 /// One device's tenant sessions: a [`TdContext`] per tenant, established
 /// lazily on first admission.
 #[derive(Debug, Clone)]
@@ -85,19 +101,19 @@ impl SessionPool {
             }
         };
         let (_, td, established) = &mut self.slots[idx];
-        let mut setup = SimDuration::ZERO;
-        let mut cold = false;
-        if !*established && self.cc == CcMode::On {
-            setup = SpdmSession::establish(td).total_time;
-            *established = true;
-            cold = true;
-        }
-        let transitions = td.hypercall("serve_submit") + td.hypercall("serve_complete");
-        Admission {
-            setup,
-            transitions,
-            cold,
-        }
+        let cold = !*established && self.cc == CcMode::On;
+        *established |= cold;
+        charge(td, cold)
+    }
+
+    /// What a cold admission on this pool costs, charged to a scratch
+    /// context so the pool's counters do not move. Every pool of one
+    /// `(cc, calib)` charges the same: a cold admission is this one, and
+    /// a warm one the same `transitions` with no `setup`. In
+    /// `CcMode::Off` nothing is ever cold, and `setup` is zero.
+    pub fn cold_admission(&self) -> Admission {
+        let mut scratch = TdContext::new(self.cc, self.calib.clone());
+        charge(&mut scratch, self.cc == CcMode::On)
     }
 
     /// Number of tenants holding an established (attested) session.
@@ -253,6 +269,28 @@ mod tests {
             assert_eq!(c.hypercalls, hypercalls, "{cc:?}");
             assert_eq!((c.seamcalls, c.pages_converted), (0, 0));
             assert_eq!(c.transition_time.as_nanos(), transition, "{cc:?}");
+        }
+    }
+
+    #[test]
+    fn cold_admission_prices_every_admission_without_charging() {
+        for cc in CcMode::ALL {
+            let mut pool = SessionPool::new(cc, TdxCalib::default());
+            let priced = pool.cold_admission();
+            assert_eq!(pool.counters(), TdCounters::default(), "{cc:?}");
+            assert_eq!(pool.tenants(), 0);
+            assert_eq!(priced.cold, cc == CcMode::On);
+            for tenant in [1, 1, 2, 1] {
+                let a = pool.admit(tenant);
+                assert_eq!(a.transitions, priced.transitions, "{cc:?}");
+                let setup = if a.cold {
+                    priced.setup
+                } else {
+                    SimDuration::ZERO
+                };
+                assert_eq!(a.setup, setup, "{cc:?}");
+            }
+            assert_eq!(pool.cold_admission(), priced, "admissions do not move it");
         }
     }
 

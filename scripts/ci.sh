@@ -254,11 +254,14 @@ fi
 
 # Every argv-reading bin refuses bad input through the one flag parser
 # (hcc_bench::cli): exit 2, and a first stderr line naming the bin. So
-# does a malformed HCC_* override, given as a leading VAR=value.
+# does a malformed HCC_* override, given as a leading VAR=value, and a
+# soak size past what the simulator's u32 ids and u16 batch sizes hold.
 for cmd in "serve --bogus" "serve --util NaN" "chaos --bogus" "slo_watch --bogus" \
     "why --bogus" "obs_report --bogus" "summary --bogus" "explain --bogus" \
     "fault_sweep --bogus" "hcc_lab --bogus" "fig04b_crypto --bogus" "fig12_micro --bogus" \
-    "HCC_SERVE_REQUESTS=abc serve" "HCC_WATCH_FAST_MS=5s slo_watch"; do
+    "HCC_SERVE_REQUESTS=abc serve" "HCC_WATCH_FAST_MS=5s slo_watch" \
+    "serve --max-batch 65536" "chaos --requests 4294967296" \
+    "HCC_SERVE_REQUESTS=4294967296 serve"; do
     override=
     case $cmd in HCC_*) override=${cmd%% *} cmd=${cmd#* } ;; esac
     bin=${cmd%% *}

@@ -4,12 +4,16 @@
 //! recovery policy) returns either a value or its typed `CliError`,
 //! never a panic, and every accepted name re-parses from its printed
 //! form to itself. Random `HCC_*` override values read the same way,
-//! with errors naming the variable.
+//! with errors naming the variable. The bounded soak sizes (requests,
+//! GPUs, batch cap) take their maximum and refuse one more.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use hcc_bench::chaos::{self, ChaosConfig};
 use hcc_bench::cli::{self, Args, CanonicalSoak, CliError};
-use hcc_bench::serving::{ArrivalKind, SchedulerKind};
+use hcc_bench::serving::arrival::MAX_REQUESTS;
+use hcc_bench::serving::cluster::{MAX_BATCH, MAX_GPUS};
+use hcc_bench::serving::{self, ArrivalKind, SchedulerKind, ServingConfig};
 use hcc_bench::watch::Soak;
 use hcc_check::strategy::{bytes, choice, u64s, vecs};
 use hcc_check::{ensure, ensure_eq, forall, Config, PropResult};
@@ -163,7 +167,8 @@ fn name_parsers_accept_round_trips_or_refuse_by_name() {
 
 /// Random argument lists through the canonical soak's flags: each flag
 /// is consumed, left to the caller, or refused with a typed error naming
-/// it, and whatever is accepted builds both soaks within their clamps.
+/// it, and whatever is accepted builds both soaks within their clamps
+/// and bounds.
 #[test]
 fn canonical_soak_flags_never_panic() {
     forall!(
@@ -189,7 +194,12 @@ fn canonical_soak_flags_never_panic() {
         })?;
         if let Some((flag, e)) = refused {
             ensure!(
-                matches!(e, CliError::NotAnInteger { .. } | CliError::MissingValue { .. }),
+                matches!(
+                    e,
+                    CliError::NotAnInteger { .. }
+                        | CliError::MissingValue { .. }
+                        | CliError::OutOfRange { .. }
+                ),
                 "{flag}: {e:?}"
             );
             ensure!(e.to_string().starts_with(&flag), "error {e} does not lead with {flag}");
@@ -197,7 +207,83 @@ fn canonical_soak_flags_never_panic() {
         let [Ok(Soak::Stormy(chaos)), Ok(Soak::Calm(serving))] = soaks else {
             return Err(format!("the soaks did not build: {soaks:?}"));
         };
-        ensure!(serving.requests >= 1 && serving.gpus >= 1);
-        ensure!(chaos.requests >= 1 && chaos.gpus >= 1 && (1..=3650).contains(&chaos.days));
+        let sized = |requests: u64, gpus: usize| {
+            (1..=MAX_REQUESTS).contains(&requests) && (1..=MAX_GPUS).contains(&(gpus as u64))
+        };
+        ensure!(sized(serving.requests, serving.gpus));
+        ensure!(sized(chaos.requests, chaos.gpus) && (1..=3650).contains(&chaos.days));
     });
+}
+
+/// `max` read for `flag` is accepted; `max + 1` is an `OutOfRange`
+/// naming `flag` and `max`.
+fn takes_max_refuses_one_more<T: std::fmt::Debug>(
+    flag: &str,
+    max: u64,
+    read: impl Fn(u64) -> Result<T, CliError>,
+) -> T {
+    let over = read(max + 1).expect_err("one past the bound");
+    assert_eq!(
+        over.to_string(),
+        format!("{flag}: {} is out of range (at most {max})", max + 1)
+    );
+    assert!(matches!(over, CliError::OutOfRange { max: m, .. } if m == max));
+    read(max).unwrap_or_else(|e| panic!("{flag} at its max: {e}"))
+}
+
+/// Each soak-size bound holds at its maximum and refuses one more: the
+/// flag reader for `--requests`, `--gpus` and `--max-batch`, the
+/// canonical soak's `--requests` and `--gpus`, and the
+/// `HCC_SERVE_REQUESTS` and `HCC_CHAOS_REQUESTS` overrides.
+#[test]
+fn soak_sizes_take_their_bound_and_refuse_one_more() {
+    assert_eq!(
+        (MAX_REQUESTS, MAX_GPUS, MAX_BATCH),
+        (
+            u64::from(u32::MAX),
+            u64::from(u32::MAX),
+            u64::from(u16::MAX)
+        )
+    );
+    for (flag, max) in [
+        ("--requests", MAX_REQUESTS),
+        ("--gpus", MAX_GPUS),
+        ("--max-batch", MAX_BATCH),
+    ] {
+        let n = takes_max_refuses_one_more(flag, max, |n| {
+            Args::new([n.to_string()]).at_most(flag, max)
+        });
+        assert_eq!(n, max);
+    }
+
+    let canonical = |flag: &str, n: u64| {
+        let mut soak = CanonicalSoak::default();
+        let mut args = Args::new([n.to_string()]);
+        soak.flag(flag, &mut args)?;
+        soak.serve = true;
+        match soak.canonical()? {
+            Soak::Calm(cfg) => Ok((cfg.requests, cfg.gpus as u64)),
+            Soak::Stormy(_) => unreachable!("--serve selects the calm soak"),
+        }
+    };
+    let (requests, _) =
+        takes_max_refuses_one_more("--requests", MAX_REQUESTS, |n| canonical("--requests", n));
+    assert_eq!(requests, MAX_REQUESTS);
+    let (_, gpus) = takes_max_refuses_one_more("--gpus", MAX_GPUS, |n| canonical("--gpus", n));
+    assert_eq!(gpus, MAX_GPUS);
+
+    let serve = takes_max_refuses_one_more(serving::REQUESTS_ENV, MAX_REQUESTS, |n| {
+        std::env::set_var(serving::REQUESTS_ENV, n.to_string());
+        let cfg = ServingConfig::default().from_env();
+        std::env::remove_var(serving::REQUESTS_ENV);
+        cfg
+    });
+    assert_eq!(serve.requests, MAX_REQUESTS);
+    let chaos = takes_max_refuses_one_more(chaos::REQUESTS_ENV, MAX_REQUESTS, |n| {
+        std::env::set_var(chaos::REQUESTS_ENV, n.to_string());
+        let cfg = ChaosConfig::default().from_env();
+        std::env::remove_var(chaos::REQUESTS_ENV);
+        cfg
+    });
+    assert_eq!(chaos.requests, MAX_REQUESTS);
 }

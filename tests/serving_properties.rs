@@ -22,7 +22,7 @@ use hcc_types::{CcMode, FaultPlan, Planes, RecoveryPolicy, SimDuration, SimTime,
 use hcc_workloads::{default_tenants, Scenario};
 
 /// Replaying a seed reproduces the arrival trace bit for bit — every
-/// seq rank, tenant, class pick, and nanosecond — for every process
+/// rank, tenant, class pick, and nanosecond — for every process
 /// kind, while a perturbed seed yields a different trace.
 #[test]
 fn arrival_traces_replay_bit_for_bit_per_seed() {
@@ -190,7 +190,7 @@ fn serving_shape_tables_match_the_per_request_oracle() {
                 for (ri, r) in reqs.iter().enumerate() {
                     let si = table.shape_of()[ri] as usize;
                     ensure!(si < table.shapes().len(), "{cc}: request {ri} maps out of bounds");
-                    let app = cfg.tenants[r.tenant].mix[r.class].app;
+                    let app = cfg.tenants[r.tenant as usize].mix[r.class as usize].app;
                     let slow = engine.run(&Scenario::standard(app, cfg.shape_cfg(cc)));
                     ensure_eq!(table.shapes()[si].hash, slow.hash);
                     let service = oracle_service(&slow);
@@ -207,7 +207,7 @@ fn serving_shape_tables_match_the_per_request_oracle() {
                         let ok: Vec<SimDuration> = reqs
                             .iter()
                             .zip(services)
-                            .filter(|(r, _)| r.tenant == t)
+                            .filter(|(r, _)| r.tenant as usize == t)
                             .filter_map(|(_, s)| s.as_ref().ok().copied())
                             .collect();
                         ensure_eq!(stats.completed, ok.len() as u64);
@@ -261,8 +261,8 @@ fn chaos_shape_tables_match_the_per_request_oracle() {
                     for (ri, r) in reqs.iter().enumerate() {
                         let si = table.shape_of()[ri] as usize;
                         ensure!(si < table.shapes().len(), "request {ri} maps out of bounds");
-                        let app = cfg.tenants[r.tenant].mix[r.class].app;
-                        let replica = (r.seq % u64::from(cfg.replicas)) as u32;
+                        let app = cfg.tenants[r.tenant as usize].mix[r.class as usize].app;
+                        let replica = (ri % cfg.replicas as usize) as u32;
                         let intensity = schedule.intensity_at(r.arrival);
                         let shape_cfg = cfg.shape_cfg(profile, policy, intensity, replica);
                         let slow = engine.run(&Scenario::standard(app, shape_cfg));
@@ -439,6 +439,9 @@ fn every_shape_failing_rejects_every_request() {
 #[derive(Debug, PartialEq)]
 struct ReferenceRun {
     outcomes: Vec<Outcome>,
+    /// Each request's own `(spdm, doorbell)` admission charges, as its
+    /// `admit()` returned them (zero for rejections).
+    admissions: Vec<(SimDuration, SimDuration)>,
     end: SimTime,
     busy: SimDuration,
     batches: u64,
@@ -475,7 +478,8 @@ fn reference_series(name: &str, deltas: &[(SimTime, i64)]) -> Series {
 /// `Vec` in arrival order, every choice is a linear scan (the priority
 /// head, batch followers, the lowest idle GPU, the next event), and
 /// nothing is a heap, a bitset or a scheduler queue. Only the TD cost
-/// model (`SessionPool`) is shared with `cluster::simulate`.
+/// model (`SessionPool`) is shared with `cluster::simulate`, and each
+/// request keeps the charges its own `admit()` returned.
 ///
 /// The rules it spells out: completions at an instant free their GPUs
 /// before that instant's arrivals join the queue; dispatch then runs
@@ -489,6 +493,7 @@ fn reference_cluster(
     cfg: &ClusterConfig<'_>,
 ) -> ReferenceRun {
     let mut outcomes: Vec<Option<Outcome>> = vec![None; reqs.len()];
+    let mut admissions = vec![(SimDuration::ZERO, SimDuration::ZERO); reqs.len()];
     let mut waiting: Vec<usize> = Vec::new();
     let mut busy_until: Vec<Option<SimTime>> = vec![None; cfg.gpus];
     let mut pools: Vec<SessionPool> = (0..cfg.gpus)
@@ -506,14 +511,15 @@ fn reference_cluster(
                 SchedulerKind::Priority => (0..waiting.len())
                     .min_by_key(|&w| {
                         let r = &reqs[waiting[w]];
-                        (cfg.tenants[r.tenant].priority, r.seq)
+                        (cfg.tenants[r.tenant as usize].priority, waiting[w])
                     })
                     .expect("something waits"),
             };
             let head = waiting.remove(head_at);
             let h = &reqs[head];
             let mut batch = vec![head];
-            if cfg.kind == SchedulerKind::Batching && cfg.tenants[h.tenant].mix[h.class].batchable {
+            let class = &cfg.tenants[h.tenant as usize].mix[h.class as usize];
+            if cfg.kind == SchedulerKind::Batching && class.batchable {
                 let mut w = 0;
                 while w < waiting.len() && batch.len() < cfg.max_batch {
                     let r = &reqs[waiting[w]];
@@ -524,18 +530,16 @@ fn reference_cluster(
                     }
                 }
             }
-            let k = batch.len() as u32;
+            let k = batch.len() as u16;
             queue_deltas.push((now, -i64::from(k)));
             let Ok(shape) = &service[head] else {
                 for &i in &batch {
                     outcomes[i] = Some(Outcome {
                         dispatch: now,
                         completion: now,
-                        admission: SimDuration::ZERO,
-                        spdm: SimDuration::ZERO,
-                        cold: false,
-                        batch: k,
                         gpu: 0,
+                        batch: k,
+                        cold: false,
                         rejected: true,
                     });
                 }
@@ -545,29 +549,31 @@ fn reference_cluster(
                 .iter()
                 .position(Option::is_none)
                 .expect("an idle GPU");
-            let admissions: Vec<_> = batch
+            let batch_admissions: Vec<_> = batch
                 .iter()
-                .map(|&i| pools[gpu].admit(reqs[i].tenant as u64))
+                .map(|&i| pools[gpu].admit(u64::from(reqs[i].tenant)))
                 .collect();
             let service_time = *shape
                 + shape.scale(0.35 * f64::from(k - 1))
-                + admissions.iter().map(|a| a.total()).sum::<SimDuration>();
+                + batch_admissions
+                    .iter()
+                    .map(|a| a.total())
+                    .sum::<SimDuration>();
             let done = now + service_time;
             busy_until[gpu] = Some(done);
             gpu_deltas[gpu].push((now, i64::from(k)));
             gpu_deltas[gpu].push((done, -i64::from(k)));
             busy += service_time;
             batches += 1;
-            for (&i, a) in batch.iter().zip(&admissions) {
+            for (&i, a) in batch.iter().zip(&batch_admissions) {
                 cold_starts += u64::from(a.cold);
+                admissions[i] = (a.setup, a.transitions);
                 outcomes[i] = Some(Outcome {
                     dispatch: now,
                     completion: done,
-                    admission: a.total(),
-                    spdm: a.setup,
-                    cold: a.cold,
-                    batch: k,
                     gpu: gpu as u32,
+                    batch: k,
+                    cold: a.cold,
                     rejected: false,
                 });
             }
@@ -612,6 +618,7 @@ fn reference_cluster(
             .into_iter()
             .map(|o| o.expect("every request settles"))
             .collect(),
+        admissions,
         end: now,
         busy,
         batches,
@@ -716,7 +723,9 @@ fn verdicts(run: &cluster::ClusterRun) -> impl PartialEq + std::fmt::Debug + '_ 
 /// Oracle: over random small traces (bursts of same-instant arrivals,
 /// 1–4 tenants, batch caps 1–4, one shape per (tenant, class) with some
 /// failing), `cluster::simulate` matches the naive reference cluster in
-/// every outcome (its GPU included), the end time, busy time, batch and cold-start counts,
+/// every outcome (its GPU included), every request's SPDM and doorbell
+/// charges (derived by `run.admission.of`, against the reference's own
+/// `admit()` record), the end time, busy time, batch and cold-start counts,
 /// TD counters, session ledger and every gauge series — under every
 /// scheduler, both CC modes, and 1, 2, 3 and 65 GPUs (65 spans two words
 /// of the idle-GPU bitset). Its online verdicts match the series: over
@@ -749,12 +758,12 @@ fn cluster_matches_the_reference_cluster() {
             let mut at = SimTime::ZERO;
             let mut reqs = Vec::new();
             let mut shape_of = Vec::new();
-            for (seq, &(gap, t, c)) in trace.iter().enumerate() {
+            for &(gap, t, c) in &trace {
                 // Two gaps in five are zero: same-instant bursts.
                 at += SimDuration::micros(gap.saturating_sub(240));
                 let tenant = t as usize % tenants.len();
                 let class = c as usize % tenants[tenant].mix.len();
-                reqs.push(Request { seq: seq as u64, tenant, class, arrival: at });
+                reqs.push(Request { arrival: at, tenant: tenant as u32, class: class as u32 });
                 shape_of.push((slot_base[tenant] + class) as u32);
             }
             let peaks = peak_ends(&reqs, &picks);
@@ -800,8 +809,14 @@ fn cluster_matches_the_reference_cluster() {
                         };
                         let run = cluster::simulate(&reqs, &table, &cfg);
                         let want = reference_cluster(&reqs, &service, &cfg);
+                        let admissions: Vec<_> = run.outcomes.iter().map(|o| run.admission.of(o)).collect();
+                        for (i, (got, want)) in admissions.iter().zip(&want.admissions).enumerate() {
+                            ensure!(got.0 == want.0, "{kind}/{cc}/{gpus} gpus: request {i} spdm {:?}, admit() charged {:?}", got.0, want.0);
+                            ensure!(got.1 == want.1, "{kind}/{cc}/{gpus} gpus: request {i} doorbell {:?}, admit() charged {:?}", got.1, want.1);
+                        }
                         let got = ReferenceRun {
                             outcomes: run.outcomes.clone(),
+                            admissions,
                             end: run.end,
                             busy: run.busy,
                             batches: run.batches,
