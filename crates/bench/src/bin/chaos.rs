@@ -22,7 +22,6 @@ use hcc_bench::serving::arrival::MAX_REQUESTS;
 use hcc_bench::serving::cluster::MAX_GPUS;
 use hcc_bench::serving::SchedulerKind;
 use hcc_bench::watch::WatchConfig;
-use hcc_types::json::{Json, ToJson};
 use hcc_types::{RecoveryPolicy, StormProfile};
 
 const USAGE: &str = "usage: chaos [--requests N] [--days N] [--seed S] [--gpus N] [--tenants N] \
@@ -107,31 +106,24 @@ fn main() {
         let stats = engine::global().stats();
         let secs = elapsed.as_secs_f64().max(1e-9);
         let (pass, fail) = report.verdict_counts();
-        let doc = Json::Obj(vec![
-            (
-                "bench".to_string(),
-                Json::Obj(vec![
-                    (
-                        "requests_per_sec".to_string(),
-                        Json::U64((report.total_requests() as f64 / secs).round() as u64),
-                    ),
-                    (
-                        "total_requests".to_string(),
-                        Json::U64(report.total_requests()),
-                    ),
-                    (
-                        "cells".to_string(),
-                        Json::U64(report.cells().count() as u64),
-                    ),
-                    ("verdict_pass".to_string(), Json::U64(pass)),
-                    ("verdict_fail".to_string(), Json::U64(fail)),
-                    ("wall_ms".to_string(), Json::U64(elapsed.as_millis() as u64)),
-                ]),
-            ),
-            ("report".to_string(), report.to_json()),
-            ("engine".to_string(), stats.to_json()),
-        ]);
-        cli::write_or_exit(&path, doc.to_string());
+        cli::write_json_or_exit(&path, |out| {
+            out.obj(|o| {
+                o.key("bench");
+                o.obj(|o| {
+                    o.field(
+                        "requests_per_sec",
+                        (report.total_requests() as f64 / secs).round() as u64,
+                    );
+                    o.field("total_requests", report.total_requests());
+                    o.field("cells", report.cells().count());
+                    o.field("verdict_pass", pass);
+                    o.field("verdict_fail", fail);
+                    o.field("wall_ms", elapsed.as_millis() as u64);
+                });
+                o.field("report", &report);
+                o.field("engine", &stats);
+            });
+        });
     }
 
     engine::emit_stats();

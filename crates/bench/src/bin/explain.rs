@@ -15,7 +15,7 @@ use hcc_bench::cli::{self, CliError};
 use hcc_bench::explain::{explain_all, AppExplanation};
 use hcc_bench::{engine, report};
 use hcc_trace::critpath::ResourceClass;
-use hcc_types::json::{Json, ToJson};
+use hcc_types::json::ToJson;
 
 fn us(ns: i64) -> String {
     format!("{:+.1}", ns as f64 / 1_000.0)
@@ -105,8 +105,7 @@ fn main() {
     );
 
     if let Some(path) = json_path {
-        let doc = Json::Arr(rows.iter().map(ToJson::to_json).collect());
-        cli::write_or_exit(&path, doc.to_string());
+        cli::write_or_exit(&path, rows.to_json_string());
     }
 
     report::exit_on_failures(&failures);

@@ -177,7 +177,9 @@ fn main() {
     let mut total_samples = 0usize;
     let mut flagged = 0usize;
     let mut drift = 0usize;
-    let mut json_rows: Vec<Json> = Vec::new();
+    // Per-scenario `--json` rows: the scenario, its saturated queue and
+    // its snapshot, written once every table line is out.
+    let mut json_rows = Vec::new();
     // The scenario whose saturated queue waited longest overall — its
     // Prometheus page is the most interesting one to export.
     let mut worst: Option<(String, SimDuration, MetricsSet)> = None;
@@ -242,21 +244,7 @@ fn main() {
                 worst = Some((result.label.clone(), wait, set.clone()));
             }
         }
-        json_rows.push(Json::Obj(vec![
-            (
-                "app".to_string(),
-                Json::Str(scenario.app_name().to_string()),
-            ),
-            ("cc".to_string(), Json::Str(scenario.cc().to_string())),
-            (
-                "saturated".to_string(),
-                match hot {
-                    Some((name, _)) => Json::Str(name.to_string()),
-                    None => Json::Null,
-                },
-            ),
-            ("metrics".to_string(), set.to_json()),
-        ]));
+        json_rows.push((scenario, hot.map(|(name, _)| name), set));
     }
 
     let soaks = soak_snapshots(serve_soak, chaos_soak);
@@ -288,10 +276,6 @@ fn main() {
             );
             drift += warn_drift(label, set);
             total_samples += set.total_samples();
-            json_rows.push(Json::Obj(vec![
-                ("soak".to_string(), Json::Str(label.clone())),
-                ("metrics".to_string(), set.to_json()),
-            ]));
         }
     }
 
@@ -311,8 +295,24 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let doc = Json::Arr(json_rows);
-        cli::write_or_exit(&path, doc.to_string());
+        cli::write_json_or_exit(&path, |out| {
+            out.arr(|o| {
+                for (scenario, hot, set) in &json_rows {
+                    o.obj(|o| {
+                        o.field("app", scenario.app_name());
+                        o.field("cc", scenario.cc());
+                        o.field("saturated", hot);
+                        o.field("metrics", set);
+                    });
+                }
+                for (label, _, set) in &soaks {
+                    o.obj(|o| {
+                        o.field("soak", label);
+                        o.field("metrics", set);
+                    });
+                }
+            });
+        });
     }
     if let Some(path) = prom_path {
         let page = match &worst {

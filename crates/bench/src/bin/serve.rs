@@ -24,7 +24,6 @@ use hcc_bench::serving::arrival::MAX_REQUESTS;
 use hcc_bench::serving::cluster::{MAX_BATCH, MAX_GPUS};
 use hcc_bench::serving::{self, SchedulerKind, ServingConfig};
 use hcc_bench::watch::WatchConfig;
-use hcc_types::json::{Json, ToJson};
 
 const USAGE: &str = "usage: serve [--requests N] [--gpus N] [--tenants N] [--seed S] \
      [--arrival poisson|bursty|diurnal] [--scheduler fifo|priority|batching|all] \
@@ -80,25 +79,21 @@ fn main() {
     if let Some(path) = json_path {
         let stats = engine::global().stats();
         let secs = elapsed.as_secs_f64().max(1e-9);
-        let doc = Json::Obj(vec![
-            (
-                "bench".to_string(),
-                Json::Obj(vec![
-                    (
-                        "requests_per_sec".to_string(),
-                        Json::U64((cfg.requests as f64 / secs).round() as u64),
-                    ),
-                    (
-                        "shapes_simulated".to_string(),
-                        Json::U64(stats.scenarios_run),
-                    ),
-                    ("wall_ms".to_string(), Json::U64(elapsed.as_millis() as u64)),
-                ]),
-            ),
-            ("report".to_string(), report.to_json()),
-            ("engine".to_string(), stats.to_json()),
-        ]);
-        cli::write_or_exit(&path, doc.to_string());
+        cli::write_json_or_exit(&path, |out| {
+            out.obj(|o| {
+                o.key("bench");
+                o.obj(|o| {
+                    o.field(
+                        "requests_per_sec",
+                        (cfg.requests as f64 / secs).round() as u64,
+                    );
+                    o.field("shapes_simulated", stats.scenarios_run);
+                    o.field("wall_ms", elapsed.as_millis() as u64);
+                });
+                o.field("report", &report);
+                o.field("engine", &stats);
+            });
+        });
     }
 
     engine::emit_stats();

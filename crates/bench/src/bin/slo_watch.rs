@@ -26,7 +26,6 @@
 use hcc_bench::cli::{self, CanonicalSoak, CliError};
 use hcc_bench::engine;
 use hcc_bench::watch::Soak;
-use hcc_types::json::{Json, ToJson};
 
 const USAGE: &str = "usage: slo_watch [--serve] [--flight] [--requests N] [--days N] [--gpus N] \
      [--seed S] [--profile NAME] [--util F] [--json <path>] [--prom <path>]";
@@ -92,34 +91,24 @@ fn main() {
     if let Some(path) = json_path {
         let stats = engine::global().stats();
         let secs = elapsed.as_secs_f64().max(1e-9);
-        let doc = Json::Obj(vec![
-            (
-                "bench".to_string(),
-                Json::Obj(vec![
-                    (
-                        "windows_per_sec".to_string(),
-                        Json::U64((report.windows.len() as f64 / secs).round() as u64),
-                    ),
-                    (
-                        "windows".to_string(),
-                        Json::U64(report.windows.len() as u64),
-                    ),
-                    (
-                        "incidents".to_string(),
-                        Json::U64(report.incidents.len() as u64),
-                    ),
-                    ("alerts".to_string(), Json::U64(report.alerts())),
-                    (
-                        "storm_correlated".to_string(),
-                        Json::U64(report.storm_correlated() as u64),
-                    ),
-                    ("wall_ms".to_string(), Json::U64(elapsed.as_millis() as u64)),
-                ]),
-            ),
-            ("watch".to_string(), report.to_json()),
-            ("engine".to_string(), stats.to_json()),
-        ]);
-        cli::write_or_exit(&path, doc.to_string());
+        cli::write_json_or_exit(&path, |out| {
+            out.obj(|o| {
+                o.key("bench");
+                o.obj(|o| {
+                    o.field(
+                        "windows_per_sec",
+                        (report.windows.len() as f64 / secs).round() as u64,
+                    );
+                    o.field("windows", report.windows.len());
+                    o.field("incidents", report.incidents.len());
+                    o.field("alerts", report.alerts());
+                    o.field("storm_correlated", report.storm_correlated());
+                    o.field("wall_ms", elapsed.as_millis() as u64);
+                });
+                o.field("watch", &report);
+                o.field("engine", &stats);
+            });
+        });
     }
 
     engine::emit_stats();

@@ -16,7 +16,7 @@ use hcc_crypto::{CryptoAlgorithm, SoftCryptoModel};
 use hcc_ml::cnn::CnnEstimator;
 use hcc_ml::llm::{Backend, LlmConfig, LlmEstimator, LlmPrecision};
 use hcc_trace::geomean;
-use hcc_types::json::{Json, ToJson};
+use hcc_types::json::JsonOut;
 use hcc_types::{ByteSize, CcMode, CpuModel, HostMemKind, SimDuration};
 use hcc_workloads::{suites, Scenario};
 
@@ -28,7 +28,7 @@ fn line(label: &str, paper: &str, measured: String) {
 /// Fig. 3 phase totals in both modes, plus the engine's self-profile
 /// (wall time, cache hits). Every run resolves from the engine cache when
 /// the figures above already simulated it.
-fn bench_summary(failures: &mut Vec<engine::ScenarioFailure>) -> Json {
+fn bench_summary(out: &mut JsonOut<'_>, failures: &mut Vec<engine::ScenarioFailure>) {
     let mut batch = Vec::new();
     for spec in suites::all() {
         for cc in CcMode::ALL {
@@ -36,28 +36,23 @@ fn bench_summary(failures: &mut Vec<engine::ScenarioFailure>) -> Json {
         }
     }
     let results = engine::global().run_all(&batch);
-    let mut apps = Vec::new();
-    for (scenario, result) in batch.iter().zip(&results) {
-        match result.run() {
-            Ok(run) => apps.push(Json::Obj(vec![
-                (
-                    "app".to_string(),
-                    Json::Str(scenario.app_name().to_string()),
-                ),
-                ("cc".to_string(), Json::Str(scenario.cc().to_string())),
-                (
-                    "p_ns".to_string(),
-                    Json::U64(run.timeline.span().as_nanos()),
-                ),
-                ("phases".to_string(), run.timeline.phase_totals().to_json()),
-            ])),
-            Err(f) => failures.push(f),
-        }
-    }
-    Json::Obj(vec![
-        ("apps".to_string(), Json::Arr(apps)),
-        ("engine".to_string(), engine::global().stats().to_json()),
-    ])
+    out.obj(|o| {
+        o.key("apps");
+        o.arr(|o| {
+            for (scenario, result) in batch.iter().zip(&results) {
+                match result.run() {
+                    Ok(run) => o.obj(|o| {
+                        o.field("app", scenario.app_name());
+                        o.field("cc", scenario.cc());
+                        o.field("p_ns", run.timeline.span());
+                        o.field("phases", run.timeline.phase_totals());
+                    }),
+                    Err(f) => failures.push(f),
+                }
+            }
+        });
+        o.field("engine", engine::global().stats());
+    });
 }
 
 fn main() {
@@ -271,8 +266,7 @@ fn main() {
     // covers every batch above). Only wall-clock fields differ between
     // thread counts; the per-app entries are deterministic.
     if let Some(path) = json_path {
-        let doc = bench_summary(&mut failures);
-        cli::write_or_exit(&path, doc.to_string());
+        cli::write_json_or_exit(&path, |out| bench_summary(out, &mut failures));
     }
 
     // Engine statistics carry wall-clock times, so they go to stderr:

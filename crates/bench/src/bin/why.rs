@@ -31,7 +31,6 @@ use hcc_bench::engine;
 use hcc_bench::watch::{Soak, WatchReport};
 use hcc_trace::metrics::to_prometheus_with_exemplars;
 use hcc_trace::{ChromeExport, Histogram, MetricsSet};
-use hcc_types::json::{Json, ToJson};
 
 const USAGE: &str = "usage: why [--serve] [--request N] [--incident N] [--requests N] [--days N] \
      [--gpus N] [--seed S] [--chrome <path>] [--prom <path>] [--json <path>]";
@@ -207,33 +206,20 @@ fn main() {
         assert!(off.healthy);
         let off_elapsed = off_wall.elapsed();
         let stats = engine::global().stats();
-        let doc = Json::Obj(vec![
-            (
-                "bench".to_string(),
-                Json::Obj(vec![
-                    ("kept".to_string(), Json::U64(flight.kept_entries)),
-                    (
-                        "store_bound_entries".to_string(),
-                        Json::U64(flight.entry_bound()),
-                    ),
-                    (
-                        "store_peak_bytes".to_string(),
-                        Json::U64(flight.estimated_bytes()),
-                    ),
-                    (
-                        "wall_ms_flight_on".to_string(),
-                        Json::U64(elapsed.as_millis() as u64),
-                    ),
-                    (
-                        "wall_ms_flight_off".to_string(),
-                        Json::U64(off_elapsed.as_millis() as u64),
-                    ),
-                ]),
-            ),
-            ("flight".to_string(), flight.to_json()),
-            ("engine".to_string(), stats.to_json()),
-        ]);
-        cli::write_or_exit(&path, doc.to_string());
+        cli::write_json_or_exit(&path, |out| {
+            out.obj(|o| {
+                o.key("bench");
+                o.obj(|o| {
+                    o.field("kept", flight.kept_entries);
+                    o.field("store_bound_entries", flight.entry_bound());
+                    o.field("store_peak_bytes", flight.estimated_bytes());
+                    o.field("wall_ms_flight_on", elapsed.as_millis() as u64);
+                    o.field("wall_ms_flight_off", off_elapsed.as_millis() as u64);
+                });
+                o.field("flight", &flight);
+                o.field("engine", &stats);
+            });
+        });
     }
 
     engine::emit_stats();

@@ -9,7 +9,7 @@
 //! gauge drain, leak audit) plus the PASS/FAIL verdict totals.
 
 use hcc_runtime::LeakAudit;
-use hcc_types::json::{Json, ToJson};
+use hcc_types::json::{JsonOut, ToJson};
 use hcc_types::{
     FaultCounts, LatencyBudget, RecoveryPolicy, SimDuration, SimTime, StormIntensity, StormProfile,
 };
@@ -456,175 +456,98 @@ impl ChaosReport {
 }
 
 impl ToJson for TenantVerdict {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("tenant".to_string(), Json::Str(self.name.clone())),
-            ("completed".to_string(), Json::U64(self.completed)),
-            ("rejected".to_string(), Json::U64(self.rejected)),
-            ("p99_ns".to_string(), Json::U64(self.p99.as_nanos())),
-            ("p999_ns".to_string(), Json::U64(self.p999.as_nanos())),
-            ("reject_ppm".to_string(), Json::U64(self.reject_ppm)),
-            (
-                "budget_p99_ns".to_string(),
-                Json::U64(self.budget.p99.as_nanos()),
-            ),
-            (
-                "budget_p999_ns".to_string(),
-                Json::U64(self.budget.p999.as_nanos()),
-            ),
-            (
-                "budget_reject_ppm".to_string(),
-                Json::U64(self.budget.max_reject_ppm),
-            ),
-            ("pass".to_string(), Json::Bool(self.pass())),
-        ])
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.obj(|o| {
+            o.field("tenant", &self.name);
+            o.field("completed", self.completed);
+            o.field("rejected", self.rejected);
+            o.field("p99_ns", self.p99);
+            o.field("p999_ns", self.p999);
+            o.field("reject_ppm", self.reject_ppm);
+            o.field("budget_p99_ns", self.budget.p99);
+            o.field("budget_p999_ns", self.budget.p999);
+            o.field("budget_reject_ppm", self.budget.max_reject_ppm);
+            o.field("pass", self.pass());
+        });
     }
 }
 
 impl ToJson for PolicyCell {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, out: &mut JsonOut<'_>) {
         let ttr = self.ttr();
-        let mut fields = vec![
-            (
-                "policy".to_string(),
-                Json::Str(self.policy.name().to_string()),
-            ),
-            (
-                "makespan_ns".to_string(),
-                Json::U64(self.mode.end.saturating_since(SimTime::ZERO).as_nanos()),
-            ),
-            (
-                "utilization_pct".to_string(),
-                Json::U64((self.mode.utilization() * 100.0).round() as u64),
-            ),
-            ("completed".to_string(), Json::U64(self.mode.completed())),
-            ("rejected".to_string(), Json::U64(self.mode.rejected())),
-            (
-                "requests_recovered".to_string(),
-                Json::U64(self.ledger.recovered),
-            ),
-            (
-                "requests_degraded".to_string(),
-                Json::U64(self.ledger.degraded),
-            ),
-            (
-                "faults_injected".to_string(),
-                Json::U64(self.sim_faults.injected),
-            ),
-            ("shapes".to_string(), Json::U64(self.shapes as u64)),
-            (
-                "aborted_shapes".to_string(),
-                Json::U64(self.aborted_shapes as u64),
-            ),
-            ("ttr_peaks".to_string(), Json::U64(ttr.peaks as u64)),
-            ("ttr_drained".to_string(), Json::U64(ttr.drained as u64)),
-            ("ttr_mean_ns".to_string(), Json::U64(ttr.mean.as_nanos())),
-            ("ttr_max_ns".to_string(), Json::U64(ttr.max.as_nanos())),
-            ("passes".to_string(), Json::U64(self.passes())),
-            ("fails".to_string(), Json::U64(self.fails())),
-            (
-                "violations".to_string(),
-                Json::Arr(
-                    self.violations
-                        .iter()
-                        .map(|v| Json::Str(v.clone()))
-                        .collect(),
-                ),
-            ),
-            (
-                "verdicts".to_string(),
-                Json::Arr(self.verdicts.iter().map(ToJson::to_json).collect()),
-            ),
-        ];
-        if let Some(watch) = &self.watch {
-            fields.push(("watch".to_string(), watch.to_json()));
-        }
-        if let Some(flight) = &self.flight {
-            fields.push(("flight".to_string(), flight.to_json()));
-        }
-        Json::Obj(fields)
+        out.obj(|o| {
+            o.field("policy", self.policy.name());
+            o.field("makespan_ns", self.mode.end.saturating_since(SimTime::ZERO));
+            o.field(
+                "utilization_pct",
+                (self.mode.utilization() * 100.0).round() as u64,
+            );
+            o.field("completed", self.mode.completed());
+            o.field("rejected", self.mode.rejected());
+            o.field("requests_recovered", self.ledger.recovered);
+            o.field("requests_degraded", self.ledger.degraded);
+            o.field("faults_injected", self.sim_faults.injected);
+            o.field("shapes", self.shapes);
+            o.field("aborted_shapes", self.aborted_shapes);
+            o.field("ttr_peaks", ttr.peaks);
+            o.field("ttr_drained", ttr.drained);
+            o.field("ttr_mean_ns", ttr.mean);
+            o.field("ttr_max_ns", ttr.max);
+            o.field("passes", self.passes());
+            o.field("fails", self.fails());
+            o.field("violations", &self.violations);
+            o.field("verdicts", &self.verdicts);
+            if let Some(watch) = &self.watch {
+                o.field("watch", watch);
+            }
+            if let Some(flight) = &self.flight {
+                o.field("flight", flight);
+            }
+        });
     }
 }
 
 impl ToJson for ProfileReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "profile".to_string(),
-                Json::Str(self.profile.name.to_string()),
-            ),
-            (
-                "calendar_fingerprint".to_string(),
-                Json::U64(self.schedule_fingerprint),
-            ),
-            (
-                "coverage_ns".to_string(),
-                Json::Arr(
-                    self.coverage
-                        .iter()
-                        .map(|d| Json::U64(d.as_nanos()))
-                        .collect(),
-                ),
-            ),
-            (
-                "arrivals".to_string(),
-                Json::Arr(self.arrivals.iter().map(|&n| Json::U64(n)).collect()),
-            ),
-            (
-                "cells".to_string(),
-                Json::Arr(self.cells.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.obj(|o| {
+            o.field("profile", self.profile.name);
+            o.field("calendar_fingerprint", self.schedule_fingerprint);
+            o.field("coverage_ns", self.coverage);
+            o.field("arrivals", self.arrivals);
+            o.field("cells", &self.cells);
+        });
     }
 }
 
 impl ToJson for ChaosReport {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, out: &mut JsonOut<'_>) {
         let (pass, fail) = self.verdict_counts();
-        Json::Obj(vec![
-            ("seed".to_string(), Json::U64(self.seed)),
-            ("days".to_string(), Json::U64(self.days)),
-            ("horizon_ns".to_string(), Json::U64(self.horizon.as_nanos())),
-            (
-                "requests_per_cell".to_string(),
-                Json::U64(self.requests_per_cell),
-            ),
-            (
-                "total_requests".to_string(),
-                Json::U64(self.total_requests()),
-            ),
-            ("gpus".to_string(), Json::U64(self.gpus as u64)),
-            ("arrival".to_string(), Json::Str(self.arrival.to_string())),
-            (
-                "scheduler".to_string(),
-                Json::Str(self.scheduler.to_string()),
-            ),
-            ("episodes".to_string(), Json::U64(u64::from(self.episodes))),
-            ("replicas".to_string(), Json::U64(u64::from(self.replicas))),
-            (
-                "latency_identity".to_string(),
-                Json::Bool(self.every_run(ModeRun::latency_identity)),
-            ),
-            (
-                "conserved".to_string(),
-                Json::Bool(self.every_run(|m| m.conserved(self.requests_per_cell))),
-            ),
-            (
-                "sessions_ok".to_string(),
-                Json::Bool(self.every_run(ModeRun::sessions_ok)),
-            ),
-            (
-                "gauges_drained".to_string(),
-                Json::Bool(self.every_run(ModeRun::gauges_drained)),
-            ),
-            ("leak_free".to_string(), Json::Bool(self.leak_free())),
-            ("healthy".to_string(), Json::Bool(self.healthy())),
-            ("verdict_pass".to_string(), Json::U64(pass)),
-            ("verdict_fail".to_string(), Json::U64(fail)),
-            (
-                "profiles".to_string(),
-                Json::Arr(self.profiles.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
+        out.obj(|o| {
+            o.field("seed", self.seed);
+            o.field("days", self.days);
+            o.field("horizon_ns", self.horizon);
+            o.field("requests_per_cell", self.requests_per_cell);
+            o.field("total_requests", self.total_requests());
+            o.field("gpus", self.gpus);
+            o.field("arrival", self.arrival.to_string());
+            o.field("scheduler", self.scheduler.to_string());
+            o.field("episodes", self.episodes);
+            o.field("replicas", self.replicas);
+            o.field(
+                "latency_identity",
+                self.every_run(ModeRun::latency_identity),
+            );
+            o.field(
+                "conserved",
+                self.every_run(|m| m.conserved(self.requests_per_cell)),
+            );
+            o.field("sessions_ok", self.every_run(ModeRun::sessions_ok));
+            o.field("gauges_drained", self.every_run(ModeRun::gauges_drained));
+            o.field("leak_free", self.leak_free());
+            o.field("healthy", self.healthy());
+            o.field("verdict_pass", pass);
+            o.field("verdict_fail", fail);
+            o.field("profiles", &self.profiles);
+        });
     }
 }

@@ -11,6 +11,7 @@
 use std::fmt;
 
 use hcc_trace::FlightConfig;
+use hcc_types::json::JsonOut;
 use hcc_types::{SimDuration, StormProfile};
 
 use crate::chaos::ChaosConfig;
@@ -254,6 +255,14 @@ pub fn write_or_exit(path: &str, contents: impl AsRef<[u8]>) {
         eprintln!("cannot write {path}: {e}");
         std::process::exit(1);
     }
+}
+
+/// Writes the JSON document `doc` streams to `path`, or reports the
+/// failure and exits 1.
+pub fn write_json_or_exit(path: &str, doc: impl FnOnce(&mut JsonOut<'_>)) {
+    let mut text = String::new();
+    doc(&mut JsonOut::text(&mut text));
+    write_or_exit(path, text);
 }
 
 /// Runs `parse` over the process arguments. On error, prints

@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use hcc_trace::{Histogram, MetricsSet};
-use hcc_types::json::ToJson;
+use hcc_types::json::{JsonOut, ToJson};
 use hcc_types::SimDuration;
 use hcc_workloads::{runner, RunError, RunResult, Scenario};
 
@@ -264,38 +264,31 @@ impl EngineStats {
 }
 
 impl ToJson for EngineStats {
-    fn to_json(&self) -> hcc_types::json::Json {
-        use hcc_types::json::Json;
+    fn write_json(&self, out: &mut JsonOut<'_>) {
         let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        let field = |k: &str, v: Json| (k.to_string(), v);
-        Json::Obj(vec![
-            field("threads", Json::U64(self.threads as u64)),
-            field("scenarios_run", Json::U64(self.scenarios_run)),
-            field("cache_hits", Json::U64(self.cache_hits)),
-            field("failed_scenarios", Json::U64(self.failed_scenarios)),
-            field("faults_injected", Json::U64(self.faults_injected)),
-            field("fault_retries", Json::U64(self.fault_retries)),
-            field("recoveries", Json::U64(self.recoveries)),
-            field("sim_wall_ns", Json::U64(ns(self.sim_wall))),
-            field("elapsed_ns", Json::U64(ns(self.elapsed))),
-            field("worker_idle_ns", Json::U64(ns(self.worker_idle))),
-            field("hash_wall_ns", Json::U64(ns(self.hash_wall))),
-            field("cache_service_ns", Json::U64(ns(self.cache_service))),
-            field(
-                "per_scenario",
-                Json::Arr(
-                    self.per_scenario
-                        .iter()
-                        .map(|(label, w)| {
-                            Json::Obj(vec![
-                                field("label", Json::Str(label.clone())),
-                                field("wall_ns", Json::U64(ns(*w))),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        out.obj(|o| {
+            o.field("threads", self.threads);
+            o.field("scenarios_run", self.scenarios_run);
+            o.field("cache_hits", self.cache_hits);
+            o.field("failed_scenarios", self.failed_scenarios);
+            o.field("faults_injected", self.faults_injected);
+            o.field("fault_retries", self.fault_retries);
+            o.field("recoveries", self.recoveries);
+            o.field("sim_wall_ns", ns(self.sim_wall));
+            o.field("elapsed_ns", ns(self.elapsed));
+            o.field("worker_idle_ns", ns(self.worker_idle));
+            o.field("hash_wall_ns", ns(self.hash_wall));
+            o.field("cache_service_ns", ns(self.cache_service));
+            o.key("per_scenario");
+            o.arr(|o| {
+                for (label, wall) in &self.per_scenario {
+                    o.obj(|o| {
+                        o.field("label", label);
+                        o.field("wall_ns", ns(*wall));
+                    });
+                }
+            });
+        });
     }
 }
 

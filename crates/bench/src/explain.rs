@@ -10,7 +10,7 @@
 //! none lost.
 
 use hcc_trace::critpath::{self, Attribution, CritPath, ResourceClass};
-use hcc_types::json::{Json, ToJson};
+use hcc_types::json::{JsonOut, ToJson};
 use hcc_types::{CcMode, SimDuration};
 use hcc_workloads::{suites, Scenario};
 
@@ -73,41 +73,36 @@ impl AppExplanation {
 }
 
 impl ToJson for AppExplanation {
-    fn to_json(&self) -> Json {
-        let per_resource = ResourceClass::ALL
-            .iter()
-            .map(|&r| {
-                (
-                    r.name().to_string(),
-                    Json::Obj(vec![
-                        ("off_ns".to_string(), Json::U64(self.off.get(r).as_nanos())),
-                        ("on_ns".to_string(), Json::U64(self.on.get(r).as_nanos())),
-                        ("delta_ns".to_string(), Json::I64(self.exposed_delta(r))),
-                    ]),
-                )
-            })
-            .collect();
-        Json::Obj(vec![
-            ("app".to_string(), Json::Str(self.app.to_string())),
-            ("uvm".to_string(), Json::Bool(self.uvm)),
-            ("p_off_ns".to_string(), Json::U64(self.p_off.as_nanos())),
-            ("p_on_ns".to_string(), Json::U64(self.p_on.as_nanos())),
-            ("delta_p_ns".to_string(), Json::I64(self.delta_p())),
-            ("resources".to_string(), Json::Obj(per_resource)),
-            (
-                "confirmed_links".to_string(),
-                Json::U64(self.confirmed_links as u64),
-            ),
-            ("edges_on".to_string(), Json::U64(self.edges_on as u64)),
-        ])
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.obj(|o| {
+            o.field("app", self.app);
+            o.field("uvm", self.uvm);
+            o.field("p_off_ns", self.p_off);
+            o.field("p_on_ns", self.p_on);
+            o.field("delta_p_ns", self.delta_p());
+            o.key("resources");
+            o.obj(|o| {
+                for &r in &ResourceClass::ALL {
+                    o.key(r.name());
+                    o.obj(|o| {
+                        o.field("off_ns", self.off.get(r));
+                        o.field("on_ns", self.on.get(r));
+                        o.field("delta_ns", self.exposed_delta(r));
+                    });
+                }
+            });
+            o.field("confirmed_links", self.confirmed_links);
+            o.field("edges_on", self.edges_on);
+        });
     }
 }
 
-/// Extracts both critical paths for one app and folds them into an
-/// explanation. Asserts the structural invariants the explainer's output
-/// depends on: each path's identity (Σ segments == P), acyclicity of the
-/// collected DAG, and deltas summing to ΔP.
-fn explain_one(
+/// Extracts both critical paths for one app from its CC-off and CC-on
+/// runs (causal collection on) and folds them into an explanation.
+/// Asserts the structural invariants the explainer's output depends on:
+/// each path's identity (Σ segments == P), acyclicity of the collected
+/// DAG, and deltas summing to ΔP.
+pub fn explain_one(
     app: &'static str,
     uvm: bool,
     off: &hcc_workloads::RunResult,
@@ -188,6 +183,7 @@ pub type Path = CritPath;
 mod tests {
     use super::*;
     use hcc_runtime::SimConfig;
+    use hcc_types::json::Json;
     use hcc_workloads::run_scenario;
 
     fn explain_app(name: &'static str, uvm: bool) -> AppExplanation {

@@ -9,7 +9,7 @@
 
 use hcc_tee::TdCounters;
 use hcc_trace::Tail;
-use hcc_types::json::{Json, ToJson};
+use hcc_types::json::{JsonOut, ToJson};
 use hcc_types::{CcMode, SimDuration, SimTime};
 
 use super::arrival::{ArrivalKind, Request};
@@ -399,90 +399,64 @@ impl ServingReport {
 }
 
 impl ToJson for TenantStats {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("tenant".to_string(), Json::Str(self.name.clone())),
-            ("completed".to_string(), Json::U64(self.completed)),
-            ("rejected".to_string(), Json::U64(self.rejected)),
-            ("latency".to_string(), self.latency.to_json()),
-            ("wait".to_string(), self.wait.to_json()),
-            (
-                "service_total_ns".to_string(),
-                Json::U64(self.service_total.as_nanos()),
-            ),
-            (
-                "admission_total_ns".to_string(),
-                Json::U64(self.admission_total.as_nanos()),
-            ),
-        ])
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.obj(|o| {
+            o.field("tenant", &self.name);
+            o.field("completed", self.completed);
+            o.field("rejected", self.rejected);
+            o.field("latency", self.latency);
+            o.field("wait", self.wait);
+            o.field("service_total_ns", self.service_total);
+            o.field("admission_total_ns", self.admission_total);
+        });
     }
 }
 
 impl ToJson for ModeRun {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("mode".to_string(), self.cc.to_json()),
-            (
-                "end_ns".to_string(),
-                Json::U64(self.end.saturating_since(SimTime::ZERO).as_nanos()),
-            ),
-            ("busy_ns".to_string(), Json::U64(self.busy.as_nanos())),
-            (
-                "utilization_pct".to_string(),
-                Json::U64((self.utilization() * 100.0).round() as u64),
-            ),
-            (
-                "throughput_rps".to_string(),
-                Json::U64(self.throughput().round() as u64),
-            ),
-            ("batches".to_string(), Json::U64(self.batches)),
-            ("cold_starts".to_string(), Json::U64(self.cold_starts)),
-            ("hypercalls".to_string(), Json::U64(self.td.hypercalls)),
-            (
-                "tenants".to_string(),
-                Json::Arr(self.tenants.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.obj(|o| {
+            o.field("mode", self.cc);
+            o.field("end_ns", self.end.saturating_since(SimTime::ZERO));
+            o.field("busy_ns", self.busy);
+            o.field(
+                "utilization_pct",
+                (self.utilization() * 100.0).round() as u64,
+            );
+            o.field("throughput_rps", self.throughput().round() as u64);
+            o.field("batches", self.batches);
+            o.field("cold_starts", self.cold_starts);
+            o.field("hypercalls", self.td.hypercalls);
+            o.field("tenants", &self.tenants);
+        });
+    }
+}
+
+impl ToJson for SchedulerRun {
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.obj(|o| {
+            o.field("scheduler", self.scheduler.to_string());
+            o.field("modes", &self.modes);
+            if let Some(watch) = &self.watch {
+                o.field("watch", watch);
+            }
+            if let Some(flight) = &self.flight {
+                o.field("flight", flight);
+            }
+        });
     }
 }
 
 impl ToJson for ServingReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("seed".to_string(), Json::U64(self.seed)),
-            ("requests".to_string(), Json::U64(self.requests)),
-            ("gpus".to_string(), Json::U64(self.gpus as u64)),
-            ("arrival".to_string(), Json::Str(self.arrival.to_string())),
-            (
-                "distinct_shapes".to_string(),
-                Json::U64(self.distinct_shapes as u64),
-            ),
-            ("conserved".to_string(), Json::Bool(self.conserved())),
-            ("slo_holds".to_string(), Json::Bool(self.slo_holds())),
-            (
-                "schedulers".to_string(),
-                Json::Arr(
-                    self.runs
-                        .iter()
-                        .map(|r| {
-                            let mut fields = vec![
-                                ("scheduler".to_string(), Json::Str(r.scheduler.to_string())),
-                                (
-                                    "modes".to_string(),
-                                    Json::Arr(r.modes.iter().map(ToJson::to_json).collect()),
-                                ),
-                            ];
-                            if let Some(watch) = &r.watch {
-                                fields.push(("watch".to_string(), watch.to_json()));
-                            }
-                            if let Some(flight) = &r.flight {
-                                fields.push(("flight".to_string(), flight.to_json()));
-                            }
-                            Json::Obj(fields)
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.obj(|o| {
+            o.field("seed", self.seed);
+            o.field("requests", self.requests);
+            o.field("gpus", self.gpus);
+            o.field("arrival", self.arrival.to_string());
+            o.field("distinct_shapes", self.distinct_shapes);
+            o.field("conserved", self.conserved());
+            o.field("slo_holds", self.slo_holds());
+            o.field("schedulers", &self.runs);
+        });
     }
 }

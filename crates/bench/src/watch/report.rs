@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 
 use hcc_trace::critpath::ResourceClass;
 use hcc_trace::rollup::WindowStats;
-use hcc_types::json::{Json, ToJson};
+use hcc_types::json::{JsonOut, ToJson};
 use hcc_types::{LatencyBudget, SimTime, StormIntensity};
 
 use super::WatchConfig;
@@ -335,152 +335,84 @@ impl WatchReport {
     }
 }
 
-impl ToJson for TenantBurn {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("bad".to_string(), Json::U64(self.bad)),
-            ("total".to_string(), Json::U64(self.total)),
-            ("fast_milli".to_string(), Json::U64(self.fast_milli)),
-            ("slow_milli".to_string(), Json::U64(self.slow_milli)),
-            ("alert".to_string(), Json::Bool(self.alert)),
-        ])
+hcc_types::impl_to_json!(TenantBurn {
+    bad,
+    total,
+    fast_milli,
+    slow_milli,
+    alert
+});
+
+impl ToJson for WindowRow {
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        let stats = &self.stats;
+        out.obj(|o| {
+            o.field("window", stats.window.index);
+            o.field("start_ns", stats.window.start);
+            o.field("end_ns", stats.window.end);
+            o.field("completed", stats.completed);
+            o.field("rejected", stats.rejected);
+            o.field("p50_ns", stats.p50);
+            o.field("p99_ns", stats.p99);
+            o.field("p999_ns", stats.p999);
+            o.field("queue_mean_milli", self.queue_mean_milli);
+            o.field("anomaly", self.anomaly);
+            o.field("burns", &self.burns);
+        });
     }
 }
 
-impl ToJson for WindowRow {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "window".to_string(),
-                Json::U64(self.stats.window.index as u64),
-            ),
-            (
-                "start_ns".to_string(),
-                Json::U64(self.stats.window.start.as_nanos()),
-            ),
-            (
-                "end_ns".to_string(),
-                Json::U64(self.stats.window.end.as_nanos()),
-            ),
-            ("completed".to_string(), Json::U64(self.stats.completed)),
-            ("rejected".to_string(), Json::U64(self.stats.rejected)),
-            ("p50_ns".to_string(), Json::U64(self.stats.p50.as_nanos())),
-            ("p99_ns".to_string(), Json::U64(self.stats.p99.as_nanos())),
-            ("p999_ns".to_string(), Json::U64(self.stats.p999.as_nanos())),
-            (
-                "queue_mean_milli".to_string(),
-                Json::U64(self.queue_mean_milli),
-            ),
-            ("anomaly".to_string(), Json::Bool(self.anomaly)),
-            (
-                "burns".to_string(),
-                Json::Arr(self.burns.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
+impl ToJson for IncidentStorm {
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.obj(|o| {
+            o.field("profile", &self.profile);
+            o.field("intensity", self.intensity.name());
+            o.field("episode", self.episode);
+        });
+    }
+}
+
+impl ToJson for IncidentBlame {
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.obj(|o| {
+            o.field("class", self.class);
+            o.field("pct", self.pct);
+            o.field("critical_ns", self.critical);
+        });
     }
 }
 
 impl ToJson for Incident {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("id".to_string(), Json::U64(self.id as u64)),
-            ("tenant".to_string(), Json::U64(self.tenant as u64)),
-            (
-                "first_window".to_string(),
-                Json::U64(self.first_window as u64),
-            ),
-            (
-                "last_window".to_string(),
-                Json::U64(self.last_window as u64),
-            ),
-            ("start_ns".to_string(), Json::U64(self.start.as_nanos())),
-            ("end_ns".to_string(), Json::U64(self.end.as_nanos())),
-            (
-                "peak_burn_milli".to_string(),
-                Json::U64(self.peak_burn_milli),
-            ),
-        ];
-        match &self.storm {
-            Some(s) => fields.push((
-                "storm".to_string(),
-                Json::Obj(vec![
-                    ("profile".to_string(), Json::Str(s.profile.clone())),
-                    (
-                        "intensity".to_string(),
-                        Json::Str(s.intensity.name().to_string()),
-                    ),
-                    ("episode".to_string(), Json::U64(u64::from(s.episode))),
-                ]),
-            )),
-            None => fields.push(("storm".to_string(), Json::Null)),
-        }
-        match &self.blame {
-            Some(b) => fields.push((
-                "blame".to_string(),
-                Json::Obj(vec![
-                    ("class".to_string(), Json::Str(b.class.name().to_string())),
-                    ("pct".to_string(), Json::U64(b.pct)),
-                    ("critical_ns".to_string(), Json::U64(b.critical.as_nanos())),
-                ]),
-            )),
-            None => fields.push(("blame".to_string(), Json::Null)),
-        }
-        fields.push((
-            "exemplars".to_string(),
-            Json::Arr(
-                self.exemplars
-                    .iter()
-                    .map(|&r| Json::U64(u64::from(r)))
-                    .collect(),
-            ),
-        ));
-        Json::Obj(fields)
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.obj(|o| {
+            o.field("id", self.id);
+            o.field("tenant", self.tenant);
+            o.field("first_window", self.first_window);
+            o.field("last_window", self.last_window);
+            o.field("start_ns", self.start);
+            o.field("end_ns", self.end);
+            o.field("peak_burn_milli", self.peak_burn_milli);
+            o.field("storm", &self.storm);
+            o.field("blame", self.blame);
+            o.field("exemplars", &self.exemplars);
+        });
     }
 }
 
 impl ToJson for WatchReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("fast_ns".to_string(), Json::U64(self.cfg.fast.as_nanos())),
-            (
-                "slow_factor".to_string(),
-                Json::U64(u64::from(self.cfg.slow_factor)),
-            ),
-            (
-                "threshold_milli".to_string(),
-                Json::U64(self.cfg.threshold_milli),
-            ),
-            (
-                "anomaly_milli".to_string(),
-                Json::U64(self.cfg.anomaly_milli),
-            ),
-            (
-                "tenants".to_string(),
-                Json::Arr(
-                    self.tenant_names
-                        .iter()
-                        .map(|n| Json::Str(n.clone()))
-                        .collect(),
-                ),
-            ),
-            ("alerts".to_string(), Json::U64(self.alerts())),
-            ("anomalies".to_string(), Json::U64(self.anomalies())),
-            (
-                "max_burn_milli".to_string(),
-                Json::U64(self.max_burn_milli()),
-            ),
-            (
-                "storm_correlated".to_string(),
-                Json::U64(self.storm_correlated() as u64),
-            ),
-            (
-                "windows".to_string(),
-                Json::Arr(self.windows.iter().map(ToJson::to_json).collect()),
-            ),
-            (
-                "incidents".to_string(),
-                Json::Arr(self.incidents.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.obj(|o| {
+            o.field("fast_ns", self.cfg.fast);
+            o.field("slow_factor", self.cfg.slow_factor);
+            o.field("threshold_milli", self.cfg.threshold_milli);
+            o.field("anomaly_milli", self.cfg.anomaly_milli);
+            o.field("tenants", &self.tenant_names);
+            o.field("alerts", self.alerts());
+            o.field("anomalies", self.anomalies());
+            o.field("max_burn_milli", self.max_burn_milli());
+            o.field("storm_correlated", self.storm_correlated());
+            o.field("windows", &self.windows);
+            o.field("incidents", &self.incidents);
+        });
     }
 }

@@ -62,14 +62,11 @@ impl KlrAnalysis {
 }
 
 impl hcc_types::json::ToJson for KlrClass {
-    fn to_json(&self) -> hcc_types::json::Json {
-        hcc_types::json::Json::Str(
-            match self {
-                KlrClass::High => "high",
-                KlrClass::Low => "low",
-            }
-            .to_string(),
-        )
+    fn write_json(&self, out: &mut hcc_types::json::JsonOut<'_>) {
+        out.str(match self {
+            KlrClass::High => "high",
+            KlrClass::Low => "low",
+        });
     }
 }
 

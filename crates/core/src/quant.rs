@@ -173,12 +173,7 @@ impl QuantizationAdvisor {
     }
 }
 
-impl hcc_types::json::ToJson for Precision {
-    /// Serializes as the `Display` label.
-    fn to_json(&self) -> hcc_types::json::Json {
-        hcc_types::json::Json::Str(self.to_string())
-    }
-}
+hcc_types::impl_to_json!(display: Precision);
 
 hcc_types::impl_to_json!(StepProfile {
     bytes_per_step,

@@ -257,17 +257,7 @@ impl LlmEstimator {
     }
 }
 
-macro_rules! display_to_json {
-    ($($ty:ty),+) => {
-        $(impl hcc_types::json::ToJson for $ty {
-            /// Serializes as the `Display` label.
-            fn to_json(&self) -> hcc_types::json::Json {
-                hcc_types::json::Json::Str(self.to_string())
-            }
-        })+
-    };
-}
-display_to_json!(Backend, LlmPrecision);
+hcc_types::impl_to_json!(display: Backend, LlmPrecision);
 
 hcc_types::impl_to_json!(LlmConfig {
     backend,

@@ -7,7 +7,7 @@
 //! imply — so the DAG is constructed during simulation rather than
 //! reverse-engineered from timestamps afterwards.
 
-use hcc_types::json::{Json, ToJson};
+use hcc_types::json::{JsonOut, ToJson};
 use hcc_types::SimDuration;
 
 /// Index of an event inside its [`crate::Timeline`], handed out by
@@ -171,14 +171,14 @@ impl CausalGraph {
 }
 
 impl ToJson for EventId {
-    fn to_json(&self) -> Json {
-        Json::U64(self.0 as u64)
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        self.0.write_json(out);
     }
 }
 
 impl ToJson for EdgeKind {
-    fn to_json(&self) -> Json {
-        Json::Str(self.tag().to_string())
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.str(self.tag());
     }
 }
 
@@ -190,14 +190,15 @@ hcc_types::impl_to_json!(CausalEdge {
 });
 
 impl ToJson for CausalGraph {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.edges.iter().map(ToJson::to_json).collect())
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        self.edges.write_json(out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcc_types::json::Json;
 
     #[test]
     fn disabled_graph_drops_edges() {

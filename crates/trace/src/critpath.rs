@@ -12,7 +12,7 @@
 
 use std::collections::BinaryHeap;
 
-use hcc_types::json::{Json, ToJson};
+use hcc_types::json::{JsonOut, ToJson};
 use hcc_types::{FaultSite, SimDuration, SimTime};
 
 use crate::causal::{CausalGraph, EventId};
@@ -91,8 +91,8 @@ impl std::fmt::Display for ResourceClass {
 }
 
 impl ToJson for ResourceClass {
-    fn to_json(&self) -> Json {
-        Json::Str(self.name().to_string())
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.str(self.name());
     }
 }
 
@@ -195,12 +195,12 @@ impl Attribution {
 }
 
 impl ToJson for Attribution {
-    fn to_json(&self) -> Json {
-        Json::Obj(
-            self.iter()
-                .map(|(r, t)| (r.name().to_string(), t.to_json()))
-                .collect(),
-        )
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.obj(|o| {
+            for (r, t) in self.iter() {
+                o.field(r.name(), t);
+            }
+        });
     }
 }
 

@@ -1,6 +1,6 @@
 //! Trace events — the simulator's equivalent of an Nsight Systems export.
 
-use hcc_types::json::{Json, ToJson};
+use hcc_types::json::{JsonOut, ToJson};
 use hcc_types::{ByteSize, CopyKind, FaultSite, HostMemKind, MemSpace, SimDuration, SimTime};
 
 /// Identifies a kernel *function* (not an individual launch), so repeated
@@ -246,86 +246,81 @@ impl TraceEvent {
 }
 
 impl ToJson for KernelId {
-    fn to_json(&self) -> Json {
-        Json::U64(u64::from(self.0))
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        self.0.write_json(out);
     }
 }
 
 impl ToJson for StreamId {
-    fn to_json(&self) -> Json {
-        Json::U64(u64::from(self.0))
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        self.0.write_json(out);
     }
 }
 
 impl ToJson for EventKind {
     /// Serializes as a flat tagged object: `{"type": <tag>, ...fields}`.
-    fn to_json(&self) -> Json {
-        let mut fields: Vec<(String, Json)> =
-            vec![("type".to_string(), Json::Str(self.tag().to_string()))];
-        let mut put = |key: &str, value: Json| fields.push((key.to_string(), value));
-        match self {
-            EventKind::Launch {
-                kernel,
-                queue_wait,
-                first,
-            } => {
-                put("kernel", kernel.to_json());
-                put("queue_wait", queue_wait.to_json());
-                put("first", Json::Bool(*first));
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.obj(|o| {
+            o.field("type", self.tag());
+            match self {
+                EventKind::Launch {
+                    kernel,
+                    queue_wait,
+                    first,
+                } => {
+                    o.field("kernel", kernel);
+                    o.field("queue_wait", queue_wait);
+                    o.field("first", first);
+                }
+                EventKind::Kernel { kernel, uvm } => {
+                    o.field("kernel", kernel);
+                    o.field("uvm", uvm);
+                }
+                EventKind::Memcpy {
+                    kind,
+                    bytes,
+                    mem,
+                    managed,
+                } => {
+                    o.field("kind", kind);
+                    o.field("bytes", bytes);
+                    o.field("mem", mem);
+                    o.field("managed", managed);
+                }
+                EventKind::Alloc { space, bytes } | EventKind::Free { space, bytes } => {
+                    o.field("space", space);
+                    o.field("bytes", bytes);
+                }
+                EventKind::Sync => {}
+                EventKind::Crypto { bytes, encrypt } => {
+                    o.field("bytes", bytes);
+                    o.field("encrypt", encrypt);
+                }
+                EventKind::Hypercall { reason } => o.field("reason", reason.as_str()),
+                EventKind::BounceReserve { bytes, converted } => {
+                    o.field("bytes", bytes);
+                    o.field("converted", converted);
+                }
+                EventKind::UvmFault {
+                    kernel,
+                    pages,
+                    bytes,
+                } => {
+                    o.field("kernel", kernel);
+                    o.field("pages", pages);
+                    o.field("bytes", bytes);
+                }
+                EventKind::FaultInjected { site, attempts } => {
+                    o.field("site", site.name());
+                    o.field("attempts", attempts);
+                }
+                EventKind::Retry { site, attempt } => {
+                    o.field("site", site.name());
+                    o.field("attempt", attempt);
+                }
+                EventKind::Degraded { site } => o.field("site", site.name()),
             }
-            EventKind::Kernel { kernel, uvm } => {
-                put("kernel", kernel.to_json());
-                put("uvm", Json::Bool(*uvm));
-            }
-            EventKind::Memcpy {
-                kind,
-                bytes,
-                mem,
-                managed,
-            } => {
-                put("kind", kind.to_json());
-                put("bytes", bytes.to_json());
-                put("mem", mem.to_json());
-                put("managed", Json::Bool(*managed));
-            }
-            EventKind::Alloc { space, bytes } | EventKind::Free { space, bytes } => {
-                put("space", space.to_json());
-                put("bytes", bytes.to_json());
-            }
-            EventKind::Sync => {}
-            EventKind::Crypto { bytes, encrypt } => {
-                put("bytes", bytes.to_json());
-                put("encrypt", Json::Bool(*encrypt));
-            }
-            EventKind::Hypercall { reason } => {
-                put("reason", Json::Str(reason.as_str().to_string()));
-            }
-            EventKind::BounceReserve { bytes, converted } => {
-                put("bytes", bytes.to_json());
-                put("converted", Json::Bool(*converted));
-            }
-            EventKind::UvmFault {
-                kernel,
-                pages,
-                bytes,
-            } => {
-                put("kernel", kernel.to_json());
-                put("pages", Json::U64(*pages));
-                put("bytes", bytes.to_json());
-            }
-            EventKind::FaultInjected { site, attempts } => {
-                put("site", Json::Str(site.name().to_string()));
-                put("attempts", Json::U64(u64::from(*attempts)));
-            }
-            EventKind::Retry { site, attempt } => {
-                put("site", Json::Str(site.name().to_string()));
-                put("attempt", Json::U64(u64::from(*attempt)));
-            }
-            EventKind::Degraded { site } => {
-                put("site", Json::Str(site.name().to_string()));
-            }
-        }
-        Json::Obj(fields)
+        });
     }
 }
 

@@ -29,7 +29,7 @@
 //! after the cluster drain, and only when the soak's config asks for a
 //! flight log — the drain itself records nothing.
 
-use hcc_types::json::{Json, ToJson};
+use hcc_types::json::{JsonOut, ToJson};
 use hcc_types::{FaultCounts, SimDuration, SimTime};
 
 use crate::critpath::{Attribution, ResourceClass};
@@ -305,8 +305,8 @@ impl SpanKind {
 }
 
 impl ToJson for SpanKind {
-    fn to_json(&self) -> Json {
-        Json::Str(self.name().to_string())
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.str(self.name());
     }
 }
 
@@ -407,39 +407,31 @@ impl FlightSample {
 }
 
 impl ToJson for FlightSample {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, out: &mut JsonOut<'_>) {
         let s = &self.skeleton;
-        Json::Obj(vec![
-            ("req".to_string(), Json::U64(u64::from(s.req))),
-            ("tenant".to_string(), Json::U64(u64::from(s.tenant))),
-            ("gpu".to_string(), Json::U64(u64::from(s.gpu))),
-            ("batch".to_string(), Json::U64(u64::from(s.batch))),
-            ("window".to_string(), Json::U64(self.window)),
-            ("tail".to_string(), Json::Bool(self.tail)),
-            ("uniform".to_string(), Json::Bool(self.uniform)),
-            ("cold".to_string(), Json::Bool(s.cold)),
-            ("rejected".to_string(), Json::Bool(s.rejected)),
-            ("arrival_ns".to_string(), Json::U64(s.arrival.as_nanos())),
-            ("settle_ns".to_string(), Json::U64(s.settle.as_nanos())),
-            (
-                "latency_ns".to_string(),
-                Json::U64(self.latency().as_nanos()),
-            ),
-            (
-                "spans".to_string(),
-                Json::Arr(
-                    self.spans
-                        .iter()
-                        .map(|&(k, d)| {
-                            Json::Obj(vec![
-                                ("kind".to_string(), k.to_json()),
-                                ("ns".to_string(), Json::U64(d.as_nanos())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        out.obj(|o| {
+            o.field("req", s.req);
+            o.field("tenant", s.tenant);
+            o.field("gpu", s.gpu);
+            o.field("batch", s.batch);
+            o.field("window", self.window);
+            o.field("tail", self.tail);
+            o.field("uniform", self.uniform);
+            o.field("cold", s.cold);
+            o.field("rejected", s.rejected);
+            o.field("arrival_ns", s.arrival);
+            o.field("settle_ns", s.settle);
+            o.field("latency_ns", self.latency());
+            o.key("spans");
+            o.arr(|o| {
+                for &(kind, ns) in &self.spans {
+                    o.obj(|o| {
+                        o.field("kind", kind);
+                        o.field("ns", ns);
+                    });
+                }
+            });
+        });
     }
 }
 
@@ -668,29 +660,17 @@ impl FlightLog {
 }
 
 impl ToJson for FlightLog {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "window_ns".to_string(),
-                Json::U64(self.cfg.window.as_nanos()),
-            ),
-            ("worst".to_string(), Json::U64(self.cfg.worst as u64)),
-            (
-                "reservoir".to_string(),
-                Json::U64(self.cfg.reservoir as u64),
-            ),
-            ("recorded".to_string(), Json::U64(self.recorded)),
-            ("windows".to_string(), Json::U64(self.windows)),
-            ("kept_entries".to_string(), Json::U64(self.kept_entries)),
-            (
-                "estimated_bytes".to_string(),
-                Json::U64(self.estimated_bytes()),
-            ),
-            (
-                "samples".to_string(),
-                Json::Arr(self.samples.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.obj(|o| {
+            o.field("window_ns", self.cfg.window);
+            o.field("worst", self.cfg.worst);
+            o.field("reservoir", self.cfg.reservoir);
+            o.field("recorded", self.recorded);
+            o.field("windows", self.windows);
+            o.field("kept_entries", self.kept_entries);
+            o.field("estimated_bytes", self.estimated_bytes());
+            o.field("samples", &self.samples);
+        });
     }
 }
 

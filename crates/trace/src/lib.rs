@@ -312,7 +312,7 @@ mod proptests {
             let skels = skeletons_from(&raw);
             let (fwd, _) = record_all(flight_cfg(0xF11A), skels.iter().copied());
             let (rev, _) = record_all(flight_cfg(0xF11A), skels.iter().rev().copied());
-            ensure_eq!(fwd.to_json().to_string(), rev.to_json().to_string());
+            ensure_eq!(fwd.to_json_string(), rev.to_json_string());
         });
     }
 
@@ -329,7 +329,7 @@ mod proptests {
             let skels = skeletons_from(&raw);
             let (a, _) = record_all(flight_cfg(seed), skels.iter().copied());
             let (b, _) = record_all(flight_cfg(seed), skels.iter().copied());
-            ensure_eq!(a.to_json().to_string(), b.to_json().to_string());
+            ensure_eq!(a.to_json_string(), b.to_json_string());
             let (c, _) = record_all(flight_cfg(seed ^ 0x5EED), skels.iter().copied());
             let tails = |log: &FlightLog| -> Vec<u32> {
                 log.samples.iter().filter(|s| s.tail).map(|s| s.req()).collect()

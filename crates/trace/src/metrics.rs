@@ -43,7 +43,7 @@
 
 use std::fmt::Write as _;
 
-use hcc_types::json::{Json, ToJson};
+use hcc_types::json::{JsonOut, ToJson};
 use hcc_types::{SimDuration, SimTime};
 
 use crate::histogram::Histogram;
@@ -561,67 +561,42 @@ impl MetricsSet {
 }
 
 impl ToJson for Series {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("name".to_string(), Json::Str(self.name.clone())),
-            ("peak".to_string(), Json::I64(self.peak())),
-            ("final".to_string(), Json::I64(self.final_value())),
-            (
-                "integral_ns".to_string(),
-                Json::U64(self.integral().as_nanos()),
-            ),
-            (
-                "samples".to_string(),
-                Json::Arr(
-                    self.samples
-                        .iter()
-                        .map(|&(t, v)| Json::Arr(vec![Json::U64(t.as_nanos()), Json::I64(v)]))
-                        .collect(),
-                ),
-            ),
-        ])
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.obj(|o| {
+            o.field("name", &self.name);
+            o.field("peak", self.peak());
+            o.field("final", self.final_value());
+            o.field("integral_ns", self.integral());
+            o.field("samples", &self.samples);
+        });
     }
 }
 
 impl ToJson for MetricsSet {
-    fn to_json(&self) -> Json {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(n, v)| {
-                Json::Obj(vec![
-                    ("name".to_string(), Json::Str(n.clone())),
-                    ("total".to_string(), Json::U64(*v)),
-                ])
-            })
-            .collect();
-        let hists = self
-            .hists
-            .iter()
-            .map(|(n, h)| {
-                Json::Obj(vec![
-                    ("name".to_string(), Json::Str(n.clone())),
-                    ("count".to_string(), Json::U64(h.count())),
-                    ("mean_ns".to_string(), Json::U64(h.mean().as_nanos())),
-                    (
-                        "buckets".to_string(),
-                        Json::Arr(
-                            h.buckets()
-                                .iter()
-                                .map(|&(lo, c)| {
-                                    Json::Arr(vec![Json::U64(lo.as_nanos()), Json::U64(c)])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("counters".to_string(), Json::Arr(counters)),
-            ("gauges".to_string(), self.gauges.to_json()),
-            ("hists".to_string(), Json::Arr(hists)),
-        ])
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.obj(|o| {
+            o.key("counters");
+            o.arr(|o| {
+                for (name, total) in &self.counters {
+                    o.obj(|o| {
+                        o.field("name", name);
+                        o.field("total", total);
+                    });
+                }
+            });
+            o.field("gauges", &self.gauges);
+            o.key("hists");
+            o.arr(|o| {
+                for (name, h) in &self.hists {
+                    o.obj(|o| {
+                        o.field("name", name);
+                        o.field("count", h.count());
+                        o.field("mean_ns", h.mean());
+                        o.field("buckets", h.buckets());
+                    });
+                }
+            });
+        });
     }
 }
 
@@ -730,6 +705,7 @@ fn prometheus_page(set: &MetricsSet, exemplars: &[FlightExemplar]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcc_types::json::Json;
 
     fn t(us: u64) -> SimTime {
         SimTime::ZERO + SimDuration::micros(us)
@@ -1031,8 +1007,7 @@ hcc_req_latency_count 4
             Histogram::from_durations([SimDuration::micros(10)]),
         );
 
-        let json = set.to_json();
-        let parsed = Json::parse(&json.to_string()).unwrap();
+        let parsed = Json::parse(&set.to_json_string()).unwrap();
         assert_eq!(
             parsed.get("counters").unwrap().at(0).unwrap().get("total"),
             Some(&Json::U64(7))

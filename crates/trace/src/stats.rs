@@ -2,7 +2,7 @@
 //! the figure harnesses (Fig. 11's KLO/KET CDFs and every "×N" the paper
 //! reports).
 
-use hcc_types::json::{Json, ToJson};
+use hcc_types::json::{JsonOut, ToJson};
 use hcc_types::SimDuration;
 
 /// An empirical cumulative distribution over durations.
@@ -104,8 +104,8 @@ impl ToJson for Cdf {
     /// a 10⁵-request serving run would otherwise dump 10⁵ numbers per
     /// tenant; use [`Cdf::points`] directly when the full curve is
     /// wanted.
-    fn to_json(&self) -> Json {
-        self.tail().to_json()
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        self.tail().write_json(out);
     }
 }
 
@@ -166,16 +166,15 @@ impl Tail {
 impl ToJson for Tail {
     /// Sample count, mean and the four tail quantiles, all in
     /// nanoseconds.
-    fn to_json(&self) -> Json {
-        let ns = |d: SimDuration| Json::U64(d.as_nanos());
-        Json::Obj(vec![
-            ("count".to_string(), Json::U64(self.count)),
-            ("mean_ns".to_string(), ns(self.mean)),
-            ("p50_ns".to_string(), ns(self.p50)),
-            ("p90_ns".to_string(), ns(self.p90)),
-            ("p99_ns".to_string(), ns(self.p99)),
-            ("p999_ns".to_string(), ns(self.p999)),
-        ])
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.obj(|o| {
+            o.field("count", self.count);
+            o.field("mean_ns", self.mean);
+            o.field("p50_ns", self.p50);
+            o.field("p90_ns", self.p90);
+            o.field("p99_ns", self.p99);
+            o.field("p999_ns", self.p999);
+        });
     }
 }
 
@@ -246,6 +245,7 @@ pub fn mean_ratio(ratios: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcc_types::json::Json;
 
     fn us(v: u64) -> SimDuration {
         SimDuration::micros(v)

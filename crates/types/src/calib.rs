@@ -38,18 +38,19 @@ impl Calibration {
 
     /// Stable content fingerprint over every calibration constant.
     ///
-    /// Mixes the bundle's [`ToJson`](crate::json::ToJson) tree with
-    /// [`Json::mix`](crate::json::Json::mix), so the field list is the one
-    /// `impl_to_json!` already keeps and every float enters by its bits,
-    /// never formatted: any perturbation of any constant, NaN and the
-    /// infinities included, changes the fingerprint. Used by
+    /// Streams the bundle's [`ToJson`](crate::json::ToJson) tokens into
+    /// a [`JsonOut::digest`](crate::json::JsonOut::digest) sink, so the
+    /// field list is the one `impl_to_json!` already keeps and every
+    /// float enters by its bits, never formatted: any perturbation of any
+    /// constant, NaN and the infinities included, changes the
+    /// fingerprint. Nothing is allocated. Used by
     /// `SimConfig::content_hash` so scenario cache keys cannot alias two
     /// different calibrations.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        use crate::json::ToJson;
+        use crate::json::{JsonOut, ToJson};
         let mut h = crate::hash::Fnv64::new();
-        self.to_json().mix(&mut h);
+        self.write_json(&mut JsonOut::digest(&mut h));
         h.finish()
     }
 }

@@ -3,22 +3,25 @@
 //!
 //! Three pieces:
 //!
-//! * [`Json`] — a value tree with a compact [`std::fmt::Display`] writer,
-//! * [`Json::parse`] — a strict recursive-descent parser (objects, arrays,
-//!   strings with escapes, numbers, booleans, null),
 //! * [`ToJson`] — the trait report types implement instead of deriving
-//!   `serde::Serialize`, with the [`impl_to_json!`](crate::impl_to_json)
-//!   macro generating the impl for plain structs.
+//!   `serde::Serialize`: one method streams the value's tokens into a
+//!   [`JsonOut`], and the [`impl_to_json!`](crate::impl_to_json) macro
+//!   generates it for plain structs. No tree is built on the way out.
+//! * [`JsonOut`] — the one writer, over two sinks: compact text into a
+//!   `String`, or a tagged token stream into an [`Fnv64`] digest.
+//! * [`Json`] — the value tree [`Json::parse`] (a strict
+//!   recursive-descent parser) returns, with accessors and a
+//!   [`std::fmt::Display`] that goes through the same writer.
 //!
 //! ```
 //! use hcc_types::json::{Json, ToJson};
 //!
 //! let v = Json::parse(r#"{"klo": 6.0, "uvm": true, "tags": ["a", "b"]}"#).unwrap();
 //! assert_eq!(v.get("klo").and_then(Json::as_f64), Some(6.0));
-//! assert_eq!(42u64.to_json().to_string(), "42");
+//! assert_eq!(42u64.to_json_string(), "42");
 //! ```
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::hash::Fnv64;
 
@@ -42,6 +45,10 @@ pub enum Json {
     /// An object with insertion-ordered keys.
     Obj(Vec<(String, Json)>),
 }
+
+/// Containers nest at most this deep in a parsed document; deeper input
+/// is refused instead of exhausting the parser's stack.
+pub const MAX_DEPTH: usize = 128;
 
 impl Json {
     /// Looks up a key in an object; `None` for other variants.
@@ -103,64 +110,17 @@ impl Json {
         }
     }
 
-    /// Folds the value into `h` without rendering it: a variant tag, then
-    /// the payload. Integers mix little-endian, floats as their raw
-    /// IEEE-754 bits (so NaN and both infinities stay apart, where the
-    /// text writer prints all three as `null`), strings and object keys
-    /// as their bytes plus a `0xFF` terminator (a byte UTF-8 never
-    /// contains, so one text cannot run into the next), arrays and
-    /// objects after their length.
-    pub fn mix(&self, h: &mut Fnv64) {
-        match self {
-            Json::Null => h.write_u8(0),
-            Json::Bool(b) => {
-                h.write_u8(1);
-                h.write_bool(*b);
-            }
-            Json::U64(v) => {
-                h.write_u8(2);
-                h.write_u64(*v);
-            }
-            Json::I64(v) => {
-                h.write_u8(3);
-                h.write(&v.to_le_bytes());
-            }
-            Json::F64(v) => {
-                h.write_u8(4);
-                h.write_f64(*v);
-            }
-            Json::Str(s) => {
-                h.write_u8(5);
-                mix_text(h, s);
-            }
-            Json::Arr(items) => {
-                h.write_u8(6);
-                h.write_u64(items.len() as u64);
-                for item in items {
-                    item.mix(h);
-                }
-            }
-            Json::Obj(fields) => {
-                h.write_u8(7);
-                h.write_u64(fields.len() as u64);
-                for (k, v) in fields {
-                    mix_text(h, k);
-                    v.mix(h);
-                }
-            }
-        }
-    }
-
     /// Parses a JSON document (a single value with optional surrounding
-    /// whitespace).
+    /// whitespace). Linear in the input's length.
     ///
     /// # Errors
-    /// Returns [`JsonError`] with a byte offset on malformed input or
-    /// trailing garbage.
+    /// Returns [`JsonError`] with a byte offset on malformed input,
+    /// trailing garbage, or containers nested past [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -174,68 +134,221 @@ impl Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.to_json_string())
+    }
+}
+
+impl ToJson for Json {
+    fn write_json(&self, out: &mut JsonOut<'_>) {
         match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::U64(v) => write!(f, "{v}"),
-            Json::I64(v) => write!(f, "{v}"),
-            Json::F64(v) => {
-                if v.is_finite() {
-                    // Keep a fraction so floats re-parse as floats.
-                    if v.fract() == 0.0 && v.abs() < 1e15 {
-                        write!(f, "{v:.1}")
-                    } else {
-                        write!(f, "{v}")
-                    }
-                } else {
-                    f.write_str("null")
+            Json::Null => out.null(),
+            Json::Bool(b) => out.bool(*b),
+            Json::U64(v) => out.u64(*v),
+            Json::I64(v) => out.i64(*v),
+            Json::F64(v) => out.f64(*v),
+            Json::Str(s) => out.str(s),
+            Json::Arr(items) => out.seq(items),
+            Json::Obj(fields) => out.obj(|o| {
+                for (k, v) in fields {
+                    o.field(k, v);
                 }
-            }
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
-                }
-                f.write_str("}")
-            }
+            }),
         }
     }
 }
 
-fn mix_text(h: &mut Fnv64, s: &str) {
-    h.write(s.as_bytes());
-    h.write_u8(0xFF);
+// Digest-sink token tags: each token opens with one, so the stream is
+// prefix-free. Strings and keys end in `TEXT_END`.
+const NULL: u8 = 0;
+const BOOL: u8 = 1;
+const U64: u8 = 2;
+const I64: u8 = 3;
+const F64: u8 = 4;
+const STR: u8 = 5;
+const ARR: u8 = 6;
+const OBJ: u8 = 7;
+const CLOSE: u8 = 8;
+/// A byte UTF-8 never contains, so one text cannot run into the next.
+const TEXT_END: u8 = 0xFF;
+
+enum Sink<'a> {
+    Text(&'a mut String),
+    Digest(&'a mut Fnv64),
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// The streaming JSON writer [`ToJson::write_json`] drives.
+///
+/// Into a `String` it writes compact text: no whitespace, object keys in
+/// call order, strings escaped (`"`, `\\`, `\n`, `\r`, `\t`, other
+/// controls as `\u00XX`), integers bare, and finite floats with a
+/// fraction when integral below 1e15 (so they re-parse as floats),
+/// non-finite ones as `null`.
+///
+/// Into an [`Fnv64`] it folds a token stream instead, never formatting:
+/// a tag per token, integers little-endian, floats by their IEEE-754
+/// bits (so NaN and both infinities stay apart, where text prints all
+/// three as `null`), strings and keys as their bytes plus a `0xFF`
+/// terminator, and containers between an open tag and a close tag.
+pub struct JsonOut<'a> {
+    sink: Sink<'a>,
+    /// Text sink: the next value or key at this level needs a comma.
+    comma: bool,
+}
+
+impl<'a> JsonOut<'a> {
+    /// A writer appending compact JSON text to `out`.
+    pub fn text(out: &'a mut String) -> Self {
+        JsonOut {
+            sink: Sink::Text(out),
+            comma: false,
         }
     }
-    f.write_str("\"")
+
+    /// A writer folding the token stream into `h`.
+    pub fn digest(h: &'a mut Fnv64) -> Self {
+        JsonOut {
+            sink: Sink::Digest(h),
+            comma: false,
+        }
+    }
+
+    /// One token: its text after a separating comma, or its tag and
+    /// payload bytes.
+    fn token(&mut self, tag: u8, payload: &[u8], text: impl FnOnce(&mut String)) {
+        match &mut self.sink {
+            Sink::Text(s) => {
+                if self.comma {
+                    s.push(',');
+                }
+                text(s);
+            }
+            Sink::Digest(h) => {
+                h.write_u8(tag);
+                h.write(payload);
+            }
+        }
+        self.comma = true;
+    }
+
+    /// `null`.
+    pub fn null(&mut self) {
+        self.token(NULL, &[], |s| s.push_str("null"));
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, v: bool) {
+        self.token(BOOL, &[u8::from(v)], |s| {
+            s.push_str(if v { "true" } else { "false" });
+        });
+    }
+
+    /// An unsigned integer.
+    pub fn u64(&mut self, v: u64) {
+        self.token(U64, &v.to_le_bytes(), |s| {
+            let _ = write!(s, "{v}");
+        });
+    }
+
+    /// A signed integer.
+    pub fn i64(&mut self, v: i64) {
+        self.token(I64, &v.to_le_bytes(), |s| {
+            let _ = write!(s, "{v}");
+        });
+    }
+
+    /// A float; `null` in text when not finite.
+    pub fn f64(&mut self, v: f64) {
+        self.token(F64, &v.to_bits().to_le_bytes(), |s| {
+            let _ = if !v.is_finite() {
+                s.write_str("null")
+            } else if v.fract() == 0.0 && v.abs() < 1e15 {
+                write!(s, "{v:.1}")
+            } else {
+                write!(s, "{v}")
+            };
+        });
+    }
+
+    /// A string.
+    pub fn str(&mut self, v: &str) {
+        self.token(STR, v.as_bytes(), |s| push_escaped(s, v));
+        if let Sink::Digest(h) = &mut self.sink {
+            h.write_u8(TEXT_END);
+        }
+    }
+
+    /// An object key; the next token is its value.
+    pub fn key(&mut self, key: &str) {
+        self.str(key);
+        if let Sink::Text(s) = &mut self.sink {
+            s.push(':');
+        }
+        self.comma = false;
+    }
+
+    /// One object member.
+    pub fn field(&mut self, key: &str, value: impl ToJson) {
+        self.key(key);
+        value.write_json(self);
+    }
+
+    /// An object whose members `body` writes.
+    pub fn obj(&mut self, body: impl FnOnce(&mut Self)) {
+        self.container(OBJ, '{', '}', body);
+    }
+
+    /// An array whose items `body` writes.
+    pub fn arr(&mut self, body: impl FnOnce(&mut Self)) {
+        self.container(ARR, '[', ']', body);
+    }
+
+    /// An array of `items`.
+    pub fn seq<T: ToJson>(&mut self, items: impl IntoIterator<Item = T>) {
+        self.arr(|o| {
+            for item in items {
+                item.write_json(o);
+            }
+        });
+    }
+
+    fn container(&mut self, tag: u8, open: char, close: char, body: impl FnOnce(&mut Self)) {
+        self.token(tag, &[], |s| s.push(open));
+        self.comma = false;
+        body(self);
+        match &mut self.sink {
+            Sink::Text(s) => s.push(close),
+            Sink::Digest(h) => h.write_u8(CLOSE),
+        }
+        self.comma = true;
+    }
+}
+
+/// Appends `v` quoted, copying each run free of escapes in one step.
+/// Every escaped character is ASCII, so each cut falls on a character
+/// boundary.
+fn push_escaped(s: &mut String, v: &str) {
+    s.push('"');
+    let mut run = 0;
+    for (i, b) in v.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        s.push_str(&v[run..i]);
+        if escape.is_empty() {
+            let _ = write!(s, "\\u{b:04x}");
+        } else {
+            s.push_str(escape);
+        }
+        run = i + 1;
+    }
+    s.push_str(&v[run..]);
+    s.push('"');
 }
 
 /// A parse failure with the byte offset where it was detected.
@@ -258,6 +371,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -298,8 +413,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error("containers nested too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -367,6 +493,7 @@ impl Parser<'_> {
         loop {
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
+                Some(0..=0x1f) => return Err(self.error("unescaped control character")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
@@ -412,13 +539,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("invalid utf-8"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control in one step. All are ASCII, so the run ends
+                    // on a character boundary of the (valid UTF-8) input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\' | 0..=0x1f)) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.error("invalid utf-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -428,28 +558,44 @@ impl Parser<'_> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.error("truncated unicode escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.error("invalid unicode escape"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| self.error("invalid hex digits"))?;
+        let code = self.bytes[self.pos..self.pos + 4]
+            .iter()
+            .try_fold(0, |code, &b| Some(code * 16 + char::from(b).to_digit(16)?))
+            .ok_or_else(|| self.error("invalid hex digits"))?;
         self.pos += 4;
         Ok(code)
     }
 
+    /// One or more decimal digits; how many.
+    fn digits(&mut self) -> Result<usize, JsonError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        match self.pos - start {
+            0 => Err(self.error("expected a digit")),
+            n => Ok(n),
+        }
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        let int = self.pos;
+        if self.digits()? > 1 && self.bytes[int] == b'0' {
+            return Err(JsonError {
+                offset: int,
+                message: "leading zero in number".to_string(),
+            });
         }
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
@@ -457,9 +603,7 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ascii");
@@ -478,128 +622,102 @@ impl Parser<'_> {
     }
 }
 
-/// Conversion into a [`Json`] tree — the workspace's `Serialize`.
+/// Streaming into a [`JsonOut`] — the workspace's `Serialize`.
 pub trait ToJson {
-    /// Builds the JSON value.
-    fn to_json(&self) -> Json;
+    /// Writes the value's tokens.
+    fn write_json(&self, out: &mut JsonOut<'_>);
 
-    /// Convenience: serialize to a compact string.
+    /// Serializes to a compact string.
     fn to_json_string(&self) -> String {
-        self.to_json().to_string()
-    }
-}
-
-impl ToJson for Json {
-    fn to_json(&self) -> Json {
-        self.clone()
+        let mut s = String::new();
+        self.write_json(&mut JsonOut::text(&mut s));
+        s
     }
 }
 
 impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.bool(*self);
     }
 }
 
-macro_rules! uint_to_json {
-    ($($ty:ty),+) => {
+macro_rules! via_json {
+    ($method:ident as $wide:ty: $($ty:ty),+) => {
         $(impl ToJson for $ty {
-            fn to_json(&self) -> Json {
-                Json::U64(u64::from(*self))
+            fn write_json(&self, out: &mut JsonOut<'_>) {
+                out.$method(<$wide>::from(*self));
             }
         })+
     };
 }
-uint_to_json!(u8, u16, u32, u64);
+via_json!(u64 as u64: u8, u16, u32, u64);
+via_json!(i64 as i64: i8, i16, i32, i64);
+via_json!(f64 as f64: f32, f64);
 
 impl ToJson for usize {
-    fn to_json(&self) -> Json {
-        Json::U64(*self as u64)
-    }
-}
-
-macro_rules! int_to_json {
-    ($($ty:ty),+) => {
-        $(impl ToJson for $ty {
-            fn to_json(&self) -> Json {
-                Json::I64(i64::from(*self))
-            }
-        })+
-    };
-}
-int_to_json!(i8, i16, i32, i64);
-
-impl ToJson for f64 {
-    fn to_json(&self) -> Json {
-        Json::F64(*self)
-    }
-}
-
-impl ToJson for f32 {
-    fn to_json(&self) -> Json {
-        Json::F64(f64::from(*self))
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.u64(*self as u64);
     }
 }
 
 impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.str(self);
     }
 }
 
 impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.str(self);
     }
 }
 
 impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> Json {
-        (**self).to_json()
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        (**self).write_json(out);
     }
 }
 
 impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, out: &mut JsonOut<'_>) {
         match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
+            Some(v) => v.write_json(out),
+            None => out.null(),
         }
     }
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.seq(self);
     }
 }
 
 impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.seq(self);
     }
 }
 
 impl<T: ToJson, const N: usize> ToJson for [T; N] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.seq(self);
     }
 }
 
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
-impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json(), self.2.to_json()])
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.arr(|o| {
+            self.0.write_json(o);
+            self.1.write_json(o);
+        });
     }
 }
 
 /// Generates a [`ToJson`](crate::json::ToJson) impl for a struct with
-/// named, `ToJson` fields — the replacement for `#[derive(Serialize)]`.
+/// named, `ToJson` fields — the replacement for `#[derive(Serialize)]` —
+/// or, given `display:` and a list of types, one writing each value as
+/// its `Display` label.
 ///
 /// ```
 /// struct Point { x: u64, y: u64 }
@@ -610,15 +728,19 @@ impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
 /// ```
 #[macro_export]
 macro_rules! impl_to_json {
+    (display: $($ty:ty),+ $(,)?) => {
+        $(impl $crate::json::ToJson for $ty {
+            fn write_json(&self, out: &mut $crate::json::JsonOut<'_>) {
+                out.str(&self.to_string());
+            }
+        })+
+    };
     ($ty:ty { $($field:ident),+ $(,)? }) => {
         impl $crate::json::ToJson for $ty {
-            fn to_json(&self) -> $crate::json::Json {
-                $crate::json::Json::Obj(vec![
-                    $((
-                        stringify!($field).to_string(),
-                        $crate::json::ToJson::to_json(&self.$field),
-                    )),+
-                ])
+            fn write_json(&self, out: &mut $crate::json::JsonOut<'_>) {
+                out.obj(|o| {
+                    $(o.field(stringify!($field), &self.$field);)+
+                });
             }
         }
     };
@@ -680,6 +802,9 @@ mod tests {
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());
+        for lenient in ["01", "-", "1.", "1e", "-.5", r#""\u+041""#, "\"a\u{1}b\""] {
+            assert!(Json::parse(lenient).is_err(), "{lenient:?} parsed");
+        }
     }
 
     #[test]
@@ -699,12 +824,12 @@ mod tests {
 
     fn digest(v: &Json) -> u64 {
         let mut h = Fnv64::new();
-        v.mix(&mut h);
+        v.write_json(&mut JsonOut::digest(&mut h));
         h.finish()
     }
 
     #[test]
-    fn mix_separates_variants_keys_nesting_and_nonfinite_floats() {
+    fn digest_separates_variants_keys_nesting_and_nonfinite_floats() {
         let one = Json::Obj(vec![("a".into(), Json::U64(1))]);
         assert_eq!(digest(&one), digest(&one.clone()));
         let distinct = [
@@ -715,6 +840,10 @@ mod tests {
             Json::Obj(vec![("a".into(), Json::Arr(vec![Json::U64(1)]))]),
             Json::Obj(vec![("a".into(), Json::Str("1".into()))]),
             Json::Arr(vec![Json::Str("a".into()), Json::U64(1)]),
+            Json::Arr(vec![Json::Arr(vec![Json::Null]), Json::Null]),
+            Json::Arr(vec![Json::Arr(vec![Json::Null, Json::Null])]),
+            Json::Arr(vec![Json::Str("ab".into()), Json::Str("c".into())]),
+            Json::Arr(vec![Json::Str("a".into()), Json::Str("bc".into())]),
             Json::U64(1),
             Json::Null,
             Json::F64(f64::NAN),
@@ -726,6 +855,21 @@ mod tests {
                 assert_ne!(digest(a), digest(b), "{a:?} vs {b:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_round_trips() {
+        let text: String = "hcc \"é\" \\ 😀\n".chars().cycle().take(1 << 20).collect();
+        let doc = Json::Arr(vec![Json::Str(text)]);
+        assert_eq!(Json::parse(&doc.to_string()).unwrap(), doc);
+    }
+
+    #[test]
+    fn parser_refuses_nesting_past_the_depth_limit() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
     }
 
     #[test]

@@ -133,17 +133,7 @@ impl fmt::Display for CpuModel {
     }
 }
 
-macro_rules! display_to_json {
-    ($($ty:ty),+) => {
-        $(impl crate::json::ToJson for $ty {
-            /// Serializes as the `Display` label.
-            fn to_json(&self) -> crate::json::Json {
-                crate::json::Json::Str(self.to_string())
-            }
-        })+
-    };
-}
-display_to_json!(CcMode, HostMemKind, MemSpace, CopyKind, CpuModel);
+crate::impl_to_json!(display: CcMode, HostMemKind, MemSpace, CopyKind, CpuModel);
 
 #[cfg(test)]
 mod tests {

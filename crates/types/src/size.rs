@@ -277,15 +277,15 @@ impl fmt::Display for Bandwidth {
 
 impl crate::json::ToJson for ByteSize {
     /// Serializes as the raw byte count.
-    fn to_json(&self) -> crate::json::Json {
-        crate::json::Json::U64(self.as_u64())
+    fn write_json(&self, out: &mut crate::json::JsonOut<'_>) {
+        out.u64(self.as_u64());
     }
 }
 
 impl crate::json::ToJson for Bandwidth {
     /// Serializes as bytes per second.
-    fn to_json(&self) -> crate::json::Json {
-        crate::json::Json::F64(self.bytes_per_s())
+    fn write_json(&self, out: &mut crate::json::JsonOut<'_>) {
+        out.f64(self.bytes_per_s());
     }
 }
 

@@ -294,15 +294,15 @@ impl<'a> Sum<&'a SimDuration> for SimDuration {
 
 impl crate::json::ToJson for SimTime {
     /// Serializes as integer nanoseconds since the origin.
-    fn to_json(&self) -> crate::json::Json {
-        crate::json::Json::U64(self.as_nanos())
+    fn write_json(&self, out: &mut crate::json::JsonOut<'_>) {
+        out.u64(self.as_nanos());
     }
 }
 
 impl crate::json::ToJson for SimDuration {
     /// Serializes as integer nanoseconds.
-    fn to_json(&self) -> crate::json::Json {
-        crate::json::Json::U64(self.as_nanos())
+    fn write_json(&self, out: &mut crate::json::JsonOut<'_>) {
+        out.u64(self.as_nanos());
     }
 }
 

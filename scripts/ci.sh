@@ -152,18 +152,22 @@ fi
 echo "tier-2: OK (obs: $samples samples, $saturated saturated, soak gauges drained and thread-invariant, stdout unperturbed)"
 
 # Tier-2 explain smoke: the causal-graph/critical-path plane must be
-# deterministic (stdout byte-identical across worker counts) and must
-# blame the paper's causes — crypto + bounce-pool exposure on some dense
+# deterministic (stdout and the --json export byte-identical across
+# worker counts) and must blame the paper's causes — crypto + bounce-pool exposure on some dense
 # app, UVM exposure on some managed app. Identity (Σ critical segments
 # == P, deltas summing to ΔP) is asserted inside the binary per app.
 echo "==> tier-2: slowdown explainer determinism and blame"
 HCC_ENGINE_THREADS=1 ./target/release/explain --json "$t2_dir/explain.json" \
     >"$t2_dir/explain1.out" 2>/dev/null
-HCC_ENGINE_THREADS=4 ./target/release/explain \
+HCC_ENGINE_THREADS=4 ./target/release/explain --json "$t2_dir/explain4.json" \
     >"$t2_dir/explain4.out" 2>/dev/null
 
 if ! diff -u "$t2_dir/explain1.out" "$t2_dir/explain4.out"; then
     echo "tier-2: FAIL — explain stdout differs between 1 and 4 threads" >&2
+    exit 1
+fi
+if ! cmp "$t2_dir/explain.json" "$t2_dir/explain4.json"; then
+    echo "tier-2: FAIL — explain --json differs between 1 and 4 threads" >&2
     exit 1
 fi
 if ! grep -q "crypto+bounce exposed: true" "$t2_dir/explain1.out"; then
