@@ -199,6 +199,7 @@ impl ChaosConfig {
             max_batch: self.max_batch,
             tdx: &self.tdx,
             peak_ends: None,
+            queue_window: None,
             planes: Planes::NONE,
         }
     }

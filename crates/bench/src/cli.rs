@@ -257,12 +257,18 @@ pub fn write_or_exit(path: &str, contents: impl AsRef<[u8]>) {
     }
 }
 
-/// Writes the JSON document `doc` streams to `path`, or reports the
-/// failure and exits 1.
+/// Streams the JSON document `doc` writes into the file at `path`, a
+/// buffer at a time, or reports the failure and exits 1.
 pub fn write_json_or_exit(path: &str, doc: impl FnOnce(&mut JsonOut<'_>)) {
-    let mut text = String::new();
-    doc(&mut JsonOut::text(&mut text));
-    write_or_exit(path, text);
+    let written = std::fs::File::create(path).and_then(|mut file| {
+        let mut out = JsonOut::io(&mut file);
+        doc(&mut out);
+        out.finish()
+    });
+    if let Err(e) = written {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    }
 }
 
 /// Runs `parse` over the process arguments. On error, prints

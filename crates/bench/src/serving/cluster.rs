@@ -17,15 +17,16 @@
 //! admission was cold, and [`AdmissionCosts::of`] prices it.
 //!
 //! The drain computes its own verdicts as it runs: whether every queue
-//! and device depth ended at zero, and (given a storm calendar's peak
-//! ends) the queue's time-to-recover after each peak. Depth-gauge
+//! and device depth ended at zero, (given a storm calendar's peak ends)
+//! the queue's time-to-recover after each peak, and (given the watch's
+//! window width) the queue depth's integral over each window. Depth-gauge
 //! series are recorded only under [`Planes::METRICS`], for the views
 //! that read them.
 
 use std::collections::BinaryHeap;
 
 use hcc_tee::{SessionPool, TdCounters};
-use hcc_trace::{MetricsSet, OrderedGauge};
+use hcc_trace::{MetricsSet, OrderedGauge, WindowIntegrals};
 use hcc_types::calib::TdxCalib;
 use hcc_types::{CcMode, Planes, SimDuration, SimTime};
 use hcc_workloads::TenantSpec;
@@ -122,6 +123,10 @@ pub struct ClusterRun {
     /// The queue's time-to-recover after each of the config's peak ends:
     /// `Some` exactly when [`ClusterConfig::peak_ends`] is.
     pub ttr: Option<TimeToRecover>,
+    /// The queue depth's integral over each tumbling window of the
+    /// config's queue window: `Some` exactly when
+    /// [`ClusterConfig::queue_window`] is.
+    pub queue_integrals: Option<WindowIntegrals>,
     /// Queue-depth and per-GPU occupancy gauges plus the `serving.*`
     /// counters; empty unless the config's planes include
     /// [`Planes::METRICS`].
@@ -161,6 +166,9 @@ pub struct ClusterConfig<'a> {
     /// Storm peak-window ends, ascending, to measure time-to-recover
     /// at; `None` outside a storm calendar.
     pub peak_ends: Option<&'a [SimTime]>,
+    /// Width of the windows to integrate the queue depth over (the
+    /// watch's fast window); `None` when no watch reads them.
+    pub queue_window: Option<SimDuration>,
     /// Observation planes: [`Planes::METRICS`] records the depth-gauge
     /// series and `serving.*` counters into [`ClusterRun::metrics`].
     pub planes: Planes,
@@ -349,6 +357,7 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
     let mut queued = 0usize;
     let mut in_flight = vec![0u32; cfg.gpus];
     let mut recovery = cfg.peak_ends.map(Recovery::new);
+    let mut integrals = cfg.queue_window.map(WindowIntegrals::new);
     // Both depth gauges coalesce as they record: the queue depth moves
     // only at `now`, and a GPU's `-n` at `done` precedes its next `+n`,
     // which needs the GPU idle again.
@@ -438,6 +447,9 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
             if let Some(r) = recovery.as_mut() {
                 r.settle(now, queued, Some(next));
             }
+            if let Some(q) = integrals.as_mut() {
+                q.step(now, queued as u64);
+            }
         }
         now = next;
         // Completions first: a device freed at `t` can serve a request
@@ -462,6 +474,12 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
     let ttr = recovery.map(|mut r| {
         r.settle(now, queued, None);
         r.finish()
+    });
+    // The final depth holds from the last event on, as a series' last
+    // value does.
+    let queue_integrals = integrals.map(|mut q| {
+        q.step(now, queued as u64);
+        q
     });
     let drained = queued == 0 && in_flight.iter().all(|&n| n == 0);
     debug_assert!(queue.is_empty(), "dispatch drains the queue before exit");
@@ -509,6 +527,7 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
         td,
         drained,
         ttr,
+        queue_integrals,
         metrics,
     }
 }
@@ -581,6 +600,7 @@ mod tests {
             max_batch: 8,
             tdx: &TdxCalib::default(),
             peak_ends,
+            queue_window: None,
             planes,
         };
         simulate(reqs, &table, &cfg)

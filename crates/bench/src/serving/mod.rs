@@ -148,6 +148,7 @@ impl ServingConfig {
             max_batch: self.max_batch,
             tdx: &self.tdx,
             peak_ends: None,
+            queue_window: None,
             planes: Planes::NONE,
         }
     }

@@ -7,39 +7,17 @@
 //! soaks both run every cell through it, so a plane that is off costs
 //! nothing, a plane that is on cannot perturb the run it observes, and
 //! each cell's outcome log is freed before the next cell drains. The
-//! drain measures the cell's drained flag and time-to-recover itself;
-//! it records depth-gauge series only for the watch plane.
+//! drain measures the cell's drained flag and time-to-recover itself,
+//! and folds the queue-depth integrals the watch reads; it records no
+//! series.
 
-use hcc_trace::rollup::CompletionSample;
 use hcc_trace::{FlightConfig, FlightLog, FlightRecorder, FlightSkeleton};
-use hcc_types::Planes;
 
 use super::arrival::Request;
 use super::cluster::{self, AdmissionCosts, ClusterConfig, Outcome};
 use super::report::{self, ModeRun};
 use super::shapes::ShapeTable;
-use crate::watch::{self, SoakContext, WatchConfig, WatchReport};
-
-/// One rollup sample per settled request, in canonical `(at, req)`
-/// order whatever order `settled` lists them in. A request settles at
-/// its completion (its dispatch, for rejections).
-pub fn completion_samples<'a>(
-    requests: &[Request],
-    settled: impl IntoIterator<Item = (usize, &'a Outcome)>,
-) -> Vec<CompletionSample> {
-    let mut samples: Vec<CompletionSample> = settled
-        .into_iter()
-        .map(|(i, o)| CompletionSample {
-            req: i as u32,
-            tenant: requests[i].tenant,
-            at: o.completion,
-            latency: o.completion.saturating_since(requests[i].arrival),
-            rejected: o.rejected,
-        })
-        .collect();
-    samples.sort_unstable_by_key(|s| (s.at, s.req));
-    samples
-}
+use crate::watch::{self, Settled, SoakContext, WatchConfig, WatchReport};
 
 /// Request `i`'s flight record. Its SPDM and doorbell spans are this
 /// request's own admission charges, priced by `admission`; co-batched
@@ -71,9 +49,10 @@ fn skeleton(
 /// report (blamed through `table`'s critical paths) and the resolved
 /// flight log, with the report's incidents already linked to the log's
 /// exemplars. Under `soak.storm`, the drain measures time-to-recover at
-/// the calendar's peak ends; it records the depth-gauge series
-/// ([`Planes::METRICS`]) only for the watch, whose queue-anomaly
-/// detector reads `serving.queue_depth`.
+/// the calendar's peak ends; for the watch, it folds the queue depth's
+/// integral over each fast window, which the queue-anomaly detector
+/// reads. Both planes read the outcome log in place, and the report
+/// frees it before the flight log resolves its exemplars.
 pub fn cell(
     requests: &[Request],
     table: &ShapeTable,
@@ -85,12 +64,11 @@ pub fn cell(
     let peak_ends = soak.storm.map(|storm| storm.schedule.peak_ends());
     let cluster = ClusterConfig {
         peak_ends: peak_ends.as_deref(),
-        planes: cluster.planes.set(Planes::METRICS, watch.is_some()),
+        queue_window: watch.map(|w| w.fast),
         ..*cluster
     };
-    let mut run = cluster::simulate(requests, table, &cluster);
+    let run = cluster::simulate(requests, table, &cluster);
     let mut watch = watch.map(|wcfg| {
-        let samples = completion_samples(requests, run.outcomes.iter().enumerate());
         watch::observe(
             wcfg,
             &watch::SoakView {
@@ -98,33 +76,35 @@ pub fn cell(
                     horizon: soak.horizon.max(run.end),
                     ..*soak
                 },
-                samples: &samples,
-                queue: run.metrics.gauge_series("serving.queue_depth"),
+                settled: Settled::Drain {
+                    requests,
+                    outcomes: &run.outcomes,
+                },
+                queue: run.queue_integrals.as_ref(),
                 blame: Some(table),
             },
         )
     });
-    let flight = flight.map(|fcfg| {
+    let recorder = flight.map(|fcfg| {
         let mut recorder = FlightRecorder::new(fcfg);
         for (i, (request, o)) in requests.iter().zip(&run.outcomes).enumerate() {
             recorder.record(skeleton(i, request, o, &run.admission));
         }
-        recorder.resolve(table.shape_of(), table.decomps())
+        recorder
     });
+    let mode = report::mode_run(&cluster, requests, table, run);
+    let flight = recorder.map(|r| r.resolve(table.shape_of(), table.decomps()));
     if let (Some(w), Some(f)) = (watch.as_mut(), flight.as_ref()) {
         w.link_exemplars(f);
     }
-    // Free the watch's gauge series before the report allocates its
-    // tenant scratch, so the two never add up in the peak heap.
-    drop(std::mem::take(&mut run.metrics));
-    let mode = report::mode_run(&cluster, requests, table, run);
     (mode, watch, flight)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_types::{SimDuration, SimTime};
+    use hcc_trace::rollup::{CompletionSample, WindowIndex};
+    use hcc_types::{LatencyBudget, SimDuration, SimTime};
 
     #[test]
     fn samples_are_canonical_whatever_the_settle_order() {
@@ -147,16 +127,53 @@ mod tests {
                 rejected,
             })
             .to_vec();
-        let fwd = completion_samples(&requests, outcomes.iter().enumerate());
-        let rev = completion_samples(&requests, outcomes.iter().enumerate().rev());
-        assert_eq!(fwd, rev);
-        let order: Vec<u32> = fwd.iter().map(|s| s.req).collect();
-        assert_eq!(order, vec![2, 1, 3, 0], "(at, req) order, ties by request");
-        assert!(fwd[0].rejected);
-        assert_eq!(fwd[0].latency, SimDuration::micros(5));
+        let drain = Settled::Drain {
+            requests: &requests,
+            outcomes: &outcomes,
+        };
+        let samples: Vec<CompletionSample> = (0..drain.len()).map(|i| drain.sample(i)).collect();
+        assert!(samples[2].rejected);
+        assert_eq!(samples[2].latency, SimDuration::micros(5));
         assert_eq!(
-            (fwd[1].tenant, fwd[3].latency),
+            (samples[1].tenant, samples[0].latency),
             (1, SimDuration::micros(30))
         );
+
+        // 10 µs windows over [0, 31 µs): each lists its requests by id.
+        let us = |v| SimTime::ZERO + SimDuration::micros(v);
+        let index = WindowIndex::build(us(31), SimDuration::micros(10), 4, |i| drain.settle(i));
+        let windows: Vec<&[u32]> = (0..index.windows()).map(|k| index.window(k)).collect();
+        assert_eq!(windows, [&[2][..], &[1, 3], &[], &[0]]);
+
+        // The watch reads the drain in place exactly as it reads the
+        // same samples listed in reverse.
+        let names = ["a".to_string(), "b".to_string()];
+        let budget = LatencyBudget {
+            p99: SimDuration::micros(20),
+            p999: SimDuration::micros(25),
+            max_reject_ppm: 1_000,
+        };
+        let reversed: Vec<CompletionSample> = samples.iter().rev().copied().collect();
+        let report = |settled| {
+            let wcfg = WatchConfig {
+                fast: SimDuration::micros(10),
+                ..WatchConfig::default()
+            };
+            let view = watch::SoakView {
+                soak: SoakContext {
+                    tenant_names: &names,
+                    budgets: &[budget, budget],
+                    horizon: us(31),
+                    storm: None,
+                },
+                settled,
+                queue: None,
+                blame: None,
+            };
+            watch::observe(&wcfg, &view)
+        };
+        let (canonical, listed) = (report(drain), report(Settled::Samples(&reversed)));
+        assert_eq!(canonical, listed);
+        assert_eq!(canonical.windows[1].stats.completed, 2);
     }
 }

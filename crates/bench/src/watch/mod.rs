@@ -16,20 +16,26 @@
 //! ep3, blame crypto 61%".
 //!
 //! Everything runs on the virtual clock over a finished cluster run's
-//! outcomes, so a watch report is a pure function of the soak's inputs:
-//! byte-identical across `HCC_ENGINE_THREADS`, and absent entirely (no
-//! samples built, zero cost) when the plane is off.
+//! outcome log, read in place through a [`rollup::WindowIndex`] (4 B per
+//! request), with the queue-depth integrals the drain folded per window.
+//! A watch report is a pure function of the soak's inputs:
+//! byte-identical across `HCC_ENGINE_THREADS`, independent of the order
+//! the settled requests are listed in, and absent entirely (zero cost)
+//! when the plane is off.
 
 pub mod report;
 
 use hcc_trace::critpath::ResourceClass;
-use hcc_trace::{rollup, FlightConfig, FlightLog, Series};
+use hcc_trace::rollup::{self, CompletionSample, WindowIndex, WindowIntegrals};
+use hcc_trace::{FlightConfig, FlightLog};
 use hcc_types::slo::burn_rate_milli;
 use hcc_types::{BurnPair, LatencyBudget, SimDuration, SimTime, StormIntensity, StormSchedule};
 
 use crate::chaos::{self, ChaosConfig, ChaosReport};
 use crate::cli::{env_u64, CliError};
 use crate::engine::ExperimentEngine;
+use crate::serving::arrival::Request;
+use crate::serving::cluster::Outcome;
 use crate::serving::{self, ServingConfig, ServingReport, ShapeTable};
 
 pub use report::{Incident, IncidentBlame, IncidentStorm, TenantBurn, WatchReport, WindowRow};
@@ -234,16 +240,67 @@ pub struct SoakContext<'a> {
     pub storm: Option<StormContext<'a>>,
 }
 
+/// The settled requests the watchtower reads, by request index.
+#[derive(Debug, Clone, Copy)]
+pub enum Settled<'a> {
+    /// A finished drain, read in place: request `i` arrived as
+    /// `requests[i]` and settled as `outcomes[i]`.
+    Drain {
+        requests: &'a [Request],
+        outcomes: &'a [Outcome],
+    },
+    /// Settled samples, listed in any order.
+    Samples(&'a [CompletionSample]),
+}
+
+impl Settled<'_> {
+    /// How many requests settled.
+    pub fn len(&self) -> usize {
+        match self {
+            Settled::Drain { outcomes, .. } => outcomes.len(),
+            Settled::Samples(samples) => samples.len(),
+        }
+    }
+
+    /// Whether nothing settled.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// When entry `i` settled: its completion (its dispatch, for
+    /// rejections).
+    pub fn settle(&self, i: usize) -> SimTime {
+        match self {
+            Settled::Drain { outcomes, .. } => outcomes[i].completion,
+            Settled::Samples(samples) => samples[i].at,
+        }
+    }
+
+    /// Entry `i` as a rollup sample.
+    pub fn sample(&self, i: usize) -> CompletionSample {
+        match self {
+            Settled::Drain { requests, outcomes } => CompletionSample {
+                req: i as u32,
+                tenant: requests[i].tenant,
+                at: outcomes[i].completion,
+                latency: outcomes[i].completion.saturating_since(requests[i].arrival),
+                rejected: outcomes[i].rejected,
+            },
+            Settled::Samples(samples) => samples[i],
+        }
+    }
+}
+
 /// Everything the watchtower observes about one finished soak.
 #[derive(Debug, Clone, Copy)]
 pub struct SoakView<'a> {
     /// Tenants, budgets, horizon and storm calendar.
     pub soak: SoakContext<'a>,
-    /// Settled requests in canonical `(at, req)` order
-    /// ([`crate::serving::observe::completion_samples`]).
-    pub samples: &'a [rollup::CompletionSample],
-    /// Cluster queue-depth series, for anomaly detection.
-    pub queue: Option<&'a Series>,
+    /// The settled requests.
+    pub settled: Settled<'a>,
+    /// The cluster queue depth's integral per fast window, for anomaly
+    /// detection; its width must be the config's `fast`.
+    pub queue: Option<&'a WindowIntegrals>,
     /// The soak's analysed shape table, for incident blame: each
     /// request blames its shape's critical-path attribution (aborted
     /// shapes carry a zero attribution).
@@ -257,22 +314,26 @@ pub fn observe(cfg: &WatchConfig, view: &SoakView<'_>) -> WatchReport {
     let tenants = view.soak.tenant_names.len();
     assert_eq!(tenants, view.soak.budgets.len(), "one budget per tenant");
 
-    let end = view
-        .samples
-        .last()
-        .map(|s| SimTime::from_nanos(s.at.as_nanos() + 1))
-        .unwrap_or(SimTime::ZERO)
+    let settled = &view.settled;
+    let end = (0..settled.len())
+        .map(|i| settled.settle(i))
+        .max()
+        .map_or(SimTime::ZERO, |last| {
+            SimTime::from_nanos(last.as_nanos() + 1)
+        })
         .max(view.soak.horizon);
     let windows = rollup::tumbling(end, cfg.fast);
-    let stats = rollup::window_stats(view.samples, &windows);
+    let index = WindowIndex::build(end, cfg.fast, settled.len(), |i| settled.settle(i));
+    let sample = |i: u32| settled.sample(i as usize);
+    let stats = rollup::window_stats(&windows, &index, sample);
     let pair = cfg.pair();
 
     // Per-tenant, per-window bad-event and settled-request counts. A bad
     // event is a rejection or a p99-budget miss (hcc_types::slo).
     let mut bad = vec![vec![0u64; windows.len()]; tenants];
     let mut tot = vec![vec![0u64; windows.len()]; tenants];
-    for (wi, w) in windows.iter().enumerate() {
-        for s in rollup::window_range(view.samples, w) {
+    for wi in 0..windows.len() {
+        for s in index.window(wi).iter().map(|&i| sample(i)) {
             let t = s.tenant as usize;
             tot[t][wi] += 1;
             if view.soak.budgets[t].is_bad(s.latency, s.rejected) {
@@ -282,10 +343,11 @@ pub fn observe(cfg: &WatchConfig, view: &SoakView<'_>) -> WatchReport {
     }
 
     let total_span = end.as_nanos();
-    let total_integral = view
-        .queue
-        .map(|q| q.integral_between(SimTime::ZERO, end).as_nanos())
-        .unwrap_or(0);
+    let queue: Option<Vec<u64>> = view.queue.map(|q| {
+        assert_eq!(q.width(), cfg.fast, "queue integrals over the fast windows");
+        windows.iter().map(|w| q.over(w).as_nanos()).collect()
+    });
+    let total_integral: u64 = queue.iter().flatten().sum();
 
     let slow_n = cfg.slow_factor.max(1) as usize;
     let mut rows: Vec<WindowRow> = Vec::with_capacity(windows.len());
@@ -308,9 +370,9 @@ pub fn observe(cfg: &WatchConfig, view: &SoakView<'_>) -> WatchReport {
         }
         // Queue anomaly, in pure integer cross-multiplication:
         // window_mean >= soak_mean * anomaly_milli / 1000.
-        let (queue_mean_milli, anomaly) = match view.queue {
+        let (queue_mean_milli, anomaly) = match &queue {
             Some(q) if total_span > 0 => {
-                let w_int = q.integral_between(w.start, w.end).as_nanos();
+                let w_int = q[wi];
                 let width = w.width().as_nanos().max(1);
                 let mean_milli = (u128::from(w_int) * 1_000 / u128::from(width)) as u64;
                 let lhs = u128::from(w_int) * u128::from(total_span) * 1_000;
@@ -340,7 +402,15 @@ pub fn observe(cfg: &WatchConfig, view: &SoakView<'_>) -> WatchReport {
                 while wi < rows.len() && rows[wi].burns[t].alert {
                     wi += 1;
                 }
-                incidents.push(build_incident(view, &windows, &rows, t, first, wi - 1));
+                incidents.push(build_incident(
+                    view,
+                    &windows,
+                    &index,
+                    &rows,
+                    t,
+                    first,
+                    wi - 1,
+                ));
             } else {
                 wi += 1;
             }
@@ -366,6 +436,7 @@ pub fn observe(cfg: &WatchConfig, view: &SoakView<'_>) -> WatchReport {
 fn build_incident(
     view: &SoakView<'_>,
     windows: &[rollup::Window],
+    index: &WindowIndex,
     rows: &[WindowRow],
     tenant: usize,
     first: usize,
@@ -397,13 +468,12 @@ fn build_incident(
     });
 
     let blame = view.blame.and_then(|table| {
-        let span = rollup::Window {
-            index: first,
-            start: windows[first].start,
-            end: windows[last].end,
-        };
         let mut totals = vec![SimDuration::ZERO; ResourceClass::COUNT];
-        for s in rollup::window_range(view.samples, &span) {
+        for s in index
+            .span(first, last)
+            .iter()
+            .map(|&i| view.settled.sample(i as usize))
+        {
             if s.rejected || s.tenant as usize != tenant {
                 continue;
             }
@@ -448,7 +518,6 @@ fn build_incident(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_trace::rollup::CompletionSample;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_nanos(SimDuration::millis(ms).as_nanos())
@@ -467,7 +536,7 @@ mod tests {
         cfg: &WatchConfig,
         samples: &[CompletionSample],
         horizon: SimTime,
-        queue: Option<&Series>,
+        queue: Option<&WindowIntegrals>,
         storm: Option<StormContext<'_>>,
     ) -> WatchReport {
         let view = SoakView {
@@ -477,7 +546,7 @@ mod tests {
                 horizon,
                 storm,
             },
-            samples,
+            settled: Settled::Samples(samples),
             queue,
             blame: None,
         };
@@ -625,11 +694,11 @@ mod tests {
     fn queue_anomalies_flag_windows_far_above_the_soak_mean() {
         let samples = storm_samples();
         // Queue holds depth 1 mostly, depth 20 inside [300, 500).
-        let mut g = hcc_trace::Gauge::enabled();
-        g.occupy(t(0), t(800));
-        g.occupy_n(t(300), t(500), 19);
-        let series = g.series("serving.queue_depth");
-        let rep = observe_solo(&cfg(), &samples, t(800), Some(&series), None);
+        let mut queue = WindowIntegrals::new(cfg().fast);
+        for (at, depth) in [(0, 1), (300, 20), (500, 1), (800, 0)] {
+            queue.step(t(at), depth);
+        }
+        let rep = observe_solo(&cfg(), &samples, t(800), Some(&queue), None);
         let flags: Vec<bool> = rep.windows.iter().map(|w| w.anomaly).collect();
         assert_eq!(
             flags,

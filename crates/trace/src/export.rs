@@ -167,7 +167,7 @@ impl<'a> ChromeExport<'a> {
         for sample in &log.samples {
             let skel = &sample.skeleton;
             let mut cursor = skel.arrival;
-            for &(kind, dur) in &sample.spans {
+            for &(kind, dur) in log.spans(sample).iter() {
                 if !first {
                     out.push_str(",\n");
                 }

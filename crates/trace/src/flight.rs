@@ -5,12 +5,18 @@
 //! and the critical path ([`crate::critpath`]) *which resource class* a
 //! shape spends its time on; this module answers the question an
 //! operator actually asks — *which request was slow, and where inside
-//! it did the virtual time go*. Each sampled request carries an ordered
+//! it did the virtual time go*. Each sampled request has an ordered
 //! span tree (queue wait → SPDM handshake → doorbell pair → per-phase
 //! service decomposition → batch margin) under the same enforced
 //! identity as the critical path: **child spans partition
 //! `settle − arrival` exactly**, integer nanoseconds, no gaps, no
-//! overlaps ([`FlightSample::identity_holds`]).
+//! overlaps ([`FlightLog::identity_holds_for`]).
+//!
+//! A kept exemplar stores only its skeleton, its window, its keep flags
+//! and the index of its service shape. The tree follows from the
+//! skeleton and the shape's [`ShapeDecomp`], which the log holds once
+//! per shape, so it is derived on demand ([`FlightLog::spans`]) into a
+//! fixed-capacity [`Spans`] list, never onto the heap.
 //!
 //! Storing 10⁵–10⁶ full trees is unaffordable, so recording is a
 //! per-tumbling-window exemplar sampler with a hard memory bound:
@@ -210,40 +216,46 @@ impl FlightRecorder {
         self.windows[self.cursor].1.insert(s, w, &cfg);
     }
 
-    /// Resolves the kept skeletons into full span trees. `shape_of`
-    /// maps a request index to its service-shape slot and `shapes`
-    /// carries one decomposition per slot; requests the tables cannot
-    /// resolve get an undecomposed service span (identity still holds).
+    /// Resolves the kept skeletons into the flight log. `shape_of` maps
+    /// a request index to its service-shape slot and `shapes` carries
+    /// one decomposition per slot; the log keeps `shapes` once and each
+    /// exemplar its slot. Requests the tables cannot resolve get an
+    /// undecomposed service span (identity still holds).
     pub fn resolve(self, shape_of: &[u32], shapes: &[ShapeDecomp]) -> FlightLog {
         let mut samples: Vec<FlightSample> = Vec::new();
         let windows = self.windows.len() as u64;
         let mut kept_entries = 0u64;
         for &(w, ref sampler) in &self.windows {
             kept_entries += sampler.entries();
-            let mut members: Vec<(FlightSkeleton, bool, bool)> =
-                sampler.worst.iter().map(|&s| (s, true, false)).collect();
+            let first = samples.len();
+            let sample = |skeleton: FlightSkeleton, tail: bool, uniform: bool| FlightSample {
+                skeleton,
+                window: w,
+                tail,
+                uniform,
+                shape: shape_of
+                    .get(skeleton.req as usize)
+                    .copied()
+                    .unwrap_or(u32::MAX),
+            };
+            samples.extend(sampler.worst.iter().map(|&s| sample(s, true, false)));
             for &(_, s) in &sampler.pool {
-                if let Some(m) = members.iter_mut().find(|m| m.0.req == s.req) {
-                    m.2 = true;
-                } else {
-                    members.push((s, false, true));
+                match samples[first..]
+                    .iter_mut()
+                    .find(|m| m.skeleton.req == s.req)
+                {
+                    Some(m) => m.uniform = true,
+                    None => samples.push(sample(s, false, true)),
                 }
             }
-            members.sort_by_key(|m| m.0.req);
-            for (skel, tail, uniform) in members {
-                let decomp = shape_of
-                    .get(skel.req as usize)
-                    .and_then(|&si| shapes.get(si as usize))
-                    .copied()
-                    .unwrap_or_default();
-                samples.push(FlightSample::build(skel, w, tail, uniform, &decomp));
-            }
+            samples[first..].sort_by_key(FlightSample::req);
         }
         FlightLog {
             cfg: self.cfg,
             recorded: self.recorded,
             windows,
             kept_entries,
+            decomps: shapes.to_vec(),
             samples,
         }
     }
@@ -253,7 +265,7 @@ impl FlightRecorder {
 /// virtual time splits across resource classes (from the shape's
 /// critical path) plus its recovery counters. Built once per shape, not
 /// per request.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShapeDecomp {
     /// The shape's total service duration (what the cluster charged).
     pub total: SimDuration,
@@ -310,8 +322,45 @@ impl ToJson for SpanKind {
     }
 }
 
-/// One resolved exemplar: the skeleton plus its ordered span tree.
-#[derive(Debug, Clone, PartialEq)]
+/// One exemplar's span tree, derived on demand from its skeleton and
+/// its shape's decomposition: at most [`Spans::CAPACITY`] spans in
+/// waterfall order, held inline. Dereferences to the span slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Spans {
+    len: usize,
+    spans: [(SpanKind, SimDuration); Spans::CAPACITY],
+}
+
+impl Spans {
+    /// Queue wait, SPDM handshake, doorbell, one service span per
+    /// resource class, uncovered service and batch margin.
+    pub const CAPACITY: usize = ResourceClass::COUNT + 5;
+
+    fn push(&mut self, kind: SpanKind, d: SimDuration) {
+        self.spans[self.len] = (kind, d);
+        self.len += 1;
+    }
+
+    /// Total duration of spans of `kind` (zero when absent).
+    pub fn duration(&self, kind: SpanKind) -> SimDuration {
+        self.iter()
+            .filter(|&&(k, _)| k == kind)
+            .map(|&(_, d)| d)
+            .sum()
+    }
+}
+
+impl std::ops::Deref for Spans {
+    type Target = [(SpanKind, SimDuration)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.spans[..self.len]
+    }
+}
+
+/// One kept exemplar: the skeleton, where and why it was kept, and its
+/// service shape. Its span tree is [`FlightLog::spans`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightSample {
     /// The request's compact record.
     pub skeleton: FlightSkeleton,
@@ -321,60 +370,56 @@ pub struct FlightSample {
     pub tail: bool,
     /// Kept by the window's uniform reservoir.
     pub uniform: bool,
-    /// Ordered spans; their durations sum to `settle − arrival` exactly.
-    pub spans: Vec<(SpanKind, SimDuration)>,
-    /// Recovery counters of the request's service shape.
-    pub faults: FaultCounts,
+    /// The request's slot in [`FlightLog::decomps`]; past its end when
+    /// the shape tables could not resolve the request.
+    pub shape: u32,
 }
 
+// A new field must not silently regrow every kept exemplar.
+const _: () = assert!(std::mem::size_of::<FlightSample>() == 80);
+
 impl FlightSample {
-    fn build(
-        skel: FlightSkeleton,
-        window: u64,
-        tail: bool,
-        uniform: bool,
-        decomp: &ShapeDecomp,
-    ) -> FlightSample {
-        let mut spans: Vec<(SpanKind, SimDuration)> = Vec::new();
+    /// The request's ordered span tree when its service shape
+    /// decomposes as `decomp`: durations that sum to `settle − arrival`
+    /// exactly.
+    pub fn spans(&self, decomp: &ShapeDecomp) -> Spans {
+        let skel = &self.skeleton;
+        let mut spans = Spans {
+            len: 0,
+            spans: [(SpanKind::QueueWait, SimDuration::ZERO); Spans::CAPACITY],
+        };
         if skel.rejected {
-            spans.push((
+            spans.push(
                 SpanKind::QueueWait,
                 skel.settle.saturating_since(skel.arrival),
-            ));
-        } else {
-            spans.push((
-                SpanKind::QueueWait,
-                skel.dispatch.saturating_since(skel.arrival),
-            ));
-            spans.push((SpanKind::SpdmHandshake, skel.spdm));
-            spans.push((SpanKind::Doorbell, skel.doorbell));
-            let shape = decomp.total;
-            let attr_total = decomp.attr.total();
-            if !attr_total.is_zero() && attr_total <= shape {
-                for (r, t) in decomp.attr.iter() {
-                    if !t.is_zero() {
-                        spans.push((SpanKind::Service(r), t));
-                    }
+            );
+            return spans;
+        }
+        spans.push(
+            SpanKind::QueueWait,
+            skel.dispatch.saturating_since(skel.arrival),
+        );
+        spans.push(SpanKind::SpdmHandshake, skel.spdm);
+        spans.push(SpanKind::Doorbell, skel.doorbell);
+        let shape = decomp.total;
+        let attr_total = decomp.attr.total();
+        if !attr_total.is_zero() && attr_total <= shape {
+            for (r, t) in decomp.attr.iter() {
+                if !t.is_zero() {
+                    spans.push(SpanKind::Service(r), t);
                 }
-                let other = shape - attr_total;
-                if !other.is_zero() {
-                    spans.push((SpanKind::ServiceOther, other));
-                }
-            } else {
-                spans.push((SpanKind::ServiceOther, shape));
             }
-            let service = skel.settle.saturating_since(skel.dispatch);
-            let margin = service.saturating_sub(skel.spdm + skel.doorbell + shape);
-            spans.push((SpanKind::BatchMargin, margin));
+            let other = shape - attr_total;
+            if !other.is_zero() {
+                spans.push(SpanKind::ServiceOther, other);
+            }
+        } else {
+            spans.push(SpanKind::ServiceOther, shape);
         }
-        FlightSample {
-            skeleton: skel,
-            window,
-            tail,
-            uniform,
-            spans,
-            faults: decomp.faults,
-        }
+        let service = skel.settle.saturating_since(skel.dispatch);
+        let margin = service.saturating_sub(skel.spdm + skel.doorbell + shape);
+        spans.push(SpanKind::BatchMargin, margin);
+        spans
     }
 
     /// Request index shorthand.
@@ -385,53 +430,6 @@ impl FlightSample {
     /// End-to-end latency shorthand.
     pub fn latency(&self) -> SimDuration {
         self.skeleton.latency()
-    }
-
-    /// Total duration of spans of `kind` (zero when absent).
-    pub fn span_duration(&self, kind: SpanKind) -> SimDuration {
-        self.spans
-            .iter()
-            .filter(|&&(k, _)| k == kind)
-            .map(|&(_, d)| d)
-            .sum()
-    }
-
-    /// The enforced per-request identity: spans partition
-    /// `settle − arrival` exactly.
-    pub fn identity_holds(&self) -> bool {
-        let sum: SimDuration = self.spans.iter().map(|&(_, d)| d).sum();
-        self.skeleton.arrival <= self.skeleton.settle
-            && self.skeleton.dispatch <= self.skeleton.settle
-            && sum == self.skeleton.settle - self.skeleton.arrival
-    }
-}
-
-impl ToJson for FlightSample {
-    fn write_json(&self, out: &mut JsonOut<'_>) {
-        let s = &self.skeleton;
-        out.obj(|o| {
-            o.field("req", s.req);
-            o.field("tenant", s.tenant);
-            o.field("gpu", s.gpu);
-            o.field("batch", s.batch);
-            o.field("window", self.window);
-            o.field("tail", self.tail);
-            o.field("uniform", self.uniform);
-            o.field("cold", s.cold);
-            o.field("rejected", s.rejected);
-            o.field("arrival_ns", s.arrival);
-            o.field("settle_ns", s.settle);
-            o.field("latency_ns", self.latency());
-            o.key("spans");
-            o.arr(|o| {
-                for &(kind, ns) in &self.spans {
-                    o.obj(|o| {
-                        o.field("kind", kind);
-                        o.field("ns", ns);
-                    });
-                }
-            });
-        });
     }
 }
 
@@ -448,6 +446,9 @@ pub struct FlightLog {
     pub windows: u64,
     /// Total kept sampler entries (before worst∩reservoir dedup).
     pub kept_entries: u64,
+    /// One decomposition per service shape, indexed by
+    /// [`FlightSample::shape`].
+    pub decomps: Vec<ShapeDecomp>,
     /// Resolved exemplars, sorted by `(window, req)`.
     pub samples: Vec<FlightSample>,
 }
@@ -458,9 +459,32 @@ impl FlightLog {
         self.samples.iter().find(|s| s.skeleton.req == req)
     }
 
+    /// The decomposition of `sample`'s service shape (an empty one when
+    /// the shape tables could not resolve it).
+    pub fn decomp(&self, sample: &FlightSample) -> ShapeDecomp {
+        self.decomps
+            .get(sample.shape as usize)
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// `sample`'s ordered span tree.
+    pub fn spans(&self, sample: &FlightSample) -> Spans {
+        sample.spans(&self.decomp(sample))
+    }
+
+    /// Whether `sample`'s spans partition `settle − arrival` exactly.
+    pub fn identity_holds_for(&self, sample: &FlightSample) -> bool {
+        let skel = &sample.skeleton;
+        let sum: SimDuration = self.spans(sample).iter().map(|&(_, d)| d).sum();
+        skel.arrival <= skel.settle
+            && skel.dispatch <= skel.settle
+            && sum == skel.settle - skel.arrival
+    }
+
     /// Whether every sample satisfies the span-partition identity.
     pub fn identity_holds(&self) -> bool {
-        self.samples.iter().all(FlightSample::identity_holds)
+        self.samples.iter().all(|s| self.identity_holds_for(s))
     }
 
     /// The sampler's hard memory bound: `windows × (worst + reservoir)`.
@@ -468,14 +492,17 @@ impl FlightLog {
         self.windows * self.cfg.per_window_budget()
     }
 
-    /// Estimated peak bytes of the exemplar store: kept skeletons plus
-    /// the resolved span vectors.
+    /// The exemplar store's accounting figure, the one the flight JSON
+    /// exports: every kept skeleton plus each exemplar's span list, as
+    /// if each list were stored. The log derives spans on demand, so it
+    /// holds less than this; the figure is kept because the flight
+    /// export and its digests carry it.
     pub fn estimated_bytes(&self) -> u64 {
         let skeletons = self.kept_entries * std::mem::size_of::<FlightSkeleton>() as u64;
         let spans: u64 = self
             .samples
             .iter()
-            .map(|s| (s.spans.len() * std::mem::size_of::<(SpanKind, SimDuration)>()) as u64)
+            .map(|s| (self.spans(s).len() * std::mem::size_of::<(SpanKind, SimDuration)>()) as u64)
             .sum();
         skeletons + spans
     }
@@ -577,7 +604,8 @@ impl FlightLog {
             "  arrival {} | dispatch {} | settle {} | latency {}",
             skel.arrival, skel.dispatch, skel.settle, total
         );
-        let f = &sample.faults;
+        let decomp = self.decomp(sample);
+        let f = &decomp.faults;
         if f.injected + f.retries + f.recovered + f.degraded + f.aborted > 0 {
             let _ = writeln!(
                 out,
@@ -602,8 +630,9 @@ impl FlightLog {
                 );
             }
         }
+        let baseline_spans = baseline.map(|b| self.spans(b));
         let mut cursor = SimDuration::ZERO;
-        for &(kind, d) in &sample.spans {
+        for &(kind, d) in sample.spans(&decomp).iter() {
             let share_milli = if total.is_zero() {
                 0
             } else {
@@ -611,9 +640,9 @@ impl FlightLog {
             };
             let share = format!("{}.{}%", share_milli / 10, share_milli % 10);
             let start = format!("+{cursor}");
-            match baseline {
+            match &baseline_spans {
                 Some(b) => {
-                    let bd = b.span_duration(kind);
+                    let bd = b.duration(kind);
                     let delta = if d >= bd {
                         format!("+{}", d - bd)
                     } else {
@@ -642,7 +671,7 @@ impl FlightLog {
             }
             cursor += d;
         }
-        let identity = if sample.identity_holds() {
+        let identity = if self.identity_holds_for(sample) {
             "OK"
         } else {
             "VIOLATED"
@@ -669,7 +698,42 @@ impl ToJson for FlightLog {
             o.field("windows", self.windows);
             o.field("kept_entries", self.kept_entries);
             o.field("estimated_bytes", self.estimated_bytes());
-            o.field("samples", &self.samples);
+            o.key("samples");
+            o.arr(|o| {
+                for sample in &self.samples {
+                    self.write_sample(o, sample);
+                }
+            });
+        });
+    }
+}
+
+impl FlightLog {
+    /// One exemplar's JSON object, spans derived on the way out.
+    fn write_sample(&self, out: &mut JsonOut<'_>, sample: &FlightSample) {
+        let s = &sample.skeleton;
+        out.obj(|o| {
+            o.field("req", s.req);
+            o.field("tenant", s.tenant);
+            o.field("gpu", s.gpu);
+            o.field("batch", s.batch);
+            o.field("window", sample.window);
+            o.field("tail", sample.tail);
+            o.field("uniform", sample.uniform);
+            o.field("cold", s.cold);
+            o.field("rejected", s.rejected);
+            o.field("arrival_ns", s.arrival);
+            o.field("settle_ns", s.settle);
+            o.field("latency_ns", sample.latency());
+            o.key("spans");
+            o.arr(|o| {
+                for &(kind, ns) in self.spans(sample).iter() {
+                    o.obj(|o| {
+                        o.field("kind", kind);
+                        o.field("ns", ns);
+                    });
+                }
+            });
         });
     }
 }
@@ -721,22 +785,23 @@ mod tests {
         r.record(skel(7, 0, 10, 100));
         let log = r.resolve(&[0; 8], &[decomp_for(40)]);
         let s = log.find(7).expect("kept");
-        assert!(s.identity_holds());
+        assert!(log.identity_holds_for(s));
         assert_eq!(s.latency(), SimDuration::micros(100));
         assert_eq!(
-            s.span_duration(SpanKind::QueueWait),
+            log.spans(s).duration(SpanKind::QueueWait),
             SimDuration::micros(10)
         );
         assert_eq!(
-            s.span_duration(SpanKind::Service(ResourceClass::Crypto)),
+            log.spans(s)
+                .duration(SpanKind::Service(ResourceClass::Crypto)),
             SimDuration::micros(20)
         );
         assert_eq!(
-            s.span_duration(SpanKind::ServiceOther),
+            log.spans(s).duration(SpanKind::ServiceOther),
             SimDuration::micros(10)
         );
         assert_eq!(
-            s.span_duration(SpanKind::BatchMargin),
+            log.spans(s).duration(SpanKind::BatchMargin),
             SimDuration::micros(46)
         );
         assert!(log.identity_holds());
@@ -752,9 +817,9 @@ mod tests {
         r.record(s);
         let log = r.resolve(&[], &[]);
         let kept = log.find(3).expect("kept");
-        assert_eq!(kept.spans.len(), 1);
-        assert_eq!(kept.spans[0].0.name(), "queue_wait");
-        assert!(kept.identity_holds());
+        assert_eq!(log.spans(kept).len(), 1);
+        assert_eq!(log.spans(kept)[0].0.name(), "queue_wait");
+        assert!(log.identity_holds_for(kept));
     }
 
     #[test]
@@ -765,9 +830,9 @@ mod tests {
         // span and the margin absorbs the rest — identity still exact.
         let log = r.resolve(&[], &[]);
         let s = log.find(9).expect("kept");
-        assert!(s.identity_holds());
+        assert!(log.identity_holds_for(s));
         assert_eq!(
-            s.span_duration(SpanKind::BatchMargin),
+            log.spans(s).duration(SpanKind::BatchMargin),
             SimDuration::micros(86)
         );
     }
@@ -785,9 +850,9 @@ mod tests {
         r.record(skel(1, 0, 10, 100));
         let log = r.resolve(&[0, 0], &[d]);
         let s = log.find(1).expect("kept");
-        assert!(s.identity_holds());
+        assert!(log.identity_holds_for(s));
         assert_eq!(
-            s.span_duration(SpanKind::ServiceOther),
+            log.spans(s).duration(SpanKind::ServiceOther),
             SimDuration::micros(40)
         );
     }
@@ -1157,5 +1222,122 @@ mod tests {
         assert!(log.estimated_bytes() > 0);
         let empty = FlightRecorder::new(FlightConfig::default()).resolve(&[], &[]);
         assert_eq!(empty.estimated_bytes(), 0);
+    }
+
+    /// The span tree as exemplars built it when each held its own span
+    /// vector: the oracle for [`FlightSample::spans`].
+    fn legacy_build(skel: &FlightSkeleton, decomp: &ShapeDecomp) -> Vec<(SpanKind, SimDuration)> {
+        let mut spans: Vec<(SpanKind, SimDuration)> = Vec::new();
+        if skel.rejected {
+            spans.push((
+                SpanKind::QueueWait,
+                skel.settle.saturating_since(skel.arrival),
+            ));
+        } else {
+            spans.push((
+                SpanKind::QueueWait,
+                skel.dispatch.saturating_since(skel.arrival),
+            ));
+            spans.push((SpanKind::SpdmHandshake, skel.spdm));
+            spans.push((SpanKind::Doorbell, skel.doorbell));
+            let shape = decomp.total;
+            let attr_total = decomp.attr.total();
+            if !attr_total.is_zero() && attr_total <= shape {
+                for (r, t) in decomp.attr.iter() {
+                    if !t.is_zero() {
+                        spans.push((SpanKind::Service(r), t));
+                    }
+                }
+                let other = shape - attr_total;
+                if !other.is_zero() {
+                    spans.push((SpanKind::ServiceOther, other));
+                }
+            } else {
+                spans.push((SpanKind::ServiceOther, shape));
+            }
+            let service = skel.settle.saturating_since(skel.dispatch);
+            let margin = service.saturating_sub(skel.spdm + skel.doorbell + shape);
+            spans.push((SpanKind::BatchMargin, margin));
+        }
+        spans
+    }
+
+    /// Oracle: over random skeletons (rejected or served, cold or warm,
+    /// margins that go negative) and random decompositions (classes left
+    /// out, attributions that fit, fill or overflow the shape, and the
+    /// empty one), the on-demand span list is exactly the list each
+    /// exemplar used to build and store, including the full 12 spans.
+    #[test]
+    fn on_demand_spans_match_the_stored_build() {
+        use hcc_check::strategy::{bools, u64s, vecs};
+        use hcc_check::{ensure_eq, forall, Config};
+
+        forall!(
+            Config::new(0x7ACE_0024),
+            ((times, admission, flags), (total, classes)) in (
+                (
+                    (u64s(0..5_000), u64s(0..5_000), u64s(0..20_000)),
+                    (u64s(0..400), u64s(0..50)),
+                    (bools(), bools()),
+                ),
+                (u64s(0..8_000), vecs(u64s(0..2_000), ResourceClass::COUNT..ResourceClass::COUNT + 1)),
+            ) =>
+        {
+            let ((arrival, wait, service), (spdm, doorbell), (cold, rejected)) = (times, admission, flags);
+            let us = SimDuration::micros;
+            let skeleton = FlightSkeleton {
+                arrival: t(arrival),
+                dispatch: t(arrival + wait),
+                settle: t(arrival + wait + if rejected { 0 } else { service }),
+                spdm: if rejected || !cold { SimDuration::ZERO } else { us(spdm) },
+                doorbell: if rejected { SimDuration::ZERO } else { us(doorbell) },
+                cold,
+                rejected,
+                ..skel(3, 0, 0, 0)
+            };
+            let mut attr = Attribution::default();
+            for (&class, &d) in ResourceClass::ALL.iter().zip(&classes) {
+                // One class in three is left out.
+                if d % 3 != 0 {
+                    attr.add(class, us(d));
+                }
+            }
+            let decomp = ShapeDecomp {
+                total: us(total),
+                attr,
+                faults: FaultCounts::default(),
+            };
+            let sample = FlightSample { skeleton, window: 0, tail: true, uniform: false, shape: 0 };
+            for d in [decomp, ShapeDecomp::default()] {
+                let spans = sample.spans(&d);
+                ensure_eq!(spans.to_vec(), legacy_build(&skeleton, &d));
+                ensure_eq!(spans.len() <= Spans::CAPACITY, true);
+            }
+        });
+    }
+
+    /// Every resource class plus uncovered service fills the list.
+    #[test]
+    fn a_full_decomposition_fills_every_span_slot() {
+        let mut attr = Attribution::default();
+        for class in ResourceClass::ALL {
+            attr.add(class, SimDuration::micros(1));
+        }
+        let decomp = ShapeDecomp {
+            total: SimDuration::micros(50),
+            attr,
+            faults: FaultCounts::default(),
+        };
+        let s = skel(1, 0, 10, 100);
+        let sample = FlightSample {
+            skeleton: s,
+            window: 0,
+            tail: true,
+            uniform: false,
+            shape: 0,
+        };
+        let spans = sample.spans(&decomp);
+        assert_eq!(spans.len(), Spans::CAPACITY);
+        assert_eq!(spans.to_vec(), legacy_build(&s, &decomp));
     }
 }

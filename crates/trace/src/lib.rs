@@ -52,7 +52,7 @@ pub use export::ChromeExport;
 pub use flight::{FlightConfig, FlightLog, FlightRecorder, FlightSample, FlightSkeleton, SpanKind};
 pub use histogram::Histogram;
 pub use metrics::{Counter, Gauge, MetricsSet, OrderedGauge, Series};
-pub use rollup::{CompletionSample, Window, WindowStats};
+pub use rollup::{CompletionSample, Window, WindowIndex, WindowIntegrals, WindowStats};
 pub use stats::{geomean, mean_ratio, Cdf, Summary, Tail};
 pub use timeline::{KernelRecord, LaunchMetrics, LaunchRecord, MemMetrics, PhaseTotals, Timeline};
 
@@ -295,7 +295,7 @@ mod proptests {
             ensure_eq!(log.recorded, n as u64);
             ensure!(!log.samples.is_empty(), "sampler kept nothing");
             for s in &log.samples {
-                ensure!(s.identity_holds(), "request #{} broke the identity", s.req());
+                ensure!(log.identity_holds_for(s), "request #{} broke the identity", s.req());
             }
             ensure!(log.kept_entries <= log.entry_bound());
         });
@@ -408,8 +408,9 @@ mod proptests {
         });
     }
 
-    /// Rollup oracle: every window `tumbling`/`sliding` generate, its
-    /// `window_range` slice and its `WindowStats` agree with a brute-force
+    /// Rollup oracle: every window `tumbling`/`sliding` generate, and
+    /// for tumbling windows the `WindowIndex` members and `WindowStats`
+    /// of samples listed in shuffled order, agree with a brute-force
     /// recount — list the windows from their definition, filter all
     /// samples by `[start, end)`, sort the completed latencies and take
     /// the nearest rank with integer per-mille arithmetic. Small integer
@@ -419,17 +420,17 @@ mod proptests {
     #[test]
     fn rollup_matches_brute_force_recount() {
         use hcc_check::strategy::bools;
-        use rollup::{sliding, tumbling, window_range, window_stats};
+        use rollup::{sliding, tumbling, window_stats, WindowIndex};
 
         forall!(
             Config::new(0x7ACE_000C),
-            (raw, horizon, width, stride) in (
-                vecs((u64s(0..90), u64s(0..1_000), bools()), 0..80),
-                u64s(1..80),
-                u64s(1..20),
-                u64s(1..20),
+            ((raw, horizon), (width, stride, shuffle)) in (
+                (vecs((u64s(0..90), u64s(0..1_000), bools()), 0..80), u64s(1..80)),
+                (u64s(1..20), u64s(1..20), u64s(0..u64::MAX)),
             ) =>
         {
+            // Listed in a seeded shuffle; samples settling past the
+            // horizon fall in no window and the index leaves them out.
             let mut samples: Vec<CompletionSample> = raw
                 .iter()
                 .enumerate()
@@ -441,45 +442,49 @@ mod proptests {
                     rejected,
                 })
                 .collect();
-            samples.sort_by_key(|s| (s.at, s.req));
+            samples.sort_by_key(|s| (s.req as u64).wrapping_mul(shuffle | 1).rotate_left(17));
             let ns = SimDuration::from_nanos;
             let end = SimTime::from_nanos(horizon);
-            for (stride, windows) in [
+            for (step, windows) in [
                 (width, tumbling(end, ns(width))),
                 (stride, sliding(end, ns(width), ns(stride))),
             ] {
-                let starts: Vec<u64> = (0..horizon).step_by(stride as usize).collect();
+                let starts: Vec<u64> = (0..horizon).step_by(step as usize).collect();
                 ensure_eq!(windows.len(), starts.len());
-                let stats = window_stats(&samples, &windows);
-                for ((w, st), start) in windows.iter().zip(&stats).zip(starts) {
+                for (w, &start) in windows.iter().zip(&starts) {
                     let stop = (start + width).min(horizon);
                     ensure_eq!((w.start.as_nanos(), w.end.as_nanos()), (start, stop));
-                    let inside: Vec<CompletionSample> = samples
-                        .iter()
-                        .filter(|s| (start..stop).contains(&s.at.as_nanos()))
-                        .copied()
-                        .collect();
-                    ensure_eq!((w.index, window_range(&samples, w)), (w.index, &inside[..]));
-                    let mut latencies: Vec<u64> = inside
-                        .iter()
-                        .filter(|s| !s.rejected)
-                        .map(|s| s.latency.as_nanos())
-                        .collect();
-                    latencies.sort_unstable();
-                    let n = latencies.len() as u64;
-                    let rank = |per_mille: u64| match n {
-                        0 => 0,
-                        _ => latencies[((per_mille * n).div_ceil(1_000).max(1) - 1) as usize],
-                    };
-                    ensure_eq!(
-                        (st.window, st.completed, st.rejected),
-                        (*w, n, inside.len() as u64 - n)
-                    );
-                    ensure_eq!(
-                        (w.index, [st.p50, st.p99, st.p999, st.latency_sum].map(|d| d.as_nanos())),
-                        (w.index, [rank(500), rank(990), rank(999), latencies.iter().sum()])
-                    );
                 }
+            }
+            let windows = tumbling(end, ns(width));
+            let index = WindowIndex::build(end, ns(width), samples.len(), |i| samples[i].at);
+            let stats = window_stats(&windows, &index, |i| samples[i as usize]);
+            for (w, st) in windows.iter().zip(&stats) {
+                let mut inside: Vec<u32> = (0..samples.len() as u32)
+                    .filter(|&i| w.contains(samples[i as usize].at))
+                    .collect();
+                inside.sort_unstable();
+                ensure_eq!((w.index, index.window(w.index)), (w.index, &inside[..]));
+                let mut latencies: Vec<u64> = inside
+                    .iter()
+                    .map(|&i| samples[i as usize])
+                    .filter(|s| !s.rejected)
+                    .map(|s| s.latency.as_nanos())
+                    .collect();
+                latencies.sort_unstable();
+                let n = latencies.len() as u64;
+                let rank = |per_mille: u64| match n {
+                    0 => 0,
+                    _ => latencies[((per_mille * n).div_ceil(1_000).max(1) - 1) as usize],
+                };
+                ensure_eq!(
+                    (st.window, st.completed, st.rejected),
+                    (*w, n, inside.len() as u64 - n)
+                );
+                ensure_eq!(
+                    (w.index, [st.p50, st.p99, st.p999, st.latency_sum].map(|d| d.as_nanos())),
+                    (w.index, [rank(500), rank(990), rank(999), latencies.iter().sum()])
+                );
             }
         });
     }

@@ -12,15 +12,21 @@
 //! - **Virtual-time only.** A [`CompletionSample`] carries the settle
 //!   instant on the sim clock; window boundaries are pure arithmetic on
 //!   it. No wall-clock read anywhere.
-//! - **Order-independence.** Every rollup reads samples in canonical
-//!   `(at, req)` order, so it depends only on the *set* of settled
-//!   requests. The serving layer builds that sorted set from a finished
-//!   cluster run's outcomes; the drain itself records nothing.
+//! - **Order-independence.** A [`WindowIndex`] groups settled requests
+//!   by window with a counting sort, and every rollup over a window is
+//!   a count, a sum or a nearest-rank selection, so it depends only on
+//!   the *set* of settled requests, never on the order they are listed
+//!   in. The serving layer indexes a finished cluster run's outcome log
+//!   in place; nothing is copied per request.
+//! - **Folded, not recorded.** A [`WindowIntegrals`] folds a step
+//!   function's per-window integrals as it steps, so the drain can hand
+//!   the watch its queue-depth integrals without recording the series.
 
 use hcc_types::{SimDuration, SimTime};
 
 /// One settled request: either a completion (with its end-to-end
-/// latency) or an admission-control rejection.
+/// latency) or an admission-control rejection. The rollups read one at
+/// a time, built on the fly from wherever the soak keeps its outcomes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompletionSample {
     /// Index of the request in the driving soak's arrival order.
@@ -95,15 +101,147 @@ pub fn sliding(horizon: SimTime, width: SimDuration, stride: SimDuration) -> Vec
     windows
 }
 
-/// The contiguous slice of `samples` (sorted by `at`) settling inside
-/// `window` — the primitive per-tenant consumers filter further.
-pub fn window_range<'a>(
-    samples: &'a [CompletionSample],
-    window: &Window,
-) -> &'a [CompletionSample] {
-    let lo = samples.partition_point(|s| s.at < window.start);
-    let hi = samples.partition_point(|s| s.at < window.end);
-    &samples[lo..hi]
+/// Settled requests grouped by tumbling window: a counting sort of
+/// request ids by `settle / width` into a compressed offset table. It
+/// holds 4 B per indexed request plus 4 B per window, and within a
+/// window the ids ascend.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WindowIndex {
+    /// Window `k`'s ids are `ids[offsets[k]..offsets[k + 1]]`.
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl WindowIndex {
+    /// Indexes requests `0..n`, request `i` settling at `settle(i)`,
+    /// into the tumbling windows of `width` over `[0, horizon)` (those
+    /// [`tumbling`] generates). A request settling at or past `horizon`
+    /// is left out.
+    ///
+    /// # Panics
+    /// If `n` exceeds `u32::MAX`: ids are `u32`.
+    pub fn build(
+        horizon: SimTime,
+        width: SimDuration,
+        n: usize,
+        settle: impl Fn(usize) -> SimTime,
+    ) -> Self {
+        assert!(n as u64 <= u64::from(u32::MAX), "request ids are u32");
+        let width = width.as_nanos();
+        let windows = match width {
+            0 => 0,
+            w => horizon.as_nanos().div_ceil(w) as usize,
+        };
+        let slot = |i: usize| {
+            let at = settle(i);
+            (at < horizon && width > 0).then(|| (at.as_nanos() / width) as usize)
+        };
+        // Count per window, turn the counts into each window's end, then
+        // place ids from the back so each end walks down to its start.
+        let mut offsets = vec![0u32; windows + 1];
+        for k in (0..n).filter_map(slot) {
+            offsets[k] += 1;
+        }
+        let mut end = 0u32;
+        for slot_end in &mut offsets[..windows] {
+            end += *slot_end;
+            *slot_end = end;
+        }
+        offsets[windows] = end;
+        let mut ids = vec![0u32; end as usize];
+        for i in (0..n).rev() {
+            if let Some(k) = slot(i) {
+                offsets[k] -= 1;
+                ids[offsets[k] as usize] = i as u32;
+            }
+        }
+        WindowIndex { offsets, ids }
+    }
+
+    /// Windows indexed.
+    pub fn windows(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// The ids settling in window `k`, ascending.
+    pub fn window(&self, k: usize) -> &[u32] {
+        self.span(k, k)
+    }
+
+    /// The ids settling in windows `first..=last`: window by window,
+    /// each ascending.
+    pub fn span(&self, first: usize, last: usize) -> &[u32] {
+        &self.ids[self.offsets[first] as usize..self.offsets[last + 1] as usize]
+    }
+}
+
+/// A step function's integral over each tumbling window of one width,
+/// folded as the function steps. Per window, it gives what a recorded
+/// change-point series' [`Series::integral_between`] gives, without the
+/// series: only windows the function held a positive value in take a
+/// slot.
+///
+/// [`Series::integral_between`]: crate::Series::integral_between
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WindowIntegrals {
+    width: u64,
+    /// `sums[k]`: integral over window `k` up to `at`, in value·ns.
+    sums: Vec<u64>,
+    /// The last step; the function holds `value` from here on.
+    at: SimTime,
+    value: u64,
+}
+
+impl WindowIntegrals {
+    /// A function that holds 0 from time zero, over windows of `width`
+    /// (at least 1 ns).
+    pub fn new(width: SimDuration) -> Self {
+        WindowIntegrals {
+            width: width.as_nanos().max(1),
+            sums: Vec::new(),
+            at: SimTime::ZERO,
+            value: 0,
+        }
+    }
+
+    /// The window width.
+    pub fn width(&self) -> SimDuration {
+        SimDuration::from_nanos(self.width)
+    }
+
+    /// The function steps to `value` at `at`, which is no earlier than
+    /// its last step: the value it held since is folded into the
+    /// windows it covered.
+    pub fn step(&mut self, at: SimTime, value: u64) {
+        debug_assert!(at >= self.at, "steps run forward");
+        let (mut t, end) = (self.at.as_nanos(), at.as_nanos());
+        if self.value > 0 {
+            while t < end {
+                let k = (t / self.width) as usize;
+                let stop = end.min((t / self.width + 1).saturating_mul(self.width));
+                if self.sums.len() <= k {
+                    self.sums.resize(k + 1, 0);
+                }
+                self.sums[k] = self.sums[k].saturating_add(self.value.saturating_mul(stop - t));
+                t = stop;
+            }
+        }
+        self.at = self.at.max(at);
+        self.value = value;
+    }
+
+    /// The integral over `window`, one of the windows [`tumbling`]
+    /// generates at this width up to a horizon at or past the last
+    /// step. The value of the last step extends to the window's end.
+    pub fn over(&self, window: &Window) -> SimDuration {
+        let k = (window.start.as_nanos() / self.width) as usize;
+        let folded = self.sums.get(k).copied().unwrap_or(0);
+        let from = window.start.max(self.at);
+        let tail = self
+            .value
+            .saturating_mul(window.end.saturating_since(from).as_nanos());
+        SimDuration::from_nanos(folded.saturating_add(tail))
+    }
 }
 
 /// Per-window rollup of settled requests: counts, tail latencies, and
@@ -154,25 +292,37 @@ impl WindowStats {
     }
 }
 
-/// Rolls `samples` (sorted by `(at, req)`) into one [`WindowStats`] per
-/// window. Each window's tails are selected
+/// Rolls the settled requests into one [`WindowStats`] per window:
+/// window `k`'s members are `index.window(k)`, each read through
+/// `sample`. Each window's tails are selected
 /// ([`crate::quantile::nearest_ranks`]) from one scratch buffer reused
 /// across windows, not sorted.
-pub fn window_stats(samples: &[CompletionSample], windows: &[Window]) -> Vec<WindowStats> {
+pub fn window_stats(
+    windows: &[Window],
+    index: &WindowIndex,
+    sample: impl Fn(u32) -> CompletionSample,
+) -> Vec<WindowStats> {
     let mut latencies: Vec<SimDuration> = Vec::new();
     windows
         .iter()
-        .map(|w| {
-            let slice = window_range(samples, w);
+        .enumerate()
+        .map(|(k, w)| {
+            let members = index.window(k);
             latencies.clear();
-            latencies.extend(slice.iter().filter(|s| !s.rejected).map(|s| s.latency));
+            latencies.extend(
+                members
+                    .iter()
+                    .map(|&i| sample(i))
+                    .filter(|s| !s.rejected)
+                    .map(|s| s.latency),
+            );
             let latency_sum: SimDuration = latencies.iter().copied().sum();
             let [p50, p99, p999] =
                 crate::quantile::nearest_ranks(&mut latencies, [0.50, 0.99, 0.999]);
             WindowStats {
                 window: *w,
                 completed: latencies.len() as u64,
-                rejected: (slice.len() - latencies.len()) as u64,
+                rejected: (members.len() - latencies.len()) as u64,
                 p50,
                 p99,
                 p999,
@@ -198,6 +348,16 @@ mod tests {
             latency: SimDuration::millis(lat_ms),
             rejected,
         }
+    }
+
+    /// `samples` indexed into `windows` and rolled up.
+    fn stats_of(samples: &[CompletionSample], windows: &[Window]) -> Vec<WindowStats> {
+        let (horizon, width) = (
+            windows.last().map_or(SimTime::ZERO, |w| w.end),
+            windows[0].width(),
+        );
+        let index = WindowIndex::build(horizon, width, samples.len(), |i| samples[i].at);
+        window_stats(windows, &index, |i| samples[i as usize])
     }
 
     #[test]
@@ -244,7 +404,7 @@ mod tests {
             sample(4, 25, 0, true),
         ];
         let ws = tumbling(t(30), SimDuration::millis(10));
-        let stats = window_stats(&samples, &ws);
+        let stats = stats_of(&samples, &ws);
         assert_eq!(stats.len(), 3);
 
         assert_eq!(stats[0].completed, 3);
@@ -267,22 +427,53 @@ mod tests {
     }
 
     #[test]
-    fn window_range_is_half_open() {
-        let samples = vec![
-            sample(0, 9, 1, false),
-            sample(1, 10, 1, false),
-            sample(2, 19, 1, false),
-            sample(3, 20, 1, false),
-        ];
-        let w = Window {
-            index: 1,
-            start: t(10),
-            end: t(20),
-        };
-        let slice = window_range(&samples, &w);
-        assert_eq!(slice.len(), 2);
-        assert_eq!(slice[0].req, 1);
-        assert_eq!(slice[1].req, 2);
+    fn window_index_is_half_open() {
+        // Listed out of settle order: the index still groups by window
+        // and lists each window's ids ascending.
+        let at = [20, 19, 9, 10, 25, 10];
+        let index = WindowIndex::build(t(30), SimDuration::millis(10), at.len(), |i| t(at[i]));
+        assert_eq!(index.windows(), 3);
+        assert_eq!(index.window(0), &[2]);
+        assert_eq!(index.window(1), &[1, 3, 5]);
+        assert_eq!(index.window(2), &[0, 4]);
+        assert_eq!(index.span(1, 2), &[1, 3, 5, 0, 4]);
+        // At or past the horizon: left out, even inside a clipped window.
+        let short = WindowIndex::build(t(20), SimDuration::millis(10), at.len(), |i| t(at[i]));
+        assert_eq!(short.span(0, 1), &[2, 1, 3, 5]);
+        let clipped = WindowIndex::build(t(25), SimDuration::millis(10), at.len(), |i| t(at[i]));
+        assert_eq!((clipped.windows(), clipped.window(2)), (3, &[0][..]));
+        assert_eq!(
+            WindowIndex::build(t(5), SimDuration::ZERO, 4, |_| t(0)).windows(),
+            0
+        );
+    }
+
+    /// Folded integrals match the series a gauge records for the same
+    /// steps, window by window, including the final value's extension.
+    #[test]
+    fn window_integrals_match_the_recorded_series() {
+        let steps = [(0, 0), (3, 2), (7, 0), (12, 5), (12, 1), (26, 3)];
+        let width = SimDuration::millis(10);
+        let mut folded = WindowIntegrals::new(width);
+        let mut gauge = crate::OrderedGauge::new();
+        let mut last = 0;
+        for &(at_ms, v) in &steps {
+            folded.step(t(at_ms), v);
+            gauge.add(t(at_ms), v as i64 - last);
+            last = v as i64;
+        }
+        let series = gauge.finish("q");
+        let ws = tumbling(t(45), width);
+        for w in &ws {
+            assert_eq!(
+                folded.over(w),
+                series.integral_between(w.start, w.end),
+                "{w:?}"
+            );
+        }
+        assert_eq!(folded.over(&ws[0]), SimDuration::millis(8));
+        assert_eq!(folded.over(&ws[2]), SimDuration::millis(6 + 12));
+        assert_eq!(folded.width(), width);
     }
 
     /// A window large enough that p50, p99 and p999 are three different
@@ -292,7 +483,7 @@ mod tests {
         let samples: Vec<CompletionSample> = (0..1000u32)
             .map(|i| sample(i, 1, 1 + u64::from(i * 7919 % 1000), false))
             .collect();
-        let stats = window_stats(&samples, &tumbling(t(10), SimDuration::millis(10)));
+        let stats = stats_of(&samples, &tumbling(t(10), SimDuration::millis(10)));
         let ms = SimDuration::millis;
         assert_eq!(
             [stats[0].p50, stats[0].p99, stats[0].p999],
@@ -305,7 +496,7 @@ mod tests {
     fn single_completion_is_every_window_quantile() {
         let samples = [sample(0, 5, 7, false), sample(1, 6, 0, true)];
         let ws = tumbling(t(20), SimDuration::millis(10));
-        let stats = window_stats(&samples, &ws);
+        let stats = stats_of(&samples, &ws);
         assert_eq!((stats[0].completed, stats[0].rejected), (1, 1));
         let ms7 = SimDuration::millis(7);
         assert_eq!([stats[0].p50, stats[0].p99, stats[0].p999], [ms7; 3]);

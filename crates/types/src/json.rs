@@ -7,8 +7,9 @@
 //!   `serde::Serialize`: one method streams the value's tokens into a
 //!   [`JsonOut`], and the [`impl_to_json!`](crate::impl_to_json) macro
 //!   generates it for plain structs. No tree is built on the way out.
-//! * [`JsonOut`] — the one writer, over two sinks: compact text into a
-//!   `String`, or a tagged token stream into an [`Fnv64`] digest.
+//! * [`JsonOut`] — the one writer, over three sinks: compact text into a
+//!   `String` or, a buffer at a time, into any [`std::io::Write`], or a
+//!   tagged token stream into an [`Fnv64`] digest.
 //! * [`Json`] — the value tree [`Json::parse`] (a strict
 //!   recursive-descent parser) returns, with accessors and a
 //!   [`std::fmt::Display`] that goes through the same writer.
@@ -22,6 +23,7 @@
 //! ```
 
 use std::fmt::{self, Write as _};
+use std::io;
 
 use crate::hash::Fnv64;
 
@@ -171,15 +173,37 @@ const CLOSE: u8 = 8;
 /// A byte UTF-8 never contains, so one text cannot run into the next.
 const TEXT_END: u8 = 0xFF;
 
+/// How much text the I/O sink gathers before each write.
+const IO_CHUNK: usize = 64 * 1024;
+
 enum Sink<'a> {
     Text(&'a mut String),
     Digest(&'a mut Fnv64),
+    /// Text gathered in `buf` and written to `to` a chunk at a time; the
+    /// first write error stops the writes and waits for
+    /// [`JsonOut::finish`].
+    Io {
+        buf: String,
+        to: &'a mut dyn io::Write,
+        err: Option<io::Error>,
+    },
+}
+
+impl Sink<'_> {
+    /// The text a text sink appends to; `None` for the digest.
+    fn text(&mut self) -> Option<&mut String> {
+        match self {
+            Sink::Text(s) => Some(s),
+            Sink::Io { buf, .. } => Some(buf),
+            Sink::Digest(_) => None,
+        }
+    }
 }
 
 /// The streaming JSON writer [`ToJson::write_json`] drives.
 ///
-/// Into a `String` it writes compact text: no whitespace, object keys in
-/// call order, strings escaped (`"`, `\\`, `\n`, `\r`, `\t`, other
+/// Into a `String`, or through [`JsonOut::io`] into any writer, it writes
+/// compact text: no whitespace, object keys in call order, strings escaped (`"`, `\\`, `\n`, `\r`, `\t`, other
 /// controls as `\u00XX`), integers bare, and finite floats with a
 /// fraction when integral below 1e15 (so they re-parse as floats),
 /// non-finite ones as `null`.
@@ -212,22 +236,67 @@ impl<'a> JsonOut<'a> {
         }
     }
 
+    /// A writer streaming compact JSON text into `to`, the same bytes
+    /// [`JsonOut::text`] appends, a 64 KiB chunk at a time. Call
+    /// [`JsonOut::finish`] to write the rest and learn whether every
+    /// write succeeded.
+    pub fn io(to: &'a mut dyn io::Write) -> Self {
+        JsonOut {
+            sink: Sink::Io {
+                buf: String::with_capacity(IO_CHUNK),
+                to,
+                err: None,
+            },
+            comma: false,
+        }
+    }
+
+    /// Writes what an I/O sink still holds and flushes it, returning
+    /// the first write error; a no-op `Ok` for the other sinks.
+    pub fn finish(self) -> io::Result<()> {
+        match self.sink {
+            Sink::Io { buf, to, err } => match err {
+                Some(e) => Err(e),
+                None => {
+                    to.write_all(buf.as_bytes())?;
+                    to.flush()
+                }
+            },
+            Sink::Text(_) | Sink::Digest(_) => Ok(()),
+        }
+    }
+
+    /// Hands a full I/O buffer to its writer.
+    fn spill(&mut self) {
+        if let Sink::Io { buf, to, err } = &mut self.sink {
+            if buf.len() >= IO_CHUNK {
+                if err.is_none() {
+                    *err = to.write_all(buf.as_bytes()).err();
+                }
+                buf.clear();
+            }
+        }
+    }
+
     /// One token: its text after a separating comma, or its tag and
     /// payload bytes.
     fn token(&mut self, tag: u8, payload: &[u8], text: impl FnOnce(&mut String)) {
+        let comma = self.comma;
         match &mut self.sink {
-            Sink::Text(s) => {
-                if self.comma {
-                    s.push(',');
-                }
-                text(s);
-            }
             Sink::Digest(h) => {
                 h.write_u8(tag);
                 h.write(payload);
             }
+            sink => {
+                let s = sink.text().expect("a text sink");
+                if comma {
+                    s.push(',');
+                }
+                text(s);
+            }
         }
         self.comma = true;
+        self.spill();
     }
 
     /// `null`.
@@ -280,7 +349,7 @@ impl<'a> JsonOut<'a> {
     /// An object key; the next token is its value.
     pub fn key(&mut self, key: &str) {
         self.str(key);
-        if let Sink::Text(s) = &mut self.sink {
+        if let Some(s) = self.sink.text() {
             s.push(':');
         }
         self.comma = false;
@@ -316,10 +385,11 @@ impl<'a> JsonOut<'a> {
         self.comma = false;
         body(self);
         match &mut self.sink {
-            Sink::Text(s) => s.push(close),
             Sink::Digest(h) => h.write_u8(CLOSE),
+            sink => sink.text().expect("a text sink").push(close),
         }
         self.comma = true;
+        self.spill();
     }
 }
 
@@ -749,6 +819,66 @@ macro_rules! impl_to_json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A document several I/O chunks long, with strings that straddle
+    /// chunk boundaries.
+    fn long_document() -> Json {
+        Json::Arr(
+            (0..4_000u64)
+                .map(|i| {
+                    Json::Obj(vec![
+                        ("i".into(), Json::U64(i)),
+                        ("s".into(), Json::Str(format!("row \"{i}\"\n").repeat(3))),
+                        ("f".into(), Json::F64(i as f64 / 7.0)),
+                    ])
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn io_sink_writes_the_text_sinks_bytes() {
+        let doc = long_document();
+        let text = doc.to_json_string();
+        assert!(text.len() > 3 * IO_CHUNK);
+        let mut bytes: Vec<u8> = Vec::new();
+        let mut out = JsonOut::io(&mut bytes);
+        doc.write_json(&mut out);
+        out.finish().expect("a Vec never fails");
+        assert_eq!(bytes, text.as_bytes());
+    }
+
+    #[test]
+    fn io_sink_reports_the_first_write_error() {
+        /// Accepts `room` bytes, then fails every write.
+        struct Full {
+            room: usize,
+            failed: usize,
+        }
+        impl io::Write for Full {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                if self.room == 0 {
+                    self.failed += 1;
+                    return Err(io::Error::other("disk full"));
+                }
+                let n = buf.len().min(self.room);
+                self.room -= n;
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut full = Full {
+            room: IO_CHUNK + 10,
+            failed: 0,
+        };
+        let mut out = JsonOut::io(&mut full);
+        long_document().write_json(&mut out);
+        let err = out.finish().expect_err("the writer filled up");
+        assert_eq!(err.to_string(), "disk full");
+        assert_eq!(full.failed, 1, "no write after the first failure");
+    }
 
     #[test]
     fn writer_produces_compact_json() {

@@ -343,14 +343,25 @@ echo "tier-2: OK (chaos: $chaos_rps req/s under storm, $chaos_fail budget FAILs,
 # peak-intensity storm episode, and export the required BENCH_slo.json
 # fields (windows/sec, incident + alert counts). The calm serving soak
 # must render the explicit empty timeline — both alert polarities live.
+# At 50 ms fast windows (4,874 windows, most holding a few settlements)
+# the window index runs at a width the golden does not cover, and must
+# render the same at 1 and 4 engine threads too.
 echo "==> tier-2: slo watchtower determinism and incident timeline"
 HCC_ENGINE_THREADS=1 ./target/release/slo_watch \
     >"$t2_dir/slo1.out" 2>/dev/null
 HCC_ENGINE_THREADS=4 ./target/release/slo_watch --json "$t2_dir/BENCH_slo.json" \
     >"$t2_dir/slo4.out" 2>/dev/null
+HCC_WATCH_FAST_MS=50 HCC_ENGINE_THREADS=1 ./target/release/slo_watch \
+    >"$t2_dir/slo1_50ms.out" 2>/dev/null
+HCC_WATCH_FAST_MS=50 HCC_ENGINE_THREADS=4 ./target/release/slo_watch \
+    >"$t2_dir/slo4_50ms.out" 2>/dev/null
 
 if ! diff -u "$t2_dir/slo1.out" "$t2_dir/slo4.out"; then
     echo "tier-2: FAIL — slo_watch incident log differs between 1 and 4 threads" >&2
+    exit 1
+fi
+if ! diff -u "$t2_dir/slo1_50ms.out" "$t2_dir/slo4_50ms.out"; then
+    echo "tier-2: FAIL — slo_watch at 50 ms windows differs between 1 and 4 threads" >&2
     exit 1
 fi
 if ! grep -q "x!" "$t2_dir/slo1.out"; then

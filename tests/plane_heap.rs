@@ -1,0 +1,136 @@
+//! Plane heap guard: what the watch and flight planes add to a soak's
+//! peak live heap.
+//!
+//! Both planes are views over the drain's one outcome log, so neither
+//! may keep a per-request copy of it. The watch reads the settled
+//! population through a window index (4 B per request plus one offset
+//! per window), and the flight log keeps one compact record per kept
+//! exemplar, deriving its span tree on demand. This binary wraps the
+//! system allocator with a live-byte counter and drains the stormy soak
+//! three times on fresh engines: planes off, watch only and flight only.
+//! It holds one test, so no other test's allocations share the counter.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+use hcc_bench::chaos::{self, ChaosConfig};
+use hcc_bench::engine::ExperimentEngine;
+use hcc_bench::watch::stormy_soak;
+use hcc_trace::FlightConfig;
+
+/// [`System`], counting live bytes and their peak.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`;
+// the counters only observe sizes.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` obligations pass through.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: as for `alloc`.
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: as for `dealloc`; `new_size` obligations pass through.
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new.is_null() {
+            match new_size.checked_sub(layout.size()) {
+                Some(more) => grow(more),
+                None => {
+                    LIVE.fetch_sub(layout.size() - new_size, Relaxed);
+                }
+            }
+        }
+        new
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// The most bytes `chaos::run` of `cfg` holds at once beyond what was
+/// live before it, on a fresh one-thread engine, and the exemplars its
+/// cell's flight log kept.
+fn peak_of(cfg: &ChaosConfig) -> (usize, usize) {
+    let engine = ExperimentEngine::new(1);
+    let before = LIVE.load(Relaxed);
+    PEAK.store(before, Relaxed);
+    let rep = chaos::run(cfg, &engine);
+    let peak = PEAK.load(Relaxed) - before;
+    let kept = rep.profiles[0].cells[0]
+        .flight
+        .as_ref()
+        .map_or(0, |f| f.samples.len());
+    (peak, kept)
+}
+
+/// Per-exemplar flight cost on this soak before the flight log derived
+/// its spans on demand: 144 B of sample plus a heap span list, and the
+/// outcome log still live while the log resolved.
+const FLIGHT_BYTES_PER_EXEMPLAR_BEFORE: usize = 432;
+
+#[test]
+fn planes_add_no_per_request_copy_to_the_peak_heap() {
+    let off = ChaosConfig {
+        watch: None,
+        flight: None,
+        ..stormy_soak()
+    };
+    let requests = off.requests as usize;
+    // The first run also pays one-time allocations (lazy tables and the
+    // like); only the second planes-off run is the baseline.
+    peak_of(&off);
+    let (base, _) = peak_of(&off);
+    let (watch, _) = peak_of(&ChaosConfig {
+        watch: stormy_soak().watch,
+        ..off.clone()
+    });
+    let (flight, kept) = peak_of(&ChaosConfig {
+        flight: Some(FlightConfig::default()),
+        ..off.clone()
+    });
+    eprintln!(
+        "planes off {base} B, watch only {watch} B (+{:.1} B/request), \
+         flight only {flight} B (+{:.1} B/exemplar over {kept})",
+        watch.saturating_sub(base) as f64 / requests as f64,
+        flight.saturating_sub(base) as f64 / kept.max(1) as f64,
+    );
+    assert!(kept > 0, "the flight plane kept no exemplar");
+    assert!(
+        watch.saturating_sub(base) <= 8 * requests,
+        "the watch adds {} B to a {base} B peak over {requests} requests: more than 8 B each",
+        watch - base
+    );
+    assert!(
+        2 * flight.saturating_sub(base) <= FLIGHT_BYTES_PER_EXEMPLAR_BEFORE * kept,
+        "the flight plane adds {} B over {kept} exemplars: more than half of {} B each",
+        flight - base,
+        FLIGHT_BYTES_PER_EXEMPLAR_BEFORE
+    );
+}

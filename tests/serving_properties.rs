@@ -716,8 +716,35 @@ fn verdicts(run: &cluster::ClusterRun) -> impl PartialEq + std::fmt::Debug + '_ 
         (run.batches, run.cold_starts),
         (run.sessions_established, run.sessions_closed),
         run.td,
-        (run.drained, run.ttr),
+        (run.drained, run.ttr, &run.queue_integrals),
     )
+}
+
+/// Oracle for the drain's folded queue integrals: over every tumbling
+/// window of their width up to `horizon` (at or past the run's end),
+/// each window's integral is the queue series' `integral_between` (zero
+/// with no series), and together they make the whole-run integral.
+fn check_queue_integrals(
+    run: &cluster::ClusterRun,
+    queue: Option<&Series>,
+    horizon: SimTime,
+) -> Result<(), String> {
+    let folded = run.queue_integrals.as_ref();
+    ensure!(
+        folded.is_some(),
+        "no queue integrals although a window was asked for"
+    );
+    let folded = folded.expect("checked");
+    let series = |from: SimTime, to: SimTime| {
+        queue.map_or(SimDuration::ZERO, |q| q.integral_between(from, to))
+    };
+    let mut sum = SimDuration::ZERO;
+    for w in hcc_trace::rollup::tumbling(horizon, folded.width()) {
+        ensure_eq!((w, folded.over(&w)), (w, series(w.start, w.end)));
+        sum += folded.over(&w);
+    }
+    ensure_eq!(sum, series(SimTime::ZERO, horizon));
+    Ok(())
 }
 
 /// Oracle: over random small traces (bursts of same-instant arrivals,
@@ -732,20 +759,23 @@ fn verdicts(run: &cluster::ClusterRun) -> impl PartialEq + std::fmt::Debug + '_ 
 /// random sorted peak ends (at 0, on and between arrival instants, past
 /// the horizon), `ttr` is the queue series' time-to-recover and
 /// `drained` says every depth gauge ended at zero; with no peak ends it
-/// reports no time-to-recover, and with an empty list an empty one. A
-/// run with the metrics plane off reports the same in every field but
+/// reports no time-to-recover, and with an empty list an empty one.
+/// Over random window widths (1 µs to 2 ms), the folded queue integrals
+/// match the queue series window by window up to past the run's end
+/// ([`check_queue_integrals`]); with no window there are none. A run
+/// with the metrics plane off reports the same in every field but
 /// `metrics`, which is empty.
 #[test]
 fn cluster_matches_the_reference_cluster() {
     forall!(
         Config::new(0x5E21_0014).with_cases(24),
-        ((trace, slot_us, picks), (tenants, max_batch)) in (
+        ((trace, slot_us, picks), (tenants, max_batch, window_us)) in (
             (
                 vecs((u64s(0..600), u64s(0..4), u64s(0..4)), 0..40),
                 vecs(u64s(0..500), 11..12),
                 vecs(u64s(0..u64::MAX), 0..8)
             ),
-            (u64s(1..5), u64s(1..5))
+            (u64s(1..5), u64s(1..5), u64s(1..2_000))
         ) => {
             let tenants = default_tenants(tenants as usize);
             let slot_base: Vec<usize> = tenants
@@ -805,6 +835,7 @@ fn cluster_matches_the_reference_cluster() {
                             max_batch: max_batch as usize,
                             tdx: &tdx,
                             peak_ends: Some(&peaks),
+                            queue_window: Some(SimDuration::micros(window_us)),
                             planes: Planes::METRICS,
                         };
                         let run = cluster::simulate(&reqs, &table, &cfg);
@@ -833,6 +864,11 @@ fn cluster_matches_the_reference_cluster() {
                         let ttr = Some(time_to_recover(queue, &peaks));
                         ensure!(run.ttr == ttr, "{kind}/{cc}/{gpus} gpus, peaks {peaks:?}: ttr {:?}, series says {ttr:?}", run.ttr);
                         ensure_eq!(run.drained, depth_gauges_drained(&run.metrics, gpus));
+                        let past_end = run.end + SimDuration::micros(2 * window_us + 1);
+                        check_queue_integrals(&run, queue, past_end)
+                            .map_err(|e| format!("{kind}/{cc}/{gpus} gpus, {window_us} µs windows: {e}"))?;
+                        let unwindowed = cluster::simulate(&reqs, &table, &ClusterConfig { queue_window: None, ..cfg });
+                        ensure_eq!(unwindowed.queue_integrals, None);
 
                         let off = cluster::simulate(&reqs, &table, &ClusterConfig { planes: Planes::NONE, ..cfg });
                         let (off_says, on_says) = (verdicts(&off), verdicts(&run));

@@ -5,7 +5,7 @@
 //! replay bit-for-bit (`HCC_CHECK_SEED=<seed>` overrides).
 
 use hcc_bench::chaos::default_budgets;
-use hcc_bench::watch::{observe, SoakContext, SoakView, WatchConfig};
+use hcc_bench::watch::{observe, Settled, SoakContext, SoakView, WatchConfig};
 use hcc_check::strategy::u64s;
 use hcc_check::{ensure, ensure_eq, forall, Config};
 use hcc_trace::rollup::CompletionSample;
@@ -47,7 +47,7 @@ fn view<'a>(
             horizon,
             storm: None,
         },
-        samples,
+        settled: Settled::Samples(samples),
         queue: None,
         blame: None,
     }
@@ -219,6 +219,73 @@ fn calm_streams_never_alert() {
             ensure_eq!(report.alerts(), 0);
             ensure_eq!(report.incidents.len(), 0);
             ensure_eq!(report.max_burn_milli(), 0);
+        }
+    );
+}
+
+/// Order-independence: the watch reads its settled population by index
+/// through a window index, so listing the same settlements in a seeded
+/// shuffle (or reversed) renders and exports exactly what the canonical
+/// `(settle, req)` order does, queue integrals included, over a horizon
+/// the settlements run past. Every odd
+/// window is emptied onto the edge `k × fast` of the window before it,
+/// and half of the rest settle exactly on their window's edge; each
+/// window's settled count matches a half-open `[start, end)` recount.
+#[test]
+fn observe_is_independent_of_the_settled_order() {
+    use hcc_trace::rollup::WindowIntegrals;
+    use hcc_types::json::ToJson;
+
+    let tenants = default_tenants(2);
+    let names: Vec<String> = tenants.iter().map(|t| t.name.to_string()).collect();
+    let budgets = default_budgets(&tenants);
+    forall!(
+        Config::new(0x5A7C_0004).with_cases(24),
+        (seed, n, fast_ms) in (u64s(0..u64::MAX), u64s(0..300), u64s(1..2_000)) => {
+            let fast = SimDuration::from_nanos(fast_ms * 1_000_000);
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let mut samples = synth_samples(seed, n as usize, 2, 60_000);
+            let width = fast.as_nanos();
+            for s in &mut samples {
+                let k = s.at.as_nanos() / width;
+                if k % 2 == 1 {
+                    s.at = SimTime::from_nanos((k - 1) * width);
+                } else if rng.next_range(2) == 0 {
+                    s.at = SimTime::from_nanos(k * width);
+                }
+            }
+            samples.sort_by_key(|s| (s.at, s.req));
+            let mut shuffled = samples.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.next_range(i as u64 + 1) as usize);
+            }
+            let reversed: Vec<_> = samples.iter().rev().copied().collect();
+            let mut queue = WindowIntegrals::new(fast);
+            for k in 0..40u64 {
+                queue.step(SimTime::from_nanos(k * 1_500_000_000), rng.next_range(6));
+            }
+            let cfg = WatchConfig { fast, ..WatchConfig::default() };
+            // A horizon short of the settlements: the last one ends the
+            // timeline, whichever position it is listed at.
+            let horizon = SimTime::from_nanos(rng.next_range(60_000) * 1_000_000);
+            let seen = |listed: &[hcc_trace::rollup::CompletionSample]| {
+                let report = observe(
+                    &cfg,
+                    &SoakView { queue: Some(&queue), ..view(&names, &budgets, listed, horizon) },
+                );
+                let text = (report.render(), report.to_json_string(), report.to_prometheus());
+                (report, text)
+            };
+            let (canonical, text) = seen(&samples);
+            ensure!(seen(&shuffled).1 == text, "a shuffled listing reads differently");
+            ensure!(seen(&reversed).1 == text, "a reversed listing reads differently");
+            let empty = canonical.windows.iter().filter(|w| w.stats.total() == 0).count();
+            ensure!(canonical.windows.len() < 2 || empty > 0, "no empty window");
+            for row in &canonical.windows {
+                let w = row.stats.window;
+                let inside = samples.iter().filter(|s| w.start <= s.at && s.at < w.end).count();
+                ensure_eq!((w.index, row.stats.total()), (w.index, inside as u64));
+            }
         }
     );
 }
