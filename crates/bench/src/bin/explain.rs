@@ -76,10 +76,15 @@ fn main() {
         Ok(())
     });
 
-    report::section("slowdown explainer — exposed critical time per resource (CC-on minus CC-off)");
+    let head = report::section(
+        "slowdown explainer — exposed critical time per resource (CC-on minus CC-off)",
+    );
+    print!("{head}");
     let (rows, failures) = explain_all();
     print_table(&rows);
-    report::failure_lines(&failures);
+    let mut lines = String::new();
+    report::failure_lines(&mut lines, &failures);
+    print!("{lines}");
 
     // Greppable trailer for CI: the paper's causes must show up in the
     // blame — crypto and bounce-pool exposure on some dense app, UVM

@@ -51,7 +51,8 @@ fn main() {
 /// Runs every standard app under CC with the plan and prints the
 /// breakdown table.
 fn sweep(plan: FaultPlan) {
-    report::section("fault sweep — phase breakdown with T_fault overlay");
+    let head = report::section("fault sweep — phase breakdown with T_fault overlay");
+    print!("{head}");
     println!("plan: {plan}");
     println!(
         "{:<18} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7} {:>7}",

@@ -157,7 +157,8 @@ fn main() {
         Ok(())
     });
 
-    report::section("observability — queue depth & saturation per scenario");
+    let head = report::section("observability — queue depth & saturation per scenario");
+    print!("{head}");
     println!(
         "{:<16} {:>4} {:>7} {:>9} {:>7} {:>9} {:>7} {:>9}  {}",
         "app",
@@ -249,7 +250,8 @@ fn main() {
 
     let soaks = soak_snapshots(serve_soak, chaos_soak);
     if !soaks.is_empty() {
-        report::section("observability — soak snapshots (serving.queue_depth)");
+        let head = report::section("observability — soak snapshots (serving.queue_depth)");
+        print!("{head}");
         println!(
             "{:<28} {:>10} {:>7} {:>9}  {}",
             "soak", "end", "q.pk", "q.mean", "saturated"

@@ -102,7 +102,8 @@ fn perturb(name: &str, up: Calibration, down: Calibration) {
 }
 
 fn main() {
-    report::section("calibration sensitivity (each constant perturbed ±25%)");
+    let head = report::section("calibration sensitivity (each constant perturbed ±25%)");
+    print!("{head}");
     println!("perturbed constant                 headline stats at [-25%, +25%]\n");
 
     // Hypercall multiplier (the paper's +470%).

@@ -1,6 +1,8 @@
-//! Data generators for every figure in the paper's evaluation. Each
-//! submodule computes the rows/series a figure plots; the `src/bin/*`
-//! harnesses print them and the integration tests assert their shape.
+//! Data generators and renderers for every table and figure in the
+//! paper's evaluation. Each submodule computes the rows/series a figure
+//! plots and renders them as the text the `figures` bin prints
+//! ([`Figure`] names them); the integration tests assert their shape and
+//! `tests/golden/figures.txt` freezes their text.
 //!
 //! Every simulation-backed module expresses its runs as [`Scenario`]
 //! requests built through the one construction path below ([`scenario`],
@@ -10,11 +12,16 @@
 //! Modules that need several runs also export a `scenarios()` helper so
 //! harnesses can prefetch the whole population in one parallel batch.
 
+use std::sync::{Arc, OnceLock};
+
 use hcc_runtime::SimConfig;
 use hcc_types::{CcMode, FaultPlan};
-use hcc_workloads::{Scenario, WorkloadSpec};
+use hcc_workloads::{RunResult, Scenario, WorkloadSpec};
 
-use crate::engine::ScenarioFailure;
+use crate::cli::{self, Args, CliError};
+use crate::engine::{ScenarioFailure, ScenarioResult};
+
+pub mod summary;
 
 /// Environment variable carrying a [`FaultPlan`] spec (e.g.
 /// `seed=7,gcm=0.35,bounce=0.3`) that every figure config picks up —
@@ -46,43 +53,73 @@ pub struct Computed<T> {
     pub failures: Vec<ScenarioFailure>,
 }
 
-/// The fault plan selected by [`FAULT_PLAN_ENV`], parsed once per
-/// process. `None` when unset; a malformed spec is reported on stderr
-/// and ignored.
-fn fault_plan_from_env() -> Option<FaultPlan> {
-    static PLAN: std::sync::OnceLock<Option<FaultPlan>> = std::sync::OnceLock::new();
-    PLAN.get_or_init(|| {
-        let spec = std::env::var(FAULT_PLAN_ENV).ok()?;
-        match FaultPlan::parse(&spec) {
-            Ok(plan) => Some(plan),
-            Err(e) => {
-                eprintln!("ignoring {FAULT_PLAN_ENV}: {e}");
-                None
+impl<T> Computed<T> {
+    /// A payload no scenario failed to contribute to.
+    pub fn clean(data: T) -> Self {
+        Computed {
+            data,
+            failures: Vec::new(),
+        }
+    }
+
+    /// The figure's text: `head`, a `!! label: error` line per failure,
+    /// then what `body` writes from the payload. The failures carry over.
+    pub fn render(self, head: String, body: impl FnOnce(&mut String, T)) -> Computed<String> {
+        let mut out = head;
+        crate::report::failure_lines(&mut out, &self.failures);
+        body(&mut out, self.data);
+        Computed {
+            data: out,
+            failures: self.failures,
+        }
+    }
+}
+
+/// The runs of one figure row (`N` of them, e.g. a base/CC pair), or
+/// every failure among them: a row lands only when all its runs did.
+fn runs<const N: usize>(
+    results: &[Arc<ScenarioResult>],
+) -> Result<[&RunResult; N], Vec<ScenarioFailure>> {
+    let mut failures = Vec::new();
+    let runs: Vec<&RunResult> = results
+        .iter()
+        .filter_map(|res| res.run().map_err(|f| failures.push(f)).ok())
+        .collect();
+    if failures.is_empty() {
+        Ok(runs.try_into().expect("a row's chunk holds its N runs"))
+    } else {
+        Err(failures)
+    }
+}
+
+/// Rows in request order, each failed row's failures collected instead.
+impl<T> FromIterator<Result<T, Vec<ScenarioFailure>>> for Computed<Vec<T>> {
+    fn from_iter<I: IntoIterator<Item = Result<T, Vec<ScenarioFailure>>>>(rows: I) -> Self {
+        let mut out = Computed::clean(Vec::new());
+        for row in rows {
+            match row {
+                Ok(row) => out.data.push(row),
+                Err(failures) => out.failures.extend(failures),
             }
         }
-    })
-    .clone()
+        out
+    }
 }
 
-/// Whether [`METRICS_ENV`] enables the metrics plane, read once per
-/// process. Any non-empty value other than `0` counts as on.
-fn metrics_from_env() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| {
-        std::env::var(METRICS_ENV)
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
-    })
-}
-
-/// Whether [`CAUSAL_ENV`] enables causal-edge collection, read once per
-/// process. Any non-empty value other than `0` counts as on.
-fn causal_from_env() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| {
-        std::env::var(CAUSAL_ENV)
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
+/// The process-wide switches every figure config picks up, read once:
+/// the [`FAULT_PLAN_ENV`] plan (`None` when unset; a malformed spec is
+/// reported on stderr and ignored), then whether [`METRICS_ENV`] and
+/// [`CAUSAL_ENV`] are on (any non-empty value other than `0`).
+fn env_switches() -> &'static (Option<FaultPlan>, bool, bool) {
+    static SWITCHES: OnceLock<(Option<FaultPlan>, bool, bool)> = OnceLock::new();
+    SWITCHES.get_or_init(|| {
+        let plan = std::env::var(FAULT_PLAN_ENV).ok().and_then(|spec| {
+            let plan = FaultPlan::parse(&spec);
+            plan.map_err(|e| eprintln!("ignoring {FAULT_PLAN_ENV}: {e}"))
+                .ok()
+        });
+        let on = |var| std::env::var(var).is_ok_and(|v| !v.is_empty() && v != "0");
+        (plan, on(METRICS_ENV), on(CAUSAL_ENV))
     })
 }
 
@@ -90,12 +127,13 @@ fn causal_from_env() -> bool {
 /// process-wide fault plan / metrics / causal switches, when
 /// [`FAULT_PLAN_ENV`], [`METRICS_ENV`], or [`CAUSAL_ENV`] select them).
 pub fn cfg(cc: CcMode) -> SimConfig {
+    let (plan, metrics, causal) = env_switches();
     let cfg = SimConfig::new(cc)
         .with_seed(0xFA11_2025)
-        .with_metrics(metrics_from_env())
-        .with_causal(causal_from_env());
-    match fault_plan_from_env() {
-        Some(plan) => cfg.with_fault_plan(plan),
+        .with_metrics(*metrics)
+        .with_causal(*causal);
+    match plan {
+        Some(plan) => cfg.with_fault_plan(plan.clone()),
         None => cfg,
     }
 }
@@ -104,6 +142,14 @@ pub fn cfg(cc: CcMode) -> SimConfig {
 /// construction path for by-name figure runs.
 pub fn scenario(app: &'static str, cc: CcMode) -> Scenario {
     Scenario::standard(app, cfg(cc))
+}
+
+/// Each app in both modes, base first: a base-vs-CC population.
+fn both_modes(apps: impl IntoIterator<Item = &'static str>) -> Vec<Scenario> {
+    let pairs = apps
+        .into_iter()
+        .map(|app| CcMode::ALL.map(|cc| scenario(app, cc)));
+    pairs.flatten().collect()
 }
 
 /// The managed-memory variant of a standard app, same seed policy.
@@ -116,12 +162,126 @@ pub fn adhoc_scenario(spec: WorkloadSpec, cc: CcMode) -> Scenario {
     Scenario::adhoc(spec, cfg(cc))
 }
 
+/// A table or figure the `figures` bin renders (each Fig. 12 panel is
+/// one), by the name the bin takes for it.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// `table1`, `fig01` … `fig14`, `fig09b` or `fig12a|b|c`.
+    pub name: &'static str,
+    render: fn(bool) -> Computed<String>,
+}
+
+impl Figure {
+    /// Every figure, in the order `figures all` renders them (the order
+    /// of `tests/golden/figures.txt`).
+    pub const ALL: [Figure; 19] = [
+        Figure::new("table1", |_| table1::render()),
+        Figure::new("fig01", |_| fig01::render()),
+        Figure::new("fig02", |_| fig02::render()),
+        Figure::new("fig03", |_| fig03::render()),
+        Figure::new("fig04a", |_| fig04a::render()),
+        Figure::new("fig04b", fig04b::render),
+        Figure::new("fig05", |_| fig05::render()),
+        Figure::new("fig06", |_| fig06::render()),
+        Figure::new("fig07", |_| fig07::render()),
+        Figure::new("fig08", |_| fig08::render()),
+        Figure::new("fig09", |_| fig09::render()),
+        Figure::new("fig09b", |_| fig09b::render()),
+        Figure::new("fig10", |_| fig10::render()),
+        Figure::new("fig11", |_| fig11::render()),
+        Figure::new("fig12a", |_| fig12::render(fig12::Panel::A)),
+        Figure::new("fig12b", |_| fig12::render(fig12::Panel::B)),
+        Figure::new("fig12c", |_| fig12::render(fig12::Panel::C)),
+        Figure::new("fig13", |_| fig13::render()),
+        Figure::new("fig14", |_| fig14::render()),
+    ];
+
+    const fn new(name: &'static str, render: fn(bool) -> Computed<String>) -> Self {
+        Figure { name, render }
+    }
+
+    /// The figures `name` selects: one figure, Fig. 12's three panels
+    /// for `fig12`, or every figure for `all`.
+    pub fn select(name: &str) -> Option<Vec<Figure>> {
+        let picked: Vec<Figure> = Figure::ALL
+            .into_iter()
+            .filter(|f| match name {
+                "all" => true,
+                "fig12" => f.name.starts_with("fig12"),
+                _ => f.name == name,
+            })
+            .collect();
+        (!picked.is_empty()).then_some(picked)
+    }
+
+    /// The figure's text; `functional` fills Fig. 4b's functional column.
+    pub fn render(self, functional: bool) -> Computed<String> {
+        (self.render)(functional)
+    }
+}
+
+/// What the `figures` bin renders: the named figures in order, repeats
+/// kept (every figure when none is named), and whether Fig. 4b measures
+/// its functional column.
+#[derive(Debug, Clone)]
+pub struct Selection {
+    /// The figures to render.
+    pub figures: Vec<Figure>,
+    /// `--functional`: time this repo's crypto for Fig. 4b.
+    pub functional: bool,
+}
+
+impl Selection {
+    /// The `figures` bin's usage line.
+    pub const USAGE: &'static str =
+        "usage: figures [table1|fig01..fig14|fig09b|fig12a|fig12b|fig12c|all ...] [--functional]";
+
+    /// Reads figure names and `--functional`; any other flag, or a name
+    /// [`Figure::select`] does not know, is a typed error.
+    pub fn parse(args: &mut Args) -> Result<Selection, CliError> {
+        const EXPECTED: &str = "expected table1, fig01..fig14, fig09b, fig12a|b|c or all";
+        let mut figures = Vec::new();
+        let mut functional = false;
+        for arg in args.by_ref() {
+            if arg == "--functional" {
+                functional = true;
+            } else if arg.starts_with('-') {
+                return Err(CliError::Unknown { arg });
+            } else {
+                let named = cli::lookup("<figure>", "figure", EXPECTED, arg, Figure::select)?;
+                figures.extend(named);
+            }
+        }
+        if figures.is_empty() {
+            figures = Figure::ALL.to_vec();
+        }
+        Ok(Selection {
+            figures,
+            functional,
+        })
+    }
+}
+
+/// Table I: the evaluation platform configuration.
+pub mod table1 {
+    use hcc_types::calib::SystemConfig;
+
+    /// The platform table, as `SystemConfig` displays it.
+    pub fn render() -> super::Computed<String> {
+        super::Computed::clean(format!("{}\n", SystemConfig::default()))
+    }
+}
+
 /// Fig. 1 / overview: end-to-end phase breakdown of a representative app
 /// under base, CC, and CC+UVM.
 pub mod fig01 {
+    use std::fmt::Write;
+
     use hcc_core::PhaseBreakdown;
     use hcc_types::CcMode;
     use hcc_workloads::Scenario;
+
+    use crate::report;
 
     /// One row of the overview figure.
     #[derive(Debug, Clone)]
@@ -146,33 +306,116 @@ pub mod fig01 {
     /// Computes the three scenarios, collecting failures per row.
     pub fn try_rows() -> super::Computed<Vec<Row>> {
         let results = crate::engine::global().run_all(&scenarios());
-        let mut data = Vec::new();
-        let mut failures = Vec::new();
-        for (label, res) in LABELS.iter().zip(results) {
-            match res.run() {
-                Ok(r) => data.push(Row {
-                    label,
-                    breakdown: PhaseBreakdown::from_timeline(&r.timeline),
-                }),
-                Err(f) => failures.push(f),
-            }
-        }
-        super::Computed { data, failures }
+        let rows = LABELS.iter().zip(results.chunks(1)).map(|(label, run)| {
+            super::runs(run).map(|[r]| Row {
+                label,
+                breakdown: PhaseBreakdown::from_timeline(&r.timeline),
+            })
+        });
+        rows.collect()
     }
 
-    /// Computes the three scenarios on a gemm-class app, rendering any
-    /// failures as per-row lines.
-    pub fn rows() -> Vec<Row> {
-        crate::report::surface(try_rows())
+    /// The overview table: each scenario's phase totals and its bar.
+    pub fn render() -> super::Computed<String> {
+        let mut head = report::section("Fig. 1 — end-to-end overview (gemm-class app)");
+        head.push_str(
+            "scenario                mem       launch       kernel        other         span\n",
+        );
+        try_rows().render(head, |out, rows| {
+            for r in &rows {
+                let b = &r.breakdown;
+                let _ = writeln!(
+                    out,
+                    "{:<14} {:>12} {:>12} {:>12} {:>12} {:>12}",
+                    r.label,
+                    b.mem.to_string(),
+                    b.launch.to_string(),
+                    b.kernel.to_string(),
+                    b.other.to_string(),
+                    b.span.to_string(),
+                );
+                let _ = writeln!(out, "  [{}]", b.render_bar(60));
+            }
+        })
+    }
+}
+
+/// Fig. 2: the CPU–GPU confidential-computing architecture as text, each
+/// component annotated with the crate/module that realizes it and the
+/// calibrated cost it contributes.
+pub mod fig02 {
+    use std::fmt::Write;
+
+    use hcc_types::calib::Calibration;
+
+    /// The annotated diagram and its calibration anchors.
+    pub fn render() -> super::Computed<String> {
+        let calib = Calibration::paper();
+        let hypercall = calib.tdx.hypercall();
+        let vmexit = calib.tdx.vmexit;
+        let mut out = format!(
+            r#"Fig. 2 — architecture overview (trusted components marked [T])
+
+  +------------------------- host (untrusted) --------------------------+
+  |  hypervisor (QEMU)            bounce buffer / swiotlb               |
+  |        ^                      hcc_tee::BounceBufferPool             |
+  |        | hypercalls           (shared pages, set_memory_decrypted)  |
+  +--------|-------------------------------------------|----------------+
+           |                                            |
+  +--------v---------------------+                      |  PCIe 5.0 x16
+  | [T] Intel TDX module (SEAM)  |                      |  AES-GCM (SPDM session)
+  |     hcc_tee::TdContext       |                      |  hcc_crypto::gcm + SpdmSession
+  |     tdx_hypercall {hypercall} vs vmexit {vmexit}    |
+  +--------^---------------------+                      |
+           |                                            |
+  +--------|------------- trust domain [T] -------------|----------------+
+  |  guest OS + NVIDIA driver          private memory (TME-MK, AES-XTS) |
+  |  hcc_runtime::CudaContext          hcc_tee::PrivateMemory           |
+  |  app / workloads                   hcc_workloads::*                 |
+  +-----------------------------------------------------|----------------+
+                                                         |
+  +------------------------- GPU package [T] -----------v----------------+
+  |  command processor (channel rings, depth {ring})                     |
+  |  hcc_gpu::CommandProcessor  -> LQT when the ring fills               |
+  |     |                |                      |                        |
+  |  copy engines    compute engines         GMMU (far faults)          |
+  |  hcc_gpu (H2D/   {slots} kernel slots    hcc_gpu::Gmmu +            |
+  |  D2H/D2D)        (KET, KQT)              hcc_uvm::UvmDriver         |
+  |                                                                      |
+  |  HBM3 94 GB (unencrypted per threat model) — hcc_gpu::DeviceMemory   |
+  +----------------------------------------------------------------------+
+
+"#,
+            ring = calib.gpu.ring_depth,
+            slots = calib.gpu.compute_slots,
+        );
+        out.push_str("calibration anchors in this diagram:\n");
+        let _ = writeln!(
+            out,
+            "  tdx_hypercall {hypercall} = vmexit {vmexit} x{:.1} (the paper's +470%)",
+            calib.tdx.hypercall_mult
+        );
+        let _ = writeln!(
+            out,
+            "  CC transfer pipeline: AES-GCM 3.36 GB/s -> bounce {b} -> DMA {d} -> GPU decrypt {g}",
+            b = calib.pcie.bounce_copy,
+            d = calib.pcie.pinned_h2d,
+            g = calib.pcie.gpu_crypto,
+        );
+        super::Computed::clean(out)
     }
 }
 
 /// Fig. 3: performance-model validation — fitted α/β and prediction
 /// error per app and mode.
 pub mod fig03 {
+    use std::fmt::Write;
+
     use hcc_core::PerfModel;
     use hcc_types::CcMode;
     use hcc_workloads::{suites, Scenario};
+
+    use crate::report;
 
     /// One validation row.
     #[derive(Debug, Clone)]
@@ -191,56 +434,62 @@ pub mod fig03 {
 
     /// Every standard app in both modes.
     pub fn scenarios() -> Vec<Scenario> {
-        let mut out = Vec::new();
-        for spec in suites::all() {
-            for cc in CcMode::ALL {
-                out.push(super::scenario(spec.name, cc));
-            }
-        }
-        out
+        super::both_modes(suites::all().into_iter().map(|spec| spec.name))
     }
 
     /// Fits the model per app/mode, collecting failures per row.
     pub fn try_rows() -> super::Computed<Vec<Row>> {
-        let mut keys = Vec::new();
-        for spec in suites::all() {
-            for cc in CcMode::ALL {
-                keys.push((spec.name, cc));
-            }
-        }
         let results = crate::engine::global().run_all(&scenarios());
-        let mut data = Vec::new();
-        let mut failures = Vec::new();
-        for ((app, cc), res) in keys.into_iter().zip(results) {
-            match res.run() {
-                Ok(r) => {
-                    let fitted = PerfModel::fit(&r.timeline);
-                    data.push(Row {
-                        app,
-                        cc,
-                        alpha: fitted.model.alpha,
-                        beta: fitted.model.beta,
-                        error: fitted.error(),
-                    });
+        let keys = suites::all()
+            .into_iter()
+            .flat_map(|spec| CcMode::ALL.map(|cc| (spec.name, cc)));
+        let rows = keys.zip(results.chunks(1)).map(|((app, cc), run)| {
+            super::runs(run).map(|[r]| {
+                let fitted = PerfModel::fit(&r.timeline);
+                Row {
+                    app,
+                    cc,
+                    alpha: fitted.model.alpha,
+                    beta: fitted.model.beta,
+                    error: fitted.error(),
                 }
-                Err(f) => failures.push(f),
-            }
-        }
-        super::Computed { data, failures }
+            })
+        });
+        rows.collect()
     }
 
-    /// Fits the model to every standard app in both modes, rendering any
-    /// failures as per-row lines.
-    pub fn rows() -> Vec<Row> {
-        crate::report::surface(try_rows())
+    /// The fit table and its worst error.
+    pub fn render() -> super::Computed<String> {
+        let mut head = report::section("Fig. 3 — performance model fit per app");
+        head.push_str("app                mode    alpha     beta     err%\n");
+        try_rows().render(head, |out, rows| {
+            let mut worst: f64 = 0.0;
+            for r in &rows {
+                let _ = writeln!(
+                    out,
+                    "{:<16} {:>6} {:>8.3} {:>8.3} {:>8.2}",
+                    r.app,
+                    r.cc.to_string(),
+                    r.alpha,
+                    r.beta,
+                    r.error * 100.0
+                );
+                worst = worst.max(r.error);
+            }
+            let _ = writeln!(out, "worst fitted error: {:.2}%", worst * 100.0);
+        })
     }
 }
 
 /// Fig. 4a: PCIe transfer bandwidth vs size, pageable/pinned × base/cc.
 pub mod fig04a {
+    use std::fmt::Write;
+
     use hcc_trace::EventKind;
     use hcc_types::{Bandwidth, ByteSize, CcMode, HostMemKind, SimDuration};
     use hcc_workloads::{Op, Scenario, Suite, WorkloadSpec};
+
+    use crate::report;
 
     /// One bandwidth sample.
     #[derive(Debug, Clone, Copy)]
@@ -261,15 +510,11 @@ pub mod fig04a {
     }
 
     fn sweep() -> Vec<(CcMode, HostMemKind, ByteSize)> {
-        let mut out = Vec::new();
-        for cc in CcMode::ALL {
-            for mem in HostMemKind::ALL {
-                for size in sizes() {
-                    out.push((cc, mem, size));
-                }
-            }
-        }
-        out
+        let series = CcMode::ALL.map(|cc| HostMemKind::ALL.map(|mem| (cc, mem)));
+        let series = series.into_iter().flatten();
+        series
+            .flat_map(|(cc, mem)| sizes().into_iter().map(move |size| (cc, mem, size)))
+            .collect()
     }
 
     fn point_spec(size: ByteSize, mem: HostMemKind) -> WorkloadSpec {
@@ -305,33 +550,23 @@ pub mod fig04a {
     /// point.
     pub fn try_series() -> super::Computed<Vec<Point>> {
         let results = crate::engine::global().run_all(&scenarios());
-        let mut data = Vec::new();
-        let mut failures = Vec::new();
-        for ((cc, mem, size), res) in sweep().into_iter().zip(results) {
-            match res.run() {
-                Ok(r) => {
-                    let copy: SimDuration = r
-                        .timeline
-                        .events()
-                        .iter()
-                        .filter(|e| matches!(e.kind, EventKind::Memcpy { .. }))
-                        .map(|e| e.duration())
-                        .sum();
-                    let gbs = Bandwidth::observed(size, copy)
-                        .map(|b| b.as_gb_per_s())
-                        .unwrap_or(0.0);
-                    data.push(Point { size, mem, cc, gbs });
-                }
-                Err(f) => failures.push(f),
-            }
-        }
-        super::Computed { data, failures }
-    }
-
-    /// Measures H2D bandwidth across the sweep, rendering any failures
-    /// as per-row lines.
-    pub fn series() -> Vec<Point> {
-        crate::report::surface(try_series())
+        let points = sweep().into_iter().zip(results.chunks(1));
+        let points = points.map(|((cc, mem, size), run)| {
+            super::runs(run).map(|[r]| {
+                let copy: SimDuration = r
+                    .timeline
+                    .events()
+                    .iter()
+                    .filter(|e| matches!(e.kind, EventKind::Memcpy { .. }))
+                    .map(|e| e.duration())
+                    .sum();
+                let gbs = Bandwidth::observed(size, copy)
+                    .map(|b| b.as_gb_per_s())
+                    .unwrap_or(0.0);
+                Point { size, mem, cc, gbs }
+            })
+        });
+        points.collect()
     }
 
     /// Peak bandwidth for a (mode, kind) pair from a measured series.
@@ -342,12 +577,51 @@ pub mod fig04a {
             .map(|p| p.gbs)
             .fold(0.0, f64::max)
     }
+
+    /// The bandwidth table by size and the four peaks.
+    pub fn render() -> super::Computed<String> {
+        let head = report::section("Fig. 4a — data-transfer bandwidth (GB/s)");
+        try_series().render(head, |out, pts| {
+            out.push_str(
+                "        size  base/pageable    base/pinned    cc/pageable      cc/pinned\n",
+            );
+            for size in sizes() {
+                let val = |cc, mem| {
+                    pts.iter()
+                        .find(|p| p.size == size && p.cc == cc && p.mem == mem)
+                        .map(|p| p.gbs)
+                        .unwrap_or(0.0)
+                };
+                let _ = writeln!(
+                    out,
+                    "{:>12} {:>14.2} {:>14.2} {:>14.2} {:>14.2}",
+                    size.to_string(),
+                    val(CcMode::Off, HostMemKind::Pageable),
+                    val(CcMode::Off, HostMemKind::Pinned),
+                    val(CcMode::On, HostMemKind::Pageable),
+                    val(CcMode::On, HostMemKind::Pinned),
+                );
+            }
+            let _ = writeln!(
+                out,
+                "peaks: base pin {:.2}, base page {:.2}, cc pin {:.2}, cc page {:.2} GB/s",
+                peak(&pts, CcMode::Off, HostMemKind::Pinned),
+                peak(&pts, CcMode::Off, HostMemKind::Pageable),
+                peak(&pts, CcMode::On, HostMemKind::Pinned),
+                peak(&pts, CcMode::On, HostMemKind::Pageable),
+            );
+        })
+    }
 }
 
 /// Fig. 4b: single-core crypto throughput (modeled + functional).
 pub mod fig04b {
+    use std::fmt::Write;
+
     use hcc_crypto::{measure_functional, CryptoAlgorithm, SoftCryptoModel};
     use hcc_types::CpuModel;
+
+    use crate::report;
 
     /// One throughput entry.
     #[derive(Debug, Clone, Copy)]
@@ -385,13 +659,38 @@ pub mod fig04b {
         }
         out
     }
+
+    /// The throughput table; the functional column is `-` unless
+    /// `functional` measures it.
+    pub fn render(functional: bool) -> super::Computed<String> {
+        let mut out = report::section("Fig. 4b — single-core crypto throughput (GB/s)");
+        out.push_str("cpu            algorithm               modeled   functional\n");
+        for e in entries(functional) {
+            let func = e
+                .functional_gbs
+                .map(|v| format!("{v:.3}"))
+                .unwrap_or_else(|| "-".to_string());
+            let _ = writeln!(
+                out,
+                "{:<14} {:<20} {:>10.2} {:>12}",
+                e.cpu.to_string(),
+                e.alg.to_string(),
+                e.modeled_gbs,
+                func
+            );
+        }
+        super::Computed::clean(out)
+    }
 }
 
 /// Fig. 5: per-app copy time, base vs CC, by direction.
 pub mod fig05 {
+    use std::fmt::Write;
+
     use hcc_trace::MemMetrics;
-    use hcc_types::CcMode;
     use hcc_workloads::{suites, Scenario};
+
+    use crate::report;
 
     /// One app's copy-time row.
     #[derive(Debug, Clone)]
@@ -421,37 +720,24 @@ pub mod fig05 {
 
     /// Every copy-carrying standard app in both modes.
     pub fn scenarios() -> Vec<Scenario> {
-        let mut out = Vec::new();
-        for app in population() {
-            out.push(super::scenario(app, CcMode::Off));
-            out.push(super::scenario(app, CcMode::On));
-        }
-        out
+        super::both_modes(population())
     }
 
     /// Runs every copy-carrying app in both modes, collecting failures
     /// per row (a row needs both of its modes to land).
     pub fn try_rows() -> super::Computed<Vec<Row>> {
         let results = crate::engine::global().run_all(&scenarios());
-        let mut data = Vec::new();
-        let mut failures = Vec::new();
-        for (app, pair) in population().into_iter().zip(results.chunks_exact(2)) {
-            match (pair[0].run(), pair[1].run()) {
-                (Ok(base), Ok(cc)) => data.push(Row {
+        let rows = population()
+            .into_iter()
+            .zip(results.chunks(2))
+            .map(|(app, pair)| {
+                super::runs(pair).map(|[base, cc]| Row {
                     app,
                     base: base.timeline.mem_metrics(),
                     cc: cc.timeline.mem_metrics(),
-                }),
-                (base, cc) => failures.extend(base.err().into_iter().chain(cc.err())),
-            }
-        }
-        super::Computed { data, failures }
-    }
-
-    /// Runs every standard app with explicit copies in both modes,
-    /// rendering any failures as per-row lines.
-    pub fn rows() -> Vec<Row> {
-        crate::report::surface(try_rows())
+                })
+            });
+        rows.collect()
     }
 
     /// Mean/max/min slowdown over rows (Observation 3's statistics).
@@ -462,13 +748,45 @@ pub mod fig05 {
         let min = ratios.iter().copied().fold(f64::MAX, f64::min);
         (mean, max, min)
     }
+
+    /// The per-app copy table and Observation 3's statistics.
+    pub fn render() -> super::Computed<String> {
+        let mut head = report::section("Fig. 5 — copy time per app (base vs cc)");
+        head.push_str("app                   b.h2d      b.d2h      b.d2d      c.h2d      c.d2h      c.d2d    ratio\n");
+        try_rows().render(head, |out, rows| {
+            for r in &rows {
+                let _ = writeln!(
+                    out,
+                    "{:<16} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8}",
+                    r.app,
+                    r.base.h2d.to_string(),
+                    r.base.d2h.to_string(),
+                    r.base.d2d.to_string(),
+                    r.cc.h2d.to_string(),
+                    r.cc.d2h.to_string(),
+                    r.cc.d2d.to_string(),
+                    report::ratio(r.slowdown()),
+                );
+            }
+            let (mean, max, min) = stats(&rows);
+            let _ = writeln!(
+                out,
+                "copy slowdown: mean x{mean:.2}, max x{max:.2}, min x{min:.2} \
+                 (paper: 5.80 / 19.69 / 1.17)"
+            );
+        })
+    }
 }
 
 /// Fig. 6: memory-management times, base vs CC.
 pub mod fig06 {
+    use std::fmt::Write;
+
     use hcc_trace::EventKind;
     use hcc_types::{ByteSize, CcMode, HostMemKind, MemSpace, SimDuration};
     use hcc_workloads::{Op, RunResult, Scenario, Suite, WorkloadSpec};
+
+    use crate::report;
 
     /// Aggregated management times for one mode.
     #[derive(Debug, Clone, Copy, Default)]
@@ -548,35 +866,27 @@ pub mod fig06 {
         t
     }
 
-    /// Measures `iters` alloc/free cycles of `size` in one mode,
-    /// reporting the failing scenario instead of panicking (a failed
-    /// mode contributes zeroed times).
-    pub fn try_measure(cc: CcMode, size: ByteSize, iters: u32) -> super::Computed<Times> {
-        let res = crate::engine::global().run(&super::adhoc_scenario(cycle_spec(size, iters), cc));
-        match res.run() {
-            Ok(r) => super::Computed {
-                data: times_from(r),
-                failures: Vec::new(),
-            },
-            Err(f) => super::Computed {
-                data: Times::default(),
-                failures: vec![f],
-            },
-        }
-    }
+    /// The APIs behind the five ratios, with the paper's values.
+    pub const PAPER: [(&str, &str); 5] = [
+        ("cudaMallocHost", "x5.72"),
+        ("cudaMalloc", "x5.67"),
+        ("cudaFree", "x10.54"),
+        ("cudaMallocManaged", "x5.43"),
+        ("managed cudaFree", "x3.35"),
+    ];
 
-    /// Measures `iters` alloc/free cycles of `size` in one mode.
-    pub fn measure(cc: CcMode, size: ByteSize, iters: u32) -> Times {
-        crate::report::surface(try_measure(cc, size, iters))
-    }
-
-    /// The five CC/base ratios, collecting failures from either mode.
+    /// The five CC/base ratios (hmalloc, dmalloc, free, managed alloc,
+    /// managed free) of `iters` alloc/free cycles of `size`, collecting
+    /// failures from either mode (a failed mode contributes zeroed times).
     pub fn try_ratios(size: ByteSize, iters: u32) -> super::Computed<[f64; 5]> {
-        let base = try_measure(CcMode::Off, size, iters);
-        let cc = try_measure(CcMode::On, size, iters);
-        let mut failures = base.failures;
-        failures.extend(cc.failures);
-        let (base, cc) = (base.data, cc.data);
+        let results = crate::engine::global().run_all(&scenarios(size, iters));
+        let mut failures = Vec::new();
+        let [base, cc] = [&results[0], &results[1]].map(|res| {
+            res.run().map(times_from).unwrap_or_else(|f| {
+                failures.push(f);
+                Times::default()
+            })
+        });
         super::Computed {
             data: [
                 cc.hmalloc / base.hmalloc,
@@ -589,17 +899,24 @@ pub mod fig06 {
         }
     }
 
-    /// The five CC/base ratios (hmalloc, dmalloc, free, managed alloc,
-    /// managed free), rendering any failures as per-row lines.
-    pub fn ratios(size: ByteSize, iters: u32) -> [f64; 5] {
-        crate::report::surface(try_ratios(size, iters))
+    /// The five ratios of 40 cycles of 64 MiB, next to the paper's.
+    pub fn render() -> super::Computed<String> {
+        let head = report::section("Fig. 6 — memory management CC/base slowdowns");
+        try_ratios(ByteSize::mib(64), 40).render(head, |out, ratios| {
+            for ((api, paper), r) in PAPER.into_iter().zip(ratios) {
+                let _ = writeln!(out, "{api:<18} {}   (paper {paper})", report::ratio(r));
+            }
+        })
     }
 }
 
 /// Fig. 7: KLO / LQT / KQT per app, CC normalized to base.
 pub mod fig07 {
-    use hcc_types::CcMode;
+    use std::fmt::Write;
+
     use hcc_workloads::{suites, Scenario};
+
+    use crate::report;
 
     /// One app's launch-path ratios.
     #[derive(Debug, Clone)]
@@ -626,43 +943,28 @@ pub mod fig07 {
 
     /// Every multi-launch non-UVM app in both modes.
     pub fn scenarios() -> Vec<Scenario> {
-        let mut out = Vec::new();
-        for (app, _) in population() {
-            out.push(super::scenario(app, CcMode::Off));
-            out.push(super::scenario(app, CcMode::On));
-        }
-        out
+        super::both_modes(population().into_iter().map(|(app, _)| app))
     }
 
     /// Runs every multi-launch app in both modes, collecting failures
     /// per row (a row needs both of its modes to land).
     pub fn try_rows() -> super::Computed<Vec<Row>> {
         let results = crate::engine::global().run_all(&scenarios());
-        let mut data = Vec::new();
-        let mut failures = Vec::new();
-        for ((app, launches), pair) in population().into_iter().zip(results.chunks_exact(2)) {
-            match (pair[0].run(), pair[1].run()) {
-                (Ok(base), Ok(cc)) => {
-                    let b = base.timeline.launch_metrics();
-                    let c = cc.timeline.launch_metrics();
-                    data.push(Row {
-                        app,
-                        launches,
-                        klo: c.total_klo() / b.total_klo(),
-                        lqt: c.total_lqt() / b.total_lqt(),
-                        kqt: c.total_kqt() / b.total_kqt(),
-                    });
+        let pairs = population().into_iter().zip(results.chunks(2));
+        let rows = pairs.map(|((app, launches), pair)| {
+            super::runs(pair).map(|[base, cc]| {
+                let b = base.timeline.launch_metrics();
+                let c = cc.timeline.launch_metrics();
+                Row {
+                    app,
+                    launches,
+                    klo: c.total_klo() / b.total_klo(),
+                    lqt: c.total_lqt() / b.total_lqt(),
+                    kqt: c.total_kqt() / b.total_kqt(),
                 }
-                (base, cc) => failures.extend(base.err().into_iter().chain(cc.err())),
-            }
-        }
-        super::Computed { data, failures }
-    }
-
-    /// Runs every multi-launch app in both modes, rendering any failures
-    /// as per-row lines.
-    pub fn rows() -> Vec<Row> {
-        crate::report::surface(try_rows())
+            })
+        });
+        rows.collect()
     }
 
     /// Observation 6's points over the same population and runs: each
@@ -671,18 +973,13 @@ pub mod fig07 {
     /// copy slowdowns. Failures are collected per app.
     pub fn try_klr_points() -> super::Computed<Vec<(f64, f64)>> {
         let results = crate::engine::global().run_all(&scenarios());
-        let mut data = Vec::new();
-        let mut failures = Vec::new();
-        for pair in results.chunks_exact(2) {
-            match (pair[0].run(), pair[1].run()) {
-                (Ok(base), Ok(cc)) => {
-                    let klr = hcc_core::KlrAnalysis::of(&base.timeline.launch_metrics()).klr;
-                    data.push((klr, launch_window(cc) / launch_window(base)));
-                }
-                (base, cc) => failures.extend(base.err().into_iter().chain(cc.err())),
-            }
-        }
-        super::Computed { data, failures }
+        let points = results.chunks(2).map(|pair| {
+            super::runs(pair).map(|[base, cc]| {
+                let klr = hcc_core::KlrAnalysis::of(&base.timeline.launch_metrics()).klr;
+                (klr, launch_window(cc) / launch_window(base))
+            })
+        });
+        points.collect()
     }
 
     /// From a run's first launch to its last kernel's end.
@@ -708,15 +1005,48 @@ pub mod fig07 {
             hcc_trace::mean_ratio(&kqt),
         )
     }
+
+    /// The per-app launch-path table and its means.
+    pub fn render() -> super::Computed<String> {
+        let mut head = report::section("Fig. 7 — launch-path slowdowns per app");
+        head.push_str("app               launches      KLO      LQT      KQT\n");
+        try_rows().render(head, |out, rows| {
+            for r in &rows {
+                let _ = writeln!(
+                    out,
+                    "{:<16} {:>9} {:>8} {:>8} {:>8}",
+                    r.app,
+                    r.launches,
+                    report::ratio(r.klo),
+                    report::ratio(r.lqt),
+                    report::ratio(r.kqt),
+                );
+            }
+            let (klo, lqt, kqt) = means(&rows);
+            let _ = writeln!(
+                out,
+                "means: KLO x{klo:.2} (paper 1.42), LQT x{lqt:.2} (paper 1.43), \
+                 KQT x{kqt:.2} (paper 2.32)"
+            );
+        })
+    }
 }
 
 /// Fig. 8: the `cudaLaunchKernel` call stack inside a TD.
 pub mod fig08 {
+    use std::fmt::Write;
+
     use hcc_tee::TdContext;
-    use hcc_trace::critpath::{Attribution, ResourceClass};
+    use hcc_trace::critpath::{self, Attribution, ResourceClass};
     use hcc_trace::CallFrame;
     use hcc_types::calib::Calibration;
     use hcc_types::{CcMode, SimDuration};
+    use hcc_workloads::Scenario;
+
+    use crate::report;
+
+    /// The launch-heavy dense app whose critical path anchors the marks.
+    const APP: &str = "gemm";
 
     /// The resource class each Fig. 8 frame occupies, keyed by frame
     /// name: the swiotlb/page-conversion branch draws on the bounce
@@ -775,12 +1105,50 @@ pub mod fig08 {
             ),
         )
     }
+
+    /// The call stack in each mode, with the frames whose resource class
+    /// holds critical-path time in a causal run of [`APP`] marked `*`. A
+    /// mode whose run failed renders its stack unmarked.
+    pub fn render() -> super::Computed<String> {
+        let batch = CcMode::ALL.map(|cc| Scenario::standard(APP, super::cfg(cc).with_causal(true)));
+        let results = crate::engine::global().run_all(&batch);
+        let mut out = super::Computed::clean(String::new());
+        for (&cc, result) in CcMode::ALL.iter().zip(&results) {
+            out.data.push_str(&report::section(&format!(
+                "Fig. 8 — cudaLaunchKernel call stack [{cc}]"
+            )));
+            let mut stack = callstack(cc);
+            match result.run() {
+                Ok(run) => {
+                    let path = critpath::extract(&run.timeline, &run.causal);
+                    mark_critical_frames(&mut stack, &path.attribution());
+                    out.data.push_str(&stack.render());
+                    let _ = writeln!(
+                        out.data,
+                        "* = frame's resource class holds critical-path time in {APP} \
+                         ({} frames marked)",
+                        stack.critical_frames().len()
+                    );
+                }
+                Err(f) => {
+                    out.data.push_str(&stack.render());
+                    out.failures.push(f);
+                }
+            }
+        }
+        out
+    }
 }
 
 /// Fig. 9: KET normalized to the base non-UVM run.
 pub mod fig09 {
+    use std::fmt::Write;
+
+    use hcc_trace::{geomean, mean_ratio};
     use hcc_types::{CcMode, SimDuration};
     use hcc_workloads::{suites, Scenario};
+
+    use crate::report;
 
     /// One app's four KET totals.
     #[derive(Debug, Clone)]
@@ -831,46 +1199,135 @@ pub mod fig09 {
     /// needs all four of its configurations to land).
     pub fn try_rows() -> super::Computed<Vec<Row>> {
         let results = crate::engine::global().run_all(&scenarios());
-        let mut data = Vec::new();
-        let mut failures = Vec::new();
-        for (name, quad) in suites::UVM_VARIANT_APPS.iter().zip(results.chunks_exact(4)) {
-            let mut kets = [SimDuration::ZERO; 4];
-            let mut ok = true;
-            for (slot, res) in kets.iter_mut().zip(quad) {
-                match res.run() {
-                    Ok(r) => *slot = r.timeline.launch_metrics().total_ket(),
-                    Err(f) => {
-                        failures.push(f);
-                        ok = false;
-                    }
+        let quads = suites::UVM_VARIANT_APPS.iter().zip(results.chunks(4));
+        let rows = quads.map(|(name, quad)| {
+            super::runs(quad).map(|runs| {
+                let [base, cc, base_uvm, cc_uvm] =
+                    runs.map(|r| r.timeline.launch_metrics().total_ket());
+                Row {
+                    app: suites::by_name(name).expect("explicit variant").name,
+                    base,
+                    cc,
+                    base_uvm,
+                    cc_uvm,
                 }
-            }
-            if ok {
-                let explicit = suites::by_name(name).expect("explicit variant");
-                data.push(Row {
-                    app: explicit.name,
-                    base: kets[0],
-                    cc: kets[1],
-                    base_uvm: kets[2],
-                    cc_uvm: kets[3],
-                });
-            }
-        }
-        super::Computed { data, failures }
+            })
+        });
+        rows.collect()
     }
 
-    /// Runs the Fig. 9 population in all four configurations, rendering
-    /// any failures as per-row lines.
-    pub fn rows() -> Vec<Row> {
-        crate::report::surface(try_rows())
+    /// Observation 5's statistics: the mean non-UVM ratio, the mean
+    /// base-UVM slowdown, and the UVM-CC slowdowns' geomean and max.
+    pub fn stats(rows: &[Row]) -> (f64, f64, f64, f64) {
+        let of = |f: fn(&Row) -> f64| rows.iter().map(f).collect::<Vec<_>>();
+        let uvm_cc = of(Row::uvm_cc_slowdown);
+        let max = uvm_cc.iter().copied().fold(0.0, f64::max);
+        let nonuvm = mean_ratio(&of(Row::nonuvm_ratio));
+        (
+            nonuvm,
+            mean_ratio(&of(Row::uvm_base_slowdown)),
+            geomean(&uvm_cc),
+            max,
+        )
+    }
+
+    /// The per-app KET table and Observation 5's statistics.
+    pub fn render() -> super::Computed<String> {
+        let mut head = report::section("Fig. 9 — KET normalized to base non-UVM");
+        head.push_str("app             cc/base    uvm(base)      uvm(cc)    uvm-cc/base\n");
+        try_rows().render(head, |out, rows| {
+            for r in &rows {
+                let _ = writeln!(
+                    out,
+                    "{:<12} {:>10} {:>12} {:>12} {:>14}",
+                    r.app,
+                    report::ratio(r.nonuvm_ratio()),
+                    report::ratio(r.uvm_base_slowdown()),
+                    report::ratio(r.cc_uvm / r.base_uvm),
+                    report::ratio(r.uvm_cc_slowdown()),
+                );
+            }
+            let (nonuvm, uvm_base, uvm_cc, max) = stats(&rows);
+            let _ = writeln!(
+                out,
+                "non-UVM mean x{nonuvm:.4} (paper +0.48%); \
+                 UVM base mean x{uvm_base:.2} (paper 5.29); \
+                 UVM-CC geomean x{uvm_cc:.1} (paper mean 188.87, max 164030)"
+            );
+            let _ = writeln!(out, "UVM-CC max x{max:.0}");
+        })
+    }
+}
+
+/// Fig. 9 companion: the oversubscription tail. The paper's 2dconv UVM-CC
+/// datapoint (×164,030) comes from eviction thrash, not cold misses; this
+/// sweeps residency budgets and pass counts to regenerate that regime.
+pub mod fig09b {
+    use std::fmt::Write;
+
+    use hcc_gpu::{Gmmu, ManagedId};
+    use hcc_tee::TdContext;
+    use hcc_types::calib::{TdxCalib, UvmCalib};
+    use hcc_types::{ByteSize, CcMode, SimDuration};
+    use hcc_uvm::UvmDriver;
+
+    use crate::report;
+
+    /// The CC KET blow-up of a 256 MiB streamed working set per
+    /// residency budget and pass count.
+    pub fn render() -> super::Computed<String> {
+        let mut out =
+            report::section("Fig. 9b — UVM oversubscription thrash (working set 256 MiB)");
+        let calib = UvmCalib::default();
+        let working_set = ByteSize::mib(256);
+        let pages = working_set.pages(calib.page);
+        let nominal_ket = SimDuration::micros(5); // a 2dconv-class tiny kernel
+
+        out.push_str("      budget  passes           base             cc cc KET blowup\n");
+        for budget_frac in [2.0, 1.0, 0.5] {
+            for passes in [1u32, 10, 50] {
+                let budget = ((pages as f64) * budget_frac) as u64;
+                let run = |cc: CcMode| {
+                    let mut gmmu = Gmmu::new();
+                    let id = ManagedId(1);
+                    gmmu.register(id, working_set, calib.page);
+                    let mut td = TdContext::new(cc, TdxCalib::default());
+                    let mut drv = UvmDriver::new(calib.clone(), cc);
+                    drv.service_streaming_passes(&mut gmmu, &mut td, id, pages, budget, passes)
+                        .expect("thrash run")
+                        .total_time
+                };
+                let base = run(CcMode::Off);
+                let cc = run(CcMode::On);
+                let _ = writeln!(
+                    out,
+                    "{:>11}x {:>7} {:>14} {:>14} {:>11}",
+                    budget_frac,
+                    passes,
+                    base.to_string(),
+                    cc.to_string(),
+                    report::ratio(cc / nominal_ket),
+                );
+            }
+        }
+        out.push_str(
+            "\nAt 0.5x budget and 50 streaming passes the CC KET blow-up reaches the\n\
+             10^5x regime of the paper's 2dconv tail; with a fitting working set the\n\
+             cost collapses back to a single cold migration.\n",
+        );
+        super::Computed::clean(out)
     }
 }
 
 /// Fig. 10: launch/kernel event scatter across the app lifetime.
 pub mod fig10 {
+    use std::fmt::Write;
+
     use hcc_trace::EventKind;
     use hcc_types::CcMode;
     use hcc_workloads::suites;
+
+    use crate::report;
 
     /// One scatter point.
     #[derive(Debug, Clone, Copy)]
@@ -893,18 +1350,14 @@ pub mod fig10 {
     /// per the figure's note. Failed modes are skipped and reported.
     pub fn try_scatter(app: &str) -> super::Computed<Vec<Point>> {
         let spec = suites::by_name(app).expect("known app");
-        let requests: Vec<_> = CcMode::ALL
-            .into_iter()
-            .map(|cc| super::scenario(spec.name, cc))
-            .collect();
+        let requests = super::both_modes([spec.name]);
         let results = crate::engine::global().run_all(&requests);
-        let mut out = Vec::new();
-        let mut failures = Vec::new();
+        let mut out = super::Computed::clean(Vec::new());
         for (cc, res) in CcMode::ALL.into_iter().zip(results) {
             let run = match res.run() {
-                Ok(r) => r,
+                Ok(run) => run,
                 Err(f) => {
-                    failures.push(f);
+                    out.failures.push(f);
                     continue;
                 }
             };
@@ -912,20 +1365,20 @@ pub mod fig10 {
                 .timeline
                 .events()
                 .iter()
-                .filter_map(|e| match e.kind {
-                    EventKind::Launch { .. } => Some(Point {
-                        start_us: e.start.as_micros_f64(),
-                        duration_us: e.duration().as_micros_f64(),
-                        is_kernel: false,
+                .filter_map(|e| {
+                    let is_kernel = match e.kind {
+                        EventKind::Launch { .. } => false,
+                        EventKind::Kernel { .. } => true,
+                        _ => return None,
+                    };
+                    let (start_us, duration_us) =
+                        (e.start.as_micros_f64(), e.duration().as_micros_f64());
+                    Some(Point {
+                        start_us,
+                        duration_us,
+                        is_kernel,
                         cc,
-                    }),
-                    EventKind::Kernel { .. } => Some(Point {
-                        start_us: e.start.as_micros_f64(),
-                        duration_us: e.duration().as_micros_f64(),
-                        is_kernel: true,
-                        cc,
-                    }),
-                    _ => None,
+                    })
                 })
                 .collect();
             // "The events with the longest duration are excluded for
@@ -937,26 +1390,55 @@ pub mod fig10 {
             }) {
                 pts.swap_remove(idx);
             }
-            out.extend(pts);
+            out.data.extend(pts);
+        }
+        out
+    }
+
+    /// Per app: the event counts and a sample of every Nth point.
+    pub fn render() -> super::Computed<String> {
+        let mut out = String::new();
+        let mut failures = Vec::new();
+        for app in APPS {
+            out.push_str(&report::section(&format!("Fig. 10 — event scatter: {app}")));
+            let computed = try_scatter(app);
+            report::failure_lines(&mut out, &computed.failures);
+            failures.extend(computed.failures);
+            let pts = computed.data;
+            let launches = pts.iter().filter(|p| !p.is_kernel).count();
+            let kernels = pts.iter().filter(|p| p.is_kernel).count();
+            let _ = writeln!(out, "{launches} launch events, {kernels} kernel events");
+            // A compressed sample: every Nth point.
+            let step = (pts.len() / 24).max(1);
+            out.push_str("   idx     start_us       dur_us     kind   mode\n");
+            for (i, p) in pts.iter().enumerate().step_by(step) {
+                let _ = writeln!(
+                    out,
+                    "{:>6} {:>12.1} {:>12.2} {:>8} {:>6}",
+                    i,
+                    p.start_us,
+                    p.duration_us,
+                    if p.is_kernel { "kernel" } else { "launch" },
+                    p.cc.to_string(),
+                );
+            }
         }
         super::Computed {
             data: out,
             failures,
         }
     }
-
-    /// Event scatter for one app in both modes, rendering any failures
-    /// as per-row lines.
-    pub fn scatter(app: &str) -> Vec<Point> {
-        crate::report::surface(try_scatter(app))
-    }
 }
 
 /// Fig. 11: CDFs of KLO and KET, base vs CC.
 pub mod fig11 {
+    use std::fmt::Write;
+
     use hcc_trace::Cdf;
-    use hcc_types::CcMode;
+    use hcc_types::{CcMode, SimDuration};
     use hcc_workloads::{suites, Scenario};
+
+    use crate::report;
 
     /// CDF pair for one metric.
     #[derive(Debug, Clone)]
@@ -969,16 +1451,8 @@ pub mod fig11 {
 
     /// Every non-UVM standard app in both modes.
     pub fn scenarios() -> Vec<Scenario> {
-        let mut out = Vec::new();
-        for spec in suites::all() {
-            if spec.uvm {
-                continue;
-            }
-            for cc in CcMode::ALL {
-                out.push(super::scenario(spec.name, cc));
-            }
-        }
-        out
+        let non_uvm = suites::all().into_iter().filter(|spec| !spec.uvm);
+        super::both_modes(non_uvm.map(|spec| spec.name))
     }
 
     /// Pools every non-UVM app's launches/kernels and builds the CDFs,
@@ -986,56 +1460,83 @@ pub mod fig11 {
     pub fn try_klo_and_ket() -> super::Computed<(CdfPair, CdfPair)> {
         let requests = scenarios();
         let results = crate::engine::global().run_all(&requests);
-        let mut klo = (Vec::new(), Vec::new());
-        let mut ket = (Vec::new(), Vec::new());
+        // [KLO, KET] samples, each [base, cc].
+        let mut pools: [[Vec<SimDuration>; 2]; 2] = Default::default();
         let mut failures = Vec::new();
         for (scn, res) in requests.iter().zip(results) {
-            let run = match res.run() {
-                Ok(r) => r,
-                Err(f) => {
-                    failures.push(f);
-                    continue;
+            match res.run() {
+                Ok(run) => {
+                    let lm = run.timeline.launch_metrics();
+                    let mode = usize::from(scn.cc() == CcMode::On);
+                    pools[0][mode].extend(lm.klos());
+                    pools[1][mode].extend(lm.kets());
                 }
-            };
-            let lm = run.timeline.launch_metrics();
-            match scn.cc() {
-                CcMode::Off => {
-                    klo.0.extend(lm.klos());
-                    ket.0.extend(lm.kets());
-                }
-                CcMode::On => {
-                    klo.1.extend(lm.klos());
-                    ket.1.extend(lm.kets());
-                }
+                Err(f) => failures.push(f),
             }
         }
+        let [klo, ket] = pools.map(|[base, cc]| CdfPair {
+            base: Cdf::from_durations(base),
+            cc: Cdf::from_durations(cc),
+        });
         super::Computed {
-            data: (
-                CdfPair {
-                    base: Cdf::from_durations(klo.0),
-                    cc: Cdf::from_durations(klo.1),
-                },
-                CdfPair {
-                    base: Cdf::from_durations(ket.0),
-                    cc: Cdf::from_durations(ket.1),
-                },
-            ),
+            data: (klo, ket),
             failures,
         }
     }
 
-    /// Pools every non-UVM app's launches/kernels and builds the CDFs,
-    /// rendering any failures as per-row lines.
-    pub fn klo_and_ket() -> (CdfPair, CdfPair) {
-        crate::report::surface(try_klo_and_ket())
+    /// Quantiles and means of both CDF pairs, KLO's top 5 launches
+    /// trimmed for display.
+    pub fn render() -> super::Computed<String> {
+        try_klo_and_ket().render(String::new(), |out, (klo, ket)| {
+            quantile_table(
+                out,
+                "Fig. 11a — KLO CDF (top 5 launches trimmed for display)",
+                &klo.base.trim_top(5),
+                &klo.cc.trim_top(5),
+            );
+            let _ = writeln!(
+                out,
+                "mean KLO (untrimmed): base {} vs cc {} => {}",
+                klo.base.mean(),
+                klo.cc.mean(),
+                report::ratio(klo.cc.mean() / klo.base.mean())
+            );
+            quantile_table(out, "Fig. 11b — KET CDF", &ket.base, &ket.cc);
+            let _ = writeln!(
+                out,
+                "mean KET: base {} vs cc {} => {}",
+                ket.base.mean(),
+                ket.cc.mean(),
+                report::ratio(ket.cc.mean() / ket.base.mean())
+            );
+        })
+    }
+
+    /// A section of base and CC quantiles side by side.
+    fn quantile_table(out: &mut String, title: &str, base: &Cdf, cc: &Cdf) {
+        out.push_str(&report::section(title));
+        let _ = writeln!(out, "{:>8} {:>12} {:>12}", "q", "base", "cc");
+        for q in [0.1, 0.25, 0.5, 0.75, 0.9, 0.99] {
+            let _ = writeln!(
+                out,
+                "{:>8.2} {:>12} {:>12}",
+                q,
+                base.quantile(q).to_string(),
+                cc.quantile(q).to_string()
+            );
+        }
     }
 }
 
 /// Fig. 13: CNN training throughput/time grid.
 pub mod fig13 {
+    use std::fmt::Write;
+
     use hcc_core::Precision;
     use hcc_ml::cnn::{CnnEstimator, TrainConfig, MODELS};
     use hcc_types::CcMode;
+
+    use crate::report;
 
     /// One grid cell.
     #[derive(Debug, Clone)]
@@ -1100,12 +1601,42 @@ pub mod fig13 {
         }
         out
     }
+
+    /// The grid and the mean CC throughput drops.
+    pub fn render() -> super::Computed<String> {
+        let mut out = report::section("Fig. 13 — CNN training under CC");
+        out.push_str("model           batch   prec   mode        img/s  norm time\n");
+        for r in rows() {
+            let _ = writeln!(
+                out,
+                "{:<14} {:>6} {:>6} {:>6} {:>12.0} {:>10.3}",
+                r.model,
+                r.batch,
+                r.precision.to_string(),
+                r.cc.to_string(),
+                r.throughput,
+                r.norm_time
+            );
+        }
+        let est = CnnEstimator::default();
+        let _ = writeln!(
+            out,
+            "mean CC throughput drop: batch64 {:.1}% (paper 24), batch1024 {:.1}% (paper 7.3)",
+            est.mean_cc_drop(64, Precision::Fp32) * 100.0,
+            est.mean_cc_drop(1024, Precision::Fp32) * 100.0
+        );
+        super::Computed::clean(out)
+    }
 }
 
 /// Fig. 14: vLLM speedup grid over the HF BF16 CC-off baseline.
 pub mod fig14 {
+    use std::fmt::Write;
+
     use hcc_ml::llm::{LlmEstimator, LlmPrecision, FIG14_BATCHES};
     use hcc_types::CcMode;
+
+    use crate::report;
 
     /// One grid cell.
     #[derive(Debug, Clone, Copy)]
@@ -1138,6 +1669,32 @@ pub mod fig14 {
         }
         out
     }
+
+    /// The speedup grid, one row per batch size.
+    pub fn render() -> super::Computed<String> {
+        let mut out = report::section("Fig. 14 — vLLM speedup over HF/BF16/CC-off");
+        let grid = grid();
+        out.push_str(" batch    BF16/CC-off     BF16/CC-on     AWQ/CC-off      AWQ/CC-on\n");
+        for b in FIG14_BATCHES {
+            let get = |prec, cc| {
+                grid.iter()
+                    .find(|c| c.batch == b && c.precision == prec && c.cc == cc)
+                    .map(|c| c.speedup)
+                    .unwrap_or(0.0)
+            };
+            let _ = writeln!(
+                out,
+                "{:>6} {:>14.2} {:>14.2} {:>14.2} {:>14.2}",
+                b,
+                get(LlmPrecision::Bf16, CcMode::Off),
+                get(LlmPrecision::Bf16, CcMode::On),
+                get(LlmPrecision::Awq, CcMode::Off),
+                get(LlmPrecision::Awq, CcMode::On),
+            );
+        }
+        out.push_str("(all cells > 1.0: vLLM beats the HF baseline everywhere, incl. under CC)\n");
+        super::Computed::clean(out)
+    }
 }
 
 /// Fig. 12: microbenchmarks — launch trains (a), the fusion sweep (b)
@@ -1145,9 +1702,24 @@ pub mod fig14 {
 /// that produce the plotted series. These drive their own multi-stream
 /// contexts directly, so they stay outside the scenario engine.
 pub mod fig12 {
+    use std::fmt::Write;
+
     use hcc_trace::LaunchRecord;
     use hcc_types::{ByteSize, CcMode, SimDuration};
     use hcc_workloads::micro::{self, FusionPoint, OverlapResult};
+
+    use crate::report;
+
+    /// One of the figure's three panels.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Panel {
+        /// KLO per launch index.
+        A,
+        /// The fusion sweep.
+        B,
+        /// Stream overlap.
+        C,
+    }
 
     /// (a) KLO per launch index for K0 x n0 then K1 x n1.
     pub fn launch_train(cc: CcMode, n0: u32, n1: u32) -> Vec<LaunchRecord> {
@@ -1181,5 +1753,71 @@ pub mod fig12 {
                 )
             })
             .collect()
+    }
+
+    /// One panel's section.
+    pub fn render(panel: Panel) -> super::Computed<String> {
+        super::Computed::clean(match panel {
+            Panel::A => panel_a(),
+            Panel::B => panel_b(),
+            Panel::C => panel_c(),
+        })
+    }
+
+    fn panel_a() -> String {
+        let mut out = report::section("Fig. 12a — KLO vs launch index (K0 x100 then K1 x100)");
+        for cc in CcMode::ALL {
+            let recs = launch_train(cc, 100, 100);
+            let _ = writeln!(out, "[{cc}]");
+            let _ = writeln!(out, "{:>6} {:>12} {:>6}", "idx", "KLO", "first");
+            for i in [0usize, 1, 2, 50, 99, 100, 101, 150, 199] {
+                let r = &recs[i];
+                let _ = writeln!(out, "{:>6} {:>12} {:>6}", i, r.klo.to_string(), r.first);
+            }
+        }
+        out
+    }
+
+    fn panel_b() -> String {
+        let mut out =
+            report::section("Fig. 12b — fusion sweep (total KET 100ms split into N launches)");
+        for cc in CcMode::ALL {
+            let _ = writeln!(out, "[{cc}]");
+            out.push_str(" launches      sum KLO      sum LQT         span\n");
+            for p in fusion_sweep(cc, SimDuration::millis(100), 1024) {
+                let _ = writeln!(
+                    out,
+                    "{:>9} {:>12} {:>12} {:>12}",
+                    p.launches,
+                    p.total_klo.to_string(),
+                    p.total_lqt.to_string(),
+                    p.span.to_string()
+                );
+            }
+        }
+        out
+    }
+
+    fn panel_c() -> String {
+        let mut out = report::section("Fig. 12c — overlap speedup vs stream count");
+        let streams = [1u32, 2, 4, 8, 16, 32, 64];
+        for total in [ByteSize::mib(512), ByteSize::gib(1)] {
+            for ket in [SimDuration::millis(1), SimDuration::millis(100)] {
+                let _ = writeln!(out, "total {total}, KET {ket}:");
+                let _ = writeln!(out, "{:>8} {:>12} {:>12}", "streams", "base", "cc");
+                let base = overlap_series(CcMode::Off, total, ket, &streams);
+                let cc = overlap_series(CcMode::On, total, ket, &streams);
+                for ((n, b), (_, c)) in base.iter().zip(cc.iter()) {
+                    let _ = writeln!(
+                        out,
+                        "{:>8} {:>12} {:>12}",
+                        n,
+                        report::ratio(b.speedup()),
+                        report::ratio(c.speedup())
+                    );
+                }
+            }
+        }
+        out
     }
 }

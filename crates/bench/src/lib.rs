@@ -1,15 +1,15 @@
 //! # hcc-bench
 //!
 //! Figure regeneration for the paper's entire evaluation: [`figures`]
-//! computes the data series behind Tables/Figures 1–14, the `src/bin/*`
-//! harnesses print them in the rows the paper reports, and the in-repo
-//! benches under `benches/` (driven by [`harness`]) measure the hot paths
-//! plus the DESIGN.md ablations (bounce-pool reuse, UVM batching/prefetch,
-//! crypto choice, ring depth).
+//! computes the data series behind Tables/Figures 1–14 and renders them
+//! in the rows the paper reports, the `figures` and `summary` bins print
+//! them, and the in-repo benches under `benches/` (driven by [`harness`])
+//! measure the hot paths plus the DESIGN.md ablations (bounce-pool reuse,
+//! UVM batching/prefetch, crypto choice, ring depth).
 //!
-//! Run a harness with e.g.
-//! `cargo run -p hcc-bench --bin fig05_copy` — each prints a table whose
-//! shape should be compared against the corresponding figure (see
+//! Render a figure with e.g. `cargo run -p hcc-bench --bin figures --
+//! fig05` (no name renders them all): each prints a table whose shape
+//! should be compared against the corresponding figure (see
 //! EXPERIMENTS.md at the repo root for the recorded comparison).
 //!
 //! All simulation-backed figures route their runs through the [`engine`]:

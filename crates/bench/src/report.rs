@@ -1,17 +1,13 @@
-//! Small output helpers shared by the figure harnesses: fixed-width
-//! tables and failure lines on stdout.
+//! Small output helpers shared by the figure renderers: section headers,
+//! ratio cells and failure lines, all written into the report text.
 
-use std::fmt::Display;
+use std::fmt::Write;
 
-/// Prints a header followed by a rule line.
-pub fn section(title: &str) {
-    println!("\n=== {title} ===");
-}
+use crate::engine::ScenarioFailure;
 
-/// Prints a row of fixed-width cells.
-pub fn row<D: Display>(cells: &[D]) {
-    let line: Vec<String> = cells.iter().map(|c| format!("{c:>14}")).collect();
-    println!("{}", line.join(" "));
+/// A section header: a blank line, then `=== title ===`.
+pub fn section(title: &str) -> String {
+    format!("\n=== {title} ===\n")
 }
 
 /// Formats a ratio as `x N.NN`.
@@ -23,28 +19,21 @@ pub fn ratio(v: f64) -> String {
     }
 }
 
-/// Prints each failure as a `!! label: error` line, keeping the figure
-/// partially rendered instead of aborting it. Deterministic: failures
-/// arrive in request order, so stdout stays thread-count invariant.
-pub fn failure_lines(failures: &[crate::engine::ScenarioFailure]) {
+/// Appends each failure to `out` as a `!! label: error` line, keeping
+/// the figure partially rendered instead of aborting it. Deterministic:
+/// failures arrive in request order, so the text stays thread-count
+/// invariant.
+pub fn failure_lines(out: &mut String, failures: &[ScenarioFailure]) {
     for f in failures {
-        println!("!! {f}");
+        let _ = writeln!(out, "!! {f}");
     }
-}
-
-/// Renders a [`Computed`](crate::figures::Computed) figure's failure
-/// lines and returns the surviving rows — the module-level `rows()`
-/// wrappers route through here.
-pub fn surface<T>(computed: crate::figures::Computed<T>) -> T {
-    failure_lines(&computed.failures);
-    computed.data
 }
 
 /// The tail call of every figure binary: when any scenario failed, print
 /// a count on stderr and exit nonzero so CI catches partial reports. The
 /// per-row `!! label: error` lines are expected to have been rendered
-/// already (via [`failure_lines`] / [`surface`]).
-pub fn exit_on_failures(failures: &[crate::engine::ScenarioFailure]) {
+/// already (via [`failure_lines`]).
+pub fn exit_on_failures(failures: &[ScenarioFailure]) {
     if failures.is_empty() {
         return;
     }

@@ -379,7 +379,7 @@ pub fn dispatch_latency(gpu: &GpuCalib, cc: CcMode) -> SimDuration {
     }
 }
 
-/// The evaluation platform of Table I, for the `table1_setup` harness.
+/// The evaluation platform of Table I, as `figures table1` prints it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemConfig {
     /// CPU description.

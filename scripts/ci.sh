@@ -32,9 +32,10 @@ run cargo test -q --release --offline --manifest-path hcc_benchmark/Cargo.toml
 echo "tier-1: OK"
 
 # Tier-2 smoke: the experiment engine's determinism contract on the real
-# summary harness. stdout must be byte-identical at 1 and 4 worker
-# threads, and the parallel run must actually share work (cache hits).
-echo "==> tier-2: summary determinism across HCC_ENGINE_THREADS"
+# summary and figures harnesses. stdout must be byte-identical at 1 and 4
+# worker threads, and the parallel run must actually share work (cache
+# hits).
+echo "==> tier-2: summary and figures determinism across HCC_ENGINE_THREADS"
 t2_dir=$(mktemp -d)
 trap 'rm -rf "$t2_dir"' EXIT
 
@@ -45,6 +46,13 @@ HCC_ENGINE_THREADS=4 ./target/release/summary \
 
 if ! diff -u "$t2_dir/serial.out" "$t2_dir/parallel.out"; then
     echo "tier-2: FAIL — summary stdout differs between 1 and 4 threads" >&2
+    exit 1
+fi
+
+HCC_ENGINE_THREADS=1 ./target/release/figures >"$t2_dir/figures1.out" 2>/dev/null
+HCC_ENGINE_THREADS=4 ./target/release/figures >"$t2_dir/figures4.out" 2>/dev/null
+if ! diff -u "$t2_dir/figures1.out" "$t2_dir/figures4.out"; then
+    echo "tier-2: FAIL — figures stdout differs between 1 and 4 threads" >&2
     exit 1
 fi
 # Every one of the paper's nine observations is scored, and holds.
@@ -262,7 +270,7 @@ fi
 # soak size past what the simulator's u32 ids and u16 batch sizes hold.
 for cmd in "serve --bogus" "serve --util NaN" "chaos --bogus" "slo_watch --bogus" \
     "why --bogus" "obs_report --bogus" "summary --bogus" "explain --bogus" \
-    "fault_sweep --bogus" "hcc_lab --bogus" "fig04b_crypto --bogus" "fig12_micro --bogus" \
+    "fault_sweep --bogus" "hcc_lab --bogus" "figures --bogus" "figures fig99" \
     "HCC_SERVE_REQUESTS=abc serve" "HCC_WATCH_FAST_MS=5s slo_watch" \
     "serve --max-batch 65536" "chaos --requests 4294967296" \
     "HCC_SERVE_REQUESTS=4294967296 serve"; do

@@ -1,16 +1,18 @@
 //! Fuzzing the one flag parser every bench binary shares
 //! (`hcc_bench::cli`): on random strings, each typed value reader and
 //! each name vocabulary (scheduler, arrival process, storm profile,
-//! recovery policy) returns either a value or its typed `CliError`,
-//! never a panic, and every accepted name re-parses from its printed
-//! form to itself. Random `HCC_*` override values read the same way,
-//! with errors naming the variable. The bounded soak sizes (requests,
-//! GPUs, batch cap) take their maximum and refuse one more.
+//! recovery policy, the `figures` bin's figure names) returns either a
+//! value or its typed `CliError`, never a panic, and every accepted name
+//! re-parses from its printed form to itself. Random `HCC_*` override
+//! values read the same way, with errors naming the variable. The
+//! bounded soak sizes (requests, GPUs, batch cap) take their maximum and
+//! refuse one more.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hcc_bench::chaos::{self, ChaosConfig};
 use hcc_bench::cli::{self, Args, CanonicalSoak, CliError};
+use hcc_bench::figures::{Figure, Selection};
 use hcc_bench::serving::arrival::MAX_REQUESTS;
 use hcc_bench::serving::cluster::{MAX_BATCH, MAX_GPUS};
 use hcc_bench::serving::{self, ArrivalKind, SchedulerKind, ServingConfig};
@@ -33,6 +35,12 @@ const FRAGMENTS: &str = "|0|1|7|9|0x|0X|ff|G|-|+|.|e|E|_| |\t|\n|NaN|inf|infinit
     |retry|degrade|abort|Abort|bounce-squall|crypto-burst|uvm-thrash|ring-flap|all\
     |--requests|--days|--gpus|--seed|--serve";
 
+/// Pieces of `figures` argument lists: every name, near misses, the
+/// `--functional` flag and stray flags.
+const FIGURE_FRAGMENTS: &str = "|table1|table|fig01|fig02|fig03|fig04a|fig04b|fig04|fig05\
+    |fig06|fig07|fig08|fig09|fig09b|fig10|fig11|fig12|fig12a|fig12b|fig12c|fig12d|fig13\
+    |fig14|fig15|fig99|FIG05|all|ALL| |-|--|--functional|--Functional|--bogus|-h|é|\0";
+
 /// A random string: raw bytes read as UTF-8 lossily, one fragment
 /// alone (so every exact name turns up), or fragments glued together.
 fn text(pick: &(Vec<&'static str>, Vec<u8>, u64)) -> String {
@@ -45,8 +53,14 @@ fn text(pick: &(Vec<&'static str>, Vec<u8>, u64)) -> String {
 }
 
 fn strings() -> impl hcc_check::Strategy<Value = (Vec<&'static str>, Vec<u8>, u64)> {
+    strings_of(FRAGMENTS)
+}
+
+fn strings_of(
+    fragments: &'static str,
+) -> impl hcc_check::Strategy<Value = (Vec<&'static str>, Vec<u8>, u64)> {
     (
-        vecs(choice(&FRAGMENTS.split('|').collect::<Vec<_>>()), 0..5),
+        vecs(choice(&fragments.split('|').collect::<Vec<_>>()), 0..5),
         vecs(bytes(), 0..12),
         u64s(0..4),
     )
@@ -213,6 +227,77 @@ fn canonical_soak_flags_never_panic() {
         ensure!(sized(serving.requests, serving.gpus));
         ensure!(sized(chaos.requests, chaos.gpus) && (1..=3650).contains(&chaos.days));
     });
+}
+
+/// Random argument lists through the `figures` bin's parser: names
+/// (repeats included), `--functional` and stray flags give a selection
+/// or a typed error, never a panic. Each selected figure re-parses from
+/// its printed name, a list of no names selects every figure, and
+/// `--functional` is on exactly when given.
+#[test]
+fn figure_selections_never_panic() {
+    forall!(
+        Config::new(0xC11_0004).with_cases(1024),
+        picks in vecs(strings_of(FIGURE_FRAGMENTS), 0..6) =>
+    {
+        let argv: Vec<String> = picks.iter().map(text).collect();
+        let parsed = no_panic("figures", &format!("{argv:?}"), || {
+            Selection::parse(&mut Args::new(argv.clone()))
+        })?;
+        let selection = match parsed {
+            Ok(selection) => selection,
+            Err(e) => {
+                ensure!(
+                    matches!(e, CliError::Unknown { .. } | CliError::UnknownName { .. }),
+                    "{argv:?}: {e:?}"
+                );
+                return Ok(());
+            }
+        };
+        ensure_eq!(selection.functional, argv.iter().any(|a| a == "--functional"));
+        for figure in &selection.figures {
+            ensure_eq!(names(Figure::select(figure.name)), vec![figure.name]);
+        }
+        if argv.iter().all(|a| a == "--functional") {
+            ensure_eq!(names(Some(selection.figures)), names(Some(Figure::ALL.to_vec())));
+        } else {
+            ensure!(!selection.figures.is_empty(), "{argv:?} selected nothing");
+        }
+    });
+}
+
+/// The names of the figures a selection holds (none when refused).
+fn names(figures: Option<Vec<Figure>>) -> Vec<&'static str> {
+    figures.unwrap_or_default().iter().map(|f| f.name).collect()
+}
+
+/// The `figures` vocabulary: `all` is every figure in golden order,
+/// `fig12` its three panels, and each figure's name selects just it.
+#[test]
+fn figure_names_select_what_they_say() {
+    assert_eq!(
+        names(Figure::select("all")),
+        [
+            "table1", "fig01", "fig02", "fig03", "fig04a", "fig04b", "fig05", "fig06", "fig07",
+            "fig08", "fig09", "fig09b", "fig10", "fig11", "fig12a", "fig12b", "fig12c", "fig13",
+            "fig14"
+        ]
+    );
+    assert_eq!(
+        names(Figure::select("fig12")),
+        ["fig12a", "fig12b", "fig12c"]
+    );
+    for figure in Figure::ALL {
+        assert_eq!(names(Figure::select(figure.name)), [figure.name]);
+    }
+    let err = Selection::parse(&mut Args::new(["fig99"])).unwrap_err();
+    assert!(
+        err.to_string()
+            .starts_with("<figure>: unknown figure \"fig99\""),
+        "{err}"
+    );
+    let err = Selection::parse(&mut Args::new(["fig05", "--bogus"])).unwrap_err();
+    assert_eq!(err.to_string(), "--bogus: unknown flag");
 }
 
 /// `max` read for `flag` is accepted; `max + 1` is an `OutOfRange`
