@@ -12,6 +12,7 @@ use hcc_crypto::{CryptoAlgorithm, SoftCryptoModel};
 use hcc_ml::cnn::CnnEstimator;
 use hcc_ml::llm::{Backend, LlmConfig, LlmEstimator, LlmPrecision, FIG14_BATCHES};
 use hcc_types::{ByteSize, CcMode, CpuModel, HostMemKind, SimDuration};
+use hcc_workloads::Scenario;
 
 use super::{fig04a, fig05, fig06, fig07, fig09, fig12, Computed};
 use crate::engine::ScenarioFailure;
@@ -38,20 +39,24 @@ impl Table {
     }
 }
 
+/// Every simulation-backed figure population the summary reads, as one
+/// batch. Overlapping populations (e.g. Fig. 7 ⊂ Fig. 5's apps plus the
+/// Fig. 9 explicit variants) repeat here and are simulated once.
+pub fn prefetch() -> Vec<Scenario> {
+    let mut batch = fig04a::scenarios();
+    batch.extend(fig05::scenarios());
+    batch.extend(fig06::scenarios(ByteSize::mib(64), 40));
+    batch.extend(fig07::scenarios());
+    batch.extend(fig09::scenarios());
+    batch
+}
+
 /// The statistics table and the observation scorecard. Any scenario
 /// failure still renders the surviving statistics, after its `!!` line.
 pub fn render() -> Computed<String> {
-    // Prefetch every simulation-backed figure population in one parallel
-    // batch; the per-figure calls below then resolve from the engine's
-    // cache (overlapping populations — e.g. Fig. 7 ⊂ Fig. 5's apps plus
-    // the Fig. 9 explicit variants — are simulated once).
-    let mut prefetch = Vec::new();
-    prefetch.extend(fig04a::scenarios());
-    prefetch.extend(fig05::scenarios());
-    prefetch.extend(fig06::scenarios(ByteSize::mib(64), 40));
-    prefetch.extend(fig07::scenarios());
-    prefetch.extend(fig09::scenarios());
-    let _ = crate::engine::global().run_all(&prefetch);
+    // Prefetch in one parallel batch; the per-figure calls below then
+    // resolve from the engine's cache.
+    let _ = crate::engine::global().run_all(&prefetch());
 
     let mut t = Table {
         out: report::section("hcc reproduction summary (paper vs measured)"),

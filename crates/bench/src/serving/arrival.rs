@@ -239,13 +239,25 @@ pub fn generate(
         let mut class_rng = master.fork();
         let mut proc = ArrivalProcess::new(kind, rates[ti], arrivals_rng);
         let weight = tenant.total_weight();
+        // Running sums of the mix, built once: a draw in `[0, weight)`
+        // picks the first class whose sum exceeds it, as
+        // `TenantSpec::pick` does without re-summing the mix per request.
+        let cumulative: Vec<u64> = tenant
+            .mix
+            .iter()
+            .scan(0, |sum, c| {
+                *sum += u64::from(c.weight);
+                Some(*sum)
+            })
+            .collect();
         // Each tenant's stream is pushed in its own order, which the
         // stable sort below keeps among same-instant arrivals.
         for _ in 0..counts[ti] {
+            let draw = class_rng.next_range(weight);
             merged.push(Request {
                 arrival: proc.next_arrival(),
                 tenant: ti as u32,
-                class: tenant.pick(class_rng.next_range(weight)) as u32,
+                class: cumulative.partition_point(|&sum| sum <= draw) as u32,
             });
         }
     }

@@ -467,8 +467,8 @@ impl CudaContext {
     /// Reserves trace-arena room for roughly `n` more events. A pure
     /// capacity hint: callers that know a program's size (the workload
     /// runner) use it to avoid arena regrowth; behaviour is unchanged.
-    pub fn reserve_events(&mut self, n: usize, launches: usize) {
-        self.timeline.reserve(n, launches);
+    pub fn reserve_events(&mut self, n: usize) {
+        self.timeline.reserve(n);
     }
 
     /// Appends a pre-built event (for sibling modules).

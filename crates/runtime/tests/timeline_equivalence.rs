@@ -1,15 +1,17 @@
 //! Observational-equivalence properties for the arena [`Timeline`].
 //!
-//! The timeline folds every aggregate into running state at push time
-//! (min/max span words, memory-path sums, pre-split launch/kernel record
-//! lists) and answers joins with sorted merges and binary-search sweeps.
-//! All of that is supposed to be *invisible*: each accessor must return
-//! byte-identical results to a naive reference that re-scans the raw
-//! event list on every query. These properties pin that contract, both
-//! over real programs driven through [`CudaContext`] in both CC modes
-//! and over adversarial hand-built event lists (out-of-order pushes,
-//! duplicated correlations, overlapping spans) that real programs never
-//! produce.
+//! The timeline folds fixed-size aggregates into running state at push
+//! time (min/max span words, memory-path sums, launch-path sums and
+//! counts), derives launch/kernel records from its events on read,
+//! answers joins with sorted merges and binary-search sweeps, and
+//! memoizes `phase_totals()` until the next push. All of that is
+//! supposed to be *invisible*: each accessor must return byte-identical
+//! results to a naive reference that re-scans the raw event list on
+//! every query. These properties pin that contract, both over real
+//! programs driven through [`CudaContext`] in both CC modes and over
+//! adversarial hand-built event lists (out-of-order pushes, kernels
+//! before their launches, duplicated correlations, overlapping spans)
+//! that real programs never produce.
 
 use hcc_check::strategy::{u64s, u8s, vecs};
 use hcc_check::{ensure, ensure_eq, forall, Config};
@@ -266,48 +268,143 @@ fn raw_events() -> impl hcc_check::Strategy<Value = Vec<(u8, u64, u64, u64)>> {
     )
 }
 
+fn raw_event((kind, start, dur, corr): (u8, u64, u64, u64)) -> TraceEvent {
+    let s = SimTime::from_nanos(start);
+    let e = s + SimDuration::from_nanos(dur);
+    let kind = match kind {
+        0 => EventKind::Launch {
+            kernel: KernelId((corr % 5) as u32),
+            queue_wait: SimDuration::from_nanos(dur / 3),
+            first: corr % 2 == 0,
+        },
+        1 => EventKind::Kernel {
+            kernel: KernelId((corr % 5) as u32),
+            uvm: corr % 3 == 0,
+        },
+        2 => EventKind::Sync,
+        _ => EventKind::Memcpy {
+            kind: if corr % 2 == 0 {
+                CopyKind::H2D
+            } else {
+                CopyKind::D2H
+            },
+            bytes: ByteSize::bytes(dur),
+            mem: HostMemKind::Pageable,
+            managed: corr % 4 == 0,
+        },
+    };
+    TraceEvent::new(kind, s, e)
+        .on_stream(StreamId(0))
+        .with_correlation(corr)
+}
+
 fn build_timeline(raw: &[(u8, u64, u64, u64)]) -> Timeline {
-    let mut tl = Timeline::new();
-    for &(kind, start, dur, corr) in raw {
-        let s = SimTime::from_nanos(start);
-        let e = s + SimDuration::from_nanos(dur);
-        let kind = match kind {
-            0 => EventKind::Launch {
-                kernel: KernelId((corr % 5) as u32),
-                queue_wait: SimDuration::from_nanos(dur / 3),
-                first: corr % 2 == 0,
-            },
-            1 => EventKind::Kernel {
-                kernel: KernelId((corr % 5) as u32),
-                uvm: corr % 3 == 0,
-            },
-            2 => EventKind::Sync,
-            _ => EventKind::Memcpy {
-                kind: if corr % 2 == 0 {
-                    CopyKind::H2D
-                } else {
-                    CopyKind::D2H
-                },
-                bytes: ByteSize::bytes(dur),
-                mem: HostMemKind::Pageable,
-                managed: corr % 4 == 0,
-            },
-        };
-        tl.push(
-            TraceEvent::new(kind, s, e)
-                .on_stream(StreamId(0))
-                .with_correlation(corr),
-        );
-    }
-    tl
+    raw.iter().map(|&r| raw_event(r)).collect()
 }
 
 /// Arbitrary (including out-of-order) event lists still extract exactly
-/// like the reference scans.
+/// like the reference scans. Sorting the same list by correlation keeps
+/// its duplicates but drives the KQT join's linear-merge path instead of
+/// the map fallback.
 #[test]
 fn adversarial_timelines_match_reference() {
     forall!(Config::new(0xA12E_4A02), raw in raw_events() => {
-        let tl = build_timeline(&raw);
+        assert_equivalent(&build_timeline(&raw))?;
+        let mut by_corr = raw.clone();
+        by_corr.sort_by_key(|r| r.3);
+        assert_equivalent(&build_timeline(&by_corr))?;
+    });
+}
+
+/// Queries interleaved with pushes see every event pushed so far: the
+/// memoized phase totals never outlive the push that made them stale.
+#[test]
+fn queries_between_pushes_match_reference() {
+    forall!(Config::new(0xA12E_4A03), (raw, queries) in (raw_events(), vecs(u8s(0..4), 1..16)) => {
+        let mut tl = Timeline::new();
+        for (i, &r) in raw.iter().enumerate() {
+            tl.push(raw_event(r));
+            let events = tl.events();
+            let q = queries[i % queries.len()];
+            if q & 1 != 0 {
+                ensure_eq!(tl.phase_totals(), ref_phase_totals(events));
+            }
+            if q & 2 != 0 {
+                ensure_eq!(tl.launch_metrics(), ref_launch_metrics(events));
+            }
+        }
         assert_equivalent(&tl)?;
     });
+}
+
+/// `clone()` carries the memo and `==` ignores it: a clone taken before
+/// or after the first query, and a rebuild that was never queried, are
+/// all equal and all answer like the reference, and a push onto a clone
+/// with a filled memo is seen by its next query.
+#[test]
+fn clone_and_eq_ignore_the_memo() {
+    forall!(Config::new(0xA12E_4A04), raw in raw_events() => {
+        let tl = build_timeline(&raw);
+        let cold = tl.clone();
+        let expected = ref_phase_totals(tl.events());
+        ensure_eq!(tl.phase_totals(), expected);
+        let warm = tl.clone();
+        let fresh = build_timeline(&raw);
+        ensure!(cold == tl && warm == tl && fresh == tl && warm == cold);
+        ensure_eq!(warm.phase_totals(), expected);
+        ensure_eq!(cold.phase_totals(), expected);
+        let mut grown = warm.clone();
+        grown.push(raw_event(raw[0]));
+        ensure!(grown != warm);
+        ensure_eq!(grown.phase_totals(), ref_phase_totals(grown.events()));
+    });
+}
+
+/// The join's two edge rules on a fixed list whose correlations are
+/// sorted, so the linear merge runs: a kernel pushed before its launch
+/// still joins it, and a duplicated correlation resolves to the *last*
+/// launch in push order.
+#[test]
+fn kernel_before_launch_and_duplicate_correlations() {
+    let us = |n: u64| SimTime::from_nanos(n * 1_000);
+    let launch = |corr: u64, s: u64, e: u64| {
+        TraceEvent::new(
+            EventKind::Launch {
+                kernel: KernelId(0),
+                queue_wait: SimDuration::ZERO,
+                first: false,
+            },
+            us(s),
+            us(e),
+        )
+        .with_correlation(corr)
+    };
+    let kernel = |corr: u64, s: u64, e: u64| {
+        TraceEvent::new(
+            EventKind::Kernel {
+                kernel: KernelId(0),
+                uvm: false,
+            },
+            us(s),
+            us(e),
+        )
+        .with_correlation(corr)
+    };
+    let tl: Timeline = [
+        kernel(1, 20, 30),
+        launch(1, 10, 12),
+        launch(2, 30, 31),
+        launch(2, 32, 35),
+        kernel(2, 40, 50),
+    ]
+    .into_iter()
+    .collect();
+    let lm = tl.launch_metrics();
+    assert_eq!(lm, ref_launch_metrics(tl.events()));
+    // Kernel 1 waits 12→20 µs; kernel 2 waits from the second launch's
+    // end (35 µs), not the first's (31 µs).
+    let kqts: Vec<_> = lm.kernels.iter().map(|k| k.kqt).collect();
+    assert_eq!(kqts, [SimDuration::micros(8), SimDuration::micros(5)]);
+    assert_eq!(tl.phase_totals(), ref_phase_totals(tl.events()));
+    assert_eq!(tl.phase_totals().t_kernel, SimDuration::micros(33));
 }

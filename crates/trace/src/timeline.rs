@@ -1,6 +1,8 @@
 //! Timeline container and metric extraction: from raw events to the
 //! paper's KLO / LQT / KQT / KET / T_mem / T_other quantities.
 
+use std::sync::OnceLock;
+
 use hcc_types::{ByteSize, CopyKind, MemSpace, SimDuration, SimTime};
 
 use crate::causal::EventId;
@@ -12,14 +14,16 @@ use crate::event::{EventKind, KernelId, TraceEvent};
 /// different times); extraction sorts internally where needed.
 ///
 /// Internally this is an *arena*: an append-only, id-stable contiguous
-/// store that folds every aggregate the extraction API needs into running
-/// state at push time. `span()`/`end()` read two words, `mem_metrics()`
-/// copies a struct, and `launch_metrics()` joins pre-split launch/kernel
-/// record lists — none of them re-walk the event array. All aggregates are
-/// integer-nanosecond sums or min/max folds, so maintaining them
-/// incrementally is *exact*, not approximate: every accessor returns
-/// byte-identical results to a full scan of `events()`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// store of events, and nothing else but fixed-size running state folded
+/// at push time. `span()`/`end()` read two words and `mem_metrics()`
+/// copies a struct. `launch_metrics()` derives its records from the
+/// events on read. `phase_totals()` takes Σ KLO, Σ LQT and Σ KET from the
+/// fold and makes one pass over the events for the KQT join and the
+/// sync/kernel overlap; its answer is memoized until the next push. All
+/// aggregates are integer-nanosecond sums or min/max folds, so
+/// maintaining them incrementally is *exact*, not approximate: every
+/// accessor returns byte-identical results to a full scan of `events()`.
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
     events: Vec<TraceEvent>,
     /// Earliest `start` seen (`None` while empty).
@@ -28,16 +32,34 @@ pub struct Timeline {
     max_end: SimTime,
     /// Running memory-path totals (order-independent integer sums).
     mem: MemMetrics,
-    /// Launch records in push order; `LaunchMetrics` sorts a copy.
-    launches: Vec<LaunchRecord>,
-    /// Kernel records in push order with `kqt` unresolved (zero); the
-    /// correlation join fills it at extraction time.
-    kernels: Vec<KernelRecord>,
-    /// `Sync` spans in push order, for the sync/kernel overlap fold.
-    sync_spans: Vec<(SimTime, SimTime)>,
-    /// `Kernel` spans in push order, ditto.
-    kernel_spans: Vec<(SimTime, SimTime)>,
+    /// Running launch/kernel sums and per-kind counts.
+    launch: LaunchFold,
+    /// `phase_totals()`'s answer, computed on first call; `push` clears it.
+    phases: OnceLock<PhaseTotals>,
 }
+
+/// Launch-path sums and event counts folded at push time. The counts size
+/// the read-time scratch exactly.
+#[derive(Debug, Clone, Copy, Default)]
+struct LaunchFold {
+    klo: SimDuration,
+    lqt: SimDuration,
+    ket: SimDuration,
+    launches: usize,
+    kernels: usize,
+    syncs: usize,
+}
+
+/// Everything but the events is a function of the events (the fold) or a
+/// cache of one (the memo), so two timelines are equal when their events
+/// are.
+impl PartialEq for Timeline {
+    fn eq(&self, other: &Self) -> bool {
+        self.events == other.events
+    }
+}
+
+impl Eq for Timeline {}
 
 impl Timeline {
     /// Creates an empty timeline.
@@ -54,22 +76,23 @@ impl Timeline {
         }
     }
 
-    /// Reserves room for at least `n` more events, of which `launches`
-    /// are expected to be launch/kernel pairs, so a caller that can
-    /// estimate a program's shape up front (e.g. the workload runner)
-    /// avoids arena and record-list regrowth memcpys mid-run.
-    pub fn reserve(&mut self, n: usize, launches: usize) {
+    /// Reserves room for at least `n` more events, so a caller that can
+    /// estimate a program's size up front (e.g. the workload runner)
+    /// avoids arena regrowth memcpys mid-run.
+    pub fn reserve(&mut self, n: usize) {
         self.events.reserve(n);
-        self.launches.reserve(launches);
-        self.kernels.reserve(launches);
-        self.kernel_spans.reserve(launches);
-        self.sync_spans.reserve(launches);
+    }
+
+    /// Drops the arena's spare capacity, for a timeline that is complete.
+    pub fn shrink_to_fit(&mut self) {
+        self.events.shrink_to_fit();
     }
 
     /// Appends an event, returning its id for causal-edge linking.
     #[inline]
     pub fn push(&mut self, event: TraceEvent) -> EventId {
         self.fold(&event);
+        self.phases.take();
         self.events.push(event);
         EventId(self.events.len() - 1)
     }
@@ -83,30 +106,14 @@ impl Timeline {
         self.max_end = self.max_end.max(e.end);
         let m = &mut self.mem;
         match &e.kind {
-            EventKind::Launch {
-                kernel,
-                queue_wait,
-                first,
-            } => {
-                self.launches.push(LaunchRecord {
-                    kernel: *kernel,
-                    start: e.start,
-                    klo: e.duration(),
-                    lqt: *queue_wait,
-                    first: *first,
-                    correlation: e.correlation,
-                });
+            EventKind::Launch { queue_wait, .. } => {
+                self.launch.launches += 1;
+                self.launch.klo += e.duration();
+                self.launch.lqt += *queue_wait;
             }
-            EventKind::Kernel { kernel, uvm } => {
-                self.kernels.push(KernelRecord {
-                    kernel: *kernel,
-                    start: e.start,
-                    ket: e.duration(),
-                    kqt: SimDuration::ZERO,
-                    uvm: *uvm,
-                    correlation: e.correlation,
-                });
-                self.kernel_spans.push((e.start, e.end));
+            EventKind::Kernel { .. } => {
+                self.launch.kernels += 1;
+                self.launch.ket += e.duration();
             }
             EventKind::Memcpy {
                 kind,
@@ -136,7 +143,7 @@ impl Timeline {
             },
             EventKind::Sync => {
                 m.sync += e.duration();
-                self.sync_spans.push((e.start, e.end));
+                self.launch.syncs += 1;
             }
             EventKind::Crypto { bytes, .. } => {
                 m.crypto += e.duration();
@@ -203,63 +210,43 @@ impl Timeline {
         self.max_end
     }
 
-    /// Extracts the per-launch / per-kernel metric records.
-    ///
-    /// The KQT join runs over the pre-split record lists with an
-    /// FNV-keyed map (correlation ids are simulator-assigned small
-    /// integers, so SipHash buys nothing), in one pass per list.
+    /// Extracts the per-launch / per-kernel metric records, built from
+    /// the events in push order, KQT-joined, then sorted by start.
     pub fn launch_metrics(&self) -> LaunchMetrics {
-        let mut kernels = self.kernels.clone();
-        // The runtime allocates correlation ids monotonically and pushes
-        // a launch before its kernel, so both record lists arrive sorted
-        // by correlation and the KQT join is a linear merge. A
-        // duplicated correlation resolves to the *last* launch, exactly
-        // as the scan-based extraction did; out-of-order records (e.g. a
-        // hand-built timeline) fall back to the FNV map.
-        let sorted = self
-            .launches
-            .windows(2)
-            .all(|w| w[0].correlation <= w[1].correlation)
-            && kernels
-                .windows(2)
-                .all(|w| w[0].correlation <= w[1].correlation);
-        if sorted {
-            let mut j = 0usize;
-            for k in &mut kernels {
-                while j < self.launches.len() && self.launches[j].correlation < k.correlation {
-                    j += 1;
-                }
-                let mut hit = None;
-                let mut jj = j;
-                while jj < self.launches.len() && self.launches[jj].correlation == k.correlation {
-                    hit = Some(jj);
-                    jj += 1;
-                }
-                k.kqt = match hit {
-                    Some(i) => {
-                        let l = &self.launches[i];
-                        k.start.saturating_since(l.start + l.klo)
-                    }
-                    None => SimDuration::ZERO,
-                };
-            }
-        } else {
-            let mut launch_end: hcc_types::hash::FnvHashMap<u64, SimTime> =
-                hcc_types::hash::FnvHashMap::with_capacity_and_hasher(
-                    self.launches.len(),
-                    hcc_types::hash::FnvBuildHasher,
-                );
-            for l in &self.launches {
-                launch_end.insert(l.correlation, l.start + l.klo);
-            }
-            for k in &mut kernels {
-                k.kqt = launch_end
-                    .get(&k.correlation)
-                    .map(|le| k.start.saturating_since(*le))
-                    .unwrap_or(SimDuration::ZERO);
+        let mut launches = Vec::with_capacity(self.launch.launches);
+        let mut kernels = Vec::with_capacity(self.launch.kernels);
+        for e in &self.events {
+            match &e.kind {
+                EventKind::Launch {
+                    kernel,
+                    queue_wait,
+                    first,
+                } => launches.push(LaunchRecord {
+                    kernel: *kernel,
+                    start: e.start,
+                    klo: e.duration(),
+                    lqt: *queue_wait,
+                    first: *first,
+                    correlation: e.correlation,
+                }),
+                EventKind::Kernel { kernel, uvm } => kernels.push(KernelRecord {
+                    kernel: *kernel,
+                    start: e.start,
+                    ket: e.duration(),
+                    kqt: SimDuration::ZERO,
+                    uvm: *uvm,
+                    correlation: e.correlation,
+                }),
+                _ => {}
             }
         }
-        let mut launches = self.launches.clone();
+        join_kqt(
+            &launches,
+            |l| (l.correlation, l.start + l.klo),
+            &mut kernels,
+            |k| (k.correlation, k.start),
+            |k, kqt| k.kqt = kqt,
+        );
         launches.sort_by_key(|l| l.start);
         kernels.sort_by_key(|k| k.start);
         LaunchMetrics { launches, kernels }
@@ -271,86 +258,190 @@ impl Timeline {
     }
 
     /// Aggregates the four phases of the Fig. 3 performance model, plus
-    /// the observed end-to-end span.
+    /// the observed end-to-end span. Computed on the first call after a
+    /// push and memoized.
     ///
     /// Per the paper, synchronization that chronologically overlaps
     /// kernel execution belongs to part C; only the *exposed* remainder
     /// counts toward `T_other`.
     pub fn phase_totals(&self) -> PhaseTotals {
-        let lm = self.launch_metrics();
-        let mm = self.mem_metrics();
-        let exposed_sync = mm.sync.saturating_sub(self.sync_kernel_overlap());
+        *self.phases.get_or_init(|| self.compute_phase_totals())
+    }
+
+    fn compute_phase_totals(&self) -> PhaseTotals {
+        let f = &self.launch;
+        // One pass fills exactly sized join keys and overlap spans; the
+        // span lists are only needed when both kinds occur.
+        let overlap = f.syncs > 0 && f.kernels > 0;
+        let mut launch_ends = Vec::with_capacity(f.launches);
+        let mut kernel_starts = Vec::with_capacity(f.kernels);
+        let (mut ks, mut ke, mut syncs) = if overlap {
+            (
+                Vec::with_capacity(f.kernels),
+                Vec::with_capacity(f.kernels),
+                Vec::with_capacity(f.syncs),
+            )
+        } else {
+            (Vec::new(), Vec::new(), Vec::new())
+        };
+        for e in &self.events {
+            match e.kind {
+                EventKind::Launch { .. } => launch_ends.push((e.correlation, e.end)),
+                EventKind::Kernel { .. } => {
+                    kernel_starts.push((e.correlation, e.start));
+                    if overlap {
+                        ks.push(e.start.as_nanos());
+                        ke.push(e.end.as_nanos());
+                    }
+                }
+                EventKind::Sync if overlap => syncs.push((e.start, e.end)),
+                _ => {}
+            }
+        }
+        let mut kqt = SimDuration::ZERO;
+        join_kqt(
+            &launch_ends,
+            |&l| l,
+            &mut kernel_starts,
+            |&k| k,
+            |_, d| kqt += d,
+        );
+        let mm = &self.mem;
+        let exposed_sync = mm.sync.saturating_sub(sync_kernel_overlap(&syncs, ks, ke));
         PhaseTotals {
             t_mem: mm.copy_total(),
-            t_launch: lm.total_klo() + lm.total_lqt(),
-            t_kernel: lm.total_ket() + lm.total_kqt(),
+            t_launch: f.klo + f.lqt,
+            t_kernel: f.ket + kqt,
             t_other: mm.management_total() + exposed_sync,
             t_fault: mm.fault_time,
             span: self.span(),
         }
     }
+}
 
-    /// Total time during which `Sync` events overlap `Kernel` events,
-    /// summed over every (sync, kernel) span pair.
-    ///
-    /// The naive pairwise scan is O(|sync|·|kernel|) — quadratic for
-    /// sync-per-iteration apps where both lists grow with the launch
-    /// count. This computes the *identical* integer total by sorting
-    /// kernel starts and ends once and resolving each sync span `(ss,
-    /// se)` with four binary searches over prefix sums:
-    ///
-    /// ```text
-    /// Σ max(0, min(se, ke) − max(ss, ks))
-    ///   = [ Σ_{ke > ss} min(se, ke) − |{ks ≥ se}|·se ]
-    ///   − [ Σ_{ks < se} max(ss, ks) − |{ke ≤ ss}|·ss ]
-    /// ```
-    ///
-    /// Pairs with `ks ≥ se` contribute `min = se` to the left bracket
-    /// and pairs with `ke ≤ ss` contribute `max = ss` to the right, so
-    /// both non-overlapping families cancel exactly; every surviving
-    /// pair's term is its nonnegative overlap. Integer addition is
-    /// order-independent, so the result matches the pairwise sum bit
-    /// for bit.
-    fn sync_kernel_overlap(&self) -> SimDuration {
-        if self.sync_spans.is_empty() || self.kernel_spans.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let mut starts: Vec<u64> = self.kernel_spans.iter().map(|s| s.0.as_nanos()).collect();
-        let mut ends: Vec<u64> = self.kernel_spans.iter().map(|s| s.1.as_nanos()).collect();
-        starts.sort_unstable();
-        ends.sort_unstable();
-        fn prefix(v: &[u64]) -> Vec<u128> {
-            let mut p = Vec::with_capacity(v.len() + 1);
-            let mut acc = 0u128;
-            p.push(acc);
-            for &x in v {
-                acc += u128::from(x);
-                p.push(acc);
+/// The KQT join: hands each kernel the wait from the end of the *last*
+/// launch (in push order) with its correlation id to its start, or zero
+/// when no launch matches. `launch_end` and `kernel_start` read an
+/// item's `(correlation, time)` key; `set` receives each kernel's KQT.
+///
+/// The runtime allocates correlation ids monotonically and pushes a
+/// launch before its kernel, so both lists arrive sorted by correlation
+/// and the join is a linear merge. Out-of-order keys (e.g. a hand-built
+/// timeline) fall back to an FNV-keyed map (correlation ids are small
+/// simulator-assigned integers, so SipHash buys nothing).
+fn join_kqt<L, K>(
+    launches: &[L],
+    launch_end: impl Fn(&L) -> (u64, SimTime),
+    kernels: &mut [K],
+    kernel_start: impl Fn(&K) -> (u64, SimTime),
+    mut set: impl FnMut(&mut K, SimDuration),
+) {
+    let sorted = launches
+        .windows(2)
+        .all(|w| launch_end(&w[0]).0 <= launch_end(&w[1]).0)
+        && kernels
+            .windows(2)
+            .all(|w| kernel_start(&w[0]).0 <= kernel_start(&w[1]).0);
+    if sorted {
+        let mut j = 0usize;
+        for k in kernels {
+            let (corr, start) = kernel_start(k);
+            while j < launches.len() && launch_end(&launches[j]).0 < corr {
+                j += 1;
             }
-            p
-        }
-        let pstarts = prefix(&starts);
-        let pends = prefix(&ends);
-        let n = starts.len();
-        let mut total = 0i128;
-        for &(ss, se) in &self.sync_spans {
-            let (ss, se) = (ss.as_nanos(), se.as_nanos());
-            if se <= ss {
-                continue; // zero-length sync overlaps nothing
+            let mut hit = None;
+            let mut jj = j;
+            while jj < launches.len() && launch_end(&launches[jj]).0 == corr {
+                hit = Some(launch_end(&launches[jj]).1);
+                jj += 1;
             }
-            // ends[..a] have ke ≤ ss; ends[a..b] lie in (ss, se).
-            let a = ends.partition_point(|&e| e <= ss);
-            let b = ends.partition_point(|&e| e < se);
-            // starts[..d] have ks ≤ ss; starts[..c] have ks < se.
-            let d = starts.partition_point(|&s| s <= ss);
-            let c = starts.partition_point(|&s| s < se);
-            let sum_min = (pends[b] - pends[a]) as i128 + (n - b) as i128 * se as i128
-                - (n - c) as i128 * se as i128;
-            let sum_max = (d as i128 - a as i128) * ss as i128 + (pstarts[c] - pstarts[d]) as i128;
-            total += sum_min - sum_max;
+            set(
+                k,
+                hit.map_or(SimDuration::ZERO, |le| start.saturating_since(le)),
+            );
         }
-        SimDuration::from_nanos(total as u64)
+    } else {
+        let mut ends: hcc_types::hash::FnvHashMap<u64, SimTime> =
+            hcc_types::hash::FnvHashMap::with_capacity_and_hasher(
+                launches.len(),
+                hcc_types::hash::FnvBuildHasher,
+            );
+        for l in launches {
+            let (corr, end) = launch_end(l);
+            ends.insert(corr, end);
+        }
+        for k in kernels {
+            let (corr, start) = kernel_start(k);
+            let kqt = ends
+                .get(&corr)
+                .map_or(SimDuration::ZERO, |le| start.saturating_since(*le));
+            set(k, kqt);
+        }
     }
+}
+
+/// Total time during which `Sync` spans overlap `Kernel` spans, summed
+/// over every (sync, kernel) pair; `starts` and `ends` are the kernels'
+/// start and end nanoseconds.
+///
+/// The naive pairwise scan is O(|sync|·|kernel|) — quadratic for
+/// sync-per-iteration apps where both lists grow with the launch count.
+/// This computes the *identical* integer total by sorting kernel starts
+/// and ends once and resolving each sync span `(ss, se)` with four binary
+/// searches over prefix sums:
+///
+/// ```text
+/// Σ max(0, min(se, ke) − max(ss, ks))
+///   = [ Σ_{ke > ss} min(se, ke) − |{ks ≥ se}|·se ]
+///   − [ Σ_{ks < se} max(ss, ks) − |{ke ≤ ss}|·ss ]
+/// ```
+///
+/// Pairs with `ks ≥ se` contribute `min = se` to the left bracket and
+/// pairs with `ke ≤ ss` contribute `max = ss` to the right, so both
+/// non-overlapping families cancel exactly; every surviving pair's term
+/// is its nonnegative overlap. Integer addition is order-independent, so
+/// the result matches the pairwise sum bit for bit.
+fn sync_kernel_overlap(
+    syncs: &[(SimTime, SimTime)],
+    mut starts: Vec<u64>,
+    mut ends: Vec<u64>,
+) -> SimDuration {
+    if syncs.is_empty() || starts.is_empty() {
+        return SimDuration::ZERO;
+    }
+    starts.sort_unstable();
+    ends.sort_unstable();
+    fn prefix(v: &[u64]) -> Vec<u128> {
+        let mut p = Vec::with_capacity(v.len() + 1);
+        let mut acc = 0u128;
+        p.push(acc);
+        for &x in v {
+            acc += u128::from(x);
+            p.push(acc);
+        }
+        p
+    }
+    let pstarts = prefix(&starts);
+    let pends = prefix(&ends);
+    let n = starts.len();
+    let mut total = 0i128;
+    for &(ss, se) in syncs {
+        let (ss, se) = (ss.as_nanos(), se.as_nanos());
+        if se <= ss {
+            continue; // zero-length sync overlaps nothing
+        }
+        // ends[..a] have ke ≤ ss; ends[a..b] lie in (ss, se).
+        let a = ends.partition_point(|&e| e <= ss);
+        let b = ends.partition_point(|&e| e < se);
+        // starts[..d] have ks ≤ ss; starts[..c] have ks < se.
+        let d = starts.partition_point(|&s| s <= ss);
+        let c = starts.partition_point(|&s| s < se);
+        let sum_min = (pends[b] - pends[a]) as i128 + (n - b) as i128 * se as i128
+            - (n - c) as i128 * se as i128;
+        let sum_max = (d as i128 - a as i128) * ss as i128 + (pstarts[c] - pstarts[d]) as i128;
+        total += sum_min - sum_max;
+    }
+    SimDuration::from_nanos(total as u64)
 }
 
 impl FromIterator<TraceEvent> for Timeline {

@@ -159,18 +159,14 @@ pub fn run(spec: &WorkloadSpec, cfg: SimConfig) -> Result<RunResult, RunError> {
     // crypto, memcpy, sync), everything else one. Purely a capacity
     // hint — over- or under-shooting changes nothing observable.
     let mut events_hint = 0usize;
-    let mut launches_hint = 0usize;
     for op in &spec.ops {
         match op {
-            Op::Launch { repeat, .. } => {
-                events_hint += 3 * *repeat as usize;
-                launches_hint += *repeat as usize;
-            }
+            Op::Launch { repeat, .. } => events_hint += 3 * *repeat as usize,
             Op::H2D { .. } | Op::D2H { .. } | Op::D2D { .. } => events_hint += 5,
             _ => events_hint += 1,
         }
     }
-    ctx.reserve_events(events_hint, launches_hint);
+    ctx.reserve_events(events_hint);
     let stream = ctx.default_stream();
     let mut dev: SlotMap<DevicePtr> = SlotMap::new();
     let mut host: SlotMap<HostPtr> = SlotMap::new();
@@ -272,7 +268,9 @@ pub fn run(spec: &WorkloadSpec, cfg: SimConfig) -> Result<RunResult, RunError> {
     let metrics = ctx.metrics_snapshot();
     let fault = ctx.fault_counts();
     let audit = ctx.leak_audit();
-    let (timeline, causal) = ctx.into_trace();
+    let (mut timeline, causal) = ctx.into_trace();
+    // The hint above over-reserves; a finished run keeps no spare slots.
+    timeline.shrink_to_fit();
     Ok(RunResult {
         timeline,
         end,

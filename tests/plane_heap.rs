@@ -5,89 +5,30 @@
 //! may keep a per-request copy of it. The watch reads the settled
 //! population through a window index (4 B per request plus one offset
 //! per window), and the flight log keeps one compact record per kept
-//! exemplar, deriving its span tree on demand. This binary wraps the
-//! system allocator with a live-byte counter and drains the stormy soak
-//! three times on fresh engines: planes off, watch only and flight only.
-//! It holds one test, so no other test's allocations share the counter.
+//! exemplar, deriving its span tree on demand. This binary counts live
+//! heap bytes through the shared `heap` allocator and drains the stormy
+//! soak three times on fresh engines: planes off, watch only and flight
+//! only. It holds one test, so no other test's allocations share the
+//! counter.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+mod heap;
 
 use hcc_bench::chaos::{self, ChaosConfig};
 use hcc_bench::engine::ExperimentEngine;
 use hcc_bench::watch::stormy_soak;
 use hcc_trace::FlightConfig;
 
-/// [`System`], counting live bytes and their peak.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
-    PEAK.fetch_max(live, Relaxed);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`;
-// the counters only observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's `layout` obligations pass through.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            grow(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: as for `alloc`.
-        let ptr = unsafe { System.alloc_zeroed(layout) };
-        if !ptr.is_null() {
-            grow(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: as for `dealloc`; `new_size` obligations pass through.
-        let new = unsafe { System.realloc(ptr, layout, new_size) };
-        if !new.is_null() {
-            match new_size.checked_sub(layout.size()) {
-                Some(more) => grow(more),
-                None => {
-                    LIVE.fetch_sub(layout.size() - new_size, Relaxed);
-                }
-            }
-        }
-        new
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
-
 /// The most bytes `chaos::run` of `cfg` holds at once beyond what was
 /// live before it, on a fresh one-thread engine, and the exemplars its
 /// cell's flight log kept.
 fn peak_of(cfg: &ChaosConfig) -> (usize, usize) {
     let engine = ExperimentEngine::new(1);
-    let before = LIVE.load(Relaxed);
-    PEAK.store(before, Relaxed);
-    let rep = chaos::run(cfg, &engine);
-    let peak = PEAK.load(Relaxed) - before;
+    let (rep, usage) = heap::measure(|| chaos::run(cfg, &engine));
     let kept = rep.profiles[0].cells[0]
         .flight
         .as_ref()
         .map_or(0, |f| f.samples.len());
-    (peak, kept)
+    (usage.peak, kept)
 }
 
 /// Per-exemplar flight cost on this soak before the flight log derived
