@@ -15,15 +15,18 @@
 //! HCC_BLESS=1 ./target/release/hotpaths
 //! ```
 //!
-//! `HCC_BENCH_SAMPLES` overrides the sample count (default 20).
+//! `HCC_BENCH_SAMPLES` overrides the sample count (default 20, at most
+//! 10,000); any other value exits 2.
 //!
 //! The `pre_pr` block in the JSON is provenance, not a gate input: it
 //! records the same measurement taken at the last commit before the
 //! trace hot-path rebuild, so the achieved speedup stays auditable next
 //! to the current figure.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
+use hcc_bench::cli;
 use hcc_runtime::SimConfig;
 use hcc_types::json::Json;
 use hcc_types::CcMode;
@@ -65,11 +68,14 @@ fn render(scenarios: usize, best_ms: f64, median_ms: f64) -> String {
     )
 }
 
-fn main() {
-    let samples: usize = std::env::var("HCC_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20);
+fn main() -> ExitCode {
+    let samples = match cli::env_positive("HCC_BENCH_SAMPLES", 10_000) {
+        Ok(samples) => samples.unwrap_or(20) as usize,
+        Err(e) => {
+            let usage = "usage: [HCC_BENCH_SAMPLES=N] [HCC_BLESS=1] hotpaths";
+            return cli::refuse("hotpaths", usage, &e);
+        }
+    };
 
     let (scenarios, times) = measure(samples);
     let mut sorted = times.clone();
@@ -90,14 +96,14 @@ fn main() {
     if std::env::var_os("HCC_BLESS").is_some() {
         std::fs::write(BASELINE, render(scenarios, best_ms, median_ms)).expect("write baseline");
         println!("hotpaths: blessed {BASELINE}");
-        return;
+        return ExitCode::SUCCESS;
     }
 
     let text = match std::fs::read_to_string(BASELINE) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("hotpaths: FAIL — missing {BASELINE} ({e}); bless with HCC_BLESS=1");
-            std::process::exit(1);
+            return ExitCode::FAILURE;
         }
     };
     let doc = Json::parse(&text).expect("baseline JSON parses");
@@ -120,10 +126,11 @@ fn main() {
              HCC_BLESS=1 ./target/release/hotpaths",
             (1.0 - gate) * 100.0
         );
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     }
     println!(
         "hotpaths: OK — {best_per_sec:.0} scenarios/sec >= gate {floor:.0} \
          (blessed {blessed:.0} x {gate})"
     );
+    ExitCode::SUCCESS
 }

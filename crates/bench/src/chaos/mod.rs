@@ -39,11 +39,13 @@ use hcc_types::{
 };
 use hcc_workloads::{default_tenants, Scenario, TenantSpec};
 
-use crate::cli::{env_at_most, env_u64, CliError};
+use crate::cli::{self, env_at_most, env_u64, CliError};
 use crate::engine::ExperimentEngine;
+use crate::lab::Command;
 use crate::serving::{
     arrival, cluster, distinct_apps, observe, ArrivalKind, Request, SchedulerKind, ShapeTable,
 };
+use crate::watch::WatchConfig;
 
 pub use crate::serving::cluster::TimeToRecover;
 pub use report::{ChaosReport, FaultLedger, PolicyCell, ProfileReport, TenantVerdict};
@@ -561,6 +563,114 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
         profiles: profiles_out,
     }
 }
+
+/// A comma list of names parsed by `one`, or `all`.
+fn list<T>(
+    raw: &str,
+    all: impl FnOnce() -> Vec<T>,
+    one: impl Fn(String) -> Result<T, CliError>,
+) -> Result<Vec<T>, CliError> {
+    if raw.trim() == "all" {
+        return Ok(all());
+    }
+    raw.split(',').map(|name| one(name.to_string())).collect()
+}
+
+/// `hcc_lab chaos`: [`run`]'s report on stdout and wall-clock throughput
+/// in the `--json` side file. Exit status 0 means the run was healthy
+/// (budget FAIL verdicts are expected data), 1 a leak, conservation or
+/// identity violation, 2 a bad flag or `HCC_CHAOS_*` override, or a size
+/// past [`arrival::MAX_REQUESTS`] or [`cluster::MAX_GPUS`].
+pub const COMMAND: Command = Command {
+    usage: "usage: hcc_lab chaos [--requests N] [--days N] [--seed S] [--gpus N] [--tenants N] \
+        [--profiles p1,p2|all] [--policies retry,degrade,abort|all] [--replicas N] \
+        [--episodes-per-day N] [--arrival poisson|bursty|diurnal] \
+        [--scheduler fifo|priority|batching] [--watch] [--flight] [--json <path>]",
+    parse: |args| {
+        let mut json_path: Option<String> = None;
+        let mut tenant_count = 2usize;
+        // Harness default, then env overrides (HCC_CHAOS_*), then flags.
+        let mut cfg = ChaosConfig::default().from_env()?;
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--requests" => cfg.requests = args.at_most(&flag, arrival::MAX_REQUESTS)?.max(1),
+                "--days" => cfg.days = args.u64(&flag)?.clamp(1, 3650),
+                "--seed" => cfg.seed = args.u64(&flag)?,
+                "--gpus" => cfg.gpus = args.at_most(&flag, cluster::MAX_GPUS)?.max(1) as usize,
+                "--tenants" => tenant_count = args.u64(&flag)?.max(1) as usize,
+                "--replicas" => cfg.replicas = args.u64(&flag)?.clamp(1, 16) as u32,
+                "--episodes-per-day" => {
+                    cfg.episodes_per_day = args.u64(&flag)?.clamp(1, 1440) as u32;
+                }
+                "--profiles" => {
+                    cfg.profiles = list(&args.value(&flag)?, StormProfile::builtin, |name| {
+                        cli::storm_profile(&flag, name, ", or all")
+                    })?;
+                }
+                "--policies" => {
+                    let all = || ChaosConfig::default().policies;
+                    cfg.policies = list(&args.value(&flag)?, all, |name| {
+                        cli::lookup(
+                            &flag,
+                            "recovery policy",
+                            "policies: retry, degrade, abort, or all",
+                            name,
+                            RecoveryPolicy::parse,
+                        )
+                    })?;
+                }
+                "--arrival" => cfg.arrival = args.arrival(&flag)?,
+                "--scheduler" => {
+                    cfg.scheduler = args.name(
+                        &flag,
+                        "scheduler",
+                        "expected fifo|priority|batching",
+                        SchedulerKind::parse,
+                    )?;
+                }
+                "--watch" => cfg.watch = Some(WatchConfig::default().from_env()?),
+                "--flight" => cfg.flight = Some(cli::flight_from_env()?),
+                "--json" => json_path = Some(args.value(&flag)?),
+                _ => return Err(CliError::Unknown { arg: flag }),
+            }
+        }
+        Ok(Box::new(move || {
+            cfg.tenants = default_tenants(tenant_count);
+            cfg.budgets = default_budgets(&cfg.tenants);
+            let engine = crate::engine::global();
+            let wall = std::time::Instant::now();
+            let report = run(&cfg, engine);
+            let elapsed = wall.elapsed();
+
+            print!("{}", report.render());
+
+            if let Some(path) = json_path {
+                let (pass, fail) = report.verdict_counts();
+                let bench = [
+                    (
+                        "requests_per_sec",
+                        cli::per_sec(report.total_requests(), elapsed),
+                    ),
+                    ("total_requests", report.total_requests()),
+                    ("cells", report.cells().count() as u64),
+                    ("verdict_pass", pass),
+                    ("verdict_fail", fail),
+                    ("wall_ms", elapsed.as_millis() as u64),
+                ];
+                cli::write_bench_json(&path, &bench, "report", &report);
+            }
+
+            let broken = (!report.healthy()).then(|| {
+                let violation = report.first_violation();
+                format!(
+                    "leak or conservation violation: {}",
+                    violation.unwrap_or("identity check failed")
+                )
+            });
+            crate::report::soak_status("chaos", broken.as_deref())
+        }))
+    },
+};
 
 #[cfg(test)]
 mod tests {

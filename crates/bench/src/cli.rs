@@ -1,20 +1,25 @@
-//! One flag parser for every bench binary.
+//! One flag parser for every `hcc_lab` subcommand.
 //!
-//! A binary walks its arguments with [`Args`], whose readers return a
-//! typed [`CliError`] instead of exiting, and runs that walk under
-//! [`parse_or_exit`]: the one place that prints `<bin>: <flag>: <detail>`
-//! and the usage line, then exits 2. Integers are decimal or `0x`-hex
-//! ([`parse_int`], shared with the `HCC_*` environment overrides), a
-//! bounded one above its maximum is refused rather than wrapped
-//! ([`Args::at_most`], [`env_at_most`]), and fractions must be finite.
+//! A subcommand walks its arguments with [`Args`], whose readers return
+//! a typed [`CliError`] instead of exiting; the front door
+//! ([`crate::lab`]) turns a refusal into `hcc_lab <sub>: <flag>: <detail>`
+//! and the usage line through [`refuse`], then exits 2. Integers are
+//! decimal or `0x`-hex ([`parse_int`], shared with the `HCC_*`
+//! environment overrides), a bounded one above its maximum is refused
+//! rather than wrapped ([`Args::at_most`], [`env_at_most`]), and
+//! fractions must be finite.
 
 use std::fmt;
+use std::process::ExitCode;
+use std::time::Duration;
 
 use hcc_trace::FlightConfig;
-use hcc_types::json::JsonOut;
-use hcc_types::{SimDuration, StormProfile};
+use hcc_types::json::{JsonOut, ToJson};
+use hcc_types::{FaultPlan, SimDuration, StormProfile};
 
 use crate::chaos::ChaosConfig;
+use crate::engine::THREADS_ENV;
+use crate::figures::FAULT_PLAN_ENV;
 use crate::serving::arrival::MAX_REQUESTS;
 use crate::serving::cluster::MAX_GPUS;
 use crate::serving::{ArrivalKind, ServingConfig};
@@ -25,7 +30,7 @@ use crate::watch::{self, Canonical, Soak, WatchConfig};
 pub enum CliError {
     /// A flag that takes a value came last.
     MissingValue { flag: String },
-    /// An argument the binary does not take.
+    /// An argument the subcommand does not take.
     Unknown { arg: String },
     /// A value that is not a decimal or `0x`-hex integer.
     NotAnInteger { flag: String, raw: String },
@@ -116,6 +121,38 @@ pub fn env_u64(var: &str) -> Result<Option<u64>, CliError> {
 pub fn env_at_most(var: &str, max: u64) -> Result<Option<u64>, CliError> {
     std::env::var_os(var)
         .map(|raw| int_at_most(var, &raw.to_string_lossy(), max))
+        .transpose()
+}
+
+/// [`env_at_most`], refusing 0 too: a count that must be positive.
+pub fn env_positive(var: &str, max: u64) -> Result<Option<u64>, CliError> {
+    match env_at_most(var, max)? {
+        Some(0) => Err(CliError::Invalid {
+            flag: var.to_string(),
+            detail: "must be at least 1".to_string(),
+        }),
+        n => Ok(n),
+    }
+}
+
+/// The engine width [`THREADS_ENV`] asks for: `None` when unset.
+pub fn engine_threads() -> Result<Option<usize>, CliError> {
+    let threads = env_positive(THREADS_ENV, usize::MAX as u64)?;
+    Ok(threads.map(|n| n as usize))
+}
+
+/// `spec` as a [`FaultPlan`], or an [`CliError::Invalid`] naming `flag`.
+pub fn fault_plan(flag: &str, spec: &str) -> Result<FaultPlan, CliError> {
+    FaultPlan::parse(spec).map_err(|detail| CliError::Invalid {
+        flag: flag.to_string(),
+        detail,
+    })
+}
+
+/// The plan [`FAULT_PLAN_ENV`] holds: `None` when unset.
+pub fn env_fault_plan() -> Result<Option<FaultPlan>, CliError> {
+    std::env::var_os(FAULT_PLAN_ENV)
+        .map(|spec| fault_plan(FAULT_PLAN_ENV, &spec.to_string_lossy()))
         .transpose()
 }
 
@@ -271,21 +308,46 @@ pub fn write_json_or_exit(path: &str, doc: impl FnOnce(&mut JsonOut<'_>)) {
     }
 }
 
-/// Runs `parse` over the process arguments. On error, prints
-/// `<bin>: <flag>: <detail>` and `usage` to stderr and exits 2.
-pub fn parse_or_exit<T>(
-    bin: &str,
-    usage: &str,
-    parse: impl FnOnce(&mut Args) -> Result<T, CliError>,
-) -> T {
-    parse(&mut Args::new(std::env::args().skip(1))).unwrap_or_else(|e| {
-        eprintln!("{bin}: {e}");
-        eprintln!("{usage}");
-        std::process::exit(2)
-    })
+/// Reads the only flag a report takes, `--json <path>`.
+pub fn json_flag(args: &mut Args) -> Result<Option<String>, CliError> {
+    let mut path = None;
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--json" => path = Some(args.value(&flag)?),
+            _ => return Err(CliError::Unknown { arg: flag }),
+        }
+    }
+    Ok(path)
 }
 
-/// The canonical watch soak the forensics bins (`slo_watch`, `why`)
+/// A soak's `--json` document at `path`: its wall-clock `bench` figures,
+/// its report under `key`, then the global engine's stats.
+pub fn write_bench_json(path: &str, bench: &[(&str, u64)], key: &str, report: &dyn ToJson) {
+    let stats = crate::engine::global().stats();
+    write_json_or_exit(path, |out| {
+        out.obj(|o| {
+            o.key("bench");
+            o.obj(|o| bench.iter().for_each(|&(name, v)| o.field(name, v)));
+            o.field(key, report);
+            o.field("engine", &stats);
+        });
+    });
+}
+
+/// `n` per wall-clock second of `elapsed`, rounded.
+pub fn per_sec(n: u64, elapsed: Duration) -> u64 {
+    (n as f64 / elapsed.as_secs_f64().max(1e-9)).round() as u64
+}
+
+/// Reports a refused argument: `<prefix>: <error>`, then `usage`, on
+/// stderr. The exit status is 2.
+pub fn refuse(prefix: &str, usage: &str, err: &CliError) -> ExitCode {
+    eprintln!("{prefix}: {err}");
+    eprintln!("{usage}");
+    ExitCode::from(2)
+}
+
+/// The canonical watch soak the forensics subcommands (`watch`, `why`)
 /// replay: the stormy chaos soak ([`watch::stormy_soak`]) or, with
 /// `--serve`, the calm serving soak ([`watch::calm_soak`]), resized by
 /// `--requests` (at most [`MAX_REQUESTS`]), `--days` (chaos only),

@@ -317,12 +317,13 @@ impl ExperimentEngine {
     }
 
     /// An engine sized from [`THREADS_ENV`], defaulting to the machine's
-    /// available parallelism capped at 8 workers.
+    /// available parallelism capped at 8 workers. `hcc_lab` refuses a
+    /// malformed value before any engine starts; other callers get the
+    /// default.
     pub fn from_env() -> Self {
-        let threads = std::env::var(THREADS_ENV)
+        let threads = crate::cli::engine_threads()
             .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
+            .flatten()
             .unwrap_or_else(|| {
                 std::thread::available_parallelism()
                     .map(|n| n.get())
@@ -486,14 +487,14 @@ impl ExperimentEngine {
 }
 
 /// The process-global engine the figure generators share, so e.g. the
-/// `summary` bin's Fig. 5 and Fig. 7 passes reuse each other's runs. Sized
-/// from [`THREADS_ENV`] on first use.
+/// `summary` subcommand's Fig. 5 and Fig. 7 passes reuse each other's
+/// runs. Sized from [`THREADS_ENV`] on first use.
 pub fn global() -> &'static ExperimentEngine {
     static GLOBAL: OnceLock<ExperimentEngine> = OnceLock::new();
     GLOBAL.get_or_init(ExperimentEngine::from_env)
 }
 
-/// The single end-of-run stats emission point for harness binaries.
+/// The single end-of-run stats emission point for the subcommands.
 ///
 /// Renders the global engine's stats block with **one** locked write to
 /// stderr — under `HCC_ENGINE_THREADS>1` the old per-bin `eprint!` calls
@@ -522,14 +523,12 @@ mod tests {
     use super::*;
     use hcc_runtime::SimConfig;
     use hcc_types::{ByteSize, CcMode, HostMemKind, SimDuration};
-    use hcc_workloads::{Op, Suite, WorkloadSpec};
+    use hcc_workloads::{Op, WorkloadSpec};
 
     fn toy(seed: u64) -> Scenario {
-        let spec = WorkloadSpec {
-            name: "engine-toy",
-            suite: Suite::Micro,
-            uvm: false,
-            ops: vec![
+        let spec = WorkloadSpec::micro(
+            "engine-toy",
+            vec![
                 Op::MallocHost {
                     slot: 0,
                     size: ByteSize::mib(1),
@@ -551,7 +550,7 @@ mod tests {
                     repeat: 4,
                 },
             ],
-        };
+        );
         Scenario::adhoc(spec, SimConfig::new(CcMode::On).with_seed(seed))
     }
 
@@ -618,14 +617,12 @@ mod tests {
     }
 
     fn crashing() -> Scenario {
-        let spec = WorkloadSpec {
-            name: "engine-crash",
-            suite: Suite::Micro,
-            uvm: false,
-            ops: vec![Op::Crash {
+        let spec = WorkloadSpec::micro(
+            "engine-crash",
+            vec![Op::Crash {
                 message: "deliberate chaos-op panic",
             }],
-        };
+        );
         Scenario::adhoc(spec, SimConfig::new(CcMode::Off))
     }
 
@@ -655,11 +652,9 @@ mod tests {
     fn fault_counters_aggregate_from_run_traces() {
         use hcc_types::FaultPlan;
         let engine = ExperimentEngine::new(2);
-        let spec = WorkloadSpec {
-            name: "engine-faulty",
-            suite: Suite::Micro,
-            uvm: false,
-            ops: vec![
+        let spec = WorkloadSpec::micro(
+            "engine-faulty",
+            vec![
                 Op::MallocHost {
                     slot: 0,
                     size: ByteSize::mib(2),
@@ -675,7 +670,7 @@ mod tests {
                     bytes: ByteSize::mib(2),
                 },
             ],
-        };
+        );
         let cfg = SimConfig::new(CcMode::On)
             .with_fault_plan(FaultPlan::uniform(5, 1.0).with_max_per_site(1));
         let result = engine.run(&Scenario::adhoc(spec, cfg));

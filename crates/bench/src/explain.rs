@@ -8,14 +8,22 @@
 //! per-resource deltas sum to ΔP by construction: every nanosecond of
 //! slowdown is attributed to exactly one resource class, none invented,
 //! none lost.
+//!
+//! `hcc_lab explain` ([`COMMAND`]) prints the per-app blame table
+//! ([`render`]); `--json <path>` also writes every explanation as a JSON
+//! array.
 
-use hcc_trace::critpath::{self, Attribution, CritPath, ResourceClass};
+use std::fmt::Write;
+
+use hcc_trace::critpath::{self, Attribution, ResourceClass};
 use hcc_types::json::{JsonOut, ToJson};
 use hcc_types::{CcMode, SimDuration};
 use hcc_workloads::{suites, Scenario};
 
+use crate::cli;
 use crate::engine::{self, ScenarioFailure};
-use crate::figures;
+use crate::lab::Command;
+use crate::{figures, report};
 
 /// One app's aligned CC-on / CC-off critical-path comparison.
 #[derive(Debug, Clone)]
@@ -176,8 +184,87 @@ pub fn explain_all() -> (Vec<AppExplanation>, Vec<ScenarioFailure>) {
     (out, failures)
 }
 
-/// Re-exported path type for binaries that want the raw segments.
-pub type Path = CritPath;
+fn us(ns: i64) -> String {
+    format!("{:+.1}", ns as f64 / 1_000.0)
+}
+
+/// One table line: the app columns, a cell per resource class, then the
+/// dominant class.
+fn line(out: &mut String, app: [String; 4], cells: [String; 7], dominant: &str) {
+    let [app, off, on, dp] = app;
+    let _ = write!(out, "{app:<16} {off:>9} {on:>9} {dp:>9} ");
+    for cell in cells {
+        let _ = write!(out, " {cell:>8}");
+    }
+    let _ = writeln!(out, "  {dominant}");
+}
+
+/// The blame table: one row per explained app, a `!!` line per failure,
+/// then a greppable trailer for CI — the paper's causes must show up in
+/// the blame: crypto and bounce-pool exposure on some dense app, UVM
+/// exposure on some managed app.
+pub fn render(rows: &[AppExplanation], failures: &[ScenarioFailure]) -> String {
+    let mut out = report::section(
+        "slowdown explainer — exposed critical time per resource (CC-on minus CC-off)",
+    );
+    let head = ["app", "P.off/us", "P.on/us", "dP/us"].map(String::from);
+    line(
+        &mut out,
+        head,
+        ResourceClass::ALL.map(|r| r.short().into()),
+        "dominant",
+    );
+    for e in rows {
+        let p = |d: SimDuration| format!("{:.1}", d.as_micros_f64());
+        let app = [e.app.to_string(), p(e.p_off), p(e.p_on), us(e.delta_p())];
+        let cells = ResourceClass::ALL.map(|r| us(e.exposed_delta(r)));
+        line(
+            &mut out,
+            app,
+            cells,
+            e.dominant().map_or("-", |(r, _)| r.short()),
+        );
+    }
+    report::failure_lines(&mut out, failures);
+
+    let crypto_bounce = rows.iter().any(|e| {
+        !e.uvm
+            && e.exposed_delta(ResourceClass::Crypto) > 0
+            && e.exposed_delta(ResourceClass::BouncePool) > 0
+    });
+    let uvm_exposed = rows
+        .iter()
+        .any(|e| e.uvm && e.exposed_delta(ResourceClass::Uvm) != 0);
+    let confirmed: usize = rows.iter().map(|e| e.confirmed_links).sum();
+    let edges: usize = rows.iter().map(|e| e.edges_on).sum();
+    let _ = writeln!(
+        out,
+        "\nexplained: {} apps, {} causal edges, {} path hops edge-confirmed, \
+         crypto+bounce exposed: {}, uvm exposed: {} (identity OK)",
+        rows.len(),
+        edges,
+        confirmed,
+        crypto_bounce,
+        uvm_exposed
+    );
+    out
+}
+
+/// `hcc_lab explain`: every standard app's blame table ([`render`]).
+pub const COMMAND: Command = Command {
+    usage: "usage: hcc_lab explain [--json <path>]",
+    parse: |args| {
+        let json_path = cli::json_flag(args)?;
+        Ok(Box::new(move || {
+            let (rows, failures) = explain_all();
+            print!("{}", render(&rows, &failures));
+            if let Some(path) = json_path {
+                cli::write_or_exit(&path, rows.to_json_string());
+            }
+            report::finish(&failures)
+        }))
+    },
+};
 
 #[cfg(test)]
 mod tests {

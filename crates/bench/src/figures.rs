@@ -1,6 +1,6 @@
 //! Data generators and renderers for every table and figure in the
 //! paper's evaluation. Each submodule computes the rows/series a figure
-//! plots and renders them as the text the `figures` bin prints
+//! plots and renders them as the text `hcc_lab figures` prints
 //! ([`Figure`] names them); the integration tests assert their shape and
 //! `tests/golden/figures.txt` freezes their text.
 //!
@@ -20,7 +20,10 @@ use hcc_workloads::{RunResult, Scenario, WorkloadSpec};
 
 use crate::cli::{self, Args, CliError};
 use crate::engine::{ScenarioFailure, ScenarioResult};
+use crate::lab::Command;
+use crate::report;
 
+pub mod sensitivity;
 pub mod summary;
 
 /// Environment variable carrying a [`FaultPlan`] spec (e.g.
@@ -32,7 +35,7 @@ pub const FAULT_PLAN_ENV: &str = "HCC_FAULT_PLAN";
 /// every figure config (`HCC_METRICS=1`). Metrics only observe — figure
 /// stdout is byte-identical either way (tier-2 asserts this) — but
 /// obs-enabled runs additionally carry queue/occupancy snapshots that
-/// `obs_report` and the Perfetto export surface.
+/// `hcc_lab obs` and the Perfetto export surface.
 pub const METRICS_ENV: &str = "HCC_METRICS";
 
 /// Environment variable switching causal-edge collection on for every
@@ -107,16 +110,16 @@ impl<T> FromIterator<Result<T, Vec<ScenarioFailure>>> for Computed<Vec<T>> {
 }
 
 /// The process-wide switches every figure config picks up, read once:
-/// the [`FAULT_PLAN_ENV`] plan (`None` when unset; a malformed spec is
-/// reported on stderr and ignored), then whether [`METRICS_ENV`] and
+/// the [`FAULT_PLAN_ENV`] plan (`None` when unset; `hcc_lab` refuses a
+/// malformed spec first, other callers see it reported on stderr and
+/// ignored), then whether [`METRICS_ENV`] and
 /// [`CAUSAL_ENV`] are on (any non-empty value other than `0`).
 fn env_switches() -> &'static (Option<FaultPlan>, bool, bool) {
     static SWITCHES: OnceLock<(Option<FaultPlan>, bool, bool)> = OnceLock::new();
     SWITCHES.get_or_init(|| {
-        let plan = std::env::var(FAULT_PLAN_ENV).ok().and_then(|spec| {
-            let plan = FaultPlan::parse(&spec);
-            plan.map_err(|e| eprintln!("ignoring {FAULT_PLAN_ENV}: {e}"))
-                .ok()
+        let plan = cli::env_fault_plan().unwrap_or_else(|e| {
+            eprintln!("ignoring {e}");
+            None
         });
         let on = |var| std::env::var(var).is_ok_and(|v| !v.is_empty() && v != "0");
         (plan, on(METRICS_ENV), on(CAUSAL_ENV))
@@ -162,8 +165,8 @@ pub fn adhoc_scenario(spec: WorkloadSpec, cc: CcMode) -> Scenario {
     Scenario::adhoc(spec, cfg(cc))
 }
 
-/// A table or figure the `figures` bin renders (each Fig. 12 panel is
-/// one), by the name the bin takes for it.
+/// A table or figure `hcc_lab figures` renders (each Fig. 12 panel is
+/// one), by the name it takes for it.
 #[derive(Debug, Clone, Copy)]
 pub struct Figure {
     /// `table1`, `fig01` … `fig14`, `fig09b` or `fig12a|b|c`.
@@ -220,7 +223,7 @@ impl Figure {
     }
 }
 
-/// What the `figures` bin renders: the named figures in order, repeats
+/// What `hcc_lab figures` renders: the named figures in order, repeats
 /// kept (every figure when none is named), and whether Fig. 4b measures
 /// its functional column.
 #[derive(Debug, Clone)]
@@ -232,10 +235,6 @@ pub struct Selection {
 }
 
 impl Selection {
-    /// The `figures` bin's usage line.
-    pub const USAGE: &'static str =
-        "usage: figures [table1|fig01..fig14|fig09b|fig12a|fig12b|fig12c|all ...] [--functional]";
-
     /// Reads figure names and `--functional`; any other flag, or a name
     /// [`Figure::select`] does not know, is a typed error.
     pub fn parse(args: &mut Args) -> Result<Selection, CliError> {
@@ -261,6 +260,26 @@ impl Selection {
         })
     }
 }
+
+/// `hcc_lab figures`: every selected figure in order. When a scenario
+/// failed, the rest still renders (the failure as a `!!` line) and the
+/// exit status is 1.
+pub const COMMAND: Command = Command {
+    usage: "usage: hcc_lab figures \
+        [table1|fig01..fig14|fig09b|fig12a|fig12b|fig12c|all ...] [--functional]",
+    parse: |args| {
+        let selection = Selection::parse(args)?;
+        Ok(Box::new(move || {
+            let mut failures = Vec::new();
+            for figure in selection.figures {
+                let computed = figure.render(selection.functional);
+                print!("{}", computed.data);
+                failures.extend(computed.failures);
+            }
+            report::finish(&failures)
+        }))
+    },
+};
 
 /// Table I: the evaluation platform configuration.
 pub mod table1 {
@@ -487,7 +506,7 @@ pub mod fig04a {
 
     use hcc_trace::EventKind;
     use hcc_types::{Bandwidth, ByteSize, CcMode, HostMemKind, SimDuration};
-    use hcc_workloads::{Op, Scenario, Suite, WorkloadSpec};
+    use hcc_workloads::{Op, Scenario, WorkloadSpec};
 
     use crate::report;
 
@@ -518,11 +537,9 @@ pub mod fig04a {
     }
 
     fn point_spec(size: ByteSize, mem: HostMemKind) -> WorkloadSpec {
-        WorkloadSpec {
-            name: "fig04a-h2d",
-            suite: Suite::Micro,
-            uvm: false,
-            ops: vec![
+        WorkloadSpec::micro(
+            "fig04a-h2d",
+            vec![
                 Op::MallocHost {
                     slot: 0,
                     size,
@@ -535,7 +552,7 @@ pub mod fig04a {
                     bytes: size,
                 },
             ],
-        }
+        )
     }
 
     /// One single-copy scenario per sweep point.
@@ -784,7 +801,7 @@ pub mod fig06 {
 
     use hcc_trace::EventKind;
     use hcc_types::{ByteSize, CcMode, HostMemKind, MemSpace, SimDuration};
-    use hcc_workloads::{Op, RunResult, Scenario, Suite, WorkloadSpec};
+    use hcc_workloads::{Op, RunResult, Scenario, WorkloadSpec};
 
     use crate::report;
 
@@ -820,12 +837,7 @@ pub mod fig06 {
             ops.push(Op::MallocManaged { slot: 0, size });
             ops.push(Op::FreeManaged { slot: 0 });
         }
-        WorkloadSpec {
-            name: "fig06-mgmt",
-            suite: Suite::Micro,
-            uvm: false,
-            ops,
-        }
+        WorkloadSpec::micro("fig06-mgmt", ops)
     }
 
     /// The management-cycle scenario for both modes.

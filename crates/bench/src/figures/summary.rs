@@ -14,8 +14,12 @@ use hcc_ml::llm::{Backend, LlmConfig, LlmEstimator, LlmPrecision, FIG14_BATCHES}
 use hcc_types::{ByteSize, CcMode, CpuModel, HostMemKind, SimDuration};
 use hcc_workloads::Scenario;
 
-use super::{fig04a, fig05, fig06, fig07, fig09, fig12, Computed};
-use crate::engine::ScenarioFailure;
+use hcc_types::json::JsonOut;
+
+use super::{fig03, fig04a, fig05, fig06, fig07, fig09, fig12, Computed};
+use crate::cli;
+use crate::engine::{self, ScenarioFailure};
+use crate::lab::Command;
 use crate::report;
 
 /// The summary as it renders: the text so far, and the failures of the
@@ -190,3 +194,48 @@ pub fn render() -> Computed<String> {
         failures: t.failures,
     }
 }
+
+/// The machine-readable benchmark summary: end-to-end `P` and phase
+/// totals of every standard app in both modes (Fig. 3's runs), plus the
+/// engine's self-profile (wall time, cache hits). Every run resolves from
+/// the engine cache when the figures above already simulated it.
+fn bench_summary(out: &mut JsonOut<'_>, failures: &mut Vec<ScenarioFailure>) {
+    let batch = fig03::scenarios();
+    let results = engine::global().run_all(&batch);
+    out.obj(|o| {
+        o.key("apps");
+        o.arr(|o| {
+            for (scenario, result) in batch.iter().zip(&results) {
+                match result.run() {
+                    Ok(run) => o.obj(|o| {
+                        o.field("app", scenario.app_name());
+                        o.field("cc", scenario.cc());
+                        o.field("p_ns", run.timeline.span());
+                        o.field("phases", run.timeline.phase_totals());
+                    }),
+                    Err(f) => failures.push(f),
+                }
+            }
+        });
+        o.field("engine", engine::global().stats());
+    });
+}
+
+/// `hcc_lab summary`: the scorecard [`render`] prints, and with `--json
+/// <path>` per-app `P` and phase totals plus the engine's self-profile.
+pub const COMMAND: Command = Command {
+    usage: "usage: hcc_lab summary [--json <path>]",
+    parse: |args| {
+        let json_path = cli::json_flag(args)?;
+        Ok(Box::new(move || {
+            let summary = render();
+            print!("{}", summary.data);
+            let mut failures = summary.failures;
+            // Written last, so the engine self-profile covers every batch.
+            if let Some(path) = json_path {
+                cli::write_json_or_exit(&path, |out| bench_summary(out, &mut failures));
+            }
+            report::finish(&failures)
+        }))
+    },
+};

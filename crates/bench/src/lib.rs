@@ -2,15 +2,17 @@
 //!
 //! Figure regeneration for the paper's entire evaluation: [`figures`]
 //! computes the data series behind Tables/Figures 1–14 and renders them
-//! in the rows the paper reports, the `figures` and `summary` bins print
-//! them, and the in-repo benches under `benches/` (driven by [`harness`])
-//! measure the hot paths plus the DESIGN.md ablations (bounce-pool reuse,
-//! UVM batching/prefetch, crypto choice, ring depth).
+//! in the rows the paper reports, the serving ([`serving`]), chaos
+//! ([`chaos`]) and watchtower ([`watch`]) soaks run on top of it, and
+//! the in-repo benches under `benches/` (driven by [`harness`]) measure
+//! the hot paths plus the DESIGN.md ablations (bounce-pool reuse, UVM
+//! batching/prefetch, crypto choice, ring depth).
 //!
-//! Render a figure with e.g. `cargo run -p hcc-bench --bin figures --
-//! fig05` (no name renders them all): each prints a table whose shape
-//! should be compared against the corresponding figure (see
-//! EXPERIMENTS.md at the repo root for the recorded comparison).
+//! Everything is reached through one front door, the `hcc_lab` bin
+//! ([`lab`]): render a figure with e.g. `hcc_lab figures fig05` (no
+//! name renders them all) and compare its table against the
+//! corresponding figure (see EXPERIMENTS.md at the repo root for the
+//! recorded comparison).
 //!
 //! All simulation-backed figures route their runs through the [`engine`]:
 //! a parallel, memoizing executor of `hcc_workloads::Scenario` requests,
@@ -21,8 +23,11 @@ pub mod chaos;
 pub mod cli;
 pub mod engine;
 pub mod explain;
+pub mod faults;
 pub mod figures;
 pub mod harness;
+pub mod lab;
+pub mod obs;
 pub mod report;
 pub mod serving;
 pub mod watch;

@@ -2,6 +2,7 @@
 //! ratio cells and failure lines, all written into the report text.
 
 use std::fmt::Write;
+use std::process::ExitCode;
 
 use crate::engine::ScenarioFailure;
 
@@ -29,19 +30,35 @@ pub fn failure_lines(out: &mut String, failures: &[ScenarioFailure]) {
     }
 }
 
-/// The tail call of every figure binary: when any scenario failed, print
-/// a count on stderr and exit nonzero so CI catches partial reports. The
-/// per-row `!! label: error` lines are expected to have been rendered
-/// already (via [`failure_lines`]).
-pub fn exit_on_failures(failures: &[ScenarioFailure]) {
+/// The tail of every report subcommand: the engine statistics on stderr
+/// (they carry wall-clock times, so stdout stays byte-identical across
+/// `HCC_ENGINE_THREADS` settings), then the exit status — success when
+/// no scenario failed, otherwise 1 after a count and the failures on
+/// stderr, so CI catches partial reports. The per-row `!! label: error`
+/// lines are expected to have been rendered already (via
+/// [`failure_lines`]).
+pub fn finish(failures: &[ScenarioFailure]) -> ExitCode {
+    crate::engine::emit_stats();
     if failures.is_empty() {
-        return;
+        return ExitCode::SUCCESS;
     }
     eprintln!("{} scenario(s) failed:", failures.len());
     for f in failures {
         eprintln!("  {f}");
     }
-    std::process::exit(1);
+    ExitCode::FAILURE
+}
+
+/// The tail of a soak subcommand: the engine statistics on stderr, then
+/// failure after `<sub>: <check>` on stderr when `broken` names a broken
+/// check.
+pub fn soak_status(sub: &str, broken: Option<&str>) -> ExitCode {
+    crate::engine::emit_stats();
+    let Some(check) = broken else {
+        return ExitCode::SUCCESS;
+    };
+    eprintln!("{sub}: {check}");
+    ExitCode::FAILURE
 }
 
 #[cfg(test)]

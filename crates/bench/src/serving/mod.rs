@@ -36,8 +36,10 @@ use hcc_types::calib::TdxCalib;
 use hcc_types::{CcMode, FaultPlan, Planes, RecoveryPolicy, SimTime};
 use hcc_workloads::{default_tenants, Scenario, TenantSpec};
 
-use crate::cli::{env_at_most, env_u64, CliError};
+use crate::cli::{self, env_at_most, env_u64, CliError};
 use crate::engine::ExperimentEngine;
+use crate::lab::Command;
+use crate::watch::WatchConfig;
 
 pub use arrival::{ArrivalKind, ArrivalProcess, Request};
 pub use report::{ModeRun, SchedulerRun, ServingReport, TenantStats};
@@ -289,6 +291,77 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
         runs,
     }
 }
+
+/// `hcc_lab serve`: [`run`] over every configured scheduler, its report
+/// on stdout and wall-clock throughput in the `--json` side file. Exit
+/// status 1 means a run broke its latency identity, conservation,
+/// session ledger or gauge drain; 2 a bad flag or `HCC_SERVE_*`
+/// override, or a size past [`arrival::MAX_REQUESTS`],
+/// [`cluster::MAX_GPUS`] or [`cluster::MAX_BATCH`].
+pub const COMMAND: Command = Command {
+    usage: "usage: hcc_lab serve [--requests N] [--gpus N] [--tenants N] [--seed S] \
+        [--arrival poisson|bursty|diurnal] [--scheduler fifo|priority|batching|all] \
+        [--util F] [--max-batch N] [--watch] [--flight] [--json <path>]",
+    parse: |args| {
+        let mut json_path: Option<String> = None;
+        let mut tenant_count = 2usize;
+        // Harness default, then env overrides (HCC_SERVE_*), then flags.
+        let mut cfg = ServingConfig {
+            requests: 100_000,
+            ..ServingConfig::default()
+        }
+        .from_env()?;
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--requests" => cfg.requests = args.at_most(&flag, arrival::MAX_REQUESTS)?.max(1),
+                "--gpus" => cfg.gpus = args.at_most(&flag, cluster::MAX_GPUS)?.max(1) as usize,
+                "--tenants" => tenant_count = args.u64(&flag)?.max(1) as usize,
+                "--seed" => cfg.seed = args.u64(&flag)?,
+                "--max-batch" => {
+                    cfg.max_batch = args.at_most(&flag, cluster::MAX_BATCH)?.max(1) as usize;
+                }
+                "--util" => cfg.target_util = args.fraction(&flag)?.clamp(0.05, 0.95),
+                "--arrival" => cfg.arrival = args.arrival(&flag)?,
+                "--scheduler" => {
+                    cfg.schedulers = args.name(
+                        &flag,
+                        "scheduler",
+                        "expected fifo|priority|batching|all",
+                        |raw| match raw {
+                            "all" => Some(SchedulerKind::ALL.to_vec()),
+                            _ => SchedulerKind::parse(raw).map(|kind| vec![kind]),
+                        },
+                    )?;
+                }
+                "--watch" => cfg.watch = Some(WatchConfig::default().from_env()?),
+                "--flight" => cfg.flight = Some(cli::flight_from_env()?),
+                "--json" => json_path = Some(args.value(&flag)?),
+                _ => return Err(CliError::Unknown { arg: flag }),
+            }
+        }
+        Ok(Box::new(move || {
+            cfg.tenants = default_tenants(tenant_count);
+            let engine = crate::engine::global();
+            let wall = std::time::Instant::now();
+            let report = run(&cfg, engine);
+            let elapsed = wall.elapsed();
+
+            print!("{}", report.render());
+
+            if let Some(path) = json_path {
+                let bench = [
+                    ("requests_per_sec", cli::per_sec(cfg.requests, elapsed)),
+                    ("shapes_simulated", engine.stats().scenarios_run),
+                    ("wall_ms", elapsed.as_millis() as u64),
+                ];
+                cli::write_bench_json(&path, &bench, "report", &report);
+            }
+
+            let broken = "a run violated a structural invariant";
+            crate::report::soak_status("serve", (!report.healthy()).then_some(broken))
+        }))
+    },
+};
 
 #[cfg(test)]
 mod tests {

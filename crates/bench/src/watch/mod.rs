@@ -23,6 +23,7 @@
 //! the settled requests are listed in, and absent entirely (zero cost)
 //! when the plane is off.
 
+pub mod front;
 pub mod report;
 
 use hcc_trace::critpath::ResourceClass;
@@ -117,7 +118,7 @@ impl WatchConfig {
 /// The canonical stormy watch soak: a crypto-burst calendar over a
 /// 4-day, 2-GPU chaos run under the Abort policy, whose mass rejections
 /// in peak windows burn every tenant's error budget well past the 4×
-/// alert threshold — the `slo_watch` bin's default and the golden
+/// alert threshold — `hcc_lab watch`'s default and the golden
 /// fixture's incident polarity.
 #[must_use]
 pub fn stormy_soak() -> ChaosConfig {
@@ -135,7 +136,7 @@ pub fn stormy_soak() -> ChaosConfig {
 
 /// The canonical calm watch soak: a low-utilization Poisson serving run
 /// with no storm calendar, whose timeline stays empty — the golden
-/// fixture's quiet polarity (`slo_watch --serve`).
+/// fixture's quiet polarity (`hcc_lab watch --serve`).
 #[must_use]
 pub fn calm_soak() -> ServingConfig {
     ServingConfig {

@@ -90,7 +90,7 @@ pub struct Incident {
     pub blame: Option<IncidentBlame>,
     /// Flight-recorder exemplar request ids settling inside the
     /// incident's span, worst first (empty when the flight plane was
-    /// off). Render-neutral: only the JSON export and the `why` bin
+    /// off). Render-neutral: only the JSON export and `hcc_lab why`
     /// surface these — see [`WatchReport::link_exemplars`].
     pub exemplars: Vec<u32>,
 }

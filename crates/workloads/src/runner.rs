@@ -290,11 +290,9 @@ mod tests {
     use hcc_types::{ByteSize, CcMode, HostMemKind, SimDuration};
 
     fn toy_spec() -> WorkloadSpec {
-        WorkloadSpec {
-            name: "toy",
-            suite: Suite::Micro,
-            uvm: false,
-            ops: vec![
+        WorkloadSpec::micro(
+            "toy",
+            vec![
                 Op::MallocHost {
                     slot: 0,
                     size: ByteSize::mib(4),
@@ -323,7 +321,7 @@ mod tests {
                 Op::FreeDevice { slot: 0 },
                 Op::FreeHost { slot: 0 },
             ],
-        }
+        )
     }
 
     #[test]
@@ -346,16 +344,14 @@ mod tests {
 
     #[test]
     fn unbound_slot_is_reported() {
-        let spec = WorkloadSpec {
-            name: "bad",
-            suite: Suite::Micro,
-            uvm: false,
-            ops: vec![Op::H2D {
+        let spec = WorkloadSpec::micro(
+            "bad",
+            vec![Op::H2D {
                 dst: 0,
                 src: 0,
                 bytes: ByteSize::mib(1),
             }],
-        };
+        );
         let err = run(&spec, SimConfig::new(CcMode::Off)).unwrap_err();
         assert!(matches!(err, RunError::UnboundSlot { op_index: 0, .. }));
     }

@@ -211,15 +211,12 @@ fn mix_op(h: &mut Fnv64, op: &Op) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::Suite;
     use hcc_types::{ByteSize, HostMemKind, SimDuration};
 
     fn toy(ket_us: u64) -> WorkloadSpec {
-        WorkloadSpec {
-            name: "toy",
-            suite: Suite::Micro,
-            uvm: false,
-            ops: vec![
+        WorkloadSpec::micro(
+            "toy",
+            vec![
                 Op::MallocHost {
                     slot: 0,
                     size: ByteSize::mib(1),
@@ -232,7 +229,7 @@ mod tests {
                     repeat: 2,
                 },
             ],
-        }
+        )
     }
 
     #[test]

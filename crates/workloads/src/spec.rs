@@ -140,6 +140,16 @@ pub struct WorkloadSpec {
 }
 
 impl WorkloadSpec {
+    /// An inline microbenchmark program: no suite app, no managed memory.
+    pub fn micro(name: &'static str, ops: Vec<Op>) -> Self {
+        WorkloadSpec {
+            name,
+            suite: Suite::Micro,
+            uvm: false,
+            ops,
+        }
+    }
+
     /// Total number of kernel launches in the program.
     pub fn launch_count(&self) -> u64 {
         self.ops
@@ -180,11 +190,9 @@ mod tests {
 
     #[test]
     fn spec_aggregates() {
-        let spec = WorkloadSpec {
-            name: "toy",
-            suite: Suite::Micro,
-            uvm: false,
-            ops: vec![
+        let spec = WorkloadSpec::micro(
+            "toy",
+            vec![
                 Op::MallocDevice {
                     slot: 0,
                     size: ByteSize::mib(1),
@@ -201,7 +209,7 @@ mod tests {
                     bytes: ByteSize::mib(1),
                 },
             ],
-        };
+        );
         assert_eq!(spec.launch_count(), 5);
         assert_eq!(spec.copy_bytes(), ByteSize::mib(1));
         assert_eq!(spec.nominal_ket(), SimDuration::micros(50));

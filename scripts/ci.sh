@@ -32,16 +32,17 @@ run cargo test -q --release --offline --manifest-path hcc_benchmark/Cargo.toml
 echo "tier-1: OK"
 
 # Tier-2 smoke: the experiment engine's determinism contract on the real
-# summary and figures harnesses. stdout must be byte-identical at 1 and 4
+# summary and figures subcommands of the one front door, hcc_lab. stdout must be byte-identical at 1 and 4
 # worker threads, and the parallel run must actually share work (cache
 # hits).
 echo "==> tier-2: summary and figures determinism across HCC_ENGINE_THREADS"
 t2_dir=$(mktemp -d)
 trap 'rm -rf "$t2_dir"' EXIT
+lab=./target/release/hcc_lab
 
-HCC_ENGINE_THREADS=1 ./target/release/summary \
+HCC_ENGINE_THREADS=1 $lab summary \
     >"$t2_dir/serial.out" 2>/dev/null
-HCC_ENGINE_THREADS=4 ./target/release/summary \
+HCC_ENGINE_THREADS=4 $lab summary \
     >"$t2_dir/parallel.out" 2>"$t2_dir/parallel.stats"
 
 if ! diff -u "$t2_dir/serial.out" "$t2_dir/parallel.out"; then
@@ -49,8 +50,8 @@ if ! diff -u "$t2_dir/serial.out" "$t2_dir/parallel.out"; then
     exit 1
 fi
 
-HCC_ENGINE_THREADS=1 ./target/release/figures >"$t2_dir/figures1.out" 2>/dev/null
-HCC_ENGINE_THREADS=4 ./target/release/figures >"$t2_dir/figures4.out" 2>/dev/null
+HCC_ENGINE_THREADS=1 $lab figures >"$t2_dir/figures1.out" 2>/dev/null
+HCC_ENGINE_THREADS=4 $lab figures >"$t2_dir/figures4.out" 2>/dev/null
 if ! diff -u "$t2_dir/figures1.out" "$t2_dir/figures4.out"; then
     echo "tier-2: FAIL — figures stdout differs between 1 and 4 threads" >&2
     exit 1
@@ -74,13 +75,13 @@ echo "tier-2: OK (stdout identical, $hits cache hits)"
 # across worker counts and attribute nonzero recovery time (T_fault).
 echo "==> tier-2: fault sweep determinism under a seeded plan"
 plan="seed=7,gcm=0.35,bounce=0.3,ring=0.3,uvm=0.35,max=6"
-HCC_ENGINE_THREADS=1 ./target/release/fault_sweep --plan "$plan" \
+HCC_ENGINE_THREADS=1 $lab faults --plan "$plan" \
     >"$t2_dir/fault1.out" 2>/dev/null
-HCC_ENGINE_THREADS=4 ./target/release/fault_sweep --plan "$plan" \
+HCC_ENGINE_THREADS=4 $lab faults --plan "$plan" \
     >"$t2_dir/fault4.out" 2>/dev/null
 
 if ! diff -u "$t2_dir/fault1.out" "$t2_dir/fault4.out"; then
-    echo "tier-2: FAIL — fault_sweep stdout differs between 1 and 4 threads" >&2
+    echo "tier-2: FAIL — faults stdout differs between 1 and 4 threads" >&2
     exit 1
 fi
 
@@ -92,7 +93,7 @@ fi
 # A deliberately panicking scenario must become a structured failure
 # while the rest of its batch completes (exit 0 = contained).
 echo "==> tier-2: panic containment in the experiment engine"
-./target/release/fault_sweep --panic-smoke
+$lab faults --panic-smoke
 
 echo "tier-2: OK (fault sweep deterministic, panic contained)"
 
@@ -103,42 +104,42 @@ echo "tier-2: OK (fault sweep deterministic, panic contained)"
 # reach the soak-snapshot section, identically at 1 and 4 engine threads,
 # and all drain back to zero (no WARN drift line).
 echo "==> tier-2: observability plane smoke"
-./target/release/obs_report --json "$t2_dir/obs.json" \
+$lab obs --json "$t2_dir/obs.json" \
     >"$t2_dir/obs.out" 2>/dev/null
 
 trailer=$(sed -n 's/^snapshots: \([0-9][0-9]*\) scenarios, \([0-9][0-9]*\) samples, \([0-9][0-9]*\) saturated (json round-trip OK)$/\1 \2 \3/p' "$t2_dir/obs.out")
 if [ -z "$trailer" ]; then
-    echo "tier-2: FAIL — obs_report trailer missing (round-trip self-check did not run)" >&2
+    echo "tier-2: FAIL — obs trailer missing (round-trip self-check did not run)" >&2
     exit 1
 fi
 samples=$(echo "$trailer" | cut -d' ' -f2)
 saturated=$(echo "$trailer" | cut -d' ' -f3)
 if [ "$samples" -eq 0 ] || [ "$saturated" -eq 0 ]; then
-    echo "tier-2: FAIL — obs_report saw $samples samples, $saturated saturated scenarios" >&2
+    echo "tier-2: FAIL — obs saw $samples samples, $saturated saturated scenarios" >&2
     exit 1
 fi
 if [ ! -s "$t2_dir/obs.json" ]; then
-    echo "tier-2: FAIL — obs_report --json wrote nothing" >&2
+    echo "tier-2: FAIL — obs --json wrote nothing" >&2
     exit 1
 fi
 
-# The soak snapshots are drained by obs_report itself; they must not
+# The soak snapshots are drained by the obs report itself; they must not
 # depend on the engine's worker count, in stdout or in the JSON export.
-HCC_ENGINE_THREADS=1 ./target/release/obs_report --serve --chaos --json "$t2_dir/obs_soak.json" \
+HCC_ENGINE_THREADS=1 $lab obs --serve --chaos --json "$t2_dir/obs_soak.json" \
     >"$t2_dir/obs_soak.out" 2>/dev/null
-HCC_ENGINE_THREADS=4 ./target/release/obs_report --serve --chaos --json "$t2_dir/obs_soak4.json" \
+HCC_ENGINE_THREADS=4 $lab obs --serve --chaos --json "$t2_dir/obs_soak4.json" \
     >"$t2_dir/obs_soak4.out" 2>/dev/null
 if ! diff -u "$t2_dir/obs_soak.out" "$t2_dir/obs_soak4.out"; then
-    echo "tier-2: FAIL — obs_report --serve --chaos stdout differs between 1 and 4 threads" >&2
+    echo "tier-2: FAIL — obs --serve --chaos stdout differs between 1 and 4 threads" >&2
     exit 1
 fi
 if ! cmp -s "$t2_dir/obs_soak.json" "$t2_dir/obs_soak4.json"; then
-    echo "tier-2: FAIL — obs_report --serve --chaos --json differs between 1 and 4 threads" >&2
+    echo "tier-2: FAIL — obs --serve --chaos --json differs between 1 and 4 threads" >&2
     exit 1
 fi
 if ! grep -q '^=== observability — soak snapshots (serving.queue_depth) ===$' "$t2_dir/obs_soak.out" \
     || ! grep -q '^serve:' "$t2_dir/obs_soak.out" || ! grep -q '^chaos:' "$t2_dir/obs_soak.out"; then
-    echo "tier-2: FAIL — obs_report --serve --chaos printed no serve and chaos soak snapshots" >&2
+    echo "tier-2: FAIL — obs --serve --chaos printed no serve and chaos soak snapshots" >&2
     exit 1
 fi
 if grep '^WARN .* drifted' "$t2_dir/obs_soak.out" >&2; then
@@ -147,7 +148,7 @@ if grep '^WARN .* drifted' "$t2_dir/obs_soak.out" >&2; then
 fi
 
 HCC_METRICS=1 HCC_ENGINE_STATS_JSON="$t2_dir/engine.json" \
-    ./target/release/summary >"$t2_dir/obs_on.out" 2>/dev/null
+    $lab summary >"$t2_dir/obs_on.out" 2>/dev/null
 if ! diff -u "$t2_dir/serial.out" "$t2_dir/obs_on.out"; then
     echo "tier-2: FAIL — summary stdout differs with HCC_METRICS=1" >&2
     exit 1
@@ -163,11 +164,11 @@ echo "tier-2: OK (obs: $samples samples, $saturated saturated, soak gauges drain
 # deterministic (stdout and the --json export byte-identical across
 # worker counts) and must blame the paper's causes — crypto + bounce-pool exposure on some dense
 # app, UVM exposure on some managed app. Identity (Σ critical segments
-# == P, deltas summing to ΔP) is asserted inside the binary per app.
+# == P, deltas summing to ΔP) is asserted inside the explainer per app.
 echo "==> tier-2: slowdown explainer determinism and blame"
-HCC_ENGINE_THREADS=1 ./target/release/explain --json "$t2_dir/explain.json" \
+HCC_ENGINE_THREADS=1 $lab explain --json "$t2_dir/explain.json" \
     >"$t2_dir/explain1.out" 2>/dev/null
-HCC_ENGINE_THREADS=4 ./target/release/explain --json "$t2_dir/explain4.json" \
+HCC_ENGINE_THREADS=4 $lab explain --json "$t2_dir/explain4.json" \
     >"$t2_dir/explain4.out" 2>/dev/null
 
 if ! diff -u "$t2_dir/explain1.out" "$t2_dir/explain4.out"; then
@@ -192,7 +193,7 @@ if ! grep -q '"delta_p_ns"' "$t2_dir/explain.json"; then
 fi
 
 # Like HCC_METRICS, causal collection must not perturb figure stdout.
-HCC_CAUSAL=1 ./target/release/summary >"$t2_dir/causal_on.out" 2>/dev/null
+HCC_CAUSAL=1 $lab summary >"$t2_dir/causal_on.out" 2>/dev/null
 if ! diff -u "$t2_dir/serial.out" "$t2_dir/causal_on.out"; then
     echo "tier-2: FAIL — summary stdout differs with HCC_CAUSAL=1" >&2
     exit 1
@@ -203,7 +204,7 @@ echo "tier-2: OK (explain deterministic, blames crypto/bounce and uvm)"
 # Tier-2 machine-readable summary: per-app P + phase totals + engine
 # self-profile, written by the same run that prints the scorecard.
 echo "==> tier-2: BENCH_summary.json export"
-./target/release/summary --json "$t2_dir/BENCH_summary.json" \
+$lab summary --json "$t2_dir/BENCH_summary.json" \
     >/dev/null 2>&1
 if ! grep -q '"apps"' "$t2_dir/BENCH_summary.json" \
     || ! grep -q '"scenarios_run"' "$t2_dir/BENCH_summary.json" \
@@ -221,9 +222,9 @@ echo "tier-2: OK (BENCH_summary.json exported)"
 # BENCH_serving.json side file must record nonzero wall-clock throughput
 # and exactly one simulation per distinct shape per CC mode.
 echo "==> tier-2: serving cluster determinism and SLO invariants"
-HCC_ENGINE_THREADS=1 ./target/release/serve --requests 100000 --gpus 4 \
+HCC_ENGINE_THREADS=1 $lab serve --requests 100000 --gpus 4 \
     >"$t2_dir/serve1.out" 2>/dev/null
-HCC_ENGINE_THREADS=4 ./target/release/serve --requests 100000 --gpus 4 \
+HCC_ENGINE_THREADS=4 $lab serve --requests 100000 --gpus 4 \
     --json "$t2_dir/BENCH_serving.json" \
     >"$t2_dir/serve4.out" 2>/dev/null
 
@@ -233,9 +234,9 @@ if ! diff -u "$t2_dir/serve1.out" "$t2_dir/serve4.out"; then
 fi
 
 # 65 GPUs span two words of the cluster's idle-GPU bitset.
-HCC_ENGINE_THREADS=1 ./target/release/serve --requests 20000 --gpus 65 \
+HCC_ENGINE_THREADS=1 $lab serve --requests 20000 --gpus 65 \
     >"$t2_dir/serve65_1.out" 2>/dev/null
-HCC_ENGINE_THREADS=4 ./target/release/serve --requests 20000 --gpus 65 \
+HCC_ENGINE_THREADS=4 $lab serve --requests 20000 --gpus 65 \
     >"$t2_dir/serve65_4.out" 2>/dev/null
 if ! diff -u "$t2_dir/serve65_1.out" "$t2_dir/serve65_4.out"; then
     echo "tier-2: FAIL — 65-GPU serve stdout differs between 1 and 4 threads" >&2
@@ -264,26 +265,39 @@ if [ -z "$shapes" ] || [ -z "$distinct" ] || [ "$shapes" -ne $((2 * distinct)) ]
     exit 1
 fi
 
-# Every argv-reading bin refuses bad input through the one flag parser
-# (hcc_bench::cli): exit 2, and a first stderr line naming the bin. So
-# does a malformed HCC_* override, given as a leading VAR=value, and a
-# soak size past what the simulator's u32 ids and u16 batch sizes hold.
-for cmd in "serve --bogus" "serve --util NaN" "chaos --bogus" "slo_watch --bogus" \
-    "why --bogus" "obs_report --bogus" "summary --bogus" "explain --bogus" \
-    "fault_sweep --bogus" "hcc_lab --bogus" "figures --bogus" "figures fig99" \
-    "HCC_SERVE_REQUESTS=abc serve" "HCC_WATCH_FAST_MS=5s slo_watch" \
-    "serve --max-batch 65536" "chaos --requests 4294967296" \
-    "HCC_SERVE_REQUESTS=4294967296 serve"; do
+# Every subcommand refuses bad input through the one flag parser
+# (hcc_bench::cli) and the one front door (hcc_bench::lab): exit 2, and a
+# first stderr line `hcc_lab <sub>: ...` (`hcc_lab: ...` for a missing or
+# unknown subcommand). So does a malformed HCC_* override, given as a
+# leading VAR=value — the process-wide HCC_ENGINE_THREADS and
+# HCC_FAULT_PLAN included — and a soak size past what the simulator's u32
+# ids and u16 batch sizes hold. The hotpaths gate refuses a bad
+# HCC_BENCH_SAMPLES the same way, as `hotpaths: ...`.
+for cmd in "hcc_lab serve --bogus" "hcc_lab serve --util NaN" "hcc_lab chaos --bogus" \
+    "hcc_lab watch --bogus" "hcc_lab why --bogus" "hcc_lab obs --bogus" \
+    "hcc_lab summary --bogus" "hcc_lab explain --bogus" "hcc_lab faults --bogus" \
+    "hcc_lab --bogus" "hcc_lab bogus" "hcc_lab figures --bogus" "hcc_lab figures fig99" \
+    "hcc_lab sensitivity --bogus" "HCC_SERVE_REQUESTS=abc hcc_lab serve" \
+    "HCC_WATCH_FAST_MS=5s hcc_lab watch" "hcc_lab serve --max-batch 65536" \
+    "hcc_lab chaos --requests 4294967296" "HCC_SERVE_REQUESTS=4294967296 hcc_lab serve" \
+    "HCC_FAULT_PLAN=garbage hcc_lab figures" "HCC_ENGINE_THREADS=abc hcc_lab summary" \
+    "HCC_BENCH_SAMPLES=0 hotpaths"; do
     override=
     case $cmd in HCC_*) override=${cmd%% *} cmd=${cmd#* } ;; esac
-    bin=${cmd%% *}
+    # The expected prefix: the bin, then the subcommand unless the
+    # subcommand itself is what is refused.
+    prefix=${cmd%% *}
+    case $cmd in
+        "hcc_lab --bogus" | "hcc_lab bogus" | hotpaths*) ;;
+        hcc_lab\ *) sub=${cmd#hcc_lab } prefix="hcc_lab ${sub%% *}" ;;
+    esac
     status=0
     # $override and $cmd are left unquoted: an optional VAR=value, then
     # a bin name followed by its arguments.
     env $override ./target/release/$cmd >/dev/null 2>"$t2_dir/cli.err" || status=$?
     first=$(head -n 1 "$t2_dir/cli.err")
-    if [ "$status" -ne 2 ] || [ "${first#"$bin: "}" = "$first" ]; then
-        echo "tier-2: FAIL — '$cmd' exited $status, stderr '$first' (expected 2, '$bin: ...')" >&2
+    if [ "$status" -ne 2 ] || [ "${first#"$prefix: "}" = "$first" ]; then
+        echo "tier-2: FAIL — '$cmd' exited $status, stderr '$first' (expected 2, '$prefix: ...')" >&2
         exit 1
     fi
 done
@@ -306,9 +320,9 @@ echo "tier-2: OK (hot-path throughput within gate)"
 # must hold, and the leak-audit trailer must be clean. The binary itself
 # exits nonzero on any leak or conservation violation.
 echo "==> tier-2: chaos lab determinism, SLO verdicts, leak audit"
-HCC_ENGINE_THREADS=1 ./target/release/chaos \
+HCC_ENGINE_THREADS=1 $lab chaos \
     >"$t2_dir/chaos1.out" 2>/dev/null
-HCC_ENGINE_THREADS=4 ./target/release/chaos --json "$t2_dir/BENCH_chaos.json" \
+HCC_ENGINE_THREADS=4 $lab chaos --json "$t2_dir/BENCH_chaos.json" \
     >"$t2_dir/chaos4.out" 2>/dev/null
 
 if ! diff -u "$t2_dir/chaos1.out" "$t2_dir/chaos4.out"; then
@@ -355,21 +369,21 @@ echo "tier-2: OK (chaos: $chaos_rps req/s under storm, $chaos_fail budget FAILs,
 # the window index runs at a width the golden does not cover, and must
 # render the same at 1 and 4 engine threads too.
 echo "==> tier-2: slo watchtower determinism and incident timeline"
-HCC_ENGINE_THREADS=1 ./target/release/slo_watch \
+HCC_ENGINE_THREADS=1 $lab watch \
     >"$t2_dir/slo1.out" 2>/dev/null
-HCC_ENGINE_THREADS=4 ./target/release/slo_watch --json "$t2_dir/BENCH_slo.json" \
+HCC_ENGINE_THREADS=4 $lab watch --json "$t2_dir/BENCH_slo.json" \
     >"$t2_dir/slo4.out" 2>/dev/null
-HCC_WATCH_FAST_MS=50 HCC_ENGINE_THREADS=1 ./target/release/slo_watch \
+HCC_WATCH_FAST_MS=50 HCC_ENGINE_THREADS=1 $lab watch \
     >"$t2_dir/slo1_50ms.out" 2>/dev/null
-HCC_WATCH_FAST_MS=50 HCC_ENGINE_THREADS=4 ./target/release/slo_watch \
+HCC_WATCH_FAST_MS=50 HCC_ENGINE_THREADS=4 $lab watch \
     >"$t2_dir/slo4_50ms.out" 2>/dev/null
 
 if ! diff -u "$t2_dir/slo1.out" "$t2_dir/slo4.out"; then
-    echo "tier-2: FAIL — slo_watch incident log differs between 1 and 4 threads" >&2
+    echo "tier-2: FAIL — watch incident log differs between 1 and 4 threads" >&2
     exit 1
 fi
 if ! diff -u "$t2_dir/slo1_50ms.out" "$t2_dir/slo4_50ms.out"; then
-    echo "tier-2: FAIL — slo_watch at 50 ms windows differs between 1 and 4 threads" >&2
+    echo "tier-2: FAIL — watch at 50 ms windows differs between 1 and 4 threads" >&2
     exit 1
 fi
 if ! grep -q "x!" "$t2_dir/slo1.out"; then
@@ -401,7 +415,7 @@ if [ -z "$slo_alerts" ] || [ "$slo_alerts" -eq 0 ]; then
     exit 1
 fi
 
-./target/release/slo_watch --serve >"$t2_dir/slo_calm.out" 2>/dev/null
+$lab watch --serve >"$t2_dir/slo_calm.out" 2>/dev/null
 if ! grep -q "(no incidents)" "$t2_dir/slo_calm.out"; then
     echo "tier-2: FAIL — calm serving soak did not render an empty timeline" >&2
     exit 1
@@ -413,14 +427,14 @@ echo "tier-2: OK (slo watchtower: $slo_wps windows/s wall-clock, $slo_incidents 
 # byte-identical forensics page at 1 and 4 engine threads, hold the
 # per-request span identity on the stormy soak, link every incident to
 # concrete exemplar request ids, and resolve a linked id back to a
-# span waterfall with `why --request`. The same holds with 1 ms flight
+# span waterfall with `hcc_lab why --request`. The same holds with 1 ms flight
 # windows, where nearly every request opens a window of its own. The
 # BENCH_flight.json side file must record the flight-on vs flight-off
 # wall cost and the exemplar store's peak bytes.
 echo "==> tier-2: request flight recorder forensics"
-HCC_ENGINE_THREADS=1 ./target/release/why \
+HCC_ENGINE_THREADS=1 $lab why \
     >"$t2_dir/why1.out" 2>/dev/null
-HCC_ENGINE_THREADS=4 ./target/release/why --json "$t2_dir/BENCH_flight.json" \
+HCC_ENGINE_THREADS=4 $lab why --json "$t2_dir/BENCH_flight.json" \
     >"$t2_dir/why4.out" 2>/dev/null
 
 if ! diff -u "$t2_dir/why1.out" "$t2_dir/why4.out"; then
@@ -436,9 +450,9 @@ if ! grep -q "incident #.*exemplars #" "$t2_dir/why1.out"; then
     exit 1
 fi
 
-HCC_FLIGHT_WINDOW_MS=1 HCC_ENGINE_THREADS=1 ./target/release/why \
+HCC_FLIGHT_WINDOW_MS=1 HCC_ENGINE_THREADS=1 $lab why \
     >"$t2_dir/why1_fine.out" 2>/dev/null
-HCC_FLIGHT_WINDOW_MS=1 HCC_ENGINE_THREADS=4 ./target/release/why \
+HCC_FLIGHT_WINDOW_MS=1 HCC_ENGINE_THREADS=4 $lab why \
     >"$t2_dir/why4_fine.out" 2>/dev/null
 if ! diff -u "$t2_dir/why1_fine.out" "$t2_dir/why4_fine.out"; then
     echo "tier-2: FAIL — why stdout with 1 ms flight windows differs between 1 and 4 threads" >&2
@@ -450,7 +464,7 @@ if ! grep -q "span-identity OK$" "$t2_dir/why1_fine.out"; then
 fi
 
 why_req=$(sed -n 's/.*exemplars #\([0-9][0-9]*\).*/\1/p' "$t2_dir/why1.out" | head -n 1)
-./target/release/why --request "$why_req" >"$t2_dir/why_req.out" 2>/dev/null
+$lab why --request "$why_req" >"$t2_dir/why_req.out" 2>/dev/null
 if ! grep -q "^request #$why_req " "$t2_dir/why_req.out" \
     || ! grep -q "span-identity OK" "$t2_dir/why_req.out"; then
     echo "tier-2: FAIL — incident exemplar #$why_req did not resolve to a waterfall" >&2

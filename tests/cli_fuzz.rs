@@ -1,25 +1,31 @@
-//! Fuzzing the one flag parser every bench binary shares
-//! (`hcc_bench::cli`): on random strings, each typed value reader and
+//! Fuzzing the one flag parser every `hcc_lab` subcommand shares
+//! (`hcc_bench::cli`) and the front door that dispatches them
+//! (`hcc_bench::lab`): on random strings, each typed value reader and
 //! each name vocabulary (scheduler, arrival process, storm profile,
-//! recovery policy, the `figures` bin's figure names) returns either a
-//! value or its typed `CliError`, never a panic, and every accepted name
-//! re-parses from its printed form to itself. Random `HCC_*` override
-//! values read the same way, with errors naming the variable. The
-//! bounded soak sizes (requests, GPUs, batch cap) take their maximum and
-//! refuse one more.
+//! recovery policy, the figure names) returns either a value or its
+//! typed `CliError`, never a panic, and every accepted name re-parses
+//! from its printed form to itself. Random `HCC_*` override values read
+//! the same way, with errors naming the variable, and the process-wide
+//! `HCC_ENGINE_THREADS` and `HCC_FAULT_PLAN` overrides are refused by
+//! the front door when malformed. Every subcommand's parser takes random
+//! argument lists without panicking. The bounded soak sizes (requests,
+//! GPUs, batch cap) take their maximum and refuse one more.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, MutexGuard};
 
 use hcc_bench::chaos::{self, ChaosConfig};
 use hcc_bench::cli::{self, Args, CanonicalSoak, CliError};
-use hcc_bench::figures::{Figure, Selection};
+use hcc_bench::engine::THREADS_ENV;
+use hcc_bench::figures::{Figure, Selection, FAULT_PLAN_ENV};
+use hcc_bench::lab::{self, Refusal, COMMANDS};
 use hcc_bench::serving::arrival::MAX_REQUESTS;
 use hcc_bench::serving::cluster::{MAX_BATCH, MAX_GPUS};
 use hcc_bench::serving::{self, ArrivalKind, SchedulerKind, ServingConfig};
 use hcc_bench::watch::Soak;
 use hcc_check::strategy::{bytes, choice, u64s, vecs};
 use hcc_check::{ensure, ensure_eq, forall, Config, PropResult};
-use hcc_types::{RecoveryPolicy, StormProfile};
+use hcc_types::{FaultPlan, RecoveryPolicy, StormProfile};
 
 const FLAG: &str = "--flag";
 
@@ -40,6 +46,24 @@ const FRAGMENTS: &str = "|0|1|7|9|0x|0X|ff|G|-|+|.|e|E|_| |\t|\n|NaN|inf|infinit
 const FIGURE_FRAGMENTS: &str = "|table1|table|fig01|fig02|fig03|fig04a|fig04b|fig04|fig05\
     |fig06|fig07|fig08|fig09|fig09b|fig10|fig11|fig12|fig12a|fig12b|fig12c|fig12d|fig13\
     |fig14|fig15|fig99|FIG05|all|ALL| |-|--|--functional|--Functional|--bogus|-h|é|\0";
+
+/// Pieces of subcommand argument lists: every subcommand's flags, some
+/// of their values, and fault-plan specs good and bad.
+const COMMAND_FRAGMENTS: &str = "|--cc|--report|--json|--prom|--chrome|--plan|--panic-smoke\
+    |--serve|--chaos|--watch|--flight|--request|--incident|--profile|--profiles|--policies\
+    |--util|--max-batch|--tenants|--scheduler|--arrival|--replicas|--episodes-per-day\
+    |--requests|--days|--gpus|--seed|--functional|--bogus|gemm|sc|deck.hcc|out.json|fig05\
+    |all|fifo|poisson|crypto-burst|retry|0|1|0.5|NaN|4294967296|seed=7,gcm=0.35|gcm=abc|max=x";
+
+/// Serializes the tests that set an override a subcommand parser reads,
+/// and the tests that parse subcommands.
+static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+fn env_lock() -> MutexGuard<'static, ()> {
+    ENV_LOCK
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// A random string: raw bytes read as UTF-8 lossily, one fragment
 /// alone (so every exact name turns up), or fragments glued together.
@@ -229,7 +253,7 @@ fn canonical_soak_flags_never_panic() {
     });
 }
 
-/// Random argument lists through the `figures` bin's parser: names
+/// Random argument lists through `hcc_lab figures`'s parser: names
 /// (repeats included), `--functional` and stray flags give a selection
 /// or a typed error, never a panic. Each selected figure re-parses from
 /// its printed name, a list of no names selects every figure, and
@@ -322,6 +346,7 @@ fn takes_max_refuses_one_more<T: std::fmt::Debug>(
 /// `HCC_SERVE_REQUESTS` and `HCC_CHAOS_REQUESTS` overrides.
 #[test]
 fn soak_sizes_take_their_bound_and_refuse_one_more() {
+    let _env = env_lock();
     assert_eq!(
         (MAX_REQUESTS, MAX_GPUS, MAX_BATCH),
         (
@@ -371,4 +396,159 @@ fn soak_sizes_take_their_bound_and_refuse_one_more() {
         cfg
     });
     assert_eq!(chaos.requests, MAX_REQUESTS);
+}
+
+/// `argv` through the front door's parser: the work (never run) or the
+/// refusal.
+fn dispatch(argv: &[String]) -> Result<lab::Run, Refusal> {
+    lab::parse(&mut Args::new(argv.to_vec()))
+}
+
+/// The positional arguments `name` needs before its flags.
+fn positionals(name: &str) -> &'static [&'static str] {
+    match name {
+        "run" | "report" | "trace" | "chrome" => &["gemm"],
+        "deck" => &["deck.hcc"],
+        _ => &[],
+    }
+}
+
+/// A missing or unknown subcommand is refused without naming one; a bad
+/// flag on any subcommand is refused naming that subcommand; every
+/// subcommand parses its bare form.
+#[test]
+fn the_front_door_refuses_with_typed_errors() {
+    let _env = env_lock();
+    let Err(missing) = dispatch(&[]) else {
+        panic!("no subcommand parsed");
+    };
+    assert!(missing.0.is_none());
+    assert_eq!(missing.1.to_string(), "<command>: missing value");
+    for raw in [
+        "bogus",
+        "--bogus",
+        "slo_watch",
+        "obs_report",
+        "fault_sweep",
+        "",
+    ] {
+        let Err(unknown) = dispatch(&[raw.to_string()]) else {
+            panic!("{raw:?} parsed as a subcommand");
+        };
+        assert!(unknown.0.is_none(), "{raw:?}");
+        assert!(
+            matches!(
+                unknown.1,
+                CliError::UnknownName {
+                    kind: "command",
+                    ..
+                }
+            ),
+            "{raw:?}: {:?}",
+            unknown.1
+        );
+    }
+    for command in &COMMANDS {
+        let bare: Vec<String> = std::iter::once(command.name())
+            .chain(positionals(command.name()).iter().copied())
+            .map(String::from)
+            .collect();
+        assert!(dispatch(&bare).is_ok(), "{bare:?} is refused");
+        let mut bad = bare.clone();
+        bad.push("--bogus".to_string());
+        let Err(refusal) = dispatch(&bad) else {
+            panic!("{bad:?} parsed");
+        };
+        assert_eq!(refusal.0.map(|c| c.name()), Some(command.name()));
+        assert!(
+            matches!(&refusal.1, CliError::Unknown { arg } if arg == "--bogus"),
+            "{bad:?}: {:?}",
+            refusal.1
+        );
+        assert!(command
+            .usage
+            .starts_with(&format!("usage: hcc_lab {}", command.name())));
+    }
+    assert!(COMMANDS.iter().all(|c| lab::usage().contains(c.name())));
+}
+
+/// Random argument lists after each subcommand: the work or a typed
+/// refusal naming that subcommand, never a panic.
+#[test]
+fn every_subcommand_parser_never_panics() {
+    let _env = env_lock();
+    let names: Vec<&str> = COMMANDS.iter().map(lab::Command::name).collect();
+    forall!(
+        Config::new(0xC11_0005).with_cases(2048),
+        (name, picks) in (choice(&names), vecs(strings_of(COMMAND_FRAGMENTS), 0..6)) =>
+    {
+        let argv: Vec<String> = std::iter::once(name.to_string())
+            .chain(picks.iter().map(text))
+            .collect();
+        let parsed = no_panic("hcc_lab", &format!("{argv:?}"), || dispatch(&argv).err())?;
+        if let Some(refusal) = parsed {
+            ensure_eq!(refusal.0.map(|c| c.name()), Some(name));
+            ensure!(!refusal.1.to_string().is_empty());
+        }
+    });
+}
+
+/// `value` set as `var` for the length of `f`.
+fn with_env<T>(var: &str, value: &str, f: impl FnOnce() -> T) -> T {
+    std::env::set_var(var, value);
+    let out = f();
+    std::env::remove_var(var);
+    out
+}
+
+/// A malformed `HCC_ENGINE_THREADS` (not a positive integer) is refused
+/// by the front door, naming the variable, before any subcommand runs; a
+/// positive one reads as itself.
+#[test]
+fn malformed_engine_threads_is_refused() {
+    let _env = env_lock();
+    let argv = ["summary".to_string()];
+    for raw in ["abc", "0", "", "-1", "1.5", "18446744073709551616"] {
+        let Err(refusal) = with_env(THREADS_ENV, raw, || dispatch(&argv)) else {
+            panic!("{THREADS_ENV}={raw:?} was accepted");
+        };
+        assert_eq!(refusal.0.map(|c| c.name()), Some("summary"));
+        assert!(
+            refusal.1.to_string().starts_with(THREADS_ENV),
+            "{}",
+            refusal.1
+        );
+    }
+    let err = with_env(THREADS_ENV, "0", cli::engine_threads).unwrap_err();
+    assert_eq!(err.to_string(), "HCC_ENGINE_THREADS: must be at least 1");
+    for (raw, n) in [("1", 1), (" 4 ", 4), ("0x10", 16)] {
+        assert_eq!(with_env(THREADS_ENV, raw, cli::engine_threads), Ok(Some(n)));
+        assert!(with_env(THREADS_ENV, raw, || dispatch(&argv)).is_ok());
+    }
+    assert_eq!(cli::engine_threads(), Ok(None));
+}
+
+/// A malformed `HCC_FAULT_PLAN` is refused by the front door, naming the
+/// variable, instead of being ignored; a valid one reads as the plan.
+#[test]
+fn malformed_fault_plan_is_refused() {
+    let _env = env_lock();
+    let argv = ["figures".to_string(), "fig05".to_string()];
+    for raw in ["garbage", "gcm=abc", "max=x", "seed=7,bogus=0.1"] {
+        assert!(FaultPlan::parse(raw).is_err(), "{raw} parses");
+        let Err(refusal) = with_env(FAULT_PLAN_ENV, raw, || dispatch(&argv)) else {
+            panic!("{FAULT_PLAN_ENV}={raw:?} was accepted");
+        };
+        assert_eq!(refusal.0.map(|c| c.name()), Some("figures"));
+        assert!(
+            matches!(&refusal.1, CliError::Invalid { flag, .. } if flag == FAULT_PLAN_ENV),
+            "{:?}",
+            refusal.1
+        );
+    }
+    let spec = "seed=7,gcm=0.35";
+    let plan = with_env(FAULT_PLAN_ENV, spec, cli::env_fault_plan);
+    assert_eq!(plan, Ok(Some(FaultPlan::parse(spec).unwrap())));
+    assert!(with_env(FAULT_PLAN_ENV, spec, || dispatch(&argv)).is_ok());
+    assert_eq!(cli::env_fault_plan(), Ok(None));
 }
