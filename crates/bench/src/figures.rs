@@ -23,6 +23,7 @@ use crate::engine::{ScenarioFailure, ScenarioResult};
 use crate::lab::Command;
 use crate::report;
 
+pub mod ablations;
 pub mod sensitivity;
 pub mod summary;
 
@@ -199,17 +200,22 @@ impl Figure {
         Figure::new("fig14", |_| fig14::render()),
     ];
 
+    /// The figure only its own name selects: [`ablations`] ablates the
+    /// lab's design, so `all` leaves it out.
+    pub const ABLATIONS: Figure = Figure::new("ablations", |_| ablations::render());
+
     const fn new(name: &'static str, render: fn(bool) -> Computed<String>) -> Self {
         Figure { name, render }
     }
 
     /// The figures `name` selects: one figure, Fig. 12's three panels
-    /// for `fig12`, or every figure for `all`.
+    /// for `fig12`, or every figure of [`Figure::ALL`] for `all`.
     pub fn select(name: &str) -> Option<Vec<Figure>> {
         let picked: Vec<Figure> = Figure::ALL
             .into_iter()
+            .chain([Figure::ABLATIONS])
             .filter(|f| match name {
-                "all" => true,
+                "all" => f.name != Figure::ABLATIONS.name,
                 "fig12" => f.name.starts_with("fig12"),
                 _ => f.name == name,
             })
@@ -238,7 +244,8 @@ impl Selection {
     /// Reads figure names and `--functional`; any other flag, or a name
     /// [`Figure::select`] does not know, is a typed error.
     pub fn parse(args: &mut Args) -> Result<Selection, CliError> {
-        const EXPECTED: &str = "expected table1, fig01..fig14, fig09b, fig12a|b|c or all";
+        const EXPECTED: &str =
+            "expected table1, fig01..fig14, fig09b, fig12a|b|c, ablations or all";
         let mut figures = Vec::new();
         let mut functional = false;
         for arg in args.by_ref() {
@@ -266,7 +273,8 @@ impl Selection {
 /// exit status is 1.
 pub const COMMAND: Command = Command {
     usage: "usage: hcc_lab figures \
-        [table1|fig01..fig14|fig09b|fig12a|fig12b|fig12c|all ...] [--functional]",
+        [table1|fig01..fig14|fig09b|fig12a|fig12b|fig12c|ablations|all ...] \
+        [--functional]",
     parse: |args| {
         let selection = Selection::parse(args)?;
         Ok(Box::new(move || {

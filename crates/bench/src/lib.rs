@@ -4,9 +4,9 @@
 //! computes the data series behind Tables/Figures 1–14 and renders them
 //! in the rows the paper reports, the serving ([`serving`]), chaos
 //! ([`chaos`]) and watchtower ([`watch`]) soaks run on top of it, and
-//! the in-repo benches under `benches/` (driven by [`harness`]) measure
-//! the hot paths plus the DESIGN.md ablations (bounce-pool reuse, UVM
-//! batching/prefetch, crypto choice, ring depth).
+//! [`figures::ablations`] renders the DESIGN.md ablations (bounce-pool
+//! reuse, UVM batching/prefetch, crypto choice, ring depth, crypto
+//! workers) in virtual time.
 //!
 //! Everything is reached through one front door, the `hcc_lab` bin
 //! ([`lab`]): render a figure with e.g. `hcc_lab figures fig05` (no
@@ -25,7 +25,6 @@ pub mod engine;
 pub mod explain;
 pub mod faults;
 pub mod figures;
-pub mod harness;
 pub mod lab;
 pub mod obs;
 pub mod report;

@@ -56,6 +56,13 @@ if ! diff -u "$t2_dir/figures1.out" "$t2_dir/figures4.out"; then
     echo "tier-2: FAIL — figures stdout differs between 1 and 4 threads" >&2
     exit 1
 fi
+# The ablations never touch the engine, so a thread diff would prove
+# nothing about them: the release bin must print the frozen figure.
+$lab figures ablations >"$t2_dir/ablations.out" 2>/dev/null
+if ! diff -u tests/golden/ablations.txt "$t2_dir/ablations.out"; then
+    echo "tier-2: FAIL — figures ablations differs from tests/golden/ablations.txt" >&2
+    exit 1
+fi
 # Every one of the paper's nine observations is scored, and holds.
 if ! grep -q '^9/9 observation checks pass$' "$t2_dir/serial.out"; then
     echo "tier-2: FAIL — summary does not pass all nine observation checks" >&2
@@ -277,6 +284,7 @@ for cmd in "hcc_lab serve --bogus" "hcc_lab serve --util NaN" "hcc_lab chaos --b
     "hcc_lab watch --bogus" "hcc_lab why --bogus" "hcc_lab obs --bogus" \
     "hcc_lab summary --bogus" "hcc_lab explain --bogus" "hcc_lab faults --bogus" \
     "hcc_lab --bogus" "hcc_lab bogus" "hcc_lab figures --bogus" "hcc_lab figures fig99" \
+    "hcc_lab figures ablations --bogus" \
     "hcc_lab sensitivity --bogus" "HCC_SERVE_REQUESTS=abc hcc_lab serve" \
     "HCC_WATCH_FAST_MS=5s hcc_lab watch" "hcc_lab serve --max-batch 65536" \
     "hcc_lab chaos --requests 4294967296" "HCC_SERVE_REQUESTS=4294967296 hcc_lab serve" \

@@ -45,7 +45,8 @@ const FRAGMENTS: &str = "|0|1|7|9|0x|0X|ff|G|-|+|.|e|E|_| |\t|\n|NaN|inf|infinit
 /// `--functional` flag and stray flags.
 const FIGURE_FRAGMENTS: &str = "|table1|table|fig01|fig02|fig03|fig04a|fig04b|fig04|fig05\
     |fig06|fig07|fig08|fig09|fig09b|fig10|fig11|fig12|fig12a|fig12b|fig12c|fig12d|fig13\
-    |fig14|fig15|fig99|FIG05|all|ALL| |-|--|--functional|--Functional|--bogus|-h|é|\0";
+    |fig14|fig15|fig99|FIG05|ablations|ablation|all|ALL| |-|--|--functional|--Functional\
+    |--bogus|-h|é|\0";
 
 /// Pieces of subcommand argument lists: every subcommand's flags, some
 /// of their values, and fault-plan specs good and bad.
@@ -314,6 +315,7 @@ fn figure_names_select_what_they_say() {
     for figure in Figure::ALL {
         assert_eq!(names(Figure::select(figure.name)), [figure.name]);
     }
+    assert_eq!(names(Figure::select("ablations")), ["ablations"]);
     let err = Selection::parse(&mut Args::new(["fig99"])).unwrap_err();
     assert!(
         err.to_string()
@@ -322,6 +324,23 @@ fn figure_names_select_what_they_say() {
     );
     let err = Selection::parse(&mut Args::new(["fig05", "--bogus"])).unwrap_err();
     assert_eq!(err.to_string(), "--bogus: unknown flag");
+}
+
+/// Bare `figures` and `figures all` render exactly `Figure::ALL`, in
+/// order: the ablations only render when named, so neither output (nor
+/// `tests/golden/figures.txt`) gains them.
+#[test]
+fn bare_figures_and_all_render_exactly_the_paper_figures() {
+    let every = names(Some(Figure::ALL.to_vec()));
+    assert!(!every.contains(&Figure::ABLATIONS.name));
+    for argv in [vec![], vec!["all"]] {
+        let selection = Selection::parse(&mut Args::new(argv.clone())).expect("parses");
+        assert_eq!(names(Some(selection.figures)), every, "{argv:?}");
+    }
+    let selection = Selection::parse(&mut Args::new(["all", "ablations"])).expect("parses");
+    let mut all_then_ablations = every.clone();
+    all_then_ablations.push("ablations");
+    assert_eq!(names(Some(selection.figures)), all_then_ablations);
 }
 
 /// `max` read for `flag` is accepted; `max + 1` is an `OutOfRange`

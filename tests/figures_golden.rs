@@ -3,11 +3,13 @@
 //! `tests/golden/summary.txt` what `hcc_lab summary` prints. So are the
 //! reports around them: `sensitivity.txt`, `explain.txt`,
 //! `fault_sweep.txt` (`hcc_lab faults` under its default plan, the one
-//! CI sweeps), and `obs_report.txt` / `obs_report_soak.txt` (`hcc_lab
-//! obs`, without and with `--serve --chaos`). All render here on a
-//! 2-thread engine, so the goldens also pin the engine's claim that
-//! output does not depend on its worker count. Bless a deliberate change
-//! with `HCC_BLESS=1 cargo test --test figures_golden`.
+//! CI sweeps), `obs_report.txt` / `obs_report_soak.txt` (`hcc_lab
+//! obs`, without and with `--serve --chaos`) and `ablations.txt`
+//! (`hcc_lab figures ablations`, which `figures all` leaves out). All
+//! render here on a 2-thread engine, so the goldens also pin the
+//! engine's claim that output does not depend on its worker count.
+//! Bless a deliberate change with `HCC_BLESS=1 cargo test --test
+//! figures_golden`.
 
 mod golden;
 
@@ -39,6 +41,12 @@ fn every_figure_matches_its_golden() {
         text.push_str(&computed.data);
     }
     golden::assert_matches("figures.txt", &text);
+}
+
+#[test]
+fn ablations_match_their_golden() {
+    let computed = Figure::ABLATIONS.render(false);
+    frozen("ablations.txt", &computed.data, &computed.failures);
 }
 
 #[test]
