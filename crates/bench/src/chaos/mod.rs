@@ -301,11 +301,7 @@ pub struct StormShapes {
 }
 
 /// Generates the shared arrival trace and resolves every cell's shape
-/// table, per profile in `cfg.profiles` order. Every distinct shape of
-/// the soak simulates once, in one engine batch, so a 10⁵–10⁶ request
-/// soak costs a few hundred simulations. A request rides the shape of
-/// the storm intensity in force at its arrival and of plan replica
-/// `i % replicas`, where `i` is its index (arrival rank) in the trace.
+/// table over it ([`storm_shapes`]).
 pub fn shape_tables(
     cfg: &ChaosConfig,
     engine: &ExperimentEngine,
@@ -329,6 +325,28 @@ pub fn shape_tables(
         cfg.arrival,
         cfg.requests,
         mix(cfg.seed, ARRIVAL_SALT),
+    );
+    let storms = storm_shapes(cfg, engine, &requests);
+    (requests, storms)
+}
+
+/// Resolves every cell's shape table over `requests`, per profile in
+/// `cfg.profiles` order. Every distinct shape of the soak simulates
+/// once, in one engine batch, so a 10⁵–10⁶ request soak costs a few
+/// hundred simulations. A request rides the shape of the storm
+/// intensity in force at its arrival and of plan replica
+/// `i % replicas`, where `i` is its index (arrival rank) in the trace.
+///
+/// # Panics
+/// If `requests` is not sorted by arrival.
+pub fn storm_shapes(
+    cfg: &ChaosConfig,
+    engine: &ExperimentEngine,
+    requests: &[Request],
+) -> Vec<StormShapes> {
+    assert!(
+        requests.is_sorted_by_key(|r| r.arrival),
+        "the trace is arrival-sorted"
     );
 
     // The soak's working set: calm shapes, then per (profile, policy)
@@ -356,17 +374,29 @@ pub fn shape_tables(
     let mut cells = storm.chunks(n * STORMY.len() * cfg.replicas as usize);
 
     let observed = cfg.watch.is_some() || cfg.flight.is_some();
-    let storms = cfg
-        .profiles
+    cfg.profiles
         .iter()
         .map(|profile| {
             let schedule = cfg.schedule(profile);
             let mut arrivals = [0u64; StormIntensity::COUNT];
+            // The trace is arrival-sorted, so one forward pass over the
+            // calendar answers `intensity_at` for every request: `ahead`
+            // holds the windows not over at the last arrival. They are
+            // sorted and disjoint, so the first of them holds an arrival
+            // exactly when it has started; otherwise the arrival falls
+            // in no window (or past the horizon) and is calm.
+            let mut ahead = schedule.windows.as_slice();
             let shape_of: Arc<[u32]> = requests
                 .iter()
                 .enumerate()
                 .map(|(i, r)| {
-                    let intensity = schedule.intensity_at(r.arrival);
+                    while ahead.first().is_some_and(|w| w.end <= r.arrival) {
+                        ahead = &ahead[1..];
+                    }
+                    let intensity = match ahead.first() {
+                        Some(w) if w.start <= r.arrival => w.intensity,
+                        _ => StormIntensity::Calm,
+                    };
                     arrivals[intensity.index()] += 1;
                     let app = slot[r.tenant as usize][r.class as usize];
                     let replica = (i % cfg.replicas as usize) as u32;
@@ -393,8 +423,7 @@ pub fn shape_tables(
                 tables,
             }
         })
-        .collect();
-    (requests, storms)
+        .collect()
 }
 
 /// Runs the full chaos lab: one shared arrival trace, one storm calendar
@@ -427,6 +456,13 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
                 schedule,
             }),
         };
+
+        // A profile's cells share one request→shape map: count each
+        // shape's riders once, and fold every cell's ledger from them.
+        let mut riders = vec![0u64; storm.tables[0].shapes().len()];
+        for &s in storm.tables[0].shape_of() {
+            riders[s as usize] += 1;
+        }
 
         let mut cells = Vec::with_capacity(cfg.policies.len());
         for (policy, table) in cfg.policies.iter().zip(&storm.tables) {
@@ -463,11 +499,10 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
             // The cell-aggregate check runs after the cluster pass, once
             // the flight recorder's store accounting has been folded in.
 
-            // Per-request fault ledger: each request inherits its shape's
+            // Fault ledger: each request inherits its shape's
             // deterministic outcome.
             let mut ledger = FaultLedger::default();
-            for ri in 0..requests.len() {
-                let shape = table.shape(ri);
+            for (shape, &n) in table.shapes().iter().zip(&riders) {
                 *if shape.service.is_err() {
                     &mut ledger.rejected
                 } else if shape.faults.degraded > 0 {
@@ -476,7 +511,7 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
                     &mut ledger.recovered
                 } else {
                     &mut ledger.clean
-                } += 1;
+                } += n;
             }
 
             // The cluster run: identical trace, identical calendar —

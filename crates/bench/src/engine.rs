@@ -28,7 +28,7 @@
 //! ```
 
 use std::collections::{HashMap, HashSet};
-use std::io::Write as _;
+use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
@@ -498,22 +498,30 @@ pub fn global() -> &'static ExperimentEngine {
 ///
 /// Renders the global engine's stats block with **one** locked write to
 /// stderr — under `HCC_ENGINE_THREADS>1` the old per-bin `eprint!` calls
-/// could interleave with worker diagnostics mid-block — and, when
-/// [`STATS_JSON_ENV`] names a file, writes the same stats there as JSON.
-/// Call it once, after the last engine batch.
+/// could interleave with worker diagnostics mid-block — unless the
+/// engine served no lookup (a subcommand that runs no scenario prints no
+/// block of zeros), and, when [`STATS_JSON_ENV`] names a file, writes
+/// the same stats there as JSON either way. Call it once, after the last
+/// engine batch.
 pub fn emit_stats() {
-    let stats = global().stats();
-    let block = format!("\n{}", stats.render());
-    let stderr = std::io::stderr();
-    let mut lock = stderr.lock();
-    let _ = lock.write_all(block.as_bytes());
-    let _ = lock.flush();
-    drop(lock);
-    if let Ok(path) = std::env::var(STATS_JSON_ENV) {
-        if !path.is_empty() {
-            if let Err(e) = std::fs::write(&path, stats.to_json_string()) {
-                eprintln!("cannot write {STATS_JSON_ENV}={path}: {e}");
-            }
+    let json = std::env::var(STATS_JSON_ENV).ok().filter(|p| !p.is_empty());
+    emit(
+        &global().stats(),
+        &mut std::io::stderr().lock(),
+        json.as_deref(),
+    );
+}
+
+/// [`emit_stats`] over explicit stats, error stream and JSON path.
+fn emit(stats: &EngineStats, err: &mut impl Write, json: Option<&str>) {
+    if stats.scenarios_run + stats.cache_hits > 0 {
+        let block = format!("\n{}", stats.render());
+        let _ = err.write_all(block.as_bytes());
+        let _ = err.flush();
+    }
+    if let Some(path) = json {
+        if let Err(e) = std::fs::write(path, stats.to_json_string()) {
+            let _ = writeln!(err, "cannot write {STATS_JSON_ENV}={path}: {e}");
         }
     }
 }
@@ -552,6 +560,39 @@ mod tests {
             ],
         );
         Scenario::adhoc(spec, SimConfig::new(CcMode::On).with_seed(seed))
+    }
+
+    #[test]
+    fn an_engine_that_served_no_lookup_prints_no_stats_block() {
+        let mut err = Vec::new();
+        emit(&EngineStats::default(), &mut err, None);
+        assert!(err.is_empty(), "{}", String::from_utf8_lossy(&err));
+        for (scenarios_run, cache_hits) in [(1, 0), (0, 1)] {
+            let stats = EngineStats {
+                scenarios_run,
+                cache_hits,
+                ..EngineStats::default()
+            };
+            let mut err = Vec::new();
+            emit(&stats, &mut err, None);
+            assert_eq!(
+                String::from_utf8(err).unwrap(),
+                format!("\n{}", stats.render())
+            );
+        }
+    }
+
+    #[test]
+    fn an_idle_engine_still_writes_the_stats_json() {
+        let path =
+            std::env::temp_dir().join(format!("hcc-idle-engine-{}.json", std::process::id()));
+        let path_str = path.to_str().expect("a UTF-8 temp path");
+        let mut err = Vec::new();
+        emit(&EngineStats::default(), &mut err, Some(path_str));
+        let written = std::fs::read_to_string(&path);
+        let _ = std::fs::remove_file(&path);
+        assert!(err.is_empty(), "{}", String::from_utf8_lossy(&err));
+        assert_eq!(written.unwrap(), EngineStats::default().to_json_string());
     }
 
     #[test]

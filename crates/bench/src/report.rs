@@ -31,10 +31,11 @@ pub fn failure_lines(out: &mut String, failures: &[ScenarioFailure]) {
 }
 
 /// The tail of every report subcommand: the engine statistics on stderr
-/// (they carry wall-clock times, so stdout stays byte-identical across
-/// `HCC_ENGINE_THREADS` settings), then the exit status — success when
-/// no scenario failed, otherwise 1 after a count and the failures on
-/// stderr, so CI catches partial reports. The per-row `!! label: error`
+/// when the engine served a lookup (they carry wall-clock times, so
+/// stdout stays byte-identical across `HCC_ENGINE_THREADS` settings),
+/// then the exit status — success when no scenario failed, otherwise 1
+/// after a count and the failures on stderr, so CI catches partial
+/// reports. The per-row `!! label: error`
 /// lines are expected to have been rendered already (via
 /// [`failure_lines`]).
 pub fn finish(failures: &[ScenarioFailure]) -> ExitCode {
@@ -49,9 +50,9 @@ pub fn finish(failures: &[ScenarioFailure]) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// The tail of a soak subcommand: the engine statistics on stderr, then
-/// failure after `<sub>: <check>` on stderr when `broken` names a broken
-/// check.
+/// The tail of a soak subcommand: the engine statistics on stderr (as
+/// [`finish`] prints them), then failure after `<sub>: <check>` on
+/// stderr when `broken` names a broken check.
 pub fn soak_status(sub: &str, broken: Option<&str>) -> ExitCode {
     crate::engine::emit_stats();
     let Some(check) = broken else {

@@ -9,12 +9,18 @@
 //! dispatch happens after all state changes at that instant, onto the
 //! lowest-numbered idle GPU first.
 //!
-//! Each GPU owns a [`SessionPool`]: a tenant's first request on a device
+//! Each GPU has a [`SessionPool`]: a tenant's first request on a device
 //! pays the full SPDM handshake (CC-on), and every request pays the
 //! submit/complete doorbell pair — so CC-on admission costs ride the
 //! same TD cost oracle as the rest of the lab. Those two charges are
-//! constants of a run, so an [`Outcome`] keeps only whether its
-//! admission was cold, and [`AdmissionCosts::of`] prices it.
+//! constants of a run, priced once by [`SessionPool::cold_admission`],
+//! so the loop only counts admissions per (device, tenant): a tenant's
+//! first admission on a device is cold, a batch of `k` requests with `c`
+//! cold starts is charged `doorbell × k + spdm × c`, and an [`Outcome`]
+//! keeps only whether its admission was cold ([`AdmissionCosts::of`]
+//! prices it). After the loop each device's pool is charged once per
+//! tenant through [`SessionPool::admit_n`], which moves the TD counters
+//! and the session ledger exactly as one `admit` per request would.
 //!
 //! The drain computes its own verdicts as it runs: whether every queue
 //! and device depth ended at zero, (given a storm calendar's peak ends)
@@ -347,11 +353,14 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
     // batch per GPU.
     let mut completions: BinaryHeap<std::cmp::Reverse<(SimTime, usize, u32)>> =
         BinaryHeap::with_capacity(cfg.gpus);
-    let mut pools: Vec<SessionPool> = (0..cfg.gpus)
-        .map(|_| SessionPool::new(cfg.cc, cfg.tdx.clone()))
-        .collect();
-    let (spdm, doorbell) = pools[0].cold_admission().flight_split();
+    let pool = || SessionPool::new(cfg.cc, cfg.tdx.clone());
+    let (spdm, doorbell) = pool().cold_admission().flight_split();
     let admission = AdmissionCosts { spdm, doorbell };
+    // Admissions per (device, tenant), row-major by GPU: a tenant's
+    // first admission on a device is its cold start (CC-on), and the
+    // pools are charged from these counts after the loop.
+    let tenants = cfg.tenants.len();
+    let mut admitted = vec![0u64; cfg.gpus * tenants];
 
     // The running depths behind `drained` and the time-to-recover.
     let mut queued = 0usize;
@@ -400,19 +409,18 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
                 }
             };
             let gpu = idle.take_lowest();
-            let mut admission_sum = SimDuration::ZERO;
+            let counts = &mut admitted[gpu * tenants..][..tenants];
+            let mut colds = 0u64;
             for &i in &batch {
                 let i = i as usize;
-                let adm = pools[gpu].admit(u64::from(requests[i].tenant));
-                cold_starts += u64::from(adm.cold);
-                admission_sum += adm.total();
-                outcomes[i].cold = adm.cold;
-                debug_assert_eq!(
-                    admission.of(&outcomes[i]),
-                    adm.flight_split(),
-                    "request {i}'s admission follows from its cold flag"
-                );
+                let n = &mut counts[requests[i].tenant as usize];
+                let cold = cfg.cc == CcMode::On && *n == 0;
+                *n += 1;
+                colds += u64::from(cold);
+                outcomes[i].cold = cold;
             }
+            cold_starts += colds;
+            let admission_sum = doorbell * u64::from(size) + spdm * colds;
             let extra = shape.scale(BATCH_MARGIN * (batch.len() - 1) as f64);
             let service_time = shape + extra + admission_sum;
             let done = now + service_time;
@@ -488,10 +496,17 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
         "every request settles once"
     );
 
+    // Each device's pool is charged once per tenant with everything the
+    // drain admitted there: the same counters and session ledger as one
+    // `admit` per request.
     let mut td = TdCounters::default();
     let mut sessions_established = 0u64;
     let mut sessions_closed = 0u64;
-    for pool in &mut pools {
+    for counts in admitted.chunks_exact(tenants.max(1)) {
+        let mut pool = pool();
+        for (tenant, &n) in counts.iter().enumerate() {
+            pool.admit_n(tenant as u64, n);
+        }
         let c = pool.counters();
         td.hypercalls += c.hypercalls;
         td.seamcalls += c.seamcalls;

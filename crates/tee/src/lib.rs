@@ -123,4 +123,36 @@ mod proptests {
             }
         );
     }
+
+    /// Bulk admission is per-request admission summed: over random
+    /// interleavings of (tenant, count) batches, in both CC modes, a pool
+    /// charged through `admit_n(t, n)` and one charged through `n` calls
+    /// of `admit(t)` agree after every batch in counters, tenants,
+    /// established sessions and the leak check, and close the same
+    /// sessions at the end.
+    #[test]
+    fn admit_n_is_n_admits() {
+        forall!(
+            Config::new(0x7EE_0004).with_cases(CASES),
+            batches in vecs((u64s(0..4), u64s(0..6)), 0..30) => {
+                for cc in CcMode::ALL {
+                    let mut bulk = SessionPool::new(cc, TdxCalib::default());
+                    let mut each = SessionPool::new(cc, TdxCalib::default());
+                    for &(tenant, n) in &batches {
+                        bulk.admit_n(tenant, n);
+                        for _ in 0..n {
+                            each.admit(tenant);
+                        }
+                        ensure_eq!(bulk.counters(), each.counters());
+                        ensure_eq!(bulk.tenants(), each.tenants());
+                        ensure_eq!(bulk.established(), each.established());
+                        ensure_eq!(bulk.leak_check(), each.leak_check());
+                    }
+                    ensure_eq!(bulk.close_all(), each.close_all());
+                    ensure_eq!(bulk.closed(), each.closed());
+                    ensure!(bulk.leak_check().is_ok() && each.leak_check().is_ok());
+                }
+            }
+        );
+    }
 }

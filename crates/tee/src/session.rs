@@ -92,6 +92,31 @@ impl SessionPool {
     /// Admits one request from `tenant`, charging the SPDM handshake on
     /// the tenant's first admission and the doorbell pair on every one.
     pub fn admit(&mut self, tenant: u64) -> Admission {
+        let cc = self.cc;
+        let (td, established) = self.slot(tenant);
+        let cold = !*established && cc == CcMode::On;
+        *established |= cold;
+        charge(td, cold)
+    }
+
+    /// Admits `n` requests from `tenant`, charging exactly what `n`
+    /// calls of [`SessionPool::admit`] charge: the first runs through
+    /// `admit` (and may be cold), and the other `n - 1` ride its session,
+    /// their doorbell pairs added arithmetically. `n == 0` admits
+    /// nothing.
+    pub fn admit_n(&mut self, tenant: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.admit(tenant);
+        let (td, _) = self.slot(tenant);
+        td.hypercalls("serve_submit", n - 1);
+        td.hypercalls("serve_complete", n - 1);
+    }
+
+    /// `tenant`'s context and established flag, opening an unattested
+    /// slot on its first admission.
+    fn slot(&mut self, tenant: u64) -> (&mut TdContext, &mut bool) {
         let idx = match self.slots.iter().position(|(t, _, _)| *t == tenant) {
             Some(i) => i,
             None => {
@@ -101,9 +126,7 @@ impl SessionPool {
             }
         };
         let (_, td, established) = &mut self.slots[idx];
-        let cold = !*established && self.cc == CcMode::On;
-        *established |= cold;
-        charge(td, cold)
+        (td, established)
     }
 
     /// What a cold admission on this pool costs, charged to a scratch

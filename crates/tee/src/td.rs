@@ -87,6 +87,17 @@ impl TdContext {
         self.hypercall_cost
     }
 
+    /// Charges `n` guest→host transitions at once: the counters move
+    /// exactly as `n` calls of [`TdContext::hypercall`] move them, and
+    /// the return is their summed cost.
+    pub fn hypercalls(&mut self, reason: &'static str, n: u64) -> SimDuration {
+        let _ = reason;
+        let cost = self.hypercall_cost * n;
+        self.counters.hypercalls += n;
+        self.counters.transition_time += cost;
+        cost
+    }
+
     /// Charges a seamcall into the TDX module. Free (and uncounted) in a
     /// regular VM, which has no SEAM transitions.
     pub fn seamcall(&mut self, reason: &'static str) -> SimDuration {
@@ -194,6 +205,20 @@ mod tests {
             assert_eq!(td.counters().hypercalls, 3);
             assert_eq!(td.counters().transition_time, calib.hypercall() * 3);
             assert_eq!(vm.counters().transition_time, calib.vmexit * 3);
+        }
+    }
+
+    #[test]
+    fn hypercalls_charge_like_repeated_hypercalls() {
+        for cc in CcMode::ALL {
+            for n in [0, 1, 7] {
+                let mut bulk = TdContext::new(cc, TdxCalib::default());
+                let mut one_by_one = TdContext::new(cc, TdxCalib::default());
+                let cost = bulk.hypercalls("x", n);
+                let sum: SimDuration = (0..n).map(|_| one_by_one.hypercall("x")).sum();
+                assert_eq!(cost, sum, "{cc:?} x{n}");
+                assert_eq!(bulk.counters(), one_by_one.counters(), "{cc:?} x{n}");
+            }
         }
     }
 

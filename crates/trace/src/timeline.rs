@@ -387,8 +387,8 @@ fn join_kqt<L, K>(
 /// The naive pairwise scan is O(|sync|·|kernel|) — quadratic for
 /// sync-per-iteration apps where both lists grow with the launch count.
 /// This computes the *identical* integer total by sorting kernel starts
-/// and ends once and resolving each sync span `(ss, se)` with four binary
-/// searches over prefix sums:
+/// and ends once and resolving each sync span `(ss, se)` with four
+/// cursors over prefix sums:
 ///
 /// ```text
 /// Σ max(0, min(se, ke) − max(ss, ks))
@@ -401,6 +401,11 @@ fn join_kqt<L, K>(
 /// non-overlapping families cancel exactly; every surviving pair's term
 /// is its nonnegative overlap. Integer addition is order-independent, so
 /// the result matches the pairwise sum bit for bit.
+///
+/// The runtime pushes syncs in time order, so each cursor only walks
+/// forward and the whole pass is linear; a span that goes backwards
+/// (nested or out-of-order syncs) re-seeks the cursors it moved past by
+/// binary search.
 fn sync_kernel_overlap(
     syncs: &[(SimTime, SimTime)],
     mut starts: Vec<u64>,
@@ -425,23 +430,37 @@ fn sync_kernel_overlap(
     let pends = prefix(&ends);
     let n = starts.len();
     let mut total = 0i128;
+    let (mut a, mut b, mut c, mut d) = (0, 0, 0, 0);
     for &(ss, se) in syncs {
         let (ss, se) = (ss.as_nanos(), se.as_nanos());
         if se <= ss {
             continue; // zero-length sync overlaps nothing
         }
         // ends[..a] have ke ≤ ss; ends[a..b] lie in (ss, se).
-        let a = ends.partition_point(|&e| e <= ss);
-        let b = ends.partition_point(|&e| e < se);
+        seek(&ends, &mut a, |e| e <= ss);
+        seek(&ends, &mut b, |e| e < se);
         // starts[..d] have ks ≤ ss; starts[..c] have ks < se.
-        let d = starts.partition_point(|&s| s <= ss);
-        let c = starts.partition_point(|&s| s < se);
+        seek(&starts, &mut d, |s| s <= ss);
+        seek(&starts, &mut c, |s| s < se);
         let sum_min = (pends[b] - pends[a]) as i128 + (n - b) as i128 * se as i128
             - (n - c) as i128 * se as i128;
         let sum_max = (d as i128 - a as i128) * ss as i128 + (pstarts[c] - pstarts[d]) as i128;
         total += sum_min - sum_max;
     }
     SimDuration::from_nanos(total as u64)
+}
+
+/// Moves `at` to `v.partition_point(below)` for a `below` that holds on
+/// a prefix of the sorted `v`: by a forward walk from where it stands,
+/// or by binary search when the prefix shrank behind it.
+fn seek(v: &[u64], at: &mut usize, below: impl Fn(u64) -> bool) {
+    if *at > 0 && !below(v[*at - 1]) {
+        *at = v.partition_point(|&x| below(x));
+        return;
+    }
+    while v.get(*at).is_some_and(|&x| below(x)) {
+        *at += 1;
+    }
 }
 
 impl FromIterator<TraceEvent> for Timeline {
@@ -810,6 +829,57 @@ mod tests {
         assert_eq!(mm.free, SimDuration::micros(10));
         assert_eq!(mm.management_total(), SimDuration::micros(20));
         assert_eq!(mm.sync, SimDuration::micros(1));
+    }
+
+    /// The cursor overlap equals the naive pairwise Σ overlap for syncs
+    /// in time order, in reverse, nested (each span inside the one
+    /// before) and in random order, zero-length syncs included.
+    #[test]
+    fn sync_kernel_overlap_matches_the_pairwise_sum() {
+        use hcc_check::strategy::{u64s, vecs};
+        use hcc_check::{ensure_eq, forall, Config};
+        let span = |(start, len): (u64, u64)| (start, start + len);
+        forall!(
+            Config::new(0x7124_0001).with_cases(256),
+            (kernels, syncs, order) in (
+                vecs((u64s(0..300), u64s(0..60)), 0..30),
+                vecs((u64s(0..300), u64s(0..60)), 0..20),
+                u64s(0..4)
+            ) => {
+                let kernels: Vec<(u64, u64)> = kernels.into_iter().map(span).collect();
+                let mut syncs: Vec<(u64, u64)> = syncs.into_iter().map(span).collect();
+                match order {
+                    0 => syncs.sort_unstable(),
+                    1 => syncs.sort_unstable_by(|x, y| y.cmp(x)),
+                    2 => {
+                        // Starts ascend while ends descend: each span
+                        // holds the next.
+                        let mut starts: Vec<u64> = syncs.iter().map(|s| s.0).collect();
+                        let mut ends: Vec<u64> = syncs.iter().map(|s| s.1).collect();
+                        starts.sort_unstable();
+                        ends.sort_unstable_by(|x, y| y.cmp(x));
+                        syncs = starts.into_iter().zip(ends).collect();
+                    }
+                    _ => {}
+                }
+                let pairwise: u64 = syncs
+                    .iter()
+                    .flat_map(|&(ss, se)| {
+                        kernels
+                            .iter()
+                            .map(move |&(ks, ke)| se.min(ke).saturating_sub(ss.max(ks)))
+                    })
+                    .sum();
+                let at = |ns| SimTime::from_nanos(ns);
+                let syncs: Vec<_> = syncs.iter().map(|&(s, e)| (at(s), at(e))).collect();
+                let got = sync_kernel_overlap(
+                    &syncs,
+                    kernels.iter().map(|k| k.0).collect(),
+                    kernels.iter().map(|k| k.1).collect(),
+                );
+                ensure_eq!(got, SimDuration::from_nanos(pairwise));
+            }
+        );
     }
 
     #[test]

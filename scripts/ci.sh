@@ -323,10 +323,12 @@ echo "tier-2: OK (hot-path throughput within gate)"
 
 # Tier-2 chaos smoke: seeded fault storms composed with the serving
 # cluster over a virtual-time soak. The report must be byte-identical at
-# 1 and 4 engine threads, at least one budget verdict must FAIL (the SLO
-# gate is live, not vacuously green), every conservation/identity trailer
-# must hold, and the leak-audit trailer must be clean. The binary itself
-# exits nonzero on any leak or conservation violation.
+# 1 and 4 engine threads and to tests/golden/chaos_default.txt (the
+# benchmark's storm workload renders the same text), at least one budget
+# verdict must FAIL (the SLO gate is live, not vacuously green), every
+# conservation/identity trailer must hold, and the leak-audit trailer
+# must be clean. The binary itself exits nonzero on any leak or
+# conservation violation.
 echo "==> tier-2: chaos lab determinism, SLO verdicts, leak audit"
 HCC_ENGINE_THREADS=1 $lab chaos \
     >"$t2_dir/chaos1.out" 2>/dev/null
@@ -335,6 +337,10 @@ HCC_ENGINE_THREADS=4 $lab chaos --json "$t2_dir/BENCH_chaos.json" \
 
 if ! diff -u "$t2_dir/chaos1.out" "$t2_dir/chaos4.out"; then
     echo "tier-2: FAIL — chaos stdout differs between 1 and 4 threads" >&2
+    exit 1
+fi
+if ! diff -u tests/golden/chaos_default.txt "$t2_dir/chaos1.out"; then
+    echo "tier-2: FAIL — chaos stdout differs from tests/golden/chaos_default.txt" >&2
     exit 1
 fi
 if ! grep -q "FAIL(" "$t2_dir/chaos1.out"; then

@@ -6,7 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use hcc_bench::chaos::{self, ChaosConfig};
+use hcc_bench::chaos::{self, ChaosConfig, FaultLedger};
 use hcc_bench::engine::{ExperimentEngine, ScenarioResult};
 use hcc_bench::serving::cluster::{self, ClusterConfig, Outcome, TimeToRecover};
 use hcc_bench::serving::{self, arrival, ArrivalKind, Request, SchedulerKind, ServingConfig};
@@ -18,8 +18,11 @@ use hcc_tee::{SessionPool, TdCounters};
 use hcc_trace::{FlightConfig, FlightLog, MetricsSet, Series};
 use hcc_types::calib::TdxCalib;
 use hcc_types::rng::Xoshiro256;
-use hcc_types::{CcMode, FaultPlan, Planes, RecoveryPolicy, SimDuration, SimTime, StormProfile};
-use hcc_workloads::{default_tenants, Scenario};
+use hcc_types::{
+    CcMode, FaultPlan, Planes, RecoveryPolicy, SimDuration, SimTime, StormIntensity, StormProfile,
+    StormSchedule,
+};
+use hcc_workloads::{default_tenants, Scenario, TenantSpec};
 
 /// Replaying a seed reproduces the arrival trace bit for bit — every
 /// rank, tenant, class pick, and nanosecond — for every process
@@ -219,23 +222,123 @@ fn serving_shape_tables_match_the_per_request_oracle() {
     );
 }
 
+/// Checks `storms`, the shape tables `cfg` resolved over `reqs`, against
+/// an independent per-request `engine.run`: every cell's table resolves
+/// each request to exactly the scenario the storm intensity at its
+/// arrival (`intensity_at`) and its plan replica pick, with the same
+/// service result; a profile's policy tables share one request→shape
+/// map; and each profile's arrivals per intensity are those requests'.
+fn check_storm_tables(
+    cfg: &ChaosConfig,
+    engine: &ExperimentEngine,
+    reqs: &[Request],
+    storms: &[chaos::StormShapes],
+) -> Result<(), String> {
+    ensure_eq!(storms.len(), cfg.profiles.len());
+    for (profile, storm) in cfg.profiles.iter().zip(storms) {
+        let schedule = cfg.schedule(profile);
+        let intensities: Vec<StormIntensity> = reqs
+            .iter()
+            .map(|r| schedule.intensity_at(r.arrival))
+            .collect();
+        let mut arrivals = [0u64; StormIntensity::COUNT];
+        for i in &intensities {
+            arrivals[i.index()] += 1;
+        }
+        ensure_eq!(storm.arrivals, arrivals);
+        ensure_eq!(storm.tables.len(), cfg.policies.len());
+        for (policy, table) in cfg.policies.iter().zip(&storm.tables) {
+            ensure!(
+                std::ptr::eq(table.shape_of(), storm.tables[0].shape_of()),
+                "a profile's policy tables share one shape map"
+            );
+            ensure_eq!(table.shape_of().len(), reqs.len());
+            for (ri, (r, &intensity)) in reqs.iter().zip(&intensities).enumerate() {
+                let si = table.shape_of()[ri] as usize;
+                ensure!(si < table.shapes().len(), "request {ri} maps out of bounds");
+                let app = cfg.tenants[r.tenant as usize].mix[r.class as usize].app;
+                let replica = (ri % cfg.replicas as usize) as u32;
+                let shape_cfg = cfg.shape_cfg(profile, policy, intensity, replica);
+                let slow = engine.run(&Scenario::standard(app, shape_cfg));
+                ensure_eq!(table.shapes()[si].hash, slow.hash);
+                ensure_eq!(table.service(ri), &oracle_service(&slow));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A sorted trace on `schedule`'s edges, from each pick's low two bits:
+/// one request on a window's start, one on a window's end, two tied on
+/// a window's end, or one at or past the horizon. The rest of the pick
+/// names the window (or the distance past the horizon) and the
+/// request's tenant and class.
+fn edge_trace(tenants: &[TenantSpec], schedule: &StormSchedule, picks: &[u64]) -> Vec<Request> {
+    let mut reqs: Vec<Request> = picks
+        .iter()
+        .flat_map(|&pick| {
+            let (kind, rest) = (pick % 4, pick / 4);
+            let window = schedule
+                .windows
+                .get(rest as usize % schedule.windows.len().max(1));
+            let (at, copies) = match (kind, window) {
+                (0, Some(w)) => (w.start, 1),
+                (1, Some(w)) => (w.end, 1),
+                (2, Some(w)) => (w.end, 2),
+                _ => (schedule.horizon + SimDuration::from_nanos(rest % 1_000), 1),
+            };
+            let tenant = (rest >> 20) as usize % tenants.len();
+            let class = (rest >> 28) as usize % tenants[tenant].mix.len();
+            let req = Request {
+                arrival: at,
+                tenant: tenant as u32,
+                class: class as u32,
+            };
+            std::iter::repeat_n(req, copies)
+        })
+        .collect();
+    reqs.sort_by_key(|r| r.arrival);
+    reqs
+}
+
+/// The fault ledger request by request: each request counts under its
+/// own shape's outcome.
+fn per_request_ledger(table: &ShapeTable, requests: usize) -> FaultLedger {
+    let mut ledger = FaultLedger::default();
+    for ri in 0..requests {
+        let shape = table.shape(ri);
+        if shape.service.is_err() {
+            ledger.rejected += 1;
+        } else if shape.faults.degraded > 0 {
+            ledger.degraded += 1;
+        } else if shape.faults.recovered > 0 {
+            ledger.recovered += 1;
+        } else {
+            ledger.clean += 1;
+        }
+    }
+    ledger
+}
+
 /// Oracle: over random small chaos soaks (storm profile, replicas,
-/// horizon, cluster width, scheduler), every cell's shape table resolves
-/// each request to exactly the scenario an independent per-request
-/// `engine.run` picks from the storm intensity at its arrival and its
-/// plan replica, with the same service result. A profile's policy tables
-/// share one request→shape map.
+/// horizon, cluster width, scheduler), every cell's shape table passes
+/// [`check_storm_tables`], both over the soak's own trace and over a
+/// trace on the calendar's edges ([`edge_trace`]: arrivals exactly on
+/// window starts and ends, ties at one instant, arrivals at and past
+/// the horizon). The soak's report then holds, and each cell's fault
+/// ledger, folded per shape, equals the ledger counted request by
+/// request.
 #[test]
 fn chaos_shape_tables_match_the_per_request_oracle() {
     let engine = ExperimentEngine::new(2);
     let builtin = StormProfile::builtin();
     forall!(
         Config::new(0x5E21_0013).with_cases(6),
-        ((seed, requests), (profile_pick, replicas), (days, gpus), sched_pick) in (
+        ((seed, requests), (profile_pick, replicas), (days, gpus), (sched_pick, edges)) in (
             (u64s(0..u64::MAX), u64s(1..150)),
             (u64s(0..builtin.len() as u64), u64s(1..3)),
             (u64s(1..3), u64s(1..3)),
-            u64s(0..3)
+            (u64s(0..3), vecs(u64s(0..u64::MAX), 0..60))
         ) => {
             let cfg = ChaosConfig {
                 seed,
@@ -248,30 +351,20 @@ fn chaos_shape_tables_match_the_per_request_oracle() {
                 ..ChaosConfig::default()
             };
             let (reqs, storms) = chaos::shape_tables(&cfg, &engine);
-            ensure_eq!(storms.len(), cfg.profiles.len());
-            for (profile, storm) in cfg.profiles.iter().zip(&storms) {
-                let schedule = cfg.schedule(profile);
-                ensure_eq!(storm.tables.len(), cfg.policies.len());
-                for (policy, table) in cfg.policies.iter().zip(&storm.tables) {
-                    ensure!(
-                        std::ptr::eq(table.shape_of(), storm.tables[0].shape_of()),
-                        "a profile's policy tables share one shape map"
-                    );
-                    ensure_eq!(table.shape_of().len(), reqs.len());
-                    for (ri, r) in reqs.iter().enumerate() {
-                        let si = table.shape_of()[ri] as usize;
-                        ensure!(si < table.shapes().len(), "request {ri} maps out of bounds");
-                        let app = cfg.tenants[r.tenant as usize].mix[r.class as usize].app;
-                        let replica = (ri % cfg.replicas as usize) as u32;
-                        let intensity = schedule.intensity_at(r.arrival);
-                        let shape_cfg = cfg.shape_cfg(profile, policy, intensity, replica);
-                        let slow = engine.run(&Scenario::standard(app, shape_cfg));
-                        ensure_eq!(table.shapes()[si].hash, slow.hash);
-                        ensure_eq!(table.service(ri), &oracle_service(&slow));
-                    }
+            check_storm_tables(&cfg, &engine, &reqs, &storms)?;
+
+            let edge = edge_trace(&cfg.tenants, &cfg.schedule(&cfg.profiles[0]), &edges);
+            let edge_storms = chaos::storm_shapes(&cfg, &engine, &edge);
+            check_storm_tables(&cfg, &engine, &edge, &edge_storms)
+                .map_err(|e| format!("edge trace {edge:?}: {e}"))?;
+
+            let rep = chaos::run(&cfg, &engine);
+            ensure!(rep.healthy());
+            for (profile, storm) in rep.profiles.iter().zip(&storms) {
+                for (cell, table) in profile.cells.iter().zip(&storm.tables) {
+                    ensure_eq!(cell.ledger, per_request_ledger(table, reqs.len()));
                 }
             }
-            ensure!(chaos::run(&cfg, &engine).healthy());
         }
     );
 }
@@ -754,8 +847,8 @@ fn check_queue_integrals(
 /// charges (derived by `run.admission.of`, against the reference's own
 /// `admit()` record), the end time, busy time, batch and cold-start counts,
 /// TD counters, session ledger and every gauge series — under every
-/// scheduler, both CC modes, and 1, 2, 3 and 65 GPUs (65 spans two words
-/// of the idle-GPU bitset). Its online verdicts match the series: over
+/// scheduler, both CC modes, and 1, 2, 3, 4, 8 and 65 GPUs (65 spans two
+/// words of the idle-GPU bitset). Its online verdicts match the series: over
 /// random sorted peak ends (at 0, on and between arrival instants, past
 /// the horizon), `ttr` is the queue series' time-to-recover and
 /// `drained` says every depth gauge ended at zero; with no peak ends it
@@ -826,7 +919,7 @@ fn cluster_matches_the_reference_cluster() {
             let tdx = TdxCalib::default();
             for kind in SchedulerKind::ALL {
                 for cc in CcMode::ALL {
-                    for gpus in [1, 2, 3, 65] {
+                    for gpus in [1, 2, 3, 4, 8, 65] {
                         let cfg = ClusterConfig {
                             tenants: &tenants,
                             cc,
