@@ -335,8 +335,8 @@ impl ChaosReport {
                 let _ = writeln!(out, "\n--- policy: {} ---", cell.policy);
                 let _ = writeln!(
                     out,
-                    "{:<10} {:>8} {:>6} {:>10} {:>10} {:>8}  {}",
-                    "tenant", "n", "rej", "p99", "p999", "rej-ppm", "verdict"
+                    "{:<10} {:>8} {:>6} {:>10} {:>10} {:>8}  verdict",
+                    "tenant", "n", "rej", "p99", "p999", "rej-ppm"
                 );
                 for v in &cell.verdicts {
                     let _ = writeln!(

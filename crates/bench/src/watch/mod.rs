@@ -457,7 +457,7 @@ fn build_incident(
                 continue;
             }
             let episode = sc.schedule.episode_at(mid).unwrap_or(0);
-            if best.map_or(true, |(b, _)| intensity.index() > b.index()) {
+            if best.is_none_or(|(b, _)| intensity.index() > b.index()) {
                 best = Some((intensity, episode));
             }
         }
@@ -469,7 +469,7 @@ fn build_incident(
     });
 
     let blame = view.blame.and_then(|table| {
-        let mut totals = vec![SimDuration::ZERO; ResourceClass::COUNT];
+        let mut totals = [SimDuration::ZERO; ResourceClass::COUNT];
         for s in index
             .span(first, last)
             .iter()

@@ -368,7 +368,7 @@ mod tests {
     fn uint_shrink_moves_toward_lo() {
         let s = u64s(3..100);
         for cand in s.shrink(&50) {
-            assert!(cand < 50 && cand >= 3);
+            assert!((3..50).contains(&cand));
         }
         assert!(s.shrink(&3).is_empty());
     }

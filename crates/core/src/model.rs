@@ -279,7 +279,7 @@ mod tests {
         use hcc_types::{ByteSize, CcMode, HostMemKind};
 
         fn decompose(cc: CcMode) -> (PhaseBreakdown, FittedModel) {
-            let mut ctx = CudaContext::new(SimConfig::new(cc).with_seed(0xF16_3));
+            let mut ctx = CudaContext::new(SimConfig::new(cc).with_seed(0xF163));
             let h = ctx
                 .malloc_host(ByteSize::mib(16), HostMemKind::Pageable)
                 .expect("host");

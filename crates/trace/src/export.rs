@@ -188,7 +188,7 @@ impl<'a> ChromeExport<'a> {
                     req = skel.req,
                     win = sample.window,
                 );
-                cursor = cursor + dur;
+                cursor += dur;
             }
             if skel.rejected {
                 continue;

@@ -136,32 +136,35 @@ struct WindowSampler {
 
 impl WindowSampler {
     fn insert(&mut self, s: FlightSkeleton, window: u64, cfg: &FlightConfig) {
-        // A full keep drops its last entry before the insert, so it
-        // never grows past its bound (nor reallocates to make room).
-        if cfg.worst > 0 {
-            let key = (std::cmp::Reverse(s.latency()), s.req);
-            let pos = self
-                .worst
-                .partition_point(|o| (std::cmp::Reverse(o.latency()), o.req) < key);
-            if pos < cfg.worst {
-                self.worst.truncate(cfg.worst - 1);
-                self.worst.insert(pos, s);
-            }
-        }
+        keep_first(&mut self.worst, cfg.worst, s, |o| {
+            (std::cmp::Reverse(o.latency()), o.req)
+        });
         if cfg.reservoir > 0 {
             let h = mix(cfg.seed, window, s.req);
-            let key = (h, s.req);
-            let pos = self.pool.partition_point(|&(oh, ref o)| (oh, o.req) < key);
-            if pos < cfg.reservoir {
-                self.pool.truncate(cfg.reservoir - 1);
-                self.pool.insert(pos, (h, s));
-            }
+            keep_first(&mut self.pool, cfg.reservoir, (h, s), |&(oh, ref o)| {
+                (oh, o.req)
+            });
         }
     }
 
     fn entries(&self) -> u64 {
         (self.worst.len() + self.pool.len()) as u64
     }
+}
+
+/// Inserts `item` into `keep`, which stays sorted ascending by `key` and
+/// holds at most `bound` entries. A full keep drops its last entry
+/// before the insert, so it never grows past its bound (nor reallocates
+/// to make room); when that last entry already sorts before `item`, the
+/// keep is left as it is without a search.
+fn keep_first<T, K: Ord>(keep: &mut Vec<T>, bound: usize, item: T, key: impl Fn(&T) -> K) {
+    let k = key(&item);
+    if keep.len() >= bound && keep.last().is_none_or(|o| key(o) < k) {
+        return;
+    }
+    let pos = keep.partition_point(|o| key(o) < k);
+    keep.truncate(bound - 1);
+    keep.insert(pos, item);
 }
 
 /// Thread-invariant per-request recorder: feed it every settled request
@@ -566,7 +569,7 @@ impl FlightLog {
         let mut hits: Vec<&FlightSample> = windows
             .iter()
             .filter(|s| start <= s.skeleton.settle && s.skeleton.settle < end)
-            .filter(|s| tenant.map_or(true, |t| s.skeleton.tenant == t))
+            .filter(|s| tenant.is_none_or(|t| s.skeleton.tenant == t))
             .collect();
         hits.sort_by_key(|s| (std::cmp::Reverse(s.latency()), s.skeleton.req));
         hits.into_iter().map(|s| s.skeleton.req).collect()

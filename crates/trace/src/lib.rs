@@ -220,12 +220,15 @@ mod proptests {
         });
     }
 
-    /// Raw flight tuples `((arrival, queue), (spdm, doorbell, shape))`
-    /// shrunk by the strategies into well-formed skeletons: the wiring
+    /// A raw flight tuple `((arrival, queue), (spdm, doorbell, shape))`.
+    type RawFlight = ((u64, u64), (u64, u64, u64));
+
+    /// Raw flight tuples shrunk by the strategies into well-formed
+    /// skeletons: the wiring
     /// guarantees `dispatch = arrival + queue` and
     /// `settle = dispatch + spdm + doorbell + shape (+ margin)`, which
     /// is exactly what the serving layer records.
-    fn skeletons_from(raw: &[((u64, u64), (u64, u64, u64))]) -> Vec<flight::FlightSkeleton> {
+    fn skeletons_from(raw: &[RawFlight]) -> Vec<flight::FlightSkeleton> {
         raw.iter()
             .enumerate()
             .map(|(i, &((arrival, queue), (spdm, doorbell, shape)))| {
@@ -249,7 +252,7 @@ mod proptests {
             .collect()
     }
 
-    fn raw_flights() -> impl hcc_check::Strategy<Value = Vec<((u64, u64), (u64, u64, u64))>> {
+    fn raw_flights() -> impl hcc_check::Strategy<Value = Vec<RawFlight>> {
         vecs(
             (
                 (u64s(0..1_000_000_000), u64s(0..50_000_000)),

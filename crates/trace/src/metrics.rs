@@ -640,7 +640,7 @@ fn pick_exemplar(
         .iter()
         .filter(|(_, lat, _)| {
             let ns = lat.as_nanos();
-            lo.map_or(true, |l| ns > l) && hi.map_or(true, |h| ns <= h)
+            lo.is_none_or(|l| ns > l) && hi.is_none_or(|h| ns <= h)
         })
         .max_by_key(|(req, lat, _)| (lat.as_nanos(), std::cmp::Reverse(*req)))
 }

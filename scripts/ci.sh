@@ -24,6 +24,8 @@ if [ "${1:-}" != "--no-fmt" ]; then
 fi
 
 run cargo build --release --workspace
+# Lints are a gate: every target, tests included, builds warning-free.
+run cargo clippy --workspace --all-targets -- -D warnings
 run cargo test -q --workspace
 # The benchmark package (its own workspace) drives the serving and chaos
 # soaks through their public entry points.

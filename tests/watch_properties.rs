@@ -159,13 +159,20 @@ fn incidents_are_exactly_the_maximal_alert_streaks() {
                 );
                 prev_key = key;
                 ensure!(inc.first_window <= inc.last_window, "inverted streak");
-                for wi in inc.first_window..=inc.last_window {
+                ensure!(
+                    inc.last_window < report.windows.len(),
+                    "incident #{} ends past the last window",
+                    inc.id
+                );
+                for (wi, cover) in
+                    (inc.first_window..).zip(&mut covered[inc.first_window..=inc.last_window])
+                {
                     ensure!(
                         report.windows[wi].burns[inc.tenant].alert,
                         "incident #{} covers non-alerting w{wi}",
                         inc.id
                     );
-                    covered[wi][inc.tenant] = true;
+                    cover[inc.tenant] = true;
                 }
                 // Maximality: the flanking windows must not alert.
                 if inc.first_window > 0 {
@@ -184,9 +191,9 @@ fn incidents_are_exactly_the_maximal_alert_streaks() {
                 }
             }
             for (wi, row) in report.windows.iter().enumerate() {
-                for t in 0..2 {
+                for (t, &cover) in covered[wi].iter().enumerate() {
                     ensure!(
-                        row.burns[t].alert == covered[wi][t],
+                        row.burns[t].alert == cover,
                         "alerting w{wi} tenant {t} missing from the timeline"
                     );
                 }
