@@ -442,6 +442,8 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
     let horizon = cfg.horizon();
     let (requests, storms) = shape_tables(cfg, engine);
     let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.name.to_string()).collect();
+    // One pair of sample buffers, lent to every cell.
+    let mut samples = cluster::Samples::default();
     let cluster = cfg.cluster();
 
     let mut profiles_out = Vec::with_capacity(cfg.profiles.len());
@@ -525,6 +527,7 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
                 cfg.watch.as_ref(),
                 cfg.flight,
                 &soak,
+                &mut samples,
             );
 
             // Fold the flight store's accounting into the cell audit:

@@ -25,7 +25,7 @@ use crate::chaos::{self, ChaosConfig};
 use crate::cli::{self, CliError};
 use crate::engine;
 use crate::lab::Command;
-use crate::serving::cluster::{self, ClusterConfig};
+use crate::serving::cluster::{self, ClusterConfig, Record};
 use crate::serving::{self, ServingConfig};
 use crate::{figures, report};
 
@@ -111,7 +111,12 @@ fn soak_snapshots(serve: bool, storm: bool) -> Vec<(String, SimTime, MetricsSet)
         for &kind in &cfg.schedulers {
             for cc in CcMode::ALL {
                 let table = &tables[usize::from(cc.is_on())];
-                let run = cluster::simulate(&requests, table, &gauged(cfg.cluster(kind, cc)));
+                let run = cluster::simulate(
+                    &requests,
+                    table,
+                    &gauged(cfg.cluster(kind, cc)),
+                    Record::Log,
+                );
                 out.push((format!("serve:{kind}/{cc}"), run.end, run.metrics));
             }
         }
@@ -128,7 +133,7 @@ fn soak_snapshots(serve: bool, storm: bool) -> Vec<(String, SimTime, MetricsSet)
         let (requests, storms) = chaos::shape_tables(&cfg, engine::global());
         for (profile, storm) in cfg.profiles.iter().zip(&storms) {
             for (policy, table) in cfg.policies.iter().zip(&storm.tables) {
-                let run = cluster::simulate(&requests, table, &gauged(cfg.cluster()));
+                let run = cluster::simulate(&requests, table, &gauged(cfg.cluster()), Record::Log);
                 let label = format!("chaos:{}/{policy}", profile.name);
                 out.push((label, run.end, run.metrics));
             }

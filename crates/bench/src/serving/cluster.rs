@@ -22,6 +22,14 @@
 //! tenant through [`SessionPool::admit_n`], which moves the TD counters
 //! and the session ledger exactly as one `admit` per request would.
 //!
+//! The drain folds each tenant's sums as it dispatches ([`TenantSums`]:
+//! a batch is single-tenant, so each batch adds its service, admission
+//! and rejections to one tenant) and records per request only what its
+//! caller asks for ([`Record`]): the 24 B [`Outcome`] log the
+//! observation planes and test oracles read, or, with no plane on, just
+//! each admitted request's latency and wait, written into per-tenant
+//! regions of the caller's [`Samples`].
+//!
 //! The drain computes its own verdicts as it runs: whether every queue
 //! and device depth ended at zero, (given a storm calendar's peak ends)
 //! the queue's time-to-recover after each peak, and (given the watch's
@@ -53,7 +61,8 @@ pub const MAX_GPUS: u64 = u32::MAX as u64;
 pub const MAX_BATCH: u64 = u16::MAX as u64;
 
 /// What happened to one request: 24 bytes, the log a drain fills one
-/// entry per request. Its admission charges are not stored:
+/// entry per request under [`Record::Log`]. Its admission charges are
+/// not stored:
 /// [`AdmissionCosts::of`] derives them from `cold`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Outcome {
@@ -100,11 +109,125 @@ impl AdmissionCosts {
     }
 }
 
+/// What a drain records per request, beyond the per-tenant
+/// [`TenantSums`] every drain folds.
+#[derive(Debug)]
+pub enum Record<'s> {
+    /// The outcome log ([`ClusterRun::outcomes`]): one [`Outcome`] per
+    /// request, for the observation planes and oracles that read it.
+    Log,
+    /// No log: each admitted request's latency and wait go into the
+    /// lent [`Samples`], and [`ClusterRun::outcomes`] stays empty.
+    Samples(&'s mut Samples),
+}
+
+/// One tenant's sums over a drain, folded at dispatch one batch at a
+/// time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TenantSums {
+    /// Requests rejected because their batch's shape fails.
+    pub rejected: u64,
+    /// Σ (completion − dispatch) over admitted requests: each batch's
+    /// service time times its size.
+    pub service: SimDuration,
+    /// Σ each admitted request's own solo shape time. A batch runs for
+    /// its head's shape, but a follower may ride another (a chaos storm
+    /// shape); one whose own shape fails adds nothing.
+    pub shape: SimDuration,
+    /// Σ admission charges (SPDM setup + doorbells) of admitted requests.
+    pub admission: SimDuration,
+}
+
+/// Each admitted request's latency (arrival → completion) and wait
+/// (arrival → dispatch), written at dispatch by a drain that keeps no
+/// outcome log. Both buffers hold one slot per request, grouped by
+/// tenant: tenant `t`'s region starts at the number of earlier-tenant
+/// requests in the trace and is as long as `t`'s request count, and
+/// its rejected requests leave the region's tail unwritten.
+///
+/// A soak lends one `Samples` to each of its cells. Every cell of a
+/// soak drains the same trace, so the buffers are allocated once and
+/// reused; freeing them per cell would let glibc trim them and the
+/// next cell fault them back in.
+#[derive(Debug, Default)]
+pub struct Samples {
+    latency: Vec<SimDuration>,
+    wait: Vec<SimDuration>,
+    /// Tenant `t`'s region starts at `start[t]`; `start[tenants]` is
+    /// the request count.
+    start: Vec<usize>,
+    /// Tenant `t`'s samples end at `end[t]`.
+    end: Vec<usize>,
+}
+
+impl Samples {
+    /// Sizes both buffers for `requests` (keeping them when they
+    /// already are) and empties every one of `tenants` regions.
+    fn reset(&mut self, requests: &[Request], tenants: usize) {
+        if self.latency.len() != requests.len() {
+            self.latency = vec![SimDuration::ZERO; requests.len()];
+            self.wait = vec![SimDuration::ZERO; requests.len()];
+        }
+        self.start = region_starts(requests, tenants);
+        self.end = self.start[..tenants].to_vec();
+    }
+
+    /// Appends one admitted request of `tenant` to its region.
+    fn push(&mut self, tenant: usize, latency: SimDuration, wait: SimDuration) {
+        let at = self.end[tenant];
+        debug_assert!(
+            at < self.start[tenant + 1],
+            "tenant {tenant} overflows its region"
+        );
+        self.latency[at] = latency;
+        self.wait[at] = wait;
+        self.end[tenant] = at + 1;
+    }
+
+    /// Tenant `t`'s latency and wait samples, in dispatch order.
+    pub(crate) fn tenant(&mut self, t: usize) -> (&mut [SimDuration], &mut [SimDuration]) {
+        let region = self.start[t]..self.end[t];
+        (&mut self.latency[region.clone()], &mut self.wait[region])
+    }
+
+    /// Samples written since the last reset.
+    fn admitted(&self) -> usize {
+        self.end
+            .iter()
+            .zip(&self.start)
+            .map(|(end, start)| end - start)
+            .sum()
+    }
+
+    /// Frees both buffers. A cell that keeps its outcome log does not
+    /// hold them while its planes run.
+    pub(crate) fn release(&mut self) {
+        *self = Samples::default();
+    }
+}
+
+/// Where each of `tenants` tenants' region starts in a buffer of one
+/// slot per request of `requests`, grouped by tenant, followed by the
+/// request count.
+pub(crate) fn region_starts(requests: &[Request], tenants: usize) -> Vec<usize> {
+    let mut start = vec![0usize; tenants + 1];
+    for r in requests {
+        start[r.tenant as usize + 1] += 1;
+    }
+    for t in 0..tenants {
+        start[t + 1] += start[t];
+    }
+    start
+}
+
 /// One (scheduler, mode) cluster run over the shared request trace.
 #[derive(Debug)]
 pub struct ClusterRun {
-    /// Per-request outcomes, aligned with the request slice.
+    /// Per-request outcomes, aligned with the request slice, under
+    /// [`Record::Log`]; empty under [`Record::Samples`].
     pub outcomes: Vec<Outcome>,
+    /// Per-tenant sums, in population order.
+    pub tenants: Vec<TenantSums>,
     /// What each outcome's admission was charged.
     pub admission: AdmissionCosts,
     /// Virtual time of the last event (the makespan).
@@ -317,17 +440,23 @@ impl<'a> Recovery<'a> {
 /// conservation: every admitted request either completes or rejects
 /// exactly once). A batch runs for its head request's shape.
 ///
-/// The loop records nothing beyond the returned [`ClusterRun`]: the
-/// observation planes (rollups, flight recording) are views built from
-/// its outcomes after the drain, and the depth gauges are recorded only
-/// under [`Planes::METRICS`].
+/// The loop records nothing beyond the returned [`ClusterRun`] and, under
+/// [`Record::Samples`], the lent samples: the observation planes
+/// (rollups, flight recording) are views built from its outcome log
+/// after the drain, and the depth gauges are recorded only under
+/// [`Planes::METRICS`].
 ///
 /// # Panics
 /// If `requests` and `shapes` disagree in length, the cluster has no
 /// GPU, or the run exceeds a width its records hold: more than
 /// [`MAX_REQUESTS`] requests, [`MAX_GPUS`] GPUs or a
 /// [`MAX_BATCH`]-request batch cap.
-pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'_>) -> ClusterRun {
+pub fn simulate(
+    requests: &[Request],
+    shapes: &ShapeTable,
+    cfg: &ClusterConfig<'_>,
+    record: Record<'_>,
+) -> ClusterRun {
     assert_eq!(requests.len(), shapes.shape_of().len());
     assert!(cfg.gpus > 0, "a cluster needs at least one GPU");
     assert!(requests.len() as u64 <= MAX_REQUESTS, "request ids are u32");
@@ -344,7 +473,15 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
         cold: false,
         rejected: false,
     };
-    let mut outcomes = vec![placeholder; requests.len()];
+    let tenants = cfg.tenants.len();
+    let (mut outcomes, mut samples) = match record {
+        Record::Log => (vec![placeholder; requests.len()], None),
+        Record::Samples(samples) => {
+            samples.reset(requests, tenants);
+            (Vec::new(), Some(samples))
+        }
+    };
+    let mut sums = vec![TenantSums::default(); tenants];
 
     let mut queue = SchedQueue::new(cfg.kind, cfg.tenants, cfg.max_batch, requests.len());
     let mut batch: Vec<u32> = Vec::with_capacity(cfg.max_batch.max(1));
@@ -359,7 +496,6 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
     // Admissions per (device, tenant), row-major by GPU: a tenant's
     // first admission on a device is its cold start (CC-on), and the
     // pools are charged from these counts after the loop.
-    let tenants = cfg.tenants.len();
     let mut admitted = vec![0u64; cfg.gpus * tenants];
 
     // The running depths behind `drained` and the time-to-recover.
@@ -389,36 +525,41 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
             if let Some(g) = gauges.as_mut() {
                 g.queue.add(now, -i64::from(size));
             }
+            let tenant = requests[batch[0] as usize].tenant as usize;
+            debug_assert!(
+                batch
+                    .iter()
+                    .all(|&i| requests[i as usize].tenant as usize == tenant),
+                "a batch is single-tenant"
+            );
             let shape = match shapes.service(batch[0] as usize) {
                 Ok(p) => *p,
                 Err(_) => {
                     // The whole batch shares the failing shape: reject it
                     // without occupying a device.
-                    for &i in &batch {
-                        let i = i as usize;
-                        debug_assert_eq!(outcomes[i].batch, 0, "request {i} settles once");
-                        outcomes[i] = Outcome {
-                            dispatch: now,
-                            completion: now,
-                            batch: size,
-                            rejected: true,
-                            ..placeholder
-                        };
+                    sums[tenant].rejected += u64::from(size);
+                    if samples.is_none() {
+                        for &i in &batch {
+                            let i = i as usize;
+                            debug_assert_eq!(outcomes[i].batch, 0, "request {i} settles once");
+                            outcomes[i] = Outcome {
+                                dispatch: now,
+                                completion: now,
+                                batch: size,
+                                rejected: true,
+                                ..placeholder
+                            };
+                        }
                     }
                     continue;
                 }
             };
             let gpu = idle.take_lowest();
-            let counts = &mut admitted[gpu * tenants..][..tenants];
-            let mut colds = 0u64;
-            for &i in &batch {
-                let i = i as usize;
-                let n = &mut counts[requests[i].tenant as usize];
-                let cold = cfg.cc == CcMode::On && *n == 0;
-                *n += 1;
-                colds += u64::from(cold);
-                outcomes[i].cold = cold;
-            }
+            // Only the head can be cold: the batch is single-tenant, so
+            // its followers find the tenant admitted on this device.
+            let n = &mut admitted[gpu * tenants + tenant];
+            let colds = u64::from(cfg.cc == CcMode::On && *n == 0);
+            *n += u64::from(size);
             cold_starts += colds;
             let admission_sum = doorbell * u64::from(size) + spdm * colds;
             let extra = shape.scale(BATCH_MARGIN * (batch.len() - 1) as f64);
@@ -430,13 +571,41 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
             if let Some(g) = gauges.as_mut() {
                 g.gpu[gpu].occupy_n(now, done, i64::from(size));
             }
-            for &i in &batch {
-                let i = i as usize;
-                debug_assert_eq!(outcomes[i].batch, 0, "request {i} settles once");
-                outcomes[i].dispatch = now;
-                outcomes[i].completion = done;
-                outcomes[i].batch = size;
-                outcomes[i].gpu = gpu as u32;
+            let mut shape_sum = shape;
+            for &i in &batch[1..] {
+                if let Ok(p) = shapes.service(i as usize) {
+                    shape_sum += *p;
+                }
+            }
+            let s = &mut sums[tenant];
+            s.service += service_time * u64::from(size);
+            s.shape += shape_sum;
+            s.admission += admission_sum;
+            match samples.as_deref_mut() {
+                Some(samples) => {
+                    for &i in &batch {
+                        let arrival = requests[i as usize].arrival;
+                        samples.push(
+                            tenant,
+                            done.saturating_since(arrival),
+                            now.saturating_since(arrival),
+                        );
+                    }
+                }
+                None => {
+                    for (k, &i) in batch.iter().enumerate() {
+                        let i = i as usize;
+                        debug_assert_eq!(outcomes[i].batch, 0, "request {i} settles once");
+                        outcomes[i] = Outcome {
+                            dispatch: now,
+                            completion: done,
+                            gpu: gpu as u32,
+                            batch: size,
+                            cold: k == 0 && colds > 0,
+                            rejected: false,
+                        };
+                    }
+                }
             }
             completions.push(std::cmp::Reverse((done, gpu, u32::from(size))));
         }
@@ -492,7 +661,13 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
     let drained = queued == 0 && in_flight.iter().all(|&n| n == 0);
     debug_assert!(queue.is_empty(), "dispatch drains the queue before exit");
     debug_assert!(
-        outcomes.iter().all(|o| o.batch > 0),
+        match samples.as_deref() {
+            Some(samples) => {
+                let rejected: u64 = sums.iter().map(|s| s.rejected).sum();
+                samples.admitted() as u64 + rejected == requests.len() as u64
+            }
+            None => outcomes.iter().all(|o| o.batch > 0),
+        },
         "every request settles once"
     );
 
@@ -532,6 +707,7 @@ pub fn simulate(requests: &[Request], shapes: &ShapeTable, cfg: &ClusterConfig<'
 
     ClusterRun {
         outcomes,
+        tenants: sums,
         admission,
         end: now,
         busy,
@@ -618,7 +794,7 @@ mod tests {
             queue_window: None,
             planes,
         };
-        simulate(reqs, &table, &cfg)
+        simulate(reqs, &table, &cfg, Record::Log)
     }
 
     #[test]

@@ -251,8 +251,9 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
     };
 
     // The cells: every scheduler CC-off then CC-on, in report order,
-    // each through the one cell step. The observation planes view only
-    // the CC-on runs.
+    // each through the one cell step, lent the soak's one pair of sample
+    // buffers. The observation planes view only the CC-on runs.
+    let mut samples = cluster::Samples::default();
     let mut cells = cfg.schedulers.iter().flat_map(|&kind| {
         CcMode::ALL.map(|cc| {
             let on = cc.is_on();
@@ -263,6 +264,7 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
                 cfg.watch.as_ref().filter(|_| on),
                 cfg.flight.filter(|_| on),
                 &soak,
+                &mut samples,
             )
         })
     });

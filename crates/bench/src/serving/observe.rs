@@ -6,15 +6,18 @@
 //! run into the [`ModeRun`] its report keeps. The serving and chaos
 //! soaks both run every cell through it, so a plane that is off costs
 //! nothing, a plane that is on cannot perturb the run it observes, and
-//! each cell's outcome log is freed before the next cell drains. The
-//! drain measures the cell's drained flag and time-to-recover itself,
-//! and folds the queue-depth integrals the watch reads; it records no
-//! series.
+//! a cell keeps an outcome log only when a plane reads it, freed before
+//! the next cell drains. A cell with no plane on keeps no log: its
+//! drain writes each admitted request's latency and wait into the
+//! soak's [`Samples`], and the report's tails are selected from them.
+//! The drain measures the cell's drained flag and time-to-recover
+//! itself, and folds the queue-depth integrals the watch reads; it
+//! records no series.
 
 use hcc_trace::{FlightConfig, FlightLog, FlightRecorder, FlightSkeleton};
 
 use super::arrival::Request;
-use super::cluster::{self, AdmissionCosts, ClusterConfig, Outcome};
+use super::cluster::{self, AdmissionCosts, ClusterConfig, Outcome, Record, Samples};
 use super::report::{self, ModeRun};
 use super::shapes::ShapeTable;
 use crate::watch::{self, Settled, SoakContext, WatchConfig, WatchReport};
@@ -51,8 +54,15 @@ fn skeleton(
 /// exemplars. Under `soak.storm`, the drain measures time-to-recover at
 /// the calendar's peak ends; for the watch, it folds the queue depth's
 /// integral over each fast window, which the queue-anomaly detector
-/// reads. Both planes read the outcome log in place, and the report
-/// frees it before the flight log resolves its exemplars.
+/// reads.
+///
+/// The drain keeps its outcome log only when the watch or the flight
+/// plane is on. Both planes read the log in place; the cell first frees
+/// `samples`, so their buffers are not live while the planes run, and
+/// the report selects its tails from the log and frees it before the
+/// flight log resolves its exemplars. With both planes off, the drain
+/// writes each admitted request's latency and wait into `samples`,
+/// which the soak lends to every cell, and keeps no log.
 pub fn cell(
     requests: &[Request],
     table: &ShapeTable,
@@ -60,6 +70,7 @@ pub fn cell(
     watch: Option<&WatchConfig>,
     flight: Option<FlightConfig>,
     soak: &SoakContext<'_>,
+    samples: &mut Samples,
 ) -> (ModeRun, Option<WatchReport>, Option<FlightLog>) {
     let peak_ends = soak.storm.map(|storm| storm.schedule.peak_ends());
     let cluster = ClusterConfig {
@@ -67,7 +78,14 @@ pub fn cell(
         queue_window: watch.map(|w| w.fast),
         ..*cluster
     };
-    let run = cluster::simulate(requests, table, &cluster);
+    let keep_log = watch.is_some() || flight.is_some();
+    let record = if keep_log {
+        samples.release();
+        Record::Log
+    } else {
+        Record::Samples(&mut *samples)
+    };
+    let run = cluster::simulate(requests, table, &cluster, record);
     let mut watch = watch.map(|wcfg| {
         watch::observe(
             wcfg,
@@ -92,7 +110,7 @@ pub fn cell(
         }
         recorder
     });
-    let mode = report::mode_run(&cluster, requests, table, run);
+    let mode = report::mode_run(&cluster, requests, run, (!keep_log).then_some(samples));
     let flight = recorder.map(|r| r.resolve(table.shape_of(), table.decomps()));
     if let (Some(w), Some(f)) = (watch.as_mut(), flight.as_ref()) {
         w.link_exemplars(f);

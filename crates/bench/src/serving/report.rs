@@ -13,12 +13,11 @@ use hcc_types::json::{JsonOut, ToJson};
 use hcc_types::{CcMode, SimDuration, SimTime};
 
 use super::arrival::{ArrivalKind, Request};
-use super::cluster::{ClusterConfig, ClusterRun, Outcome, TimeToRecover};
+use super::cluster::{region_starts, ClusterConfig, ClusterRun, Outcome, Samples, TimeToRecover};
 use super::scheduler::SchedulerKind;
-use super::shapes::ShapeTable;
 
 /// One tenant's aggregate over one (scheduler, mode) run.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct TenantStats {
     /// Tenant label.
     pub name: String,
@@ -36,7 +35,8 @@ pub struct TenantStats {
     pub wait_total: SimDuration,
     /// Σ (completion − dispatch) over completed requests.
     pub service_total: SimDuration,
-    /// Σ solo shape time of completed requests.
+    /// Σ each completed request's own solo shape time (nothing for a
+    /// batch follower whose own shape fails: it rode its head's).
     pub shape_total: SimDuration,
     /// Σ admission charges (SPDM setup + doorbells) of completed requests.
     pub admission_total: SimDuration,
@@ -182,83 +182,83 @@ pub struct ServingReport {
     pub runs: Vec<SchedulerRun>,
 }
 
+/// A tenant's tail and the sum of the samples it was selected from.
+type Folded = (Tail, SimDuration);
+
+/// Sums `samples` and selects their [`Tail`] (leaving them reordered).
+fn fold(samples: &mut [SimDuration]) -> Folded {
+    let total = samples.iter().sum();
+    (Tail::of(samples), total)
+}
+
+/// Every tenant's latency and wait [`Folded`] from a drain's outcome
+/// log: every tenant's latencies, then every tenant's waits, pass
+/// through one n-slot scratch buffer, so no per-request vector outlives
+/// the call.
+fn log_tails(requests: &[Request], outcomes: &[Outcome], tenants: usize) -> [Vec<Folded>; 2] {
+    let start = region_starts(requests, tenants);
+    let mut scratch = vec![SimDuration::ZERO; requests.len()];
+    let mut tails = |sample: fn(&Request, &Outcome) -> SimDuration| -> Vec<Folded> {
+        let mut end = start[..tenants].to_vec();
+        for (req, outcome) in requests.iter().zip(outcomes) {
+            if !outcome.rejected {
+                let t = req.tenant as usize;
+                scratch[end[t]] = sample(req, outcome);
+                end[t] += 1;
+            }
+        }
+        (0..tenants)
+            .map(|t| fold(&mut scratch[start[t]..end[t]]))
+            .collect()
+    };
+    [
+        tails(|req, o| o.completion.saturating_since(req.arrival)),
+        tails(|req, o| o.dispatch.saturating_since(req.arrival)),
+    ]
+}
+
 /// Builds one tenant-resolved [`ModeRun`] from a raw cluster run of
-/// `requests` over `shapes` on `cluster`, keeping the drain's own
-/// `drained` and `ttr` verdicts. Every tenant's latencies, then every
-/// tenant's waits, pass through one n-slot scratch buffer into their
-/// [`Tail`]s, so no per-request vector outlives the call.
+/// `requests` on `cluster`, keeping the drain's own sums and its
+/// `drained` and `ttr` verdicts. The tails come from `samples` when the
+/// drain wrote them there, and otherwise from the run's outcome log.
 pub(super) fn mode_run(
     cluster: &ClusterConfig<'_>,
     requests: &[Request],
-    shapes: &ShapeTable,
     run: ClusterRun,
+    samples: Option<&mut Samples>,
 ) -> ModeRun {
     let tenants = cluster.tenants;
-    let zero = SimDuration::ZERO;
-    let mut rejected = vec![0u64; tenants.len()];
-    let mut latency_total = vec![zero; tenants.len()];
-    let mut wait_total = vec![zero; tenants.len()];
-    let mut service_total = vec![zero; tenants.len()];
-    let mut shape_total = vec![zero; tenants.len()];
-    let mut admission_total = vec![zero; tenants.len()];
-    // Tenant t's samples fill `scratch[start[t]..]`, a region sized by
-    // its request count; indexing by tenant keeps the fill branch-free.
-    let mut start = vec![0usize; tenants.len() + 1];
-
-    for (i, (req, outcome)) in requests.iter().zip(&run.outcomes).enumerate() {
-        let t = req.tenant as usize;
-        start[t + 1] += 1;
-        if outcome.rejected {
-            rejected[t] += 1;
-            continue;
+    let [latency, wait] = match samples {
+        Some(samples) => {
+            let (latency, wait): (Vec<Folded>, Vec<Folded>) = (0..tenants.len())
+                .map(|t| {
+                    let (latency, wait) = samples.tenant(t);
+                    (fold(latency), fold(wait))
+                })
+                .unzip();
+            [latency, wait]
         }
-        let (spdm, doorbell) = run.admission.of(outcome);
-        latency_total[t] += outcome.completion.saturating_since(req.arrival);
-        wait_total[t] += outcome.dispatch.saturating_since(req.arrival);
-        service_total[t] += outcome.completion.saturating_since(outcome.dispatch);
-        shape_total[t] += *shapes
-            .service(i)
-            .as_ref()
-            .expect("completed requests have a shape");
-        admission_total[t] += spdm + doorbell;
-    }
-    for t in 0..tenants.len() {
-        start[t + 1] += start[t];
-    }
-
-    let mut scratch = vec![zero; requests.len()];
-    let mut tails = |sample: fn(&Request, &Outcome) -> SimDuration| -> Vec<Tail> {
-        let mut filled = start[..tenants.len()].to_vec();
-        for (req, outcome) in requests.iter().zip(&run.outcomes) {
-            if !outcome.rejected {
-                let t = req.tenant as usize;
-                scratch[filled[t]] = sample(req, outcome);
-                filled[t] += 1;
-            }
-        }
-        (0..tenants.len())
-            .map(|t| Tail::of(&mut scratch[start[t]..filled[t]]))
-            .collect()
+        None => log_tails(requests, &run.outcomes, tenants.len()),
     };
-    let latency = tails(|req, o| o.completion.saturating_since(req.arrival));
-    let wait = tails(|req, o| o.dispatch.saturating_since(req.arrival));
 
     let tenants = tenants
         .iter()
+        .zip(&run.tenants)
         .zip(latency.into_iter().zip(wait))
-        .enumerate()
-        .map(|(t, (spec, (latency, wait)))| TenantStats {
-            name: spec.name.to_string(),
-            completed: latency.count,
-            rejected: rejected[t],
-            latency,
-            wait,
-            latency_total: latency_total[t],
-            wait_total: wait_total[t],
-            service_total: service_total[t],
-            shape_total: shape_total[t],
-            admission_total: admission_total[t],
-        })
+        .map(
+            |((spec, sums), ((latency, latency_total), (wait, wait_total)))| TenantStats {
+                name: spec.name.to_string(),
+                completed: latency.count,
+                rejected: sums.rejected,
+                latency,
+                wait,
+                latency_total,
+                wait_total,
+                service_total: sums.service,
+                shape_total: sums.shape,
+                admission_total: sums.admission,
+            },
+        )
         .collect();
 
     ModeRun {

@@ -49,38 +49,84 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
-/// Parses a size literal like `64MiB`, `4KiB`, `512B`, `1GiB`.
-pub fn parse_size(s: &str) -> Option<ByteSize> {
-    let (digits, unit) = split_number(s)?;
-    let n: u64 = digits.parse().ok()?;
-    match unit {
-        "B" | "b" => Some(ByteSize::bytes(n)),
-        "KiB" | "kib" | "KB" => Some(ByteSize::kib(n)),
-        "MiB" | "mib" | "MB" => Some(ByteSize::mib(n)),
-        "GiB" | "gib" | "GB" => Some(ByteSize::gib(n)),
-        _ => None,
+/// Why a size or duration literal was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LiteralError {
+    /// Not one or more ASCII digits followed by a unit.
+    Malformed,
+    /// A unit this kind of literal does not take.
+    UnknownUnit(String),
+    /// The value does not fit in 64 bits of its base unit (`bytes` or
+    /// `ns`).
+    Overflow {
+        /// The base unit the value overflows.
+        base: &'static str,
+    },
+}
+
+impl std::fmt::Display for LiteralError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LiteralError::Malformed => f.write_str("expected <digits><unit>"),
+            LiteralError::UnknownUnit(unit) => write!(f, "unknown unit {unit:?}"),
+            LiteralError::Overflow { base } => write!(f, "more than {} {base}", u64::MAX),
+        }
     }
+}
+
+impl std::error::Error for LiteralError {}
+
+/// `digits` × `scale` in the base unit `base`, refusing a value past
+/// `u64::MAX`.
+fn scaled(digits: &str, scale: u64, base: &'static str) -> Result<u64, LiteralError> {
+    let n: u64 = digits
+        .parse()
+        .map_err(|e: std::num::ParseIntError| match e.kind() {
+            std::num::IntErrorKind::PosOverflow => LiteralError::Overflow { base },
+            _ => LiteralError::Malformed,
+        })?;
+    n.checked_mul(scale).ok_or(LiteralError::Overflow { base })
+}
+
+/// Parses a size literal like `64MiB`, `4KiB`, `512B`, `1GiB`.
+///
+/// # Errors
+/// [`LiteralError`] for a literal that is not `<digits><unit>`, an
+/// unknown unit, or a size past `u64::MAX` bytes.
+pub fn parse_size(s: &str) -> Result<ByteSize, LiteralError> {
+    let (digits, unit) = split_number(s)?;
+    let scale = match unit {
+        "B" | "b" => 1,
+        "KiB" | "kib" | "KB" => 1 << 10,
+        "MiB" | "mib" | "MB" => 1 << 20,
+        "GiB" | "gib" | "GB" => 1 << 30,
+        _ => return Err(LiteralError::UnknownUnit(unit.to_string())),
+    };
+    scaled(digits, scale, "bytes").map(ByteSize::bytes)
 }
 
 /// Parses a duration literal like `250us`, `2ms`, `1s`, `800ns`.
-pub fn parse_duration(s: &str) -> Option<SimDuration> {
+///
+/// # Errors
+/// [`LiteralError`] for a literal that is not `<digits><unit>`, an
+/// unknown unit, or a duration past `u64::MAX` nanoseconds.
+pub fn parse_duration(s: &str) -> Result<SimDuration, LiteralError> {
     let (digits, unit) = split_number(s)?;
-    let n: u64 = digits.parse().ok()?;
-    match unit {
-        "ns" => Some(SimDuration::from_nanos(n)),
-        "us" => Some(SimDuration::micros(n)),
-        "ms" => Some(SimDuration::millis(n)),
-        "s" => Some(SimDuration::secs(n)),
-        _ => None,
-    }
+    let scale = match unit {
+        "ns" => 1,
+        "us" => 1_000,
+        "ms" => 1_000_000,
+        "s" => 1_000_000_000,
+        _ => return Err(LiteralError::UnknownUnit(unit.to_string())),
+    };
+    scaled(digits, scale, "ns").map(SimDuration::from_nanos)
 }
 
-fn split_number(s: &str) -> Option<(&str, &str)> {
-    let split = s.find(|c: char| !c.is_ascii_digit())?;
-    if split == 0 {
-        return None;
+fn split_number(s: &str) -> Result<(&str, &str), LiteralError> {
+    match s.find(|c: char| !c.is_ascii_digit()) {
+        Some(split) if split > 0 => Ok((&s[..split], &s[split..])),
+        _ => Err(LiteralError::Malformed),
     }
-    Some((&s[..split], &s[split..]))
 }
 
 #[derive(Default)]
@@ -121,7 +167,7 @@ pub fn parse_workload(text: &str) -> Result<WorkloadSpec, ParseError> {
                     return Err(err(lineno, "usage: host <name> <size> pageable|pinned"));
                 };
                 let size =
-                    parse_size(size).ok_or_else(|| err(lineno, format!("bad size {size}")))?;
+                    parse_size(size).map_err(|e| err(lineno, format!("bad size {size}: {e}")))?;
                 let kind = match kind {
                     "pageable" => HostMemKind::Pageable,
                     "pinned" => HostMemKind::Pinned,
@@ -136,7 +182,7 @@ pub fn parse_workload(text: &str) -> Result<WorkloadSpec, ParseError> {
                     return Err(err(lineno, "usage: dev <name> <size>"));
                 };
                 let size =
-                    parse_size(size).ok_or_else(|| err(lineno, format!("bad size {size}")))?;
+                    parse_size(size).map_err(|e| err(lineno, format!("bad size {size}: {e}")))?;
                 let slot = slots.dev.len();
                 slots.dev.insert(buf.to_string(), slot);
                 ops.push(Op::MallocDevice { slot, size });
@@ -146,7 +192,7 @@ pub fn parse_workload(text: &str) -> Result<WorkloadSpec, ParseError> {
                     return Err(err(lineno, "usage: managed <name> <size>"));
                 };
                 let size =
-                    parse_size(size).ok_or_else(|| err(lineno, format!("bad size {size}")))?;
+                    parse_size(size).map_err(|e| err(lineno, format!("bad size {size}: {e}")))?;
                 let slot = slots.managed.len();
                 slots.managed.insert(buf.to_string(), slot);
                 ops.push(Op::MallocManaged { slot, size });
@@ -160,7 +206,7 @@ pub fn parse_workload(text: &str) -> Result<WorkloadSpec, ParseError> {
                     ));
                 };
                 let size =
-                    parse_size(size).ok_or_else(|| err(lineno, format!("bad size {size}")))?;
+                    parse_size(size).map_err(|e| err(lineno, format!("bad size {size}: {e}")))?;
                 if dir == "h2d" {
                     let dst = *slots
                         .dev
@@ -196,7 +242,7 @@ pub fn parse_workload(text: &str) -> Result<WorkloadSpec, ParseError> {
                     return Err(err(lineno, "usage: d2d <dst> <src> <size>"));
                 };
                 let size =
-                    parse_size(size).ok_or_else(|| err(lineno, format!("bad size {size}")))?;
+                    parse_size(size).map_err(|e| err(lineno, format!("bad size {size}: {e}")))?;
                 let dst = *slots
                     .dev
                     .get(a)
@@ -223,7 +269,7 @@ pub fn parse_workload(text: &str) -> Result<WorkloadSpec, ParseError> {
                     .and_then(|k| k.parse::<u32>().ok())
                     .ok_or_else(|| err(lineno, format!("bad kernel name {}", tokens[1])))?;
                 let ket = parse_duration(tokens[2])
-                    .ok_or_else(|| err(lineno, format!("bad duration {}", tokens[2])))?;
+                    .map_err(|e| err(lineno, format!("bad duration {}: {e}", tokens[2])))?;
                 let mut repeat = 1u32;
                 let mut managed = Vec::new();
                 for tok in &tokens[3..] {
@@ -330,14 +376,80 @@ free managed m
 
     #[test]
     fn size_and_duration_literals() {
-        assert_eq!(parse_size("512B"), Some(ByteSize::bytes(512)));
-        assert_eq!(parse_size("4KiB"), Some(ByteSize::kib(4)));
-        assert_eq!(parse_size("1GiB"), Some(ByteSize::gib(1)));
-        assert_eq!(parse_size("MiB"), None);
-        assert_eq!(parse_size("12"), None);
-        assert_eq!(parse_duration("800ns"), Some(SimDuration::from_nanos(800)));
-        assert_eq!(parse_duration("2ms"), Some(SimDuration::millis(2)));
-        assert_eq!(parse_duration("3h"), None);
+        assert_eq!(parse_size("512B"), Ok(ByteSize::bytes(512)));
+        assert_eq!(parse_size("4KiB"), Ok(ByteSize::kib(4)));
+        assert_eq!(parse_size("1GiB"), Ok(ByteSize::gib(1)));
+        assert_eq!(parse_size("MiB"), Err(LiteralError::Malformed));
+        assert_eq!(parse_size("12"), Err(LiteralError::Malformed));
+        assert_eq!(
+            parse_size("1TiB"),
+            Err(LiteralError::UnknownUnit("TiB".to_string()))
+        );
+        assert_eq!(parse_duration("800ns"), Ok(SimDuration::from_nanos(800)));
+        assert_eq!(parse_duration("2ms"), Ok(SimDuration::millis(2)));
+        assert_eq!(
+            parse_duration("3h"),
+            Err(LiteralError::UnknownUnit("h".to_string()))
+        );
+    }
+
+    /// At every unit, the largest count that fits in 64 bits of the
+    /// base unit parses to exactly that many, and one more is refused
+    /// as an overflow, as is a digit string past `u64::MAX` itself.
+    #[test]
+    fn literals_refuse_the_first_count_past_64_bits_at_every_unit() {
+        let sizes = [
+            ("B", 1u64),
+            ("KiB", 1 << 10),
+            ("MiB", 1 << 20),
+            ("GiB", 1 << 30),
+        ];
+        let durations = [
+            ("ns", 1u64),
+            ("us", 1_000),
+            ("ms", 1_000_000),
+            ("s", 1_000_000_000),
+        ];
+        let past = "18446744073709551616"; // u64::MAX + 1
+        for (unit, scale) in sizes {
+            let max = u64::MAX / scale;
+            let bytes = parse_size(&format!("{max}{unit}")).map(ByteSize::as_u64);
+            assert_eq!(bytes, Ok(max * scale), "{unit}");
+            let over = Err(LiteralError::Overflow { base: "bytes" });
+            assert_eq!(
+                parse_size(&format!("{}{unit}", u128::from(max) + 1)),
+                over,
+                "{unit}"
+            );
+            assert_eq!(parse_size(&format!("{past}{unit}")), over, "{unit}");
+        }
+        for (unit, scale) in durations {
+            let max = u64::MAX / scale;
+            let ns = parse_duration(&format!("{max}{unit}")).map(SimDuration::as_nanos);
+            assert_eq!(ns, Ok(max * scale), "{unit}");
+            let over = Err(LiteralError::Overflow { base: "ns" });
+            assert_eq!(
+                parse_duration(&format!("{}{unit}", u128::from(max) + 1)),
+                over,
+                "{unit}"
+            );
+            assert_eq!(parse_duration(&format!("{past}{unit}")), over, "{unit}");
+        }
+    }
+
+    #[test]
+    fn a_deck_refuses_an_overflowing_literal_by_line() {
+        let e = parse_workload("app x\ndev d 17179869184GiB\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert_eq!(
+            e.message,
+            format!("bad size 17179869184GiB: more than {} bytes", u64::MAX)
+        );
+        let e = parse_workload("app x\nsync\nlaunch k0 18446744073709551615s x1\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e
+            .message
+            .starts_with("bad duration 18446744073709551615s: more than"));
     }
 
     #[test]

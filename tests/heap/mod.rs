@@ -14,6 +14,16 @@ struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Allocations of at least [`LARGE_FROM`] bytes, for [`count_large`].
+static LARGE: AtomicUsize = AtomicUsize::new(0);
+static LARGE_FROM: AtomicUsize = AtomicUsize::new(usize::MAX);
+
+/// Counts an allocation of `bytes` if it is large.
+fn note(bytes: usize) {
+    if bytes >= LARGE_FROM.load(Relaxed) {
+        LARGE.fetch_add(1, Relaxed);
+    }
+}
 
 fn grow(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
@@ -28,6 +38,7 @@ unsafe impl GlobalAlloc for Counting {
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
             grow(layout.size());
+            note(layout.size());
         }
         ptr
     }
@@ -37,6 +48,7 @@ unsafe impl GlobalAlloc for Counting {
         let ptr = unsafe { System.alloc_zeroed(layout) };
         if !ptr.is_null() {
             grow(layout.size());
+            note(layout.size());
         }
         ptr
     }
@@ -52,7 +64,10 @@ unsafe impl GlobalAlloc for Counting {
         let new = unsafe { System.realloc(ptr, layout, new_size) };
         if !new.is_null() {
             match new_size.checked_sub(layout.size()) {
-                Some(more) => grow(more),
+                Some(more) => {
+                    grow(more);
+                    note(new_size);
+                }
                 None => {
                     LIVE.fetch_sub(layout.size() - new_size, Relaxed);
                 }
@@ -83,4 +98,14 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Usage) {
         held: LIVE.load(Relaxed).saturating_sub(before),
     };
     (value, usage)
+}
+
+/// Runs `f`, counting its allocations of at least `bytes` bytes (a
+/// `realloc` that grows to that size counts as one).
+pub fn count_large<T>(bytes: usize, f: impl FnOnce() -> T) -> (T, usize) {
+    LARGE.store(0, Relaxed);
+    LARGE_FROM.store(bytes, Relaxed);
+    let value = f();
+    LARGE_FROM.store(usize::MAX, Relaxed);
+    (value, LARGE.load(Relaxed))
 }

@@ -8,14 +8,16 @@ use std::collections::BTreeMap;
 
 use hcc_bench::chaos::{self, ChaosConfig, FaultLedger};
 use hcc_bench::engine::{ExperimentEngine, ScenarioResult};
-use hcc_bench::serving::cluster::{self, ClusterConfig, Outcome, TimeToRecover};
-use hcc_bench::serving::{self, arrival, ArrivalKind, Request, SchedulerKind, ServingConfig};
+use hcc_bench::serving::cluster::{self, ClusterConfig, Outcome, Record, TimeToRecover};
+use hcc_bench::serving::{
+    self, arrival, observe, ArrivalKind, Request, SchedulerKind, ServingConfig, TenantStats,
+};
 use hcc_bench::serving::{Shape, ShapeTable};
-use hcc_bench::watch::{WatchConfig, WatchReport};
+use hcc_bench::watch::{SoakContext, WatchConfig, WatchReport};
 use hcc_check::strategy::{f64s, u64s, vecs};
 use hcc_check::{ensure, ensure_eq, forall, Config};
 use hcc_tee::{SessionPool, TdCounters};
-use hcc_trace::{FlightConfig, FlightLog, MetricsSet, Series};
+use hcc_trace::{Cdf, FlightConfig, FlightLog, MetricsSet, Series};
 use hcc_types::calib::TdxCalib;
 use hcc_types::rng::Xoshiro256;
 use hcc_types::{
@@ -931,7 +933,7 @@ fn cluster_matches_the_reference_cluster() {
                             queue_window: Some(SimDuration::micros(window_us)),
                             planes: Planes::METRICS,
                         };
-                        let run = cluster::simulate(&reqs, &table, &cfg);
+                        let run = cluster::simulate(&reqs, &table, &cfg, Record::Log);
                         let want = reference_cluster(&reqs, &service, &cfg);
                         let admissions: Vec<_> = run.outcomes.iter().map(|o| run.admission.of(o)).collect();
                         for (i, (got, want)) in admissions.iter().zip(&want.admissions).enumerate() {
@@ -960,22 +962,198 @@ fn cluster_matches_the_reference_cluster() {
                         let past_end = run.end + SimDuration::micros(2 * window_us + 1);
                         check_queue_integrals(&run, queue, past_end)
                             .map_err(|e| format!("{kind}/{cc}/{gpus} gpus, {window_us} µs windows: {e}"))?;
-                        let unwindowed = cluster::simulate(&reqs, &table, &ClusterConfig { queue_window: None, ..cfg });
+                        let unwindowed = cluster::simulate(&reqs, &table, &ClusterConfig { queue_window: None, ..cfg }, Record::Log);
                         ensure_eq!(unwindowed.queue_integrals, None);
 
-                        let off = cluster::simulate(&reqs, &table, &ClusterConfig { planes: Planes::NONE, ..cfg });
+                        let off = cluster::simulate(&reqs, &table, &ClusterConfig { planes: Planes::NONE, ..cfg }, Record::Log);
                         let (off_says, on_says) = (verdicts(&off), verdicts(&run));
                         ensure!(off_says == on_says, "{kind}/{cc}/{gpus} gpus, plane off:\n  {off_says:?}\n  on: {on_says:?}");
                         ensure!(off.metrics.counters.is_empty() && off.metrics.gauges.is_empty());
 
-                        let no_peaks = cluster::simulate(&reqs, &table, &ClusterConfig { peak_ends: None, ..cfg });
+                        let no_peaks = cluster::simulate(&reqs, &table, &ClusterConfig { peak_ends: None, ..cfg }, Record::Log);
                         ensure_eq!(no_peaks.ttr, None);
-                        let empty = cluster::simulate(&reqs, &table, &ClusterConfig { peak_ends: Some(&[]), ..cfg });
+                        let empty = cluster::simulate(&reqs, &table, &ClusterConfig { peak_ends: Some(&[]), ..cfg }, Record::Log);
                         ensure_eq!(empty.ttr, Some(time_to_recover(queue, &[])));
                     }
                 }
             }
         }
+    );
+}
+
+/// The mode report spelled out naively over the reference cluster's
+/// per-request record: each tenant's requests in index order, a
+/// rejection counted, every other request adding its latency, wait,
+/// service, own shape (nothing when its own shape fails: it rode its
+/// head's) and own admission charges, and its tails read off a sorted
+/// `Cdf` of its latencies and waits.
+fn reference_fold(
+    reqs: &[Request],
+    service: &[Result<SimDuration, String>],
+    tenants: &[TenantSpec],
+    run: &ReferenceRun,
+) -> Vec<TenantStats> {
+    (0..tenants.len())
+        .map(|t| {
+            let mine = || {
+                (0..reqs.len())
+                    .filter(move |&i| reqs[i].tenant as usize == t && !run.outcomes[i].rejected)
+            };
+            let sum = |f: &dyn Fn(usize) -> SimDuration| mine().map(f).sum::<SimDuration>();
+            let latency = |i: usize| run.outcomes[i].completion.saturating_since(reqs[i].arrival);
+            let wait = |i: usize| run.outcomes[i].dispatch.saturating_since(reqs[i].arrival);
+            let cdf =
+                |f: &dyn Fn(usize) -> SimDuration| Cdf::from_durations(mine().map(f).collect());
+            TenantStats {
+                name: tenants[t].name.to_string(),
+                completed: mine().count() as u64,
+                rejected: (0..reqs.len())
+                    .filter(|&i| reqs[i].tenant as usize == t && run.outcomes[i].rejected)
+                    .count() as u64,
+                latency: cdf(&latency).tail(),
+                wait: cdf(&wait).tail(),
+                latency_total: sum(&latency),
+                wait_total: sum(&wait),
+                service_total: sum(&|i| {
+                    run.outcomes[i]
+                        .completion
+                        .saturating_since(run.outcomes[i].dispatch)
+                }),
+                shape_total: sum(&|i| service[i].clone().unwrap_or(SimDuration::ZERO)),
+                admission_total: sum(&|i| run.admissions[i].0 + run.admissions[i].1),
+            }
+        })
+        .collect()
+}
+
+/// Oracle for the cell step's report fold: over random small traces as
+/// in [`cluster_matches_the_reference_cluster`], where a request rides
+/// its (tenant, class) shape or one of two other shapes (so a batch's
+/// followers can ride shapes other than their head's, some failing),
+/// the `ModeRun` of a cell that keeps no outcome log equals
+/// [`reference_fold`] over the reference cluster, tenant by tenant, and
+/// its run totals equal the reference's — under every scheduler, both
+/// CC modes, and 1, 2, 3, 4, 8 and 65 GPUs. A log-keeping cell (the
+/// watch on) reports the same. Every cell of a case is lent one
+/// `Samples`, as a soak lends one to all its cells. Over the cases,
+/// requests are rejected, and batches carry followers on another
+/// working shape and on a failing one.
+#[test]
+fn cell_fold_matches_the_reference_fold() {
+    let rejected = std::cell::Cell::new(0u64);
+    let other_shape = std::cell::Cell::new(0u64);
+    let failing_follower = std::cell::Cell::new(0u64);
+    forall!(
+        Config::new(0x5E21_0031).with_cases(24),
+        ((trace, slot_us), (tenants, max_batch)) in (
+            (
+                vecs((u64s(0..600), u64s(0..4), u64s(0..4), u64s(0..4)), 0..40),
+                vecs(u64s(0..500), 33..34)
+            ),
+            (u64s(1..5), u64s(1..5))
+        ) => {
+            let tenants = default_tenants(tenants as usize);
+            let slot_base: Vec<usize> = tenants
+                .iter()
+                .scan(0, |next, t| {
+                    *next += t.mix.len();
+                    Some(*next - t.mix.len())
+                })
+                .collect();
+            let mut at = SimTime::ZERO;
+            let mut reqs = Vec::new();
+            let mut shape_of = Vec::new();
+            for &(gap, t, c, v) in &trace {
+                at += SimDuration::micros(gap.saturating_sub(240));
+                let tenant = t as usize % tenants.len();
+                let class = c as usize % tenants[tenant].mix.len();
+                reqs.push(Request { arrival: at, tenant: tenant as u32, class: class as u32 });
+                // Half the requests ride their (tenant, class) shape; the
+                // rest one of two other columns of 11 slots.
+                shape_of.push((slot_base[tenant] + class + 11 * v.saturating_sub(1) as usize) as u32);
+            }
+            let slot_service: Vec<Result<SimDuration, String>> = slot_us
+                .iter()
+                .map(|&us| if us < 60 { Err("shape fails".to_string()) } else { Ok(SimDuration::micros(us)) })
+                .collect();
+            let service: Vec<_> = shape_of.iter().map(|&s| slot_service[s as usize].clone()).collect();
+            let shapes = slot_service
+                .iter()
+                .map(|service| Shape {
+                    label: String::new(),
+                    hash: 0,
+                    service: service.clone(),
+                    faults: Default::default(),
+                    audit: None,
+                })
+                .collect();
+            let table = ShapeTable::from_shapes(shapes, shape_of.clone().into());
+            let tdx = TdxCalib::default();
+            let names: Vec<String> = tenants.iter().map(|t| t.name.to_string()).collect();
+            let budgets = chaos::default_budgets(&tenants);
+            let soak = SoakContext { tenant_names: &names, budgets: &budgets, horizon: SimTime::ZERO, storm: None };
+            let watch = WatchConfig::default();
+            let mut samples = cluster::Samples::default();
+            for kind in SchedulerKind::ALL {
+                for cc in CcMode::ALL {
+                    for gpus in [1, 2, 3, 4, 8, 65] {
+                        let cfg = ClusterConfig {
+                            tenants: &tenants,
+                            cc,
+                            gpus,
+                            kind,
+                            max_batch: max_batch as usize,
+                            tdx: &tdx,
+                            peak_ends: None,
+                            queue_window: None,
+                            planes: Planes::NONE,
+                        };
+                        let want = reference_cluster(&reqs, &service, &cfg);
+                        let fold = reference_fold(&reqs, &service, &tenants, &want);
+                        for keep_log in [false, true] {
+                            let what = format!("{kind}/{cc}/{gpus} gpus, log {keep_log}");
+                            let (mode, ..) = observe::cell(&reqs, &table, &cfg, keep_log.then_some(&watch), None, &soak, &mut samples);
+                            ensure!(mode.tenants == fold, "{what}:\n  got:  {:?}\n  want: {fold:?}", mode.tenants);
+                            ensure_eq!(
+                                (mode.end, mode.busy, mode.batches, mode.cold_starts, mode.td),
+                                (want.end, want.busy, want.batches, want.cold_starts, want.td)
+                            );
+                            ensure_eq!((mode.sessions_established, mode.sessions_closed), want.sessions);
+                            ensure!(mode.healthy(reqs.len() as u64), "{what}: unhealthy");
+                        }
+
+                        // Non-vacuity: admitted batches are the requests
+                        // dispatched onto one GPU at one instant, led by
+                        // their lowest index.
+                        let mut heads: BTreeMap<(SimTime, u32), usize> = BTreeMap::new();
+                        for (i, o) in want.outcomes.iter().enumerate() {
+                            rejected.set(rejected.get() + u64::from(o.rejected));
+                            if !o.rejected {
+                                heads.entry((o.dispatch, o.gpu)).or_insert(i);
+                            }
+                        }
+                        for (i, o) in want.outcomes.iter().enumerate() {
+                            let head = (!o.rejected).then(|| heads[&(o.dispatch, o.gpu)]).filter(|&h| h != i);
+                            if let Some(h) = head {
+                                if shape_of[i] != shape_of[h] {
+                                    let tally = if service[i].is_ok() { &other_shape } else { &failing_follower };
+                                    tally.set(tally.get() + 1);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    );
+    assert!(rejected.get() > 0, "no request was rejected");
+    assert!(
+        other_shape.get() > 0,
+        "no follower rode another working shape"
+    );
+    assert!(
+        failing_follower.get() > 0,
+        "no follower rode a failing shape"
     );
 }
 
@@ -1043,7 +1221,7 @@ fn cells_keep_exactly_what_their_depth_gauges_say() {
         let peak_ends = storm.schedule.peak_ends();
         for (cell, table) in prof.cells.iter().zip(&storm.tables) {
             let what = format!("chaos {}/{}", prof.profile.name, cell.policy);
-            let run = cluster::simulate(&requests, table, &gauged(cfg.cluster()));
+            let run = cluster::simulate(&requests, table, &gauged(cfg.cluster()), Record::Log);
             assert_eq!(cell.mode.end, run.end, "{what}: the re-drain diverged");
             let queue = run.metrics.gauge_series("serving.queue_depth");
             let want = time_to_recover(queue, &peak_ends);
@@ -1074,7 +1252,7 @@ fn cells_keep_exactly_what_their_depth_gauges_say() {
             let what = format!("serve {}/{}", sched.scheduler, mode.cc);
             let table = &tables[usize::from(mode.cc.is_on())];
             let cluster = gauged(cfg.cluster(sched.scheduler, mode.cc));
-            let run = cluster::simulate(&requests, table, &cluster);
+            let run = cluster::simulate(&requests, table, &cluster, Record::Log);
             assert_eq!(mode.end, run.end, "{what}: the re-drain diverged");
             assert_eq!(mode.ttr, None, "{what}");
             assert_eq!(
