@@ -90,7 +90,7 @@ mod tests {
                 klo: SimDuration::micros(klo_us),
                 lqt: SimDuration::ZERO,
                 first: i == 0,
-                correlation: i as u64,
+                correlation: i as u32,
             })
             .collect();
         let kernels = (0..n)
@@ -100,7 +100,7 @@ mod tests {
                 ket: SimDuration::micros(ket_us),
                 kqt: SimDuration::ZERO,
                 uvm: false,
-                correlation: i as u64,
+                correlation: i as u32,
             })
             .collect();
         LaunchMetrics { launches, kernels }

@@ -1,5 +1,7 @@
 //! Simulation configuration for a [`crate::CudaContext`].
 
+use std::sync::{Arc, OnceLock};
+
 use hcc_types::calib::Calibration;
 use hcc_types::{ByteSize, CcMode, CpuModel, FaultPlan, Planes, RecoveryPolicy};
 
@@ -20,8 +22,11 @@ use hcc_types::{ByteSize, CcMode, CpuModel, FaultPlan, Planes, RecoveryPolicy};
 pub struct SimConfig {
     /// Confidential-computing mode.
     pub cc: CcMode,
-    /// Calibration tables (defaults to the paper's).
-    pub calib: Calibration,
+    /// Calibration tables (defaults to the paper's), shared rather than
+    /// copied between clones; read through [`SimConfig::calib`].
+    calib: Arc<Calibration>,
+    /// `calib.fingerprint()`, taken once when the tables are installed.
+    calib_fp: u64,
     /// RNG seed; identical seeds reproduce identical traces.
     pub seed: u64,
     /// CPU whose software-crypto rates apply (Table I: Emerald Rapids).
@@ -53,9 +58,16 @@ impl SimConfig {
     /// The paper's configuration in the given mode.
     #[must_use]
     pub fn new(cc: CcMode) -> Self {
+        static PAPER: OnceLock<(Arc<Calibration>, u64)> = OnceLock::new();
+        let (calib, calib_fp) = PAPER.get_or_init(|| {
+            let calib = Calibration::paper();
+            let fp = calib.fingerprint();
+            (Arc::new(calib), fp)
+        });
         SimConfig {
             cc,
-            calib: Calibration::paper(),
+            calib: Arc::clone(calib),
+            calib_fp: *calib_fp,
             seed: 0x5EED_CAFE,
             cpu: CpuModel::EmeraldRapids,
             crypto_workers: 1,
@@ -114,11 +126,18 @@ impl SimConfig {
         self
     }
 
-    /// Replaces the calibration bundle.
+    /// Replaces the calibration bundle, fingerprinting it once.
     #[must_use]
     pub fn with_calib(mut self, calib: Calibration) -> Self {
-        self.calib = calib;
+        self.calib_fp = calib.fingerprint();
+        self.calib = Arc::new(calib);
         self
+    }
+
+    /// The calibration tables in effect.
+    #[must_use]
+    pub fn calib(&self) -> &Calibration {
+        &self.calib
     }
 
     /// Sets the RNG seed.
@@ -156,7 +175,8 @@ impl SimConfig {
 
     /// Stable content hash over every field that can change a simulation's
     /// outcome: seed, mode, CPU, crypto workers, HBM capacity, the
-    /// attestation flag, and the full calibration fingerprint.
+    /// attestation flag, and the full calibration fingerprint (taken when
+    /// the tables were installed, not per call).
     ///
     /// Two configs with equal hashes are behaviourally identical to the
     /// simulator; the experiment engine uses this as (part of) its
@@ -172,7 +192,7 @@ impl SimConfig {
         h.write_u32(self.crypto_workers);
         h.write_u64(self.hbm.as_u64());
         h.write_bool(self.attest_at_creation);
-        h.write_u64(self.calib.fingerprint());
+        h.write_u64(self.calib_fp);
         h.write_u64(self.fault.fingerprint());
         h.write_u64(self.recovery.fingerprint());
         // The metrics plane cannot change the simulated trace, but it does
@@ -257,6 +277,35 @@ mod tests {
             .with_fault_plan(FaultPlan::none())
             .with_recovery(RecoveryPolicy::default_retry());
         assert_eq!(base.content_hash(), explicit.content_hash());
+    }
+
+    /// The memoized fingerprint is the one a fresh fingerprint of the
+    /// installed tables gives: the shared paper table hashes as an
+    /// installed copy of it, and every perturbation of
+    /// `Calibration`'s own fingerprint test moves the content hash.
+    #[test]
+    fn content_hash_reads_the_installed_calibration() {
+        let paper = SimConfig::new(CcMode::On);
+        let installed = SimConfig::new(CcMode::On).with_calib(Calibration::paper());
+        assert_eq!(paper.content_hash(), installed.content_hash());
+        assert_eq!(paper.calib_fp, paper.calib().fingerprint());
+
+        let tweaks: [fn(&mut Calibration); 6] = [
+            |c| c.pcie.dma_setup += hcc_types::SimDuration::from_nanos(1),
+            |c| c.tdx.hypercall_mult *= 1.25,
+            |c| c.alloc.jitter_frac *= 1.5,
+            |c| c.launch.klo_base += hcc_types::SimDuration::from_nanos(1),
+            |c| c.gpu.ring_depth += 1,
+            |c| c.uvm.prefetch = !c.uvm.prefetch,
+        ];
+        for (i, tweak) in tweaks.iter().enumerate() {
+            let mut calib = Calibration::paper();
+            tweak(&mut calib);
+            let fp = calib.fingerprint();
+            let tweaked = SimConfig::new(CcMode::On).with_calib(calib);
+            assert_eq!(tweaked.calib_fp, fp, "tweak {i}");
+            assert_ne!(paper.content_hash(), tweaked.content_hash(), "tweak {i}");
+        }
     }
 
     #[test]

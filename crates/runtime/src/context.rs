@@ -7,8 +7,8 @@ use hcc_gpu::{DeviceMemError, DevicePtr, GpuDevice, ManagedId, Resource, Slot};
 use hcc_tee::{BounceBufferPool, BounceError, TdContext, TdCounters};
 use hcc_trace::metrics::overlap_time;
 use hcc_trace::{
-    CausalEdge, CausalGraph, EdgeKind, EventId, EventKind, Gauge, HypercallReason, MetricsSet,
-    StreamId, Timeline, TraceEvent,
+    CausalEdge, CausalGraph, EdgeKind, EventId, EventKind, Gauge, HypercallReason, KernelId,
+    MetricsSet, StreamId, Timeline, TraceEvent,
 };
 use hcc_types::hash::{FnvHashMap, FnvHashSet};
 use hcc_types::rng::Xoshiro256;
@@ -57,6 +57,18 @@ pub enum RuntimeError {
         /// Failed attempts, counting the initial one.
         attempts: u32,
     },
+    /// The context has issued all 2³² − 1 launch correlation ids (the
+    /// trace's correlation column is 32-bit, as CUPTI's).
+    CorrelationExhausted,
+    /// One launch migrated more UVM pages, or pages of a larger size,
+    /// than the trace's 32-bit `UvmFault` fields count. The driver has
+    /// migrated the pages by then; the kernel is not submitted.
+    UvmFaultTooLarge {
+        /// Pages the launch migrated.
+        pages: u64,
+        /// The context's UVM page size.
+        page_size: ByteSize,
+    },
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -79,6 +91,16 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::Unrecoverable { site, attempts } => {
                 write!(f, "unrecoverable {site} fault after {attempts} attempts")
             }
+            RuntimeError::CorrelationExhausted => {
+                write!(f, "launch correlation ids exhausted after {}", u32::MAX)
+            }
+            RuntimeError::UvmFaultTooLarge { pages, page_size } => write!(
+                f,
+                "launch migrated {pages} pages of {page_size}: a trace event counts \
+                 at most {} pages of at most {}",
+                u32::MAX,
+                ByteSize::bytes(u64::from(u32::MAX))
+            ),
         }
     }
 }
@@ -236,10 +258,10 @@ impl SeenKernels {
 impl CudaContext {
     /// Creates a context (binds the GPU in the configured mode).
     pub fn new(cfg: SimConfig) -> Self {
-        let mut gpu = GpuDevice::new(&cfg.calib.gpu, cfg.cc, cfg.hbm);
-        let td = TdContext::new(cfg.cc, cfg.calib.tdx.clone());
-        let mut bounce = BounceBufferPool::new(cfg.calib.tdx.bounce_pool);
-        let mut uvm = UvmDriver::new(cfg.calib.uvm.clone(), cfg.cc);
+        let mut gpu = GpuDevice::new(&cfg.calib().gpu, cfg.cc, cfg.hbm);
+        let td = TdContext::new(cfg.cc, cfg.calib().tdx.clone());
+        let mut bounce = BounceBufferPool::new(cfg.calib().tdx.bounce_pool);
+        let mut uvm = UvmDriver::new(cfg.calib().uvm.clone(), cfg.cc);
         let mut crypto_engine = Resource::new("cpu-crypto");
         let enabled = cfg.planes.set(Planes::FAULT, !cfg.fault.is_empty());
         if enabled.contains(Planes::METRICS) {
@@ -406,7 +428,7 @@ impl CudaContext {
         let mut launch_queue = Gauge::enabled();
         let mut launch_active = Gauge::enabled();
         let mut inflight = Gauge::enabled();
-        let mut launch_window: FnvHashMap<u64, SimTime> = FnvHashMap::default();
+        let mut launch_window: FnvHashMap<u32, SimTime> = FnvHashMap::default();
         for l in &lm.launches {
             launch_queue.occupy(l.start - l.lqt, l.start);
             launch_active.occupy(l.start, l.start + l.klo);
@@ -567,7 +589,7 @@ impl CudaContext {
     // ------------------------------------------------------------------
 
     fn management_cost(&mut self, base: SimDuration, cc_mult: f64) -> SimDuration {
-        let a = &self.cfg.calib.alloc;
+        let a = &self.cfg.calib().alloc;
         let jitter = self.rng.jitter(a.jitter_frac);
         let cost = base.scale(jitter);
         match self.cfg.cc {
@@ -585,7 +607,7 @@ impl CudaContext {
     /// # Errors
     /// Returns [`RuntimeError::DeviceMem`] when HBM capacity is exceeded.
     pub fn malloc_device(&mut self, size: ByteSize) -> Result<DevicePtr> {
-        let a = self.cfg.calib.alloc.clone();
+        let a = self.cfg.calib().alloc.clone();
         let base = Self::size_scaled(a.dmalloc_base, a.dmalloc_per_gib, size);
         let cost = self.management_cost(base, a.cc_dmalloc_mult);
         let start = self.clock;
@@ -612,7 +634,7 @@ impl CudaContext {
     /// # Errors
     /// Currently infallible but returns `Result` for API stability.
     pub fn malloc_host(&mut self, size: ByteSize, kind: HostMemKind) -> Result<HostPtr> {
-        let a = self.cfg.calib.alloc.clone();
+        let a = self.cfg.calib().alloc.clone();
         let ptr = HostPtr(self.next_host);
         self.next_host += size.align_up(ByteSize::bytes(4096)).as_u64().max(4096);
         self.host_allocs.insert(ptr, HostAlloc { size, kind });
@@ -645,7 +667,7 @@ impl CudaContext {
     /// # Errors
     /// Currently infallible but returns `Result` for API stability.
     pub fn malloc_managed(&mut self, size: ByteSize) -> Result<ManagedPtr> {
-        let a = self.cfg.calib.alloc.clone();
+        let a = self.cfg.calib().alloc.clone();
         let base = Self::size_scaled(a.dmalloc_base, a.dmalloc_per_gib, size)
             .scale(a.managed_alloc_factor);
         let cost = self.management_cost(base, a.cc_managed_alloc_mult);
@@ -656,7 +678,7 @@ impl CudaContext {
         self.managed_allocs.push(Some(size));
         self.gpu
             .gmmu_mut()
-            .register(ManagedId(ptr.0), size, self.cfg.calib.uvm.page);
+            .register(ManagedId(ptr.0), size, self.cfg.calib().uvm.page);
         self.record(
             EventKind::Alloc {
                 space: MemSpace::Managed,
@@ -673,7 +695,7 @@ impl CudaContext {
     /// # Errors
     /// Returns [`RuntimeError::DeviceMem`] for unknown pointers.
     pub fn free_device(&mut self, ptr: DevicePtr) -> Result<()> {
-        let a = self.cfg.calib.alloc.clone();
+        let a = self.cfg.calib().alloc.clone();
         let cost = self.management_cost(a.free_base, a.cc_free_mult);
         let start = self.clock;
         self.advance(cost);
@@ -702,7 +724,7 @@ impl CudaContext {
         match alloc.kind {
             HostMemKind::Pageable => self.advance(SimDuration::from_nanos(600)),
             HostMemKind::Pinned => {
-                let a = self.cfg.calib.alloc.clone();
+                let a = self.cfg.calib().alloc.clone();
                 let cost = self.management_cost(a.free_base, a.cc_free_mult);
                 let start = self.clock;
                 self.advance(cost);
@@ -729,7 +751,7 @@ impl CudaContext {
             .get_mut((ptr.0 as usize).wrapping_sub(1))
             .and_then(Option::take)
             .ok_or(RuntimeError::UnknownManagedPtr(ptr))?;
-        let a = self.cfg.calib.alloc.clone();
+        let a = self.cfg.calib().alloc.clone();
         let base = a.free_base.scale(a.managed_free_factor);
         let cost = self.management_cost(base, a.cc_managed_free_mult);
         let start = self.clock;
@@ -776,7 +798,7 @@ impl CudaContext {
     /// Effective end-to-end rate of the CC transfer pipeline with the
     /// configured crypto workers (the Sec. VI-A composition).
     pub fn cc_pipeline_rate(&self) -> Bandwidth {
-        let p = &self.cfg.calib.pcie;
+        let p = &self.cfg.calib().pcie;
         let crypto_rate = {
             // Effective per-byte crypto rate with the configured workers.
             let one_gib = ByteSize::gib(1);
@@ -801,7 +823,7 @@ impl CudaContext {
         dir: CopyKind,
         first_map: bool,
     ) -> CopyPlan {
-        let p = self.cfg.calib.pcie.clone();
+        let p = self.cfg.calib().pcie.clone();
         match (self.cfg.cc, dir) {
             (_, CopyKind::D2D) => CopyPlan {
                 pre: SimDuration::from_micros_f64(3.0),
@@ -919,7 +941,7 @@ impl CudaContext {
         let deg_start = self.clock;
         let extra = self
             .cfg
-            .calib
+            .calib()
             .pcie
             .cc_transfer_setup
             .scale(factor.saturating_sub(1) as f64);
@@ -958,7 +980,8 @@ impl CudaContext {
         }
         // Bounce staging reservation (chunked; costs mostly on cold pool).
         if self.cfg.cc.is_on() && plan.label != CopyKind::D2D || plan.managed {
-            let chunk = self.cfg.calib.pcie.bounce_chunk.min(self.bounce.capacity());
+            let pcie = &self.cfg.calib().pcie;
+            let chunk = pcie.bounce_chunk.min(self.bounce.capacity());
             let stage = bytes.min(chunk);
             if !stage.is_zero() {
                 let (r, rec) =
@@ -1024,12 +1047,12 @@ impl CudaContext {
                 match self.faults.recover(site) {
                     Recovery::Clean => {}
                     Recovery::Retried { backoffs } => {
-                        let chunk = bytes.min(self.cfg.calib.pcie.bounce_chunk);
+                        let chunk = bytes.min(self.cfg.calib().pcie.bounce_chunk);
                         let rework = self.crypto.time_for_parallel(
                             CryptoAlgorithm::AesGcm128,
                             chunk,
                             self.cfg.crypto_workers,
-                        ) + self.cfg.calib.pcie.bounce_copy.time_for(chunk);
+                        ) + self.cfg.calib().pcie.bounce_copy.time_for(chunk);
                         recovery_tails.push(self.charge_retries(site, &backoffs, rework));
                         gcm_recovery = Recovery::Retried { backoffs };
                     }
@@ -1319,17 +1342,20 @@ impl CudaContext {
     /// the `Launch` and `Kernel` trace events.
     ///
     /// # Errors
-    /// Returns [`RuntimeError`] for unknown streams or managed pointers.
-    pub fn launch_kernel(&mut self, desc: &KernelDesc, stream: StreamId) -> Result<u64> {
+    /// Returns [`RuntimeError`] for unknown streams or managed pointers,
+    /// once the context's 32-bit correlation ids run out, and for a
+    /// launch migrating more UVM pages than a trace event counts.
+    pub fn launch_kernel(&mut self, desc: &KernelDesc, stream: StreamId) -> Result<u32> {
         let stream_ready = self.stream_ready_time(stream)?;
-        let corr = self.next_correlation;
+        let corr =
+            u32::try_from(self.next_correlation).map_err(|_| RuntimeError::CorrelationExhausted)?;
         self.next_correlation += 1;
         let first = self.seen_kernels.first_seen(desc.id.0);
 
         // --- Host work between launches (measured as LQT) and the
         // driver-side KLO shape: one fused pair of lognormal draws
         // (bit-identical to two sequential draws). ---
-        let lc = self.cfg.calib.launch.clone();
+        let lc = self.cfg.calib().launch.clone();
         let (gap_factor, klo_factor) = self.rng.lognormal_pair(lc.gap_sigma, lc.klo_sigma);
         let mut gap = lc.inter_launch_gap.scale(gap_factor);
         if self.cfg.cc.is_on() {
@@ -1378,13 +1404,12 @@ impl CudaContext {
         // --- Managed-access fault servicing (UVM kernels). ---
         let mut ket = desc
             .ket
-            .scale(self.rng.jitter(self.cfg.calib.gpu.ket_jitter));
+            .scale(self.rng.jitter(self.cfg.calib().gpu.ket_jitter));
         if self.cfg.cc.is_on() {
-            ket = ket.scale(self.cfg.calib.gpu.cc_ket_factor);
+            ket = ket.scale(self.cfg.calib().gpu.cc_ket_factor);
         }
         let mut fault_time = SimDuration::ZERO;
         let mut fault_pages = 0u64;
-        let mut fault_bytes = ByteSize::ZERO;
         // Injected-migration retries: per access, the lost time of each
         // failed attempt (backoff plus one re-issued fault trip).
         let mut uvm_penalties: Vec<Vec<SimDuration>> = Vec::new();
@@ -1392,7 +1417,7 @@ impl CudaContext {
         for access in &desc.managed {
             let size = self.managed_size(access.ptr)?;
             let id = ManagedId(access.ptr.0);
-            let total_pages = size.pages(self.cfg.calib.uvm.page);
+            let total_pages = size.pages(self.cfg.calib().uvm.page);
             let first_page = access.first_page.min(total_pages);
             let count = if access.pages == u64::MAX {
                 total_pages - first_page
@@ -1409,7 +1434,6 @@ impl CudaContext {
             )?;
             fault_time += service.total_time;
             fault_pages += service.pages;
-            fault_bytes += service.bytes;
             if self.enabled.any(Planes::METRICS | Planes::CAUSAL) {
                 services.push(service);
             }
@@ -1417,7 +1441,7 @@ impl CudaContext {
                 uvm_penalties.push(
                     backoffs
                         .iter()
-                        .map(|b| *b + self.cfg.calib.uvm.fault_latency)
+                        .map(|b| *b + self.cfg.calib().uvm.fault_latency)
                         .collect(),
                 );
             }
@@ -1426,6 +1450,15 @@ impl CudaContext {
             .iter()
             .flatten()
             .fold(SimDuration::ZERO, |acc, p| acc + *p);
+        let uvm_fault = if fault_pages > 0 {
+            Some(uvm_fault_kind(
+                desc.id,
+                fault_pages,
+                self.cfg.calib().uvm.page,
+            )?)
+        } else {
+            None
+        };
 
         // --- Submit through the device. ---
         let exec_cost = ket + fault_time + uvm_lost;
@@ -1533,24 +1566,13 @@ impl CudaContext {
             self.uvm.record_service(svc_at, service);
             svc_at += service.total_time;
         }
-        let mut uvm_fault_id: Option<EventId> = None;
-        if fault_pages > 0 {
-            uvm_fault_id = Some(
-                self.timeline.push(
-                    TraceEvent::new(
-                        EventKind::UvmFault {
-                            kernel: desc.id,
-                            pages: fault_pages,
-                            bytes: fault_bytes,
-                        },
-                        sched.exec.start,
-                        sched.exec.start + fault_time,
-                    )
+        let uvm_fault_id = uvm_fault.map(|kind| {
+            self.timeline.push(
+                TraceEvent::new(kind, sched.exec.start, sched.exec.start + fault_time)
                     .on_stream(stream)
                     .with_correlation(corr),
-                ),
-            );
-        }
+            )
+        });
         // Injected migration retries extend the kernel's exec window;
         // they sit right after the regular fault-service span.
         let mut uvm_cursor = sched.exec.start + fault_time;
@@ -1735,5 +1757,72 @@ impl CudaContext {
                 .map_err(|_| RuntimeError::Integrity)?;
         }
         Ok(data)
+    }
+}
+
+/// The trace's `UvmFault` kind for one launch's migration: `pages` of
+/// the context's one UVM `page` size, narrowed to the event's 32-bit
+/// fields (the event derives the bytes from the two).
+///
+/// # Errors
+/// [`RuntimeError::UvmFaultTooLarge`] when either passes `u32::MAX`.
+fn uvm_fault_kind(kernel: KernelId, pages: u64, page: ByteSize) -> Result<EventKind> {
+    match (u32::try_from(pages), u32::try_from(page.as_u64())) {
+        (Ok(pages), Ok(page_size)) => Ok(EventKind::UvmFault {
+            kernel,
+            pages,
+            page_size,
+        }),
+        _ => Err(RuntimeError::UvmFaultTooLarge {
+            pages,
+            page_size: page,
+        }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::handles::KernelDesc;
+
+    #[test]
+    fn uvm_fault_fields_refuse_what_32_bits_cannot_count() {
+        let k = KernelId(3);
+        let max = u64::from(u32::MAX);
+        assert_eq!(
+            uvm_fault_kind(k, max, ByteSize::kib(64)).unwrap(),
+            EventKind::UvmFault {
+                kernel: k,
+                pages: u32::MAX,
+                page_size: 65536,
+            }
+        );
+        assert!(matches!(
+            uvm_fault_kind(k, max + 1, ByteSize::kib(64)),
+            Err(RuntimeError::UvmFaultTooLarge { pages, .. }) if pages == max + 1
+        ));
+        assert!(matches!(
+            uvm_fault_kind(k, 1, ByteSize::bytes(max + 1)),
+            Err(RuntimeError::UvmFaultTooLarge { pages: 1, .. })
+        ));
+        let e = uvm_fault_kind(k, max + 1, ByteSize::kib(64)).unwrap_err();
+        assert!(e.to_string().contains("4294967296 pages"), "{e}");
+    }
+
+    /// The last 32-bit correlation id is issued; the launch after it is
+    /// refused before it draws, queues or traces anything.
+    #[test]
+    fn correlation_ids_stop_at_u32_max() {
+        let mut ctx = CudaContext::new(SimConfig::default());
+        let desc = KernelDesc::new(KernelId(0), SimDuration::micros(5));
+        let stream = ctx.default_stream();
+        ctx.next_correlation = u64::from(u32::MAX);
+        assert_eq!(ctx.launch_kernel(&desc, stream).unwrap(), u32::MAX);
+        let (events, clock) = (ctx.timeline().len(), ctx.now());
+        assert!(matches!(
+            ctx.launch_kernel(&desc, stream),
+            Err(RuntimeError::CorrelationExhausted)
+        ));
+        assert_eq!((ctx.timeline().len(), ctx.now()), (events, clock));
     }
 }

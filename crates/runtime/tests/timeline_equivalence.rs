@@ -73,10 +73,12 @@ fn ref_mem(events: &[TraceEvent]) -> MemMetrics {
                 m.hypercalls += 1;
                 m.hypercall_time += e.duration();
             }
-            EventKind::UvmFault { pages, bytes, .. } => {
+            EventKind::UvmFault {
+                pages, page_size, ..
+            } => {
                 m.uvm_fault += e.duration();
-                m.uvm_pages += pages;
-                m.uvm_bytes += *bytes;
+                m.uvm_pages += u64::from(*pages);
+                m.uvm_bytes += ByteSize::bytes(u64::from(*pages) * u64::from(*page_size));
             }
             EventKind::FaultInjected { attempts, .. } => {
                 m.faults_injected += u64::from(*attempts);
@@ -295,7 +297,7 @@ fn raw_event((kind, start, dur, corr): (u8, u64, u64, u64)) -> TraceEvent {
     };
     TraceEvent::new(kind, s, e)
         .on_stream(StreamId(0))
-        .with_correlation(corr)
+        .with_correlation(corr as u32)
 }
 
 fn build_timeline(raw: &[(u8, u64, u64, u64)]) -> Timeline {
@@ -367,7 +369,7 @@ fn clone_and_eq_ignore_the_memo() {
 #[test]
 fn kernel_before_launch_and_duplicate_correlations() {
     let us = |n: u64| SimTime::from_nanos(n * 1_000);
-    let launch = |corr: u64, s: u64, e: u64| {
+    let launch = |corr: u32, s: u64, e: u64| {
         TraceEvent::new(
             EventKind::Launch {
                 kernel: KernelId(0),
@@ -379,7 +381,7 @@ fn kernel_before_launch_and_duplicate_correlations() {
         )
         .with_correlation(corr)
     };
-    let kernel = |corr: u64, s: u64, e: u64| {
+    let kernel = |corr: u32, s: u64, e: u64| {
         TraceEvent::new(
             EventKind::Kernel {
                 kernel: KernelId(0),

@@ -699,7 +699,7 @@ mod tests {
             EventKind::UvmFault {
                 kernel: KernelId(0),
                 pages: 64,
-                bytes: ByteSize::kib(256),
+                page_size: 4096,
             },
             t(0),
             t(30),

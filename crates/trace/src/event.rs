@@ -140,14 +140,17 @@ pub enum EventKind {
         /// Whether fresh pages had to be converted private→shared.
         converted: bool,
     },
-    /// UVM far-fault servicing attributable to one kernel.
+    /// UVM far-fault servicing attributable to one kernel. The bytes
+    /// migrated, as exported and folded into `MemMetrics::uvm_bytes`,
+    /// are `pages × page_size`: the driver migrates whole pages of the
+    /// context's one UVM page size.
     UvmFault {
         /// Kernel whose access triggered the fault batch.
         kernel: KernelId,
         /// Pages migrated.
-        pages: u64,
-        /// Bytes migrated.
-        bytes: ByteSize,
+        pages: u32,
+        /// The context's UVM page size, in bytes.
+        page_size: u32,
     },
     /// An injected fault struck a guarded operation. The span covers the
     /// detection instant (often zero-width); `attempts` counts the failed
@@ -195,7 +198,21 @@ impl EventKind {
     }
 }
 
-/// One timed span in the trace.
+/// `pages` whole pages of `page_size` bytes; two 32-bit factors cannot
+/// overflow 64 bits.
+pub(crate) fn page_bytes(pages: u32, page_size: u32) -> ByteSize {
+    ByteSize::bytes(u64::from(pages) * u64::from(page_size))
+}
+
+/// `EventKind`'s largest variants (`Launch`, `Memcpy`, `UvmFault`) hold
+/// 12 B of payload behind the tag; a wider payload grows every event.
+const _: () = assert!(std::mem::size_of::<EventKind>() == 16);
+/// The timeline arena holds events back to back, so this is a result's
+/// heap per event.
+const _: () = assert!(std::mem::size_of::<TraceEvent>() == 40);
+
+/// One timed span in the trace: 40 B (a 16-B kind, two clock words, a
+/// 4-B stream and a 4-B correlation id).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// What happened.
@@ -204,12 +221,17 @@ pub struct TraceEvent {
     pub start: SimTime,
     /// Span end on the virtual clock.
     pub end: SimTime,
-    /// Stream the operation was issued on, when applicable.
-    pub stream: Option<StreamId>,
+    /// Stream id, or [`NO_STREAM`]; read through [`TraceEvent::stream`].
+    stream: u32,
     /// Correlation id linking a `Launch` to the `Kernel` it produced
-    /// (Nsight's correlation column). Zero when not applicable.
-    pub correlation: u64,
+    /// (Nsight's correlation column; 32-bit, as CUPTI's). Zero when not
+    /// applicable.
+    pub correlation: u32,
 }
+
+/// `TraceEvent::stream`'s "no stream" sentinel: `Option<StreamId>`
+/// would take 8 B, and no context issues 2³² streams.
+const NO_STREAM: u32 = u32::MAX;
 
 impl TraceEvent {
     /// Creates an event spanning `start..end`.
@@ -222,21 +244,30 @@ impl TraceEvent {
             kind,
             start,
             end,
-            stream: None,
+            stream: NO_STREAM,
             correlation: 0,
         }
     }
 
     /// Builder-style stream annotation.
+    ///
+    /// # Panics
+    /// Panics on `StreamId(u32::MAX)`, the id that stands for "no stream".
     pub fn on_stream(mut self, stream: StreamId) -> Self {
-        self.stream = Some(stream);
+        assert_ne!(stream.0, NO_STREAM, "stream id u32::MAX is reserved");
+        self.stream = stream.0;
         self
     }
 
     /// Builder-style correlation annotation.
-    pub fn with_correlation(mut self, id: u64) -> Self {
+    pub fn with_correlation(mut self, id: u32) -> Self {
         self.correlation = id;
         self
+    }
+
+    /// Stream the operation was issued on, when applicable.
+    pub fn stream(&self) -> Option<StreamId> {
+        (self.stream != NO_STREAM).then_some(StreamId(self.stream))
     }
 
     /// Span length.
@@ -304,11 +335,11 @@ impl ToJson for EventKind {
                 EventKind::UvmFault {
                     kernel,
                     pages,
-                    bytes,
+                    page_size,
                 } => {
                     o.field("kernel", kernel);
                     o.field("pages", pages);
-                    o.field("bytes", bytes);
+                    o.field("bytes", page_bytes(*pages, *page_size));
                 }
                 EventKind::FaultInjected { site, attempts } => {
                     o.field("site", site.name());
@@ -324,13 +355,17 @@ impl ToJson for EventKind {
     }
 }
 
-hcc_types::impl_to_json!(TraceEvent {
-    kind,
-    start,
-    end,
-    stream,
-    correlation
-});
+impl ToJson for TraceEvent {
+    fn write_json(&self, out: &mut JsonOut<'_>) {
+        out.obj(|o| {
+            o.field("kind", &self.kind);
+            o.field("start", self.start);
+            o.field("end", self.end);
+            o.field("stream", self.stream());
+            o.field("correlation", self.correlation);
+        });
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -362,8 +397,54 @@ mod tests {
         let e = TraceEvent::new(EventKind::Sync, SimTime::ZERO, SimTime::ZERO)
             .on_stream(StreamId(3))
             .with_correlation(99);
-        assert_eq!(e.stream, Some(StreamId(3)));
+        assert_eq!(e.stream(), Some(StreamId(3)));
         assert_eq!(e.correlation, 99);
+        let bare = TraceEvent::new(EventKind::Sync, SimTime::ZERO, SimTime::ZERO);
+        assert_eq!(bare.stream(), None);
+        assert_eq!(bare.on_stream(StreamId(0)).stream(), Some(StreamId(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved")]
+    fn the_no_stream_sentinel_is_not_a_stream() {
+        let _ = TraceEvent::new(EventKind::Sync, SimTime::ZERO, SimTime::ZERO)
+            .on_stream(StreamId(u32::MAX));
+    }
+
+    /// The exported and folded `bytes` is `pages × page_size` in 64
+    /// bits, even where the product passes 32 bits.
+    #[test]
+    fn uvm_fault_bytes_are_pages_times_page_size() {
+        let fault = |pages, page_size| EventKind::UvmFault {
+            kernel: KernelId(0),
+            pages,
+            page_size,
+        };
+        let json = |kind: EventKind| {
+            let mut out = String::new();
+            kind.write_json(&mut JsonOut::text(&mut out));
+            out
+        };
+        assert_eq!(
+            json(fault(3, 4096)),
+            r#"{"type":"uvm_fault","kernel":0,"pages":3,"bytes":12288}"#
+        );
+        let max = u64::from(u32::MAX);
+        assert!(json(fault(u32::MAX, u32::MAX)).contains(&format!("\"bytes\":{}", max * max)));
+        let mut tl = crate::Timeline::new();
+        tl.push(TraceEvent::new(
+            fault(u32::MAX, u32::MAX),
+            SimTime::ZERO,
+            SimTime::ZERO,
+        ));
+        tl.push(TraceEvent::new(
+            fault(1024, 65536),
+            SimTime::ZERO,
+            SimTime::ZERO,
+        ));
+        let mm = tl.mem_metrics();
+        assert_eq!(mm.uvm_pages, max + 1024);
+        assert_eq!(mm.uvm_bytes, ByteSize::bytes(max * max) + ByteSize::mib(64));
     }
 
     #[test]
@@ -408,7 +489,7 @@ mod tests {
             EventKind::UvmFault {
                 kernel: KernelId(0),
                 pages: 1,
-                bytes: ByteSize::kib(64),
+                page_size: 65536,
             },
             EventKind::FaultInjected {
                 site: FaultSite::GcmTagH2D,

@@ -81,7 +81,7 @@ mod proptests {
                         s,
                         e,
                     )
-                    .with_correlation(i as u64)
+                    .with_correlation(i as u32)
                 } else {
                     TraceEvent::new(
                         EventKind::Kernel {
@@ -91,7 +91,7 @@ mod proptests {
                         s,
                         e,
                     )
-                    .with_correlation(i as u64 - 1)
+                    .with_correlation(i as u32 - 1)
                 }
             })
             .collect()

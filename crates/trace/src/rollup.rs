@@ -182,7 +182,7 @@ impl WindowIndex {
 /// slot.
 ///
 /// [`Series::integral_between`]: crate::Series::integral_between
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct WindowIntegrals {
     width: u64,
     /// `sums[k]`: integral over window `k` up to `at`, in value·ns.
@@ -190,17 +190,35 @@ pub struct WindowIntegrals {
     /// The last step; the function holds `value` from here on.
     at: SimTime,
     value: u64,
+    /// `at`'s window, or an earlier one if the function held zero since,
+    /// and its end (saturating): a step from inside it divides nothing.
+    win: usize,
+    win_end: u64,
 }
+
+/// The window cache records where the steps went, not what they folded:
+/// two folds are equal when their integrals and last step are.
+impl PartialEq for WindowIntegrals {
+    fn eq(&self, other: &Self) -> bool {
+        (self.width, &self.sums, self.at, self.value)
+            == (other.width, &other.sums, other.at, other.value)
+    }
+}
+
+impl Eq for WindowIntegrals {}
 
 impl WindowIntegrals {
     /// A function that holds 0 from time zero, over windows of `width`
     /// (at least 1 ns).
     pub fn new(width: SimDuration) -> Self {
+        let width = width.as_nanos().max(1);
         WindowIntegrals {
-            width: width.as_nanos().max(1),
+            width,
             sums: Vec::new(),
             at: SimTime::ZERO,
             value: 0,
+            win: 0,
+            win_end: width,
         }
     }
 
@@ -215,15 +233,31 @@ impl WindowIntegrals {
     pub fn step(&mut self, at: SimTime, value: u64) {
         debug_assert!(at >= self.at, "steps run forward");
         let (mut t, end) = (self.at.as_nanos(), at.as_nanos());
-        if self.value > 0 {
-            while t < end {
-                let k = (t / self.width) as usize;
-                let stop = end.min((t / self.width + 1).saturating_mul(self.width));
-                if self.sums.len() <= k {
-                    self.sums.resize(k + 1, 0);
+        if self.value > 0 && t < end {
+            // The cached window starts at or before `t`, since `at` only
+            // runs forward. It is `t`'s unless zero-valued steps moved
+            // `at` past it; then one division finds `t`'s, and each
+            // later window is the next one.
+            if t >= self.win_end {
+                let k = t / self.width;
+                self.win = k as usize;
+                self.win_end = (k + 1).saturating_mul(self.width);
+            }
+            loop {
+                let stop = end.min(self.win_end);
+                if self.sums.len() <= self.win {
+                    self.sums.resize(self.win + 1, 0);
                 }
-                self.sums[k] = self.sums[k].saturating_add(self.value.saturating_mul(stop - t));
+                let sum = &mut self.sums[self.win];
+                *sum = sum.saturating_add(self.value.saturating_mul(stop - t));
                 t = stop;
+                if t == self.win_end {
+                    self.win += 1;
+                    self.win_end = self.win_end.saturating_add(self.width);
+                }
+                if t == end {
+                    break;
+                }
             }
         }
         self.at = self.at.max(at);
@@ -474,6 +508,80 @@ mod tests {
         assert_eq!(folded.over(&ws[0]), SimDuration::millis(8));
         assert_eq!(folded.over(&ws[2]), SimDuration::millis(6 + 12));
         assert_eq!(folded.width(), width);
+    }
+
+    /// The cached-window fold equals one that divides for every window
+    /// it touches, bit for bit: random widths (1 ns included), steps
+    /// that cross many windows or stay inside one, repeated instants,
+    /// and zero values between positive ones.
+    #[test]
+    fn window_integrals_match_a_dividing_reference() {
+        use hcc_check::strategy::{u64s, vecs};
+        use hcc_check::{ensure_eq, forall, Config};
+
+        /// The fold before the window cache: `t / width` per window.
+        fn reference(width: u64, steps: &[(u64, u64)]) -> Vec<u64> {
+            let (mut sums, mut at, mut value) = (Vec::<u64>::new(), 0u64, 0u64);
+            for &(next, v) in steps {
+                let mut t = at;
+                if value > 0 {
+                    while t < next {
+                        let k = (t / width) as usize;
+                        let stop = next.min((t / width + 1).saturating_mul(width));
+                        if sums.len() <= k {
+                            sums.resize(k + 1, 0);
+                        }
+                        sums[k] = sums[k].saturating_add(value.saturating_mul(stop - t));
+                        t = stop;
+                    }
+                }
+                at = at.max(next);
+                value = v;
+            }
+            sums
+        }
+
+        forall!(
+            Config::new(0x2011_0B32).with_cases(256),
+            (width, gaps, values, zeros) in (
+                u64s(0..40),
+                vecs(u64s(0..200), 1..60),
+                vecs(u64s(0..1_000), 1..60),
+                u64s(0..4)
+            ) => {
+                // Width 0 asks for the 1-ns floor; otherwise 1..40 ns,
+                // so a 200-ns gap crosses up to 200 windows.
+                let width = width.max(1);
+                let mut at = 0u64;
+                let steps: Vec<(u64, u64)> = gaps
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &gap)| {
+                        at += gap;
+                        let v = values[i % values.len()];
+                        // One step in `zeros + 1` drops to zero.
+                        (at, if (i as u64).is_multiple_of(zeros + 1) { 0 } else { v })
+                    })
+                    .collect();
+                let mut folded = WindowIntegrals::new(SimDuration::from_nanos(width));
+                for &(next, v) in &steps {
+                    folded.step(SimTime::from_nanos(next), v);
+                }
+                ensure_eq!(folded.sums, reference(width, &steps));
+                ensure_eq!(folded.at, SimTime::from_nanos(at));
+            }
+        );
+    }
+
+    /// A window whose end passes `u64::MAX` is cut at the top of the
+    /// clock, as the dividing fold cut it.
+    #[test]
+    fn window_integrals_saturate_at_the_top_of_the_clock() {
+        let width = u64::MAX / 2 + 1;
+        let mut folded = WindowIntegrals::new(SimDuration::from_nanos(width));
+        folded.step(SimTime::from_nanos(width - 1), 1);
+        folded.step(SimTime::from_nanos(u64::MAX), 0);
+        assert_eq!(folded.sums, vec![1, u64::MAX - width]);
     }
 
     /// A window large enough that p50, p99 and p999 are three different

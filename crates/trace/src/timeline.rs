@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 use hcc_types::{ByteSize, CopyKind, MemSpace, SimDuration, SimTime};
 
 use crate::causal::EventId;
-use crate::event::{EventKind, KernelId, TraceEvent};
+use crate::event::{page_bytes, EventKind, KernelId, TraceEvent};
 
 /// An ordered collection of trace events for one application run.
 ///
@@ -153,10 +153,12 @@ impl Timeline {
                 m.hypercalls += 1;
                 m.hypercall_time += e.duration();
             }
-            EventKind::UvmFault { pages, bytes, .. } => {
+            EventKind::UvmFault {
+                pages, page_size, ..
+            } => {
                 m.uvm_fault += e.duration();
-                m.uvm_pages += pages;
-                m.uvm_bytes += *bytes;
+                m.uvm_pages += u64::from(*pages);
+                m.uvm_bytes += page_bytes(*pages, *page_size);
             }
             EventKind::FaultInjected { attempts, .. } => {
                 m.faults_injected += u64::from(*attempts);
@@ -331,9 +333,9 @@ impl Timeline {
 /// simulator-assigned integers, so SipHash buys nothing).
 fn join_kqt<L, K>(
     launches: &[L],
-    launch_end: impl Fn(&L) -> (u64, SimTime),
+    launch_end: impl Fn(&L) -> (u32, SimTime),
     kernels: &mut [K],
-    kernel_start: impl Fn(&K) -> (u64, SimTime),
+    kernel_start: impl Fn(&K) -> (u32, SimTime),
     mut set: impl FnMut(&mut K, SimDuration),
 ) {
     let sorted = launches
@@ -361,7 +363,7 @@ fn join_kqt<L, K>(
             );
         }
     } else {
-        let mut ends: hcc_types::hash::FnvHashMap<u64, SimTime> =
+        let mut ends: hcc_types::hash::FnvHashMap<u32, SimTime> =
             hcc_types::hash::FnvHashMap::with_capacity_and_hasher(
                 launches.len(),
                 hcc_types::hash::FnvBuildHasher,
@@ -495,7 +497,7 @@ pub struct LaunchRecord {
     /// First launch of this kernel function?
     pub first: bool,
     /// Correlation id to the kernel execution.
-    pub correlation: u64,
+    pub correlation: u32,
 }
 
 /// One kernel execution's metrics.
@@ -512,7 +514,7 @@ pub struct KernelRecord {
     /// Whether the kernel used managed memory.
     pub uvm: bool,
     /// Correlation id back to the launch.
-    pub correlation: u64,
+    pub correlation: u32,
 }
 
 /// Launch/kernel metric collection for a run.

@@ -83,7 +83,7 @@ fn fixture() -> (Timeline, MetricsSet) {
             EventKind::UvmFault {
                 kernel: KernelId(0),
                 pages: 16,
-                bytes: ByteSize::kib(64 * 16),
+                page_size: 64 * 1024,
             },
             t(40),
             t(72),

@@ -34,7 +34,7 @@ pub mod serving;
 pub mod spec;
 pub mod suites;
 
-pub use parse::{parse_workload, LiteralError, ParseError};
+pub use parse::{parse_workload, LiteralError, ParseError, MAX_DECK_KERNEL_TIME};
 pub use runner::{run, run_scenario, RunError, RunResult};
 pub use scenario::{AppSelector, Scenario};
 pub use serving::{default_tenants, RequestClass, TenantSpec};

@@ -17,7 +17,9 @@
 //! ```
 //!
 //! Sizes accept `B`, `KiB`, `MiB`, `GiB`; durations accept `ns`, `us`,
-//! `ms`, `s`. Kernel names are `k<digits>`; `x<N>` repeats a launch.
+//! `ms`, `s`. Kernel names are `k<digits>`; `x<N>` repeats a launch. A
+//! deck's launches may declare at most [`MAX_DECK_KERNEL_TIME`] of
+//! kernel time in all.
 
 use std::collections::HashMap;
 
@@ -129,6 +131,13 @@ fn split_number(s: &str) -> Result<(&str, &str), LiteralError> {
     }
 }
 
+/// The most kernel time a deck may declare, Σ duration × repeat over its
+/// launches: half the virtual clock's range (about 292 years). The other
+/// half is room for what the simulator adds on top (execution jitter,
+/// the CC slowdown, launch and copy overheads), so a deck that parses
+/// cannot run the clock past `u64::MAX` ns.
+pub const MAX_DECK_KERNEL_TIME: SimDuration = SimDuration::from_nanos(u64::MAX / 2);
+
 #[derive(Default)]
 struct SlotTable {
     host: HashMap<String, usize>,
@@ -141,12 +150,16 @@ struct SlotTable {
 ///
 /// # Errors
 /// Returns [`ParseError`] with a line number for malformed decks,
-/// unknown buffer names, or a missing `app` directive.
+/// unknown buffer names, a missing `app` directive, or the launch that
+/// takes the deck's kernel time past [`MAX_DECK_KERNEL_TIME`].
 pub fn parse_workload(text: &str) -> Result<WorkloadSpec, ParseError> {
     let mut name: Option<String> = None;
     let mut slots = SlotTable::default();
     let mut ops = Vec::new();
     let mut uvm = false;
+    // Σ ket × repeat so far: at most the budget plus one line's 96-bit
+    // product, since the first line past the budget is refused.
+    let mut kernel_ns = 0u128;
 
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -288,6 +301,16 @@ pub fn parse_workload(text: &str) -> Result<WorkloadSpec, ParseError> {
                         return Err(err(lineno, format!("unknown launch option {tok}")));
                     }
                 }
+                kernel_ns += u128::from(ket.as_nanos()) * u128::from(repeat);
+                if kernel_ns > u128::from(MAX_DECK_KERNEL_TIME.as_nanos()) {
+                    return Err(err(
+                        lineno,
+                        format!(
+                            "launches declare more than {MAX_DECK_KERNEL_TIME} of kernel \
+                             time: the virtual clock would overflow"
+                        ),
+                    ));
+                }
                 ops.push(Op::Launch {
                     kernel,
                     ket,
@@ -391,6 +414,37 @@ free managed m
             parse_duration("3h"),
             Err(LiteralError::UnknownUnit("h".to_string()))
         );
+    }
+
+    /// A deck whose literals each fit is refused at the launch that takes
+    /// its kernel time past the clock's budget, never run into a clock
+    /// overflow: by one line's repeat, by the sum of lines that each fit
+    /// the budget, and by a sum that would pass 64 bits.
+    #[test]
+    fn kernel_time_past_the_clock_budget_is_refused_by_line() {
+        let refused = |deck: &str| parse_workload(deck).expect_err("refused");
+        let e = refused("app big\nlaunch k0 18446744073s x1000\nsync\n");
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.message.contains("virtual clock would overflow"), "{e}");
+        let e = refused("app two\nlaunch k0 5000000000s\nlaunch k1 5000000000s\n");
+        assert_eq!(e.line, 3, "{e}");
+        let e = refused("app wide\nlaunch k0 5000000000s\nlaunch k1 15000000000s\n");
+        assert_eq!(e.line, 3, "{e}");
+        // Up to the budget a deck parses, and it runs in both modes.
+        let budget = MAX_DECK_KERNEL_TIME.as_nanos();
+        let spec = parse_workload(&format!(
+            "app edge\nlaunch k0 {}ns\nlaunch k1 {}ns\nsync\n",
+            budget - 1,
+            1
+        ))
+        .expect("at the budget");
+        for cc in [CcMode::Off, CcMode::On] {
+            let r = runner::run(&spec, SimConfig::new(cc)).expect("runs");
+            // Jitter scales each kernel by 1 ± 1.5%.
+            assert!(r.end.as_nanos() > budget / 100 * 98, "{cc}: {}", r.end);
+        }
+        let over = format!("app over\nlaunch k0 {}ns x2\n", budget / 2 + 1);
+        assert_eq!(refused(&over).line, 2);
     }
 
     /// At every unit, the largest count that fits in 64 bits of the

@@ -49,3 +49,37 @@ fn uvm_stencil_faults_cold_then_runs_warm() {
     assert!(cold > warm * 10, "cold {cold} vs warm {warm}");
     assert!(r.uvm.faults > 0);
 }
+
+/// `hcc_lab deck` refuses a deck whose kernel time would overflow the
+/// virtual clock, exiting 1, where it once panicked mid-run: one line's
+/// repeat, and two lines that each fit but not together.
+#[test]
+fn deck_command_refuses_a_clock_overflow() {
+    use hcc::workloads::MAX_DECK_KERNEL_TIME;
+    use hcc_bench::cli::Args;
+    use std::process::ExitCode;
+
+    let half = MAX_DECK_KERNEL_TIME.as_nanos() / 2 + 1;
+    let decks = [
+        (
+            "repeat",
+            "app big\nlaunch k0 18446744073s x1000\nsync\n".to_string(),
+        ),
+        (
+            "sum",
+            format!("app two\nlaunch k0 {half}ns\nlaunch k1 {half}ns\nsync\n"),
+        ),
+    ];
+    for (name, deck) in decks {
+        let path = std::env::temp_dir().join(format!(
+            "hcc-deck-overflow-{name}-{}.hcc",
+            std::process::id()
+        ));
+        std::fs::write(&path, deck).expect("write deck");
+        let argv = vec!["deck".to_string(), path.display().to_string()];
+        let run = hcc_bench::lab::parse(&mut Args::new(argv)).expect("parses");
+        let code = run();
+        std::fs::remove_file(&path).expect("remove deck");
+        assert_eq!(code, ExitCode::FAILURE, "{name}");
+    }
+}

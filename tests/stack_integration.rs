@@ -15,6 +15,36 @@ fn complete<T>(computed: Computed<T>) -> T {
     computed.data
 }
 
+/// The trace's UVM totals, folded from `UvmFault` events that keep only
+/// a page count and the page size, equal what the UVM driver counted
+/// itself, for every managed-memory app and UVM variant in both modes.
+#[test]
+fn trace_uvm_totals_equal_the_driver_stats() {
+    let specs: Vec<_> = suites::all()
+        .into_iter()
+        .filter(|s| s.uvm)
+        .chain(
+            suites::UVM_VARIANT_APPS
+                .iter()
+                .map(|n| suites::uvm_variant(n).expect("known variant")),
+        )
+        .collect();
+    assert!(specs.len() >= 15, "{} UVM apps", specs.len());
+    for spec in &specs {
+        for cc in CcMode::ALL {
+            let r = runner::run(spec, SimConfig::new(cc)).expect("run");
+            let mm = r.timeline.mem_metrics();
+            assert!(
+                r.uvm.pages_migrated > 0,
+                "{} [{cc}] migrated nothing",
+                spec.name
+            );
+            assert_eq!(mm.uvm_pages, r.uvm.pages_migrated, "{} [{cc}]", spec.name);
+            assert_eq!(mm.uvm_bytes, r.uvm.bytes_migrated, "{} [{cc}]", spec.name);
+        }
+    }
+}
+
 #[test]
 fn identical_seeds_reproduce_identical_traces_across_the_suite() {
     for name in ["sc", "gemm", "dwt2d", "cnn"] {
