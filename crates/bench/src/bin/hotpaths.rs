@@ -73,7 +73,7 @@ fn main() -> ExitCode {
         Ok(samples) => samples.unwrap_or(20) as usize,
         Err(e) => {
             let usage = "usage: [HCC_BENCH_SAMPLES=N] [HCC_BLESS=1] hotpaths";
-            return cli::refuse("hotpaths", usage, &e);
+            return cli::refuse(&mut std::io::stderr(), "hotpaths", usage, &e);
         }
     };
 

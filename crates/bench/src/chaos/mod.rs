@@ -672,7 +672,7 @@ pub const COMMAND: Command = Command {
                 _ => return Err(CliError::Unknown { arg: flag }),
             }
         }
-        Ok(Box::new(move || {
+        Ok(Box::new(move |out, err| {
             cfg.tenants = default_tenants(tenant_count);
             cfg.budgets = default_budgets(&cfg.tenants);
             let engine = crate::engine::global();
@@ -680,7 +680,7 @@ pub const COMMAND: Command = Command {
             let report = run(&cfg, engine);
             let elapsed = wall.elapsed();
 
-            print!("{}", report.render());
+            out.write_all(report.render().as_bytes())?;
 
             if let Some(path) = json_path {
                 let (pass, fail) = report.verdict_counts();
@@ -695,7 +695,7 @@ pub const COMMAND: Command = Command {
                     ("verdict_fail", fail),
                     ("wall_ms", elapsed.as_millis() as u64),
                 ];
-                cli::write_bench_json(&path, &bench, "report", &report);
+                cli::write_bench_json(&path, &bench, "report", &report)?;
             }
 
             let broken = (!report.healthy()).then(|| {
@@ -705,7 +705,7 @@ pub const COMMAND: Command = Command {
                     violation.unwrap_or("identity check failed")
                 )
             });
-            crate::report::soak_status("chaos", broken.as_deref())
+            Ok(crate::report::soak_status(err, "chaos", broken.as_deref()))
         }))
     },
 };

@@ -4,9 +4,10 @@
 //! with one [`PolicyCell`] per recovery policy run head-to-head over the
 //! *identical* arrival trace and storm calendar. Every figure is measured
 //! on the virtual clock, so the rendered text is byte-identical across
-//! engine thread counts; the trailer states the invariants CI greps for
+//! engine thread counts; the trailer states the soak's invariants
 //! (latency identity, request and fault conservation, session ledger,
-//! gauge drain, leak audit) plus the PASS/FAIL verdict totals.
+//! gauge drain, leak audit), each asserted on the default soak by
+//! `tests/chaos_soak.rs`, plus the PASS/FAIL verdict totals.
 
 use hcc_runtime::LeakAudit;
 use hcc_types::json::{JsonOut, ToJson};

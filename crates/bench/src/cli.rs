@@ -10,6 +10,7 @@
 //! fractions must be finite.
 
 use std::fmt;
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -143,9 +144,9 @@ pub fn engine_threads() -> Result<Option<usize>, CliError> {
 
 /// `spec` as a [`FaultPlan`], or an [`CliError::Invalid`] naming `flag`.
 pub fn fault_plan(flag: &str, spec: &str) -> Result<FaultPlan, CliError> {
-    FaultPlan::parse(spec).map_err(|detail| CliError::Invalid {
+    FaultPlan::parse(spec).map_err(|e| CliError::Invalid {
         flag: flag.to_string(),
-        detail,
+        detail: e.to_string(),
     })
 }
 
@@ -286,26 +287,49 @@ impl Args {
     }
 }
 
-/// Writes `contents` to `path`, or reports the failure and exits 1.
-pub fn write_or_exit(path: &str, contents: impl AsRef<[u8]>) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
+/// A file a subcommand could not write. It travels inside the
+/// `io::Error` a [`crate::lab::Run`] returns, so the front door can
+/// report it as `cannot write <path>: <error>` rather than as a failed
+/// write to stdout.
+#[derive(Debug)]
+pub struct WriteError {
+    path: String,
+    source: std::io::Error,
+}
+
+impl fmt::Display for WriteError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "cannot write {}: {}", self.path, self.source)
     }
 }
 
+impl std::error::Error for WriteError {}
+
+/// `source` as the failure to write `path`: a [`WriteError`] inside an
+/// `io::Error` of kind `Other`, so a failed file write never reads as a
+/// closed stdout.
+fn cannot_write(path: &str, source: std::io::Error) -> std::io::Error {
+    std::io::Error::other(WriteError {
+        path: path.to_string(),
+        source,
+    })
+}
+
+/// Writes `contents` to `path`; the error names the file.
+pub fn write_file(path: &str, contents: impl AsRef<[u8]>) -> std::io::Result<()> {
+    std::fs::write(path, contents).map_err(|e| cannot_write(path, e))
+}
+
 /// Streams the JSON document `doc` writes into the file at `path`, a
-/// buffer at a time, or reports the failure and exits 1.
-pub fn write_json_or_exit(path: &str, doc: impl FnOnce(&mut JsonOut<'_>)) {
-    let written = std::fs::File::create(path).and_then(|mut file| {
-        let mut out = JsonOut::io(&mut file);
-        doc(&mut out);
-        out.finish()
-    });
-    if let Err(e) = written {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
+/// buffer at a time; the error names the file.
+pub fn write_json_file(path: &str, doc: impl FnOnce(&mut JsonOut<'_>)) -> std::io::Result<()> {
+    std::fs::File::create(path)
+        .and_then(|mut file| {
+            let mut out = JsonOut::io(&mut file);
+            doc(&mut out);
+            out.finish()
+        })
+        .map_err(|e| cannot_write(path, e))
 }
 
 /// Reads the only flag a report takes, `--json <path>`.
@@ -322,16 +346,21 @@ pub fn json_flag(args: &mut Args) -> Result<Option<String>, CliError> {
 
 /// A soak's `--json` document at `path`: its wall-clock `bench` figures,
 /// its report under `key`, then the global engine's stats.
-pub fn write_bench_json(path: &str, bench: &[(&str, u64)], key: &str, report: &dyn ToJson) {
+pub fn write_bench_json(
+    path: &str,
+    bench: &[(&str, u64)],
+    key: &str,
+    report: &dyn ToJson,
+) -> std::io::Result<()> {
     let stats = crate::engine::global().stats();
-    write_json_or_exit(path, |out| {
+    write_json_file(path, |out| {
         out.obj(|o| {
             o.key("bench");
             o.obj(|o| bench.iter().for_each(|&(name, v)| o.field(name, v)));
             o.field(key, report);
             o.field("engine", &stats);
         });
-    });
+    })
 }
 
 /// `n` per wall-clock second of `elapsed`, rounded.
@@ -340,10 +369,9 @@ pub fn per_sec(n: u64, elapsed: Duration) -> u64 {
 }
 
 /// Reports a refused argument: `<prefix>: <error>`, then `usage`, on
-/// stderr. The exit status is 2.
-pub fn refuse(prefix: &str, usage: &str, err: &CliError) -> ExitCode {
-    eprintln!("{prefix}: {err}");
-    eprintln!("{usage}");
+/// `stderr`. The exit status is 2.
+pub fn refuse(stderr: &mut dyn Write, prefix: &str, usage: &str, err: &CliError) -> ExitCode {
+    let _ = writeln!(stderr, "{prefix}: {err}\n{usage}");
     ExitCode::from(2)
 }
 

@@ -12,7 +12,8 @@
 //! seed-deterministic `CudaContext`, so neither the worker count nor the
 //! completion order can change a result — a parallel run produces
 //! bit-identical figure rows to the old serial loops (asserted by
-//! `tests/engine_parity.rs` and the tier-2 CI smoke step).
+//! `tests/engine_parity.rs`, and by `crates/bench/tests/process_switches.rs`
+//! on the `hcc_lab` binary at 1 and 4 threads).
 //!
 //! ```
 //! use hcc_bench::engine::ExperimentEngine;
@@ -496,24 +497,20 @@ pub fn global() -> &'static ExperimentEngine {
 
 /// The single end-of-run stats emission point for the subcommands.
 ///
-/// Renders the global engine's stats block with **one** locked write to
-/// stderr — under `HCC_ENGINE_THREADS>1` the old per-bin `eprint!` calls
-/// could interleave with worker diagnostics mid-block — unless the
-/// engine served no lookup (a subcommand that runs no scenario prints no
-/// block of zeros), and, when [`STATS_JSON_ENV`] names a file, writes
-/// the same stats there as JSON either way. Call it once, after the last
-/// engine batch.
-pub fn emit_stats() {
+/// Renders the global engine's stats block into `stderr` with **one**
+/// write — under `HCC_ENGINE_THREADS>1` per-line writes could interleave
+/// with worker diagnostics mid-block — unless the engine served no
+/// lookup (a subcommand that runs no scenario prints no block of zeros),
+/// and, when [`STATS_JSON_ENV`] names a file, writes the same stats
+/// there as JSON either way. Call it once, after the last engine batch.
+/// Best effort: a write that fails is not reported.
+pub fn emit_stats(stderr: &mut dyn Write) {
     let json = std::env::var(STATS_JSON_ENV).ok().filter(|p| !p.is_empty());
-    emit(
-        &global().stats(),
-        &mut std::io::stderr().lock(),
-        json.as_deref(),
-    );
+    emit(&global().stats(), stderr, json.as_deref());
 }
 
 /// [`emit_stats`] over explicit stats, error stream and JSON path.
-fn emit(stats: &EngineStats, err: &mut impl Write, json: Option<&str>) {
+fn emit(stats: &EngineStats, err: &mut dyn Write, json: Option<&str>) {
     if stats.scenarios_run + stats.cache_hits > 0 {
         let block = format!("\n{}", stats.render());
         let _ = err.write_all(block.as_bytes());

@@ -200,7 +200,7 @@ fn line(out: &mut String, app: [String; 4], cells: [String; 7], dominant: &str) 
 }
 
 /// The blame table: one row per explained app, a `!!` line per failure,
-/// then a greppable trailer for CI — the paper's causes must show up in
+/// then a trailer the tests read — the paper's causes must show up in
 /// the blame: crypto and bounce-pool exposure on some dense app, UVM
 /// exposure on some managed app.
 pub fn render(rows: &[AppExplanation], failures: &[ScenarioFailure]) -> String {
@@ -255,13 +255,13 @@ pub const COMMAND: Command = Command {
     usage: "usage: hcc_lab explain [--json <path>]",
     parse: |args| {
         let json_path = cli::json_flag(args)?;
-        Ok(Box::new(move || {
+        Ok(Box::new(move |out, err| {
             let (rows, failures) = explain_all();
-            print!("{}", render(&rows, &failures));
+            out.write_all(render(&rows, &failures).as_bytes())?;
             if let Some(path) = json_path {
-                cli::write_or_exit(&path, rows.to_json_string());
+                cli::write_file(&path, rows.to_json_string())?;
             }
-            report::finish(&failures)
+            Ok(report::finish(err, &failures))
         }))
     },
 };

@@ -4,12 +4,14 @@
 //! (`hcc_lab faults [--plan <spec>]`).
 //!
 //! The table is deterministic for a given plan (engine statistics go to
-//! stderr), so the tier-2 CI smoke diffs two runs at different
-//! `HCC_ENGINE_THREADS` settings. `--panic-smoke` instead checks that a
-//! deliberately panicking ad-hoc scenario is contained as a structured
-//! failure while the rest of the batch completes.
+//! stderr): `crates/bench/tests/process_switches.rs` runs it at 1 and 4
+//! `HCC_ENGINE_THREADS` against `tests/golden/fault_sweep.txt`.
+//! `--panic-smoke` instead checks that a deliberately panicking ad-hoc
+//! scenario is contained as a structured failure while the rest of the
+//! batch completes.
 
-use std::fmt::Write;
+use std::fmt::Write as _;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use hcc_runtime::SimConfig;
@@ -22,7 +24,7 @@ use crate::figures::Computed;
 use crate::lab::Command;
 use crate::report;
 
-/// The plan CI sweeps, and the default of `--plan`.
+/// The plan the golden sweep freezes, and the default of `--plan`.
 pub const DEFAULT_PLAN: &str = "seed=7,gcm=0.35,bounce=0.3,ring=0.3,uvm=0.35,max=6";
 
 /// Every standard app under CC with `plan`: the breakdown table, a `!!`
@@ -83,7 +85,7 @@ pub fn sweep(plan: FaultPlan) -> Computed<String> {
 /// Checks that a panicking ad-hoc scenario is contained as a structured
 /// `RunError::Panicked` failure while its batch neighbors (two small
 /// suite apps) complete: success when containment holds, 1 otherwise.
-fn panic_smoke() -> ExitCode {
+fn panic_smoke(out: &mut dyn Write) -> io::Result<ExitCode> {
     let cfg = SimConfig::new(CcMode::On).with_seed(0xFA11_2025);
     let crash = WorkloadSpec::micro(
         "smoke-crash",
@@ -104,13 +106,17 @@ fn panic_smoke() -> ExitCode {
     );
     let neighbors_ok = results[0].run().is_ok() && results[2].run().is_ok();
     if crash_contained && neighbors_ok {
-        println!("panic smoke: contained (structured failure, batch completed)");
-        ExitCode::SUCCESS
+        writeln!(
+            out,
+            "panic smoke: contained (structured failure, batch completed)"
+        )?;
+        Ok(ExitCode::SUCCESS)
     } else {
-        println!(
+        writeln!(
+            out,
             "panic smoke: FAILED (crash contained: {crash_contained}, neighbors ok: {neighbors_ok})"
-        );
-        ExitCode::FAILURE
+        )?;
+        Ok(ExitCode::FAILURE)
     }
 }
 
@@ -131,12 +137,12 @@ pub const COMMAND: Command = Command {
         }
         let plan = cli::fault_plan("--plan", &plan)?;
         if smoke {
-            return Ok(Box::new(panic_smoke));
+            return Ok(Box::new(|out, _| panic_smoke(out)));
         }
-        Ok(Box::new(move || {
+        Ok(Box::new(move |out, err| {
             let computed = sweep(plan);
-            print!("{}", computed.data);
-            report::finish(&computed.failures)
+            out.write_all(computed.data.as_bytes())?;
+            Ok(report::finish(err, &computed.failures))
         }))
     },
 };

@@ -34,7 +34,8 @@ pub const FAULT_PLAN_ENV: &str = "HCC_FAULT_PLAN";
 
 /// Environment variable switching the virtual-time metrics plane on for
 /// every figure config (`HCC_METRICS=1`). Metrics only observe — figure
-/// stdout is byte-identical either way (tier-2 asserts this) — but
+/// stdout is byte-identical either way (`summary` is held to its golden
+/// with the plane on, in `crates/bench/tests/process_switches.rs`) — but
 /// obs-enabled runs additionally carry queue/occupancy snapshots that
 /// `hcc_lab obs` and the Perfetto export surface.
 pub const METRICS_ENV: &str = "HCC_METRICS";
@@ -277,14 +278,14 @@ pub const COMMAND: Command = Command {
         [--functional]",
     parse: |args| {
         let selection = Selection::parse(args)?;
-        Ok(Box::new(move || {
+        Ok(Box::new(move |out, err| {
             let mut failures = Vec::new();
             for figure in selection.figures {
                 let computed = figure.render(selection.functional);
-                print!("{}", computed.data);
+                out.write_all(computed.data.as_bytes())?;
                 failures.extend(computed.failures);
             }
-            report::finish(&failures)
+            Ok(report::finish(err, &failures))
         }))
     },
 };

@@ -165,10 +165,10 @@ pub const COMMAND: Command = Command {
     usage: "usage: hcc_lab sensitivity",
     parse: |args| {
         args.end()?;
-        Ok(Box::new(|| {
+        Ok(Box::new(|out, err| {
             let computed = render();
-            print!("{}", computed.data);
-            report::finish(&computed.failures)
+            out.write_all(computed.data.as_bytes())?;
+            Ok(report::finish(err, &computed.failures))
         }))
     },
 };

@@ -227,15 +227,15 @@ pub const COMMAND: Command = Command {
     usage: "usage: hcc_lab summary [--json <path>]",
     parse: |args| {
         let json_path = cli::json_flag(args)?;
-        Ok(Box::new(move || {
+        Ok(Box::new(move |out, err| {
             let summary = render();
-            print!("{}", summary.data);
+            out.write_all(summary.data.as_bytes())?;
             let mut failures = summary.failures;
             // Written last, so the engine self-profile covers every batch.
             if let Some(path) = json_path {
-                cli::write_json_or_exit(&path, |out| bench_summary(out, &mut failures));
+                cli::write_json_file(&path, |out| bench_summary(out, &mut failures))?;
             }
-            report::finish(&failures)
+            Ok(report::finish(err, &failures))
         }))
     },
 };

@@ -1,11 +1,18 @@
 //! `hcc_lab`, the lab's one command-line front door: every table,
 //! figure, soak and report is a [`Command`] declared next to the code it
 //! drives. Its parser reads the arguments through [`crate::cli`] and
-//! hands back the work as a [`Run`] without starting it. [`main`] is the
+//! hands back the work as a [`Run`] without starting it. [`run`] is the
 //! one place that reports a refusal — `hcc_lab <sub>: <error>`, then the
 //! usage line, on stderr, and exit status 2 — a malformed
 //! `HCC_ENGINE_THREADS` or `HCC_FAULT_PLAN` included.
+//!
+//! It owns the process's output too: a [`Run`] writes only to the
+//! stdout and stderr it is handed. [`main`] hands it the real ones, a
+//! test hands it buffers. A closed stdout ends the run quietly with
+//! status 0 (`hcc_lab figures | head -1`); any other failed write is
+//! reported on stderr with status 1.
 
+use std::io::{self, ErrorKind, Write};
 use std::process::ExitCode;
 
 use hcc_core::{CcReport, PerfModel, PhaseBreakdown};
@@ -17,8 +24,10 @@ use hcc_workloads::{parse_workload, runner, suites, WorkloadSpec};
 use crate::cli::{self, Args, CliError};
 use crate::{chaos, explain, faults, figures, obs, serving, watch};
 
-/// A subcommand's work, parsed and not yet started.
-pub type Run = Box<dyn FnOnce() -> ExitCode>;
+/// A subcommand's work, parsed and not yet started: it writes its
+/// report to the first writer (stdout) and its diagnostics to the second
+/// (stderr), and returns the exit status, or the write that failed.
+pub type Run = Box<dyn FnOnce(&mut dyn Write, &mut dyn Write) -> io::Result<ExitCode>>;
 
 /// One subcommand of the front door.
 #[derive(Debug, Clone, Copy)]
@@ -44,7 +53,7 @@ pub static COMMANDS: [Command; 16] = [
         usage: "usage: hcc_lab list",
         parse: |args| {
             args.end()?;
-            Ok(Box::new(list))
+            Ok(Box::new(|out, _| list(out)))
         },
     },
     Command {
@@ -53,7 +62,7 @@ pub static COMMANDS: [Command; 16] = [
     },
     Command {
         usage: "usage: hcc_lab report <app>",
-        parse: |args| app_command(args, false, |spec, _| report(spec)),
+        parse: |args| app_command(args, false, |spec, _, out, _| report(spec, out)),
     },
     Command {
         usage: "usage: hcc_lab deck <file> [--cc|--report]",
@@ -61,11 +70,11 @@ pub static COMMANDS: [Command; 16] = [
     },
     Command {
         usage: "usage: hcc_lab trace <app> [--cc]",
-        parse: |args| app_command(args, true, trace),
+        parse: |args| app_command(args, true, |spec, cc, out, _| trace(spec, cc, out)),
     },
     Command {
         usage: "usage: hcc_lab chrome <app> [--cc]",
-        parse: |args| app_command(args, true, chrome),
+        parse: |args| app_command(args, true, |spec, cc, out, _| chrome(spec, cc, out)),
     },
     figures::summary::COMMAND,
     figures::COMMAND,
@@ -104,29 +113,59 @@ pub fn parse(args: &mut Args) -> Result<Run, Refusal> {
     (command.parse)(args).map_err(refused)
 }
 
-/// Runs the subcommand `argv` names (program name excluded), or reports
-/// why not and exits 2.
+/// Runs the subcommand `argv` names (program name excluded) with the
+/// process's stdout and stderr: [`run`].
 pub fn main(argv: impl IntoIterator<Item = String>) -> ExitCode {
-    match parse(&mut Args::new(argv)) {
-        Ok(run) => run(),
-        Err((Some(c), e)) => cli::refuse(&format!("hcc_lab {}", c.name()), c.usage, &e),
-        Err((None, e)) => cli::refuse("hcc_lab", &usage(), &e),
+    run(argv, &mut io::stdout().lock(), &mut io::stderr().lock())
+}
+
+/// Runs the subcommand `argv` names (program name excluded), writing its
+/// report to `out` and its diagnostics to `err`, or reports why not and
+/// exits 2. A write that fails ends the run: quietly with status 0 when
+/// the reader went away (`BrokenPipe`), otherwise with status 1 after
+/// `hcc_lab <sub>: <error>` (or `cannot write <path>: <error>` for a
+/// side file) on `err`.
+pub fn run(
+    argv: impl IntoIterator<Item = String>,
+    out: &mut dyn Write,
+    err: &mut dyn Write,
+) -> ExitCode {
+    let argv: Vec<String> = argv.into_iter().collect();
+    let work = match parse(&mut Args::new(argv.iter().cloned())) {
+        Ok(work) => work,
+        Err((Some(c), e)) => {
+            return cli::refuse(err, &format!("hcc_lab {}", c.name()), c.usage, &e);
+        }
+        Err((None, e)) => return cli::refuse(err, "hcc_lab", &usage(), &e),
+    };
+    match work(out, err).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            let file = e.get_ref().is_some_and(|e| e.is::<cli::WriteError>());
+            let _ = if file {
+                writeln!(err, "{e}")
+            } else {
+                writeln!(err, "hcc_lab {}: {e}", argv[0])
+            };
+            ExitCode::FAILURE
+        }
     }
 }
 
-/// Reports a failure on stderr: exit status 1.
-fn fail(message: String) -> ExitCode {
-    eprintln!("{message}");
-    ExitCode::FAILURE
+/// Reports a failure on `err`, best effort: exit status 1.
+fn fail(err: &mut dyn Write, message: String) -> io::Result<ExitCode> {
+    let _ = writeln!(err, "{message}");
+    Ok(ExitCode::FAILURE)
 }
+
+/// What an app subcommand does with the app: its spec, the CC mode,
+/// stdout and stderr.
+type AppBody = fn(&WorkloadSpec, CcMode, &mut dyn Write, &mut dyn Write) -> io::Result<ExitCode>;
 
 /// `<app>`, then `--cc` when `takes_cc`: the work runs `body` on the
 /// named suite app (or its UVM variant).
-fn app_command(
-    args: &mut Args,
-    takes_cc: bool,
-    body: fn(&WorkloadSpec, CcMode) -> ExitCode,
-) -> Result<Run, CliError> {
+fn app_command(args: &mut Args, takes_cc: bool, body: AppBody) -> Result<Run, CliError> {
     let app = args.value("<app>")?;
     let mut cc = CcMode::Off;
     for flag in args.by_ref() {
@@ -135,10 +174,10 @@ fn app_command(
             _ => return Err(CliError::Unknown { arg: flag }),
         }
     }
-    Ok(Box::new(move || {
+    Ok(Box::new(move |out, err| {
         match suites::by_name(&app).or_else(|| suites::uvm_variant(&app)) {
-            Some(spec) => body(&spec, cc),
-            None => fail(format!("unknown app '{app}' — try `hcc_lab list`")),
+            Some(spec) => body(&spec, cc, out, err),
+            None => fail(err, format!("unknown app '{app}' — try `hcc_lab list`")),
         }
     }))
 }
@@ -154,81 +193,90 @@ fn deck(args: &mut Args) -> Result<Run, CliError> {
             _ => return Err(CliError::Unknown { arg: flag }),
         }
     }
-    Ok(Box::new(move || {
+    Ok(Box::new(move |out, err| {
         let text = match std::fs::read_to_string(&path) {
             Ok(text) => text,
-            Err(e) => return fail(format!("cannot read {path}: {e}")),
+            Err(e) => return fail(err, format!("cannot read {path}: {e}")),
         };
         match parse_workload(&text) {
-            Ok(spec) if with_report => report(&spec),
-            Ok(spec) => run_and_print(&spec, cc),
-            Err(e) => fail(format!("{path}: {e}")),
+            Ok(spec) if with_report => report(&spec, out),
+            Ok(spec) => run_and_print(&spec, cc, out, err),
+            Err(e) => fail(err, format!("{path}: {e}")),
         }
     }))
 }
 
-fn list() -> ExitCode {
-    println!(
+fn list(out: &mut dyn Write) -> io::Result<ExitCode> {
+    writeln!(
+        out,
         "{:<16} {:<10} {:>9} {:>10} {:>6}",
         "app", "suite", "launches", "copies", "uvm"
-    );
+    )?;
     for spec in suites::all() {
-        println!(
+        writeln!(
+            out,
             "{:<16} {:<10} {:>9} {:>10} {:>6}",
             spec.name,
             spec.suite.to_string(),
             spec.launch_count(),
             spec.copy_bytes().to_string(),
             spec.uvm,
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "\nUVM variants (for `run`/`report`): {}",
         suites::UVM_VARIANT_APPS.join(", ")
-    );
-    ExitCode::SUCCESS
+    )?;
+    Ok(ExitCode::SUCCESS)
 }
 
-fn run_and_print(spec: &WorkloadSpec, cc: CcMode) -> ExitCode {
+fn run_and_print(
+    spec: &WorkloadSpec,
+    cc: CcMode,
+    out: &mut dyn Write,
+    err: &mut dyn Write,
+) -> io::Result<ExitCode> {
     let r = match runner::run(spec, SimConfig::new(cc)) {
         Ok(r) => r,
-        Err(e) => return fail(format!("run failed: {e}")),
+        Err(e) => return fail(err, format!("run failed: {e}")),
     };
     let breakdown = PhaseBreakdown::from_timeline(&r.timeline);
     let fitted = PerfModel::fit(&r.timeline);
-    println!("{} [{}]", spec.name, cc);
-    println!("  {breakdown}");
-    println!("  [{}]", breakdown.render_bar(60));
-    println!(
+    writeln!(out, "{} [{}]", spec.name, cc)?;
+    writeln!(out, "  {breakdown}")?;
+    writeln!(out, "  [{}]", breakdown.render_bar(60))?;
+    writeln!(
+        out,
         "  alpha={:.2} beta={:.2} | hypercalls={} | uvm faults={}",
         fitted.model.alpha, fitted.model.beta, r.td.hypercalls, r.uvm.faults
-    );
-    ExitCode::SUCCESS
+    )?;
+    Ok(ExitCode::SUCCESS)
 }
 
-fn report(spec: &WorkloadSpec) -> ExitCode {
+fn report(spec: &WorkloadSpec, out: &mut dyn Write) -> io::Result<ExitCode> {
     let base = runner::run(spec, SimConfig::new(CcMode::Off)).expect("base run");
     let cc = runner::run(spec, SimConfig::new(CcMode::On)).expect("cc run");
     let report = CcReport::generate(spec.name, &base.timeline, &cc.timeline);
-    print!("{}", report.to_markdown());
-    ExitCode::SUCCESS
+    out.write_all(report.to_markdown().as_bytes())?;
+    Ok(ExitCode::SUCCESS)
 }
 
-fn trace(spec: &WorkloadSpec, cc: CcMode) -> ExitCode {
+fn trace(spec: &WorkloadSpec, cc: CcMode, out: &mut dyn Write) -> io::Result<ExitCode> {
     let r = runner::run(spec, SimConfig::new(cc)).expect("run");
     for event in r.timeline.events() {
-        println!("{}", event.to_json_string());
+        writeln!(out, "{}", event.to_json_string())?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn chrome(spec: &WorkloadSpec, cc: CcMode) -> ExitCode {
+fn chrome(spec: &WorkloadSpec, cc: CcMode, out: &mut dyn Write) -> io::Result<ExitCode> {
     let cfg = SimConfig::new(cc).with_metrics(true).with_causal(true);
     let r = runner::run(spec, cfg).expect("run");
     let mut export = hcc_trace::ChromeExport::new().with_causal(&r.causal);
     if let Some(set) = r.metrics.as_ref() {
         export = export.with_metrics(set);
     }
-    print!("{}", export.render(&r.timeline));
-    ExitCode::SUCCESS
+    out.write_all(export.render(&r.timeline).as_bytes())?;
+    Ok(ExitCode::SUCCESS)
 }

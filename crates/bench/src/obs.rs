@@ -145,8 +145,14 @@ fn soak_snapshots(serve: bool, storm: bool) -> Vec<(String, SimTime, MetricsSet)
 /// The per-scenario table, then with `serve` / `storm` the soak
 /// snapshots, then the trailers. With `json` every snapshot is written
 /// there as one JSON array (the scenarios, then the soaks); with `prom`
-/// the hottest scenario's Prometheus text page.
-pub fn render(serve: bool, storm: bool, json: Option<&str>, prom: Option<&str>) -> String {
+/// the hottest scenario's Prometheus text page; a file that cannot be
+/// written is the error ([`cli::WriteError`]).
+pub fn render(
+    serve: bool,
+    storm: bool,
+    json: Option<&str>,
+    prom: Option<&str>,
+) -> std::io::Result<String> {
     let mut out = report::section("observability — queue depth & saturation per scenario");
     out.push_str(
         "app              mode ring.pk ring.mean  cmp.pk  cmp.mean  uvm.pk  uvm.mean  saturated\n",
@@ -268,7 +274,7 @@ pub fn render(serve: bool, storm: bool, json: Option<&str>, prom: Option<&str>) 
     }
 
     if let Some(path) = json {
-        cli::write_json_or_exit(path, |out| {
+        cli::write_json_file(path, |out| {
             out.arr(|o| {
                 for (scenario, hot, set) in &json_rows {
                     o.obj(|o| {
@@ -285,17 +291,17 @@ pub fn render(serve: bool, storm: bool, json: Option<&str>, prom: Option<&str>) 
                     });
                 }
             });
-        });
+        })?;
     }
     if let Some(path) = prom {
-        cli::write_or_exit(
+        cli::write_file(
             path,
             worst
                 .map(|(_, _, set)| to_prometheus(set))
                 .unwrap_or_default(),
-        );
+        )?;
     }
-    out
+    Ok(out)
 }
 
 /// `hcc_lab obs`: [`render`]'s report and its exports.
@@ -314,12 +320,10 @@ pub const COMMAND: Command = Command {
                 _ => return Err(CliError::Unknown { arg: flag }),
             }
         }
-        Ok(Box::new(move || {
-            print!(
-                "{}",
-                render(serve, storm, json_path.as_deref(), prom_path.as_deref())
-            );
-            report::finish(&[])
+        Ok(Box::new(move |out, err| {
+            let text = render(serve, storm, json_path.as_deref(), prom_path.as_deref())?;
+            out.write_all(text.as_bytes())?;
+            Ok(report::finish(err, &[]))
         }))
     },
 };

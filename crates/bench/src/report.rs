@@ -1,7 +1,8 @@
 //! Small output helpers shared by the figure renderers: section headers,
 //! ratio cells and failure lines, all written into the report text.
 
-use std::fmt::Write;
+use std::fmt::Write as _;
+use std::io::Write;
 use std::process::ExitCode;
 
 use crate::engine::ScenarioFailure;
@@ -30,35 +31,36 @@ pub fn failure_lines(out: &mut String, failures: &[ScenarioFailure]) {
     }
 }
 
-/// The tail of every report subcommand: the engine statistics on stderr
-/// when the engine served a lookup (they carry wall-clock times, so
-/// stdout stays byte-identical across `HCC_ENGINE_THREADS` settings),
-/// then the exit status — success when no scenario failed, otherwise 1
-/// after a count and the failures on stderr, so CI catches partial
-/// reports. The per-row `!! label: error`
-/// lines are expected to have been rendered already (via
-/// [`failure_lines`]).
-pub fn finish(failures: &[ScenarioFailure]) -> ExitCode {
-    crate::engine::emit_stats();
+/// The tail of every report subcommand: the engine statistics on
+/// `stderr` when the engine served a lookup (they carry wall-clock
+/// times, so stdout stays byte-identical across `HCC_ENGINE_THREADS`
+/// settings), then the exit status — success when no scenario failed,
+/// otherwise 1 after a count and the failures on `stderr`, so a caller
+/// catches partial reports. The per-row `!! label: error` lines are
+/// expected to have been rendered already (via [`failure_lines`]).
+/// Diagnostics are best effort: a failed write to `stderr` leaves the
+/// status as it is.
+pub fn finish(stderr: &mut dyn Write, failures: &[ScenarioFailure]) -> ExitCode {
+    crate::engine::emit_stats(stderr);
     if failures.is_empty() {
         return ExitCode::SUCCESS;
     }
-    eprintln!("{} scenario(s) failed:", failures.len());
+    let _ = writeln!(stderr, "{} scenario(s) failed:", failures.len());
     for f in failures {
-        eprintln!("  {f}");
+        let _ = writeln!(stderr, "  {f}");
     }
     ExitCode::FAILURE
 }
 
-/// The tail of a soak subcommand: the engine statistics on stderr (as
-/// [`finish`] prints them), then failure after `<sub>: <check>` on
-/// stderr when `broken` names a broken check.
-pub fn soak_status(sub: &str, broken: Option<&str>) -> ExitCode {
-    crate::engine::emit_stats();
+/// The tail of a soak subcommand: the engine statistics on `stderr` (as
+/// [`finish`] writes them), then failure after `<sub>: <check>` on
+/// `stderr` when `broken` names a broken check.
+pub fn soak_status(stderr: &mut dyn Write, sub: &str, broken: Option<&str>) -> ExitCode {
+    crate::engine::emit_stats(stderr);
     let Some(check) = broken else {
         return ExitCode::SUCCESS;
     };
-    eprintln!("{sub}: {check}");
+    let _ = writeln!(stderr, "{sub}: {check}");
     ExitCode::FAILURE
 }
 

@@ -72,7 +72,8 @@ pub struct Outcome {
     pub completion: SimTime,
     /// GPU the batch ran on (0 for rejections).
     pub gpu: u32,
-    /// Size of the device batch the request rode in.
+    /// Size of the device batch the request rode in (for a rejection,
+    /// of the batch the scheduler dequeued it in).
     pub batch: u16,
     /// Whether admission was a cold start (paid the SPDM handshake).
     pub cold: bool,
@@ -125,14 +126,15 @@ pub enum Record<'s> {
 /// time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantSums {
-    /// Requests rejected because their batch's shape fails.
+    /// Requests rejected because their own shape fails.
     pub rejected: u64,
     /// Σ (completion − dispatch) over admitted requests: each batch's
     /// service time times its size.
     pub service: SimDuration,
     /// Σ each admitted request's own solo shape time. A batch runs for
-    /// its head's shape, but a follower may ride another (a chaos storm
-    /// shape); one whose own shape fails adds nothing.
+    /// its head's shape, but a follower may ride another working shape
+    /// (a chaos storm shape); one whose own shape fails is rejected, not
+    /// admitted.
     pub shape: SimDuration,
     /// Σ admission charges (SPDM setup + doorbells) of admitted requests.
     pub admission: SimDuration,
@@ -438,7 +440,9 @@ impl<'a> Recovery<'a> {
 /// device time of its scenario, or the error a deterministic failure
 /// produced (those requests are rejected at dispatch, never losing
 /// conservation: every admitted request either completes or rejects
-/// exactly once). A batch runs for its head request's shape.
+/// exactly once). Each member of a dequeued batch is judged by its own
+/// shape: the failing ones are rejected, and the working ones run as
+/// the batch for the shape of the first of them.
 ///
 /// The loop records nothing beyond the returned [`ClusterRun`] and, under
 /// [`Record::Samples`], the lent samples: the observation planes
@@ -520,10 +524,10 @@ pub fn simulate(
     loop {
         // Dispatch everything we can at the current instant.
         while !idle.is_empty() && queue.next_batch(requests, &mut batch) {
-            let size = batch.len() as u16;
+            let dequeued = batch.len() as u16;
             queued -= batch.len();
             if let Some(g) = gauges.as_mut() {
-                g.queue.add(now, -i64::from(size));
+                g.queue.add(now, -i64::from(dequeued));
             }
             let tenant = requests[batch[0] as usize].tenant as usize;
             debug_assert!(
@@ -532,28 +536,34 @@ pub fn simulate(
                     .all(|&i| requests[i as usize].tenant as usize == tenant),
                 "a batch is single-tenant"
             );
-            let shape = match shapes.service(batch[0] as usize) {
-                Ok(p) => *p,
-                Err(_) => {
-                    // The whole batch shares the failing shape: reject it
-                    // without occupying a device.
-                    sums[tenant].rejected += u64::from(size);
-                    if samples.is_none() {
-                        for &i in &batch {
-                            let i = i as usize;
-                            debug_assert_eq!(outcomes[i].batch, 0, "request {i} settles once");
-                            outcomes[i] = Outcome {
-                                dispatch: now,
-                                completion: now,
-                                batch: size,
-                                rejected: true,
-                                ..placeholder
-                            };
-                        }
-                    }
-                    continue;
+            // Each member is judged by its own shape: one that fails is
+            // rejected here without occupying a device, and the rest run
+            // as the batch, led by the first of them.
+            let (mut head_shape, mut shape_sum) = (None, SimDuration::ZERO);
+            batch.retain(|&i| match shapes.service(i as usize) {
+                Ok(p) => {
+                    head_shape.get_or_insert(*p);
+                    shape_sum += *p;
+                    true
                 }
-            };
+                Err(_) => {
+                    sums[tenant].rejected += 1;
+                    if samples.is_none() {
+                        let i = i as usize;
+                        debug_assert_eq!(outcomes[i].batch, 0, "request {i} settles once");
+                        outcomes[i] = Outcome {
+                            dispatch: now,
+                            completion: now,
+                            batch: dequeued,
+                            rejected: true,
+                            ..placeholder
+                        };
+                    }
+                    false
+                }
+            });
+            let Some(shape) = head_shape else { continue };
+            let size = batch.len() as u16;
             let gpu = idle.take_lowest();
             // Only the head can be cold: the batch is single-tenant, so
             // its followers find the tenant admitted on this device.
@@ -570,12 +580,6 @@ pub fn simulate(
             in_flight[gpu] += u32::from(size);
             if let Some(g) = gauges.as_mut() {
                 g.gpu[gpu].occupy_n(now, done, i64::from(size));
-            }
-            let mut shape_sum = shape;
-            for &i in &batch[1..] {
-                if let Ok(p) = shapes.service(i as usize) {
-                    shape_sum += *p;
-                }
             }
             let s = &mut sums[tenant];
             s.service += service_time * u64::from(size);

@@ -341,14 +341,14 @@ pub const COMMAND: Command = Command {
                 _ => return Err(CliError::Unknown { arg: flag }),
             }
         }
-        Ok(Box::new(move || {
+        Ok(Box::new(move |out, err| {
             cfg.tenants = default_tenants(tenant_count);
             let engine = crate::engine::global();
             let wall = std::time::Instant::now();
             let report = run(&cfg, engine);
             let elapsed = wall.elapsed();
 
-            print!("{}", report.render());
+            out.write_all(report.render().as_bytes())?;
 
             if let Some(path) = json_path {
                 let bench = [
@@ -356,11 +356,15 @@ pub const COMMAND: Command = Command {
                     ("shapes_simulated", engine.stats().scenarios_run),
                     ("wall_ms", elapsed.as_millis() as u64),
                 ];
-                cli::write_bench_json(&path, &bench, "report", &report);
+                cli::write_bench_json(&path, &bench, "report", &report)?;
             }
 
             let broken = "a run violated a structural invariant";
-            crate::report::soak_status("serve", (!report.healthy()).then_some(broken))
+            Ok(crate::report::soak_status(
+                err,
+                "serve",
+                (!report.healthy()).then_some(broken),
+            ))
         }))
     },
 };

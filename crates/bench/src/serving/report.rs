@@ -4,8 +4,9 @@
 //! per-tenant latency/wait tails and the cluster-level utilization and
 //! throughput figures — all measured on the virtual clock, so the text
 //! rendering is byte-identical across engine thread counts. The trailer
-//! lines state the two invariants CI greps for: request conservation and
-//! the CC-on vs CC-off p99 SLO ordering.
+//! lines state two invariants, request conservation and the CC-on vs
+//! CC-off p99 SLO ordering, which `tests/serving_slo.rs` asserts on
+//! `hcc_lab serve`'s default soak.
 
 use hcc_tee::TdCounters;
 use hcc_trace::Tail;
@@ -35,8 +36,8 @@ pub struct TenantStats {
     pub wait_total: SimDuration,
     /// Σ (completion − dispatch) over completed requests.
     pub service_total: SimDuration,
-    /// Σ each completed request's own solo shape time (nothing for a
-    /// batch follower whose own shape fails: it rode its head's).
+    /// Σ each completed request's own solo shape time (a request whose
+    /// own shape fails is rejected, never completed).
     pub shape_total: SimDuration,
     /// Σ admission charges (SPDM setup + doorbells) of completed requests.
     pub admission_total: SimDuration,

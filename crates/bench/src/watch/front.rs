@@ -10,6 +10,7 @@
 //! means the soak violated a structural invariant (for `why` also a
 //! span-identity violation or an unknown request or incident).
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -36,14 +37,19 @@ fn parse_soak(
     Ok(soak)
 }
 
-/// Runs `canonical` on the global engine, then prints `title` and the
-/// soak line (`util` adds the calm soak's target utilization): the
-/// observed soak and its wall time.
-fn replay(canonical: &Canonical, title: &str, util: bool) -> (Observed, Duration) {
+/// Runs `canonical` on the global engine, then writes `title` and the
+/// soak line to `out` (`util` adds the calm soak's target utilization):
+/// the observed soak and its wall time.
+fn replay(
+    canonical: &Canonical,
+    title: &str,
+    util: bool,
+    out: &mut dyn Write,
+) -> io::Result<(Observed, Duration)> {
     let wall = Instant::now();
     let soak = canonical.run(engine::global());
     let elapsed = wall.elapsed();
-    println!("=== {title} ===");
+    writeln!(out, "=== {title} ===")?;
     match canonical {
         Soak::Calm(cfg) => {
             let util = if util {
@@ -51,17 +57,19 @@ fn replay(canonical: &Canonical, title: &str, util: bool) -> (Observed, Duration
             } else {
                 String::new()
             };
-            println!(
+            writeln!(
+                out,
                 "soak serve | requests {} | gpus {}{util} | scheduler {} | seed {:#x}",
                 cfg.requests, cfg.gpus, cfg.schedulers[0], cfg.seed,
-            );
+            )?;
         }
-        Soak::Stormy(cfg) => println!(
+        Soak::Stormy(cfg) => writeln!(
+            out,
             "soak chaos | requests {} | days {} | gpus {} | profile {} | policy {} | seed {:#x}",
             cfg.requests, cfg.days, cfg.gpus, cfg.profiles[0].name, cfg.policies[0], cfg.seed,
-        ),
+        )?,
     }
-    (soak, elapsed)
+    Ok((soak, elapsed))
 }
 
 const UNHEALTHY: &str = "underlying soak violated a structural invariant";
@@ -106,13 +114,13 @@ fn watch(args: &mut Args) -> Result<Run, CliError> {
             "slo watchtower: chaos-shaped soak"
         }
     };
-    Ok(Box::new(move || {
-        let (soak, elapsed) = replay(&canonical, title, true);
+    Ok(Box::new(move |out, err| {
+        let (soak, elapsed) = replay(&canonical, title, true, out)?;
         let watched = soak.watch.as_ref().expect("watch plane enabled");
-        print!("{}", watched.render());
+        out.write_all(watched.render().as_bytes())?;
 
         if let Some(path) = prom_path {
-            cli::write_or_exit(&path, watched.to_prometheus());
+            cli::write_file(&path, watched.to_prometheus())?;
         }
         if let Some(path) = json_path {
             let bench = [
@@ -126,10 +134,14 @@ fn watch(args: &mut Args) -> Result<Run, CliError> {
                 ("storm_correlated", watched.storm_correlated() as u64),
                 ("wall_ms", elapsed.as_millis() as u64),
             ];
-            cli::write_bench_json(&path, &bench, "watch", watched);
+            cli::write_bench_json(&path, &bench, "watch", watched)?;
         }
 
-        report::soak_status("watch", (!soak.healthy).then_some(UNHEALTHY))
+        Ok(report::soak_status(
+            err,
+            "watch",
+            (!soak.healthy).then_some(UNHEALTHY),
+        ))
     }))
 }
 
@@ -176,51 +188,55 @@ fn incident_line(watch: &WatchReport, inc: &Incident) -> String {
     )
 }
 
-/// The page's body: one request's waterfall, one incident's forensics,
-/// or (neither asked for) the incident list and the worst exemplars.
-/// `false` when the asked-for request or incident is unknown.
+/// The page's body, written to `out`: one request's waterfall, one
+/// incident's forensics, or (neither asked for) the incident list and
+/// the worst exemplars. `false` when the asked-for request or incident
+/// is unknown.
 fn why_body(
     flight: &FlightLog,
     watch: Option<&WatchReport>,
     request: Option<u32>,
     incident: Option<usize>,
-) -> bool {
+    out: &mut dyn Write,
+) -> io::Result<bool> {
     if let Some(req) = request {
         let Some(sample) = flight.find(req) else {
-            println!(
+            writeln!(
+                out,
                 "request #{req} was not kept by the sampler \
                  (raise HCC_FLIGHT_WORST / HCC_FLIGHT_RESERVOIR or widen the window)"
-            );
-            return false;
+            )?;
+            return Ok(false);
         };
-        print!("{}", flight.render_against_p50(sample));
+        out.write_all(flight.render_against_p50(sample).as_bytes())?;
     } else if let Some(id) = incident {
         let found = watch.and_then(|w| Some((w, w.incidents.iter().find(|i| i.id == id)?)));
         let Some((watch, inc)) = found else {
-            println!("incident #{id} not found in the watch report");
-            return false;
+            writeln!(out, "incident #{id} not found in the watch report")?;
+            return Ok(false);
         };
-        println!("{}", incident_line(watch, inc));
+        writeln!(out, "{}", incident_line(watch, inc))?;
         match inc.exemplars.first().and_then(|r| flight.find(*r)) {
-            Some(worst) => print!("{}", flight.render_against_p50(worst)),
-            None => println!("  (no exemplar settled inside the incident span)"),
+            Some(worst) => out.write_all(flight.render_against_p50(worst).as_bytes())?,
+            None => writeln!(out, "  (no exemplar settled inside the incident span)")?,
         }
     } else {
         if let Some(watch) = watch {
             if watch.incidents.is_empty() {
-                println!("incidents: (none)");
+                writeln!(out, "incidents: (none)")?;
             } else {
-                println!("incidents:");
+                writeln!(out, "incidents:")?;
                 for inc in &watch.incidents {
-                    println!("{}", incident_line(watch, inc));
+                    writeln!(out, "{}", incident_line(watch, inc))?;
                 }
             }
         }
         let mut tails: Vec<_> = flight.samples.iter().filter(|s| s.tail).collect();
         tails.sort_by_key(|s| (std::cmp::Reverse(s.latency()), s.skeleton.req));
-        println!("tail exemplars (worst kept, use --request <id>):");
+        writeln!(out, "tail exemplars (worst kept, use --request <id>):")?;
         for s in tails.iter().take(10) {
-            println!(
+            writeln!(
+                out,
                 "  #{:<8} w{:<6} latency {:>12} | tenant {} | gpu {} | {}",
                 s.skeleton.req,
                 s.window,
@@ -228,10 +244,10 @@ fn why_body(
                 s.skeleton.tenant,
                 s.skeleton.gpu,
                 if s.skeleton.cold { "cold spdm" } else { "warm" },
-            );
+            )?;
         }
     }
-    true
+    Ok(true)
 }
 
 fn why(args: &mut Args) -> Result<Run, CliError> {
@@ -249,30 +265,32 @@ fn why(args: &mut Args) -> Result<Run, CliError> {
         Ok(true)
     })?;
     let canonical = soak.canonical()?.with_flight(Some(cli::flight_from_env()?));
-    Ok(Box::new(move || {
-        let (soak, elapsed) = replay(&canonical, "why: request flight forensics", false);
+    Ok(Box::new(move |out, err| {
+        let (soak, elapsed) = replay(&canonical, "why: request flight forensics", false, out)?;
         let flight = soak.flight.as_ref().expect("flight plane enabled");
-        println!(
+        writeln!(
+            out,
             "flight | window {}ms | worst {} | reservoir {} | seed {:#x}",
             flight.cfg.window.as_nanos() / 1_000_000,
             flight.cfg.worst,
             flight.cfg.reservoir,
             flight.cfg.seed,
-        );
-        let found = why_body(flight, soak.watch.as_ref(), request, incident);
+        )?;
+        let found = why_body(flight, soak.watch.as_ref(), request, incident, out)?;
 
         let identity = flight.identity_holds();
-        println!(
+        writeln!(
+            out,
             "flight: requests {} | windows {} | kept {} | bound {} | span-identity {}",
             flight.recorded,
             flight.windows,
             flight.kept_entries,
             flight.entry_bound(),
             if identity { "OK" } else { "VIOLATED" },
-        );
+        )?;
 
         if let Some(path) = chrome_path {
-            cli::write_or_exit(&path, ChromeExport::render_flight(flight));
+            cli::write_file(&path, ChromeExport::render_flight(flight))?;
         }
         if let Some(path) = prom_path {
             let mut set = MetricsSet::new();
@@ -280,10 +298,10 @@ fn why(args: &mut Args) -> Result<Run, CliError> {
                 "request.latency",
                 Histogram::from_durations(flight.samples.iter().map(|s| s.latency())),
             );
-            cli::write_or_exit(
+            cli::write_file(
                 &path,
                 to_prometheus_with_exemplars(&set, &flight.exemplar_points()),
-            );
+            )?;
         }
         if let Some(path) = json_path {
             // Flight-off replay of the identical soak for the overhead
@@ -301,7 +319,7 @@ fn why(args: &mut Args) -> Result<Run, CliError> {
                 ("wall_ms_flight_on", elapsed.as_millis() as u64),
                 ("wall_ms_flight_off", off_elapsed.as_millis() as u64),
             ];
-            cli::write_bench_json(&path, &bench, "flight", flight);
+            cli::write_bench_json(&path, &bench, "flight", flight)?;
         }
 
         let broken = match (soak.healthy, identity) {
@@ -309,10 +327,8 @@ fn why(args: &mut Args) -> Result<Run, CliError> {
             (_, false) => Some("span-identity violated in the flight log"),
             _ => None,
         };
-        match report::soak_status("why", broken) {
-            // An unknown request or incident was already reported.
-            ok if found => ok,
-            _ => ExitCode::FAILURE,
-        }
+        let status = report::soak_status(err, "why", broken);
+        // An unknown request or incident was already reported.
+        Ok(if found { status } else { ExitCode::FAILURE })
     }))
 }

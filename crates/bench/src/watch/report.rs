@@ -4,7 +4,8 @@
 //!
 //! Everything rendered here is a deterministic function of virtual-time
 //! figures, so the text is byte-identical across `HCC_ENGINE_THREADS`
-//! (the tier-2 CI smoke diffs it at 1 vs 4 threads).
+//! (the soak matrix, `tests/perturbation`, renders it on 1- and 4-thread
+//! engines).
 
 use std::fmt::Write as _;
 

@@ -540,7 +540,7 @@ impl MetricsSet {
     }
 
     /// Total change-points across all gauges — the "did we actually
-    /// sample anything" check the CI smoke asserts on.
+    /// sample anything" check `hcc_lab obs`'s trailer reports.
     pub fn total_samples(&self) -> usize {
         self.gauges.iter().map(Series::len).sum()
     }

@@ -151,28 +151,31 @@ impl FaultPlan {
     /// directions. Empty string parses to the empty plan.
     ///
     /// # Errors
-    /// Returns a description of the first malformed token.
-    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
+    /// The first malformed token, as a [`FaultPlanError`].
+    pub fn parse(spec: &str) -> Result<FaultPlan, FaultPlanError> {
         let mut plan = FaultPlan::none();
         for tok in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
             let (key, value) = tok
                 .split_once('=')
-                .ok_or_else(|| format!("fault plan token {tok:?} is not key=value"))?;
+                .ok_or_else(|| FaultPlanError::NotKeyValue {
+                    token: tok.to_string(),
+                })?;
             let fval = || {
-                value
-                    .parse::<f64>()
-                    .map_err(|_| format!("fault plan {key}={value:?}: not a number"))
+                value.parse::<f64>().map_err(|_| FaultPlanError::NotARate {
+                    key: key.to_string(),
+                    value: value.to_string(),
+                })
             };
             match key.trim() {
                 "seed" => {
-                    plan.seed = value
-                        .parse::<u64>()
-                        .map_err(|_| format!("fault plan seed={value:?}: not a u64"))?;
+                    plan.seed = value.parse::<u64>().map_err(|_| FaultPlanError::Seed {
+                        value: value.to_string(),
+                    })?;
                 }
                 "max" => {
-                    plan.max_per_site = value
-                        .parse::<u32>()
-                        .map_err(|_| format!("fault plan max={value:?}: not a u32"))?;
+                    plan.max_per_site = value.parse::<u32>().map_err(|_| FaultPlanError::Max {
+                        value: value.to_string(),
+                    })?;
                 }
                 "gcm" => {
                     let r = fval()?;
@@ -184,12 +187,8 @@ impl FaultPlan {
                         .iter()
                         .copied()
                         .find(|s| s.name() == name)
-                        .ok_or_else(|| {
-                            let sites = FaultSite::ALL.map(FaultSite::name).join(", ");
-                            format!(
-                                "fault plan key {name:?} is not a site \
-                                 (sites: {sites}; shorthand: gcm)"
-                            )
+                        .ok_or_else(|| FaultPlanError::UnknownKey {
+                            key: name.to_string(),
                         })?;
                     plan.rates[site.index()] = fval()?;
                 }
@@ -216,6 +215,45 @@ impl Default for FaultPlan {
         FaultPlan::none()
     }
 }
+
+/// Why [`FaultPlan::parse`] refused a spec: its first malformed token.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FaultPlanError {
+    /// A token without `=`.
+    NotKeyValue { token: String },
+    /// A `seed` that is not a `u64`.
+    Seed { value: String },
+    /// A `max` that is not a `u32`.
+    Max { value: String },
+    /// A site's rate (`key` as written) that is not a number.
+    NotARate { key: String, value: String },
+    /// A key that is neither a site nor `seed`, `max` or `gcm`.
+    UnknownKey { key: String },
+}
+
+impl std::fmt::Display for FaultPlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FaultPlanError::NotKeyValue { token } => {
+                write!(f, "fault plan token {token:?} is not key=value")
+            }
+            FaultPlanError::Seed { value } => write!(f, "fault plan seed={value:?}: not a u64"),
+            FaultPlanError::Max { value } => write!(f, "fault plan max={value:?}: not a u32"),
+            FaultPlanError::NotARate { key, value } => {
+                write!(f, "fault plan {key}={value:?}: not a number")
+            }
+            FaultPlanError::UnknownKey { key } => {
+                let sites = FaultSite::ALL.map(FaultSite::name).join(", ");
+                write!(
+                    f,
+                    "fault plan key {key:?} is not a site (sites: {sites}; shorthand: gcm)"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for FaultPlanError {}
 
 impl std::fmt::Display for FaultPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -617,9 +655,60 @@ mod tests {
         assert_eq!(plan.max_per_site, 3);
         assert_eq!(FaultPlan::parse(&plan.to_string()).unwrap(), plan);
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::none());
-        assert!(FaultPlan::parse("bogus=1").is_err());
-        assert!(FaultPlan::parse("gcm").is_err());
-        assert!(FaultPlan::parse("seed=x").is_err());
+        let refused = |spec: &str| FaultPlan::parse(spec).unwrap_err();
+        assert_eq!(
+            refused("bogus=1"),
+            FaultPlanError::UnknownKey {
+                key: "bogus".into()
+            }
+        );
+        assert_eq!(
+            refused("bogus=1").to_string(),
+            "fault plan key \"bogus\" is not a site \
+             (sites: gcm_h2d, gcm_d2h, bounce, ring, uvm; shorthand: gcm)"
+        );
+        assert_eq!(
+            refused("seed=1, gcm").to_string(),
+            "fault plan token \"gcm\" is not key=value"
+        );
+        assert_eq!(
+            refused("seed=x").to_string(),
+            "fault plan seed=\"x\": not a u64"
+        );
+        assert_eq!(
+            refused("max=-1").to_string(),
+            "fault plan max=\"-1\": not a u32"
+        );
+        assert_eq!(
+            refused("ring =x").to_string(),
+            "fault plan ring =\"x\": not a number"
+        );
+    }
+
+    /// Any plan a spec can hold (finite rates in [0, 1], a site's rate
+    /// possibly zero) renders to a spec that parses back to it.
+    #[test]
+    fn rendered_plans_parse_back_to_themselves() {
+        use hcc_check::strategy::{u64s, vecs};
+        use hcc_check::{ensure_eq, forall, Config};
+        forall!(
+            Config::new(0xFA17_0035).with_cases(256),
+            ((seed, max), rates) in (
+                (u64s(0..u64::MAX), u64s(0..u64::from(u32::MAX) + 1)),
+                vecs(u64s(0..1 << 53), FaultSite::COUNT..FaultSite::COUNT + 1)
+            ) => {
+                let mut plan = FaultPlan::none().with_max_per_site(max as u32);
+                plan.seed = seed;
+                for (site, &bits) in FaultSite::ALL.into_iter().zip(&rates) {
+                    // Every fourth site stays off; the rest take a rate
+                    // in [0, 1] with all 53 bits of precision.
+                    if bits % 4 != 0 {
+                        plan = plan.with_rate(site, bits as f64 / (1u64 << 53) as f64);
+                    }
+                }
+                ensure_eq!(FaultPlan::parse(&plan.to_string()), Ok(plan.clone()));
+            }
+        );
     }
 
     #[test]

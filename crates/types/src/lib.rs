@@ -33,7 +33,9 @@ pub mod slo;
 pub mod storm;
 mod time;
 
-pub use fault::{FaultCounts, FaultInjector, FaultPlan, FaultSite, Recovery, RecoveryPolicy};
+pub use fault::{
+    FaultCounts, FaultInjector, FaultPlan, FaultPlanError, FaultSite, Recovery, RecoveryPolicy,
+};
 pub use mode::{CcMode, CopyKind, CpuModel, HostMemKind, MemSpace};
 pub use planes::Planes;
 pub use size::{Bandwidth, ByteSize};

@@ -9,7 +9,9 @@
 //! must be thread-count invariant (the soak matrix's chaos-fixture row,
 //! `perturbation`), the run must be leak-free, exactly conserving, and the
 //! fixture must exercise both verdict polarities (at least one PASS and
-//! at least one FAIL), so the SLO gate is demonstrably live.
+//! at least one FAIL), so the SLO gate is demonstrably live. The default
+//! soak `hcc_lab chaos` runs is a row of the matrix too, frozen in
+//! `tests/golden/chaos_default.txt`.
 //!
 //! To bless a deliberate change:
 //! `HCC_BLESS=1 cargo test --test chaos_soak`.
@@ -19,7 +21,7 @@ mod perturbation;
 
 use hcc_bench::chaos::{self, ChaosConfig};
 use hcc_bench::engine::ExperimentEngine;
-use hcc_types::json::ToJson;
+use hcc_bench::serving::{ModeRun, SchedulerKind};
 
 /// The frozen fixture: defaults (both storm profiles, all three
 /// policies, diurnal arrivals) narrowed to 1500 requests per cell over 3
@@ -37,11 +39,26 @@ fn fixture() -> ChaosConfig {
 /// worker threads, and the rendering matches the snapshot.
 #[test]
 fn chaos_report_matches_golden_snapshot() {
-    let (render, _) = perturbation::thread_invariant("chaos fixture", |engine| {
-        let rep = chaos::run(&fixture(), engine);
-        (rep.render(), rep.to_json_string())
-    });
-    golden::assert_matches("chaos_report.txt", &render);
+    let rep = perturbation::chaos_row("chaos fixture", &fixture());
+    golden::assert_matches("chaos_report.txt", &rep.render());
+}
+
+/// `hcc_lab chaos`'s default soak (the text behind the benchmark's
+/// storm digest) renders and exports the same on 1 and 4 engine
+/// threads, byte for byte as `tests/golden/chaos_default.txt`. Every
+/// trailer check holds and a budget verdict fails.
+#[test]
+fn default_chaos_soak_matches_its_golden() {
+    let rep = perturbation::chaos_row("default chaos soak", &ChaosConfig::default());
+    golden::assert_matches("chaos_default.txt", &rep.render());
+    let n = rep.requests_per_cell;
+    assert!(rep.every_run(ModeRun::latency_identity), "latency identity");
+    assert!(rep.every_run(|m| m.conserved(n)), "request conservation");
+    assert!(rep.fault_conserved(), "fault-ledger conservation");
+    assert!(rep.every_run(ModeRun::sessions_ok), "session ledger");
+    assert!(rep.every_run(ModeRun::gauges_drained), "gauge drain");
+    assert!(rep.leak_free(), "{:?}", rep.first_violation());
+    assert!(rep.verdict_counts().1 > 0, "no budget verdict failed");
 }
 
 /// The frozen soak is healthy (leak-free, conserving, exact latency
@@ -63,5 +80,25 @@ fn fixture_is_healthy_and_exercises_both_verdict_polarities() {
     // Every cell pushed the full trace through: no quiet cells.
     for cell in rep.cells() {
         assert!(cell.ledger.total() == fixture().requests);
+    }
+}
+
+/// Under the batching scheduler a dequeued batch can mix working and
+/// failing storm shapes. The drain judges each member by its own shape,
+/// as the fault ledger counts it, so the default soak at 20k requests
+/// stays healthy (ledger conservation included) at seeds 1–4, where
+/// rejecting a whole batch by its head's shape broke it.
+#[test]
+fn batching_soaks_conserve_the_fault_ledger() {
+    let engine = ExperimentEngine::new(2);
+    for seed in 1..=4 {
+        let cfg = ChaosConfig {
+            scheduler: SchedulerKind::Batching,
+            requests: 20_000,
+            seed,
+            ..ChaosConfig::default()
+        };
+        let rep = chaos::run(&cfg, &engine);
+        assert!(rep.healthy(), "seed {seed}: {:?}", rep.first_violation());
     }
 }

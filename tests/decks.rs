@@ -56,7 +56,6 @@ fn uvm_stencil_faults_cold_then_runs_warm() {
 #[test]
 fn deck_command_refuses_a_clock_overflow() {
     use hcc::workloads::MAX_DECK_KERNEL_TIME;
-    use hcc_bench::cli::Args;
     use std::process::ExitCode;
 
     let half = MAX_DECK_KERNEL_TIME.as_nanos() / 2 + 1;
@@ -77,9 +76,15 @@ fn deck_command_refuses_a_clock_overflow() {
         ));
         std::fs::write(&path, deck).expect("write deck");
         let argv = vec!["deck".to_string(), path.display().to_string()];
-        let run = hcc_bench::lab::parse(&mut Args::new(argv)).expect("parses");
-        let code = run();
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        let code = hcc_bench::lab::run(argv, &mut out, &mut err);
         std::fs::remove_file(&path).expect("remove deck");
         assert_eq!(code, ExitCode::FAILURE, "{name}");
+        assert!(out.is_empty(), "{name}");
+        let err = String::from_utf8(err).expect("UTF-8 stderr");
+        assert!(
+            err.starts_with(&format!("{}: ", path.display())),
+            "{name}: {err}"
+        );
     }
 }

@@ -2,8 +2,8 @@
 //! `tests/golden/figures.txt` holds what `hcc_lab figures` prints and
 //! `tests/golden/summary.txt` what `hcc_lab summary` prints. So are the
 //! reports around them: `sensitivity.txt`, `explain.txt`,
-//! `fault_sweep.txt` (`hcc_lab faults` under its default plan, the one
-//! CI sweeps), `obs_report.txt` / `obs_report_soak.txt` (`hcc_lab
+//! `fault_sweep.txt` (`hcc_lab faults` under its default plan),
+//! `obs_report.txt` / `obs_report_soak.txt` (`hcc_lab
 //! obs`, without and with `--serve --chaos`) and `ablations.txt`
 //! (`hcc_lab figures ablations`, which `figures all` leaves out). All
 //! render here on a 2-thread engine, so the goldens also pin the
@@ -90,12 +90,12 @@ fn obs_report_matches_its_goldens() {
     two_thread_engine();
     frozen(
         "obs_report.txt",
-        &obs::render(false, false, None, None),
+        &obs::render(false, false, None, None).unwrap(),
         &[],
     );
     frozen(
         "obs_report_soak.txt",
-        &obs::render(true, true, None, None),
+        &obs::render(true, true, None, None).unwrap(),
         &[],
     );
 }

@@ -22,6 +22,7 @@ use std::fmt::Write as _;
 use hcc_bench::engine::ExperimentEngine;
 use hcc_bench::watch::{calm_soak, stormy_soak, Canonical, Soak, WatchReport};
 use hcc_trace::{FlightConfig, FlightLog};
+use hcc_types::SimDuration;
 
 /// `soak` run with the flight recorder on: its watch report and flight
 /// log, after checking the soak stayed healthy.
@@ -159,4 +160,20 @@ fn flight_plane_is_perturbation_free_for_chaos_soaks() {
 #[test]
 fn flight_plane_is_perturbation_free_for_serving_soaks() {
     perturbation::assert_perturbation_free(Soak::Calm(calm_soak()), &[(false, true), (true, true)]);
+}
+
+/// `hcc_lab why` at 1 ms flight windows (`HCC_FLIGHT_WINDOW_MS=1`),
+/// where nearly every request opens a window of its own: the stormy
+/// soak's flight log is the same on 1 and 4 engine threads, and every
+/// kept exemplar holds the span identity.
+#[test]
+fn stormy_flight_at_1ms_windows_is_thread_invariant() {
+    let soak = Soak::Stormy(stormy_soak()).with_flight(Some(FlightConfig {
+        window: SimDuration::millis(1),
+        ..FlightConfig::default()
+    }));
+    let run = perturbation::observed_row("stormy why at 1 ms flight windows", &soak);
+    let flight = run.flight.expect("the flight plane is on");
+    assert!(flight.windows > 1_000, "{} flight windows", flight.windows);
+    assert!(flight.identity_holds(), "span identity violated");
 }

@@ -92,8 +92,9 @@ fn attribution_audit_queue_integrals_match_phase_totals() {
 }
 
 /// Metrics only observe: the simulated trace is bit-identical with the
-/// plane on and off (spot-checked on representative apps; the tier-2
-/// smoke diffs full figure stdout).
+/// plane on and off (spot-checked on representative apps;
+/// `crates/bench/tests/process_switches.rs` holds `summary`'s full
+/// stdout to its golden with `HCC_METRICS=1`).
 #[test]
 fn metrics_do_not_perturb_the_simulation() {
     for app in ["gemm", "kmeans-uvm", "stream-triad"] {

@@ -578,10 +578,12 @@ fn reference_series(name: &str, deltas: &[(SimTime, i64)]) -> Series {
 ///
 /// The rules it spells out: completions at an instant free their GPUs
 /// before that instant's arrivals join the queue; dispatch then runs
-/// while some GPU is idle, onto the lowest-numbered one; a batch whose
-/// head's shape fails is rejected at dispatch without a GPU (its
-/// outcomes name GPU 0); a batch of `k` runs `P * (1 + 0.35 * (k - 1))`
-/// plus its members' admissions.
+/// while some GPU is idle, onto the lowest-numbered one; each member of
+/// a dequeued batch whose own shape fails is rejected at dispatch without
+/// a GPU (its outcome names GPU 0 and the dequeued batch's size), and the
+/// working members run as the batch, led by the first of them; a batch
+/// of `k` runs its head's `P * (1 + 0.35 * (k - 1))` plus its members'
+/// admissions.
 fn reference_cluster(
     reqs: &[Request],
     service: &[Result<SimDuration, String>],
@@ -625,21 +627,24 @@ fn reference_cluster(
                     }
                 }
             }
-            let k = batch.len() as u16;
-            queue_deltas.push((now, -i64::from(k)));
-            let Ok(shape) = &service[head] else {
-                for &i in &batch {
-                    outcomes[i] = Some(Outcome {
-                        dispatch: now,
-                        completion: now,
-                        gpu: 0,
-                        batch: k,
-                        cold: false,
-                        rejected: true,
-                    });
-                }
+            let dequeued = batch.len() as u16;
+            queue_deltas.push((now, -i64::from(dequeued)));
+            let (batch, failing): (Vec<usize>, Vec<usize>) =
+                batch.into_iter().partition(|&i| service[i].is_ok());
+            for &i in &failing {
+                outcomes[i] = Some(Outcome {
+                    dispatch: now,
+                    completion: now,
+                    gpu: 0,
+                    batch: dequeued,
+                    cold: false,
+                    rejected: true,
+                });
+            }
+            let Some(Ok(shape)) = batch.first().map(|&i| &service[i]) else {
                 continue;
             };
+            let k = batch.len() as u16;
             let gpu = busy_until
                 .iter()
                 .position(Option::is_none)
@@ -984,9 +989,8 @@ fn cluster_matches_the_reference_cluster() {
 /// The mode report spelled out naively over the reference cluster's
 /// per-request record: each tenant's requests in index order, a
 /// rejection counted, every other request adding its latency, wait,
-/// service, own shape (nothing when its own shape fails: it rode its
-/// head's) and own admission charges, and its tails read off a sorted
-/// `Cdf` of its latencies and waits.
+/// service, own shape and own admission charges, and its tails read off
+/// a sorted `Cdf` of its latencies and waits.
 fn reference_fold(
     reqs: &[Request],
     service: &[Result<SimDuration, String>],
@@ -1019,7 +1023,7 @@ fn reference_fold(
                         .completion
                         .saturating_since(run.outcomes[i].dispatch)
                 }),
-                shape_total: sum(&|i| service[i].clone().unwrap_or(SimDuration::ZERO)),
+                shape_total: sum(&|i| service[i].clone().expect("an admitted shape works")),
                 admission_total: sum(&|i| run.admissions[i].0 + run.admissions[i].1),
             }
         })
@@ -1036,8 +1040,9 @@ fn reference_fold(
 /// CC modes, and 1, 2, 3, 4, 8 and 65 GPUs. A log-keeping cell (the
 /// watch on) reports the same. Every cell of a case is lent one
 /// `Samples`, as a soak lends one to all its cells. Over the cases,
-/// requests are rejected, and batches carry followers on another
-/// working shape and on a failing one.
+/// requests are rejected, batches carry followers on another working
+/// shape, and a member on a failing shape is rejected out of a batch
+/// whose working members ran.
 #[test]
 fn cell_fold_matches_the_reference_fold() {
     let rejected = std::cell::Cell::new(0u64);
@@ -1124,21 +1129,31 @@ fn cell_fold_matches_the_reference_fold() {
 
                         // Non-vacuity: admitted batches are the requests
                         // dispatched onto one GPU at one instant, led by
-                        // their lowest index.
+                        // their lowest index. A batch is dequeued from one
+                        // (tenant, class) at one instant, so a rejection
+                        // whose dequeued batch outnumbers the rejections
+                        // of its instant, tenant and class left working
+                        // members behind in its batch.
                         let mut heads: BTreeMap<(SimTime, u32), usize> = BTreeMap::new();
+                        let mut rejections: BTreeMap<(SimTime, u32, u32), u16> = BTreeMap::new();
+                        let key = |i: usize, o: &Outcome| (o.dispatch, reqs[i].tenant, reqs[i].class);
                         for (i, o) in want.outcomes.iter().enumerate() {
                             rejected.set(rejected.get() + u64::from(o.rejected));
-                            if !o.rejected {
+                            if o.rejected {
+                                *rejections.entry(key(i, o)).or_default() += 1;
+                            } else {
                                 heads.entry((o.dispatch, o.gpu)).or_insert(i);
                             }
                         }
                         for (i, o) in want.outcomes.iter().enumerate() {
-                            let head = (!o.rejected).then(|| heads[&(o.dispatch, o.gpu)]).filter(|&h| h != i);
-                            if let Some(h) = head {
-                                if shape_of[i] != shape_of[h] {
-                                    let tally = if service[i].is_ok() { &other_shape } else { &failing_follower };
-                                    tally.set(tally.get() + 1);
-                                }
+                            if o.rejected {
+                                let split = rejections[&key(i, o)] < o.batch;
+                                failing_follower.set(failing_follower.get() + u64::from(split));
+                                continue;
+                            }
+                            let h = heads[&(o.dispatch, o.gpu)];
+                            if h != i && shape_of[i] != shape_of[h] {
+                                other_shape.set(other_shape.get() + 1);
                             }
                         }
                     }
@@ -1153,7 +1168,7 @@ fn cell_fold_matches_the_reference_fold() {
     );
     assert!(
         failing_follower.get() > 0,
-        "no follower rode a failing shape"
+        "no failing member was rejected out of a batch that ran"
     );
 }
 

@@ -7,7 +7,8 @@
 //! engine threads (`perturbation`). On top of the
 //! snapshot, the SLO ordering (CC-on p99 strictly above CC-off p99 for
 //! every tenant under every scheduler) and the latency-accounting
-//! identities are asserted directly.
+//! identities are asserted directly, and `hcc_lab serve`'s soak sizes
+//! (100k requests on 4 GPUs, 20k on 65) are rows of the soak matrix.
 //!
 //! To bless a deliberate change:
 //! `HCC_BLESS=1 cargo test --test serving_slo`.
@@ -17,7 +18,6 @@ mod perturbation;
 
 use hcc_bench::engine::ExperimentEngine;
 use hcc_bench::serving::{self, SchedulerKind, ServingConfig, ServingReport};
-use hcc_types::json::ToJson;
 
 /// The frozen fixture: defaults (2 tenants, Poisson, all schedulers,
 /// seed `0xCC_5E21`) narrowed to 500 requests on a 2-GPU cluster.
@@ -37,11 +37,27 @@ fn report() -> ServingReport {
 /// and 4 worker threads, and the rendering matches the snapshot.
 #[test]
 fn serving_report_matches_golden_snapshot() {
-    let (render, _) = perturbation::thread_invariant("serving fixture", |engine| {
-        let rep = serving::run(&fixture(), engine);
-        (rep.render(), rep.to_json_string())
-    });
-    golden::assert_matches("serving_report.txt", &render);
+    let rep = perturbation::serving_row("serving fixture", &fixture());
+    golden::assert_matches("serving_report.txt", &rep.render());
+}
+
+/// `hcc_lab serve`'s default soak (100k requests on 4 GPUs) and a 20k
+/// soak on 65 GPUs (two words of the cluster's idle-GPU bitset) render
+/// and export the same on 1 and 4 engine threads and stay healthy; both
+/// conserve every request and keep CC-on p99 above CC-off p99.
+#[test]
+fn lab_sized_serve_soaks_are_thread_invariant() {
+    for (requests, gpus) in [(100_000, 4), (20_000, 65)] {
+        let cfg = ServingConfig {
+            requests,
+            gpus,
+            ..ServingConfig::default()
+        };
+        let what = format!("serve at {requests} requests on {gpus} gpus");
+        let rep = perturbation::serving_row(&what, &cfg);
+        assert!(rep.conserved(), "{what}: a request was lost");
+        assert!(rep.slo_holds(), "{what}: CC-on p99 <= CC-off p99");
+    }
 }
 
 /// The headline result: at identical offered load, turning CC on pushes

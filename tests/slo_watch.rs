@@ -9,7 +9,8 @@
 //! rendering is caught immediately. On top of the snapshot, the watch
 //! rows of the soak matrix (`perturbation`) hold the plane thread-count
 //! invariant and perturbation-free: enabling it must not move a single
-//! byte of the underlying soak figures.
+//! byte of the underlying soak figures. The same holds at 50 ms fast
+//! windows, a window-index width the snapshot does not cover.
 //!
 //! To bless a deliberate change:
 //! `HCC_BLESS=1 cargo test --test slo_watch`.
@@ -18,7 +19,8 @@ mod golden;
 mod perturbation;
 
 use hcc_bench::engine::ExperimentEngine;
-use hcc_bench::watch::{calm_soak, stormy_soak, Canonical, Soak, WatchReport};
+use hcc_bench::watch::{calm_soak, stormy_soak, Canonical, Soak, WatchConfig, WatchReport};
+use hcc_types::{SimDuration, StormIntensity};
 
 fn watch(soak: Canonical) -> WatchReport {
     soak.run(&ExperimentEngine::new(2))
@@ -74,6 +76,15 @@ fn stormy_soak_produces_a_fully_attributed_incident_timeline() {
         watch.incidents.len(),
         "every stormy incident must correlate to a storm episode"
     );
+    assert!(
+        watch
+            .incidents
+            .iter()
+            .any(|inc| inc.storm.as_ref().is_some_and(
+                |s| s.profile == "crypto-burst" && s.intensity == StormIntensity::Peak
+            )),
+        "no incident correlates to a peak-intensity crypto-burst episode"
+    );
 }
 
 /// The calm polarity: the low-utilisation serving soak burns no budget
@@ -92,6 +103,25 @@ fn calm_soak_renders_an_empty_timeline() {
 #[test]
 fn watch_plane_is_perturbation_free_for_chaos_soaks() {
     perturbation::assert_perturbation_free(Soak::Stormy(stormy_soak()), &[(true, false)]);
+}
+
+/// `hcc_lab watch` at 50 ms fast windows (`HCC_WATCH_FAST_MS=50`: some
+/// 4,900 windows, most holding a few settlements) renders the stormy
+/// soak's watch page the same on 1 and 4 engine threads.
+#[test]
+fn stormy_watch_at_50ms_windows_is_thread_invariant() {
+    let mut soak = stormy_soak();
+    soak.watch = Some(WatchConfig {
+        fast: SimDuration::millis(50),
+        ..WatchConfig::default()
+    });
+    let run = perturbation::observed_row("stormy watch at 50 ms windows", &Soak::Stormy(soak));
+    let watch = run.watch.expect("the watch plane is on");
+    assert!(
+        watch.windows.len() > 4_000,
+        "{} windows",
+        watch.windows.len()
+    );
 }
 
 /// Perturbation-freedom, serving side: the same holds on the calm soak.
