@@ -1,5 +1,5 @@
 //! Chaos lab: seeded fault storms composed with the serving cluster's
-//! event loop over virtual-time soak runs (DESIGN.md §4, chaos harness).
+//! drain over virtual-time soak runs (DESIGN.md §4, chaos harness).
 //!
 //! The fault layer answers "what does one injected fault cost one run?";
 //! this module answers the operator's question: *when correlated fault
@@ -443,7 +443,7 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
     let (requests, storms) = shape_tables(cfg, engine);
     let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.name.to_string()).collect();
     // One pair of sample buffers, lent to every cell.
-    let mut samples = cluster::Samples::default();
+    let mut samples = cluster::Samples::new(&requests, cfg.tenants.len());
     let cluster = cfg.cluster();
 
     let mut profiles_out = Vec::with_capacity(cfg.profiles.len());

@@ -1,24 +1,32 @@
-//! The discrete-event cluster simulation: N confidential GPUs draining
-//! one scheduler's queue over virtual time.
+//! The cluster drain: N confidential GPUs draining one scheduler's
+//! queue over virtual time.
 //!
-//! The loop is single-threaded and advances a virtual clock through a
-//! merged event stream (arrivals from the open-loop trace, completions
-//! from a binary heap), so a run is a pure function of its inputs — the
+//! A drain is single-threaded and a pure function of its inputs, so the
 //! engine's worker-thread count can never reorder it. Completions at a
-//! given instant are processed before arrivals at the same instant, and
-//! dispatch happens after all state changes at that instant, onto the
-//! lowest-numbered idle GPU first.
+//! given instant free their GPUs before arrivals at the same instant
+//! join the queue, and dispatch happens after all state changes at that
+//! instant, onto the lowest-numbered idle GPU first.
+//!
+//! Two drains keep that contract. FIFO never reorders, so it needs no
+//! event loop: request `i` dispatches at `d_i = max(a_i, d_{i-1}, the
+//! earliest GPU free time)`, onto the lowest-numbered GPU free by then,
+//! found in a min-tree over the GPUs' free times (`drain_fifo`). The
+//! priority and batching disciplines reorder, so they advance a virtual
+//! clock through a merged event stream (arrivals from the open-loop
+//! trace, completions from a binary heap) and pick each batch through a
+//! [`SchedQueue`] (`drain_events`). Both record through one ledger
+//! and one queue-depth stream, so their bookkeeping is the same code.
 //!
 //! Each GPU has a [`SessionPool`]: a tenant's first request on a device
 //! pays the full SPDM handshake (CC-on), and every request pays the
 //! submit/complete doorbell pair — so CC-on admission costs ride the
 //! same TD cost oracle as the rest of the lab. Those two charges are
 //! constants of a run, priced once by [`SessionPool::cold_admission`],
-//! so the loop only counts admissions per (device, tenant): a tenant's
+//! so a drain only counts admissions per (device, tenant): a tenant's
 //! first admission on a device is cold, a batch of `k` requests with `c`
 //! cold starts is charged `doorbell × k + spdm × c`, and an [`Outcome`]
 //! keeps only whether its admission was cold ([`AdmissionCosts::of`]
-//! prices it). After the loop each device's pool is charged once per
+//! prices it). After the drain each device's pool is charged once per
 //! tenant through [`SessionPool::admit_n`], which moves the TD counters
 //! and the session ledger exactly as one `admit` per request would.
 //!
@@ -30,13 +38,14 @@
 //! each admitted request's latency and wait, written into per-tenant
 //! regions of the caller's [`Samples`].
 //!
-//! The drain computes its own verdicts as it runs: whether every queue
-//! and device depth ended at zero, (given a storm calendar's peak ends)
-//! the queue's time-to-recover after each peak, and (given the watch's
-//! window width) the queue depth's integral over each window. Depth-gauge
-//! series are recorded only under [`Planes::METRICS`], for the views
-//! that read them.
+//! The drain computes its own verdicts as it runs: whether the queue
+//! ended empty, (given a storm calendar's peak ends) the queue's
+//! time-to-recover after each peak, and (given the watch's window width)
+//! the queue depth's integral over each window. Depth-gauge series are
+//! recorded only under [`Planes::METRICS`], for the views that read
+//! them.
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use hcc_tee::{SessionPool, TdCounters};
@@ -148,10 +157,10 @@ pub struct TenantSums {
 /// its rejected requests leave the region's tail unwritten.
 ///
 /// A soak lends one `Samples` to each of its cells. Every cell of a
-/// soak drains the same trace, so the buffers are allocated once and
-/// reused; freeing them per cell would let glibc trim them and the
-/// next cell fault them back in.
-#[derive(Debug, Default)]
+/// soak drains the same trace, so the regions are placed once per soak
+/// and the buffers are allocated once and reused; freeing them per cell
+/// would let glibc trim them and the next cell fault them back in.
+#[derive(Debug)]
 pub struct Samples {
     latency: Vec<SimDuration>,
     wait: Vec<SimDuration>,
@@ -163,15 +172,36 @@ pub struct Samples {
 }
 
 impl Samples {
+    /// Empty buffers for the cells of one soak, which all drain
+    /// `requests`: each of `tenants` tenants' region is placed here, once
+    /// per soak.
+    pub fn new(requests: &[Request], tenants: usize) -> Self {
+        Samples {
+            latency: Vec::new(),
+            wait: Vec::new(),
+            start: region_starts(requests, tenants),
+            end: Vec::new(),
+        }
+    }
+
     /// Sizes both buffers for `requests` (keeping them when they
     /// already are) and empties every one of `tenants` regions.
+    ///
+    /// # Panics
+    /// If the regions were placed for a trace of another length or
+    /// tenant count (in debug builds, for any other trace).
     fn reset(&mut self, requests: &[Request], tenants: usize) {
+        assert!(
+            self.start.len() == tenants + 1 && self.start[tenants] == requests.len(),
+            "samples placed for another trace"
+        );
+        debug_assert_eq!(self.start, region_starts(requests, tenants));
         if self.latency.len() != requests.len() {
             self.latency = vec![SimDuration::ZERO; requests.len()];
             self.wait = vec![SimDuration::ZERO; requests.len()];
         }
-        self.start = region_starts(requests, tenants);
-        self.end = self.start[..tenants].to_vec();
+        self.end.clear();
+        self.end.extend_from_slice(&self.start[..tenants]);
     }
 
     /// Appends one admitted request of `tenant` to its region.
@@ -201,10 +231,11 @@ impl Samples {
             .sum()
     }
 
-    /// Frees both buffers. A cell that keeps its outcome log does not
-    /// hold them while its planes run.
+    /// Frees both buffers, keeping the regions. A cell that keeps its
+    /// outcome log does not hold them while its planes run.
     pub(crate) fn release(&mut self) {
-        *self = Samples::default();
+        self.latency = Vec::new();
+        self.wait = Vec::new();
     }
 }
 
@@ -249,7 +280,8 @@ pub struct ClusterRun {
     pub sessions_closed: u64,
     /// TD transition counters summed over every (device, tenant) context.
     pub td: TdCounters,
-    /// Whether the queue and every device ended the run empty.
+    /// Whether the queue ended the run empty. Every device has: the run
+    /// ends at its last completion or arrival.
     pub drained: bool,
     /// The queue's time-to-recover after each of the config's peak ends:
     /// `Some` exactly when [`ClusterConfig::peak_ends`] is.
@@ -306,8 +338,8 @@ pub struct ClusterConfig<'a> {
 }
 
 /// The idle GPUs as a bitset (bit `g % 64` of word `g / 64`) with a
-/// running count, so dispatch takes the lowest-numbered idle GPU without
-/// allocating, at any cluster width.
+/// running count, so the event loop takes the lowest-numbered idle GPU
+/// without allocating, at any cluster width.
 #[derive(Debug)]
 struct IdleGpus {
     words: Vec<u64>,
@@ -354,18 +386,62 @@ impl IdleGpus {
     }
 }
 
-/// The depth-gauge series a drain records under [`Planes::METRICS`].
+/// A free time no GPU reaches: the padding leaves of [`FreeTimes`], and
+/// a GPU held back until its instant's dispatch round ends.
+const NEVER: SimTime = SimTime::from_nanos(u64::MAX);
+
+/// Each GPU's free time (when its last batch completes) in a min-tree,
+/// the FIFO drain's only GPU state. The root is the earliest free time,
+/// and the leftmost leaf at or before an instant is the lowest-numbered
+/// GPU idle then: both in `O(log gpus)` at any width.
 #[derive(Debug)]
-struct DepthGauges {
-    queue: OrderedGauge,
-    gpu: Vec<OrderedGauge>,
+struct FreeTimes {
+    /// Node `k`'s children are `2k` and `2k + 1`; leaf `g` is node
+    /// `leaves + g`, and node 0 is unused.
+    tree: Vec<SimTime>,
+    leaves: usize,
 }
 
-impl DepthGauges {
+impl FreeTimes {
+    /// GPUs `0..gpus`, all free from time zero.
     fn new(gpus: usize) -> Self {
-        DepthGauges {
-            queue: OrderedGauge::new(),
-            gpu: (0..gpus).map(|_| OrderedGauge::new()).collect(),
+        let leaves = gpus.next_power_of_two();
+        let mut tree = vec![NEVER; 2 * leaves];
+        tree[leaves..leaves + gpus].fill(SimTime::ZERO);
+        for k in (1..leaves).rev() {
+            tree[k] = tree[2 * k].min(tree[2 * k + 1]);
+        }
+        FreeTimes { tree, leaves }
+    }
+
+    /// The earliest free time of any GPU.
+    fn earliest(&self) -> SimTime {
+        self.tree[1]
+    }
+
+    /// The lowest-numbered GPU free at or before `t`.
+    ///
+    /// # Panics
+    /// In debug builds, if no GPU is free by `t`.
+    fn lowest_free_by(&self, t: SimTime) -> usize {
+        debug_assert!(self.earliest() <= t, "a GPU free by {t}");
+        let mut k = 1;
+        while k < self.leaves {
+            k *= 2;
+            if self.tree[k] > t {
+                k += 1;
+            }
+        }
+        k - self.leaves
+    }
+
+    /// `gpu` is next free at `t`.
+    fn set(&mut self, gpu: usize, t: SimTime) {
+        let mut k = self.leaves + gpu;
+        self.tree[k] = t;
+        while k > 1 {
+            k /= 2;
+            self.tree[k] = self.tree[2 * k].min(self.tree[2 * k + 1]);
         }
     }
 }
@@ -401,7 +477,7 @@ impl<'a> Recovery<'a> {
     }
 
     /// The queue held `depth` at the end of instant `now` and keeps it
-    /// until `until`, the next instant (`None`: the run is over).
+    /// until `until`, a later instant (`None`: the run is over).
     pub(crate) fn settle(&mut self, now: SimTime, depth: usize, until: Option<SimTime>) {
         let before_until = |&p: &SimTime| until.is_none_or(|u| p < u);
         while self.peaks.get(self.classified).is_some_and(before_until) {
@@ -434,6 +510,304 @@ impl<'a> Recovery<'a> {
     }
 }
 
+/// The queue depth and everything that reads it as a drain runs: the
+/// time-to-recover cursor, the window integrals and (under
+/// [`Planes::METRICS`]) the `serving.queue_depth` gauge. A drain reports
+/// each arrival and dispatch, in time order, and closes each instant
+/// whose depth may have moved before the next one opens. Closing only
+/// those instants reads the same step function as closing every event
+/// instant: an instant that moves no depth adds nothing either consumer
+/// can see.
+#[derive(Debug)]
+struct QueueDepth<'a> {
+    depth: usize,
+    recovery: Option<Recovery<'a>>,
+    integrals: Option<WindowIntegrals>,
+    /// Coalesces as it records: the depth moves only at the current
+    /// instant, which never decreases.
+    gauge: Option<OrderedGauge>,
+}
+
+impl<'a> QueueDepth<'a> {
+    fn new(cfg: &ClusterConfig<'a>) -> Self {
+        QueueDepth {
+            depth: 0,
+            recovery: cfg.peak_ends.map(Recovery::new),
+            integrals: cfg.queue_window.map(WindowIntegrals::new),
+            gauge: cfg.planes.contains(Planes::METRICS).then(OrderedGauge::new),
+        }
+    }
+
+    /// One request joins the queue at `now`.
+    fn arrive(&mut self, now: SimTime) {
+        self.depth += 1;
+        if let Some(g) = self.gauge.as_mut() {
+            g.add(now, 1);
+        }
+    }
+
+    /// `n` requests leave the queue for dispatch at `now`.
+    fn dispatch(&mut self, now: SimTime, n: usize) {
+        self.depth -= n;
+        if let Some(g) = self.gauge.as_mut() {
+            g.add(now, -(n as i64));
+        }
+    }
+
+    /// The depth at the end of instant `now` holds until `until`.
+    fn close(&mut self, now: SimTime, until: SimTime) {
+        if let Some(r) = self.recovery.as_mut() {
+            r.settle(now, self.depth, Some(until));
+        }
+        if let Some(q) = self.integrals.as_mut() {
+            q.step(now, self.depth as u64);
+        }
+    }
+
+    /// The run ended at `end`, and the final depth holds from there on,
+    /// as a series' last value does.
+    fn finish(
+        self,
+        end: SimTime,
+    ) -> (
+        bool,
+        Option<TimeToRecover>,
+        Option<WindowIntegrals>,
+        Option<OrderedGauge>,
+    ) {
+        let ttr = self.recovery.map(|mut r| {
+            r.settle(end, self.depth, None);
+            r.finish()
+        });
+        let integrals = self.integrals.map(|mut q| {
+            q.step(end, self.depth as u64);
+            q
+        });
+        (self.depth == 0, ttr, integrals, self.gauge)
+    }
+}
+
+/// Everything a drain records at dispatch, shared by both drains: the
+/// outcome log or the lent [`Samples`], each tenant's [`TenantSums`],
+/// admissions per (device, tenant), busy time, batch and cold-start
+/// counts and (under [`Planes::METRICS`]) each GPU's depth gauge. After
+/// the drain, [`Ledger::finish`] charges the device pools and builds
+/// the [`ClusterRun`].
+#[derive(Debug)]
+struct Ledger<'a> {
+    requests: &'a [Request],
+    tenants: usize,
+    cc_on: bool,
+    admission: AdmissionCosts,
+    outcomes: Vec<Outcome>,
+    samples: Option<&'a mut Samples>,
+    sums: Vec<TenantSums>,
+    /// Admissions per (device, tenant), row-major by GPU: a tenant's
+    /// first admission on a device is its cold start (CC-on), and the
+    /// pools are charged from these counts after the drain.
+    admitted: Vec<u64>,
+    busy: SimDuration,
+    batches: u64,
+    cold_starts: u64,
+    /// A GPU's `-n` at completion precedes its next `+n`, which needs
+    /// the GPU free again, so each gauge coalesces as it records.
+    gpu_gauges: Option<Vec<OrderedGauge>>,
+}
+
+/// `batch == 0` marks a logged request not yet settled: every settle
+/// writes the size of a batch it rode in, which is at least one.
+const UNSETTLED: Outcome = Outcome {
+    dispatch: SimTime::ZERO,
+    completion: SimTime::ZERO,
+    gpu: 0,
+    batch: 0,
+    cold: false,
+    rejected: false,
+};
+
+impl<'a> Ledger<'a> {
+    fn new(requests: &'a [Request], cfg: &ClusterConfig<'_>, record: Record<'a>) -> Self {
+        let tenants = cfg.tenants.len();
+        let (outcomes, samples) = match record {
+            Record::Log => (vec![UNSETTLED; requests.len()], None),
+            Record::Samples(samples) => {
+                samples.reset(requests, tenants);
+                (Vec::new(), Some(samples))
+            }
+        };
+        let (spdm, doorbell) = cfg.pool().cold_admission().flight_split();
+        Ledger {
+            requests,
+            tenants,
+            cc_on: cfg.cc == CcMode::On,
+            admission: AdmissionCosts { spdm, doorbell },
+            outcomes,
+            samples,
+            sums: vec![TenantSums::default(); tenants],
+            admitted: vec![0; cfg.gpus * tenants],
+            busy: SimDuration::ZERO,
+            batches: 0,
+            cold_starts: 0,
+            gpu_gauges: cfg
+                .planes
+                .contains(Planes::METRICS)
+                .then(|| (0..cfg.gpus).map(|_| OrderedGauge::new()).collect()),
+        }
+    }
+
+    /// Rejects request `i` at `now`, dequeued in a batch of `dequeued`:
+    /// it occupies no device.
+    fn reject(&mut self, i: u32, now: SimTime, dequeued: u16) {
+        self.sums[self.requests[i as usize].tenant as usize].rejected += 1;
+        if self.samples.is_none() {
+            let i = i as usize;
+            debug_assert_eq!(self.outcomes[i].batch, 0, "request {i} settles once");
+            self.outcomes[i] = Outcome {
+                dispatch: now,
+                completion: now,
+                batch: dequeued,
+                rejected: true,
+                ..UNSETTLED
+            };
+        }
+    }
+
+    /// Runs `batch`, one tenant's working members head first, on `gpu`
+    /// from `now` for the head's `shape` (`shape_sum` is every member's
+    /// own), and returns when it completes.
+    fn run(
+        &mut self,
+        batch: &[u32],
+        gpu: usize,
+        now: SimTime,
+        shape: SimDuration,
+        shape_sum: SimDuration,
+    ) -> SimTime {
+        let tenant = self.requests[batch[0] as usize].tenant as usize;
+        let size = batch.len() as u16;
+        // Only the head can be cold: the batch is single-tenant, so its
+        // followers find the tenant admitted on this device.
+        let n = &mut self.admitted[gpu * self.tenants + tenant];
+        let colds = u64::from(self.cc_on && *n == 0);
+        *n += u64::from(size);
+        self.cold_starts += colds;
+        let admission_sum = self.admission.doorbell * u64::from(size) + self.admission.spdm * colds;
+        let extra = shape.scale(BATCH_MARGIN * (batch.len() - 1) as f64);
+        let service_time = shape + extra + admission_sum;
+        let done = now + service_time;
+        self.busy += service_time;
+        self.batches += 1;
+        if let Some(g) = self.gpu_gauges.as_mut() {
+            g[gpu].occupy_n(now, done, i64::from(size));
+        }
+        let s = &mut self.sums[tenant];
+        s.service += service_time * u64::from(size);
+        s.shape += shape_sum;
+        s.admission += admission_sum;
+        match self.samples.as_deref_mut() {
+            Some(samples) => {
+                for &i in batch {
+                    let arrival = self.requests[i as usize].arrival;
+                    samples.push(
+                        tenant,
+                        done.saturating_since(arrival),
+                        now.saturating_since(arrival),
+                    );
+                }
+            }
+            None => {
+                for (k, &i) in batch.iter().enumerate() {
+                    let i = i as usize;
+                    debug_assert_eq!(self.outcomes[i].batch, 0, "request {i} settles once");
+                    self.outcomes[i] = Outcome {
+                        dispatch: now,
+                        completion: done,
+                        gpu: gpu as u32,
+                        batch: size,
+                        cold: k == 0 && colds > 0,
+                        rejected: false,
+                    };
+                }
+            }
+        }
+        done
+    }
+
+    /// The run that ended at `end` with `depth`'s verdicts. Each
+    /// device's pool is charged once per tenant with everything the
+    /// drain admitted there: the same counters and session ledger as one
+    /// `admit` per request.
+    fn finish(self, cfg: &ClusterConfig<'_>, end: SimTime, depth: QueueDepth<'_>) -> ClusterRun {
+        debug_assert!(
+            match self.samples.as_deref() {
+                Some(samples) => {
+                    let rejected: u64 = self.sums.iter().map(|s| s.rejected).sum();
+                    samples.admitted() as u64 + rejected == self.requests.len() as u64
+                }
+                None => self.outcomes.iter().all(|o| o.batch > 0),
+            },
+            "every request settles once"
+        );
+        let (drained, ttr, queue_integrals, queue_gauge) = depth.finish(end);
+
+        let mut td = TdCounters::default();
+        let mut sessions_established = 0u64;
+        let mut sessions_closed = 0u64;
+        for counts in self.admitted.chunks_exact(self.tenants.max(1)) {
+            let mut pool = cfg.pool();
+            for (tenant, &n) in counts.iter().enumerate() {
+                pool.admit_n(tenant as u64, n);
+            }
+            let c = pool.counters();
+            td.hypercalls += c.hypercalls;
+            td.seamcalls += c.seamcalls;
+            td.pages_converted += c.pages_converted;
+            td.transition_time += c.transition_time;
+            // End-of-run drain: every established session must close
+            // exactly once, and the pool must report none live
+            // afterwards.
+            sessions_established += pool.established() as u64;
+            sessions_closed += pool.close_all();
+            pool.leak_check().expect("session pool drained");
+        }
+
+        let mut metrics = MetricsSet::new();
+        if let (Some(queue), Some(gpus)) = (queue_gauge, self.gpu_gauges) {
+            metrics.push_counter("serving.requests", self.requests.len() as u64);
+            metrics.push_counter("serving.batches", self.batches);
+            metrics.push_counter("serving.cold_starts", self.cold_starts);
+            metrics.push_series(queue.finish("serving.queue_depth"));
+            for (g, gauge) in gpus.into_iter().enumerate() {
+                metrics.push_series(gauge.finish(&format!("serving.gpu{g}.depth")));
+            }
+        }
+
+        ClusterRun {
+            outcomes: self.outcomes,
+            tenants: self.sums,
+            admission: self.admission,
+            end,
+            busy: self.busy,
+            batches: self.batches,
+            cold_starts: self.cold_starts,
+            sessions_established,
+            sessions_closed,
+            td,
+            drained,
+            ttr,
+            queue_integrals,
+            metrics,
+        }
+    }
+}
+
+impl ClusterConfig<'_> {
+    /// One device's empty session pool.
+    fn pool(&self) -> SessionPool {
+        SessionPool::new(self.cc, self.tdx.clone())
+    }
+}
+
 /// Simulates one scheduler draining the trace on `cfg.gpus` devices.
 ///
 /// `shapes` maps each request to its memoized shape outcome: the solo
@@ -444,7 +818,9 @@ impl<'a> Recovery<'a> {
 /// shape: the failing ones are rejected, and the working ones run as
 /// the batch for the shape of the first of them.
 ///
-/// The loop records nothing beyond the returned [`ClusterRun`] and, under
+/// FIFO drains by its recurrence (`drain_fifo`); the priority and
+/// batching disciplines run the event loop (`drain_events`). Neither
+/// records anything beyond the returned [`ClusterRun`] and, under
 /// [`Record::Samples`], the lent samples: the observation planes
 /// (rollups, flight recording) are views built from its outcome log
 /// after the drain, and the depth gauges are recorded only under
@@ -467,57 +843,111 @@ pub fn simulate(
     assert!(cfg.gpus as u64 <= MAX_GPUS, "GPU ids are u32");
     assert!(cfg.max_batch as u64 <= MAX_BATCH, "batch sizes are u16");
 
-    // `batch == 0` marks a request not yet settled: every settle writes
-    // the size of a batch it rode in, which is at least one.
-    let placeholder = Outcome {
-        dispatch: SimTime::ZERO,
-        completion: SimTime::ZERO,
-        gpu: 0,
-        batch: 0,
-        cold: false,
-        rejected: false,
-    };
-    let tenants = cfg.tenants.len();
-    let (mut outcomes, mut samples) = match record {
-        Record::Log => (vec![placeholder; requests.len()], None),
-        Record::Samples(samples) => {
-            samples.reset(requests, tenants);
-            (Vec::new(), Some(samples))
+    let mut ledger = Ledger::new(requests, cfg, record);
+    let mut depth = QueueDepth::new(cfg);
+    let end = match cfg.kind {
+        SchedulerKind::Fifo => drain_fifo(requests, shapes, cfg.gpus, &mut ledger, &mut depth),
+        SchedulerKind::Priority | SchedulerKind::Batching => {
+            drain_events(requests, shapes, cfg, &mut ledger, &mut depth)
         }
     };
-    let mut sums = vec![TenantSums::default(); tenants];
+    ledger.finish(cfg, end, depth)
+}
 
+/// The FIFO drain, with no event loop: requests dispatch in index
+/// order, request `i` at `d_i = max(a_i, d_{i-1}, earliest free time)`,
+/// onto the lowest-numbered GPU free by `d_i` when its shape works and
+/// onto none when it fails. That is when the event loop dispatches it:
+/// the loop frees every completion at an instant before that instant's
+/// arrivals and dispatch, so a GPU is idle at `t` exactly when its free
+/// time is at or before `t`, and FIFO never reorders.
+///
+/// A batch of zero length frees its GPU at the instant it started, but
+/// the loop frees it only once that instant's dispatch round ends (no
+/// GPU idle, or nothing waiting). So such a GPU is held back at
+/// [`NEVER`] until then.
+///
+/// The queue depth at the end of instant `t` is `#{a_j ≤ t} − #{d_j ≤
+/// t}`. Both sequences ascend, so one arrival cursor, advanced to each
+/// dispatch, streams the depth's steps into `depth` in time order.
+/// Returns the time of the last event.
+fn drain_fifo(
+    requests: &[Request],
+    shapes: &ShapeTable,
+    gpus: usize,
+    ledger: &mut Ledger<'_>,
+    depth: &mut QueueDepth<'_>,
+) -> SimTime {
+    let mut free = FreeTimes::new(gpus);
+    // GPUs freed at `held_at` by a zero-length batch, not yet idle.
+    let (mut held, mut held_at) = (Vec::new(), SimTime::ZERO);
+    let (mut arrived, mut instant) = (0, SimTime::ZERO);
+    let (mut dispatch, mut end) = (SimTime::ZERO, SimTime::ZERO);
+    for (i, request) in requests.iter().enumerate() {
+        let ready = request.arrival.max(dispatch);
+        if !held.is_empty() && (ready > held_at || free.earliest() > ready) {
+            for g in held.drain(..) {
+                free.set(g, held_at);
+            }
+        }
+        dispatch = ready.max(free.earliest());
+        // Every arrival up to this dispatch joins the queue first,
+        // closing each instant the cursor leaves.
+        while let Some(next) = requests.get(arrived).filter(|r| r.arrival <= dispatch) {
+            if next.arrival > instant {
+                depth.close(instant, next.arrival);
+                instant = next.arrival;
+            }
+            depth.arrive(instant);
+            arrived += 1;
+        }
+        if dispatch > instant {
+            depth.close(instant, dispatch);
+            instant = dispatch;
+        }
+        depth.dispatch(dispatch, 1);
+        match shapes.service(i) {
+            Ok(shape) => {
+                let gpu = free.lowest_free_by(dispatch);
+                let done = ledger.run(&[i as u32], gpu, dispatch, *shape, *shape);
+                if done == dispatch {
+                    free.set(gpu, NEVER);
+                    held.push(gpu);
+                    held_at = dispatch;
+                } else {
+                    free.set(gpu, done);
+                }
+                end = end.max(done);
+            }
+            Err(_) => ledger.reject(i as u32, dispatch, 1),
+        }
+    }
+    let end = end.max(requests.last().map_or(SimTime::ZERO, |r| r.arrival));
+    if end > instant {
+        depth.close(instant, end);
+    }
+    end
+}
+
+/// The event loop the priority and batching disciplines drain through:
+/// the trace's arrivals merged with completions from a binary heap (one
+/// in-flight batch per GPU), the waiting requests in a [`SchedQueue`].
+/// Completions at an instant are processed before that instant's
+/// arrivals, and dispatch runs after both. Returns the time of the last
+/// event.
+fn drain_events(
+    requests: &[Request],
+    shapes: &ShapeTable,
+    cfg: &ClusterConfig<'_>,
+    ledger: &mut Ledger<'_>,
+    depth: &mut QueueDepth<'_>,
+) -> SimTime {
     let mut queue = SchedQueue::new(cfg.kind, cfg.tenants, cfg.max_batch, requests.len());
     let mut batch: Vec<u32> = Vec::with_capacity(cfg.max_batch.max(1));
     let mut idle = IdleGpus::all(cfg.gpus);
-    // Min-heap of (completion time, gpu, batch size); one in-flight
-    // batch per GPU.
-    let mut completions: BinaryHeap<std::cmp::Reverse<(SimTime, usize, u32)>> =
+    // Min-heap of (completion time, gpu).
+    let mut completions: BinaryHeap<Reverse<(SimTime, usize)>> =
         BinaryHeap::with_capacity(cfg.gpus);
-    let pool = || SessionPool::new(cfg.cc, cfg.tdx.clone());
-    let (spdm, doorbell) = pool().cold_admission().flight_split();
-    let admission = AdmissionCosts { spdm, doorbell };
-    // Admissions per (device, tenant), row-major by GPU: a tenant's
-    // first admission on a device is its cold start (CC-on), and the
-    // pools are charged from these counts after the loop.
-    let mut admitted = vec![0u64; cfg.gpus * tenants];
-
-    // The running depths behind `drained` and the time-to-recover.
-    let mut queued = 0usize;
-    let mut in_flight = vec![0u32; cfg.gpus];
-    let mut recovery = cfg.peak_ends.map(Recovery::new);
-    let mut integrals = cfg.queue_window.map(WindowIntegrals::new);
-    // Both depth gauges coalesce as they record: the queue depth moves
-    // only at `now`, and a GPU's `-n` at `done` precedes its next `+n`,
-    // which needs the GPU idle again.
-    let mut gauges = cfg
-        .planes
-        .contains(Planes::METRICS)
-        .then(|| DepthGauges::new(cfg.gpus));
-
-    let mut busy = SimDuration::ZERO;
-    let mut batches = 0u64;
-    let mut cold_starts = 0u64;
     let mut next_arrival = 0usize;
     let mut now = SimTime::ZERO;
 
@@ -525,15 +955,11 @@ pub fn simulate(
         // Dispatch everything we can at the current instant.
         while !idle.is_empty() && queue.next_batch(requests, &mut batch) {
             let dequeued = batch.len() as u16;
-            queued -= batch.len();
-            if let Some(g) = gauges.as_mut() {
-                g.queue.add(now, -i64::from(dequeued));
-            }
-            let tenant = requests[batch[0] as usize].tenant as usize;
+            depth.dispatch(now, batch.len());
             debug_assert!(
                 batch
                     .iter()
-                    .all(|&i| requests[i as usize].tenant as usize == tenant),
+                    .all(|&i| requests[i as usize].tenant == requests[batch[0] as usize].tenant),
                 "a batch is single-tenant"
             );
             // Each member is judged by its own shape: one that fails is
@@ -547,76 +973,19 @@ pub fn simulate(
                     true
                 }
                 Err(_) => {
-                    sums[tenant].rejected += 1;
-                    if samples.is_none() {
-                        let i = i as usize;
-                        debug_assert_eq!(outcomes[i].batch, 0, "request {i} settles once");
-                        outcomes[i] = Outcome {
-                            dispatch: now,
-                            completion: now,
-                            batch: dequeued,
-                            rejected: true,
-                            ..placeholder
-                        };
-                    }
+                    ledger.reject(i, now, dequeued);
                     false
                 }
             });
             let Some(shape) = head_shape else { continue };
-            let size = batch.len() as u16;
             let gpu = idle.take_lowest();
-            // Only the head can be cold: the batch is single-tenant, so
-            // its followers find the tenant admitted on this device.
-            let n = &mut admitted[gpu * tenants + tenant];
-            let colds = u64::from(cfg.cc == CcMode::On && *n == 0);
-            *n += u64::from(size);
-            cold_starts += colds;
-            let admission_sum = doorbell * u64::from(size) + spdm * colds;
-            let extra = shape.scale(BATCH_MARGIN * (batch.len() - 1) as f64);
-            let service_time = shape + extra + admission_sum;
-            let done = now + service_time;
-            busy += service_time;
-            batches += 1;
-            in_flight[gpu] += u32::from(size);
-            if let Some(g) = gauges.as_mut() {
-                g.gpu[gpu].occupy_n(now, done, i64::from(size));
-            }
-            let s = &mut sums[tenant];
-            s.service += service_time * u64::from(size);
-            s.shape += shape_sum;
-            s.admission += admission_sum;
-            match samples.as_deref_mut() {
-                Some(samples) => {
-                    for &i in &batch {
-                        let arrival = requests[i as usize].arrival;
-                        samples.push(
-                            tenant,
-                            done.saturating_since(arrival),
-                            now.saturating_since(arrival),
-                        );
-                    }
-                }
-                None => {
-                    for (k, &i) in batch.iter().enumerate() {
-                        let i = i as usize;
-                        debug_assert_eq!(outcomes[i].batch, 0, "request {i} settles once");
-                        outcomes[i] = Outcome {
-                            dispatch: now,
-                            completion: done,
-                            gpu: gpu as u32,
-                            batch: size,
-                            cold: k == 0 && colds > 0,
-                            rejected: false,
-                        };
-                    }
-                }
-            }
-            completions.push(std::cmp::Reverse((done, gpu, u32::from(size))));
+            let done = ledger.run(&batch, gpu, now, shape, shape_sum);
+            completions.push(Reverse((done, gpu)));
         }
 
         // Advance to the next event.
-        let arrival = (next_arrival < requests.len()).then(|| requests[next_arrival].arrival);
-        let completion = completions.peek().map(|std::cmp::Reverse((t, ..))| *t);
+        let arrival = requests.get(next_arrival).map(|r| r.arrival);
+        let completion = completions.peek().map(|Reverse((t, _))| *t);
         let next = match (arrival, completion) {
             (Some(a), Some(c)) => a.min(c),
             (Some(a), None) => a,
@@ -625,106 +994,24 @@ pub fn simulate(
         };
         debug_assert!(next >= now, "the virtual clock never runs backwards");
         if next > now {
-            if let Some(r) = recovery.as_mut() {
-                r.settle(now, queued, Some(next));
-            }
-            if let Some(q) = integrals.as_mut() {
-                q.step(now, queued as u64);
-            }
+            depth.close(now, next);
         }
         now = next;
         // Completions first: a device freed at `t` can serve a request
         // arriving at `t`.
-        while completions
-            .peek()
-            .is_some_and(|std::cmp::Reverse((t, ..))| *t == now)
+        while let Some(&Reverse((_, gpu))) = completions.peek().filter(|Reverse((t, _))| *t == now)
         {
-            let std::cmp::Reverse((_, gpu, size)) = completions.pop().expect("peeked");
-            in_flight[gpu] -= size;
+            completions.pop();
             idle.insert(gpu);
         }
-        while next_arrival < requests.len() && requests[next_arrival].arrival == now {
+        while requests.get(next_arrival).is_some_and(|r| r.arrival == now) {
             queue.push(next_arrival as u32, &requests[next_arrival]);
-            queued += 1;
-            if let Some(g) = gauges.as_mut() {
-                g.queue.add(now, 1);
-            }
+            depth.arrive(now);
             next_arrival += 1;
         }
     }
-    let ttr = recovery.map(|mut r| {
-        r.settle(now, queued, None);
-        r.finish()
-    });
-    // The final depth holds from the last event on, as a series' last
-    // value does.
-    let queue_integrals = integrals.map(|mut q| {
-        q.step(now, queued as u64);
-        q
-    });
-    let drained = queued == 0 && in_flight.iter().all(|&n| n == 0);
     debug_assert!(queue.is_empty(), "dispatch drains the queue before exit");
-    debug_assert!(
-        match samples.as_deref() {
-            Some(samples) => {
-                let rejected: u64 = sums.iter().map(|s| s.rejected).sum();
-                samples.admitted() as u64 + rejected == requests.len() as u64
-            }
-            None => outcomes.iter().all(|o| o.batch > 0),
-        },
-        "every request settles once"
-    );
-
-    // Each device's pool is charged once per tenant with everything the
-    // drain admitted there: the same counters and session ledger as one
-    // `admit` per request.
-    let mut td = TdCounters::default();
-    let mut sessions_established = 0u64;
-    let mut sessions_closed = 0u64;
-    for counts in admitted.chunks_exact(tenants.max(1)) {
-        let mut pool = pool();
-        for (tenant, &n) in counts.iter().enumerate() {
-            pool.admit_n(tenant as u64, n);
-        }
-        let c = pool.counters();
-        td.hypercalls += c.hypercalls;
-        td.seamcalls += c.seamcalls;
-        td.pages_converted += c.pages_converted;
-        td.transition_time += c.transition_time;
-        // End-of-run drain: every established session must close exactly
-        // once, and the pool must report none live afterwards.
-        sessions_established += pool.established() as u64;
-        sessions_closed += pool.close_all();
-        pool.leak_check().expect("session pool drained");
-    }
-
-    let mut metrics = MetricsSet::new();
-    if let Some(gauges) = gauges {
-        metrics.push_counter("serving.requests", requests.len() as u64);
-        metrics.push_counter("serving.batches", batches);
-        metrics.push_counter("serving.cold_starts", cold_starts);
-        metrics.push_series(gauges.queue.finish("serving.queue_depth"));
-        for (g, gauge) in gauges.gpu.into_iter().enumerate() {
-            metrics.push_series(gauge.finish(&format!("serving.gpu{g}.depth")));
-        }
-    }
-
-    ClusterRun {
-        outcomes,
-        tenants: sums,
-        admission,
-        end: now,
-        busy,
-        batches,
-        cold_starts,
-        sessions_established,
-        sessions_closed,
-        td,
-        drained,
-        ttr,
-        queue_integrals,
-        metrics,
-    }
+    now
 }
 
 #[cfg(test)]
@@ -799,6 +1086,29 @@ mod tests {
             planes,
         };
         simulate(reqs, &table, &cfg, Record::Log)
+    }
+
+    #[test]
+    fn free_times_find_the_lowest_gpu_free_by_an_instant() {
+        let us = |v: u64| SimTime::ZERO + SimDuration::micros(v);
+        for gpus in [1, 2, 3, 5, 64, 65] {
+            let mut tree = FreeTimes::new(gpus);
+            let free: Vec<SimTime> = (0..gpus as u64).map(|g| us(1 + g * 7 % 13)).collect();
+            for (g, &t) in free.iter().enumerate() {
+                assert_eq!(
+                    tree.lowest_free_by(us(0)),
+                    g,
+                    "{gpus} gpus: {g} is free from 0"
+                );
+                tree.set(g, t);
+            }
+            assert_eq!(tree.earliest(), *free.iter().min().unwrap());
+            for t in (1..15).map(us) {
+                if let Some(g) = free.iter().position(|&f| f <= t) {
+                    assert_eq!(tree.lowest_free_by(t), g, "{gpus} gpus at {t}");
+                }
+            }
+        }
     }
 
     #[test]

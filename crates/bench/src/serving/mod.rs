@@ -253,7 +253,7 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
     // The cells: every scheduler CC-off then CC-on, in report order,
     // each through the one cell step, lent the soak's one pair of sample
     // buffers. The observation planes view only the CC-on runs.
-    let mut samples = cluster::Samples::default();
+    let mut samples = cluster::Samples::new(&requests, cfg.tenants.len());
     let mut cells = cfg.schedulers.iter().flat_map(|&kind| {
         CcMode::ALL.map(|cc| {
             let on = cc.is_on();

@@ -14,11 +14,14 @@
 //!   marked batchable — into one device batch, amortizing per-launch
 //!   overhead the way vLLM-style servers amortize decode steps.
 //!
-//! All queue state is plain `Vec`/`VecDeque`/`BinaryHeap` of `u32`
-//! request indices. A request's index is its global arrival rank, so
-//! scheduling decisions are deterministic and independent of engine
-//! thread count by construction. Batches are written into a caller-owned
-//! buffer, so draining a queue allocates nothing per batch.
+//! FIFO dispatches in index order, so the cluster drains it by a
+//! recurrence and keeps no queue for it; [`SchedQueue`] holds the
+//! waiting requests of the other two. Its state is plain
+//! `Vec`/`VecDeque`/`BinaryHeap` of `u32` request indices. A request's
+//! index is its global arrival rank, so scheduling decisions are
+//! deterministic and independent of engine thread count by
+//! construction. Batches are written into a caller-owned buffer, so
+//! draining a queue allocates nothing per batch.
 
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -66,12 +69,13 @@ impl std::fmt::Display for SchedulerKind {
     }
 }
 
-/// The pending-request queue for one cluster run. Requests are referred
-/// to by their `u32` index into the run's request slice, which is also
-/// their arrival rank.
+/// The pending-request queue for one cluster run under the priority or
+/// batching discipline. Requests are referred to by their `u32` index
+/// into the run's request slice, which is also their arrival rank.
 #[derive(Debug)]
 pub struct SchedQueue {
-    kind: SchedulerKind,
+    /// Batching; otherwise priority.
+    batching: bool,
     max_batch: usize,
     /// Tenant priorities, indexed by tenant.
     priorities: Vec<u8>,
@@ -79,7 +83,7 @@ pub struct SchedQueue {
     slot_base: Vec<usize>,
     /// Per-class batchability, indexed by (tenant, class) slot.
     batchable: Vec<bool>,
-    /// FIFO order (also the batching scheduler's primary order).
+    /// Batching: arrival order, the primary order.
     fifo: VecDeque<u32>,
     /// Priority order: (priority, index).
     prio: BinaryHeap<std::cmp::Reverse<(u8, u32)>>,
@@ -87,19 +91,24 @@ pub struct SchedQueue {
     /// requests (empty for non-batchable slots).
     shape_queues: Vec<VecDeque<u32>>,
     /// Batching: requests already pulled into a batch as followers
-    /// (empty under the other disciplines).
+    /// (empty under priority).
     claimed: Vec<bool>,
     pending: usize,
 }
 
 impl SchedQueue {
     /// An empty queue for `capacity` requests under the given discipline.
+    ///
+    /// # Panics
+    /// Under [`SchedulerKind::Fifo`], which needs no queue.
     pub fn new(
         kind: SchedulerKind,
         tenants: &[TenantSpec],
         max_batch: usize,
         capacity: usize,
     ) -> Self {
+        assert_ne!(kind, SchedulerKind::Fifo, "FIFO drains without a queue");
+        let batching = kind == SchedulerKind::Batching;
         let mut slot_base = Vec::with_capacity(tenants.len());
         let mut batchable = Vec::new();
         for t in tenants {
@@ -107,7 +116,7 @@ impl SchedQueue {
             batchable.extend(t.mix.iter().map(|c| c.batchable));
         }
         SchedQueue {
-            kind,
+            batching,
             max_batch: max_batch.max(1),
             priorities: tenants.iter().map(|t| t.priority).collect(),
             slot_base,
@@ -115,7 +124,7 @@ impl SchedQueue {
             batchable,
             fifo: VecDeque::new(),
             prio: BinaryHeap::new(),
-            claimed: if kind == SchedulerKind::Batching {
+            claimed: if batching {
                 vec![false; capacity]
             } else {
                 Vec::new()
@@ -142,19 +151,15 @@ impl SchedQueue {
     /// Enqueues one request (by index into the run's request slice).
     pub fn push(&mut self, idx: u32, req: &Request) {
         self.pending += 1;
-        match self.kind {
-            SchedulerKind::Fifo => self.fifo.push_back(idx),
-            SchedulerKind::Priority => {
-                let priority = self.priorities[req.tenant as usize];
-                self.prio.push(std::cmp::Reverse((priority, idx)));
+        if self.batching {
+            self.fifo.push_back(idx);
+            let slot = self.slot(req);
+            if self.batchable[slot] {
+                self.shape_queues[slot].push_back(idx);
             }
-            SchedulerKind::Batching => {
-                self.fifo.push_back(idx);
-                let slot = self.slot(req);
-                if self.batchable[slot] {
-                    self.shape_queues[slot].push_back(idx);
-                }
-            }
+        } else {
+            let priority = self.priorities[req.tenant as usize];
+            self.prio.push(std::cmp::Reverse((priority, idx)));
         }
     }
 
@@ -165,17 +170,16 @@ impl SchedQueue {
     /// nothing is waiting.
     pub fn next_batch(&mut self, requests: &[Request], batch: &mut Vec<u32>) -> bool {
         batch.clear();
-        let head = match self.kind {
-            SchedulerKind::Fifo => self.fifo.pop_front(),
-            SchedulerKind::Priority => self.prio.pop().map(|r| r.0 .1),
+        let head = if self.batching {
             // Skip entries already claimed as batch followers.
-            SchedulerKind::Batching => std::iter::from_fn(|| self.fifo.pop_front())
-                .find(|&idx| !self.claimed[idx as usize]),
+            std::iter::from_fn(|| self.fifo.pop_front()).find(|&idx| !self.claimed[idx as usize])
+        } else {
+            self.prio.pop().map(|r| r.0 .1)
         };
         let Some(head) = head else { return false };
         self.pending -= 1;
         batch.push(head);
-        if self.kind == SchedulerKind::Batching {
+        if self.batching {
             let slot = self.slot(&requests[head as usize]);
             if self.batchable[slot] {
                 let q = &mut self.shape_queues[slot];
@@ -230,15 +234,9 @@ mod tests {
     }
 
     #[test]
-    fn fifo_preserves_arrival_order() {
-        let tenants = default_tenants(2);
-        let reqs: Vec<Request> = (0..4).map(|i| req(i, (i % 2) as u32, 0)).collect();
-        let mut q = SchedQueue::new(SchedulerKind::Fifo, &tenants, 8, reqs.len());
-        push_all(&mut q, &reqs);
-        assert_eq!(
-            drain(&mut q, &reqs),
-            vec![vec![0], vec![1], vec![2], vec![3]]
-        );
+    #[should_panic(expected = "FIFO drains without a queue")]
+    fn fifo_has_no_queue() {
+        SchedQueue::new(SchedulerKind::Fifo, &default_tenants(2), 8, 4);
     }
 
     #[test]

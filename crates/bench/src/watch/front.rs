@@ -8,7 +8,9 @@
 //! with `--serve`, and open with the same soak line. Stdout is
 //! byte-identical across `HCC_ENGINE_THREADS` settings. Exit status 1
 //! means the soak violated a structural invariant (for `why` also a
-//! span-identity violation or an unknown request or incident).
+//! span-identity violation, or a request or incident the soak did not
+//! keep, said on stderr). A `why --request` id past the soak's requests
+//! is refused before the soak runs, with status 2.
 
 use std::io::{self, Write};
 use std::process::ExitCode;
@@ -190,20 +192,21 @@ fn incident_line(watch: &WatchReport, inc: &Incident) -> String {
 
 /// The page's body, written to `out`: one request's waterfall, one
 /// incident's forensics, or (neither asked for) the incident list and
-/// the worst exemplars. `false` when the asked-for request or incident
-/// is unknown.
+/// the worst exemplars. `false`, said on `err`, when the flight log kept
+/// no such request or the watch report has no such incident.
 fn why_body(
     flight: &FlightLog,
     watch: Option<&WatchReport>,
     request: Option<u32>,
     incident: Option<usize>,
     out: &mut dyn Write,
+    err: &mut dyn Write,
 ) -> io::Result<bool> {
     if let Some(req) = request {
         let Some(sample) = flight.find(req) else {
             writeln!(
-                out,
-                "request #{req} was not kept by the sampler \
+                err,
+                "why: request #{req} was not kept by the sampler \
                  (raise HCC_FLIGHT_WORST / HCC_FLIGHT_RESERVOIR or widen the window)"
             )?;
             return Ok(false);
@@ -212,7 +215,7 @@ fn why_body(
     } else if let Some(id) = incident {
         let found = watch.and_then(|w| Some((w, w.incidents.iter().find(|i| i.id == id)?)));
         let Some((watch, inc)) = found else {
-            writeln!(out, "incident #{id} not found in the watch report")?;
+            writeln!(err, "why: incident #{id} not found in the watch report")?;
             return Ok(false);
         };
         writeln!(out, "{}", incident_line(watch, inc))?;
@@ -265,6 +268,13 @@ fn why(args: &mut Args) -> Result<Run, CliError> {
         Ok(true)
     })?;
     let canonical = soak.canonical()?.with_flight(Some(cli::flight_from_env()?));
+    let requests = canonical.requests();
+    if let Some(req) = request.filter(|&req| u64::from(req) >= requests) {
+        return Err(CliError::Invalid {
+            flag: "--request".to_string(),
+            detail: format!("{req} is past the soak's {requests} requests"),
+        });
+    }
     Ok(Box::new(move |out, err| {
         let (soak, elapsed) = replay(&canonical, "why: request flight forensics", false, out)?;
         let flight = soak.flight.as_ref().expect("flight plane enabled");
@@ -276,7 +286,7 @@ fn why(args: &mut Args) -> Result<Run, CliError> {
             flight.cfg.reservoir,
             flight.cfg.seed,
         )?;
-        let found = why_body(flight, soak.watch.as_ref(), request, incident, out)?;
+        let found = why_body(flight, soak.watch.as_ref(), request, incident, out, err)?;
 
         let identity = flight.identity_holds();
         writeln!(
@@ -328,7 +338,7 @@ fn why(args: &mut Args) -> Result<Run, CliError> {
             _ => None,
         };
         let status = report::soak_status(err, "why", broken);
-        // An unknown request or incident was already reported.
+        // A request or incident not kept was already reported.
         Ok(if found { status } else { ExitCode::FAILURE })
     }))
 }

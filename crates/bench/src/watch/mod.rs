@@ -182,6 +182,14 @@ pub struct Observed {
 }
 
 impl Canonical {
+    /// The soak's request count: its requests' ids run below it.
+    pub fn requests(&self) -> u64 {
+        match self {
+            Soak::Calm(cfg) => cfg.requests,
+            Soak::Stormy(cfg) => cfg.requests,
+        }
+    }
+
     /// The same soak with the flight recorder set to `flight`.
     #[must_use]
     pub fn with_flight(mut self, flight: Option<FlightConfig>) -> Self {

@@ -51,9 +51,9 @@ fn positionals(name: &str) -> &'static [&'static str] {
 type Env = &'static [(&'static str, &'static str)];
 
 /// Refusals beyond a bad flag: a bad value, a missing or unknown
-/// subcommand, a bad figure name, a malformed override and a size past
-/// the simulator's narrow ids.
-const REFUSED: [(Env, &[&str]); 13] = [
+/// subcommand, a bad figure name, a malformed override, a size past
+/// the simulator's narrow ids and a `why` request past the soak's.
+const REFUSED: [(Env, &[&str]); 14] = [
     (&[], &["serve", "--util", "NaN"]),
     (&[], &["--bogus"]),
     (&[], &["bogus"]),
@@ -67,6 +67,7 @@ const REFUSED: [(Env, &[&str]); 13] = [
     (&[("HCC_SERVE_REQUESTS", "4294967296")], &["serve"]),
     (&[("HCC_FAULT_PLAN", "garbage")], &["figures"]),
     (&[("HCC_ENGINE_THREADS", "abc")], &["summary"]),
+    (&[], &["why", "--request", "4000000"]),
 ];
 
 /// Each refusal — `--bogus` after every subcommand, then [`REFUSED`] —
@@ -96,6 +97,55 @@ fn every_refusal_exits_2_naming_what_it_refused() {
         let (first, rest) = err.split_once('\n').expect("a refusal line");
         assert!(first.starts_with(&prefix), "{env:?} {argv:?}: {first}");
         assert_eq!(rest, format!("{usage}\n"), "{env:?} {argv:?}");
+    }
+}
+
+/// A `why --request` equal to the soak's request count, the first id
+/// past it, is refused naming the flag and the soak's size.
+#[test]
+fn why_refuses_a_request_past_the_soak() {
+    let _env = env_lock();
+    let (code, out, err) = run(&[], &["why", "--requests", "10", "--request", "10"]);
+    assert_eq!(code, ExitCode::from(2), "{err}");
+    assert!(out.is_empty(), "{out}");
+    assert!(
+        err.starts_with("hcc_lab why: --request: 10 is past the soak's 10 requests\n"),
+        "{err}"
+    );
+}
+
+/// A `why` request inside the soak that the flight recorder did not
+/// keep, or an incident the watch did not open, exits 1 with its reason
+/// first on stderr, and stdout holds only the page's own lines.
+#[test]
+fn why_says_what_it_did_not_keep_on_stderr() {
+    let _env = env_lock();
+    let keep_nothing: Env = &[("HCC_FLIGHT_WORST", "0"), ("HCC_FLIGHT_RESERVOIR", "0")];
+    let cases: [(Env, &[&str], &str); 2] = [
+        (
+            keep_nothing,
+            &["why", "--requests", "200", "--request", "199"],
+            "why: request #199 was not kept by the sampler (raise ",
+        ),
+        (
+            &[],
+            &["why", "--requests", "200", "--incident", "99"],
+            "why: incident #99 not found in the watch report\n",
+        ),
+    ];
+    for (env, argv, reason) in cases {
+        let (code, out, err) = run(env, argv);
+        assert_eq!(code, ExitCode::FAILURE, "{argv:?}: {err}");
+        assert!(err.starts_with(reason), "{argv:?}: {err}");
+        assert!(
+            !out.contains("#199") && !out.contains("#99"),
+            "{argv:?}: {out}"
+        );
+        assert!(
+            out.starts_with("=== why: request flight forensics ===\n"),
+            "{out}"
+        );
+        assert!(out.contains("span-identity OK"), "{argv:?}: {out}");
     }
 }
 

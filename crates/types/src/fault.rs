@@ -148,7 +148,10 @@ impl FaultPlan {
     /// Parses a plan spec like `seed=7,gcm=0.4,bounce=0.3,ring=0.2,
     /// uvm=0.4,max=6`. Keys: `seed`, `max`, one per site name
     /// ([`FaultSite::name`]), plus `gcm` as shorthand for both GCM
-    /// directions. Empty string parses to the empty plan.
+    /// directions. Empty string parses to the empty plan. A rate outside
+    /// [0, 1] is held clamped, as [`FaultPlan::rate`] reads it, so a
+    /// parsed plan renders to a spec that parses back to it; `NaN` is
+    /// not a rate.
     ///
     /// # Errors
     /// The first malformed token, as a [`FaultPlanError`].
@@ -160,11 +163,12 @@ impl FaultPlan {
                 .ok_or_else(|| FaultPlanError::NotKeyValue {
                     token: tok.to_string(),
                 })?;
-            let fval = || {
-                value.parse::<f64>().map_err(|_| FaultPlanError::NotARate {
+            let fval = || match value.parse::<f64>() {
+                Ok(rate) if !rate.is_nan() => Ok(rate.clamp(0.0, 1.0)),
+                _ => Err(FaultPlanError::NotARate {
                     key: key.to_string(),
                     value: value.to_string(),
-                })
+                }),
             };
             match key.trim() {
                 "seed" => {
@@ -225,7 +229,7 @@ pub enum FaultPlanError {
     Seed { value: String },
     /// A `max` that is not a `u32`.
     Max { value: String },
-    /// A site's rate (`key` as written) that is not a number.
+    /// A site's rate (`key` as written) that is not a number, or `NaN`.
     NotARate { key: String, value: String },
     /// A key that is neither a site nor `seed`, `max` or `gcm`.
     UnknownKey { key: String },
@@ -683,6 +687,17 @@ mod tests {
             refused("ring =x").to_string(),
             "fault plan ring =\"x\": not a number"
         );
+        assert_eq!(
+            refused("uvm=NaN").to_string(),
+            "fault plan uvm=\"NaN\": not a number"
+        );
+        let clamped = FaultPlan::parse("bounce=5,ring=-1,uvm=1e400").unwrap();
+        assert_eq!(
+            clamped,
+            FaultPlan::none()
+                .with_rate(FaultSite::BounceExhausted, 1.0)
+                .with_rate(FaultSite::UvmMigration, 1.0)
+        );
     }
 
     /// Any plan a spec can hold (finite rates in [0, 1], a site's rate
@@ -708,6 +723,83 @@ mod tests {
                 }
                 ensure_eq!(FaultPlan::parse(&plan.to_string()), Ok(plan.clone()));
             }
+        );
+    }
+
+    /// Any text either parses or is refused with a typed error, never a
+    /// panic, and a plan it parses to renders to a spec that parses back
+    /// to it. The texts are strings of the grammar's fragments (keys,
+    /// separators, spaces, out-of-range and non-finite numbers,
+    /// overflowing integers, non-ASCII) and raw random bytes.
+    #[test]
+    fn any_text_parses_or_is_refused() {
+        use hcc_check::strategy::{bytes, u64s, vecs};
+        use hcc_check::{ensure, ensure_eq, forall, Config};
+        const FRAGMENTS: [&str; 34] = [
+            "seed=",
+            "gcm=",
+            "gcm_h2d=",
+            "gcm_d2h=",
+            "bounce=",
+            "ring=",
+            "uvm=",
+            "max=",
+            "bogus=",
+            ",",
+            " ",
+            "=",
+            "0",
+            "1",
+            "0.25",
+            "7",
+            ".",
+            "e",
+            "NaN",
+            "nan",
+            "inf",
+            "-inf",
+            "-1",
+            "1e400",
+            "-0",
+            "+3",
+            "0x10",
+            "18446744073709551616",
+            "4294967296",
+            "1e-400",
+            "é",
+            "∞",
+            "\u{0}",
+            "\u{feff}",
+        ];
+        let (accepted, refused) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+        forall!(
+            Config::new(0xFA17_0036).with_cases(1024),
+            (picks, raw) in (
+                vecs(u64s(0..FRAGMENTS.len() as u64), 0..12),
+                vecs(bytes(), 0..24)
+            ) => {
+                let spec: String = picks.iter().map(|&k| FRAGMENTS[k as usize]).collect();
+                for text in [spec, String::from_utf8_lossy(&raw).into_owned()] {
+                    match FaultPlan::parse(&text) {
+                        Ok(plan) => {
+                            accepted.set(accepted.get() + 1);
+                            ensure!(
+                                FaultSite::ALL.iter().all(|&s| plan.rates[s.index()] == plan.rate(s)),
+                                "{text:?} holds a rate outside [0, 1]: {plan:?}"
+                            );
+                            ensure_eq!(FaultPlan::parse(&plan.to_string()), Ok(plan));
+                        }
+                        Err(e) => {
+                            refused.set(refused.get() + 1);
+                            ensure!(!e.to_string().is_empty());
+                        }
+                    }
+                }
+            }
+        );
+        assert!(
+            accepted.get() > 100 && refused.get() > 100,
+            "{accepted:?} {refused:?}"
         );
     }
 

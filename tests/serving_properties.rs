@@ -847,24 +847,165 @@ fn check_queue_integrals(
     Ok(())
 }
 
+/// Holds `cluster::simulate` of `reqs` over `table` on `cfg` (its peak
+/// ends and queue window set, the metrics plane on) to the naive
+/// reference cluster, `service` being each request's shape outcome:
+/// every outcome (its GPU included), every request's SPDM and doorbell
+/// charges (derived by `run.admission.of`, against the reference's own
+/// `admit()` record), the end time, busy time, batch and cold-start
+/// counts, TD counters, session ledger and every gauge series. The
+/// online verdicts match the series: `ttr` is the queue series'
+/// time-to-recover at the peak ends and `drained` says every depth
+/// gauge ended at zero, and the folded queue integrals match the queue
+/// series window by window up to past the run's end
+/// ([`check_queue_integrals`]); with no window there are none, with no
+/// peak ends no time-to-recover, and with an empty list an empty one. A
+/// run with the metrics plane off reports the same in every field but
+/// `metrics`, which is empty.
+fn check_against_reference(
+    reqs: &[Request],
+    table: &ShapeTable,
+    service: &[Result<SimDuration, String>],
+    cfg: &ClusterConfig<'_>,
+) -> Result<(), String> {
+    let (kind, cc, gpus) = (cfg.kind, cfg.cc, cfg.gpus);
+    let peaks = cfg.peak_ends.expect("peak ends to check");
+    let window = cfg.queue_window.expect("a queue window to check");
+    let run = cluster::simulate(reqs, table, cfg, Record::Log);
+    let want = reference_cluster(reqs, service, cfg);
+    if let Some(i) = (0..reqs.len()).find(|&i| run.outcomes.get(i) != want.outcomes.get(i)) {
+        return Err(format!(
+            "{kind}/{cc}/{gpus} gpus: request {i} ({:?}) settled as {:?}, the reference says {:?}",
+            reqs[i],
+            run.outcomes.get(i),
+            want.outcomes[i]
+        ));
+    }
+    let admissions: Vec<_> = run.outcomes.iter().map(|o| run.admission.of(o)).collect();
+    for (i, (got, want)) in admissions.iter().zip(&want.admissions).enumerate() {
+        ensure!(
+            got.0 == want.0,
+            "{kind}/{cc}/{gpus} gpus: request {i} spdm {:?}, admit() charged {:?}",
+            got.0,
+            want.0
+        );
+        ensure!(
+            got.1 == want.1,
+            "{kind}/{cc}/{gpus} gpus: request {i} doorbell {:?}, admit() charged {:?}",
+            got.1,
+            want.1
+        );
+    }
+    let totals = |r: &ReferenceRun| (r.end, r.busy, r.batches, r.cold_starts, r.td, r.sessions);
+    let got = ReferenceRun {
+        outcomes: run.outcomes.clone(),
+        admissions,
+        end: run.end,
+        busy: run.busy,
+        batches: run.batches,
+        cold_starts: run.cold_starts,
+        td: run.td,
+        sessions: (run.sessions_established, run.sessions_closed),
+        gauges: run.metrics.gauges.clone(),
+    };
+    ensure!(
+        totals(&got) == totals(&want),
+        "{kind}/{cc}/{gpus} gpus:\n  got:  {:?}\n  want: {:?}",
+        totals(&got),
+        totals(&want)
+    );
+    if let Some((g, w)) = got.gauges.iter().zip(&want.gauges).find(|(g, w)| g != w) {
+        return Err(format!(
+            "{kind}/{cc}/{gpus} gpus: gauge {} differs from the reference's {}",
+            g.name, w.name
+        ));
+    }
+    ensure!(
+        got == want,
+        "{kind}/{cc}/{gpus} gpus: {} gauge series, the reference {}",
+        got.gauges.len(),
+        want.gauges.len()
+    );
+    ensure_eq!(
+        run.metrics.counter_total("serving.batches"),
+        Some(want.batches)
+    );
+    ensure_eq!(
+        run.metrics.counter_total("serving.cold_starts"),
+        Some(want.cold_starts)
+    );
+
+    let queue = run.metrics.gauge_series("serving.queue_depth");
+    let ttr = Some(time_to_recover(queue, peaks));
+    ensure!(
+        run.ttr == ttr,
+        "{kind}/{cc}/{gpus} gpus, {} peaks: ttr {:?}, series says {ttr:?}",
+        peaks.len(),
+        run.ttr
+    );
+    ensure_eq!(run.drained, depth_gauges_drained(&run.metrics, gpus));
+    let past_end = run.end + window * 2 + SimDuration::micros(1);
+    check_queue_integrals(&run, queue, past_end)
+        .map_err(|e| format!("{kind}/{cc}/{gpus} gpus, {window} windows: {e}"))?;
+    let unwindowed = cluster::simulate(
+        reqs,
+        table,
+        &ClusterConfig {
+            queue_window: None,
+            ..*cfg
+        },
+        Record::Log,
+    );
+    ensure_eq!(unwindowed.queue_integrals, None);
+
+    let off = cluster::simulate(
+        reqs,
+        table,
+        &ClusterConfig {
+            planes: Planes::NONE,
+            ..*cfg
+        },
+        Record::Log,
+    );
+    let (off_says, on_says) = (verdicts(&off), verdicts(&run));
+    ensure!(
+        off_says == on_says,
+        "{kind}/{cc}/{gpus} gpus: the plane-off run reports otherwise"
+    );
+    ensure!(off.metrics.counters.is_empty() && off.metrics.gauges.is_empty());
+
+    let no_peaks = cluster::simulate(
+        reqs,
+        table,
+        &ClusterConfig {
+            peak_ends: None,
+            ..*cfg
+        },
+        Record::Log,
+    );
+    ensure_eq!(no_peaks.ttr, None);
+    let empty = cluster::simulate(
+        reqs,
+        table,
+        &ClusterConfig {
+            peak_ends: Some(&[]),
+            ..*cfg
+        },
+        Record::Log,
+    );
+    ensure_eq!(empty.ttr, Some(time_to_recover(queue, &[])));
+    Ok(())
+}
+
 /// Oracle: over random small traces (bursts of same-instant arrivals,
 /// 1–4 tenants, batch caps 1–4, one shape per (tenant, class) with some
 /// failing), `cluster::simulate` matches the naive reference cluster in
-/// every outcome (its GPU included), every request's SPDM and doorbell
-/// charges (derived by `run.admission.of`, against the reference's own
-/// `admit()` record), the end time, busy time, batch and cold-start counts,
-/// TD counters, session ledger and every gauge series — under every
-/// scheduler, both CC modes, and 1, 2, 3, 4, 8 and 65 GPUs (65 spans two
-/// words of the idle-GPU bitset). Its online verdicts match the series: over
-/// random sorted peak ends (at 0, on and between arrival instants, past
-/// the horizon), `ttr` is the queue series' time-to-recover and
-/// `drained` says every depth gauge ended at zero; with no peak ends it
-/// reports no time-to-recover, and with an empty list an empty one.
-/// Over random window widths (1 µs to 2 ms), the folded queue integrals
-/// match the queue series window by window up to past the run's end
-/// ([`check_queue_integrals`]); with no window there are none. A run
-/// with the metrics plane off reports the same in every field but
-/// `metrics`, which is empty.
+/// everything [`check_against_reference`] pins — under every scheduler,
+/// both CC modes, and 1, 2, 3, 4, 8 and 65 GPUs (65 spans two words of
+/// the event loop's idle-GPU bitset and seven levels of the FIFO
+/// drain's free-time tree), over random sorted peak ends (at 0, on and
+/// between arrival instants, past the horizon) and random window widths
+/// (1 µs to 2 ms).
 #[test]
 fn cluster_matches_the_reference_cluster() {
     forall!(
@@ -938,52 +1079,167 @@ fn cluster_matches_the_reference_cluster() {
                             queue_window: Some(SimDuration::micros(window_us)),
                             planes: Planes::METRICS,
                         };
-                        let run = cluster::simulate(&reqs, &table, &cfg, Record::Log);
-                        let want = reference_cluster(&reqs, &service, &cfg);
-                        let admissions: Vec<_> = run.outcomes.iter().map(|o| run.admission.of(o)).collect();
-                        for (i, (got, want)) in admissions.iter().zip(&want.admissions).enumerate() {
-                            ensure!(got.0 == want.0, "{kind}/{cc}/{gpus} gpus: request {i} spdm {:?}, admit() charged {:?}", got.0, want.0);
-                            ensure!(got.1 == want.1, "{kind}/{cc}/{gpus} gpus: request {i} doorbell {:?}, admit() charged {:?}", got.1, want.1);
-                        }
-                        let got = ReferenceRun {
-                            outcomes: run.outcomes.clone(),
-                            admissions,
-                            end: run.end,
-                            busy: run.busy,
-                            batches: run.batches,
-                            cold_starts: run.cold_starts,
-                            td: run.td,
-                            sessions: (run.sessions_established, run.sessions_closed),
-                            gauges: run.metrics.gauges.clone(),
-                        };
-                        ensure!(got == want, "{kind}/{cc}/{gpus} gpus:\n  got:  {got:?}\n  want: {want:?}");
-                        ensure_eq!(run.metrics.counter_total("serving.batches"), Some(want.batches));
-                        ensure_eq!(run.metrics.counter_total("serving.cold_starts"), Some(want.cold_starts));
-
-                        let queue = run.metrics.gauge_series("serving.queue_depth");
-                        let ttr = Some(time_to_recover(queue, &peaks));
-                        ensure!(run.ttr == ttr, "{kind}/{cc}/{gpus} gpus, peaks {peaks:?}: ttr {:?}, series says {ttr:?}", run.ttr);
-                        ensure_eq!(run.drained, depth_gauges_drained(&run.metrics, gpus));
-                        let past_end = run.end + SimDuration::micros(2 * window_us + 1);
-                        check_queue_integrals(&run, queue, past_end)
-                            .map_err(|e| format!("{kind}/{cc}/{gpus} gpus, {window_us} µs windows: {e}"))?;
-                        let unwindowed = cluster::simulate(&reqs, &table, &ClusterConfig { queue_window: None, ..cfg }, Record::Log);
-                        ensure_eq!(unwindowed.queue_integrals, None);
-
-                        let off = cluster::simulate(&reqs, &table, &ClusterConfig { planes: Planes::NONE, ..cfg }, Record::Log);
-                        let (off_says, on_says) = (verdicts(&off), verdicts(&run));
-                        ensure!(off_says == on_says, "{kind}/{cc}/{gpus} gpus, plane off:\n  {off_says:?}\n  on: {on_says:?}");
-                        ensure!(off.metrics.counters.is_empty() && off.metrics.gauges.is_empty());
-
-                        let no_peaks = cluster::simulate(&reqs, &table, &ClusterConfig { peak_ends: None, ..cfg }, Record::Log);
-                        ensure_eq!(no_peaks.ttr, None);
-                        let empty = cluster::simulate(&reqs, &table, &ClusterConfig { peak_ends: Some(&[]), ..cfg }, Record::Log);
-                        ensure_eq!(empty.ttr, Some(time_to_recover(queue, &[])));
+                        check_against_reference(&reqs, &table, &service, &cfg)?;
                     }
                 }
             }
         }
     );
+}
+
+/// Each request's shape outcome under `table`.
+fn services(table: &ShapeTable) -> Vec<Result<SimDuration, String>> {
+    (0..table.shape_of().len())
+        .map(|i| table.service(i).clone())
+        .collect()
+}
+
+/// Oracle at soak scale, where the FIFO drain's queues build and its
+/// time-to-recover counts: every default chaos soak cell (20k requests
+/// on 4 CC-on GPUs, FIFO, both storm profiles under all three recovery
+/// policies, so aborted shapes reject requests mid-storm), measured at
+/// its storm calendar's peak ends and over the watch's default fast
+/// window, and a 20k-request calm FIFO cell on 65 GPUs at 0.9 target
+/// utilization in both CC modes, each matches the reference cluster in
+/// everything [`check_against_reference`] pins. The rows are not
+/// vacuous: a storm cell rejects requests and leaves a peak backlogged
+/// past its end, and the wide cell's queue holds more than one request.
+#[test]
+fn fifo_soak_cells_match_the_reference_cluster() {
+    let engine = ExperimentEngine::new(2);
+    let window = WatchConfig::default().fast;
+    let chaos = ChaosConfig::default();
+    assert_eq!(
+        (chaos.scheduler, chaos.requests),
+        (SchedulerKind::Fifo, 20_000)
+    );
+    let (reqs, storms) = chaos::shape_tables(&chaos, &engine);
+    let (mut rejected, mut backlogged) = (false, false);
+    for (profile, storm) in storms.iter().enumerate() {
+        let peaks = storm.schedule.peak_ends();
+        for table in &storm.tables {
+            let cfg = ClusterConfig {
+                peak_ends: Some(&peaks),
+                queue_window: Some(window),
+                planes: Planes::METRICS,
+                ..chaos.cluster()
+            };
+            let service = services(table);
+            if let Err(e) = check_against_reference(&reqs, table, &service, &cfg) {
+                panic!("storm {profile}: {e}");
+            }
+            let run = cluster::simulate(&reqs, table, &cfg, Record::Log);
+            rejected |= run.outcomes.iter().any(|o| o.rejected);
+            backlogged |= run.ttr.is_some_and(|t| t.max > SimDuration::ZERO);
+        }
+    }
+    assert!(
+        rejected && backlogged,
+        "rejected {rejected}, backlogged {backlogged}"
+    );
+
+    let wide = ServingConfig {
+        requests: 20_000,
+        gpus: 65,
+        target_util: 0.9,
+        schedulers: vec![SchedulerKind::Fifo],
+        ..ServingConfig::default()
+    };
+    let (reqs, tables) = serving::shape_tables(&wide, &engine);
+    let picks: Vec<u64> = (0..8).map(|k| 4 * 2_500 * k + k % 4).collect();
+    let peaks = peak_ends(&reqs, &picks);
+    for (cc, table) in CcMode::ALL.into_iter().zip(&tables) {
+        let cfg = ClusterConfig {
+            peak_ends: Some(&peaks),
+            queue_window: Some(window),
+            planes: Planes::METRICS,
+            ..wide.cluster(SchedulerKind::Fifo, cc)
+        };
+        if let Err(e) = check_against_reference(&reqs, table, &services(table), &cfg) {
+            panic!("65 gpus: {e}");
+        }
+        let run = cluster::simulate(&reqs, table, &cfg, Record::Log);
+        let depth = run.metrics.gauge_series("serving.queue_depth");
+        assert!(depth.is_some_and(|d| d.peak() > 1), "{cc}: no queue built");
+    }
+}
+
+/// A batch of zero length frees its GPU at the instant it started, but
+/// only once that instant's dispatch round ends: the next request
+/// waiting at that instant takes the next idle GPU, and the freed one
+/// serves only after every GPU idle at the round's start is taken.
+/// Admission is free in CC-off under a calibration with free VM exits,
+/// so a zero-time shape runs a zero-length batch. The trace opens with
+/// four requests at 0 on shapes of 100, 100, 0 and 100 µs: on two GPUs
+/// the third and fourth wait, both GPUs free at 100 µs, the third runs
+/// for zero time on GPU 0 and the fourth goes to GPU 1. Bursts of
+/// same-instant arrivals follow, whose shapes take 0 or 100 µs or fail.
+/// On 1 to 4 and 65 GPUs, every discipline matches the reference
+/// cluster.
+#[test]
+fn zero_length_batches_free_their_gpus_after_the_round() {
+    let tenants = default_tenants(2);
+    let tdx = TdxCalib {
+        vmexit: SimDuration::ZERO,
+        ..TdxCalib::default()
+    };
+    let at = |us: u64, tenant: u32, class: u32| Request {
+        arrival: SimTime::ZERO + SimDuration::micros(us),
+        tenant,
+        class,
+    };
+    let mut reqs = vec![at(0, 0, 1), at(0, 0, 1), at(0, 0, 0), at(0, 0, 1)];
+    for burst in 1..12u64 {
+        for k in 0..(burst % 5 + 1) {
+            reqs.push(at(30 * burst, (k % 2) as u32, ((burst + k) % 3) as u32));
+        }
+    }
+    // Shapes by (tenant, class) slot: zero-length, 100 µs or failing.
+    let slot_service = |slot: usize| match slot % 3 {
+        0 => Ok(SimDuration::ZERO),
+        1 => Ok(SimDuration::micros(100)),
+        _ if slot == 2 => Err("shape fails".to_string()),
+        _ => Ok(SimDuration::ZERO),
+    };
+    let slots: Vec<u32> = reqs.iter().map(|r| 3 * r.tenant + r.class).collect();
+    let shapes = (0..6)
+        .map(|slot| Shape {
+            label: String::new(),
+            hash: 0,
+            service: slot_service(slot),
+            faults: Default::default(),
+            audit: None,
+        })
+        .collect();
+    let table = ShapeTable::from_shapes(shapes, slots.into());
+    let service = services(&table);
+    let peaks = peak_ends(&reqs, &[1, 6, 11, 16]);
+    for kind in SchedulerKind::ALL {
+        for gpus in [1, 2, 3, 4, 65] {
+            let cfg = ClusterConfig {
+                tenants: &tenants,
+                cc: CcMode::Off,
+                gpus,
+                kind,
+                max_batch: 3,
+                tdx: &tdx,
+                peak_ends: Some(&peaks),
+                queue_window: Some(SimDuration::micros(20)),
+                planes: Planes::METRICS,
+            };
+            if let Err(e) = check_against_reference(&reqs, &table, &service, &cfg) {
+                panic!("{e}");
+            }
+            let run = cluster::simulate(&reqs, &table, &cfg, Record::Log);
+            let zero_length = |o: &Outcome| !o.rejected && o.dispatch == o.completion;
+            assert!(run.outcomes.iter().any(zero_length), "{kind}/{gpus} gpus");
+            if (kind, gpus) == (SchedulerKind::Fifo, 2) {
+                let gpu = |i: usize| (run.outcomes[i].dispatch, run.outcomes[i].gpu);
+                let freed = SimTime::ZERO + SimDuration::micros(100);
+                assert_eq!([gpu(2), gpu(3)], [(freed, 0), (freed, 1)]);
+            }
+        }
+    }
 }
 
 /// The mode report spelled out naively over the reference cluster's
@@ -1098,7 +1354,7 @@ fn cell_fold_matches_the_reference_fold() {
             let budgets = chaos::default_budgets(&tenants);
             let soak = SoakContext { tenant_names: &names, budgets: &budgets, horizon: SimTime::ZERO, storm: None };
             let watch = WatchConfig::default();
-            let mut samples = cluster::Samples::default();
+            let mut samples = cluster::Samples::new(&reqs, tenants.len());
             for kind in SchedulerKind::ALL {
                 for cc in CcMode::ALL {
                     for gpus in [1, 2, 3, 4, 8, 65] {
