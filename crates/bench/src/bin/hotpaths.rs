@@ -69,7 +69,8 @@ fn render(scenarios: usize, best_ms: f64, median_ms: f64) -> String {
 }
 
 fn main() -> ExitCode {
-    let samples = match cli::env_positive("HCC_BENCH_SAMPLES", 10_000) {
+    let env: cli::Env = std::env::vars_os().collect();
+    let samples = match env.positive("HCC_BENCH_SAMPLES", 10_000) {
         Ok(samples) => samples.unwrap_or(20) as usize,
         Err(e) => {
             let usage = "usage: [HCC_BENCH_SAMPLES=N] [HCC_BLESS=1] hotpaths";

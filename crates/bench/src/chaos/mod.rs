@@ -39,7 +39,7 @@ use hcc_types::{
 };
 use hcc_workloads::{default_tenants, Scenario, TenantSpec};
 
-use crate::cli::{self, env_at_most, env_u64, CliError};
+use crate::cli::{self, CliError, Env};
 use crate::engine::ExperimentEngine;
 use crate::lab::Command;
 use crate::serving::{
@@ -160,17 +160,17 @@ impl Default for ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// Applies [`SEED_ENV`], [`DAYS_ENV`], and [`REQUESTS_ENV`]
+    /// Applies `env`'s [`SEED_ENV`], [`DAYS_ENV`], and [`REQUESTS_ENV`]
     /// overrides; a value that is not an integer, or a request count
     /// above [`arrival::MAX_REQUESTS`], is refused.
-    pub fn from_env(mut self) -> Result<Self, CliError> {
-        if let Some(seed) = env_u64(SEED_ENV)? {
+    pub fn from_env(mut self, env: &Env) -> Result<Self, CliError> {
+        if let Some(seed) = env.u64(SEED_ENV)? {
             self.seed = seed;
         }
-        if let Some(days) = env_u64(DAYS_ENV)? {
+        if let Some(days) = env.u64(DAYS_ENV)? {
             self.days = days.clamp(1, 3650);
         }
-        if let Some(n) = env_at_most(REQUESTS_ENV, arrival::MAX_REQUESTS)? {
+        if let Some(n) = env.at_most(REQUESTS_ENV, arrival::MAX_REQUESTS)? {
             self.requests = n.max(1);
         }
         Ok(self)
@@ -624,11 +624,11 @@ pub const COMMAND: Command = Command {
         [--profiles p1,p2|all] [--policies retry,degrade,abort|all] [--replicas N] \
         [--episodes-per-day N] [--arrival poisson|bursty|diurnal] \
         [--scheduler fifo|priority|batching] [--watch] [--flight] [--json <path>]",
-    parse: |args| {
+    parse: |args, env| {
         let mut json_path: Option<String> = None;
         let mut tenant_count = 2usize;
         // Harness default, then env overrides (HCC_CHAOS_*), then flags.
-        let mut cfg = ChaosConfig::default().from_env()?;
+        let mut cfg = ChaosConfig::default().from_env(env)?;
         while let Some(flag) = args.next() {
             match flag.as_str() {
                 "--requests" => cfg.requests = args.at_most(&flag, arrival::MAX_REQUESTS)?.max(1),
@@ -666,16 +666,16 @@ pub const COMMAND: Command = Command {
                         SchedulerKind::parse,
                     )?;
                 }
-                "--watch" => cfg.watch = Some(WatchConfig::default().from_env()?),
-                "--flight" => cfg.flight = Some(cli::flight_from_env()?),
+                "--watch" => cfg.watch = Some(WatchConfig::default().from_env(env)?),
+                "--flight" => cfg.flight = Some(env.flight()?),
                 "--json" => json_path = Some(args.value(&flag)?),
                 _ => return Err(CliError::Unknown { arg: flag }),
             }
         }
-        Ok(Box::new(move |out, err| {
+        Ok(Box::new(move |lab, out, err| {
             cfg.tenants = default_tenants(tenant_count);
             cfg.budgets = default_budgets(&cfg.tenants);
-            let engine = crate::engine::global();
+            let engine = &lab.engine;
             let wall = std::time::Instant::now();
             let report = run(&cfg, engine);
             let elapsed = wall.elapsed();
@@ -695,7 +695,7 @@ pub const COMMAND: Command = Command {
                     ("verdict_fail", fail),
                     ("wall_ms", elapsed.as_millis() as u64),
                 ];
-                cli::write_bench_json(&path, &bench, "report", &report)?;
+                cli::write_bench_json(&path, &bench, "report", &report, engine)?;
             }
 
             let broken = (!report.healthy()).then(|| {
@@ -705,7 +705,8 @@ pub const COMMAND: Command = Command {
                     violation.unwrap_or("identity check failed")
                 )
             });
-            Ok(crate::report::soak_status(err, "chaos", broken.as_deref()))
+            let status = crate::report::soak_status(lab, err, "chaos", broken.as_deref());
+            Ok(status)
         }))
     },
 };

@@ -5,10 +5,12 @@
 //! ([`crate::lab`]) turns a refusal into `hcc_lab <sub>: <flag>: <detail>`
 //! and the usage line through [`refuse`], then exits 2. Integers are
 //! decimal or `0x`-hex ([`parse_int`], shared with the `HCC_*`
-//! environment overrides), a bounded one above its maximum is refused
-//! rather than wrapped ([`Args::at_most`], [`env_at_most`]), and
-//! fractions must be finite.
+//! environment overrides an [`Env`] holds), a bounded one above its
+//! maximum is refused rather than wrapped ([`Args::at_most`],
+//! [`Env::at_most`]), and fractions must be finite.
 
+use std::collections::BTreeMap;
+use std::ffi::OsString;
 use std::fmt;
 use std::io::Write;
 use std::process::ExitCode;
@@ -19,7 +21,7 @@ use hcc_types::json::{JsonOut, ToJson};
 use hcc_types::{FaultPlan, SimDuration, StormProfile};
 
 use crate::chaos::ChaosConfig;
-use crate::engine::THREADS_ENV;
+use crate::engine::{ExperimentEngine, THREADS_ENV};
 use crate::figures::FAULT_PLAN_ENV;
 use crate::serving::arrival::MAX_REQUESTS;
 use crate::serving::cluster::MAX_GPUS;
@@ -97,7 +99,7 @@ fn int(flag: &str, raw: &str) -> Result<u64, CliError> {
 
 /// `raw` as an integer of at most `max`: an [`CliError::NotAnInteger`]
 /// or [`CliError::OutOfRange`] naming `flag` otherwise. The one bounded
-/// reader behind [`Args::at_most`] and [`env_at_most`].
+/// reader behind [`Args::at_most`] and [`Env::at_most`].
 fn int_at_most(flag: &str, raw: &str, max: u64) -> Result<u64, CliError> {
     let n = int(flag, raw)?;
     if n > max {
@@ -110,36 +112,89 @@ fn int_at_most(flag: &str, raw: &str, max: u64) -> Result<u64, CliError> {
     Ok(n)
 }
 
-/// The integer the environment variable `var` holds: `None` when it is
-/// unset, an error naming `var` when it holds anything but a decimal or
-/// `0x`-hex integer.
-pub fn env_u64(var: &str) -> Result<Option<u64>, CliError> {
-    env_at_most(var, u64::MAX)
-}
+/// The `HCC_*` environment variables, read once by `hcc_lab`'s front
+/// door ([`crate::lab::main`]) and handed to whatever reads an override;
+/// a test collects one from literal pairs. It keeps each raw value and
+/// parses it where it is read, so a malformed override is refused only
+/// by a subcommand that reads it.
+#[derive(Debug, Clone, Default)]
+pub struct Env(BTreeMap<String, OsString>);
 
-/// [`env_u64`], refusing a value above `max` with an
-/// [`CliError::OutOfRange`] naming `var`.
-pub fn env_at_most(var: &str, max: u64) -> Result<Option<u64>, CliError> {
-    std::env::var_os(var)
-        .map(|raw| int_at_most(var, &raw.to_string_lossy(), max))
-        .transpose()
-}
-
-/// [`env_at_most`], refusing 0 too: a count that must be positive.
-pub fn env_positive(var: &str, max: u64) -> Result<Option<u64>, CliError> {
-    match env_at_most(var, max)? {
-        Some(0) => Err(CliError::Invalid {
-            flag: var.to_string(),
-            detail: "must be at least 1".to_string(),
-        }),
-        n => Ok(n),
+impl<K: Into<OsString>, V: Into<OsString>> FromIterator<(K, V)> for Env {
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(vars: I) -> Self {
+        let hcc = vars.into_iter().filter_map(|(var, value)| {
+            let var = var.into().into_string().ok()?;
+            var.starts_with("HCC_").then(|| (var, value.into()))
+        });
+        Env(hcc.collect())
     }
 }
 
-/// The engine width [`THREADS_ENV`] asks for: `None` when unset.
-pub fn engine_threads() -> Result<Option<usize>, CliError> {
-    let threads = env_positive(THREADS_ENV, usize::MAX as u64)?;
-    Ok(threads.map(|n| n as usize))
+impl Env {
+    /// `var`'s value as text: `None` when it is unset or not UTF-8.
+    pub(crate) fn text(&self, var: &str) -> Option<&str> {
+        self.0.get(var).and_then(|raw| raw.to_str())
+    }
+
+    /// The integer `var` holds: `None` when it is unset, an error naming
+    /// `var` when it holds anything but a decimal or `0x`-hex integer.
+    pub fn u64(&self, var: &str) -> Result<Option<u64>, CliError> {
+        self.at_most(var, u64::MAX)
+    }
+
+    /// [`Env::u64`], refusing a value above `max` with an
+    /// [`CliError::OutOfRange`] naming `var`.
+    pub fn at_most(&self, var: &str, max: u64) -> Result<Option<u64>, CliError> {
+        self.0
+            .get(var)
+            .map(|raw| int_at_most(var, &raw.to_string_lossy(), max))
+            .transpose()
+    }
+
+    /// [`Env::at_most`], refusing 0 too: a count that must be positive.
+    pub fn positive(&self, var: &str, max: u64) -> Result<Option<u64>, CliError> {
+        match self.at_most(var, max)? {
+            Some(0) => Err(CliError::Invalid {
+                flag: var.to_string(),
+                detail: "must be at least 1".to_string(),
+            }),
+            n => Ok(n),
+        }
+    }
+
+    /// The engine width [`THREADS_ENV`] asks for: `None` when unset.
+    pub fn engine_threads(&self) -> Result<Option<usize>, CliError> {
+        let threads = self.positive(THREADS_ENV, usize::MAX as u64)?;
+        Ok(threads.map(|n| n as usize))
+    }
+
+    /// The plan [`FAULT_PLAN_ENV`] holds: `None` when unset.
+    pub fn fault_plan(&self) -> Result<Option<FaultPlan>, CliError> {
+        self.0
+            .get(FAULT_PLAN_ENV)
+            .map(|spec| fault_plan(FAULT_PLAN_ENV, &spec.to_string_lossy()))
+            .transpose()
+    }
+
+    /// The default flight recorder with the `HCC_FLIGHT_WINDOW_MS` (at
+    /// least 1), `HCC_FLIGHT_WORST` and `HCC_FLIGHT_RESERVOIR` (at most
+    /// 1024 each) and `HCC_FLIGHT_SEED` overrides applied.
+    pub fn flight(&self) -> Result<FlightConfig, CliError> {
+        let mut cfg = FlightConfig::default();
+        if let Some(ms) = self.u64("HCC_FLIGHT_WINDOW_MS")? {
+            cfg.window = SimDuration::millis(ms.max(1));
+        }
+        if let Some(k) = self.u64("HCC_FLIGHT_WORST")? {
+            cfg.worst = k.min(1024) as usize;
+        }
+        if let Some(r) = self.u64("HCC_FLIGHT_RESERVOIR")? {
+            cfg.reservoir = r.min(1024) as usize;
+        }
+        if let Some(s) = self.u64("HCC_FLIGHT_SEED")? {
+            cfg.seed = s;
+        }
+        Ok(cfg)
+    }
 }
 
 /// `spec` as a [`FaultPlan`], or an [`CliError::Invalid`] naming `flag`.
@@ -148,33 +203,6 @@ pub fn fault_plan(flag: &str, spec: &str) -> Result<FaultPlan, CliError> {
         flag: flag.to_string(),
         detail: e.to_string(),
     })
-}
-
-/// The plan [`FAULT_PLAN_ENV`] holds: `None` when unset.
-pub fn env_fault_plan() -> Result<Option<FaultPlan>, CliError> {
-    std::env::var_os(FAULT_PLAN_ENV)
-        .map(|spec| fault_plan(FAULT_PLAN_ENV, &spec.to_string_lossy()))
-        .transpose()
-}
-
-/// The default flight recorder with the `HCC_FLIGHT_WINDOW_MS` (at
-/// least 1), `HCC_FLIGHT_WORST` and `HCC_FLIGHT_RESERVOIR` (at most 1024
-/// each) and `HCC_FLIGHT_SEED` overrides applied.
-pub fn flight_from_env() -> Result<FlightConfig, CliError> {
-    let mut cfg = FlightConfig::default();
-    if let Some(ms) = env_u64("HCC_FLIGHT_WINDOW_MS")? {
-        cfg.window = SimDuration::millis(ms.max(1));
-    }
-    if let Some(k) = env_u64("HCC_FLIGHT_WORST")? {
-        cfg.worst = k.min(1024) as usize;
-    }
-    if let Some(r) = env_u64("HCC_FLIGHT_RESERVOIR")? {
-        cfg.reservoir = r.min(1024) as usize;
-    }
-    if let Some(s) = env_u64("HCC_FLIGHT_SEED")? {
-        cfg.seed = s;
-    }
-    Ok(cfg)
 }
 
 /// `raw` looked up by `parse`, or an [`CliError::UnknownName`].
@@ -345,14 +373,15 @@ pub fn json_flag(args: &mut Args) -> Result<Option<String>, CliError> {
 }
 
 /// A soak's `--json` document at `path`: its wall-clock `bench` figures,
-/// its report under `key`, then the global engine's stats.
+/// its report under `key`, then `engine`'s stats.
 pub fn write_bench_json(
     path: &str,
     bench: &[(&str, u64)],
     key: &str,
     report: &dyn ToJson,
+    engine: &ExperimentEngine,
 ) -> std::io::Result<()> {
-    let stats = crate::engine::global().stats();
+    let stats = engine.stats();
     write_json_file(path, |out| {
         out.obj(|o| {
             o.key("bench");
@@ -406,9 +435,9 @@ impl CanonicalSoak {
     }
 
     /// The selected soak with these overrides, the watchtower on (tuned
-    /// by the `HCC_WATCH_*` overrides) and the flight recorder off.
-    pub fn canonical(&self) -> Result<Canonical, CliError> {
-        let watch = Some(WatchConfig::default().from_env()?);
+    /// by `env`'s `HCC_WATCH_*` overrides) and the flight recorder off.
+    pub fn canonical(&self, env: &Env) -> Result<Canonical, CliError> {
+        let watch = Some(WatchConfig::default().from_env(env)?);
         let (serving, chaos) = (watch::calm_soak(), watch::stormy_soak());
         Ok(if self.serve {
             Soak::Calm(ServingConfig {
@@ -526,7 +555,7 @@ mod tests {
         while let Some(flag) = args.next() {
             assert_eq!(soak.flag(&flag, &mut args), Ok(flag != "--x"));
         }
-        let Ok(Soak::Stormy(chaos)) = soak.canonical() else {
+        let Ok(Soak::Stormy(chaos)) = soak.canonical(&Env::default()) else {
             panic!("the stormy soak is the default");
         };
         assert_eq!(
@@ -535,7 +564,7 @@ mod tests {
         );
         assert!(chaos.watch.is_some() && chaos.flight.is_none());
         soak.serve = true;
-        let Ok(Soak::Calm(serving)) = soak.canonical() else {
+        let Ok(Soak::Calm(serving)) = soak.canonical(&Env::default()) else {
             panic!("--serve selects the calm soak");
         };
         assert_eq!((serving.requests, serving.gpus, serving.seed), (1, 3, 7));

@@ -6,14 +6,15 @@
 //! [`Scenario`] requests, fans cache misses out across a `std::thread`
 //! worker pool, and memoizes each distinct scenario (keyed by
 //! [`Scenario::content_hash`]) so it is simulated **exactly once per
-//! process**.
+//! engine**. `hcc_lab` builds one engine per run
+//! ([`crate::lab::Lab`]), so every batch of a subcommand shares it.
 //!
 //! Determinism is the contract: each scenario runs in its own fresh,
 //! seed-deterministic `CudaContext`, so neither the worker count nor the
 //! completion order can change a result — a parallel run produces
 //! bit-identical figure rows to the old serial loops (asserted by
 //! `tests/engine_parity.rs`, and by `crates/bench/tests/process_switches.rs`
-//! on the `hcc_lab` binary at 1 and 4 threads).
+//! on `hcc_lab` runs at 1 and 4 threads).
 //!
 //! ```
 //! use hcc_bench::engine::ExperimentEngine;
@@ -31,7 +32,7 @@
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use hcc_trace::{Histogram, MetricsSet};
@@ -48,8 +49,8 @@ fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Environment variable selecting the worker-pool width of the process
-/// global engine (`HCC_ENGINE_THREADS=1` forces serial execution).
+/// Environment variable selecting the worker-pool width of a run's
+/// engine (`HCC_ENGINE_THREADS=1` forces serial execution).
 pub const THREADS_ENV: &str = "HCC_ENGINE_THREADS";
 
 /// Environment variable naming a file that [`emit_stats`] fills with the
@@ -317,23 +318,6 @@ impl ExperimentEngine {
         }
     }
 
-    /// An engine sized from [`THREADS_ENV`], defaulting to the machine's
-    /// available parallelism capped at 8 workers. `hcc_lab` refuses a
-    /// malformed value before any engine starts; other callers get the
-    /// default.
-    pub fn from_env() -> Self {
-        let threads = crate::cli::engine_threads()
-            .ok()
-            .flatten()
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .min(8)
-            });
-        ExperimentEngine::new(threads)
-    }
-
     /// Worker-pool width.
     pub fn threads(&self) -> usize {
         self.threads
@@ -487,30 +471,16 @@ impl ExperimentEngine {
     }
 }
 
-/// The process-global engine the figure generators share, so e.g. the
-/// `summary` subcommand's Fig. 5 and Fig. 7 passes reuse each other's
-/// runs. Sized from [`THREADS_ENV`] on first use.
-pub fn global() -> &'static ExperimentEngine {
-    static GLOBAL: OnceLock<ExperimentEngine> = OnceLock::new();
-    GLOBAL.get_or_init(ExperimentEngine::from_env)
-}
-
 /// The single end-of-run stats emission point for the subcommands.
 ///
-/// Renders the global engine's stats block into `stderr` with **one**
-/// write — under `HCC_ENGINE_THREADS>1` per-line writes could interleave
-/// with worker diagnostics mid-block — unless the engine served no
-/// lookup (a subcommand that runs no scenario prints no block of zeros),
-/// and, when [`STATS_JSON_ENV`] names a file, writes the same stats
+/// Renders `stats` into `err` with **one** write — under
+/// `HCC_ENGINE_THREADS>1` per-line writes could interleave with worker
+/// diagnostics mid-block — unless the engine served no lookup (a
+/// subcommand that runs no scenario prints no block of zeros), and,
+/// when `json` names a file ([`STATS_JSON_ENV`]), writes the same stats
 /// there as JSON either way. Call it once, after the last engine batch.
 /// Best effort: a write that fails is not reported.
-pub fn emit_stats(stderr: &mut dyn Write) {
-    let json = std::env::var(STATS_JSON_ENV).ok().filter(|p| !p.is_empty());
-    emit(&global().stats(), stderr, json.as_deref());
-}
-
-/// [`emit_stats`] over explicit stats, error stream and JSON path.
-fn emit(stats: &EngineStats, err: &mut dyn Write, json: Option<&str>) {
+pub fn emit_stats(stats: &EngineStats, err: &mut dyn Write, json: Option<&str>) {
     if stats.scenarios_run + stats.cache_hits > 0 {
         let block = format!("\n{}", stats.render());
         let _ = err.write_all(block.as_bytes());
@@ -562,7 +532,7 @@ mod tests {
     #[test]
     fn an_engine_that_served_no_lookup_prints_no_stats_block() {
         let mut err = Vec::new();
-        emit(&EngineStats::default(), &mut err, None);
+        emit_stats(&EngineStats::default(), &mut err, None);
         assert!(err.is_empty(), "{}", String::from_utf8_lossy(&err));
         for (scenarios_run, cache_hits) in [(1, 0), (0, 1)] {
             let stats = EngineStats {
@@ -571,7 +541,7 @@ mod tests {
                 ..EngineStats::default()
             };
             let mut err = Vec::new();
-            emit(&stats, &mut err, None);
+            emit_stats(&stats, &mut err, None);
             assert_eq!(
                 String::from_utf8(err).unwrap(),
                 format!("\n{}", stats.render())
@@ -585,7 +555,7 @@ mod tests {
             std::env::temp_dir().join(format!("hcc-idle-engine-{}.json", std::process::id()));
         let path_str = path.to_str().expect("a UTF-8 temp path");
         let mut err = Vec::new();
-        emit(&EngineStats::default(), &mut err, Some(path_str));
+        emit_stats(&EngineStats::default(), &mut err, Some(path_str));
         let written = std::fs::read_to_string(&path);
         let _ = std::fs::remove_file(&path);
         assert!(err.is_empty(), "{}", String::from_utf8_lossy(&err));

@@ -21,8 +21,8 @@ use hcc_types::{CcMode, SimDuration};
 use hcc_workloads::{suites, Scenario};
 
 use crate::cli;
-use crate::engine::{self, ScenarioFailure};
-use crate::lab::Command;
+use crate::engine::ScenarioFailure;
+use crate::lab::{Command, Lab};
 use crate::{figures, report};
 
 /// One app's aligned CC-on / CC-off critical-path comparison.
@@ -150,10 +150,10 @@ pub fn explain_one(
     explanation
 }
 
-/// Runs every standard app CC-on and CC-off with causal collection forced
-/// on and explains each one. Failures are surfaced per app instead of
-/// aborting the sweep.
-pub fn explain_all() -> (Vec<AppExplanation>, Vec<ScenarioFailure>) {
+/// Runs every standard app CC-on and CC-off on `lab` with causal
+/// collection forced on and explains each one. Failures are surfaced
+/// per app instead of aborting the sweep.
+pub fn explain_all(lab: &Lab) -> (Vec<AppExplanation>, Vec<ScenarioFailure>) {
     let specs = suites::all();
     let mut batch = Vec::with_capacity(specs.len() * 2);
     for spec in &specs {
@@ -164,7 +164,7 @@ pub fn explain_all() -> (Vec<AppExplanation>, Vec<ScenarioFailure>) {
             ));
         }
     }
-    let results = engine::global().run_all(&batch);
+    let results = lab.run_figures(&batch);
 
     let mut out = Vec::new();
     let mut failures = Vec::new();
@@ -253,15 +253,15 @@ pub fn render(rows: &[AppExplanation], failures: &[ScenarioFailure]) -> String {
 /// `hcc_lab explain`: every standard app's blame table ([`render`]).
 pub const COMMAND: Command = Command {
     usage: "usage: hcc_lab explain [--json <path>]",
-    parse: |args| {
+    parse: |args, _| {
         let json_path = cli::json_flag(args)?;
-        Ok(Box::new(move |out, err| {
-            let (rows, failures) = explain_all();
+        Ok(Box::new(move |lab, out, err| {
+            let (rows, failures) = explain_all(lab);
             out.write_all(render(&rows, &failures).as_bytes())?;
             if let Some(path) = json_path {
                 cli::write_file(&path, rows.to_json_string())?;
             }
-            Ok(report::finish(err, &failures))
+            Ok(report::finish(lab, err, &failures))
         }))
     },
 };

@@ -19,7 +19,7 @@ use hcc_types::{CcMode, FaultPlan, SimDuration};
 use hcc_workloads::{suites, Op, Scenario, WorkloadSpec};
 
 use crate::cli::{self, CliError};
-use crate::engine;
+use crate::engine::ExperimentEngine;
 use crate::figures::Computed;
 use crate::lab::Command;
 use crate::report;
@@ -27,9 +27,10 @@ use crate::report;
 /// The plan the golden sweep freezes, and the default of `--plan`.
 pub const DEFAULT_PLAN: &str = "seed=7,gcm=0.35,bounce=0.3,ring=0.3,uvm=0.35,max=6";
 
-/// Every standard app under CC with `plan`: the breakdown table, a `!!`
-/// line per failed scenario, and the suite's total `T_fault`.
-pub fn sweep(plan: FaultPlan) -> Computed<String> {
+/// Every standard app under CC with `plan`, run on `engine`: the
+/// breakdown table, a `!!` line per failed scenario, and the suite's
+/// total `T_fault`.
+pub fn sweep(engine: &ExperimentEngine, plan: FaultPlan) -> Computed<String> {
     let mut out = report::section("fault sweep — phase breakdown with T_fault overlay");
     let _ = writeln!(out, "plan: {plan}");
     let _ = writeln!(
@@ -45,7 +46,7 @@ pub fn sweep(plan: FaultPlan) -> Computed<String> {
         .iter()
         .map(|spec| Scenario::standard(spec.name, cfg.clone()))
         .collect();
-    let results = engine::global().run_all(&requests);
+    let results = engine.run_all(&requests);
 
     let mut total_fault = SimDuration::ZERO;
     let mut failures = Vec::new();
@@ -85,7 +86,7 @@ pub fn sweep(plan: FaultPlan) -> Computed<String> {
 /// Checks that a panicking ad-hoc scenario is contained as a structured
 /// `RunError::Panicked` failure while its batch neighbors (two small
 /// suite apps) complete: success when containment holds, 1 otherwise.
-fn panic_smoke(out: &mut dyn Write) -> io::Result<ExitCode> {
+fn panic_smoke(engine: &ExperimentEngine, out: &mut dyn Write) -> io::Result<ExitCode> {
     let cfg = SimConfig::new(CcMode::On).with_seed(0xFA11_2025);
     let crash = WorkloadSpec::micro(
         "smoke-crash",
@@ -98,7 +99,7 @@ fn panic_smoke(out: &mut dyn Write) -> io::Result<ExitCode> {
         Scenario::adhoc(crash, cfg.clone()),
         Scenario::standard("dwt2d", cfg),
     ];
-    let results = engine::global().run_all(&requests);
+    let results = engine.run_all(&requests);
 
     let crash_contained = matches!(
         results[1].run(),
@@ -125,7 +126,7 @@ fn panic_smoke(out: &mut dyn Write) -> io::Result<ExitCode> {
 /// `--panic-smoke`.
 pub const COMMAND: Command = Command {
     usage: "usage: hcc_lab faults [--plan <spec>] [--panic-smoke]",
-    parse: |args| {
+    parse: |args, _| {
         let mut plan = DEFAULT_PLAN.to_string();
         let mut smoke = false;
         while let Some(flag) = args.next() {
@@ -137,12 +138,12 @@ pub const COMMAND: Command = Command {
         }
         let plan = cli::fault_plan("--plan", &plan)?;
         if smoke {
-            return Ok(Box::new(|out, _| panic_smoke(out)));
+            return Ok(Box::new(|lab, out, _| panic_smoke(&lab.engine, out)));
         }
-        Ok(Box::new(move |out, err| {
-            let computed = sweep(plan);
+        Ok(Box::new(move |lab, out, err| {
+            let computed = sweep(&lab.engine, plan);
             out.write_all(computed.data.as_bytes())?;
-            Ok(report::finish(err, &computed.failures))
+            Ok(report::finish(lab, err, &computed.failures))
         }))
     },
 };

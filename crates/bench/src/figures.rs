@@ -8,43 +8,39 @@
 //! requests built through the one construction path below ([`scenario`],
 //! [`uvm_scenario`], [`adhoc_scenario`]) and executes them through the
 //! shared [`crate::engine`], so overlapping figure populations (e.g.
-//! Fig. 5 and Fig. 7) pay for each distinct simulation once per process.
+//! Fig. 5 and Fig. 7) pay for each distinct simulation once per run.
 //! Modules that need several runs also export a `scenarios()` helper so
 //! harnesses can prefetch the whole population in one parallel batch.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use hcc_runtime::SimConfig;
-use hcc_types::{CcMode, FaultPlan};
+use hcc_types::CcMode;
 use hcc_workloads::{RunResult, Scenario, WorkloadSpec};
 
 use crate::cli::{self, Args, CliError};
 use crate::engine::{ScenarioFailure, ScenarioResult};
-use crate::lab::Command;
+use crate::lab::{Command, Lab};
 use crate::report;
 
 pub mod ablations;
 pub mod sensitivity;
 pub mod summary;
 
-/// Environment variable carrying a [`FaultPlan`] spec (e.g.
-/// `seed=7,gcm=0.35,bounce=0.3`) that every figure config picks up —
-/// the fault-sweep knob of EXPERIMENTS.md.
+/// Environment variable carrying a [`hcc_types::FaultPlan`] spec (e.g.
+/// `seed=7,gcm=0.35,bounce=0.3`) that every figure config picks up
+/// (`Lab::switch`): the fault-sweep knob of EXPERIMENTS.md.
 pub const FAULT_PLAN_ENV: &str = "HCC_FAULT_PLAN";
 
 /// Environment variable switching the virtual-time metrics plane on for
-/// every figure config (`HCC_METRICS=1`). Metrics only observe — figure
-/// stdout is byte-identical either way (`summary` is held to its golden
-/// with the plane on, in `crates/bench/tests/process_switches.rs`) — but
-/// obs-enabled runs additionally carry queue/occupancy snapshots that
-/// `hcc_lab obs` and the Perfetto export surface.
+/// every figure config (`HCC_METRICS=1`). It only observes: figure
+/// stdout is byte-identical either way, and the runs carry the queue
+/// snapshots `hcc_lab obs` and the Perfetto export read.
 pub const METRICS_ENV: &str = "HCC_METRICS";
 
 /// Environment variable switching causal-edge collection on for every
-/// figure config (`HCC_CAUSAL=1`). Like metrics, causal collection only
-/// observes — figure stdout is byte-identical either way — but enabled
-/// runs additionally carry the typed dependency DAG that `explain` and
-/// the Perfetto flow arrows consume.
+/// figure config (`HCC_CAUSAL=1`). It only observes too, and the runs
+/// carry the dependency DAG `explain` and the Perfetto flow arrows read.
 pub const CAUSAL_ENV: &str = "HCC_CAUSAL";
 
 /// A figure computation plus the scenarios that failed to contribute.
@@ -111,36 +107,11 @@ impl<T> FromIterator<Result<T, Vec<ScenarioFailure>>> for Computed<Vec<T>> {
     }
 }
 
-/// The process-wide switches every figure config picks up, read once:
-/// the [`FAULT_PLAN_ENV`] plan (`None` when unset; `hcc_lab` refuses a
-/// malformed spec first, other callers see it reported on stderr and
-/// ignored), then whether [`METRICS_ENV`] and
-/// [`CAUSAL_ENV`] are on (any non-empty value other than `0`).
-fn env_switches() -> &'static (Option<FaultPlan>, bool, bool) {
-    static SWITCHES: OnceLock<(Option<FaultPlan>, bool, bool)> = OnceLock::new();
-    SWITCHES.get_or_init(|| {
-        let plan = cli::env_fault_plan().unwrap_or_else(|e| {
-            eprintln!("ignoring {e}");
-            None
-        });
-        let on = |var| std::env::var(var).is_ok_and(|v| !v.is_empty() && v != "0");
-        (plan, on(METRICS_ENV), on(CAUSAL_ENV))
-    })
-}
-
-/// Fresh config for a mode with the standard experiment seed (and the
-/// process-wide fault plan / metrics / causal switches, when
-/// [`FAULT_PLAN_ENV`], [`METRICS_ENV`], or [`CAUSAL_ENV`] select them).
+/// Fresh config for a mode with the standard experiment seed. A figure
+/// run takes it through `Lab::switch` or `Lab::run_figures`, which turn
+/// the run's figure switches on.
 pub fn cfg(cc: CcMode) -> SimConfig {
-    let (plan, metrics, causal) = env_switches();
-    let cfg = SimConfig::new(cc)
-        .with_seed(0xFA11_2025)
-        .with_metrics(*metrics)
-        .with_causal(*causal);
-    match plan {
-        Some(plan) => cfg.with_fault_plan(plan.clone()),
-        None => cfg,
-    }
+    SimConfig::new(cc).with_seed(0xFA11_2025)
 }
 
 /// A standard suite app under the standard experiment seed — the single
@@ -173,39 +144,39 @@ pub fn adhoc_scenario(spec: WorkloadSpec, cc: CcMode) -> Scenario {
 pub struct Figure {
     /// `table1`, `fig01` … `fig14`, `fig09b` or `fig12a|b|c`.
     pub name: &'static str,
-    render: fn(bool) -> Computed<String>,
+    render: fn(&Lab, bool) -> Computed<String>,
 }
 
 impl Figure {
     /// Every figure, in the order `figures all` renders them (the order
     /// of `tests/golden/figures.txt`).
     pub const ALL: [Figure; 19] = [
-        Figure::new("table1", |_| table1::render()),
-        Figure::new("fig01", |_| fig01::render()),
-        Figure::new("fig02", |_| fig02::render()),
-        Figure::new("fig03", |_| fig03::render()),
-        Figure::new("fig04a", |_| fig04a::render()),
-        Figure::new("fig04b", fig04b::render),
-        Figure::new("fig05", |_| fig05::render()),
-        Figure::new("fig06", |_| fig06::render()),
-        Figure::new("fig07", |_| fig07::render()),
-        Figure::new("fig08", |_| fig08::render()),
-        Figure::new("fig09", |_| fig09::render()),
-        Figure::new("fig09b", |_| fig09b::render()),
-        Figure::new("fig10", |_| fig10::render()),
-        Figure::new("fig11", |_| fig11::render()),
-        Figure::new("fig12a", |_| fig12::render(fig12::Panel::A)),
-        Figure::new("fig12b", |_| fig12::render(fig12::Panel::B)),
-        Figure::new("fig12c", |_| fig12::render(fig12::Panel::C)),
-        Figure::new("fig13", |_| fig13::render()),
-        Figure::new("fig14", |_| fig14::render()),
+        Figure::new("table1", |_, _| table1::render()),
+        Figure::new("fig01", |lab, _| fig01::render(lab)),
+        Figure::new("fig02", |_, _| fig02::render()),
+        Figure::new("fig03", |lab, _| fig03::render(lab)),
+        Figure::new("fig04a", |lab, _| fig04a::render(lab)),
+        Figure::new("fig04b", |_, functional| fig04b::render(functional)),
+        Figure::new("fig05", |lab, _| fig05::render(lab)),
+        Figure::new("fig06", |lab, _| fig06::render(lab)),
+        Figure::new("fig07", |lab, _| fig07::render(lab)),
+        Figure::new("fig08", |lab, _| fig08::render(lab)),
+        Figure::new("fig09", |lab, _| fig09::render(lab)),
+        Figure::new("fig09b", |_, _| fig09b::render()),
+        Figure::new("fig10", |lab, _| fig10::render(lab)),
+        Figure::new("fig11", |lab, _| fig11::render(lab)),
+        Figure::new("fig12a", |lab, _| fig12::render(lab, fig12::Panel::A)),
+        Figure::new("fig12b", |lab, _| fig12::render(lab, fig12::Panel::B)),
+        Figure::new("fig12c", |lab, _| fig12::render(lab, fig12::Panel::C)),
+        Figure::new("fig13", |_, _| fig13::render()),
+        Figure::new("fig14", |_, _| fig14::render()),
     ];
 
     /// The figure only its own name selects: [`ablations`] ablates the
     /// lab's design, so `all` leaves it out.
-    pub const ABLATIONS: Figure = Figure::new("ablations", |_| ablations::render());
+    pub const ABLATIONS: Figure = Figure::new("ablations", |_, _| ablations::render());
 
-    const fn new(name: &'static str, render: fn(bool) -> Computed<String>) -> Self {
+    const fn new(name: &'static str, render: fn(&Lab, bool) -> Computed<String>) -> Self {
         Figure { name, render }
     }
 
@@ -224,9 +195,10 @@ impl Figure {
         (!picked.is_empty()).then_some(picked)
     }
 
-    /// The figure's text; `functional` fills Fig. 4b's functional column.
-    pub fn render(self, functional: bool) -> Computed<String> {
-        (self.render)(functional)
+    /// The figure's text, its runs on `lab`; `functional` fills Fig.
+    /// 4b's functional column.
+    pub fn render(self, lab: &Lab, functional: bool) -> Computed<String> {
+        (self.render)(lab, functional)
     }
 }
 
@@ -276,16 +248,16 @@ pub const COMMAND: Command = Command {
     usage: "usage: hcc_lab figures \
         [table1|fig01..fig14|fig09b|fig12a|fig12b|fig12c|ablations|all ...] \
         [--functional]",
-    parse: |args| {
+    parse: |args, _| {
         let selection = Selection::parse(args)?;
-        Ok(Box::new(move |out, err| {
+        Ok(Box::new(move |lab, out, err| {
             let mut failures = Vec::new();
             for figure in selection.figures {
-                let computed = figure.render(selection.functional);
+                let computed = figure.render(lab, selection.functional);
                 out.write_all(computed.data.as_bytes())?;
                 failures.extend(computed.failures);
             }
-            Ok(report::finish(err, &failures))
+            Ok(report::finish(lab, err, &failures))
         }))
     },
 };
@@ -332,8 +304,8 @@ pub mod fig01 {
     }
 
     /// Computes the three scenarios, collecting failures per row.
-    pub fn try_rows() -> super::Computed<Vec<Row>> {
-        let results = crate::engine::global().run_all(&scenarios());
+    pub fn try_rows(lab: &super::Lab) -> super::Computed<Vec<Row>> {
+        let results = lab.run_figures(&scenarios());
         let rows = LABELS.iter().zip(results.chunks(1)).map(|(label, run)| {
             super::runs(run).map(|[r]| Row {
                 label,
@@ -344,12 +316,12 @@ pub mod fig01 {
     }
 
     /// The overview table: each scenario's phase totals and its bar.
-    pub fn render() -> super::Computed<String> {
+    pub fn render(lab: &super::Lab) -> super::Computed<String> {
         let mut head = report::section("Fig. 1 — end-to-end overview (gemm-class app)");
         head.push_str(
             "scenario                mem       launch       kernel        other         span\n",
         );
-        try_rows().render(head, |out, rows| {
+        try_rows(lab).render(head, |out, rows| {
             for r in &rows {
                 let b = &r.breakdown;
                 let _ = writeln!(
@@ -466,8 +438,8 @@ pub mod fig03 {
     }
 
     /// Fits the model per app/mode, collecting failures per row.
-    pub fn try_rows() -> super::Computed<Vec<Row>> {
-        let results = crate::engine::global().run_all(&scenarios());
+    pub fn try_rows(lab: &super::Lab) -> super::Computed<Vec<Row>> {
+        let results = lab.run_figures(&scenarios());
         let keys = suites::all()
             .into_iter()
             .flat_map(|spec| CcMode::ALL.map(|cc| (spec.name, cc)));
@@ -487,10 +459,10 @@ pub mod fig03 {
     }
 
     /// The fit table and its worst error.
-    pub fn render() -> super::Computed<String> {
+    pub fn render(lab: &super::Lab) -> super::Computed<String> {
         let mut head = report::section("Fig. 3 — performance model fit per app");
         head.push_str("app                mode    alpha     beta     err%\n");
-        try_rows().render(head, |out, rows| {
+        try_rows(lab).render(head, |out, rows| {
             let mut worst: f64 = 0.0;
             for r in &rows {
                 let _ = writeln!(
@@ -574,8 +546,8 @@ pub mod fig04a {
 
     /// Measures H2D bandwidth across the sweep, collecting failures per
     /// point.
-    pub fn try_series() -> super::Computed<Vec<Point>> {
-        let results = crate::engine::global().run_all(&scenarios());
+    pub fn try_series(lab: &super::Lab) -> super::Computed<Vec<Point>> {
+        let results = lab.run_figures(&scenarios());
         let points = sweep().into_iter().zip(results.chunks(1));
         let points = points.map(|((cc, mem, size), run)| {
             super::runs(run).map(|[r]| {
@@ -605,9 +577,9 @@ pub mod fig04a {
     }
 
     /// The bandwidth table by size and the four peaks.
-    pub fn render() -> super::Computed<String> {
+    pub fn render(lab: &super::Lab) -> super::Computed<String> {
         let head = report::section("Fig. 4a — data-transfer bandwidth (GB/s)");
-        try_series().render(head, |out, pts| {
+        try_series(lab).render(head, |out, pts| {
             out.push_str(
                 "        size  base/pageable    base/pinned    cc/pageable      cc/pinned\n",
             );
@@ -751,8 +723,8 @@ pub mod fig05 {
 
     /// Runs every copy-carrying app in both modes, collecting failures
     /// per row (a row needs both of its modes to land).
-    pub fn try_rows() -> super::Computed<Vec<Row>> {
-        let results = crate::engine::global().run_all(&scenarios());
+    pub fn try_rows(lab: &super::Lab) -> super::Computed<Vec<Row>> {
+        let results = lab.run_figures(&scenarios());
         let rows = population()
             .into_iter()
             .zip(results.chunks(2))
@@ -776,10 +748,10 @@ pub mod fig05 {
     }
 
     /// The per-app copy table and Observation 3's statistics.
-    pub fn render() -> super::Computed<String> {
+    pub fn render(lab: &super::Lab) -> super::Computed<String> {
         let mut head = report::section("Fig. 5 — copy time per app (base vs cc)");
         head.push_str("app                   b.h2d      b.d2h      b.d2d      c.h2d      c.d2h      c.d2d    ratio\n");
-        try_rows().render(head, |out, rows| {
+        try_rows(lab).render(head, |out, rows| {
             for r in &rows {
                 let _ = writeln!(
                     out,
@@ -899,8 +871,8 @@ pub mod fig06 {
     /// The five CC/base ratios (hmalloc, dmalloc, free, managed alloc,
     /// managed free) of `iters` alloc/free cycles of `size`, collecting
     /// failures from either mode (a failed mode contributes zeroed times).
-    pub fn try_ratios(size: ByteSize, iters: u32) -> super::Computed<[f64; 5]> {
-        let results = crate::engine::global().run_all(&scenarios(size, iters));
+    pub fn try_ratios(lab: &super::Lab, size: ByteSize, iters: u32) -> super::Computed<[f64; 5]> {
+        let results = lab.run_figures(&scenarios(size, iters));
         let mut failures = Vec::new();
         let [base, cc] = [&results[0], &results[1]].map(|res| {
             res.run().map(times_from).unwrap_or_else(|f| {
@@ -921,9 +893,9 @@ pub mod fig06 {
     }
 
     /// The five ratios of 40 cycles of 64 MiB, next to the paper's.
-    pub fn render() -> super::Computed<String> {
+    pub fn render(lab: &super::Lab) -> super::Computed<String> {
         let head = report::section("Fig. 6 — memory management CC/base slowdowns");
-        try_ratios(ByteSize::mib(64), 40).render(head, |out, ratios| {
+        try_ratios(lab, ByteSize::mib(64), 40).render(head, |out, ratios| {
             for ((api, paper), r) in PAPER.into_iter().zip(ratios) {
                 let _ = writeln!(out, "{api:<18} {}   (paper {paper})", report::ratio(r));
             }
@@ -969,8 +941,8 @@ pub mod fig07 {
 
     /// Runs every multi-launch app in both modes, collecting failures
     /// per row (a row needs both of its modes to land).
-    pub fn try_rows() -> super::Computed<Vec<Row>> {
-        let results = crate::engine::global().run_all(&scenarios());
+    pub fn try_rows(lab: &super::Lab) -> super::Computed<Vec<Row>> {
+        let results = lab.run_figures(&scenarios());
         let pairs = population().into_iter().zip(results.chunks(2));
         let rows = pairs.map(|((app, launches), pair)| {
             super::runs(pair).map(|[base, cc]| {
@@ -992,8 +964,8 @@ pub mod fig07 {
     /// app's CC-off KLR and its CC slowdown over the launch window (first
     /// launch to last kernel end), which isolates the launch path from
     /// copy slowdowns. Failures are collected per app.
-    pub fn try_klr_points() -> super::Computed<Vec<(f64, f64)>> {
-        let results = crate::engine::global().run_all(&scenarios());
+    pub fn try_klr_points(lab: &super::Lab) -> super::Computed<Vec<(f64, f64)>> {
+        let results = lab.run_figures(&scenarios());
         let points = results.chunks(2).map(|pair| {
             super::runs(pair).map(|[base, cc]| {
                 let klr = hcc_core::KlrAnalysis::of(&base.timeline.launch_metrics()).klr;
@@ -1028,10 +1000,10 @@ pub mod fig07 {
     }
 
     /// The per-app launch-path table and its means.
-    pub fn render() -> super::Computed<String> {
+    pub fn render(lab: &super::Lab) -> super::Computed<String> {
         let mut head = report::section("Fig. 7 — launch-path slowdowns per app");
         head.push_str("app               launches      KLO      LQT      KQT\n");
-        try_rows().render(head, |out, rows| {
+        try_rows(lab).render(head, |out, rows| {
             for r in &rows {
                 let _ = writeln!(
                     out,
@@ -1130,9 +1102,9 @@ pub mod fig08 {
     /// The call stack in each mode, with the frames whose resource class
     /// holds critical-path time in a causal run of [`APP`] marked `*`. A
     /// mode whose run failed renders its stack unmarked.
-    pub fn render() -> super::Computed<String> {
+    pub fn render(lab: &super::Lab) -> super::Computed<String> {
         let batch = CcMode::ALL.map(|cc| Scenario::standard(APP, super::cfg(cc).with_causal(true)));
-        let results = crate::engine::global().run_all(&batch);
+        let results = lab.run_figures(&batch);
         let mut out = super::Computed::clean(String::new());
         for (&cc, result) in CcMode::ALL.iter().zip(&results) {
             out.data.push_str(&report::section(&format!(
@@ -1218,8 +1190,8 @@ pub mod fig09 {
 
     /// Runs the Fig. 9 population, collecting failures per row (a row
     /// needs all four of its configurations to land).
-    pub fn try_rows() -> super::Computed<Vec<Row>> {
-        let results = crate::engine::global().run_all(&scenarios());
+    pub fn try_rows(lab: &super::Lab) -> super::Computed<Vec<Row>> {
+        let results = lab.run_figures(&scenarios());
         let quads = suites::UVM_VARIANT_APPS.iter().zip(results.chunks(4));
         let rows = quads.map(|(name, quad)| {
             super::runs(quad).map(|runs| {
@@ -1253,10 +1225,10 @@ pub mod fig09 {
     }
 
     /// The per-app KET table and Observation 5's statistics.
-    pub fn render() -> super::Computed<String> {
+    pub fn render(lab: &super::Lab) -> super::Computed<String> {
         let mut head = report::section("Fig. 9 — KET normalized to base non-UVM");
         head.push_str("app             cc/base    uvm(base)      uvm(cc)    uvm-cc/base\n");
-        try_rows().render(head, |out, rows| {
+        try_rows(lab).render(head, |out, rows| {
             for r in &rows {
                 let _ = writeln!(
                     out,
@@ -1369,10 +1341,10 @@ pub mod fig10 {
 
     /// Event scatter for one app in both modes, longest event dropped
     /// per the figure's note. Failed modes are skipped and reported.
-    pub fn try_scatter(app: &str) -> super::Computed<Vec<Point>> {
+    pub fn try_scatter(lab: &super::Lab, app: &str) -> super::Computed<Vec<Point>> {
         let spec = suites::by_name(app).expect("known app");
         let requests = super::both_modes([spec.name]);
-        let results = crate::engine::global().run_all(&requests);
+        let results = lab.run_figures(&requests);
         let mut out = super::Computed::clean(Vec::new());
         for (cc, res) in CcMode::ALL.into_iter().zip(results) {
             let run = match res.run() {
@@ -1417,12 +1389,12 @@ pub mod fig10 {
     }
 
     /// Per app: the event counts and a sample of every Nth point.
-    pub fn render() -> super::Computed<String> {
+    pub fn render(lab: &super::Lab) -> super::Computed<String> {
         let mut out = String::new();
         let mut failures = Vec::new();
         for app in APPS {
             out.push_str(&report::section(&format!("Fig. 10 — event scatter: {app}")));
-            let computed = try_scatter(app);
+            let computed = try_scatter(lab, app);
             report::failure_lines(&mut out, &computed.failures);
             failures.extend(computed.failures);
             let pts = computed.data;
@@ -1478,9 +1450,9 @@ pub mod fig11 {
 
     /// Pools every non-UVM app's launches/kernels and builds the CDFs,
     /// skipping (and reporting) failed runs.
-    pub fn try_klo_and_ket() -> super::Computed<(CdfPair, CdfPair)> {
+    pub fn try_klo_and_ket(lab: &super::Lab) -> super::Computed<(CdfPair, CdfPair)> {
         let requests = scenarios();
-        let results = crate::engine::global().run_all(&requests);
+        let results = lab.run_figures(&requests);
         // [KLO, KET] samples, each [base, cc].
         let mut pools: [[Vec<SimDuration>; 2]; 2] = Default::default();
         let mut failures = Vec::new();
@@ -1507,8 +1479,8 @@ pub mod fig11 {
 
     /// Quantiles and means of both CDF pairs, KLO's top 5 launches
     /// trimmed for display.
-    pub fn render() -> super::Computed<String> {
-        try_klo_and_ket().render(String::new(), |out, (klo, ket)| {
+    pub fn render(lab: &super::Lab) -> super::Computed<String> {
+        try_klo_and_ket(lab).render(String::new(), |out, (klo, ket)| {
             quantile_table(
                 out,
                 "Fig. 11a — KLO CDF (top 5 launches trimmed for display)",
@@ -1743,16 +1715,22 @@ pub mod fig12 {
     }
 
     /// (a) KLO per launch index for K0 x n0 then K1 x n1.
-    pub fn launch_train(cc: CcMode, n0: u32, n1: u32) -> Vec<LaunchRecord> {
-        micro::run_back_to_back(super::cfg(cc), n0, n1, SimDuration::millis(100))
+    pub fn launch_train(lab: &super::Lab, cc: CcMode, n0: u32, n1: u32) -> Vec<LaunchRecord> {
+        micro::run_back_to_back(lab.switch(super::cfg(cc)), n0, n1, SimDuration::millis(100))
     }
 
     /// (b) the fusion sweep over power-of-two launch counts.
-    pub fn fusion_sweep(cc: CcMode, total_ket: SimDuration, max: u32) -> Vec<FusionPoint> {
+    pub fn fusion_sweep(
+        lab: &super::Lab,
+        cc: CcMode,
+        total_ket: SimDuration,
+        max: u32,
+    ) -> Vec<FusionPoint> {
+        let cfg = lab.switch(super::cfg(cc));
         let mut out = Vec::new();
         let mut n = 1u32;
         while n <= max {
-            out.push(micro::run_fusion_sweep(super::cfg(cc), total_ket, n));
+            out.push(micro::run_fusion_sweep(cfg.clone(), total_ket, n));
             n = n.saturating_mul(2);
         }
         out
@@ -1760,35 +1738,37 @@ pub mod fig12 {
 
     /// (c) overlap speedups over stream counts for one (bytes, KET) pair.
     pub fn overlap_series(
+        lab: &super::Lab,
         cc: CcMode,
         total: ByteSize,
         ket: SimDuration,
         stream_counts: &[u32],
     ) -> Vec<(u32, OverlapResult)> {
+        let cfg = lab.switch(super::cfg(cc));
         stream_counts
             .iter()
             .map(|&n| {
                 (
                     n,
-                    micro::run_overlap(super::cfg(cc), n, total, ket).expect("overlap run"),
+                    micro::run_overlap(cfg.clone(), n, total, ket).expect("overlap run"),
                 )
             })
             .collect()
     }
 
     /// One panel's section.
-    pub fn render(panel: Panel) -> super::Computed<String> {
+    pub fn render(lab: &super::Lab, panel: Panel) -> super::Computed<String> {
         super::Computed::clean(match panel {
-            Panel::A => panel_a(),
-            Panel::B => panel_b(),
-            Panel::C => panel_c(),
+            Panel::A => panel_a(lab),
+            Panel::B => panel_b(lab),
+            Panel::C => panel_c(lab),
         })
     }
 
-    fn panel_a() -> String {
+    fn panel_a(lab: &super::Lab) -> String {
         let mut out = report::section("Fig. 12a — KLO vs launch index (K0 x100 then K1 x100)");
         for cc in CcMode::ALL {
-            let recs = launch_train(cc, 100, 100);
+            let recs = launch_train(lab, cc, 100, 100);
             let _ = writeln!(out, "[{cc}]");
             let _ = writeln!(out, "{:>6} {:>12} {:>6}", "idx", "KLO", "first");
             for i in [0usize, 1, 2, 50, 99, 100, 101, 150, 199] {
@@ -1799,13 +1779,13 @@ pub mod fig12 {
         out
     }
 
-    fn panel_b() -> String {
+    fn panel_b(lab: &super::Lab) -> String {
         let mut out =
             report::section("Fig. 12b — fusion sweep (total KET 100ms split into N launches)");
         for cc in CcMode::ALL {
             let _ = writeln!(out, "[{cc}]");
             out.push_str(" launches      sum KLO      sum LQT         span\n");
-            for p in fusion_sweep(cc, SimDuration::millis(100), 1024) {
+            for p in fusion_sweep(lab, cc, SimDuration::millis(100), 1024) {
                 let _ = writeln!(
                     out,
                     "{:>9} {:>12} {:>12} {:>12}",
@@ -1819,15 +1799,15 @@ pub mod fig12 {
         out
     }
 
-    fn panel_c() -> String {
+    fn panel_c(lab: &super::Lab) -> String {
         let mut out = report::section("Fig. 12c — overlap speedup vs stream count");
         let streams = [1u32, 2, 4, 8, 16, 32, 64];
         for total in [ByteSize::mib(512), ByteSize::gib(1)] {
             for ket in [SimDuration::millis(1), SimDuration::millis(100)] {
                 let _ = writeln!(out, "total {total}, KET {ket}:");
                 let _ = writeln!(out, "{:>8} {:>12} {:>12}", "streams", "base", "cc");
-                let base = overlap_series(CcMode::Off, total, ket, &streams);
-                let cc = overlap_series(CcMode::On, total, ket, &streams);
+                let base = overlap_series(lab, CcMode::Off, total, ket, &streams);
+                let cc = overlap_series(lab, CcMode::On, total, ket, &streams);
                 for ((n, b), (_, c)) in base.iter().zip(cc.iter()) {
                     let _ = writeln!(
                         out,

@@ -14,7 +14,7 @@ use hcc_types::{Bandwidth, ByteSize, CcMode, HostMemKind, SimDuration};
 use hcc_workloads::{Op, RunResult, Scenario, WorkloadSpec};
 
 use super::Computed;
-use crate::engine::{self, ScenarioFailure};
+use crate::engine::{ExperimentEngine, ScenarioFailure};
 use crate::lab::Command;
 use crate::report;
 
@@ -40,11 +40,12 @@ const ROWS: [(&str, Perturb); 5] = [
     }),
 ];
 
-/// CC-on over CC-off of what `measure` reads off `spec`'s runs under
-/// `calib`. Routing through the shared engine means the unperturbed
+/// CC-on over CC-off of what `measure` reads off `spec`'s runs on
+/// `engine` under `calib`. Routing through one engine means the unperturbed
 /// baseline (recomputed by every row) simulates once and is a cache hit
 /// thereafter.
 fn ratio<T: Div<Output = f64>>(
+    engine: &ExperimentEngine,
     spec: WorkloadSpec,
     calib: &Calibration,
     measure: fn(&RunResult) -> T,
@@ -52,16 +53,14 @@ fn ratio<T: Div<Output = f64>>(
     let run = |cc| {
         let cfg = SimConfig::new(cc).with_calib(calib.clone());
         Ok(measure(
-            engine::global()
-                .run(&Scenario::adhoc(spec.clone(), cfg))
-                .run()?,
+            engine.run(&Scenario::adhoc(spec.clone(), cfg)).run()?,
         ))
     };
     Ok(run(CcMode::On)? / run(CcMode::Off)?)
 }
 
 /// CC/base ratio of a 64 MiB pageable copy under a calibration.
-fn copy_ratio(calib: &Calibration) -> Result<f64, ScenarioFailure> {
+fn copy_ratio(engine: &ExperimentEngine, calib: &Calibration) -> Result<f64, ScenarioFailure> {
     let size = ByteSize::mib(64);
     let kind = HostMemKind::Pageable;
     let spec = WorkloadSpec::micro(
@@ -80,7 +79,7 @@ fn copy_ratio(calib: &Calibration) -> Result<f64, ScenarioFailure> {
             },
         ],
     );
-    ratio(spec, calib, |run| {
+    ratio(engine, spec, calib, |run| {
         let copies = run.timeline.events().iter();
         let copies = copies.filter(|e| matches!(e.kind, EventKind::Memcpy { .. }));
         copies.map(|e| e.duration()).sum::<SimDuration>()
@@ -90,7 +89,7 @@ fn copy_ratio(calib: &Calibration) -> Result<f64, ScenarioFailure> {
 /// CC/base ratio of steady-state launch cost under a calibration.
 /// Median, not mean: the rare KLO spikes (Fig. 11a's tail) would dominate
 /// a 200-sample mean.
-fn klo_ratio(calib: &Calibration) -> Result<f64, ScenarioFailure> {
+fn klo_ratio(engine: &ExperimentEngine, calib: &Calibration) -> Result<f64, ScenarioFailure> {
     let ket = SimDuration::micros(5);
     let launches = Op::Launch {
         kernel: 0,
@@ -99,6 +98,7 @@ fn klo_ratio(calib: &Calibration) -> Result<f64, ScenarioFailure> {
         repeat: 200,
     };
     ratio(
+        engine,
         WorkloadSpec::micro("sens-klo", vec![launches]),
         calib,
         |run| {
@@ -113,7 +113,7 @@ fn klo_ratio(calib: &Calibration) -> Result<f64, ScenarioFailure> {
 
 /// One row: both ratios at the paper's calibration and with `perturb`
 /// scaling the constant by 0.75 and 1.25.
-fn row(name: &str, perturb: Perturb) -> Result<String, ScenarioFailure> {
+fn row(engine: &ExperimentEngine, name: &str, perturb: Perturb) -> Result<String, ScenarioFailure> {
     let base = Calibration::paper();
     let scaled = |f| {
         let mut calib = Calibration::paper();
@@ -123,23 +123,23 @@ fn row(name: &str, perturb: Perturb) -> Result<String, ScenarioFailure> {
     let (down, up) = (scaled(0.75), scaled(1.25));
     Ok(format!(
         "{name:<34} copy x{:.2} -> [{:.2}, {:.2}]   KLO x{:.2} -> [{:.2}, {:.2}]\n",
-        copy_ratio(&base)?,
-        copy_ratio(&down)?,
-        copy_ratio(&up)?,
-        klo_ratio(&base)?,
-        klo_ratio(&down)?,
-        klo_ratio(&up)?,
+        copy_ratio(engine, &base)?,
+        copy_ratio(engine, &down)?,
+        copy_ratio(engine, &up)?,
+        klo_ratio(engine, &base)?,
+        klo_ratio(engine, &down)?,
+        klo_ratio(engine, &up)?,
     ))
 }
 
-/// The sensitivity table. A row whose scenario failed renders as its
-/// `!!` line.
-pub fn render() -> Computed<String> {
+/// The sensitivity table, its runs on `engine`. A row whose scenario
+/// failed renders as its `!!` line.
+pub fn render(engine: &ExperimentEngine) -> Computed<String> {
     let mut out = report::section("calibration sensitivity (each constant perturbed ±25%)");
     out.push_str("perturbed constant                 headline stats at [-25%, +25%]\n\n");
     let mut failures = Vec::new();
     for (name, perturb) in ROWS {
-        match row(name, perturb) {
+        match row(engine, name, perturb) {
             Ok(line) => out.push_str(&line),
             Err(f) => {
                 report::failure_lines(&mut out, std::slice::from_ref(&f));
@@ -163,12 +163,12 @@ pub fn render() -> Computed<String> {
 /// `hcc_lab sensitivity`: [`render`]'s table. It takes no arguments.
 pub const COMMAND: Command = Command {
     usage: "usage: hcc_lab sensitivity",
-    parse: |args| {
+    parse: |args, _| {
         args.end()?;
-        Ok(Box::new(|out, err| {
-            let computed = render();
+        Ok(Box::new(|lab, out, err| {
+            let computed = render(&lab.engine);
             out.write_all(computed.data.as_bytes())?;
-            Ok(report::finish(err, &computed.failures))
+            Ok(report::finish(lab, err, &computed.failures))
         }))
     },
 };

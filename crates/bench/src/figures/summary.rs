@@ -18,8 +18,8 @@ use hcc_types::json::JsonOut;
 
 use super::{fig03, fig04a, fig05, fig06, fig07, fig09, fig12, Computed};
 use crate::cli;
-use crate::engine::{self, ScenarioFailure};
-use crate::lab::Command;
+use crate::engine::ScenarioFailure;
+use crate::lab::{Command, Lab};
 use crate::report;
 
 /// The summary as it renders: the text so far, and the failures of the
@@ -57,10 +57,10 @@ pub fn prefetch() -> Vec<Scenario> {
 
 /// The statistics table and the observation scorecard. Any scenario
 /// failure still renders the surviving statistics, after its `!!` line.
-pub fn render() -> Computed<String> {
+pub fn render(lab: &Lab) -> Computed<String> {
     // Prefetch in one parallel batch; the per-figure calls below then
     // resolve from the engine's cache.
-    let _ = crate::engine::global().run_all(&prefetch());
+    let _ = lab.run_figures(&prefetch());
 
     let mut t = Table {
         out: report::section("hcc reproduction summary (paper vs measured)"),
@@ -69,7 +69,7 @@ pub fn render() -> Computed<String> {
     t.line("statistic", "paper", "measured".into());
 
     // Fig. 4a
-    let pts = t.keep(fig04a::try_series());
+    let pts = t.keep(fig04a::try_series(lab));
     let base_pin = fig04a::peak(&pts, CcMode::Off, HostMemKind::Pinned);
     let base_page = fig04a::peak(&pts, CcMode::Off, HostMemKind::Pageable);
     let cc_pin = fig04a::peak(&pts, CcMode::On, HostMemKind::Pinned);
@@ -77,26 +77,26 @@ pub fn render() -> Computed<String> {
     t.line("CC pinned H2D peak (GB/s)", "3.03", format!("{cc_pin:.2}"));
 
     // Fig. 5
-    let rows5 = t.keep(fig05::try_rows());
+    let rows5 = t.keep(fig05::try_rows(lab));
     let (mean, max, min) = fig05::stats(&rows5);
     t.line("copy slowdown mean", "x5.80", report::ratio(mean));
     t.line("copy slowdown max", "x19.69", report::ratio(max));
     t.line("copy slowdown min", "x1.17", report::ratio(min));
 
     // Fig. 6
-    let r6 = t.keep(fig06::try_ratios(ByteSize::mib(64), 40));
+    let r6 = t.keep(fig06::try_ratios(lab, ByteSize::mib(64), 40));
     for ((api, paper), r) in fig06::PAPER.into_iter().zip(r6) {
         t.line(api, paper, report::ratio(r));
     }
 
     // Fig. 7
-    let (klo, lqt, kqt) = fig07::means(&t.keep(fig07::try_rows()));
+    let (klo, lqt, kqt) = fig07::means(&t.keep(fig07::try_rows(lab)));
     t.line("mean KLO slowdown", "x1.42", report::ratio(klo));
     t.line("mean LQT slowdown", "x1.43", report::ratio(lqt));
     t.line("mean KQT slowdown", "x2.32", report::ratio(kqt));
 
     // Fig. 9
-    let (nonuvm, uvm_base, uvm_cc, _) = fig09::stats(&t.keep(fig09::try_rows()));
+    let (nonuvm, uvm_base, uvm_cc, _) = fig09::stats(&t.keep(fig09::try_rows(lab)));
     let delta = format!("{:+.2}%", (nonuvm - 1.0) * 100.0);
     t.line("non-UVM KET delta", "+0.48%", delta);
     t.line("UVM base slowdown mean", "x5.29", report::ratio(uvm_base));
@@ -151,12 +151,12 @@ pub fn render() -> Computed<String> {
         obs::obs4_launch(klo, lqt, kqt),
         obs::obs5_ket(nonuvm, uvm_cc),
         // Fig. 7's runs, whose failures are already reported above.
-        obs::obs6_klr(&fig07::try_klr_points().data),
+        obs::obs6_klr(&fig07::try_klr_points(lab).data),
         {
             // obs7 inputs from the launch train and a short-kernel fusion sweep.
-            let recs = fig12::launch_train(CcMode::On, 100, 100);
+            let recs = fig12::launch_train(lab, CcMode::On, 100, 100);
             let steady: SimDuration = recs[10..90].iter().map(|r| r.klo).sum::<SimDuration>() / 80;
-            let sweep = fig12::fusion_sweep(CcMode::On, SimDuration::millis(5), 1024);
+            let sweep = fig12::fusion_sweep(lab, CcMode::On, SimDuration::millis(5), 1024);
             let min_span = sweep.iter().map(|p| p.span).min().expect("non-empty");
             let last = sweep.last().expect("non-empty");
             obs::obs7_fusion(
@@ -167,7 +167,7 @@ pub fn render() -> Computed<String> {
         },
         {
             let speedup = |cc, ket| {
-                fig12::overlap_series(cc, ByteSize::mib(512), ket, &[64])[0]
+                fig12::overlap_series(lab, cc, ByteSize::mib(512), ket, &[64])[0]
                     .1
                     .speedup()
             };
@@ -199,9 +199,9 @@ pub fn render() -> Computed<String> {
 /// totals of every standard app in both modes (Fig. 3's runs), plus the
 /// engine's self-profile (wall time, cache hits). Every run resolves from
 /// the engine cache when the figures above already simulated it.
-fn bench_summary(out: &mut JsonOut<'_>, failures: &mut Vec<ScenarioFailure>) {
+fn bench_summary(lab: &Lab, out: &mut JsonOut<'_>, failures: &mut Vec<ScenarioFailure>) {
     let batch = fig03::scenarios();
-    let results = engine::global().run_all(&batch);
+    let results = lab.run_figures(&batch);
     out.obj(|o| {
         o.key("apps");
         o.arr(|o| {
@@ -217,7 +217,7 @@ fn bench_summary(out: &mut JsonOut<'_>, failures: &mut Vec<ScenarioFailure>) {
                 }
             }
         });
-        o.field("engine", engine::global().stats());
+        o.field("engine", lab.engine.stats());
     });
 }
 
@@ -225,17 +225,17 @@ fn bench_summary(out: &mut JsonOut<'_>, failures: &mut Vec<ScenarioFailure>) {
 /// <path>` per-app `P` and phase totals plus the engine's self-profile.
 pub const COMMAND: Command = Command {
     usage: "usage: hcc_lab summary [--json <path>]",
-    parse: |args| {
+    parse: |args, _| {
         let json_path = cli::json_flag(args)?;
-        Ok(Box::new(move |out, err| {
-            let summary = render();
+        Ok(Box::new(move |lab, out, err| {
+            let summary = render(lab);
             out.write_all(summary.data.as_bytes())?;
             let mut failures = summary.failures;
             // Written last, so the engine self-profile covers every batch.
             if let Some(path) = json_path {
-                cli::write_json_file(&path, |out| bench_summary(out, &mut failures))?;
+                cli::write_json_file(&path, |out| bench_summary(lab, out, &mut failures))?;
             }
-            Ok(report::finish(err, &failures))
+            Ok(report::finish(lab, err, &failures))
         }))
     },
 };

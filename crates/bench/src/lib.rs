@@ -17,7 +17,7 @@
 //! All simulation-backed figures route their runs through the [`engine`]:
 //! a parallel, memoizing executor of `hcc_workloads::Scenario` requests,
 //! so each distinct (app, mode, seed, calibration) combination simulates
-//! exactly once per process no matter how many figures ask for it.
+//! exactly once per run no matter how many figures ask for it.
 
 pub mod chaos;
 pub mod cli;

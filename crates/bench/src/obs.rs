@@ -23,8 +23,7 @@ use hcc_workloads::{suites, Scenario, WorkloadSpec};
 
 use crate::chaos::{self, ChaosConfig};
 use crate::cli::{self, CliError};
-use crate::engine;
-use crate::lab::Command;
+use crate::lab::{Command, Lab};
 use crate::serving::cluster::{self, ClusterConfig, Record};
 use crate::serving::{self, ServingConfig};
 use crate::{figures, report};
@@ -99,7 +98,7 @@ fn gauged(cluster: ClusterConfig<'_>) -> ClusterConfig<'_> {
 /// Soak snapshots taken by `--serve` / `--chaos`: one labelled metrics
 /// set per (scheduler|policy, cc-mode) cell, with the cell's virtual
 /// end time for mean-depth normalisation.
-fn soak_snapshots(serve: bool, storm: bool) -> Vec<(String, SimTime, MetricsSet)> {
+fn soak_snapshots(lab: &Lab, serve: bool, storm: bool) -> Vec<(String, SimTime, MetricsSet)> {
     let mut out = Vec::new();
     if serve {
         let cfg = ServingConfig {
@@ -107,7 +106,7 @@ fn soak_snapshots(serve: bool, storm: bool) -> Vec<(String, SimTime, MetricsSet)
             gpus: 2,
             ..ServingConfig::default()
         };
-        let (requests, tables) = serving::shape_tables(&cfg, engine::global());
+        let (requests, tables) = serving::shape_tables(&cfg, &lab.engine);
         for &kind in &cfg.schedulers {
             for cc in CcMode::ALL {
                 let table = &tables[usize::from(cc.is_on())];
@@ -130,7 +129,7 @@ fn soak_snapshots(serve: bool, storm: bool) -> Vec<(String, SimTime, MetricsSet)
             policies: vec![RecoveryPolicy::Abort],
             ..ChaosConfig::default()
         };
-        let (requests, storms) = chaos::shape_tables(&cfg, engine::global());
+        let (requests, storms) = chaos::shape_tables(&cfg, &lab.engine);
         for (profile, storm) in cfg.profiles.iter().zip(&storms) {
             for (policy, table) in cfg.policies.iter().zip(&storm.tables) {
                 let run = cluster::simulate(&requests, table, &gauged(cfg.cluster()), Record::Log);
@@ -148,6 +147,7 @@ fn soak_snapshots(serve: bool, storm: bool) -> Vec<(String, SimTime, MetricsSet)
 /// the hottest scenario's Prometheus text page; a file that cannot be
 /// written is the error ([`cli::WriteError`]).
 pub fn render(
+    lab: &Lab,
     serve: bool,
     storm: bool,
     json: Option<&str>,
@@ -159,7 +159,7 @@ pub fn render(
     );
 
     let batch = scenarios();
-    let results = engine::global().run_all(&batch);
+    let results = lab.run_figures(&batch);
 
     let mut total_samples = 0usize;
     let mut flagged = 0usize;
@@ -221,7 +221,7 @@ pub fn render(
         json_rows.push((scenario, hot.map(|(name, _)| name), set));
     }
 
-    let soaks = soak_snapshots(serve, storm);
+    let soaks = soak_snapshots(lab, serve, storm);
     if !soaks.is_empty() {
         out.push_str(&report::section(
             "observability — soak snapshots (serving.queue_depth)",
@@ -307,7 +307,7 @@ pub fn render(
 /// `hcc_lab obs`: [`render`]'s report and its exports.
 pub const COMMAND: Command = Command {
     usage: "usage: hcc_lab obs [--serve] [--chaos] [--json <path>] [--prom <path>]",
-    parse: |args| {
+    parse: |args, _| {
         let mut json_path: Option<String> = None;
         let mut prom_path: Option<String> = None;
         let (mut serve, mut storm) = (false, false);
@@ -320,10 +320,11 @@ pub const COMMAND: Command = Command {
                 _ => return Err(CliError::Unknown { arg: flag }),
             }
         }
-        Ok(Box::new(move |out, err| {
-            let text = render(serve, storm, json_path.as_deref(), prom_path.as_deref())?;
+        Ok(Box::new(move |lab, out, err| {
+            let (json, prom) = (json_path.as_deref(), prom_path.as_deref());
+            let text = render(lab, serve, storm, json, prom)?;
             out.write_all(text.as_bytes())?;
-            Ok(report::finish(err, &[]))
+            Ok(report::finish(lab, err, &[]))
         }))
     },
 };

@@ -5,7 +5,8 @@ use std::fmt::Write as _;
 use std::io::Write;
 use std::process::ExitCode;
 
-use crate::engine::ScenarioFailure;
+use crate::engine::{self, ScenarioFailure};
+use crate::lab::Lab;
 
 /// A section header: a blank line, then `=== title ===`.
 pub fn section(title: &str) -> String {
@@ -31,7 +32,7 @@ pub fn failure_lines(out: &mut String, failures: &[ScenarioFailure]) {
     }
 }
 
-/// The tail of every report subcommand: the engine statistics on
+/// The tail of every report subcommand: `lab`'s engine statistics on
 /// `stderr` when the engine served a lookup (they carry wall-clock
 /// times, so stdout stays byte-identical across `HCC_ENGINE_THREADS`
 /// settings), then the exit status — success when no scenario failed,
@@ -40,8 +41,8 @@ pub fn failure_lines(out: &mut String, failures: &[ScenarioFailure]) {
 /// expected to have been rendered already (via [`failure_lines`]).
 /// Diagnostics are best effort: a failed write to `stderr` leaves the
 /// status as it is.
-pub fn finish(stderr: &mut dyn Write, failures: &[ScenarioFailure]) -> ExitCode {
-    crate::engine::emit_stats(stderr);
+pub fn finish(lab: &Lab, stderr: &mut dyn Write, failures: &[ScenarioFailure]) -> ExitCode {
+    engine::emit_stats(&lab.engine.stats(), stderr, lab.stats_json.as_deref());
     if failures.is_empty() {
         return ExitCode::SUCCESS;
     }
@@ -55,8 +56,8 @@ pub fn finish(stderr: &mut dyn Write, failures: &[ScenarioFailure]) -> ExitCode 
 /// The tail of a soak subcommand: the engine statistics on `stderr` (as
 /// [`finish`] writes them), then failure after `<sub>: <check>` on
 /// `stderr` when `broken` names a broken check.
-pub fn soak_status(stderr: &mut dyn Write, sub: &str, broken: Option<&str>) -> ExitCode {
-    crate::engine::emit_stats(stderr);
+pub fn soak_status(lab: &Lab, stderr: &mut dyn Write, sub: &str, broken: Option<&str>) -> ExitCode {
+    engine::emit_stats(&lab.engine.stats(), stderr, lab.stats_json.as_deref());
     let Some(check) = broken else {
         return ExitCode::SUCCESS;
     };

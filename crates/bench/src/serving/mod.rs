@@ -36,7 +36,7 @@ use hcc_types::calib::TdxCalib;
 use hcc_types::{CcMode, FaultPlan, Planes, RecoveryPolicy, SimTime};
 use hcc_workloads::{default_tenants, Scenario, TenantSpec};
 
-use crate::cli::{self, env_at_most, env_u64, CliError};
+use crate::cli::{self, CliError, Env};
 use crate::engine::ExperimentEngine;
 use crate::lab::Command;
 use crate::watch::WatchConfig;
@@ -126,14 +126,14 @@ impl Default for ServingConfig {
 }
 
 impl ServingConfig {
-    /// Applies [`SEED_ENV`] and [`REQUESTS_ENV`] overrides; a value
-    /// that is not an integer, or a request count above
+    /// Applies `env`'s [`SEED_ENV`] and [`REQUESTS_ENV`] overrides; a
+    /// value that is not an integer, or a request count above
     /// [`arrival::MAX_REQUESTS`], is refused.
-    pub fn from_env(mut self) -> Result<Self, CliError> {
-        if let Some(seed) = env_u64(SEED_ENV)? {
+    pub fn from_env(mut self, env: &Env) -> Result<Self, CliError> {
+        if let Some(seed) = env.u64(SEED_ENV)? {
             self.seed = seed;
         }
-        if let Some(n) = env_at_most(REQUESTS_ENV, arrival::MAX_REQUESTS)? {
+        if let Some(n) = env.at_most(REQUESTS_ENV, arrival::MAX_REQUESTS)? {
             self.requests = n.max(1);
         }
         Ok(self)
@@ -304,7 +304,7 @@ pub const COMMAND: Command = Command {
     usage: "usage: hcc_lab serve [--requests N] [--gpus N] [--tenants N] [--seed S] \
         [--arrival poisson|bursty|diurnal] [--scheduler fifo|priority|batching|all] \
         [--util F] [--max-batch N] [--watch] [--flight] [--json <path>]",
-    parse: |args| {
+    parse: |args, env| {
         let mut json_path: Option<String> = None;
         let mut tenant_count = 2usize;
         // Harness default, then env overrides (HCC_SERVE_*), then flags.
@@ -312,7 +312,7 @@ pub const COMMAND: Command = Command {
             requests: 100_000,
             ..ServingConfig::default()
         }
-        .from_env()?;
+        .from_env(env)?;
         while let Some(flag) = args.next() {
             match flag.as_str() {
                 "--requests" => cfg.requests = args.at_most(&flag, arrival::MAX_REQUESTS)?.max(1),
@@ -335,15 +335,15 @@ pub const COMMAND: Command = Command {
                         },
                     )?;
                 }
-                "--watch" => cfg.watch = Some(WatchConfig::default().from_env()?),
-                "--flight" => cfg.flight = Some(cli::flight_from_env()?),
+                "--watch" => cfg.watch = Some(WatchConfig::default().from_env(env)?),
+                "--flight" => cfg.flight = Some(env.flight()?),
                 "--json" => json_path = Some(args.value(&flag)?),
                 _ => return Err(CliError::Unknown { arg: flag }),
             }
         }
-        Ok(Box::new(move |out, err| {
+        Ok(Box::new(move |lab, out, err| {
             cfg.tenants = default_tenants(tenant_count);
-            let engine = crate::engine::global();
+            let engine = &lab.engine;
             let wall = std::time::Instant::now();
             let report = run(&cfg, engine);
             let elapsed = wall.elapsed();
@@ -356,15 +356,11 @@ pub const COMMAND: Command = Command {
                     ("shapes_simulated", engine.stats().scenarios_run),
                     ("wall_ms", elapsed.as_millis() as u64),
                 ];
-                cli::write_bench_json(&path, &bench, "report", &report)?;
+                cli::write_bench_json(&path, &bench, "report", &report, engine)?;
             }
 
-            let broken = "a run violated a structural invariant";
-            Ok(crate::report::soak_status(
-                err,
-                "serve",
-                (!report.healthy()).then_some(broken),
-            ))
+            let broken = (!report.healthy()).then_some("a run violated a structural invariant");
+            Ok(crate::report::soak_status(lab, err, "serve", broken))
         }))
     },
 };
@@ -426,22 +422,19 @@ mod tests {
 
     #[test]
     fn env_overrides_parse_both_radices() {
-        assert_eq!(env_u64("HCC_NO_SUCH_VAR_EVER"), Ok(None));
-        std::env::set_var("HCC_SERVE_TEST_DEC", "123");
-        std::env::set_var("HCC_SERVE_TEST_HEX", "0xff");
-        std::env::set_var("HCC_SERVE_TEST_BAD", "2O00");
-        assert_eq!(env_u64("HCC_SERVE_TEST_DEC"), Ok(Some(123)));
-        assert_eq!(env_u64("HCC_SERVE_TEST_HEX"), Ok(Some(255)));
+        let env: Env = [
+            (SEED_ENV, "123"),
+            (REQUESTS_ENV, "0xff"),
+            ("HCC_SERVE_TEST_BAD", "2O00"),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(env.u64("HCC_NO_SUCH_VAR_EVER"), Ok(None));
+        let cfg = ServingConfig::default().from_env(&env).unwrap();
+        assert_eq!((cfg.seed, cfg.requests), (123, 255));
         assert_eq!(
-            env_u64("HCC_SERVE_TEST_BAD").unwrap_err().to_string(),
+            env.u64("HCC_SERVE_TEST_BAD").unwrap_err().to_string(),
             "HCC_SERVE_TEST_BAD: cannot parse \"2O00\" as an integer"
         );
-        for var in [
-            "HCC_SERVE_TEST_DEC",
-            "HCC_SERVE_TEST_HEX",
-            "HCC_SERVE_TEST_BAD",
-        ] {
-            std::env::remove_var(var);
-        }
     }
 }

@@ -20,9 +20,10 @@ use hcc_trace::metrics::to_prometheus_with_exemplars;
 use hcc_trace::{ChromeExport, FlightLog, Histogram, MetricsSet};
 
 use super::{Canonical, Incident, Observed, Soak, WatchReport};
-use crate::cli::{self, Args, CanonicalSoak, CliError};
+use crate::cli::{self, Args, CanonicalSoak, CliError, Env};
+use crate::engine::ExperimentEngine;
 use crate::lab::{Command, Run};
-use crate::{engine, report};
+use crate::report;
 
 /// Walks `args`: the canonical soak's flags, then the ones `extra`
 /// consumes (`Ok(false)` leaves a flag unknown).
@@ -39,17 +40,18 @@ fn parse_soak(
     Ok(soak)
 }
 
-/// Runs `canonical` on the global engine, then writes `title` and the
-/// soak line to `out` (`util` adds the calm soak's target utilization):
-/// the observed soak and its wall time.
+/// Runs `canonical` on `engine`, then writes `title` and the soak line
+/// to `out` (`util` adds the calm soak's target utilization): the
+/// observed soak and its wall time.
 fn replay(
     canonical: &Canonical,
+    engine: &ExperimentEngine,
     title: &str,
     util: bool,
     out: &mut dyn Write,
 ) -> io::Result<(Observed, Duration)> {
     let wall = Instant::now();
-    let soak = canonical.run(engine::global());
+    let soak = canonical.run(engine);
     let elapsed = wall.elapsed();
     writeln!(out, "=== {title} ===")?;
     match canonical {
@@ -88,7 +90,7 @@ pub const WATCH: Command = Command {
     parse: watch,
 };
 
-fn watch(args: &mut Args) -> Result<Run, CliError> {
+fn watch(args: &mut Args, env: &Env) -> Result<Run, CliError> {
     let (mut flight, mut profile, mut util) = (false, None, None);
     let (mut json_path, mut prom_path) = (None, None);
     let soak = parse_soak(args, |flag, args| {
@@ -102,8 +104,8 @@ fn watch(args: &mut Args) -> Result<Run, CliError> {
         }
         Ok(true)
     })?;
-    let flight = flight.then(cli::flight_from_env).transpose()?;
-    let mut canonical = soak.canonical()?.with_flight(flight);
+    let flight = flight.then(|| env.flight()).transpose()?;
+    let mut canonical = soak.canonical(env)?.with_flight(flight);
     let title = match &mut canonical {
         Soak::Calm(cfg) => {
             cfg.target_util = util.unwrap_or(cfg.target_util);
@@ -116,8 +118,8 @@ fn watch(args: &mut Args) -> Result<Run, CliError> {
             "slo watchtower: chaos-shaped soak"
         }
     };
-    Ok(Box::new(move |out, err| {
-        let (soak, elapsed) = replay(&canonical, title, true, out)?;
+    Ok(Box::new(move |lab, out, err| {
+        let (soak, elapsed) = replay(&canonical, &lab.engine, title, true, out)?;
         let watched = soak.watch.as_ref().expect("watch plane enabled");
         out.write_all(watched.render().as_bytes())?;
 
@@ -136,10 +138,11 @@ fn watch(args: &mut Args) -> Result<Run, CliError> {
                 ("storm_correlated", watched.storm_correlated() as u64),
                 ("wall_ms", elapsed.as_millis() as u64),
             ];
-            cli::write_bench_json(&path, &bench, "watch", watched)?;
+            cli::write_bench_json(&path, &bench, "watch", watched, &lab.engine)?;
         }
 
         Ok(report::soak_status(
+            lab,
             err,
             "watch",
             (!soak.healthy).then_some(UNHEALTHY),
@@ -253,7 +256,7 @@ fn why_body(
     Ok(true)
 }
 
-fn why(args: &mut Args) -> Result<Run, CliError> {
+fn why(args: &mut Args, env: &Env) -> Result<Run, CliError> {
     let (mut request, mut incident) = (None, None);
     let (mut chrome_path, mut prom_path, mut json_path) = (None, None, None);
     let soak = parse_soak(args, |flag, args| {
@@ -267,7 +270,7 @@ fn why(args: &mut Args) -> Result<Run, CliError> {
         }
         Ok(true)
     })?;
-    let canonical = soak.canonical()?.with_flight(Some(cli::flight_from_env()?));
+    let canonical = soak.canonical(env)?.with_flight(Some(env.flight()?));
     let requests = canonical.requests();
     if let Some(req) = request.filter(|&req| u64::from(req) >= requests) {
         return Err(CliError::Invalid {
@@ -275,8 +278,9 @@ fn why(args: &mut Args) -> Result<Run, CliError> {
             detail: format!("{req} is past the soak's {requests} requests"),
         });
     }
-    Ok(Box::new(move |out, err| {
-        let (soak, elapsed) = replay(&canonical, "why: request flight forensics", false, out)?;
+    Ok(Box::new(move |lab, out, err| {
+        let title = "why: request flight forensics";
+        let (soak, elapsed) = replay(&canonical, &lab.engine, title, false, out)?;
         let flight = soak.flight.as_ref().expect("flight plane enabled");
         writeln!(
             out,
@@ -319,7 +323,7 @@ fn why(args: &mut Args) -> Result<Run, CliError> {
             // for it but cold for the flight-on run — any bias overstates
             // the recorder's overhead, never hides it.
             let off_wall = Instant::now();
-            let off = canonical.with_flight(None).run(engine::global());
+            let off = canonical.with_flight(None).run(&lab.engine);
             assert!(off.healthy);
             let off_elapsed = off_wall.elapsed();
             let bench = [
@@ -329,7 +333,7 @@ fn why(args: &mut Args) -> Result<Run, CliError> {
                 ("wall_ms_flight_on", elapsed.as_millis() as u64),
                 ("wall_ms_flight_off", off_elapsed.as_millis() as u64),
             ];
-            cli::write_bench_json(&path, &bench, "flight", flight)?;
+            cli::write_bench_json(&path, &bench, "flight", flight, &lab.engine)?;
         }
 
         let broken = match (soak.healthy, identity) {
@@ -337,7 +341,7 @@ fn why(args: &mut Args) -> Result<Run, CliError> {
             (_, false) => Some("span-identity violated in the flight log"),
             _ => None,
         };
-        let status = report::soak_status(err, "why", broken);
+        let status = report::soak_status(lab, err, "why", broken);
         // A request or incident not kept was already reported.
         Ok(if found { status } else { ExitCode::FAILURE })
     }))

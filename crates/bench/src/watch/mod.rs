@@ -33,7 +33,7 @@ use hcc_types::slo::burn_rate_milli;
 use hcc_types::{BurnPair, LatencyBudget, SimDuration, SimTime, StormIntensity, StormSchedule};
 
 use crate::chaos::{self, ChaosConfig, ChaosReport};
-use crate::cli::{env_u64, CliError};
+use crate::cli::{CliError, Env};
 use crate::engine::ExperimentEngine;
 use crate::serving::arrival::Request;
 use crate::serving::cluster::Outcome;
@@ -86,19 +86,19 @@ impl Default for WatchConfig {
 }
 
 impl WatchConfig {
-    /// Applies the `HCC_WATCH_*` environment overrides; a value that is
-    /// not an integer is refused.
-    pub fn from_env(mut self) -> Result<Self, CliError> {
-        if let Some(ms) = env_u64(FAST_MS_ENV)? {
+    /// Applies `env`'s `HCC_WATCH_*` overrides; a value that is not an
+    /// integer is refused.
+    pub fn from_env(mut self, env: &Env) -> Result<Self, CliError> {
+        if let Some(ms) = env.u64(FAST_MS_ENV)? {
             self.fast = SimDuration::millis(ms.max(1));
         }
-        if let Some(f) = env_u64(SLOW_FACTOR_ENV)? {
+        if let Some(f) = env.u64(SLOW_FACTOR_ENV)? {
             self.slow_factor = f.clamp(1, 1_000) as u32;
         }
-        if let Some(m) = env_u64(BURN_ENV)? {
+        if let Some(m) = env.u64(BURN_ENV)? {
             self.threshold_milli = m.max(1);
         }
-        if let Some(m) = env_u64(ANOMALY_ENV)? {
+        if let Some(m) = env.u64(ANOMALY_ENV)? {
             self.anomaly_milli = m.max(1);
         }
         Ok(self)

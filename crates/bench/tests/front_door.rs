@@ -7,33 +7,18 @@
 //! ids. A closed stdout ends a run quietly with status 0; any other
 //! failed write exits 1 and says what failed.
 //!
-//! The tests share the process environment (`HCC_*` overrides are read
-//! at parse time), so each holds [`ENV`].
-
 use std::io::{self, ErrorKind, Write};
 use std::process::ExitCode;
-use std::sync::{Mutex, MutexGuard};
 
+use hcc_bench::cli::{Args, Env};
 use hcc_bench::lab::{self, COMMANDS};
 
-/// Serializes the tests: one sets `HCC_*` variables the others read.
-static ENV: Mutex<()> = Mutex::new(());
-
-fn env_lock() -> MutexGuard<'static, ()> {
-    ENV.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// `hcc_lab argv` with `env` set for its length: the exit status, stdout
-/// and stderr.
-fn run(env: &[(&str, &str)], argv: &[&str]) -> (ExitCode, String, String) {
-    for &(var, value) in env {
-        std::env::set_var(var, value);
-    }
+/// `hcc_lab argv` under the `HCC_*` overrides `vars`: the exit status,
+/// stdout and stderr.
+fn run(vars: Vars, argv: &[&str]) -> (ExitCode, String, String) {
+    let env: Env = vars.iter().copied().collect();
     let (mut out, mut err) = (Vec::new(), Vec::new());
-    let code = lab::run(argv.iter().map(|a| a.to_string()), &mut out, &mut err);
-    for &(var, _) in env {
-        std::env::remove_var(var);
-    }
+    let code = lab::run(argv.iter().map(|a| a.to_string()), &env, &mut out, &mut err);
     let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("UTF-8 output");
     (code, text(out), text(err))
 }
@@ -48,12 +33,12 @@ fn positionals(name: &str) -> &'static [&'static str] {
 }
 
 /// `HCC_*` overrides set for one case.
-type Env = &'static [(&'static str, &'static str)];
+type Vars = &'static [(&'static str, &'static str)];
 
 /// Refusals beyond a bad flag: a bad value, a missing or unknown
 /// subcommand, a bad figure name, a malformed override, a size past
 /// the simulator's narrow ids and a `why` request past the soak's.
-const REFUSED: [(Env, &[&str]); 14] = [
+const REFUSED: [(Vars, &[&str]); 15] = [
     (&[], &["serve", "--util", "NaN"]),
     (&[], &["--bogus"]),
     (&[], &["bogus"]),
@@ -62,6 +47,7 @@ const REFUSED: [(Env, &[&str]); 14] = [
     (&[], &["figures", "ablations", "--bogus"]),
     (&[("HCC_SERVE_REQUESTS", "abc")], &["serve"]),
     (&[("HCC_WATCH_FAST_MS", "5s")], &["watch"]),
+    (&[("HCC_WATCH_FAST_MS", "bogus")], &["serve", "--watch"]),
     (&[], &["serve", "--max-batch", "65536"]),
     (&[], &["chaos", "--requests", "4294967296"]),
     (&[("HCC_SERVE_REQUESTS", "4294967296")], &["serve"]),
@@ -75,12 +61,11 @@ const REFUSED: [(Env, &[&str]); 14] = [
 /// line on stderr.
 #[test]
 fn every_refusal_exits_2_naming_what_it_refused() {
-    let _env = env_lock();
     let bogus = COMMANDS.iter().map(|c| {
         let mut argv = vec![c.name()];
         argv.extend(positionals(c.name()));
         argv.push("--bogus");
-        (&[] as Env, argv)
+        (&[] as Vars, argv)
     });
     let cases = bogus.chain(REFUSED.iter().map(|&(env, argv)| (env, argv.to_vec())));
     for (env, argv) in cases {
@@ -100,11 +85,32 @@ fn every_refusal_exits_2_naming_what_it_refused() {
     }
 }
 
+/// Overrides a subcommand does not read pass its front door: `list`
+/// and `serve` without `--watch` take a malformed `HCC_WATCH_FAST_MS`,
+/// which `watch` and `serve --watch` refuse ([`REFUSED`]).
+const ACCEPTED: [(Vars, &[&str]); 2] = [
+    (&[("HCC_WATCH_FAST_MS", "bogus")], &["list"]),
+    (&[("HCC_WATCH_FAST_MS", "bogus")], &["serve"]),
+];
+
+/// Each [`ACCEPTED`] case parses, and `list` runs to exit 0.
+#[test]
+fn an_override_is_refused_only_by_a_subcommand_that_reads_it() {
+    for (vars, argv) in ACCEPTED {
+        let env: Env = vars.iter().copied().collect();
+        let parsed = lab::parse(&mut Args::new(argv.to_vec()), &env);
+        let refusal = parsed.err().map(|(_, e)| e.to_string());
+        assert_eq!(refusal, None, "{vars:?} {argv:?}");
+    }
+    let (code, out, err) = run(ACCEPTED[0].0, ACCEPTED[0].1);
+    assert_eq!(code, ExitCode::SUCCESS, "{err}");
+    assert!(out.starts_with("app "), "{out}");
+}
+
 /// A `why --request` equal to the soak's request count, the first id
 /// past it, is refused naming the flag and the soak's size.
 #[test]
 fn why_refuses_a_request_past_the_soak() {
-    let _env = env_lock();
     let (code, out, err) = run(&[], &["why", "--requests", "10", "--request", "10"]);
     assert_eq!(code, ExitCode::from(2), "{err}");
     assert!(out.is_empty(), "{out}");
@@ -119,9 +125,8 @@ fn why_refuses_a_request_past_the_soak() {
 /// first on stderr, and stdout holds only the page's own lines.
 #[test]
 fn why_says_what_it_did_not_keep_on_stderr() {
-    let _env = env_lock();
-    let keep_nothing: Env = &[("HCC_FLIGHT_WORST", "0"), ("HCC_FLIGHT_RESERVOIR", "0")];
-    let cases: [(Env, &[&str], &str); 2] = [
+    let keep_nothing: Vars = &[("HCC_FLIGHT_WORST", "0"), ("HCC_FLIGHT_RESERVOIR", "0")];
+    let cases: [(Vars, &[&str], &str); 2] = [
         (
             keep_nothing,
             &["why", "--requests", "200", "--request", "199"],
@@ -176,10 +181,14 @@ impl Write for ClosesAfterOneLine {
 /// stop quietly: exit 0, one line out, nothing on stderr.
 #[test]
 fn a_closed_stdout_ends_the_run_quietly() {
-    let _env = env_lock();
     for argv in [&["figures"][..], &["trace", "gemm", "--cc"]] {
         let (mut out, mut err) = (ClosesAfterOneLine::default(), Vec::new());
-        let code = lab::run(argv.iter().map(|a| a.to_string()), &mut out, &mut err);
+        let code = lab::run(
+            argv.iter().map(|a| a.to_string()),
+            &Env::default(),
+            &mut out,
+            &mut err,
+        );
         assert_eq!(code, ExitCode::SUCCESS, "{argv:?}");
         assert_eq!(out.0.iter().filter(|&&b| b == b'\n').count(), 1, "{argv:?}");
         assert!(
@@ -206,9 +215,13 @@ impl Write for DeviceFull {
 /// Any other failed write to stdout exits 1, naming the subcommand.
 #[test]
 fn a_failed_stdout_write_exits_1() {
-    let _env = env_lock();
     let mut err = Vec::new();
-    let code = lab::run(["list".to_string()], &mut DeviceFull, &mut err);
+    let code = lab::run(
+        ["list".to_string()],
+        &Env::default(),
+        &mut DeviceFull,
+        &mut err,
+    );
     assert_eq!(code, ExitCode::FAILURE);
     assert_eq!(
         String::from_utf8(err).unwrap(),
@@ -220,7 +233,6 @@ fn a_failed_stdout_write_exits_1() {
 /// <path>: <error>`, and the test runner survives it.
 #[test]
 fn an_unwritable_side_file_exits_1() {
-    let _env = env_lock();
     let path = "/nonexistent/x.json";
     let (code, out, err) = run(&[], &["obs", "--json", path]);
     assert_eq!(code, ExitCode::FAILURE, "{err}");
@@ -233,7 +245,6 @@ fn an_unwritable_side_file_exits_1() {
 /// the rest of its batch completes: exit 0.
 #[test]
 fn the_engine_contains_a_panicking_scenario() {
-    let _env = env_lock();
     let (code, out, err) = run(&[], &["faults", "--panic-smoke"]);
     assert_eq!(code, ExitCode::SUCCESS, "{out}{err}");
     assert_eq!(

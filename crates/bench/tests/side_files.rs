@@ -3,19 +3,24 @@
 //! [`Json::parse`]; and the forensics pages that link an incident to a
 //! request the `why --request` page resolves.
 //!
-//! One test, alone in its binary: `serve`'s side file counts the
-//! scenarios the process-wide engine simulated, so nothing may run on
-//! that engine before it.
+//! Each run has its own engine, so `serve`'s side file counts only the
+//! scenarios that run simulated.
 
 use std::process::ExitCode;
 
+use hcc_bench::cli::Env;
 use hcc_bench::lab;
 use hcc_types::json::Json;
 
 /// `hcc_lab argv`, which must exit 0: its stdout.
 fn run(argv: &[&str]) -> String {
     let (mut out, mut err) = (Vec::new(), Vec::new());
-    let code = lab::run(argv.iter().map(|a| a.to_string()), &mut out, &mut err);
+    let code = lab::run(
+        argv.iter().map(|a| a.to_string()),
+        &Env::default(),
+        &mut out,
+        &mut err,
+    );
     let err = String::from_utf8_lossy(&err);
     assert_eq!(code, ExitCode::SUCCESS, "hcc_lab {argv:?}: {err}");
     String::from_utf8(out).expect("UTF-8 stdout")

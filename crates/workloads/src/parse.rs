@@ -548,4 +548,203 @@ free managed m
         assert_eq!(*repeat, 7);
         assert_eq!(managed.len(), 2);
     }
+
+    const SIZE_UNITS: [(&str, u64); 11] = [
+        ("B", 1),
+        ("b", 1),
+        ("KiB", 1 << 10),
+        ("kib", 1 << 10),
+        ("KB", 1 << 10),
+        ("MiB", 1 << 20),
+        ("mib", 1 << 20),
+        ("MB", 1 << 20),
+        ("GiB", 1 << 30),
+        ("gib", 1 << 30),
+        ("GB", 1 << 30),
+    ];
+    const DURATION_UNITS: [(&str, u64); 4] = [
+        ("ns", 1),
+        ("us", 1_000),
+        ("ms", 1_000_000),
+        ("s", 1_000_000_000),
+    ];
+
+    /// What `text` must parse to as a literal of `units`, worked out
+    /// apart from the parser: `Malformed` unless it is ASCII digits then
+    /// more, `UnknownUnit` for a unit `units` lacks, otherwise the count
+    /// times the unit's scale in `base`, or `Overflow` past `u64::MAX`.
+    fn oracle(text: &str, units: &[(&str, u64)], base: &'static str) -> Result<u64, LiteralError> {
+        let split = text.find(|c: char| !c.is_ascii_digit());
+        let (digits, unit) = match split {
+            Some(split) if split > 0 => text.split_at(split),
+            _ => return Err(LiteralError::Malformed),
+        };
+        let Some(&(_, scale)) = units.iter().find(|&&(u, _)| u == unit) else {
+            return Err(LiteralError::UnknownUnit(unit.to_string()));
+        };
+        // Past 30 significant digits the count alone is ~1e30 > u64::MAX.
+        let count = digits.trim_start_matches('0');
+        let count: u128 = if count.len() > 30 {
+            u128::MAX
+        } else {
+            count.parse().unwrap_or(0)
+        };
+        let value = count.saturating_mul(u128::from(scale));
+        u64::try_from(value).map_err(|_| LiteralError::Overflow { base })
+    }
+
+    /// Counts around every unit's edge (`u64::MAX / scale` and one more),
+    /// `u64::MAX` ± 1 themselves, and small and zero-padded counts.
+    fn counts() -> Vec<String> {
+        let scales = SIZE_UNITS.iter().chain(&DURATION_UNITS).map(|&(_, s)| s);
+        let edges = scales.flat_map(|s| [u64::MAX / s].map(u128::from).map(|n| [n, n + 1]));
+        let mut counts: Vec<String> = edges.flatten().map(|n| n.to_string()).collect();
+        counts.extend(["0", "1", "7", "64", "0064", "18446744073709551614"].map(String::from));
+        counts
+    }
+
+    /// What literals and deck lines are glued from besides counts and
+    /// units: wrong-case and unknown units, signs, radix and float
+    /// syntax, `#` comments, whitespace, empty tokens and non-ASCII.
+    const JUNK: [&str; 22] = [
+        "", " ", "  ", "\t", "#", "# note", "-", "+", "0x", ".", "e3", "_", "KIB", "Mib", "sec",
+        "h", "x", "é", "∞", "\u{0}", "\u{feff}", "𝟙",
+    ];
+
+    /// Any text either parses as a size and a duration exactly as
+    /// [`oracle`] says, or is refused with that typed error: an accepted
+    /// `<n><unit>` is n × scale, and `Overflow` comes back exactly when
+    /// that product passes `u64::MAX`. Never a panic.
+    #[test]
+    fn literals_parse_to_count_times_scale_or_a_typed_error() {
+        use hcc_check::strategy::{bytes, u64s, vecs};
+        use hcc_check::{ensure_eq, forall, Config};
+        let counts = counts();
+        let units: Vec<&str> = SIZE_UNITS
+            .iter()
+            .chain(&DURATION_UNITS)
+            .map(|u| u.0)
+            .collect();
+        let mut pieces: Vec<&str> = counts.iter().map(String::as_str).collect();
+        pieces.extend(units.iter().chain(&JUNK));
+        let tally = std::cell::RefCell::new([0u32; 3]);
+        forall!(
+            Config::new(0xDEC_0001).with_cases(2048),
+            ((count, unit), (picks, raw)) in (
+                (u64s(0..counts.len() as u64), u64s(0..(units.len() + JUNK.len()) as u64)),
+                (vecs(u64s(0..pieces.len() as u64), 0..5), vecs(bytes(), 0..16))
+            ) => {
+                let unit = units.iter().chain(&JUNK).nth(unit as usize).expect("in range");
+                let texts = [
+                    format!("{}{unit}", counts[count as usize]),
+                    picks.iter().map(|&k| pieces[k as usize]).collect(),
+                    String::from_utf8_lossy(&raw).into_owned(),
+                ];
+                for text in texts {
+                    let size = parse_size(&text).map(ByteSize::as_u64);
+                    ensure_eq!(size, oracle(&text, &SIZE_UNITS, "bytes"));
+                    let ns = parse_duration(&text).map(SimDuration::as_nanos);
+                    ensure_eq!(ns.clone(), oracle(&text, &DURATION_UNITS, "ns"));
+                    let mut tally = tally.borrow_mut();
+                    match (size, ns) {
+                        (Ok(_), _) | (_, Ok(_)) => tally[0] += 1,
+                        (Err(LiteralError::Overflow { .. }), _)
+                        | (_, Err(LiteralError::Overflow { .. })) => tally[1] += 1,
+                        _ => tally[2] += 1,
+                    }
+                }
+            }
+        );
+        let [accepted, overflowed, refused] = *tally.borrow();
+        assert!(
+            accepted > 200 && overflowed > 200 && refused > 200,
+            "{tally:?}"
+        );
+    }
+
+    /// Any deck glued from directives, names, literals, comments, blank
+    /// lines and junk, and any raw bytes, either parses or is refused
+    /// with a typed error naming a line that holds a directive (line 1
+    /// for a missing `app`), never a panic; a deck that parses keeps
+    /// its kernel time within [`MAX_DECK_KERNEL_TIME`].
+    #[test]
+    fn decks_parse_or_are_refused_by_line() {
+        use hcc_check::strategy::{bytes, u64s, vecs};
+        use hcc_check::{ensure, forall, Config};
+        const WORDS: [&str; 23] = [
+            "app",
+            "host",
+            "dev",
+            "managed",
+            "h2d",
+            "d2h",
+            "d2d",
+            "launch",
+            "sync",
+            "free",
+            "bogus",
+            "a",
+            "b",
+            "m",
+            "k0",
+            "k4294967296",
+            "x3",
+            "x0",
+            "x4294967296",
+            "managed=m",
+            "managed=m,q",
+            "pinned",
+            "pageable",
+        ];
+        let counts = counts();
+        let mut pieces: Vec<String> = WORDS.iter().chain(&JUNK).map(|w| w.to_string()).collect();
+        for unit in SIZE_UNITS.iter().chain(&DURATION_UNITS).map(|u| u.0) {
+            pieces.extend(counts.iter().map(|n| format!("{n}{unit}")));
+        }
+        let (parsed, refused) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+        forall!(
+            Config::new(0xDEC_0002).with_cases(1024),
+            (lines, raw) in (
+                vecs(vecs(u64s(0..pieces.len() as u64), 0..6), 0..8),
+                vecs(bytes(), 0..48)
+            ) => {
+                let deck = lines.iter().map(|words| {
+                    let words = words.iter().map(|&k| pieces[k as usize].as_str());
+                    words.collect::<Vec<_>>().join(" ")
+                });
+                // Every other deck starts with its `app` line, so decks
+                // get past the missing-name refusal.
+                let app = (lines.len() % 2 == 0).then(|| "app fuzz".to_string());
+                let deck: Vec<String> = app.into_iter().chain(deck).collect();
+                for text in [deck.join("\n"), String::from_utf8_lossy(&raw).into_owned()] {
+                    match parse_workload(&text) {
+                        Ok(spec) => {
+                            parsed.set(parsed.get() + 1);
+                            let ket: u128 = spec.ops.iter().map(|op| match op {
+                                Op::Launch { ket, repeat, .. } => {
+                                    u128::from(ket.as_nanos()) * u128::from(*repeat)
+                                }
+                                _ => 0,
+                            }).sum();
+                            ensure!(ket <= u128::from(MAX_DECK_KERNEL_TIME.as_nanos()));
+                        }
+                        Err(e) if e.message.starts_with("missing `app") => {
+                            refused.set(refused.get() + 1);
+                            ensure!(e.line == 1, "{e}");
+                        }
+                        Err(e) => {
+                            refused.set(refused.get() + 1);
+                            let line = text.lines().nth(e.line.wrapping_sub(1)).unwrap_or("");
+                            let directive = line.split('#').next().unwrap_or("").trim();
+                            ensure!(!directive.is_empty(), "{e} names line {line:?} of {text:?}");
+                        }
+                    }
+                }
+            }
+        );
+        assert!(
+            parsed.get() > 50 && refused.get() > 500,
+            "{parsed:?} {refused:?}"
+        );
+    }
 }

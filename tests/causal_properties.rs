@@ -102,7 +102,7 @@ fn causal_edges_are_well_formed() {
 /// to ΔP — across both the UVM and non-UVM populations.
 #[test]
 fn explainer_covers_the_full_suite_with_identity() {
-    let (rows, failures) = hcc_bench::explain::explain_all();
+    let (rows, failures) = hcc_bench::explain::explain_all(&hcc_bench::lab::Lab::new(2));
     assert!(failures.is_empty(), "suite apps failed: {failures:?}");
     assert_eq!(rows.len(), hcc_workloads::suites::all().len());
     assert!(rows.iter().any(|e| e.uvm) && rows.iter().any(|e| !e.uvm));

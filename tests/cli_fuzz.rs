@@ -4,21 +4,21 @@
 //! each name vocabulary (scheduler, arrival process, storm profile,
 //! recovery policy, the figure names) returns either a value or its
 //! typed `CliError`, never a panic, and every accepted name re-parses
-//! from its printed form to itself. Random `HCC_*` override values read
-//! the same way, with errors naming the variable, and the process-wide
-//! `HCC_ENGINE_THREADS` and `HCC_FAULT_PLAN` overrides are refused by
-//! the front door when malformed. Every subcommand's parser takes random
-//! argument lists without panicking. The bounded soak sizes (requests,
-//! GPUs, batch cap) take their maximum and refuse one more.
+//! from its printed form to itself. Random `HCC_*` override values in an
+//! [`Env`] read the same way, with errors naming the variable, and the
+//! `HCC_ENGINE_THREADS` and `HCC_FAULT_PLAN` overrides every subcommand
+//! takes are refused by the front door when malformed. Every
+//! subcommand's parser takes random argument lists without panicking.
+//! The bounded soak sizes (requests, GPUs, batch cap) take their
+//! maximum and refuse one more.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, MutexGuard};
 
 use hcc_bench::chaos::{self, ChaosConfig};
-use hcc_bench::cli::{self, Args, CanonicalSoak, CliError};
+use hcc_bench::cli::{self, Args, CanonicalSoak, CliError, Env};
 use hcc_bench::engine::THREADS_ENV;
 use hcc_bench::figures::{Figure, Selection, FAULT_PLAN_ENV};
-use hcc_bench::lab::{self, Refusal, COMMANDS};
+use hcc_bench::lab::{self, Lab, Refusal, COMMANDS};
 use hcc_bench::serving::arrival::MAX_REQUESTS;
 use hcc_bench::serving::cluster::{MAX_BATCH, MAX_GPUS};
 use hcc_bench::serving::{self, ArrivalKind, SchedulerKind, ServingConfig};
@@ -56,14 +56,9 @@ const COMMAND_FRAGMENTS: &str = "|--cc|--report|--json|--prom|--chrome|--plan|--
     |--requests|--days|--gpus|--seed|--functional|--bogus|gemm|sc|deck.hcc|out.json|fig05\
     |all|fifo|poisson|crypto-burst|retry|0|1|0.5|NaN|4294967296|seed=7,gcm=0.35|gcm=abc|max=x";
 
-/// Serializes the tests that set an override a subcommand parser reads,
-/// and the tests that parse subcommands.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn env_lock() -> MutexGuard<'static, ()> {
-    ENV_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+/// The environment holding `value` as `var`, and nothing else.
+fn one(var: &str, value: &str) -> Env {
+    [(var, value)].into_iter().collect()
 }
 
 /// A random string: raw bytes read as UTF-8 lossily, one fragment
@@ -111,19 +106,16 @@ fn value_readers_return_a_value_or_a_typed_error() {
     forall!(Config::new(0xC11_0001).with_cases(2048), pick in strings() => {
         let raw = text(&pick);
         let int = no_panic("u64", &raw, || Args::new([raw.as_str()]).u64(FLAG))?;
-        // An override holding the same text (NUL cannot be set) reads the
-        // same, or is refused naming the variable.
-        if !raw.contains('\0') {
-            std::env::set_var(ENV, &raw);
-            match no_panic("env_u64", &raw, || cli::env_u64(ENV))? {
-                Ok(v) => ensure!(v.is_some() && v == int.clone().ok(), "{ENV}={raw:?}: {v:?}"),
-                Err(e) => ensure!(
-                    matches!(e, CliError::NotAnInteger { .. })
-                        && int.is_err()
-                        && e.to_string().starts_with(ENV),
-                    "{ENV}={raw:?}: {e}"
-                ),
-            }
+        // An override holding the same text reads the same, or is
+        // refused naming the variable.
+        match no_panic("Env::u64", &raw, || one(ENV, &raw).u64(ENV))? {
+            Ok(v) => ensure!(v.is_some() && v == int.clone().ok(), "{ENV}={raw:?}: {v:?}"),
+            Err(e) => ensure!(
+                matches!(e, CliError::NotAnInteger { .. })
+                    && int.is_err()
+                    && e.to_string().starts_with(ENV),
+                "{ENV}={raw:?}: {e}"
+            ),
         }
         match int {
             Ok(v) => {
@@ -227,7 +219,7 @@ fn canonical_soak_flags_never_panic() {
             }
             let mut canonical = |serve| {
                 soak.serve = serve;
-                soak.canonical()
+                soak.canonical(&Env::default())
             };
             ([canonical(false), canonical(true)], refused)
         })?;
@@ -365,7 +357,6 @@ fn takes_max_refuses_one_more<T: std::fmt::Debug>(
 /// `HCC_SERVE_REQUESTS` and `HCC_CHAOS_REQUESTS` overrides.
 #[test]
 fn soak_sizes_take_their_bound_and_refuse_one_more() {
-    let _env = env_lock();
     assert_eq!(
         (MAX_REQUESTS, MAX_GPUS, MAX_BATCH),
         (
@@ -390,7 +381,7 @@ fn soak_sizes_take_their_bound_and_refuse_one_more() {
         let mut args = Args::new([n.to_string()]);
         soak.flag(flag, &mut args)?;
         soak.serve = true;
-        match soak.canonical()? {
+        match soak.canonical(&Env::default())? {
             Soak::Calm(cfg) => Ok((cfg.requests, cfg.gpus as u64)),
             Soak::Stormy(_) => unreachable!("--serve selects the calm soak"),
         }
@@ -402,25 +393,24 @@ fn soak_sizes_take_their_bound_and_refuse_one_more() {
     assert_eq!(gpus, MAX_GPUS);
 
     let serve = takes_max_refuses_one_more(serving::REQUESTS_ENV, MAX_REQUESTS, |n| {
-        std::env::set_var(serving::REQUESTS_ENV, n.to_string());
-        let cfg = ServingConfig::default().from_env();
-        std::env::remove_var(serving::REQUESTS_ENV);
-        cfg
+        ServingConfig::default().from_env(&one(serving::REQUESTS_ENV, &n.to_string()))
     });
     assert_eq!(serve.requests, MAX_REQUESTS);
     let chaos = takes_max_refuses_one_more(chaos::REQUESTS_ENV, MAX_REQUESTS, |n| {
-        std::env::set_var(chaos::REQUESTS_ENV, n.to_string());
-        let cfg = ChaosConfig::default().from_env();
-        std::env::remove_var(chaos::REQUESTS_ENV);
-        cfg
+        ChaosConfig::default().from_env(&one(chaos::REQUESTS_ENV, &n.to_string()))
     });
     assert_eq!(chaos.requests, MAX_REQUESTS);
 }
 
-/// `argv` through the front door's parser: the work (never run) or the
-/// refusal.
-fn dispatch(argv: &[String]) -> Result<lab::Run, Refusal> {
-    lab::parse(&mut Args::new(argv.to_vec()))
+/// `argv` through the front door's parser under `env`: the lab and its
+/// work (never run), or the refusal.
+fn dispatch_in(env: &Env, argv: &[String]) -> Result<(Lab, lab::Run), Refusal> {
+    lab::parse(&mut Args::new(argv.to_vec()), env)
+}
+
+/// [`dispatch_in`] with no override set.
+fn dispatch(argv: &[String]) -> Result<(Lab, lab::Run), Refusal> {
+    dispatch_in(&Env::default(), argv)
 }
 
 /// The positional arguments `name` needs before its flags.
@@ -437,7 +427,6 @@ fn positionals(name: &str) -> &'static [&'static str] {
 /// subcommand parses its bare form.
 #[test]
 fn the_front_door_refuses_with_typed_errors() {
-    let _env = env_lock();
     let Err(missing) = dispatch(&[]) else {
         panic!("no subcommand parsed");
     };
@@ -495,7 +484,6 @@ fn the_front_door_refuses_with_typed_errors() {
 /// refusal naming that subcommand, never a panic.
 #[test]
 fn every_subcommand_parser_never_panics() {
-    let _env = env_lock();
     let names: Vec<&str> = COMMANDS.iter().map(lab::Command::name).collect();
     forall!(
         Config::new(0xC11_0005).with_cases(2048),
@@ -512,23 +500,14 @@ fn every_subcommand_parser_never_panics() {
     });
 }
 
-/// `value` set as `var` for the length of `f`.
-fn with_env<T>(var: &str, value: &str, f: impl FnOnce() -> T) -> T {
-    std::env::set_var(var, value);
-    let out = f();
-    std::env::remove_var(var);
-    out
-}
-
 /// A malformed `HCC_ENGINE_THREADS` (not a positive integer) is refused
 /// by the front door, naming the variable, before any subcommand runs; a
 /// positive one reads as itself.
 #[test]
 fn malformed_engine_threads_is_refused() {
-    let _env = env_lock();
     let argv = ["summary".to_string()];
     for raw in ["abc", "0", "", "-1", "1.5", "18446744073709551616"] {
-        let Err(refusal) = with_env(THREADS_ENV, raw, || dispatch(&argv)) else {
+        let Err(refusal) = dispatch_in(&one(THREADS_ENV, raw), &argv) else {
             panic!("{THREADS_ENV}={raw:?} was accepted");
         };
         assert_eq!(refusal.0.map(|c| c.name()), Some("summary"));
@@ -538,24 +517,24 @@ fn malformed_engine_threads_is_refused() {
             refusal.1
         );
     }
-    let err = with_env(THREADS_ENV, "0", cli::engine_threads).unwrap_err();
+    let err = one(THREADS_ENV, "0").engine_threads().unwrap_err();
     assert_eq!(err.to_string(), "HCC_ENGINE_THREADS: must be at least 1");
     for (raw, n) in [("1", 1), (" 4 ", 4), ("0x10", 16)] {
-        assert_eq!(with_env(THREADS_ENV, raw, cli::engine_threads), Ok(Some(n)));
-        assert!(with_env(THREADS_ENV, raw, || dispatch(&argv)).is_ok());
+        assert_eq!(one(THREADS_ENV, raw).engine_threads(), Ok(Some(n)));
+        let parsed = dispatch_in(&one(THREADS_ENV, raw), &argv);
+        assert_eq!(parsed.ok().map(|(lab, _)| lab.engine.threads()), Some(n));
     }
-    assert_eq!(cli::engine_threads(), Ok(None));
+    assert_eq!(Env::default().engine_threads(), Ok(None));
 }
 
 /// A malformed `HCC_FAULT_PLAN` is refused by the front door, naming the
 /// variable, instead of being ignored; a valid one reads as the plan.
 #[test]
 fn malformed_fault_plan_is_refused() {
-    let _env = env_lock();
     let argv = ["figures".to_string(), "fig05".to_string()];
     for raw in ["garbage", "gcm=abc", "max=x", "seed=7,bogus=0.1"] {
         assert!(FaultPlan::parse(raw).is_err(), "{raw} parses");
-        let Err(refusal) = with_env(FAULT_PLAN_ENV, raw, || dispatch(&argv)) else {
+        let Err(refusal) = dispatch_in(&one(FAULT_PLAN_ENV, raw), &argv) else {
             panic!("{FAULT_PLAN_ENV}={raw:?} was accepted");
         };
         assert_eq!(refusal.0.map(|c| c.name()), Some("figures"));
@@ -566,8 +545,9 @@ fn malformed_fault_plan_is_refused() {
         );
     }
     let spec = "seed=7,gcm=0.35";
-    let plan = with_env(FAULT_PLAN_ENV, spec, cli::env_fault_plan);
-    assert_eq!(plan, Ok(Some(FaultPlan::parse(spec).unwrap())));
-    assert!(with_env(FAULT_PLAN_ENV, spec, || dispatch(&argv)).is_ok());
-    assert_eq!(cli::env_fault_plan(), Ok(None));
+    let plan = Some(FaultPlan::parse(spec).unwrap());
+    assert_eq!(one(FAULT_PLAN_ENV, spec).fault_plan(), Ok(plan.clone()));
+    let parsed = dispatch_in(&one(FAULT_PLAN_ENV, spec), &argv);
+    assert_eq!(parsed.ok().map(|(lab, _)| lab.plan), Some(plan));
+    assert_eq!(Env::default().fault_plan(), Ok(None));
 }

@@ -3,6 +3,7 @@
 
 use hcc::prelude::*;
 use hcc::workloads::{parse_workload, runner};
+use hcc_bench::cli::Env;
 
 const STREAMING_CONV: &str = include_str!("../decks/streaming_conv.hcc");
 const BATCH_TRAINER: &str = include_str!("../decks/batch_trainer.hcc");
@@ -77,7 +78,7 @@ fn deck_command_refuses_a_clock_overflow() {
         std::fs::write(&path, deck).expect("write deck");
         let argv = vec!["deck".to_string(), path.display().to_string()];
         let (mut out, mut err) = (Vec::new(), Vec::new());
-        let code = hcc_bench::lab::run(argv, &mut out, &mut err);
+        let code = hcc_bench::lab::run(argv, &Env::default(), &mut out, &mut err);
         std::fs::remove_file(&path).expect("remove deck");
         assert_eq!(code, ExitCode::FAILURE, "{name}");
         assert!(out.is_empty(), "{name}");

@@ -8,6 +8,7 @@
 //! `figures::ablations::render()` row it quotes, in the same unit.
 
 use hcc_bench::figures::{ablations, summary};
+use hcc_bench::lab::Lab;
 
 /// Each summary statistic, the first cell of its EXPERIMENTS.md row, and
 /// the text in that row's measured cell after which its number is read
@@ -194,7 +195,7 @@ fn summary_rows(text: &str) -> Vec<(&str, &str)> {
 fn experiments_md_quotes_what_summary_measures() {
     let doc_path = concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md");
     let doc = std::fs::read_to_string(doc_path).expect("EXPERIMENTS.md");
-    let rendered = summary::render();
+    let rendered = summary::render(&Lab::new(2));
     assert!(rendered.failures.is_empty(), "{:?}", rendered.failures);
     let stats = summary_rows(&rendered.data);
     let labels: Vec<&str> = stats.iter().map(|(label, _)| *label).collect();

@@ -13,25 +13,25 @@
 
 mod golden;
 
-use std::sync::Once;
+use std::sync::OnceLock;
 
-use hcc_bench::engine::{self, ScenarioFailure, THREADS_ENV};
+use hcc_bench::engine::ScenarioFailure;
 use hcc_bench::figures::{sensitivity, summary, Figure};
+use hcc_bench::lab::Lab;
 use hcc_bench::{cli, explain, faults, obs};
 
-/// Sizes the global engine at 2 workers before any test touches it.
-fn two_thread_engine() {
-    static SIZED: Once = Once::new();
-    SIZED.call_once(|| std::env::set_var(THREADS_ENV, "2"));
-    assert_eq!(engine::global().threads(), 2);
+/// The 2-worker lab every test here renders on, so their overlapping
+/// populations simulate once.
+fn lab() -> &'static Lab {
+    static LAB: OnceLock<Lab> = OnceLock::new();
+    LAB.get_or_init(|| Lab::new(2))
 }
 
 #[test]
 fn every_figure_matches_its_golden() {
-    two_thread_engine();
     let mut text = String::new();
     for figure in Figure::ALL {
-        let computed = figure.render(false);
+        let computed = figure.render(lab(), false);
         assert!(
             computed.failures.is_empty(),
             "{}: {:?}",
@@ -45,14 +45,13 @@ fn every_figure_matches_its_golden() {
 
 #[test]
 fn ablations_match_their_golden() {
-    let computed = Figure::ABLATIONS.render(false);
+    let computed = Figure::ABLATIONS.render(lab(), false);
     frozen("ablations.txt", &computed.data, &computed.failures);
 }
 
 #[test]
 fn summary_matches_its_golden() {
-    two_thread_engine();
-    let computed = summary::render();
+    let computed = summary::render(lab());
     assert!(computed.failures.is_empty(), "{:?}", computed.failures);
     golden::assert_matches("summary.txt", &computed.data);
 }
@@ -65,37 +64,33 @@ fn frozen(file: &str, text: &str, failures: &[ScenarioFailure]) {
 
 #[test]
 fn sensitivity_matches_its_golden() {
-    two_thread_engine();
-    let computed = sensitivity::render();
+    let computed = sensitivity::render(&lab().engine);
     frozen("sensitivity.txt", &computed.data, &computed.failures);
 }
 
 #[test]
 fn explain_matches_its_golden() {
-    two_thread_engine();
-    let (rows, failures) = explain::explain_all();
+    let (rows, failures) = explain::explain_all(lab());
     frozen("explain.txt", &explain::render(&rows, &failures), &failures);
 }
 
 #[test]
 fn fault_sweep_matches_its_golden() {
-    two_thread_engine();
     let plan = cli::fault_plan("--plan", faults::DEFAULT_PLAN).expect("the default plan parses");
-    let computed = faults::sweep(plan);
+    let computed = faults::sweep(&lab().engine, plan);
     frozen("fault_sweep.txt", &computed.data, &computed.failures);
 }
 
 #[test]
 fn obs_report_matches_its_goldens() {
-    two_thread_engine();
     frozen(
         "obs_report.txt",
-        &obs::render(false, false, None, None).unwrap(),
+        &obs::render(lab(), false, false, None, None).unwrap(),
         &[],
     );
     frozen(
         "obs_report_soak.txt",
-        &obs::render(true, true, None, None).unwrap(),
+        &obs::render(lab(), true, true, None, None).unwrap(),
         &[],
     );
 }

@@ -9,6 +9,7 @@ use hcc::trace::geomean;
 use hcc::types::calib::paper;
 use hcc::types::{ByteSize, CcMode, CpuModel, HostMemKind, SimDuration};
 use hcc_bench::figures::{fig04a, fig05, fig07, fig09, fig12, Computed};
+use hcc_bench::lab::Lab;
 
 /// A figure computation's payload, asserting every scenario contributed:
 /// a partial population fails the test instead of passing on fewer rows.
@@ -19,7 +20,7 @@ fn complete<T>(computed: Computed<T>) -> T {
 
 #[test]
 fn observation_1_bandwidth_collapse_and_pinned_demotion() {
-    let pts = complete(fig04a::try_series());
+    let pts = complete(fig04a::try_series(&Lab::new(2)));
     let check = obs::obs1_bandwidth(
         fig04a::peak(&pts, CcMode::Off, HostMemKind::Pinned),
         fig04a::peak(&pts, CcMode::Off, HostMemKind::Pageable),
@@ -44,7 +45,7 @@ fn observation_2_crypto_cannot_feed_the_link() {
     let ghash = emr
         .throughput(hcc::crypto::CryptoAlgorithm::Ghash)
         .as_gb_per_s();
-    let pts = complete(fig04a::try_series());
+    let pts = complete(fig04a::try_series(&Lab::new(2)));
     let base_pcie = fig04a::peak(&pts, CcMode::Off, HostMemKind::Pinned);
     let check = obs::obs2_crypto(gcm, ghash, base_pcie);
     assert!(check.holds, "{check}");
@@ -52,7 +53,7 @@ fn observation_2_crypto_cannot_feed_the_link() {
 
 #[test]
 fn observation_3_copy_slowdowns() {
-    let rows = complete(fig05::try_rows());
+    let rows = complete(fig05::try_rows(&Lab::new(2)));
     let ratios: Vec<f64> = rows.iter().map(fig05::Row::slowdown).collect();
     let check = obs::obs3_copy(&ratios);
     assert!(check.holds, "{check}");
@@ -60,7 +61,7 @@ fn observation_3_copy_slowdowns() {
 
 #[test]
 fn observation_4_launch_path_slowdowns() {
-    let rows = complete(fig07::try_rows());
+    let rows = complete(fig07::try_rows(&Lab::new(2)));
     let (klo, lqt, kqt) = fig07::means(&rows);
     let check = obs::obs4_launch(klo, lqt, kqt);
     assert!(check.holds, "{check}");
@@ -68,7 +69,7 @@ fn observation_4_launch_path_slowdowns() {
 
 #[test]
 fn observation_5_ket_split() {
-    let rows = complete(fig09::try_rows());
+    let rows = complete(fig09::try_rows(&Lab::new(2)));
     let nonuvm: Vec<f64> = rows.iter().map(fig09::Row::nonuvm_ratio).collect();
     let uvm_cc: Vec<f64> = rows.iter().map(fig09::Row::uvm_cc_slowdown).collect();
     let check = obs::obs5_ket(hcc::trace::mean_ratio(&nonuvm), geomean(&uvm_cc));
@@ -84,21 +85,21 @@ fn observation_5_ket_split() {
 
 #[test]
 fn observation_6_klr_determines_sensitivity() {
-    let points = complete(fig07::try_klr_points());
+    let points = complete(fig07::try_klr_points(&Lab::new(2)));
     let check = obs::obs6_klr(&points);
     assert!(check.holds, "{check} — points {points:?}");
 }
 
 #[test]
 fn observation_7_fusion_tradeoff() {
-    let recs = fig12::launch_train(CcMode::On, 100, 100);
+    let recs = fig12::launch_train(&Lab::new(2), CcMode::On, 100, 100);
     let steady: SimDuration = recs[10..90].iter().map(|r| r.klo).sum::<SimDuration>() / 80;
     let first_ratio = recs[0].klo / steady;
 
     // Short kernels: splitting far past the optimum makes the run
     // launch-bound, so the maximal split must lose to the best point by
     // a clear margin while KLO and LQT totals move in opposite ways.
-    let sweep = fig12::fusion_sweep(CcMode::On, SimDuration::millis(5), 1024);
+    let sweep = fig12::fusion_sweep(&Lab::new(2), CcMode::On, SimDuration::millis(5), 1024);
     let spans: Vec<_> = sweep.iter().map(|p| p.span).collect();
     let min_span = *spans.iter().min().expect("non-empty");
     let last = *spans.last().expect("non-empty");
@@ -115,13 +116,13 @@ fn observation_8_overlap() {
     let total = ByteSize::mib(512);
     let short = SimDuration::millis(1);
     let long = SimDuration::millis(100);
-    let base = fig12::overlap_series(CcMode::Off, total, short, &[64])[0]
+    let base = fig12::overlap_series(&Lab::new(2), CcMode::Off, total, short, &[64])[0]
         .1
         .speedup();
-    let cc_short = fig12::overlap_series(CcMode::On, total, short, &[64])[0]
+    let cc_short = fig12::overlap_series(&Lab::new(2), CcMode::On, total, short, &[64])[0]
         .1
         .speedup();
-    let cc_long = fig12::overlap_series(CcMode::On, total, long, &[64])[0]
+    let cc_long = fig12::overlap_series(&Lab::new(2), CcMode::On, total, long, &[64])[0]
         .1
         .speedup();
     let check = obs::obs8_overlap(base, cc_short, cc_long);

@@ -7,6 +7,7 @@ use hcc::runtime::KernelDesc;
 use hcc::trace::KernelId;
 use hcc::workloads::{runner, suites};
 use hcc_bench::figures::{fig01, fig03, fig04b, fig06, fig11, fig13, fig14, Computed};
+use hcc_bench::lab::Lab;
 
 /// A figure computation's payload, asserting every scenario contributed:
 /// a partial population fails the test instead of passing on fewer rows.
@@ -71,7 +72,7 @@ fn different_seeds_differ_but_preserve_structure() {
 
 #[test]
 fn model_explains_every_app_within_tolerance() {
-    for row in complete(fig03::try_rows()) {
+    for row in complete(fig03::try_rows(&Lab::new(2))) {
         assert!(
             row.error < 0.15,
             "{} [{}]: model error {:.1}%",
@@ -84,7 +85,7 @@ fn model_explains_every_app_within_tolerance() {
 
 #[test]
 fn overview_breakdown_ranks_scenarios() {
-    let rows = complete(fig01::try_rows());
+    let rows = complete(fig01::try_rows(&Lab::new(2)));
     assert_eq!(rows.len(), 3);
     // CC-on is slower than CC-off; CC+UVM kernel phase dwarfs both.
     assert!(rows[1].breakdown.span > rows[0].breakdown.span);
@@ -111,7 +112,7 @@ fn fig04b_table_is_complete_and_ordered() {
 
 #[test]
 fn fig06_ratios_track_the_paper() {
-    let r = complete(fig06::try_ratios(ByteSize::mib(64), 30));
+    let r = complete(fig06::try_ratios(&Lab::new(2), ByteSize::mib(64), 30));
     let targets = [5.72, 5.67, 10.54, 5.43, 3.35];
     for (got, want) in r.iter().zip(targets.iter()) {
         assert!(
@@ -123,7 +124,7 @@ fn fig06_ratios_track_the_paper() {
 
 #[test]
 fn fig11_cdfs_shift_right_under_cc() {
-    let (klo, ket) = complete(fig11::try_klo_and_ket());
+    let (klo, ket) = complete(fig11::try_klo_and_ket(&Lab::new(2)));
     // KLO distribution shifts right under CC...
     assert!(klo.cc.quantile(0.5) > klo.base.quantile(0.5));
     assert!(klo.cc.mean() > klo.base.mean());
