@@ -72,19 +72,19 @@ pub struct TenantVerdict {
 impl TenantVerdict {
     /// p99 within budget.
     #[must_use]
-    pub fn p99_ok(&self) -> bool {
+    pub(crate) fn p99_ok(&self) -> bool {
         self.p99 <= self.budget.p99
     }
 
     /// p999 within budget.
     #[must_use]
-    pub fn p999_ok(&self) -> bool {
+    pub(crate) fn p999_ok(&self) -> bool {
         self.p999 <= self.budget.p999
     }
 
     /// Rejection rate within budget.
     #[must_use]
-    pub fn reject_ok(&self) -> bool {
+    pub(crate) fn reject_ok(&self) -> bool {
         self.reject_ppm <= self.budget.max_reject_ppm
     }
 

@@ -344,13 +344,16 @@ fn cannot_write(path: &str, source: std::io::Error) -> std::io::Error {
 }
 
 /// Writes `contents` to `path`; the error names the file.
-pub fn write_file(path: &str, contents: impl AsRef<[u8]>) -> std::io::Result<()> {
+pub(crate) fn write_file(path: &str, contents: impl AsRef<[u8]>) -> std::io::Result<()> {
     std::fs::write(path, contents).map_err(|e| cannot_write(path, e))
 }
 
 /// Streams the JSON document `doc` writes into the file at `path`, a
 /// buffer at a time; the error names the file.
-pub fn write_json_file(path: &str, doc: impl FnOnce(&mut JsonOut<'_>)) -> std::io::Result<()> {
+pub(crate) fn write_json_file(
+    path: &str,
+    doc: impl FnOnce(&mut JsonOut<'_>),
+) -> std::io::Result<()> {
     std::fs::File::create(path)
         .and_then(|mut file| {
             let mut out = JsonOut::io(&mut file);
@@ -361,7 +364,7 @@ pub fn write_json_file(path: &str, doc: impl FnOnce(&mut JsonOut<'_>)) -> std::i
 }
 
 /// Reads the only flag a report takes, `--json <path>`.
-pub fn json_flag(args: &mut Args) -> Result<Option<String>, CliError> {
+pub(crate) fn json_flag(args: &mut Args) -> Result<Option<String>, CliError> {
     let mut path = None;
     while let Some(flag) = args.next() {
         match flag.as_str() {
@@ -374,7 +377,7 @@ pub fn json_flag(args: &mut Args) -> Result<Option<String>, CliError> {
 
 /// A soak's `--json` document at `path`: its wall-clock `bench` figures,
 /// its report under `key`, then `engine`'s stats.
-pub fn write_bench_json(
+pub(crate) fn write_bench_json(
     path: &str,
     bench: &[(&str, u64)],
     key: &str,

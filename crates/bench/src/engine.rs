@@ -35,9 +35,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use hcc_trace::{Histogram, MetricsSet};
 use hcc_types::json::{JsonOut, ToJson};
-use hcc_types::SimDuration;
 use hcc_workloads::{runner, RunError, RunResult, Scenario};
 
 /// Locks a mutex, recovering the guard if a previous holder panicked —
@@ -232,36 +230,6 @@ impl EngineStats {
             ));
         }
         out
-    }
-
-    /// The engine's self-profile through the same registry the simulator
-    /// uses: counters for run/hit/fault totals, nanosecond counters for
-    /// the wall-clock accounts (serial-equivalent sim time, batch
-    /// elapsed, worker idle, content hashing, cache service), and a log2
-    /// histogram of per-scenario wall times. Wall-clock values live only
-    /// here — never on the simulation path — so figure stdout stays
-    /// deterministic.
-    pub fn to_metrics(&self) -> MetricsSet {
-        let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        let mut set = MetricsSet::new();
-        set.push_counter("engine.threads", self.threads as u64);
-        set.push_counter("engine.scenarios_run", self.scenarios_run);
-        set.push_counter("engine.cache_hits", self.cache_hits);
-        set.push_counter("engine.failed_scenarios", self.failed_scenarios);
-        set.push_counter("engine.faults_injected", self.faults_injected);
-        set.push_counter("engine.fault_retries", self.fault_retries);
-        set.push_counter("engine.recoveries", self.recoveries);
-        set.push_counter("engine.sim_wall_ns", ns(self.sim_wall));
-        set.push_counter("engine.elapsed_ns", ns(self.elapsed));
-        set.push_counter("engine.worker_idle_ns", ns(self.worker_idle));
-        set.push_counter("engine.hash_wall_ns", ns(self.hash_wall));
-        set.push_counter("engine.cache_service_ns", ns(self.cache_service));
-        let mut wall = Histogram::new();
-        for (_, w) in &self.per_scenario {
-            wall.record(SimDuration::from_nanos(ns(*w)));
-        }
-        set.push_hist("engine.scenario_wall", wall);
-        set
     }
 }
 
@@ -480,7 +448,7 @@ impl ExperimentEngine {
 /// when `json` names a file ([`STATS_JSON_ENV`]), writes the same stats
 /// there as JSON either way. Call it once, after the last engine batch.
 /// Best effort: a write that fails is not reported.
-pub fn emit_stats(stats: &EngineStats, err: &mut dyn Write, json: Option<&str>) {
+pub(crate) fn emit_stats(stats: &EngineStats, err: &mut dyn Write, json: Option<&str>) {
     if stats.scenarios_run + stats.cache_hits > 0 {
         let block = format!("\n{}", stats.render());
         let _ = err.write_all(block.as_bytes());
@@ -724,34 +692,10 @@ mod tests {
         assert_eq!(doc.get("threads").and_then(Json::as_u64), Some(2));
         assert!(doc.get("sim_wall_ns").and_then(Json::as_u64).is_some());
         assert!(doc.get("hash_wall_ns").and_then(Json::as_u64).is_some());
-        let metrics = stats.to_metrics();
-        assert_eq!(
-            metrics.counter_total("engine.hash_wall_ns"),
-            doc.get("hash_wall_ns").and_then(Json::as_u64)
-        );
         let Some(Json::Arr(rows)) = doc.get("per_scenario") else {
             panic!("per_scenario missing");
         };
         assert_eq!(rows.len(), 1);
         assert!(rows[0].get("label").is_some() && rows[0].get("wall_ns").is_some());
-    }
-
-    #[test]
-    fn self_profile_flows_through_the_metrics_registry() {
-        let engine = ExperimentEngine::new(2);
-        let batch: Vec<Scenario> = (0..4).map(toy).collect();
-        let _ = engine.run_all(&batch);
-        let set = engine.stats().to_metrics();
-        assert_eq!(set.counter_total("engine.scenarios_run"), Some(4));
-        assert_eq!(set.counter_total("engine.threads"), Some(2));
-        assert!(set.counter_total("engine.sim_wall_ns").unwrap() > 0);
-        // Every scenario wall time landed in the histogram.
-        let hist = set
-            .hists
-            .iter()
-            .find(|(name, _)| name == "engine.scenario_wall")
-            .map(|(_, h)| h)
-            .expect("scenario_wall histogram");
-        assert_eq!(hist.count(), 4);
     }
 }

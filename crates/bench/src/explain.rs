@@ -50,18 +50,18 @@ impl AppExplanation {
     /// Exposed slowdown on one resource class, in signed nanoseconds
     /// (negative when CC-on spends *less* critical time there, e.g. work
     /// that migrated from the copy engine to the crypto engine).
-    pub fn exposed_delta(&self, r: ResourceClass) -> i64 {
+    pub(crate) fn exposed_delta(&self, r: ResourceClass) -> i64 {
         self.on.get(r).as_nanos() as i64 - self.off.get(r).as_nanos() as i64
     }
 
     /// Total slowdown `ΔP = P_on − P_off` in signed nanoseconds.
-    pub fn delta_p(&self) -> i64 {
+    pub(crate) fn delta_p(&self) -> i64 {
         self.p_on.as_nanos() as i64 - self.p_off.as_nanos() as i64
     }
 
     /// The resource with the largest positive exposed slowdown, with that
     /// delta — `None` when CC-on exposed no resource longer than CC-off.
-    pub fn dominant(&self) -> Option<(ResourceClass, i64)> {
+    pub(crate) fn dominant(&self) -> Option<(ResourceClass, i64)> {
         ResourceClass::ALL
             .iter()
             .map(|&r| (r, self.exposed_delta(r)))

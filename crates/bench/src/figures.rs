@@ -129,12 +129,12 @@ fn both_modes(apps: impl IntoIterator<Item = &'static str>) -> Vec<Scenario> {
 }
 
 /// The managed-memory variant of a standard app, same seed policy.
-pub fn uvm_scenario(app: &'static str, cc: CcMode) -> Scenario {
+pub(crate) fn uvm_scenario(app: &'static str, cc: CcMode) -> Scenario {
     Scenario::uvm_variant(app, cfg(cc))
 }
 
 /// An inline microbenchmark program, same seed policy.
-pub fn adhoc_scenario(spec: WorkloadSpec, cc: CcMode) -> Scenario {
+pub(crate) fn adhoc_scenario(spec: WorkloadSpec, cc: CcMode) -> Scenario {
     Scenario::adhoc(spec, cfg(cc))
 }
 
@@ -1045,7 +1045,7 @@ pub mod fig08 {
     /// name: the swiotlb/page-conversion branch draws on the bounce
     /// pool, the doorbell write rings the CP, everything else is host
     /// driver time.
-    pub fn frame_resource(name: &str) -> ResourceClass {
+    pub(crate) fn frame_resource(name: &str) -> ResourceClass {
         match name {
             "dma_direct_alloc" | "swiotlb_alloc" | "set_memory_decrypted" => {
                 ResourceClass::BouncePool
@@ -1059,7 +1059,7 @@ pub mod fig08 {
     /// time in `attr` — connecting the static Fig. 8 breakdown to a
     /// run's measured critical path. Marking only annotates; costs and
     /// structure are untouched.
-    pub fn mark_critical_frames(frame: &mut CallFrame, attr: &Attribution) {
+    pub(crate) fn mark_critical_frames(frame: &mut CallFrame, attr: &Attribution) {
         if attr.get(frame_resource(frame.name())) > SimDuration::ZERO {
             frame.mark_critical();
         }
@@ -1341,7 +1341,7 @@ pub mod fig10 {
 
     /// Event scatter for one app in both modes, longest event dropped
     /// per the figure's note. Failed modes are skipped and reported.
-    pub fn try_scatter(lab: &super::Lab, app: &str) -> super::Computed<Vec<Point>> {
+    pub(crate) fn try_scatter(lab: &super::Lab, app: &str) -> super::Computed<Vec<Point>> {
         let spec = suites::by_name(app).expect("known app");
         let requests = super::both_modes([spec.name]);
         let results = lab.run_figures(&requests);

@@ -112,7 +112,7 @@ pub fn launch(cc: CcMode) -> f64 {
 
 /// A 10 µs kernel's first access to a cold 64 MiB managed range, to
 /// its synchronize.
-pub fn uvm_cold(cc: CcMode) -> SimDuration {
+pub(crate) fn uvm_cold(cc: CcMode) -> SimDuration {
     let mut ctx = CudaContext::new(SimConfig::new(cc));
     let range = ctx.malloc_managed(ByteSize::mib(64)).expect("managed");
     let desc = KernelDesc::new(KernelId(0), SimDuration::micros(10))
@@ -126,7 +126,7 @@ pub fn uvm_cold(cc: CcMode) -> SimDuration {
 
 /// Mean seconds per 16 MiB `cudaMalloc` + `cudaFree` pair over
 /// [`CALLS`] pairs on one fresh context.
-pub fn alloc_free(cc: CcMode) -> f64 {
+pub(crate) fn alloc_free(cc: CcMode) -> f64 {
     let mut ctx = CudaContext::new(SimConfig::new(cc));
     let t0 = ctx.now();
     for _ in 0..CALLS {

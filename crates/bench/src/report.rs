@@ -26,7 +26,7 @@ pub fn ratio(v: f64) -> String {
 /// the figure partially rendered instead of aborting it. Deterministic:
 /// failures arrive in request order, so the text stays thread-count
 /// invariant.
-pub fn failure_lines(out: &mut String, failures: &[ScenarioFailure]) {
+pub(crate) fn failure_lines(out: &mut String, failures: &[ScenarioFailure]) {
     for f in failures {
         let _ = writeln!(out, "!! {f}");
     }
@@ -56,7 +56,12 @@ pub fn finish(lab: &Lab, stderr: &mut dyn Write, failures: &[ScenarioFailure]) -
 /// The tail of a soak subcommand: the engine statistics on `stderr` (as
 /// [`finish`] writes them), then failure after `<sub>: <check>` on
 /// `stderr` when `broken` names a broken check.
-pub fn soak_status(lab: &Lab, stderr: &mut dyn Write, sub: &str, broken: Option<&str>) -> ExitCode {
+pub(crate) fn soak_status(
+    lab: &Lab,
+    stderr: &mut dyn Write,
+    sub: &str,
+    broken: Option<&str>,
+) -> ExitCode {
     engine::emit_stats(&lab.engine.stats(), stderr, lab.stats_json.as_deref());
     let Some(check) = broken else {
         return ExitCode::SUCCESS;

@@ -309,7 +309,7 @@ fn inverse_exponential(u: f64, rate: f64) -> f64 {
 /// then spans the same virtual horizon, and a tenant's `load_weight`
 /// governs its share of offered *busy time* rather than its request
 /// count. An empty trace splits to all zeros whatever the weights.
-pub fn split_counts(weights: &[f64], total: u64) -> Vec<u64> {
+pub(crate) fn split_counts(weights: &[f64], total: u64) -> Vec<u64> {
     if total == 0 {
         return vec![0; weights.len()];
     }

@@ -168,7 +168,7 @@ impl SchedQueue {
     /// `max_batch - 1` same-shape followers. Members come back in arrival
     /// order, head first. Returns `false`, leaving `batch` empty, when
     /// nothing is waiting.
-    pub fn next_batch(&mut self, requests: &[Request], batch: &mut Vec<u32>) -> bool {
+    pub(crate) fn next_batch(&mut self, requests: &[Request], batch: &mut Vec<u32>) -> bool {
         batch.clear();
         let head = if self.batching {
             // Skip entries already claimed as batch followers.

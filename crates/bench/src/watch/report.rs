@@ -133,7 +133,7 @@ impl WatchReport {
     }
 
     /// Windows flagged as queue anomalies.
-    pub fn anomalies(&self) -> u64 {
+    pub(crate) fn anomalies(&self) -> u64 {
         self.windows.iter().filter(|w| w.anomaly).count() as u64
     }
 
@@ -158,7 +158,7 @@ impl WatchReport {
     /// concrete request to feed `why --request`). Never touches
     /// `render()`: the text timeline stays byte-identical to a
     /// flight-free soak.
-    pub fn link_exemplars(&mut self, flight: &hcc_trace::FlightLog) {
+    pub(crate) fn link_exemplars(&mut self, flight: &hcc_trace::FlightLog) {
         for inc in &mut self.incidents {
             let own = flight.exemplars_between(Some(inc.tenant as u32), inc.start, inc.end);
             inc.exemplars = if own.is_empty() {

@@ -47,12 +47,6 @@ impl Config {
         self.cases = cases;
         self
     }
-
-    /// Sets the shrink budget (0 disables shrinking).
-    pub fn with_max_shrink_steps(mut self, steps: u32) -> Self {
-        self.max_shrink_steps = steps;
-        self
-    }
 }
 
 /// Runs `prop` over `cfg.cases` values drawn from `strategy`.
@@ -205,7 +199,10 @@ mod tests {
     fn shrink_budget_zero_reports_raw_failure() {
         let err = std::panic::catch_unwind(|| {
             forall(
-                &Config::new(1).with_max_shrink_steps(0),
+                &Config {
+                    max_shrink_steps: 0,
+                    ..Config::new(1)
+                },
                 &u64s(0..10),
                 |_| Err("always".into()),
             );

@@ -103,18 +103,8 @@ impl ModeComparison {
     }
 
     /// CC/base slowdown of the end-to-end span.
-    pub fn span_slowdown(&self) -> f64 {
+    pub(crate) fn span_slowdown(&self) -> f64 {
         self.cc.span / self.base.span
-    }
-
-    /// Per-phase slowdowns (mem, launch, kernel, other).
-    pub fn phase_slowdowns(&self) -> [f64; 4] {
-        [
-            self.cc.mem / self.base.mem,
-            self.cc.launch / self.base.launch,
-            self.cc.kernel / self.base.kernel,
-            self.cc.other / self.base.other,
-        ]
     }
 }
 
@@ -214,7 +204,13 @@ mod tests {
         let cc = make_timeline(3);
         let cmp = ModeComparison::new(&base, &cc);
         assert!((cmp.span_slowdown() - 3.0).abs() < 1e-9);
-        for s in cmp.phase_slowdowns() {
+        let (cc, base) = (&cmp.cc, &cmp.base);
+        for s in [
+            cc.mem / base.mem,
+            cc.launch / base.launch,
+            cc.kernel / base.kernel,
+            cc.other / base.other,
+        ] {
             assert!((s - 3.0).abs() < 0.2, "phase slowdown {s}");
         }
     }

@@ -49,7 +49,7 @@ impl PerfModel {
     }
 
     /// Relative prediction error against an observed span.
-    pub fn error_vs(&self, observed: SimDuration) -> f64 {
+    pub(crate) fn error_vs(&self, observed: SimDuration) -> f64 {
         if observed.is_zero() {
             return 0.0;
         }

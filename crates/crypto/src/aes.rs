@@ -78,14 +78,6 @@ impl KeySize {
             KeySize::Aes256 => 14,
         }
     }
-
-    /// Key length in bytes.
-    pub const fn key_len(self) -> usize {
-        match self {
-            KeySize::Aes128 => 16,
-            KeySize::Aes256 => 32,
-        }
-    }
 }
 
 /// An expanded AES key schedule for one key.
@@ -179,11 +171,6 @@ impl Aes {
             round_keys.push(rk);
         }
         Ok(Aes { round_keys, size })
-    }
-
-    /// The key size this schedule was built for.
-    pub fn key_size(&self) -> KeySize {
-        self.size
     }
 
     fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {

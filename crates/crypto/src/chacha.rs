@@ -65,7 +65,12 @@ fn chacha20_block(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u8; 64] {
 }
 
 /// XORs `data` in place with the ChaCha20 keystream.
-pub fn chacha20_xor(key: &[u8; 32], nonce: &[u8; 12], initial_counter: u32, data: &mut [u8]) {
+pub(crate) fn chacha20_xor(
+    key: &[u8; 32],
+    nonce: &[u8; 12],
+    initial_counter: u32,
+    data: &mut [u8],
+) {
     let mut counter = initial_counter;
     for chunk in data.chunks_mut(64) {
         let ks = chacha20_block(key, counter, nonce);

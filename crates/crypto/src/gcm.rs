@@ -142,14 +142,6 @@ impl AesGcm {
         }
         s
     }
-
-    /// GMAC: authentication-only mode (tag over AAD, no ciphertext). The
-    /// paper's Fig. 4b discusses GHASH/GMAC as a higher-throughput,
-    /// integrity-only alternative.
-    pub fn gmac(&self, nonce: &[u8], aad: &[u8]) -> [u8; 16] {
-        let j0 = self.j0(nonce);
-        self.tag(&j0, aad, &[])
-    }
 }
 
 #[cfg(test)]
@@ -269,13 +261,5 @@ mod tests {
         let tag = gcm.encrypt(&nonce, &[], &mut data);
         gcm.decrypt(&nonce, &[], &mut data, &tag).unwrap();
         assert_eq!(data, b"odd nonce payload".to_vec());
-    }
-
-    #[test]
-    fn gmac_differs_per_message() {
-        let gcm = AesGcm::new(&[0x44u8; 16]).unwrap();
-        let t1 = gcm.gmac(&[0u8; 12], b"message one");
-        let t2 = gcm.gmac(&[0u8; 12], b"message two");
-        assert_ne!(t1, t2);
     }
 }

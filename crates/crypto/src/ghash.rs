@@ -1,4 +1,4 @@
-//! GHASH universal hash over GF(2^128), as used by AES-GCM and GMAC
+//! GHASH universal hash over GF(2^128), as used by AES-GCM
 //! (NIST SP 800-38D).
 
 /// Multiplies two field elements in GCM's GF(2^128).
@@ -6,7 +6,7 @@
 /// Blocks are interpreted big-endian; GCM's bit-reflected convention makes
 /// this the standard "right-shift" algorithm with reduction polynomial
 /// `R = 0xE1 << 120`.
-pub fn gf_mul(x: u128, y: u128) -> u128 {
+pub(crate) fn gf_mul(x: u128, y: u128) -> u128 {
     let mut z = 0u128;
     let mut v = x;
     for i in (0..128).rev() {
@@ -23,12 +23,12 @@ pub fn gf_mul(x: u128, y: u128) -> u128 {
 }
 
 /// Converts a 16-byte block to the `u128` field representation.
-pub fn block_to_u128(block: &[u8; 16]) -> u128 {
+pub(crate) fn block_to_u128(block: &[u8; 16]) -> u128 {
     u128::from_be_bytes(*block)
 }
 
 /// Converts a field element back to a 16-byte block.
-pub fn u128_to_block(x: u128) -> [u8; 16] {
+pub(crate) fn u128_to_block(x: u128) -> [u8; 16] {
     x.to_be_bytes()
 }
 
@@ -90,7 +90,7 @@ impl Ghash {
 
     /// Pads any buffered partial block with zeros and absorbs it. GCM calls
     /// this between the AAD and ciphertext sections.
-    pub fn pad(&mut self) {
+    pub(crate) fn pad(&mut self) {
         if self.buf_len > 0 {
             for b in &mut self.buf[self.buf_len..] {
                 *b = 0;
@@ -112,7 +112,8 @@ impl Ghash {
         u128_to_block(self.y)
     }
 
-    /// Current hash value without the length block (for GMAC-style uses).
+    /// Current hash value without the length block (GCM derives its
+    /// pre-counter block from a non-96-bit nonce this way).
     pub fn current(&self) -> [u8; 16] {
         u128_to_block(self.y)
     }

@@ -5,8 +5,8 @@
 //! model used by the simulators (Fig. 4b):
 //!
 //! * [`aes`] — AES-128/256 block cipher (FIPS-197 verified),
-//! * [`gcm`] — AES-GCM AEAD, the cipher on the CC PCIe path, plus GMAC,
-//! * [`ghash`] — the GF(2^128) universal hash underneath GCM/GMAC,
+//! * [`gcm`] — AES-GCM AEAD, the cipher on the CC PCIe path,
+//! * [`ghash`] — the GF(2^128) universal hash underneath GCM,
 //! * [`ctr`] — AES-CTR keystream (GCM's inner mode),
 //! * [`xts`] — AES-XTS, the counter-less mode Intel TME-MK uses for DRAM,
 //! * [`chacha`] — ChaCha20-Poly1305 as the non-AES comparator,

@@ -102,11 +102,6 @@ impl CommandProcessor {
         self.total_ring_wait
     }
 
-    /// Commands submitted so far.
-    pub fn submission_count(&self) -> u64 {
-        self.submissions
-    }
-
     /// Ring entries still logically in flight at `at`: submitted commands
     /// whose service has not yet completed. Conservation accessor for
     /// soak-scale leak audits — entries retire lazily on submit, so this
@@ -145,7 +140,11 @@ impl CommandProcessor {
     /// `doorbell_offset` after admission — modelling host-side driver work
     /// (the KLO span) performed between acquiring a ring slot and writing
     /// the command.
-    pub fn submit_after(&mut self, want: SimTime, doorbell_offset: SimDuration) -> Submission {
+    pub(crate) fn submit_after(
+        &mut self,
+        want: SimTime,
+        doorbell_offset: SimDuration,
+    ) -> Submission {
         // Retire entries already serviced by `want`.
         while let Some(front) = self.ring.front() {
             if *front <= want {
@@ -258,7 +257,6 @@ mod tests {
         for _ in 0..5 {
             cp.submit(SimTime::ZERO);
         }
-        assert_eq!(cp.submission_count(), 5);
         assert_eq!(cp.ring_depth(), 8);
     }
 

@@ -24,7 +24,7 @@ pub struct KernelSchedule {
 
 impl KernelSchedule {
     /// Kernel queuing time relative to a given launch-completion instant.
-    pub fn kqt_since(&self, launch_end: SimTime) -> SimDuration {
+    pub(crate) fn kqt_since(&self, launch_end: SimTime) -> SimDuration {
         self.exec.start.saturating_since(launch_end)
     }
 
@@ -75,10 +75,20 @@ impl CopySchedule {
 /// ```
 /// use hcc_gpu::GpuDevice;
 /// use hcc_types::calib::GpuCalib;
-/// use hcc_types::{ByteSize, CcMode, SimDuration, SimTime};
+/// use hcc_types::{
+///     ByteSize, CcMode, FaultInjector, FaultPlan, RecoveryPolicy, SimDuration, SimTime,
+/// };
 ///
 /// let mut gpu = GpuDevice::new(&GpuCalib::default(), CcMode::Off, ByteSize::gib(94));
-/// let k = gpu.submit_kernel(SimTime::ZERO, SimDuration::ZERO, SimTime::ZERO, SimDuration::millis(1));
+/// let mut quiet = FaultInjector::new(FaultPlan::none(), RecoveryPolicy::default(), 0);
+/// let (k, _) = gpu.submit_kernel_with_faults(
+///     SimTime::ZERO,
+///     SimDuration::ZERO,
+///     SimTime::ZERO,
+///     SimDuration::millis(1),
+///     &mut quiet,
+/// );
+/// let k = k.expect("no fault is planned");
 /// assert!(k.exec.start > SimTime::ZERO); // CP service + dispatch first
 /// assert_eq!(k.exec.end - k.exec.start, SimDuration::millis(1));
 /// ```
@@ -196,26 +206,13 @@ impl GpuDevice {
     /// Submits a kernel: the host asks for a ring slot at `want`, performs
     /// `doorbell_offset` of driver work (the KLO span) before ringing the
     /// doorbell, and the kernel — occupying the compute engine for `ket` —
-    /// may not start before `earliest_exec` (stream ordering).
-    pub fn submit_kernel(
-        &mut self,
-        want: SimTime,
-        doorbell_offset: SimDuration,
-        earliest_exec: SimTime,
-        ket: SimDuration,
-    ) -> KernelSchedule {
-        let submission = self.cp.submit_after(want, doorbell_offset);
-        let ready = (submission.service_end + self.dispatch).max(earliest_exec);
-        let exec = self.compute.schedule(ready, ket);
-        KernelSchedule { submission, exec }
-    }
-
-    /// Like [`GpuDevice::submit_kernel`], but consults the fault injector
-    /// for a [`FaultSite::RingDoorbell`] drop first. A retried drop stalls
-    /// the submission by the recovery backoff (the host re-rings after
-    /// each wait) and reports the stall as extra `ring_wait`, so it
-    /// surfaces as LQT; an aborted recovery returns `None` without
-    /// touching ring state, and the caller raises its typed error.
+    /// may not start before `earliest_exec` (stream ordering). The fault
+    /// injector is consulted for a [`FaultSite::RingDoorbell`] drop first.
+    /// A retried drop stalls the submission by the recovery backoff (the
+    /// host re-rings after each wait) and reports the stall as extra
+    /// `ring_wait`, so it surfaces as LQT; an aborted recovery returns
+    /// `None` without touching ring state, and the caller raises its typed
+    /// error.
     pub fn submit_kernel_with_faults(
         &mut self,
         want: SimTime,
@@ -263,75 +260,34 @@ impl GpuDevice {
     pub fn total_ring_wait(&self) -> SimDuration {
         self.cp.total_ring_wait()
     }
-
-    /// Per-engine busy time and operation counts — the utilization view a
-    /// profiler's "GPU metrics" page would show.
-    pub fn engine_report(&self) -> EngineReport {
-        EngineReport {
-            h2d_busy: self.ce_h2d.busy_time(),
-            h2d_ops: self.ce_h2d.op_count(),
-            d2h_busy: self.ce_d2h.busy_time(),
-            d2h_ops: self.ce_d2h.op_count(),
-            d2d_busy: self.ce_d2d.busy_time(),
-            d2d_ops: self.ce_d2d.op_count(),
-            compute_busy: self.compute.busy_time(),
-            compute_ops: self.compute.op_count(),
-            commands: self.cp.submission_count(),
-        }
-    }
-}
-
-/// Busy time and op counts per engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EngineReport {
-    /// H2D copy-engine busy time.
-    pub h2d_busy: SimDuration,
-    /// H2D transfers serviced.
-    pub h2d_ops: u64,
-    /// D2H copy-engine busy time.
-    pub d2h_busy: SimDuration,
-    /// D2H transfers serviced.
-    pub d2h_ops: u64,
-    /// D2D copy-engine busy time.
-    pub d2d_busy: SimDuration,
-    /// D2D transfers serviced.
-    pub d2d_ops: u64,
-    /// Compute-engine busy time (summed across slots).
-    pub compute_busy: SimDuration,
-    /// Kernels executed.
-    pub compute_ops: u64,
-    /// Commands the command processor consumed.
-    pub commands: u64,
-}
-
-impl EngineReport {
-    /// Compute-engine utilization over a horizon (busy time across all
-    /// slots divided by `slots x horizon`), clamped to `[0, 1]`.
-    pub fn compute_utilization(&self, horizon: SimDuration, slots: usize) -> f64 {
-        if horizon.is_zero() || slots == 0 {
-            return 0.0;
-        }
-        (self.compute_busy.as_secs_f64() / (horizon.as_secs_f64() * slots as f64)).min(1.0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcc_types::{FaultPlan, RecoveryPolicy};
 
     fn gpu(cc: CcMode) -> GpuDevice {
         GpuDevice::new(&GpuCalib::default(), cc, ByteSize::gib(4))
     }
 
-    #[test]
-    fn kernel_path_orders_cp_then_dispatch_then_exec() {
-        let mut g = gpu(CcMode::Off);
-        let k = g.submit_kernel(
+    /// Submits a kernel of `ket` at time zero with no fault planned.
+    fn kernel(g: &mut GpuDevice, ket: SimDuration) -> KernelSchedule {
+        let mut quiet = FaultInjector::new(FaultPlan::none(), RecoveryPolicy::default(), 0);
+        let (k, _) = g.submit_kernel_with_faults(
             SimTime::ZERO,
             SimDuration::ZERO,
             SimTime::ZERO,
-            SimDuration::micros(100),
+            ket,
+            &mut quiet,
         );
+        k.expect("no fault is planned")
+    }
+
+    #[test]
+    fn kernel_path_orders_cp_then_dispatch_then_exec() {
+        let mut g = gpu(CcMode::Off);
+        let k = kernel(&mut g, SimDuration::micros(100));
         assert!(k.submission.service_end > SimTime::ZERO);
         assert_eq!(
             k.exec.start,
@@ -355,18 +311,8 @@ mod tests {
     #[test]
     fn concurrent_kernels_use_slots() {
         let mut g = gpu(CcMode::Off);
-        let a = g.submit_kernel(
-            SimTime::ZERO,
-            SimDuration::ZERO,
-            SimTime::ZERO,
-            SimDuration::millis(10),
-        );
-        let b = g.submit_kernel(
-            SimTime::ZERO,
-            SimDuration::ZERO,
-            SimTime::ZERO,
-            SimDuration::millis(10),
-        );
+        let a = kernel(&mut g, SimDuration::millis(10));
+        let b = kernel(&mut g, SimDuration::millis(10));
         // Different slots: b starts right after its own CP service, not
         // after a's 10ms execution.
         assert!(b.exec.start < a.exec.end);
@@ -416,33 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_report_tracks_activity() {
-        let mut g = gpu(CcMode::Off);
-        g.submit_copy(
-            SimTime::ZERO,
-            SimDuration::ZERO,
-            SimTime::ZERO,
-            CopyKind::H2D,
-            SimDuration::millis(2),
-        );
-        g.submit_kernel(
-            SimTime::ZERO,
-            SimDuration::ZERO,
-            SimTime::ZERO,
-            SimDuration::millis(4),
-        );
-        let r = g.engine_report();
-        assert_eq!(r.h2d_ops, 1);
-        assert_eq!(r.compute_ops, 1);
-        assert_eq!(r.h2d_busy, SimDuration::millis(2));
-        assert_eq!(r.compute_busy, SimDuration::millis(4));
-        assert_eq!(r.commands, 2);
-        let util = r.compute_utilization(SimDuration::millis(4), 16);
-        assert!((util - 1.0 / 16.0).abs() < 1e-9, "util {util}");
-        assert_eq!(r.compute_utilization(SimDuration::ZERO, 16), 0.0);
-    }
-
-    #[test]
     fn metrics_cover_every_engine() {
         let mut g = gpu(CcMode::On);
         g.enable_metrics();
@@ -454,12 +373,7 @@ mod tests {
             SimDuration::millis(2),
         );
         g.note_copy_bytes(CopyKind::H2D, ByteSize::mib(64));
-        g.submit_kernel(
-            SimTime::ZERO,
-            SimDuration::ZERO,
-            SimTime::ZERO,
-            SimDuration::millis(4),
-        );
+        kernel(&mut g, SimDuration::millis(4));
 
         let mut set = MetricsSet::new();
         g.export_metrics(&mut set);
@@ -490,21 +404,24 @@ mod tests {
         let ptr = g.hbm_mut().alloc(ByteSize::mib(1)).unwrap();
         assert_eq!(g.hbm().used(), ByteSize::mib(1));
         g.hbm_mut().free(ptr).unwrap();
-        assert_eq!(g.gmmu().fault_count(), 0);
+        let id = crate::ManagedId(1);
+        g.gmmu_mut()
+            .register(id, ByteSize::kib(64), ByteSize::kib(64));
+        assert_eq!(g.gmmu().peek_fault_count(id, 0, 1).unwrap(), 1);
     }
 
     #[test]
     fn faulty_submit_matches_clean_submit_under_empty_plan() {
-        use hcc_types::{FaultPlan, RecoveryPolicy};
         let mut inj = FaultInjector::new(FaultPlan::none(), RecoveryPolicy::default(), 1);
         let mut a = gpu(CcMode::On);
         let mut b = gpu(CcMode::On);
-        let clean = a.submit_kernel(
-            SimTime::ZERO,
-            SimDuration::ZERO,
-            SimTime::ZERO,
+        // The clean schedule, composed from the device's parts.
+        let submission = a.cp.submit_after(SimTime::ZERO, SimDuration::ZERO);
+        let exec = a.compute.schedule(
+            submission.service_end + a.dispatch,
             SimDuration::micros(100),
         );
+        let clean = KernelSchedule { submission, exec };
         let (faulty, rec) = b.submit_kernel_with_faults(
             SimTime::ZERO,
             SimDuration::ZERO,
@@ -518,7 +435,6 @@ mod tests {
 
     #[test]
     fn doorbell_drop_stalls_or_aborts() {
-        use hcc_types::{FaultPlan, RecoveryPolicy};
         let plan = FaultPlan::none().with_rate(FaultSite::RingDoorbell, 1.0);
         let mut abort = FaultInjector::new(plan.clone(), RecoveryPolicy::Abort, 1);
         let mut g = gpu(CcMode::On);

@@ -54,7 +54,6 @@ pub struct Resource {
     name: &'static str,
     next_free: SimTime,
     busy: SimDuration,
-    ops: u64,
     metrics: EngineMetrics,
 }
 
@@ -76,7 +75,6 @@ impl Resource {
             name,
             next_free: SimTime::ZERO,
             busy: SimDuration::ZERO,
-            ops: 0,
             metrics: EngineMetrics::default(),
         }
     }
@@ -102,16 +100,6 @@ impl Resource {
         self.next_free
     }
 
-    /// Total busy time accumulated.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Number of operations serviced.
-    pub fn op_count(&self) -> u64 {
-        self.ops
-    }
-
     /// Schedules an operation that becomes ready at `ready` and occupies
     /// the resource for `service`. Returns the realized interval.
     pub fn schedule(&mut self, ready: SimTime, service: SimDuration) -> Slot {
@@ -119,7 +107,6 @@ impl Resource {
         let end = start + service;
         self.next_free = end;
         self.busy += service;
-        self.ops += 1;
         let slot = Slot {
             start,
             end,
@@ -144,8 +131,6 @@ impl Resource {
 pub struct MultiSlot {
     name: &'static str,
     slots: Vec<SimTime>,
-    busy: SimDuration,
-    ops: u64,
     metrics: EngineMetrics,
 }
 
@@ -159,8 +144,6 @@ impl MultiSlot {
         MultiSlot {
             name,
             slots: vec![SimTime::ZERO; slots],
-            busy: SimDuration::ZERO,
-            ops: 0,
             metrics: EngineMetrics::default(),
         }
     }
@@ -181,21 +164,6 @@ impl MultiSlot {
         self.name
     }
 
-    /// Number of slots.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total busy time across slots.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Number of operations serviced.
-    pub fn op_count(&self) -> u64 {
-        self.ops
-    }
-
     /// Schedules on the earliest-free slot.
     pub fn schedule(&mut self, ready: SimTime, service: SimDuration) -> Slot {
         // Manual first-minimum scan: same slot choice as
@@ -210,8 +178,6 @@ impl MultiSlot {
         let start = ready.max(self.slots[idx]);
         let end = start + service;
         self.slots[idx] = end;
-        self.busy += service;
-        self.ops += 1;
         let slot = Slot {
             start,
             end,
@@ -244,8 +210,6 @@ mod tests {
         let b = r.schedule(at(2), us(5));
         assert_eq!(b.start, at(10));
         assert_eq!(b.wait, us(8));
-        assert_eq!(r.busy_time(), us(15));
-        assert_eq!(r.op_count(), 2);
         assert_eq!(r.name(), "ce");
     }
 
@@ -277,9 +241,6 @@ mod tests {
         assert_eq!(b.start, at(0)); // second slot
         assert_eq!(c.start, at(10)); // queues behind the earliest
         assert_eq!(c.wait, us(10));
-        assert_eq!(m.slot_count(), 2);
-        assert_eq!(m.op_count(), 3);
-        assert_eq!(m.busy_time(), us(30));
     }
 
     #[test]

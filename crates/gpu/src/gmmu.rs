@@ -105,26 +105,26 @@ impl RangeTable {
     }
 }
 
-/// The GMMU: residency tables for every managed range, plus fault
-/// counters.
+/// The GMMU: residency tables for every managed range.
 ///
 /// ```
-/// use hcc_gpu::{Gmmu, ManagedId, Residency};
+/// use hcc_gpu::{Gmmu, ManagedId};
 /// use hcc_types::ByteSize;
 ///
 /// let mut gmmu = Gmmu::new();
 /// let id = ManagedId(1);
 /// gmmu.register(id, ByteSize::mib(1), ByteSize::kib(64));
-/// // First GPU touch of pages 0..4 faults on all of them.
-/// let faults = gmmu.scan_faults(id, 0, 4).unwrap();
-/// assert_eq!(faults, vec![0, 1, 2, 3]);
-/// gmmu.mark_device(id, &faults).unwrap();
-/// assert!(gmmu.scan_faults(id, 0, 4).unwrap().is_empty());
+/// // First GPU touch of pages 0..4 faults on all of them and makes them
+/// // device-resident.
+/// assert_eq!(gmmu.claim_faults(id, 0, 4).unwrap(), 4);
+/// assert_eq!(gmmu.peek_fault_count(id, 0, 4).unwrap(), 0);
+/// // Evicting page 2 makes it fault again.
+/// gmmu.mark_host(id, &[2]).unwrap();
+/// assert_eq!(gmmu.peek_fault_count(id, 0, 4).unwrap(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Gmmu {
     ranges: FnvHashMap<ManagedId, RangeTable>,
-    far_faults: u64,
 }
 
 impl Gmmu {
@@ -159,37 +159,11 @@ impl Gmmu {
             .ok_or(GmmuError::UnknownRange(id))
     }
 
-    /// Number of registered ranges.
-    pub fn range_count(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Total far faults recorded.
-    pub fn fault_count(&self) -> u64 {
-        self.far_faults
-    }
-
     /// Page size of a range.
     pub fn page_size(&self, id: ManagedId) -> Result<ByteSize, GmmuError> {
         self.ranges
             .get(&id)
             .map(|r| r.page_size)
-            .ok_or(GmmuError::UnknownRange(id))
-    }
-
-    /// Number of pages in a range.
-    pub fn page_count(&self, id: ManagedId) -> Result<u64, GmmuError> {
-        self.ranges
-            .get(&id)
-            .map(|r| r.pages)
-            .ok_or(GmmuError::UnknownRange(id))
-    }
-
-    /// Pages of `id` currently device-resident.
-    pub fn device_pages(&self, id: ManagedId) -> Result<u64, GmmuError> {
-        self.ranges
-            .get(&id)
-            .map(|r| r.resident)
             .ok_or(GmmuError::UnknownRange(id))
     }
 
@@ -220,9 +194,7 @@ impl Gmmu {
     /// Scans a GPU access to pages `[first, first+count)`, counts the
     /// far faults (host-resident pages), marks exactly those pages
     /// device-resident, and returns the fault count — the whole
-    /// fault-service commit in one bitmap pass. Equivalent to
-    /// [`Gmmu::scan_faults`] followed by [`Gmmu::mark_device`] on the
-    /// result, without materializing the page list.
+    /// fault-service commit in one bitmap pass.
     ///
     /// # Errors
     /// Returns [`GmmuError`] for unknown ranges or out-of-range pages.
@@ -248,43 +220,7 @@ impl Gmmu {
             device[w] |= newly;
         });
         table.resident += claimed;
-        self.far_faults += claimed;
         Ok(claimed)
-    }
-
-    /// Scans a GPU access to pages `[first, first+count)` and returns the
-    /// indices that far-fault (host-resident). Each faulting page is
-    /// counted.
-    ///
-    /// # Errors
-    /// Returns [`GmmuError`] for unknown ranges or out-of-range pages.
-    pub fn scan_faults(
-        &mut self,
-        id: ManagedId,
-        first: u64,
-        count: u64,
-    ) -> Result<Vec<u64>, GmmuError> {
-        let table = self.ranges.get(&id).ok_or(GmmuError::UnknownRange(id))?;
-        table.check_window(id, first, count)?;
-        let mut faults = Vec::new();
-        RangeTable::for_window(first, count, |w, mask| {
-            let mut hosted = !table.device[w] & mask;
-            while hosted != 0 {
-                let bit = hosted.trailing_zeros() as u64;
-                faults.push(w as u64 * 64 + bit);
-                hosted &= hosted - 1;
-            }
-        });
-        self.far_faults += faults.len() as u64;
-        Ok(faults)
-    }
-
-    /// Marks pages device-resident (after migration).
-    ///
-    /// # Errors
-    /// Returns [`GmmuError`] for unknown ranges or out-of-range pages.
-    pub fn mark_device(&mut self, id: ManagedId, pages: &[u64]) -> Result<(), GmmuError> {
-        self.set_residency(id, pages, Residency::Device)
     }
 
     /// Marks pages host-resident (eviction or CPU access migration).
@@ -338,38 +274,36 @@ mod tests {
     fn fresh_range_faults_everywhere() {
         let mut g = Gmmu::new();
         g.register(ManagedId(1), ByteSize::kib(256), ByteSize::kib(64));
-        assert_eq!(g.page_count(ManagedId(1)).unwrap(), 4);
-        let f = g.scan_faults(ManagedId(1), 0, 4).unwrap();
-        assert_eq!(f.len(), 4);
-        assert_eq!(g.fault_count(), 4);
+        assert_eq!(g.peek_fault_count(ManagedId(1), 0, 4).unwrap(), 4);
+        assert_eq!(g.claim_faults(ManagedId(1), 0, 4).unwrap(), 4);
+        assert_eq!(g.claim_faults(ManagedId(1), 0, 4).unwrap(), 0);
     }
 
     #[test]
     fn resident_pages_stop_faulting() {
         let mut g = Gmmu::new();
         g.register(ManagedId(2), ByteSize::kib(256), ByteSize::kib(64));
-        g.mark_device(ManagedId(2), &[0, 1]).unwrap();
-        let f = g.scan_faults(ManagedId(2), 0, 4).unwrap();
-        assert_eq!(f, vec![2, 3]);
-        assert_eq!(g.device_pages(ManagedId(2)).unwrap(), 2);
+        assert_eq!(g.claim_faults(ManagedId(2), 0, 2).unwrap(), 2);
+        assert_eq!(g.peek_fault_count(ManagedId(2), 0, 4).unwrap(), 2);
+        assert_eq!(g.claim_faults(ManagedId(2), 0, 4).unwrap(), 2);
         g.mark_host(ManagedId(2), &[0]).unwrap();
-        assert_eq!(g.device_pages(ManagedId(2)).unwrap(), 1);
+        assert_eq!(g.peek_fault_count(ManagedId(2), 0, 4).unwrap(), 1);
     }
 
     #[test]
     fn errors_for_unknown_and_out_of_range() {
         let mut g = Gmmu::new();
         assert!(matches!(
-            g.scan_faults(ManagedId(9), 0, 1),
+            g.claim_faults(ManagedId(9), 0, 1),
             Err(GmmuError::UnknownRange(_))
         ));
         g.register(ManagedId(3), ByteSize::kib(64), ByteSize::kib(64));
         assert!(matches!(
-            g.scan_faults(ManagedId(3), 0, 2),
+            g.claim_faults(ManagedId(3), 0, 2),
             Err(GmmuError::PageOutOfRange { .. })
         ));
         assert!(matches!(
-            g.mark_device(ManagedId(3), &[5]),
+            g.mark_host(ManagedId(3), &[5]),
             Err(GmmuError::PageOutOfRange { .. })
         ));
         assert!(g.unregister(ManagedId(3)).is_ok());
@@ -380,9 +314,8 @@ mod tests {
     fn reregister_resets() {
         let mut g = Gmmu::new();
         g.register(ManagedId(4), ByteSize::kib(128), ByteSize::kib(64));
-        g.mark_device(ManagedId(4), &[0, 1]).unwrap();
+        g.claim_faults(ManagedId(4), 0, 2).unwrap();
         g.register(ManagedId(4), ByteSize::kib(128), ByteSize::kib(64));
-        assert_eq!(g.device_pages(ManagedId(4)).unwrap(), 0);
-        assert_eq!(g.range_count(), 1);
+        assert_eq!(g.peek_fault_count(ManagedId(4), 0, 2).unwrap(), 2);
     }
 }

@@ -14,7 +14,9 @@
 //! ```
 //! use hcc_gpu::GpuDevice;
 //! use hcc_types::calib::GpuCalib;
-//! use hcc_types::{ByteSize, CcMode, CopyKind, SimDuration, SimTime};
+//! use hcc_types::{
+//!     ByteSize, CcMode, CopyKind, FaultInjector, FaultPlan, RecoveryPolicy, SimDuration, SimTime,
+//! };
 //!
 //! let mut gpu = GpuDevice::new(&GpuCalib::default(), CcMode::On, ByteSize::gib(94));
 //! let copy = gpu.submit_copy(
@@ -24,12 +26,15 @@
 //!     CopyKind::H2D,
 //!     SimDuration::millis(3),
 //! );
-//! let kernel = gpu.submit_kernel(
+//! let mut quiet = FaultInjector::new(FaultPlan::none(), RecoveryPolicy::default(), 0);
+//! let (kernel, _) = gpu.submit_kernel_with_faults(
 //!     copy.xfer.end,
 //!     SimDuration::ZERO,
 //!     copy.xfer.end,
 //!     SimDuration::millis(1),
+//!     &mut quiet,
 //! );
+//! let kernel = kernel.expect("no fault is planned");
 //! assert!(kernel.exec.start >= copy.xfer.end);
 //! ```
 
@@ -40,7 +45,7 @@ mod gmmu;
 mod memory;
 
 pub use cp::{CommandProcessor, Submission};
-pub use device::{CopySchedule, EngineReport, GpuDevice, KernelSchedule};
+pub use device::{CopySchedule, GpuDevice, KernelSchedule};
 pub use engine::{EngineMetrics, MultiSlot, Resource, Slot};
 pub use gmmu::{Gmmu, GmmuError, ManagedId, Residency};
 pub use memory::{DeviceMemError, DeviceMemory, DevicePtr};
@@ -91,7 +96,10 @@ mod proptests {
                     intervals.push((slot.start, slot.end));
                     total += d;
                 }
-                ensure_eq!(r.busy_time(), total);
+                // Busy over the horizon the last op ends at.
+                let horizon = r.next_free();
+                let busy = total.as_nanos() as f64 / horizon.as_nanos() as f64;
+                ensure!((r.utilization(horizon) - busy).abs() < 1e-12);
                 intervals.sort();
                 for w in intervals.windows(2) {
                     ensure!(w[0].1 <= w[1].0);
@@ -148,11 +156,9 @@ mod proptests {
                 let id = ManagedId(0);
                 g.register(id, ByteSize::kib(64 * pages), ByteSize::kib(64));
                 let touch = touch.min(pages);
-                let f1 = g.scan_faults(id, 0, touch).unwrap();
-                ensure_eq!(f1.len() as u64, touch);
-                g.mark_device(id, &f1).unwrap();
-                let f2 = g.scan_faults(id, 0, touch).unwrap();
-                ensure!(f2.is_empty());
+                ensure_eq!(g.claim_faults(id, 0, touch).unwrap(), touch);
+                ensure_eq!(g.peek_fault_count(id, 0, touch).unwrap(), 0);
+                ensure_eq!(g.claim_faults(id, 0, touch).unwrap(), 0);
             }
         );
     }

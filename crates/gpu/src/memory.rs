@@ -127,13 +127,8 @@ impl DeviceMemory {
     }
 
     /// Bytes free.
-    pub fn free_bytes(&self) -> ByteSize {
+    pub(crate) fn free_bytes(&self) -> ByteSize {
         self.capacity - self.used
-    }
-
-    /// Live allocation count.
-    pub fn allocation_count(&self) -> usize {
-        self.allocations.len()
     }
 
     /// Allocates `size` bytes.
@@ -252,7 +247,6 @@ mod tests {
         let b = hbm.alloc(ByteSize::mib(4)).unwrap();
         assert_ne!(a, b);
         assert_eq!(hbm.used(), ByteSize::mib(8));
-        assert_eq!(hbm.allocation_count(), 2);
         assert!(matches!(
             hbm.alloc(ByteSize::mib(4)),
             Err(DeviceMemError::OutOfMemory { .. })

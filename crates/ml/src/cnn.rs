@@ -120,7 +120,8 @@ impl CnnEstimator {
     /// Overrides the per-step host/framework cost (zero isolates the
     /// GPU-side CC taxes — used for cross-validation against the
     /// event-level simulator, which runs no Python).
-    pub fn with_host_per_step(mut self, host: SimDuration) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_host_per_step(mut self, host: SimDuration) -> Self {
         self.host_per_step = host;
         self
     }

@@ -1,8 +1,8 @@
-//! Cross-validation: drive a real [`CudaContext`] through CNN training
-//! steps and check the event-level simulator agrees with the analytic
-//! estimator of [`crate::cnn`]. This is the lab's internal consistency
-//! proof — two independently built models of the same system must tell
-//! the same story.
+//! Cross-validation (test-only): drive a real [`CudaContext`] through CNN
+//! training steps and check the event-level simulator agrees with the
+//! analytic estimator of [`crate::cnn`]. This is the lab's internal
+//! consistency proof — two independently built models of the same system
+//! must tell the same story.
 
 use hcc_core::Precision;
 use hcc_runtime::{CudaContext, KernelDesc, SimConfig};
@@ -13,14 +13,14 @@ use crate::cnn::{CnnModel, TrainConfig, IMAGE_BYTES};
 
 /// Result of simulating training steps through the runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimulatedTraining {
+pub(crate) struct SimulatedTraining {
     /// Steps simulated.
-    pub steps: u32,
+    pub(crate) steps: u32,
     /// Mean time per step (warm steps only; the first step pays
     /// first-launch costs and is excluded, as profilers do).
-    pub step_time: SimDuration,
+    pub(crate) step_time: SimDuration,
     /// Total time including the warm-up step.
-    pub total: SimDuration,
+    pub(crate) total: SimDuration,
 }
 
 /// Drives `steps + 1` training steps of `model` through the event-level
@@ -33,7 +33,7 @@ pub struct SimulatedTraining {
 /// # Panics
 /// Panics if `steps` is zero or allocation fails (sizes here are far
 /// below HBM capacity).
-pub fn simulate_training_steps(
+pub(crate) fn simulate_training_steps(
     model: &CnnModel,
     cfg: TrainConfig,
     steps: u32,

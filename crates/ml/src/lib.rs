@@ -29,9 +29,9 @@
 //! ```
 
 pub mod cnn;
-pub mod cnn_sim;
+#[cfg(test)]
+mod cnn_sim;
 pub mod llm;
 
 pub use cnn::{CnnEstimator, CnnModel, TrainConfig, TrainEstimate, MODELS};
-pub use cnn_sim::{simulate_training_steps, SimulatedTraining};
 pub use llm::{Backend, LlmConfig, LlmEstimator, LlmPrecision, FIG14_BATCHES};

@@ -79,13 +79,6 @@ impl SimConfig {
         }
     }
 
-    /// Replaces the full observability-plane mask in one call.
-    #[must_use]
-    pub fn with_planes(mut self, planes: Planes) -> Self {
-        self.planes = planes;
-        self
-    }
-
     /// Enables (or disables) the virtual-time metrics plane.
     #[must_use]
     pub fn with_metrics(mut self, enabled: bool) -> Self {
@@ -102,13 +95,13 @@ impl SimConfig {
 
     /// Whether the virtual-time metrics plane is enabled.
     #[must_use]
-    pub fn metrics_enabled(&self) -> bool {
+    pub(crate) fn metrics_enabled(&self) -> bool {
         self.planes.contains(Planes::METRICS)
     }
 
     /// Whether causal-edge collection is enabled.
     #[must_use]
-    pub fn causal_enabled(&self) -> bool {
+    pub(crate) fn causal_enabled(&self) -> bool {
         self.planes.contains(Planes::CAUSAL)
     }
 
@@ -155,13 +148,6 @@ impl SimConfig {
     pub fn with_crypto_workers(mut self, workers: u32) -> Self {
         assert!(workers > 0, "need at least one crypto worker");
         self.crypto_workers = workers;
-        self
-    }
-
-    /// Sets the CPU model for crypto rates.
-    #[must_use]
-    pub fn with_cpu(mut self, cpu: CpuModel) -> Self {
-        self.cpu = cpu;
         self
     }
 
@@ -245,9 +231,10 @@ mod tests {
             SimConfig::new(CcMode::On)
                 .with_seed(7)
                 .with_crypto_workers(4),
-            SimConfig::new(CcMode::On)
-                .with_seed(7)
-                .with_cpu(CpuModel::Grace),
+            SimConfig {
+                cpu: CpuModel::Grace,
+                ..SimConfig::new(CcMode::On).with_seed(7)
+            },
             SimConfig::new(CcMode::On).with_seed(7).with_attestation(),
             SimConfig::new(CcMode::On)
                 .with_seed(7)
@@ -311,7 +298,10 @@ mod tests {
     #[test]
     fn plane_builders_and_mask_agree() {
         let via_bools = SimConfig::default().with_metrics(true).with_causal(true);
-        let via_mask = SimConfig::default().with_planes(Planes::METRICS | Planes::CAUSAL);
+        let via_mask = SimConfig {
+            planes: Planes::METRICS | Planes::CAUSAL,
+            ..SimConfig::default()
+        };
         assert!(via_bools.metrics_enabled() && via_bools.causal_enabled());
         assert_eq!(via_bools.planes, via_mask.planes);
         assert_eq!(via_bools.content_hash(), via_mask.content_hash());

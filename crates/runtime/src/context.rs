@@ -3,7 +3,7 @@
 
 use hcc_crypto::gcm::AesGcm;
 use hcc_crypto::{CryptoAlgorithm, SoftCryptoModel};
-use hcc_gpu::{DeviceMemError, DevicePtr, GpuDevice, ManagedId, Resource, Slot};
+use hcc_gpu::{DeviceMemError, DevicePtr, GpuDevice, ManagedId, Resource};
 use hcc_tee::{BounceBufferPool, BounceError, TdContext, TdCounters};
 use hcc_trace::metrics::overlap_time;
 use hcc_trace::{
@@ -13,8 +13,8 @@ use hcc_trace::{
 use hcc_types::hash::{FnvHashMap, FnvHashSet};
 use hcc_types::rng::Xoshiro256;
 use hcc_types::{
-    Bandwidth, ByteSize, CcMode, CopyKind, FaultCounts, FaultInjector, FaultSite, HostMemKind,
-    MemSpace, Planes, Recovery, SimDuration, SimTime,
+    ByteSize, CcMode, CopyKind, FaultCounts, FaultInjector, FaultSite, HostMemKind, MemSpace,
+    Planes, Recovery, SimDuration, SimTime,
 };
 use hcc_uvm::{UvmDriver, UvmError, UvmStats};
 
@@ -205,7 +205,6 @@ pub struct CudaContext {
     /// Host buffers whose DMA (bounce) mapping already exists; repeat
     /// copies reuse it instead of re-paying the map hypercalls.
     dma_mapped: FnvHashSet<HostPtr>,
-    events: crate::events::EventRegistry,
     /// AES-GCM session keys, expanded on first functional-path use —
     /// the workload suite never pays the key schedule.
     gcm: std::cell::OnceCell<AesGcm>,
@@ -309,7 +308,6 @@ impl CudaContext {
             next_managed: 1,
             streams: vec![SimTime::ZERO],
             dma_mapped: FnvHashSet::default(),
-            events: crate::events::EventRegistry::default(),
             clock: SimTime::ZERO + attest_time,
             causal: CausalGraph::new(cfg.causal_enabled()),
             last_stream_event: vec![None],
@@ -481,79 +479,11 @@ impl CudaContext {
         self.clock += d;
     }
 
-    /// Advances the host clock (for sibling modules like graph capture).
-    pub(crate) fn advance_public(&mut self, d: SimDuration) {
-        self.advance(d);
-    }
-
     /// Reserves trace-arena room for roughly `n` more events. A pure
     /// capacity hint: callers that know a program's size (the workload
     /// runner) use it to avoid arena regrowth; behaviour is unchanged.
     pub fn reserve_events(&mut self, n: usize) {
         self.timeline.reserve(n);
-    }
-
-    /// Appends a pre-built event (for sibling modules).
-    pub(crate) fn push_event(&mut self, event: TraceEvent) {
-        self.timeline.push(event);
-    }
-
-    /// Records a span (for sibling modules like the transfer pipeline).
-    pub(crate) fn push_event_public(&mut self, kind: EventKind, start: SimTime, end: SimTime) {
-        self.record(kind, start, end);
-    }
-
-    /// Validates a copy's endpoints (for sibling modules).
-    pub(crate) fn check_copy_public(
-        &self,
-        bytes: ByteSize,
-        host: HostPtr,
-        dev: DevicePtr,
-    ) -> Result<HostMemKind> {
-        self.check_copy(bytes, host, dev)
-    }
-
-    /// Charges one hypercall to the host clock and returns its cost.
-    pub(crate) fn charge_hypercall(&mut self, reason: HypercallReason) -> SimDuration {
-        let cost = self.td.hypercall(reason.as_str());
-        self.advance(cost);
-        cost
-    }
-
-    /// The software-crypto model in effect.
-    pub(crate) fn crypto_model(&self) -> SoftCryptoModel {
-        self.crypto
-    }
-
-    /// Schedules work on the (serial) CPU crypto engine.
-    pub(crate) fn schedule_crypto(&mut self, ready: SimTime, dur: SimDuration) -> Slot {
-        self.crypto_engine.schedule(ready, dur)
-    }
-
-    /// Submits a device copy command and returns its completion time.
-    pub(crate) fn submit_copy_public(
-        &mut self,
-        data_ready: SimTime,
-        kind: CopyKind,
-        dur: SimDuration,
-    ) -> SimTime {
-        let sched = self
-            .gpu
-            .submit_copy(self.clock, SimDuration::ZERO, data_ready, kind, dur);
-        sched.xfer.end
-    }
-
-    /// Credits transferred bytes to the per-direction copy counters (for
-    /// sibling modules that submit copies directly).
-    pub(crate) fn note_copy_bytes_public(&mut self, kind: CopyKind, bytes: ByteSize) {
-        self.gpu.note_copy_bytes(kind, bytes);
-    }
-
-    /// Advances the host clock to `t` (monotone).
-    pub(crate) fn set_clock_public(&mut self, t: SimTime) {
-        if t > self.clock {
-            self.clock = t;
-        }
     }
 
     /// Completion time of work queued on a stream so far.
@@ -562,22 +492,6 @@ impl CudaContext {
             .get(stream.0 as usize)
             .copied()
             .ok_or(RuntimeError::UnknownStream(stream))
-    }
-
-    /// Blocks the host until `target` (recording a sync event when it
-    /// actually waits). Exposed to sibling modules.
-    pub(crate) fn wait_until_public(&mut self, target: SimTime) -> SimDuration {
-        self.wait_until(target)
-    }
-
-    /// Timing-event registry (mutable).
-    pub(crate) fn events_mut(&mut self) -> &mut crate::events::EventRegistry {
-        &mut self.events
-    }
-
-    /// Timing-event registry.
-    pub(crate) fn events_ref(&self) -> &crate::events::EventRegistry {
-        &self.events
     }
 
     fn record(&mut self, kind: EventKind, start: SimTime, end: SimTime) -> EventId {
@@ -768,22 +682,11 @@ impl CudaContext {
         Ok(())
     }
 
-    /// Size of a live host allocation.
-    ///
-    /// # Errors
-    /// Returns [`RuntimeError::UnknownHostPtr`] for unknown pointers.
-    pub fn host_size(&self, ptr: HostPtr) -> Result<ByteSize> {
-        self.host_allocs
-            .get(&ptr)
-            .map(|a| a.size)
-            .ok_or(RuntimeError::UnknownHostPtr(ptr))
-    }
-
     /// Size of a live managed allocation.
     ///
     /// # Errors
     /// Returns [`RuntimeError::UnknownManagedPtr`] for unknown pointers.
-    pub fn managed_size(&self, ptr: ManagedPtr) -> Result<ByteSize> {
+    pub(crate) fn managed_size(&self, ptr: ManagedPtr) -> Result<ByteSize> {
         self.managed_allocs
             .get((ptr.0 as usize).wrapping_sub(1))
             .copied()
@@ -794,23 +697,6 @@ impl CudaContext {
     // ------------------------------------------------------------------
     // Transfers (Fig. 4a / 5)
     // ------------------------------------------------------------------
-
-    /// Effective end-to-end rate of the CC transfer pipeline with the
-    /// configured crypto workers (the Sec. VI-A composition).
-    pub fn cc_pipeline_rate(&self) -> Bandwidth {
-        let p = &self.cfg.calib().pcie;
-        let crypto_rate = {
-            // Effective per-byte crypto rate with the configured workers.
-            let one_gib = ByteSize::gib(1);
-            let t = self.crypto.time_for_parallel(
-                CryptoAlgorithm::AesGcm128,
-                one_gib,
-                self.cfg.crypto_workers,
-            );
-            Bandwidth::observed(one_gib, t).expect("nonzero time")
-        };
-        Bandwidth::serial_pipeline(&[crypto_rate, p.bounce_copy, p.pinned_h2d, p.gpu_crypto])
-    }
 
     fn plan_copy(&mut self, bytes: ByteSize, host_kind: HostMemKind, dir: CopyKind) -> CopyPlan {
         self.plan_copy_mapped(bytes, host_kind, dir, true)
@@ -1280,15 +1166,6 @@ impl CudaContext {
     /// The default (synchronizing) stream.
     pub fn default_stream(&self) -> StreamId {
         StreamId(0)
-    }
-
-    /// Blocks the host until `stream`'s device work completes.
-    ///
-    /// # Errors
-    /// Returns [`RuntimeError::UnknownStream`] for unknown streams.
-    pub fn stream_synchronize(&mut self, stream: StreamId) -> Result<SimDuration> {
-        let ready = self.stream_ready_time(stream)?;
-        Ok(self.wait_until(ready))
     }
 
     /// `cudaDeviceSynchronize`: blocks until all device work completes.

@@ -95,7 +95,7 @@ impl KernelDesc {
     }
 
     /// Whether this kernel touches managed memory.
-    pub fn is_uvm(&self) -> bool {
+    pub(crate) fn is_uvm(&self) -> bool {
         !self.managed.is_empty()
     }
 }

@@ -3,7 +3,7 @@
 //! A CUDA-flavoured runtime over the `hcc` substrates: device/host/managed
 //! allocation, blocking and asynchronous transfers, kernel launches with
 //! the full CC launch path (LQT → KLO with hypercalls → command processor
-//! → dispatch → KQT → KET), streams, graphs, and synchronization — every
+//! → dispatch → KQT → KET), streams, and synchronization — every
 //! call recorded as Nsight-style trace events.
 //!
 //! Flip [`SimConfig`]'s `CcMode` and the *same* workload code pays the
@@ -33,21 +33,15 @@
 mod audit;
 mod config;
 mod context;
-mod events;
-mod graph;
 mod handles;
-mod pipeline;
 
 pub use audit::LeakAudit;
 pub use config::SimConfig;
 pub use context::{CudaContext, Result, RuntimeError};
-pub use events::CudaEvent;
-pub use graph::{CudaGraph, GraphExec};
 pub use handles::{HostPtr, KernelDesc, ManagedAccess, ManagedPtr};
 pub use hcc_gpu::DevicePtr;
 pub use hcc_tee::TdCounters;
 pub use hcc_uvm::UvmStats;
-pub use pipeline::PipelinedCopy;
 
 #[cfg(test)]
 mod tests {
@@ -315,8 +309,9 @@ mod tests {
             c.free_managed(ManagedPtr(99)),
             Err(RuntimeError::UnknownManagedPtr(_))
         ));
+        let desc = KernelDesc::new(KernelId(0), SimDuration::micros(1));
         assert!(matches!(
-            c.stream_synchronize(hcc_trace::StreamId(42)),
+            c.launch_kernel(&desc, hcc_trace::StreamId(42)),
             Err(RuntimeError::UnknownStream(_))
         ));
     }

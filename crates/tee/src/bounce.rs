@@ -3,7 +3,6 @@
 
 use hcc_trace::causal::{CausalEdge, EdgeKind, EventId};
 use hcc_trace::metrics::{Gauge, MetricsSet};
-use hcc_types::calib::TdxCalib;
 use hcc_types::{ByteSize, CcMode, FaultInjector, FaultSite, Recovery, SimDuration, SimTime};
 
 use crate::td::TdContext;
@@ -153,11 +152,6 @@ impl BounceBufferPool {
         }
     }
 
-    /// Creates a pool sized from the calibration default.
-    pub fn from_calib(calib: &TdxCalib) -> Self {
-        Self::new(calib.bounce_pool)
-    }
-
     /// Pool capacity.
     pub fn capacity(&self) -> ByteSize {
         self.capacity
@@ -171,11 +165,6 @@ impl BounceBufferPool {
     /// Bytes whose pages have been converted to shared.
     pub fn converted(&self) -> ByteSize {
         self.converted
-    }
-
-    /// Total and cold (conversion-paying) reservation counts.
-    pub fn reservation_counts(&self) -> (u64, u64) {
-        (self.reservations, self.cold_reservations)
     }
 
     /// Lifetime byte totals handed out and given back: `(reserved,
@@ -321,6 +310,7 @@ impl BounceBufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcc_types::calib::TdxCalib;
 
     fn td_on() -> TdContext {
         TdContext::new(CcMode::On, TdxCalib::default())
@@ -337,7 +327,6 @@ mod tests {
         let r2 = pool.reserve(&mut td, ByteSize::mib(4)).unwrap();
         assert!(!r2.converted);
         assert!(r2.cost < SimDuration::micros(1));
-        assert_eq!(pool.reservation_counts(), (2, 1));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! use hcc_types::{ByteSize, CcMode};
 //!
 //! let mut td = TdContext::new(CcMode::On, TdxCalib::default());
-//! let mut pool = BounceBufferPool::from_calib(td.calib());
+//! let mut pool = BounceBufferPool::new(td.calib().bounce_pool);
 //! let r = pool.reserve(&mut td, ByteSize::mib(4)).unwrap();
 //! assert!(r.converted); // cold pool pays set_memory_decrypted
 //! ```
@@ -93,8 +93,6 @@ mod proptests {
                     shadow[offset..offset + data.len()].copy_from_slice(&data);
                     if convert {
                         mem.set_memory_decrypted(offset, data.len()).unwrap();
-                    } else {
-                        mem.set_memory_encrypted(offset, data.len()).unwrap();
                     }
                     ensure_eq!(&mem.read(0, mem.size()).unwrap(), &shadow);
                 }

@@ -97,11 +97,6 @@ impl PrivateMemory {
         self.backing.len()
     }
 
-    /// Number of pages currently shared.
-    pub fn shared_pages(&self) -> usize {
-        self.shared.iter().filter(|s| **s).count()
-    }
-
     fn check(&self, offset: usize, len: usize) -> Result<(), PrivMemError> {
         if offset
             .checked_add(len)
@@ -224,24 +219,6 @@ impl PrivateMemory {
         }
         Ok(converted)
     }
-
-    /// Converts pages back to private (`set_memory_encrypted`), re-sealing
-    /// their contents. Returns the number of pages newly converted.
-    ///
-    /// # Errors
-    /// Returns [`PrivMemError::OutOfBounds`] on out-of-range access.
-    pub fn set_memory_encrypted(&mut self, offset: usize, len: usize) -> Result<u64, PrivMemError> {
-        self.check(offset, len.saturating_sub(1))?;
-        let mut converted = 0;
-        for page in Self::page_range(offset, len) {
-            if self.shared[page] {
-                self.seal_page(page);
-                self.shared[page] = false;
-                converted += 1;
-            }
-        }
-        Ok(converted)
-    }
 }
 
 /// Re-export of the underlying XTS error for completeness.
@@ -267,16 +244,11 @@ mod tests {
         mem.write(0, b"dma staging data").unwrap();
         let converted = mem.set_memory_decrypted(0, PAGE_USIZE).unwrap();
         assert_eq!(converted, 1);
-        assert_eq!(mem.shared_pages(), 1);
         // Shared page: bus sees plaintext; guest still sees plaintext.
         assert_eq!(&mem.bus_view(0, 16).unwrap(), b"dma staging data");
         assert_eq!(&mem.read(0, 16).unwrap(), b"dma staging data");
         // Idempotent.
         assert_eq!(mem.set_memory_decrypted(0, PAGE_USIZE).unwrap(), 0);
-        // Convert back.
-        assert_eq!(mem.set_memory_encrypted(0, PAGE_USIZE).unwrap(), 1);
-        assert_ne!(&mem.bus_view(0, 16).unwrap(), b"dma staging data");
-        assert_eq!(&mem.read(0, 16).unwrap(), b"dma staging data");
     }
 
     #[test]
@@ -310,6 +282,5 @@ mod tests {
     fn size_rounds_to_pages() {
         let mem = PrivateMemory::new(100, [6u8; 16]);
         assert_eq!(mem.size(), PAGE_USIZE);
-        assert_eq!(mem.shared_pages(), 0);
     }
 }

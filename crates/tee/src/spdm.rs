@@ -118,11 +118,6 @@ impl SpdmSession {
             steps,
         }
     }
-
-    /// `true` once transfer keys exist.
-    pub fn is_established(&self) -> bool {
-        self.state == SessionState::Established
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +129,7 @@ mod tests {
     fn handshake_runs_all_steps_in_order() {
         let mut td = TdContext::new(CcMode::On, TdxCalib::default());
         let s = SpdmSession::establish(&mut td);
-        assert!(s.is_established());
+        assert_eq!(s.state, SessionState::Established);
         assert_eq!(s.steps.len(), 8);
         let order: Vec<SpdmStep> = s.steps.iter().map(|(st, _)| *st).collect();
         assert_eq!(order, SpdmStep::SEQUENCE.to_vec());
@@ -163,7 +158,7 @@ mod tests {
     fn no_session_without_cc() {
         let mut vm = TdContext::new(CcMode::Off, TdxCalib::default());
         let s = SpdmSession::establish(&mut vm);
-        assert!(!s.is_established());
+        assert_ne!(s.state, SessionState::Established);
         assert!(s.total_time.is_zero());
         assert_eq!(vm.counters().hypercalls, 0);
     }

@@ -130,12 +130,6 @@ impl TdContext {
             }
         }
     }
-
-    /// Cost of `n` consecutive hypercalls without charging them — used by
-    /// planners estimating a path before executing it.
-    pub fn peek_hypercall_cost(&self, n: u64) -> SimDuration {
-        self.hypercall_cost * n
-    }
 }
 
 #[cfg(test)]
@@ -200,8 +194,6 @@ mod tests {
                 assert_eq!(td.hypercall("x"), calib.hypercall());
                 assert_eq!(vm.hypercall("x"), calib.vmexit);
             }
-            assert_eq!(td.peek_hypercall_cost(2), calib.hypercall() * 2);
-            assert_eq!(vm.peek_hypercall_cost(2), calib.vmexit * 2);
             assert_eq!(td.counters().hypercalls, 3);
             assert_eq!(td.counters().transition_time, calib.hypercall() * 3);
             assert_eq!(vm.counters().transition_time, calib.vmexit * 3);
@@ -220,14 +212,5 @@ mod tests {
                 assert_eq!(bulk.counters(), one_by_one.counters(), "{cc:?} x{n}");
             }
         }
-    }
-
-    #[test]
-    fn peek_does_not_mutate() {
-        let td = TdContext::new(CcMode::On, TdxCalib::default());
-        let before = td.counters();
-        let cost = td.peek_hypercall_cost(3);
-        assert_eq!(td.counters(), before);
-        assert_eq!(cost, td.calib().hypercall() * 3);
     }
 }

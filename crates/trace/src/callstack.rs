@@ -42,11 +42,6 @@ impl CallFrame {
         &self.name
     }
 
-    /// Self cost (excluding children).
-    pub fn self_cost(&self) -> SimDuration {
-        self.cost
-    }
-
     /// Child frames.
     pub fn children(&self) -> &[CallFrame] {
         &self.children
@@ -55,11 +50,6 @@ impl CallFrame {
     /// Mutable child frames, for post-construction annotation passes.
     pub fn children_mut(&mut self) -> &mut [CallFrame] {
         &mut self.children
-    }
-
-    /// Whether this frame has been marked as lying on the critical path.
-    pub fn is_critical(&self) -> bool {
-        self.critical
     }
 
     /// Marks this frame as lying on the critical path; [`CallFrame::render`]
@@ -100,15 +90,6 @@ impl CallFrame {
     /// Total cost: self plus all descendants.
     pub fn total(&self) -> SimDuration {
         self.cost + self.children.iter().map(CallFrame::total).sum()
-    }
-
-    /// Number of frames in the tree (including self).
-    pub fn frame_count(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(CallFrame::frame_count)
-            .sum::<usize>()
     }
 
     /// Finds the first frame with `name` via depth-first search.
@@ -160,8 +141,6 @@ mod tests {
     fn totals_roll_up() {
         let root = sample();
         assert_eq!(root.total(), us(16));
-        assert_eq!(root.frame_count(), 6);
-        assert_eq!(root.self_cost(), us(2));
     }
 
     #[test]
@@ -198,7 +177,6 @@ mod tests {
                 child.mark_critical();
             }
         }
-        assert!(root.is_critical());
         assert_eq!(root.critical_frames(), vec!["cudaLaunchKernel", "ioctl"]);
         assert_eq!(root.total(), us(16), "marking never changes costs");
 

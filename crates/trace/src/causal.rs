@@ -157,11 +157,6 @@ impl CausalGraph {
         self.edges.is_empty()
     }
 
-    /// Edges pointing *into* `to` (its direct causes).
-    pub fn predecessors(&self, to: EventId) -> impl Iterator<Item = &CausalEdge> {
-        self.edges.iter().filter(move |e| e.to == to)
-    }
-
     /// Checks the DAG invariant: since events are pushed in causal order,
     /// every edge must point from an earlier-created event to a
     /// later-created one (`from < to`), which also rules out cycles.
@@ -230,8 +225,11 @@ mod tests {
             EdgeKind::CopyToKernel,
         ));
         assert_eq!(g.len(), 2);
-        let preds: Vec<_> = g.predecessors(EventId(2)).map(|e| e.from).collect();
-        assert_eq!(preds, vec![EventId(0), EventId(1)]);
+        let links: Vec<_> = g.edges().iter().map(|e| (e.from, e.to)).collect();
+        assert_eq!(
+            links,
+            vec![(EventId(0), EventId(2)), (EventId(1), EventId(2))]
+        );
         assert_eq!(g.edges()[0].wait, SimDuration::micros(3));
         assert!(g.is_acyclic());
     }

@@ -97,7 +97,7 @@ impl ToJson for ResourceClass {
 }
 
 /// Which resource an event's span occupies.
-pub fn resource_of(kind: &EventKind) -> ResourceClass {
+pub(crate) fn resource_of(kind: &EventKind) -> ResourceClass {
     match kind {
         EventKind::Launch { .. }
         | EventKind::Alloc { .. }
@@ -371,7 +371,6 @@ pub fn extract(timeline: &Timeline, graph: &CausalGraph) -> CritPath {
 
     // Count path hops the causal DAG explains: consecutive path events
     // linked by a recorded edge.
-    let mut causal_links = 0usize;
     let path: Vec<EventId> = {
         let mut out: Vec<EventId> = Vec::new();
         for s in &segments {
@@ -383,11 +382,14 @@ pub fn extract(timeline: &Timeline, graph: &CausalGraph) -> CritPath {
         }
         out
     };
-    for pair in path.windows(2) {
-        if graph.predecessors(pair[1]).any(|e| e.from == pair[0]) {
-            causal_links += 1;
-        }
-    }
+    // One sorted index of the edges, so each hop is a binary search
+    // rather than a scan of the whole graph.
+    let mut links: Vec<(EventId, EventId)> = graph.edges().iter().map(|e| (e.from, e.to)).collect();
+    links.sort_unstable();
+    let causal_links = path
+        .windows(2)
+        .filter(|pair| links.binary_search(&(pair[0], pair[1])).is_ok())
+        .count();
 
     CritPath {
         segments,

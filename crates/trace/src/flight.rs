@@ -516,7 +516,7 @@ impl FlightLog {
     /// waterfall is rendered against. A documented approximation: the
     /// true window median lives in the full population the sampler
     /// deliberately does not keep.
-    pub fn p50_exemplar(&self, window: u64) -> Option<&FlightSample> {
+    pub(crate) fn p50_exemplar(&self, window: u64) -> Option<&FlightSample> {
         let pick = |uniform_only: bool| {
             let mut members: Vec<&FlightSample> = self
                 .in_windows(window, window)
@@ -578,7 +578,7 @@ impl FlightLog {
     /// Renders one request's span waterfall, optionally with a per-span
     /// delta column against a baseline exemplar (typically the window's
     /// p50). Deterministic text: virtual-time figures only.
-    pub fn render_waterfall(
+    pub(crate) fn render_waterfall(
         &self,
         sample: &FlightSample,
         baseline: Option<&FlightSample>,

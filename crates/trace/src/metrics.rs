@@ -157,11 +157,6 @@ impl Gauge {
         }
     }
 
-    /// Number of raw change-points recorded.
-    pub fn raw_len(&self) -> usize {
-        self.deltas.len()
-    }
-
     /// Whether every change-point so far was recorded at or after the
     /// one before it — the case [`Gauge::series`] coalesces without
     /// copying or sorting.
@@ -409,32 +404,6 @@ impl Series {
             total += (value as u64).saturating_mul((to - cursor).as_nanos());
         }
         SimDuration::from_nanos(total)
-    }
-
-    /// Mean held value over `[from, to)` (0 for inverted/empty windows).
-    pub fn mean_between(&self, from: SimTime, to: SimTime) -> f64 {
-        if to <= from {
-            0.0
-        } else {
-            self.integral_between(from, to).as_nanos() as f64 / (to - from).as_nanos() as f64
-        }
-    }
-
-    /// Highest value the step function holds anywhere in `[from, to)`
-    /// (0 for inverted/empty windows).
-    pub fn peak_between(&self, from: SimTime, to: SimTime) -> i64 {
-        if to <= from {
-            return 0;
-        }
-        let mut peak = self.value_at(from);
-        let idx = self.samples.partition_point(|&(st, _)| st <= from);
-        for &(st, v) in &self.samples[idx..] {
-            if st >= to {
-                break;
-            }
-            peak = peak.max(v);
-        }
-        peak
     }
 }
 
@@ -720,7 +689,7 @@ mod tests {
         let mut g = Gauge::new();
         g.occupy(t(0), t(10));
         g.add(t(3), 5);
-        assert_eq!(g.raw_len(), 0);
+        assert!(g.deltas.is_empty());
         assert!(g.series("x").is_empty());
     }
 
@@ -761,7 +730,7 @@ mod tests {
     fn zero_length_occupy_leaves_no_sample() {
         let mut g = Gauge::enabled();
         g.occupy(t(5), t(5));
-        assert_eq!(g.raw_len(), 0);
+        assert!(g.deltas.is_empty());
     }
 
     #[test]
@@ -872,16 +841,12 @@ mod tests {
         assert_eq!(s.value_at(t(25)), 2);
         assert_eq!(s.value_at(t(40)), 0);
         assert_eq!(s.value_at(t(999)), 0);
-        // A window covering the whole series reproduces integral()/peak().
+        // A window covering the whole series reproduces integral().
         assert_eq!(s.integral_between(t(0), t(100)), s.integral());
-        assert_eq!(s.peak_between(t(0), t(100)), s.peak());
         // Interior window: [15, 35) holds 1 for 5µs, 2 for 10µs, 1 for 5µs.
         assert_eq!(s.integral_between(t(15), t(35)), SimDuration::micros(30));
-        assert!((s.mean_between(t(15), t(35)) - 1.5).abs() < 1e-12);
-        assert_eq!(s.peak_between(t(15), t(35)), 2);
         // Window entirely inside one step.
         assert_eq!(s.integral_between(t(22), t(24)), SimDuration::micros(4));
-        assert_eq!(s.peak_between(t(22), t(24)), 2);
     }
 
     #[test]
@@ -890,8 +855,6 @@ mod tests {
         let empty = Gauge::enabled().series("e");
         assert_eq!(empty.value_at(t(5)), 0);
         assert_eq!(empty.integral_between(t(0), t(10)), SimDuration::ZERO);
-        assert_eq!(empty.mean_between(t(0), t(10)), 0.0);
-        assert_eq!(empty.peak_between(t(0), t(10)), 0);
         assert_eq!(empty.mean_over(SimDuration::ZERO), 0.0);
         assert_eq!(empty.mean_over(SimDuration::micros(10)), 0.0);
 
@@ -904,19 +867,15 @@ mod tests {
         assert_eq!(single.value_at(t(10)), 3);
         // Window entirely before the first change-point.
         assert_eq!(single.integral_between(t(0), t(10)), SimDuration::ZERO);
-        assert_eq!(single.peak_between(t(0), t(10)), 0);
         // Window extending past the last change-point integrates the
         // persisted value.
         assert_eq!(
             single.integral_between(t(5), t(20)),
             SimDuration::micros(30)
         );
-        assert_eq!(single.peak_between(t(5), t(20)), 3);
 
         // Inverted and empty windows are zero, never a panic.
         assert_eq!(single.integral_between(t(20), t(5)), SimDuration::ZERO);
-        assert_eq!(single.mean_between(t(20), t(5)), 0.0);
-        assert_eq!(single.peak_between(t(12), t(12)), 0);
 
         // overlap_time with degenerate partners.
         let e = Series {

@@ -17,7 +17,7 @@ use hcc_types::SimDuration;
 /// `[1, len]`, so `p = 0` selects the minimum and `p = 1` the maximum.
 /// Integer rank math, no interpolation — quantiles are always a member
 /// of the population, which keeps every tail figure bit-stable.
-pub fn nearest_rank_index(len: usize, p: f64) -> Option<usize> {
+pub(crate) fn nearest_rank_index(len: usize, p: f64) -> Option<usize> {
     if len == 0 {
         return None;
     }
@@ -41,7 +41,7 @@ pub fn nearest_rank(sorted: &[SimDuration], p: f64) -> SimDuration {
 /// ends up partitioned around every selected rank. Every entry is
 /// `SimDuration::ZERO` when `samples` is empty, exactly as
 /// [`nearest_rank`] on the sorted population.
-pub fn nearest_ranks<const N: usize>(
+pub(crate) fn nearest_ranks<const N: usize>(
     samples: &mut [SimDuration],
     ps: [f64; N],
 ) -> [SimDuration; N] {

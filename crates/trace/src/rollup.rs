@@ -81,7 +81,7 @@ pub fn tumbling(horizon: SimTime, width: SimDuration) -> Vec<Window> {
 /// Overlapping windows of `width` whose starts advance by `stride`,
 /// covering `[0, horizon)`. Windows are clipped to the horizon. Zero
 /// stride, zero width, or a zero horizon yields no windows.
-pub fn sliding(horizon: SimTime, width: SimDuration, stride: SimDuration) -> Vec<Window> {
+pub(crate) fn sliding(horizon: SimTime, width: SimDuration, stride: SimDuration) -> Vec<Window> {
     let horizon_ns = horizon.as_nanos();
     let (width_ns, stride_ns) = (width.as_nanos(), stride.as_nanos());
     if horizon_ns == 0 || width_ns == 0 || stride_ns == 0 {

@@ -567,45 +567,6 @@ impl LaunchMetrics {
     pub fn klr(&self) -> f64 {
         self.total_ket() / (self.total_klo() + self.total_lqt())
     }
-
-    /// Per-kernel-function statistics: `(kernel, launches, KLO summary,
-    /// KET summary)` sorted by kernel id — the grouping behind Fig. 12a's
-    /// per-kernel launch trains.
-    pub fn by_kernel(
-        &self,
-    ) -> Vec<(
-        KernelId,
-        usize,
-        Option<crate::Summary>,
-        Option<crate::Summary>,
-    )> {
-        let mut kernels: Vec<KernelId> = self.launches.iter().map(|l| l.kernel).collect();
-        kernels.sort_unstable();
-        kernels.dedup();
-        kernels
-            .into_iter()
-            .map(|k| {
-                let klos: Vec<SimDuration> = self
-                    .launches
-                    .iter()
-                    .filter(|l| l.kernel == k)
-                    .map(|l| l.klo)
-                    .collect();
-                let kets: Vec<SimDuration> = self
-                    .kernels
-                    .iter()
-                    .filter(|r| r.kernel == k)
-                    .map(|r| r.ket)
-                    .collect();
-                (
-                    k,
-                    klos.len(),
-                    crate::Summary::of(&klos),
-                    crate::Summary::of(&kets),
-                )
-            })
-            .collect()
-    }
 }
 
 /// Memory-path metric collection (Fig. 5/6 inputs).
@@ -691,15 +652,6 @@ pub struct PhaseTotals {
     pub t_fault: SimDuration,
     /// Observed end-to-end span `P`.
     pub span: SimDuration,
-}
-
-impl PhaseTotals {
-    /// Serial (no-overlap) sum of the four phases — the model's `P` when
-    /// `α = β = 0`. `T_fault` is excluded: it is attribution *within* the
-    /// four phases, not additional serial time.
-    pub fn serial_sum(&self) -> SimDuration {
-        self.t_mem + self.t_launch + self.t_kernel + self.t_other
-    }
 }
 
 hcc_types::impl_to_json!(PhaseTotals {
@@ -891,7 +843,6 @@ mod tests {
         assert_eq!(pt.t_launch, SimDuration::micros(8));
         assert_eq!(pt.t_kernel, SimDuration::micros(102));
         assert_eq!(pt.t_other, SimDuration::micros(21));
-        assert_eq!(pt.serial_sum(), SimDuration::micros(161));
     }
 
     #[test]

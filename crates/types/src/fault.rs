@@ -497,12 +497,6 @@ impl FaultInjector {
         self.counts
     }
 
-    /// True when the plan can never fault (fast path: no draws ever).
-    #[must_use]
-    pub fn is_quiet(&self) -> bool {
-        self.plan.is_empty()
-    }
-
     /// Decides the fate of one guarded operation at `site`: whether a
     /// fault strikes, and — if it does — the full recovery schedule under
     /// the policy. Takes no RNG draw when the site's rate is 0.0 or the
@@ -578,7 +572,6 @@ mod tests {
         // The stream was never advanced: next draws match a pristine clone.
         assert_eq!(inj.rng.next_u64(), untouched.clone().next_u64());
         assert_eq!(inj.counts(), FaultCounts::default());
-        assert!(inj.is_quiet());
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl Fnv64 {
     }
 
     /// Mixes an `f64` via its IEEE-754 bit pattern.
-    pub fn write_f64(&mut self, v: f64) {
+    pub(crate) fn write_f64(&mut self, v: f64) {
         self.write_u64(v.to_bits());
     }
 

@@ -96,14 +96,6 @@ impl Json {
         }
     }
 
-    /// Boolean view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Array view.
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {
@@ -372,7 +364,7 @@ impl<'a> JsonOut<'a> {
     }
 
     /// An array of `items`.
-    pub fn seq<T: ToJson>(&mut self, items: impl IntoIterator<Item = T>) {
+    pub(crate) fn seq<T: ToJson>(&mut self, items: impl IntoIterator<Item = T>) {
         self.arr(|o| {
             for item in items {
                 item.write_json(o);

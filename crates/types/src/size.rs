@@ -56,11 +56,6 @@ impl ByteSize {
         self.0 as f64
     }
 
-    /// Size in MiB as a float (for reporting).
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / (1024.0 * 1024.0)
-    }
-
     /// Size in decimal gigabytes as a float (for bandwidth reporting).
     pub fn as_gb_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -173,8 +168,8 @@ impl Sum for ByteSize {
 /// A data-transfer or processing rate.
 ///
 /// Internally stored as bytes per second (`f64`). Construct with decimal
-/// [`Bandwidth::gb_per_s`] or [`Bandwidth::mb_per_s`], matching the units
-/// used throughout the paper's figures.
+/// [`Bandwidth::gb_per_s`], matching the units used throughout the
+/// paper's figures.
 ///
 /// ```
 /// use hcc_types::{Bandwidth, ByteSize};
@@ -208,13 +203,8 @@ impl Bandwidth {
         }
     }
 
-    /// Creates a rate from decimal megabytes per second.
-    pub fn mb_per_s(mb: f64) -> Self {
-        Self::gb_per_s(mb / 1e3)
-    }
-
     /// Rate in bytes per second.
-    pub fn bytes_per_s(self) -> f64 {
+    pub(crate) fn bytes_per_s(self) -> f64 {
         self.0
     }
 
@@ -354,6 +344,6 @@ mod tests {
         assert_eq!(ByteSize::bytes(12).to_string(), "12B");
         assert_eq!(ByteSize::mib(256).to_string(), "256.0MiB");
         assert_eq!(Bandwidth::gb_per_s(3.36).to_string(), "3.36GB/s");
-        assert_eq!(Bandwidth::mb_per_s(500.0).to_string(), "500.00MB/s");
+        assert_eq!(Bandwidth::gb_per_s(0.5).to_string(), "500.00MB/s");
     }
 }

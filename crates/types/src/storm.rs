@@ -140,7 +140,7 @@ impl StormProfile {
     /// Ring-doorbell flap: kernel-submit doorbell drops dominate, with a
     /// trickle of UVM collateral.
     #[must_use]
-    pub fn ring_flap() -> Self {
+    pub(crate) fn ring_flap() -> Self {
         let mut peak = [0.0; FaultSite::COUNT];
         peak[FaultSite::RingDoorbell.index()] = 0.50;
         peak[FaultSite::UvmMigration.index()] = 0.05;

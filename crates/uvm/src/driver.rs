@@ -218,7 +218,7 @@ impl UvmDriver {
 
     /// Migration bandwidth for the current mode — the encrypted-paging
     /// rate when CC is on.
-    pub fn migrate_bandwidth(&self) -> hcc_types::Bandwidth {
+    pub(crate) fn migrate_bandwidth(&self) -> hcc_types::Bandwidth {
         match self.cc {
             CcMode::Off => self.calib.migrate_bw,
             CcMode::On => self.calib.cc_migrate_bw,
@@ -372,7 +372,7 @@ impl UvmDriver {
     ///
     /// # Errors
     /// Returns [`UvmError::Gmmu`] for unknown ranges or bad page indices.
-    pub fn evict(
+    pub(crate) fn evict(
         &mut self,
         gmmu: &mut Gmmu,
         td: &mut TdContext,

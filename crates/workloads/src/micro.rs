@@ -8,7 +8,7 @@ use hcc_types::{ByteSize, CopyKind, HostMemKind, SimDuration};
 
 /// Builds the Listing-1 microbenchmark kernel: a kernel that runs for a
 /// fixed `duration` regardless of input (PTX `nanosleep` loop).
-pub fn sleep_kernel(id: u32, duration: SimDuration) -> KernelDesc {
+pub(crate) fn sleep_kernel(id: u32, duration: SimDuration) -> KernelDesc {
     KernelDesc::new(KernelId(id), duration)
 }
 

@@ -95,7 +95,7 @@ fn scaled(digits: &str, scale: u64, base: &'static str) -> Result<u64, LiteralEr
 /// # Errors
 /// [`LiteralError`] for a literal that is not `<digits><unit>`, an
 /// unknown unit, or a size past `u64::MAX` bytes.
-pub fn parse_size(s: &str) -> Result<ByteSize, LiteralError> {
+pub(crate) fn parse_size(s: &str) -> Result<ByteSize, LiteralError> {
     let (digits, unit) = split_number(s)?;
     let scale = match unit {
         "B" | "b" => 1,
@@ -112,7 +112,7 @@ pub fn parse_size(s: &str) -> Result<ByteSize, LiteralError> {
 /// # Errors
 /// [`LiteralError`] for a literal that is not `<digits><unit>`, an
 /// unknown unit, or a duration past `u64::MAX` nanoseconds.
-pub fn parse_duration(s: &str) -> Result<SimDuration, LiteralError> {
+pub(crate) fn parse_duration(s: &str) -> Result<SimDuration, LiteralError> {
     let (digits, unit) = split_number(s)?;
     let scale = match unit {
         "ns" => 1,

@@ -15,15 +15,15 @@ use hcc_types::hash::Fnv64;
 use hcc_types::CcMode;
 
 use crate::spec::{Op, WorkloadSpec};
-use crate::suites;
 
 /// Which concrete program a scenario names.
 #[derive(Debug, Clone)]
 pub enum AppSelector {
-    /// A standard app from [`suites::all`], by name.
+    /// A standard app from [`crate::suites::all`], by name.
     Standard(&'static str),
-    /// The managed-memory variant from [`suites::uvm_variant`], keyed by
-    /// the *explicit* app's name (e.g. `"gemm"` selects `gemm-uvm`).
+    /// The managed-memory variant from [`crate::suites::uvm_variant`],
+    /// keyed by the *explicit* app's name (e.g. `"gemm"` selects
+    /// `gemm-uvm`).
     UvmVariant(&'static str),
     /// An inline program (microbenchmark, sweep point, custom deck). The
     /// cache key covers the full op list, so two ad-hoc programs sharing a
@@ -90,16 +90,6 @@ impl Scenario {
             AppSelector::Adhoc(spec) => spec.name,
         };
         format!("{name} [{}]", self.cfg.cc)
-    }
-
-    /// Resolves the selector to a runnable [`WorkloadSpec`]. Returns `None`
-    /// when a by-name selector does not exist in the suites.
-    pub fn resolve_spec(&self) -> Option<WorkloadSpec> {
-        match &self.app {
-            AppSelector::Standard(n) => suites::by_name(n),
-            AppSelector::UvmVariant(n) => suites::uvm_variant(n),
-            AppSelector::Adhoc(spec) => Some(spec.clone()),
-        }
     }
 
     /// Stable content hash — the memoization key.
@@ -211,6 +201,7 @@ fn mix_op(h: &mut Fnv64, op: &Op) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suites;
     use hcc_types::{ByteSize, HostMemKind, SimDuration};
 
     fn toy(ket_us: u64) -> WorkloadSpec {
@@ -274,13 +265,8 @@ mod tests {
     fn labels_and_resolution() {
         let s = Scenario::standard("gemm", SimConfig::new(CcMode::On));
         assert_eq!(s.label(), "gemm [cc]");
-        assert_eq!(s.resolve_spec().unwrap().name, "gemm");
 
         let u = Scenario::uvm_variant("gemm", SimConfig::new(CcMode::Off));
         assert_eq!(u.label(), "gemm+uvm [base]");
-        assert!(u.resolve_spec().unwrap().uvm);
-
-        let missing = Scenario::standard("no-such-app", SimConfig::new(CcMode::Off));
-        assert!(missing.resolve_spec().is_none());
     }
 }

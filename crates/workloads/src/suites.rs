@@ -142,7 +142,7 @@ fn managed_execute(
 }
 
 /// The Rodinia selection.
-pub fn rodinia() -> Vec<WorkloadSpec> {
+pub(crate) fn rodinia() -> Vec<WorkloadSpec> {
     use HostMemKind::Pageable;
     use Suite::Rodinia;
     vec![
@@ -273,7 +273,7 @@ pub fn rodinia() -> Vec<WorkloadSpec> {
 }
 
 /// The PolyBench/GPU selection.
-pub fn polybench() -> Vec<WorkloadSpec> {
+pub(crate) fn polybench() -> Vec<WorkloadSpec> {
     use HostMemKind::{Pageable, Pinned};
     use Suite::Polybench;
     vec![
@@ -410,7 +410,7 @@ pub fn polybench() -> Vec<WorkloadSpec> {
 }
 
 /// The UVM-Bench selection (managed memory).
-pub fn uvmbench() -> Vec<WorkloadSpec> {
+pub(crate) fn uvmbench() -> Vec<WorkloadSpec> {
     use Suite::UvmBench;
     let mut apps = vec![
         managed_execute(

@@ -10,8 +10,15 @@
 //!   environment while other test threads read it is a data race;
 //! - nothing under `crates/bench/src` prints (`println!`, `eprintln!`,
 //!   `print!`, `eprint!`) outside the `hotpaths` gate: a subcommand
-//!   writes only to the stdout and stderr `lab::run` hands it.
+//!   writes only to the stdout and stderr `lab::run` hands it;
+//! - every `pub fn` of a library crate is named by some file outside
+//!   that crate's library sources (another crate, a test, an example,
+//!   the facade, the benchmark package, a bin or a doc example), except
+//!   the survivors in [`UNREFERENCED_PUB_FNS`]: a function nothing
+//!   outside names is `pub(crate)`, and one nothing at all calls is dead
+//!   code the compiler then reports.
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 /// The named places that may read the environment, each by the one
@@ -22,6 +29,16 @@ const EXEMPT: [(&str, &str); 3] = [
     ("crates/bench/src/lab.rs", "std::env::vars_os()"),
     ("crates/check/src/runner.rs", "\"HCC_CHECK_SEED\""),
     ("crates/bench/src/bin/hotpaths.rs", ""),
+];
+
+/// Library `pub fn`s that nothing outside their crate names yet, by file
+/// and name.
+const UNREFERENCED_PUB_FNS: [(&str, &str); 2] = [
+    // The per-request LLM latency model (upload, prefill, decode) that
+    // the serving soak's request shape is to be built on (ROADMAP item 8).
+    ("crates/ml/src/llm.rs", "request_latency"),
+    // Time to first token from that model, for the same soak.
+    ("crates/ml/src/llm.rs", "ttft"),
 ];
 
 /// The workspace root.
@@ -133,4 +150,126 @@ fn the_bench_crate_prints_only_through_its_writers() {
     let prints = ["println!", "eprintln!", "print!", "eprint!"];
     let found = offending(&files, &prints, |_, _| false);
     assert!(found.is_empty(), "prints:\n{}", found.join("\n"));
+}
+
+/// The identifiers in `text`.
+fn identifiers(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+        .filter(|w| !w.is_empty())
+}
+
+/// The identifiers on the code lines of `text`'s doc examples (fenced
+/// blocks in `///` or `//!` comments): each example builds as a crate of
+/// its own, so it uses the library from outside.
+fn doc_example_identifiers(text: &str) -> Vec<&str> {
+    let mut found = Vec::new();
+    let mut fenced = false;
+    for line in text.lines() {
+        let line = line.trim_start();
+        let Some(doc) = line
+            .strip_prefix("///")
+            .or_else(|| line.strip_prefix("//!"))
+        else {
+            fenced = false;
+            continue;
+        };
+        if doc.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if fenced {
+            found.extend(identifiers(doc));
+        }
+    }
+    found
+}
+
+/// The name a line declares as `pub fn` (also `const`/`unsafe`), unless
+/// the line is a macro body, whose functions are named by the macro's
+/// invocations.
+fn pub_fn_name(line: &str) -> Option<&str> {
+    if line.contains('$') {
+        return None;
+    }
+    let mut rest = line.trim_start().strip_prefix("pub ")?;
+    for qualifier in ["const ", "unsafe "] {
+        rest = rest.strip_prefix(qualifier).unwrap_or(rest);
+    }
+    identifiers(rest.strip_prefix("fn ")?).next()
+}
+
+#[test]
+fn every_library_pub_fn_is_named_outside_its_crate() {
+    let read = |file: &str| std::fs::read_to_string(root().join(file)).expect("a readable source");
+    let mut outside_dirs: Vec<PathBuf> = ["tests", "examples", "src", "hcc_benchmark/src"]
+        .iter()
+        .map(PathBuf::from)
+        .collect();
+    outside_dirs.extend(crate_dirs("tests"));
+    let shared: Vec<String> = outside_dirs
+        .iter()
+        .flat_map(|d| rust_files(d))
+        .map(|f| read(&f))
+        .collect();
+    // Each crate's sources: (file, text, whether it is a library file).
+    let crates: Vec<Vec<(String, String, bool)>> = crate_dirs("src")
+        .iter()
+        .map(|d| {
+            rust_files(d)
+                .into_iter()
+                .map(|f| {
+                    let text = read(&f);
+                    let lib = !f.contains("/src/bin/");
+                    (f, text, lib)
+                })
+                .collect()
+        })
+        .collect();
+    assert!(crates.len() <= 64, "one bit per crate");
+    // Per identifier: whether a shared file, a bin or a doc example
+    // names it, and the crates whose library code does (one bit each).
+    let mut seen: HashMap<&str, (bool, u64)> = HashMap::new();
+    for text in &shared {
+        for name in identifiers(text) {
+            seen.entry(name).or_default().0 = true;
+        }
+    }
+    for (c, sources) in crates.iter().enumerate() {
+        for (_, text, lib) in sources {
+            for name in identifiers(text) {
+                let entry = seen.entry(name).or_default();
+                if *lib {
+                    entry.1 |= 1 << c;
+                } else {
+                    entry.0 = true;
+                }
+            }
+            for name in doc_example_identifiers(text) {
+                seen.entry(name).or_default().0 = true;
+            }
+        }
+    }
+    let mut unnamed = Vec::new();
+    for (c, sources) in crates.iter().enumerate() {
+        for (file, text, _) in sources.iter().filter(|(_, _, lib)| *lib) {
+            for (i, line) in text.lines().enumerate() {
+                let Some(name) = pub_fn_name(line) else {
+                    continue;
+                };
+                let (outside, libs) = seen[name];
+                let named = outside || libs & !(1 << c) != 0;
+                if !named && !UNREFERENCED_PUB_FNS.contains(&(file.as_str(), name)) {
+                    unnamed.push(format!("{file}:{}: {name}", i + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        unnamed.is_empty(),
+        "pub fns nothing outside their crate names (make them pub(crate), \
+         or delete them if the compiler then finds them unused):\n{}",
+        unnamed.join("\n")
+    );
+    for (file, name) in UNREFERENCED_PUB_FNS {
+        let declared = read(file).lines().any(|l| pub_fn_name(l) == Some(name));
+        assert!(declared, "{file} no longer declares pub fn {name}");
+    }
 }

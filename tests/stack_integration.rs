@@ -3,8 +3,6 @@
 //! shape checks.
 
 use hcc::prelude::*;
-use hcc::runtime::KernelDesc;
-use hcc::trace::KernelId;
 use hcc::workloads::{runner, suites};
 use hcc_bench::figures::{fig01, fig03, fig04b, fig06, fig11, fig13, fig14, Computed};
 use hcc_bench::lab::Lab;
@@ -186,41 +184,6 @@ fn functional_cc_path_preserves_data_and_detects_growth() {
     // The TD paid real transition costs for this.
     assert!(ctx.td_counters().hypercalls > 0);
     assert!(ctx.td_counters().transition_time > SimDuration::ZERO);
-}
-
-#[test]
-fn graph_capture_replays_faster_than_launch_loops_under_cc() {
-    use hcc::runtime::CudaGraph;
-    let mut ctx = CudaContext::new(SimConfig::new(CcMode::On));
-    let mut graph = CudaGraph::new();
-    for _ in 0..254 {
-        graph.add_kernel(KernelDesc::new(KernelId(0), SimDuration::micros(8)));
-    }
-    let exec = ctx.instantiate_graph(&graph);
-    let t0 = ctx.now();
-    for _ in 0..20 {
-        ctx.launch_graph(&exec, ctx.default_stream())
-            .expect("graph launch");
-    }
-    ctx.synchronize();
-    let graph_time = ctx.now() - t0;
-
-    let mut loop_ctx = CudaContext::new(SimConfig::new(CcMode::On));
-    let desc = KernelDesc::new(KernelId(0), SimDuration::micros(8));
-    let t0 = loop_ctx.now();
-    for _ in 0..20 * 254 {
-        loop_ctx
-            .launch_kernel(&desc, loop_ctx.default_stream())
-            .expect("launch");
-    }
-    loop_ctx.synchronize();
-    let loop_time = loop_ctx.now() - t0;
-    // Graph replays land near the pure-KET floor (~40 ms here); the
-    // launch loop pays ~26 ms of launch path on top.
-    assert!(
-        graph_time.as_secs_f64() < loop_time.as_secs_f64() * 0.75,
-        "graphs {graph_time} vs loop {loop_time}"
-    );
 }
 
 #[test]
