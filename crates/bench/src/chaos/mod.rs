@@ -178,13 +178,13 @@ impl ChaosConfig {
 
     /// The storm-calendar horizon: `days` × [`DAY`].
     #[must_use]
-    pub fn horizon(&self) -> SimDuration {
+    pub(crate) fn horizon(&self) -> SimDuration {
         SimDuration::from_nanos(DAY.as_nanos().saturating_mul(self.days))
     }
 
     /// Storm episodes per calendar.
     #[must_use]
-    pub fn episodes(&self) -> u32 {
+    pub(crate) fn episodes(&self) -> u32 {
         u32::try_from(u64::from(self.episodes_per_day).saturating_mul(self.days))
             .unwrap_or(u32::MAX)
     }
@@ -666,7 +666,7 @@ pub const COMMAND: Command = Command {
                         SchedulerKind::parse,
                     )?;
                 }
-                "--watch" => cfg.watch = Some(WatchConfig::default().from_env(env)?),
+                "--watch" => cfg.watch = Some(WatchConfig::default().with_env(env)?),
                 "--flight" => cfg.flight = Some(env.flight()?),
                 "--json" => json_path = Some(args.value(&flag)?),
                 _ => return Err(CliError::Unknown { arg: flag }),

@@ -39,7 +39,7 @@ pub struct FaultLedger {
 impl FaultLedger {
     /// Requests that encountered an injected fault.
     #[must_use]
-    pub fn faulty(&self) -> u64 {
+    pub(crate) fn faulty(&self) -> u64 {
         self.recovered + self.degraded + self.rejected
     }
 
@@ -90,13 +90,13 @@ impl TenantVerdict {
 
     /// The overall verdict: every budget clause holds.
     #[must_use]
-    pub fn pass(&self) -> bool {
+    pub(crate) fn pass(&self) -> bool {
         self.p99_ok() && self.p999_ok() && self.reject_ok()
     }
 
     /// `PASS`, or `FAIL(<clauses>)` naming each violated clause.
     #[must_use]
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         if self.pass() {
             return "PASS".to_string();
         }
@@ -152,7 +152,7 @@ pub struct PolicyCell {
 impl PolicyCell {
     /// Post-peak queue-drain measurements, measured by the drain.
     #[must_use]
-    pub fn ttr(&self) -> TimeToRecover {
+    pub(crate) fn ttr(&self) -> TimeToRecover {
         self.mode
             .ttr
             .expect("a chaos cell runs under a storm calendar")
@@ -160,13 +160,13 @@ impl PolicyCell {
 
     /// Passing tenant verdicts.
     #[must_use]
-    pub fn passes(&self) -> u64 {
+    pub(crate) fn passes(&self) -> u64 {
         self.verdicts.iter().filter(|v| v.pass()).count() as u64
     }
 
     /// Failing tenant verdicts.
     #[must_use]
-    pub fn fails(&self) -> u64 {
+    pub(crate) fn fails(&self) -> u64 {
         self.verdicts.len() as u64 - self.passes()
     }
 
@@ -174,13 +174,13 @@ impl PolicyCell {
     /// partition covers every admitted request exactly once, and the
     /// ledger's rejection count matches the cluster's.
     #[must_use]
-    pub fn fault_conserved(&self, admitted: u64) -> bool {
+    pub(crate) fn fault_conserved(&self, admitted: u64) -> bool {
         self.ledger.total() == admitted && self.ledger.rejected == self.mode.rejected()
     }
 
     /// No leak-audit violations and all structural identities hold.
     #[must_use]
-    pub fn healthy(&self, admitted: u64) -> bool {
+    pub(crate) fn healthy(&self, admitted: u64) -> bool {
         self.violations.is_empty() && self.mode.healthy(admitted) && self.fault_conserved(admitted)
     }
 }

@@ -7,7 +7,7 @@
 //! decimal or `0x`-hex ([`parse_int`], shared with the `HCC_*`
 //! environment overrides an [`Env`] holds), a bounded one above its
 //! maximum is refused rather than wrapped ([`Args::at_most`],
-//! [`Env::at_most`]), and fractions must be finite.
+//! `Env::at_most`), and fractions must be finite.
 
 use std::collections::BTreeMap;
 use std::ffi::OsString;
@@ -99,7 +99,7 @@ fn int(flag: &str, raw: &str) -> Result<u64, CliError> {
 
 /// `raw` as an integer of at most `max`: an [`CliError::NotAnInteger`]
 /// or [`CliError::OutOfRange`] naming `flag` otherwise. The one bounded
-/// reader behind [`Args::at_most`] and [`Env::at_most`].
+/// reader behind [`Args::at_most`] and `Env::at_most`.
 fn int_at_most(flag: &str, raw: &str, max: u64) -> Result<u64, CliError> {
     let n = int(flag, raw)?;
     if n > max {
@@ -144,14 +144,14 @@ impl Env {
 
     /// [`Env::u64`], refusing a value above `max` with an
     /// [`CliError::OutOfRange`] naming `var`.
-    pub fn at_most(&self, var: &str, max: u64) -> Result<Option<u64>, CliError> {
+    pub(crate) fn at_most(&self, var: &str, max: u64) -> Result<Option<u64>, CliError> {
         self.0
             .get(var)
             .map(|raw| int_at_most(var, &raw.to_string_lossy(), max))
             .transpose()
     }
 
-    /// [`Env::at_most`], refusing 0 too: a count that must be positive.
+    /// `Env::at_most`, refusing 0 too: a count that must be positive.
     pub fn positive(&self, var: &str, max: u64) -> Result<Option<u64>, CliError> {
         match self.at_most(var, max)? {
             Some(0) => Err(CliError::Invalid {
@@ -179,7 +179,7 @@ impl Env {
     /// The default flight recorder with the `HCC_FLIGHT_WINDOW_MS` (at
     /// least 1), `HCC_FLIGHT_WORST` and `HCC_FLIGHT_RESERVOIR` (at most
     /// 1024 each) and `HCC_FLIGHT_SEED` overrides applied.
-    pub fn flight(&self) -> Result<FlightConfig, CliError> {
+    pub(crate) fn flight(&self) -> Result<FlightConfig, CliError> {
         let mut cfg = FlightConfig::default();
         if let Some(ms) = self.u64("HCC_FLIGHT_WINDOW_MS")? {
             cfg.window = SimDuration::millis(ms.max(1));
@@ -253,7 +253,7 @@ impl Args {
     }
 
     /// The value following `flag`.
-    pub fn value(&mut self, flag: &str) -> Result<String, CliError> {
+    pub(crate) fn value(&mut self, flag: &str) -> Result<String, CliError> {
         self.next().ok_or_else(|| CliError::MissingValue {
             flag: flag.to_string(),
         })
@@ -307,7 +307,7 @@ impl Args {
     }
 
     /// Refuses whatever arguments remain.
-    pub fn end(&mut self) -> Result<(), CliError> {
+    pub(crate) fn end(&mut self) -> Result<(), CliError> {
         match self.next() {
             Some(arg) => Err(CliError::Unknown { arg }),
             None => Ok(()),
@@ -396,7 +396,7 @@ pub(crate) fn write_bench_json(
 }
 
 /// `n` per wall-clock second of `elapsed`, rounded.
-pub fn per_sec(n: u64, elapsed: Duration) -> u64 {
+pub(crate) fn per_sec(n: u64, elapsed: Duration) -> u64 {
     (n as f64 / elapsed.as_secs_f64().max(1e-9)).round() as u64
 }
 
@@ -440,7 +440,7 @@ impl CanonicalSoak {
     /// The selected soak with these overrides, the watchtower on (tuned
     /// by `env`'s `HCC_WATCH_*` overrides) and the flight recorder off.
     pub fn canonical(&self, env: &Env) -> Result<Canonical, CliError> {
-        let watch = Some(WatchConfig::default().from_env(env)?);
+        let watch = Some(WatchConfig::default().with_env(env)?);
         let (serving, chaos) = (watch::calm_soak(), watch::stormy_soak());
         Ok(if self.serve {
             Soak::Calm(ServingConfig {

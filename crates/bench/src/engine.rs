@@ -148,7 +148,7 @@ pub struct EngineStats {
 impl EngineStats {
     /// Mean worker utilization across batches: busy time over
     /// `elapsed x threads`, in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         let denom = self.elapsed.as_secs_f64() * self.threads as f64;
         if denom <= 0.0 {
             return 0.0;
@@ -157,7 +157,7 @@ impl EngineStats {
     }
 
     /// Parallel speedup over the serial-equivalent baseline.
-    pub fn speedup(&self) -> f64 {
+    pub(crate) fn speedup(&self) -> f64 {
         let elapsed = self.elapsed.as_secs_f64();
         if elapsed <= 0.0 {
             return 1.0;
@@ -168,7 +168,7 @@ impl EngineStats {
     /// Multi-line stats block for reports. Wall-clock figures, so this is
     /// printed to stderr by the harnesses — stdout stays byte-identical
     /// across thread counts.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("== experiment engine ==\n");
         out.push_str(&format!("worker threads:        {}\n", self.threads));

@@ -56,7 +56,7 @@ pub struct Computed<T> {
 
 impl<T> Computed<T> {
     /// A payload no scenario failed to contribute to.
-    pub fn clean(data: T) -> Self {
+    pub(crate) fn clean(data: T) -> Self {
         Computed {
             data,
             failures: Vec::new(),
@@ -65,7 +65,11 @@ impl<T> Computed<T> {
 
     /// The figure's text: `head`, a `!! label: error` line per failure,
     /// then what `body` writes from the payload. The failures carry over.
-    pub fn render(self, head: String, body: impl FnOnce(&mut String, T)) -> Computed<String> {
+    pub(crate) fn render(
+        self,
+        head: String,
+        body: impl FnOnce(&mut String, T),
+    ) -> Computed<String> {
         let mut out = head;
         crate::report::failure_lines(&mut out, &self.failures);
         body(&mut out, self.data);
@@ -267,7 +271,7 @@ pub mod table1 {
     use hcc_types::calib::SystemConfig;
 
     /// The platform table, as `SystemConfig` displays it.
-    pub fn render() -> super::Computed<String> {
+    pub(crate) fn render() -> super::Computed<String> {
         super::Computed::clean(format!("{}\n", SystemConfig::default()))
     }
 }
@@ -295,7 +299,7 @@ pub mod fig01 {
     const LABELS: [&str; 3] = ["CC-off", "CC-on", "CC-on + UVM"];
 
     /// The three overview scenarios on a gemm-class app.
-    pub fn scenarios() -> Vec<Scenario> {
+    pub(crate) fn scenarios() -> Vec<Scenario> {
         vec![
             super::scenario("gemm", CcMode::Off),
             super::scenario("gemm", CcMode::On),
@@ -316,7 +320,7 @@ pub mod fig01 {
     }
 
     /// The overview table: each scenario's phase totals and its bar.
-    pub fn render(lab: &super::Lab) -> super::Computed<String> {
+    pub(crate) fn render(lab: &super::Lab) -> super::Computed<String> {
         let mut head = report::section("Fig. 1 — end-to-end overview (gemm-class app)");
         head.push_str(
             "scenario                mem       launch       kernel        other         span\n",
@@ -349,7 +353,7 @@ pub mod fig02 {
     use hcc_types::calib::Calibration;
 
     /// The annotated diagram and its calibration anchors.
-    pub fn render() -> super::Computed<String> {
+    pub(crate) fn render() -> super::Computed<String> {
         let calib = Calibration::paper();
         let hypercall = calib.tdx.hypercall();
         let vmexit = calib.tdx.vmexit;
@@ -433,7 +437,7 @@ pub mod fig03 {
     }
 
     /// Every standard app in both modes.
-    pub fn scenarios() -> Vec<Scenario> {
+    pub(crate) fn scenarios() -> Vec<Scenario> {
         super::both_modes(suites::all().into_iter().map(|spec| spec.name))
     }
 
@@ -459,7 +463,7 @@ pub mod fig03 {
     }
 
     /// The fit table and its worst error.
-    pub fn render(lab: &super::Lab) -> super::Computed<String> {
+    pub(crate) fn render(lab: &super::Lab) -> super::Computed<String> {
         let mut head = report::section("Fig. 3 — performance model fit per app");
         head.push_str("app                mode    alpha     beta     err%\n");
         try_rows(lab).render(head, |out, rows| {
@@ -505,7 +509,7 @@ pub mod fig04a {
     }
 
     /// Transfer sizes: 64 B to 1 GiB in powers of 4.
-    pub fn sizes() -> Vec<ByteSize> {
+    pub(crate) fn sizes() -> Vec<ByteSize> {
         (0..13).map(|i| ByteSize::bytes(64u64 << (2 * i))).collect()
     }
 
@@ -577,7 +581,7 @@ pub mod fig04a {
     }
 
     /// The bandwidth table by size and the four peaks.
-    pub fn render(lab: &super::Lab) -> super::Computed<String> {
+    pub(crate) fn render(lab: &super::Lab) -> super::Computed<String> {
         let head = report::section("Fig. 4a — data-transfer bandwidth (GB/s)");
         try_series(lab).render(head, |out, pts| {
             out.push_str(
@@ -660,7 +664,7 @@ pub mod fig04b {
 
     /// The throughput table; the functional column is `-` unless
     /// `functional` measures it.
-    pub fn render(functional: bool) -> super::Computed<String> {
+    pub(crate) fn render(functional: bool) -> super::Computed<String> {
         let mut out = report::section("Fig. 4b — single-core crypto throughput (GB/s)");
         out.push_str("cpu            algorithm               modeled   functional\n");
         for e in entries(functional) {
@@ -739,7 +743,7 @@ pub mod fig05 {
     }
 
     /// Mean/max/min slowdown over rows (Observation 3's statistics).
-    pub fn stats(rows: &[Row]) -> (f64, f64, f64) {
+    pub(crate) fn stats(rows: &[Row]) -> (f64, f64, f64) {
         let ratios: Vec<f64> = rows.iter().map(Row::slowdown).collect();
         let mean = hcc_trace::mean_ratio(&ratios);
         let max = ratios.iter().copied().fold(f64::MIN, f64::max);
@@ -748,7 +752,7 @@ pub mod fig05 {
     }
 
     /// The per-app copy table and Observation 3's statistics.
-    pub fn render(lab: &super::Lab) -> super::Computed<String> {
+    pub(crate) fn render(lab: &super::Lab) -> super::Computed<String> {
         let mut head = report::section("Fig. 5 — copy time per app (base vs cc)");
         head.push_str("app                   b.h2d      b.d2h      b.d2d      c.h2d      c.d2h      c.d2d    ratio\n");
         try_rows(lab).render(head, |out, rows| {
@@ -893,7 +897,7 @@ pub mod fig06 {
     }
 
     /// The five ratios of 40 cycles of 64 MiB, next to the paper's.
-    pub fn render(lab: &super::Lab) -> super::Computed<String> {
+    pub(crate) fn render(lab: &super::Lab) -> super::Computed<String> {
         let head = report::section("Fig. 6 — memory management CC/base slowdowns");
         try_ratios(lab, ByteSize::mib(64), 40).render(head, |out, ratios| {
             for ((api, paper), r) in PAPER.into_iter().zip(ratios) {
@@ -1000,7 +1004,7 @@ pub mod fig07 {
     }
 
     /// The per-app launch-path table and its means.
-    pub fn render(lab: &super::Lab) -> super::Computed<String> {
+    pub(crate) fn render(lab: &super::Lab) -> super::Computed<String> {
         let mut head = report::section("Fig. 7 — launch-path slowdowns per app");
         head.push_str("app               launches      KLO      LQT      KQT\n");
         try_rows(lab).render(head, |out, rows| {
@@ -1069,7 +1073,7 @@ pub mod fig08 {
     }
 
     /// Builds the simplified Fig. 8 call tree with mode-appropriate costs.
-    pub fn callstack(cc: CcMode) -> CallFrame {
+    pub(crate) fn callstack(cc: CcMode) -> CallFrame {
         let calib = Calibration::paper();
         let mut td = TdContext::new(cc, calib.tdx.clone());
         let hypercall = td.hypercall("doorbell");
@@ -1102,7 +1106,7 @@ pub mod fig08 {
     /// The call stack in each mode, with the frames whose resource class
     /// holds critical-path time in a causal run of [`APP`] marked `*`. A
     /// mode whose run failed renders its stack unmarked.
-    pub fn render(lab: &super::Lab) -> super::Computed<String> {
+    pub(crate) fn render(lab: &super::Lab) -> super::Computed<String> {
         let batch = CcMode::ALL.map(|cc| Scenario::standard(APP, super::cfg(cc).with_causal(true)));
         let results = lab.run_figures(&batch);
         let mut out = super::Computed::clean(String::new());
@@ -1211,7 +1215,7 @@ pub mod fig09 {
 
     /// Observation 5's statistics: the mean non-UVM ratio, the mean
     /// base-UVM slowdown, and the UVM-CC slowdowns' geomean and max.
-    pub fn stats(rows: &[Row]) -> (f64, f64, f64, f64) {
+    pub(crate) fn stats(rows: &[Row]) -> (f64, f64, f64, f64) {
         let of = |f: fn(&Row) -> f64| rows.iter().map(f).collect::<Vec<_>>();
         let uvm_cc = of(Row::uvm_cc_slowdown);
         let max = uvm_cc.iter().copied().fold(0.0, f64::max);
@@ -1225,7 +1229,7 @@ pub mod fig09 {
     }
 
     /// The per-app KET table and Observation 5's statistics.
-    pub fn render(lab: &super::Lab) -> super::Computed<String> {
+    pub(crate) fn render(lab: &super::Lab) -> super::Computed<String> {
         let mut head = report::section("Fig. 9 — KET normalized to base non-UVM");
         head.push_str("app             cc/base    uvm(base)      uvm(cc)    uvm-cc/base\n");
         try_rows(lab).render(head, |out, rows| {
@@ -1268,7 +1272,7 @@ pub mod fig09b {
 
     /// The CC KET blow-up of a 256 MiB streamed working set per
     /// residency budget and pass count.
-    pub fn render() -> super::Computed<String> {
+    pub(crate) fn render() -> super::Computed<String> {
         let mut out =
             report::section("Fig. 9b — UVM oversubscription thrash (working set 256 MiB)");
         let calib = UvmCalib::default();
@@ -1389,7 +1393,7 @@ pub mod fig10 {
     }
 
     /// Per app: the event counts and a sample of every Nth point.
-    pub fn render(lab: &super::Lab) -> super::Computed<String> {
+    pub(crate) fn render(lab: &super::Lab) -> super::Computed<String> {
         let mut out = String::new();
         let mut failures = Vec::new();
         for app in APPS {
@@ -1443,7 +1447,7 @@ pub mod fig11 {
     }
 
     /// Every non-UVM standard app in both modes.
-    pub fn scenarios() -> Vec<Scenario> {
+    pub(crate) fn scenarios() -> Vec<Scenario> {
         let non_uvm = suites::all().into_iter().filter(|spec| !spec.uvm);
         super::both_modes(non_uvm.map(|spec| spec.name))
     }
@@ -1479,7 +1483,7 @@ pub mod fig11 {
 
     /// Quantiles and means of both CDF pairs, KLO's top 5 launches
     /// trimmed for display.
-    pub fn render(lab: &super::Lab) -> super::Computed<String> {
+    pub(crate) fn render(lab: &super::Lab) -> super::Computed<String> {
         try_klo_and_ket(lab).render(String::new(), |out, (klo, ket)| {
             quantile_table(
                 out,
@@ -1596,7 +1600,7 @@ pub mod fig13 {
     }
 
     /// The grid and the mean CC throughput drops.
-    pub fn render() -> super::Computed<String> {
+    pub(crate) fn render() -> super::Computed<String> {
         let mut out = report::section("Fig. 13 — CNN training under CC");
         out.push_str("model           batch   prec   mode        img/s  norm time\n");
         for r in rows() {
@@ -1664,7 +1668,7 @@ pub mod fig14 {
     }
 
     /// The speedup grid, one row per batch size.
-    pub fn render() -> super::Computed<String> {
+    pub(crate) fn render() -> super::Computed<String> {
         let mut out = report::section("Fig. 14 — vLLM speedup over HF/BF16/CC-off");
         let grid = grid();
         out.push_str(" batch    BF16/CC-off     BF16/CC-on     AWQ/CC-off      AWQ/CC-on\n");
@@ -1757,7 +1761,7 @@ pub mod fig12 {
     }
 
     /// One panel's section.
-    pub fn render(lab: &super::Lab, panel: Panel) -> super::Computed<String> {
+    pub(crate) fn render(lab: &super::Lab, panel: Panel) -> super::Computed<String> {
         super::Computed::clean(match panel {
             Panel::A => panel_a(lab),
             Panel::B => panel_b(lab),

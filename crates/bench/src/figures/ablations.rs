@@ -97,7 +97,7 @@ pub fn pipeline(workers: u32) -> SimDuration {
 
 /// Mean seconds per 5 µs kernel launch over [`CALLS`] launches made
 /// after a warm-up launch (KLO plus queuing).
-pub fn launch(cc: CcMode) -> f64 {
+pub(crate) fn launch(cc: CcMode) -> f64 {
     let mut ctx = CudaContext::new(SimConfig::new(cc));
     let desc = KernelDesc::new(KernelId(0), SimDuration::micros(5));
     ctx.launch_kernel(&desc, ctx.default_stream())

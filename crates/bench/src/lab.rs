@@ -64,7 +64,7 @@ impl Lab {
     /// default the available parallelism, at most 8), a plane switch on
     /// for any non-empty value but `0`. A malformed width or plan is
     /// refused.
-    pub fn from_env(env: &Env) -> Result<Lab, CliError> {
+    pub(crate) fn from_env(env: &Env) -> Result<Lab, CliError> {
         let threads = env
             .engine_threads()?
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get().min(8)));

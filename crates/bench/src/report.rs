@@ -9,12 +9,12 @@ use crate::engine::{self, ScenarioFailure};
 use crate::lab::Lab;
 
 /// A section header: a blank line, then `=== title ===`.
-pub fn section(title: &str) -> String {
+pub(crate) fn section(title: &str) -> String {
     format!("\n=== {title} ===\n")
 }
 
 /// Formats a ratio as `x N.NN`.
-pub fn ratio(v: f64) -> String {
+pub(crate) fn ratio(v: f64) -> String {
     if v.is_finite() {
         format!("x{v:.2}")
     } else {
@@ -41,7 +41,7 @@ pub(crate) fn failure_lines(out: &mut String, failures: &[ScenarioFailure]) {
 /// expected to have been rendered already (via [`failure_lines`]).
 /// Diagnostics are best effort: a failed write to `stderr` leaves the
 /// status as it is.
-pub fn finish(lab: &Lab, stderr: &mut dyn Write, failures: &[ScenarioFailure]) -> ExitCode {
+pub(crate) fn finish(lab: &Lab, stderr: &mut dyn Write, failures: &[ScenarioFailure]) -> ExitCode {
     engine::emit_stats(&lab.engine.stats(), stderr, lab.stats_json.as_deref());
     if failures.is_empty() {
         return ExitCode::SUCCESS;

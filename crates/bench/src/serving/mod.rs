@@ -335,7 +335,7 @@ pub const COMMAND: Command = Command {
                         },
                     )?;
                 }
-                "--watch" => cfg.watch = Some(WatchConfig::default().from_env(env)?),
+                "--watch" => cfg.watch = Some(WatchConfig::default().with_env(env)?),
                 "--flight" => cfg.flight = Some(env.flight()?),
                 "--json" => json_path = Some(args.value(&flag)?),
                 _ => return Err(CliError::Unknown { arg: flag }),

@@ -75,7 +75,7 @@ pub struct ModeRun {
 
 impl ModeRun {
     /// Mean device utilization over the makespan, in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         let span = self.end.as_secs_f64() * self.gpus as f64;
         if span <= 0.0 {
             return 0.0;
@@ -84,7 +84,7 @@ impl ModeRun {
     }
 
     /// Completed requests per virtual second.
-    pub fn throughput(&self) -> f64 {
+    pub(crate) fn throughput(&self) -> f64 {
         let secs = self.end.as_secs_f64();
         if secs <= 0.0 {
             return 0.0;
@@ -281,7 +281,7 @@ pub(super) fn mode_run(
 impl ServingReport {
     /// `check`, one of the run-level checks of [`ModeRun`], holds for
     /// every run of every scheduler.
-    pub fn every_run(&self, check: impl Fn(&ModeRun) -> bool) -> bool {
+    pub(crate) fn every_run(&self, check: impl Fn(&ModeRun) -> bool) -> bool {
         self.runs.iter().flat_map(|r| &r.modes).all(check)
     }
 

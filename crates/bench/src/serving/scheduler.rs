@@ -101,7 +101,7 @@ impl SchedQueue {
     ///
     /// # Panics
     /// Under [`SchedulerKind::Fifo`], which needs no queue.
-    pub fn new(
+    pub(crate) fn new(
         kind: SchedulerKind,
         tenants: &[TenantSpec],
         max_batch: usize,
@@ -138,18 +138,13 @@ impl SchedQueue {
         self.slot_base[req.tenant as usize] + req.class as usize
     }
 
-    /// Number of requests waiting.
-    pub fn len(&self) -> usize {
-        self.pending
-    }
-
     /// Whether nothing is waiting.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.pending == 0
     }
 
     /// Enqueues one request (by index into the run's request slice).
-    pub fn push(&mut self, idx: u32, req: &Request) {
+    pub(crate) fn push(&mut self, idx: u32, req: &Request) {
         self.pending += 1;
         if self.batching {
             self.fifo.push_back(idx);

@@ -72,7 +72,7 @@ impl ShapeTable {
     /// `shape_of` share it. With `analyse`, each shape's critical path
     /// is extracted once for watch blame and flight decomposition (a
     /// failed shape decomposes to zero).
-    pub fn new<'a>(
+    pub(crate) fn new<'a>(
         entries: impl IntoIterator<Item = &'a Arc<ScenarioResult>>,
         shape_of: Arc<[u32]>,
         analyse: bool,
@@ -149,7 +149,7 @@ impl ShapeTable {
 
     /// Per-shape decompositions, indexed like [`ShapeTable::shapes`]
     /// (empty unless analysed).
-    pub fn decomps(&self) -> &[ShapeDecomp] {
+    pub(crate) fn decomps(&self) -> &[ShapeDecomp] {
         &self.decomps
     }
 

@@ -88,7 +88,7 @@ impl Default for WatchConfig {
 impl WatchConfig {
     /// Applies `env`'s `HCC_WATCH_*` overrides; a value that is not an
     /// integer is refused.
-    pub fn from_env(mut self, env: &Env) -> Result<Self, CliError> {
+    pub(crate) fn with_env(mut self, env: &Env) -> Result<Self, CliError> {
         if let Some(ms) = env.u64(FAST_MS_ENV)? {
             self.fast = SimDuration::millis(ms.max(1));
         }
@@ -106,7 +106,7 @@ impl WatchConfig {
 
     /// The fast/slow pair this config alerts on.
     #[must_use]
-    pub fn pair(&self) -> BurnPair {
+    pub(crate) fn pair(&self) -> BurnPair {
         BurnPair {
             fast: self.fast,
             slow_factor: self.slow_factor.max(1),
@@ -183,7 +183,7 @@ pub struct Observed {
 
 impl Canonical {
     /// The soak's request count: its requests' ids run below it.
-    pub fn requests(&self) -> u64 {
+    pub(crate) fn requests(&self) -> u64 {
         match self {
             Soak::Calm(cfg) => cfg.requests,
             Soak::Stormy(cfg) => cfg.requests,
@@ -264,21 +264,16 @@ pub enum Settled<'a> {
 
 impl Settled<'_> {
     /// How many requests settled.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Settled::Drain { outcomes, .. } => outcomes.len(),
             Settled::Samples(samples) => samples.len(),
         }
     }
 
-    /// Whether nothing settled.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// When entry `i` settled: its completion (its dispatch, for
     /// rejections).
-    pub fn settle(&self, i: usize) -> SimTime {
+    pub(crate) fn settle(&self, i: usize) -> SimTime {
         match self {
             Settled::Drain { outcomes, .. } => outcomes[i].completion,
             Settled::Samples(samples) => samples[i].at,
@@ -286,7 +281,7 @@ impl Settled<'_> {
     }
 
     /// Entry `i` as a rollup sample.
-    pub fn sample(&self, i: usize) -> CompletionSample {
+    pub(crate) fn sample(&self, i: usize) -> CompletionSample {
         match self {
             Settled::Drain { requests, outcomes } => CompletionSample {
                 req: i as u32,

@@ -39,7 +39,7 @@ impl PhaseBreakdown {
 
     /// Phase shares of the serial phase sum, in `[0, 1]`, ordered
     /// (mem, launch, kernel, other).
-    pub fn shares(&self) -> [f64; 4] {
+    pub(crate) fn shares(&self) -> [f64; 4] {
         let total = (self.mem + self.launch + self.kernel + self.other).as_secs_f64();
         if total <= 0.0 {
             return [0.0; 4];
@@ -95,7 +95,7 @@ pub struct ModeComparison {
 
 impl ModeComparison {
     /// Builds the comparison from two traces of the same workload.
-    pub fn new(base: &Timeline, cc: &Timeline) -> Self {
+    pub(crate) fn new(base: &Timeline, cc: &Timeline) -> Self {
         ModeComparison {
             base: PhaseBreakdown::from_timeline(base),
             cc: PhaseBreakdown::from_timeline(cc),

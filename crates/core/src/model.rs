@@ -7,7 +7,7 @@
 //! activity. Both are 0 for fully serial apps and approach 1 with perfect
 //! overlap.
 
-use hcc_trace::{EventKind, PhaseTotals, Timeline};
+use hcc_trace::{EventKind, Timeline};
 use hcc_types::{SimDuration, SimTime};
 
 /// The performance model instance for one application run.
@@ -28,20 +28,8 @@ pub struct PerfModel {
 }
 
 impl PerfModel {
-    /// Builds a fully-serial model (`α = β = 0`) from phase totals.
-    pub fn serial(phases: PhaseTotals) -> Self {
-        PerfModel {
-            t_mem: phases.t_mem,
-            t_launch: phases.t_launch,
-            t_kernel: phases.t_kernel,
-            t_other: phases.t_other,
-            alpha: 0.0,
-            beta: 0.0,
-        }
-    }
-
     /// Predicted end-to-end time `P`.
-    pub fn predict(&self) -> SimDuration {
+    pub(crate) fn predict(&self) -> SimDuration {
         self.t_mem.scale(1.0 - self.alpha)
             + self.t_launch
             + self.t_kernel.scale(1.0 - self.beta)
@@ -146,7 +134,7 @@ hcc_types::impl_to_json!(FittedModel { model, observed });
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_trace::{KernelId, TraceEvent};
+    use hcc_trace::{KernelId, PhaseTotals, TraceEvent};
 
     fn t(us: u64) -> SimTime {
         SimTime::from_nanos(us * 1_000)
@@ -154,6 +142,18 @@ mod tests {
 
     fn us(v: u64) -> SimDuration {
         SimDuration::micros(v)
+    }
+
+    /// A fully-serial model (`α = β = 0`) from phase totals.
+    fn serial(phases: PhaseTotals) -> PerfModel {
+        PerfModel {
+            t_mem: phases.t_mem,
+            t_launch: phases.t_launch,
+            t_kernel: phases.t_kernel,
+            t_other: phases.t_other,
+            alpha: 0.0,
+            beta: 0.0,
+        }
     }
 
     #[test]
@@ -166,7 +166,7 @@ mod tests {
             t_fault: SimDuration::ZERO,
             span: us(160),
         };
-        let m = PerfModel::serial(phases);
+        let m = serial(phases);
         assert_eq!(m.predict(), us(160));
         assert!(m.error_vs(us(160)) < 1e-12);
     }
@@ -181,7 +181,7 @@ mod tests {
             t_fault: SimDuration::ZERO,
             span: us(120),
         };
-        let mut m = PerfModel::serial(phases);
+        let mut m = serial(phases);
         m.alpha = 1.0;
         m.beta = 0.5;
         assert_eq!(m.predict(), us(10) + us(50));
@@ -263,7 +263,7 @@ mod tests {
 
     #[test]
     fn error_vs_zero_span_is_zero() {
-        let m = PerfModel::serial(PhaseTotals::default());
+        let m = serial(PhaseTotals::default());
         assert_eq!(m.error_vs(SimDuration::ZERO), 0.0);
     }
 

@@ -72,7 +72,7 @@ pub enum KeySize {
 
 impl KeySize {
     /// Number of rounds for this key size.
-    pub const fn rounds(self) -> usize {
+    pub(crate) const fn rounds(self) -> usize {
         match self {
             KeySize::Aes128 => 10,
             KeySize::Aes256 => 14,

@@ -4,7 +4,7 @@
 use crate::aes::Aes;
 
 /// Increments the last 32 bits of a counter block (GCM `inc32`).
-pub fn inc32(block: &mut [u8; 16]) {
+pub(crate) fn inc32(block: &mut [u8; 16]) {
     let mut ctr = u32::from_be_bytes(block[12..16].try_into().expect("4 bytes"));
     ctr = ctr.wrapping_add(1);
     block[12..16].copy_from_slice(&ctr.to_be_bytes());
@@ -12,7 +12,7 @@ pub fn inc32(block: &mut [u8; 16]) {
 
 /// XORs `data` in place with the AES-CTR keystream starting at `counter`.
 ///
-/// The counter block is advanced with [`inc32`] per 16-byte block, matching
+/// The counter block is advanced with `inc32` per 16-byte block, matching
 /// GCM's CTR mode. Returns the counter value following the last block so
 /// callers can continue the stream.
 ///

@@ -114,7 +114,7 @@ impl Ghash {
 
     /// Current hash value without the length block (GCM derives its
     /// pre-counter block from a non-96-bit nonce this way).
-    pub fn current(&self) -> [u8; 16] {
+    pub(crate) fn current(&self) -> [u8; 16] {
         u128_to_block(self.y)
     }
 }

@@ -37,21 +37,6 @@ impl CryptoAlgorithm {
         CryptoAlgorithm::AesCtr128,
         CryptoAlgorithm::ChaCha20Poly1305,
     ];
-
-    /// `true` if the algorithm provides confidentiality (not just
-    /// integrity). GHASH alone does not — the paper notes its higher
-    /// throughput "at the cost of confidentiality" (Observation 2).
-    pub const fn confidential(self) -> bool {
-        !matches!(self, CryptoAlgorithm::Ghash)
-    }
-
-    /// `true` if the algorithm provides integrity/authentication.
-    pub const fn authenticated(self) -> bool {
-        !matches!(
-            self,
-            CryptoAlgorithm::AesCtr128 | CryptoAlgorithm::AesXts128
-        )
-    }
 }
 
 impl std::fmt::Display for CryptoAlgorithm {
@@ -89,11 +74,6 @@ impl SoftCryptoModel {
     /// Creates the model for one CPU.
     pub fn new(cpu: CpuModel) -> Self {
         SoftCryptoModel { cpu }
-    }
-
-    /// The CPU this model describes.
-    pub fn cpu(self) -> CpuModel {
-        self.cpu
     }
 
     /// Calibrated single-core throughput for `alg` (decimal GB/s inside).
@@ -192,16 +172,6 @@ mod tests {
         assert!(
             m.throughput(CryptoAlgorithm::AesGcm128) > m.throughput(CryptoAlgorithm::AesGcm256)
         );
-    }
-
-    #[test]
-    fn security_property_flags() {
-        assert!(!CryptoAlgorithm::Ghash.confidential());
-        assert!(CryptoAlgorithm::Ghash.authenticated());
-        assert!(CryptoAlgorithm::AesCtr128.confidential());
-        assert!(!CryptoAlgorithm::AesCtr128.authenticated());
-        assert!(CryptoAlgorithm::AesGcm128.confidential());
-        assert!(CryptoAlgorithm::AesGcm128.authenticated());
     }
 
     #[test]

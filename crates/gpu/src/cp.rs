@@ -58,7 +58,7 @@ impl CommandProcessor {
         CommandProcessor {
             ring: VecDeque::with_capacity(calib.ring_depth),
             depth: calib.ring_depth,
-            service: Resource::new("command-processor"),
+            service: Resource::default(),
             service_time: cp_service(calib, cc),
             total_ring_wait: SimDuration::ZERO,
             submissions: 0,
@@ -69,7 +69,7 @@ impl CommandProcessor {
 
     /// Enables the ring-occupancy gauge, ring-full stall counter, and the
     /// service resource's queue/busy gauges.
-    pub fn enable_metrics(&mut self) {
+    pub(crate) fn enable_metrics(&mut self) {
         self.ring_occupancy.enable();
         self.full_stalls.enable();
         self.service.enable_metrics();
@@ -77,23 +77,13 @@ impl CommandProcessor {
 
     /// Snapshots command-processor instruments under `gpu.ring` /
     /// `gpu.cp` (no-op while metrics are disabled).
-    pub fn export_metrics(&self, set: &mut MetricsSet) {
+    pub(crate) fn export_metrics(&self, set: &mut MetricsSet) {
         set.gauge("gpu.ring.occupancy", &self.ring_occupancy);
         set.counter("gpu.ring.full_stalls", &self.full_stalls);
         if self.ring_occupancy.is_enabled() {
             set.push_counter("gpu.ring.submissions", self.submissions);
         }
         self.service.export_metrics("gpu.cp", set);
-    }
-
-    /// Ring depth in entries.
-    pub fn ring_depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Per-command service time in effect.
-    pub fn service_time(&self) -> SimDuration {
-        self.service_time
     }
 
     /// Total ring-full waiting imposed on the host so far (ΣLQT from the
@@ -109,22 +99,6 @@ impl CommandProcessor {
     /// physical queue length.
     pub fn in_flight_at(&self, at: SimTime) -> usize {
         self.ring.iter().filter(|end| **end > at).count()
-    }
-
-    /// Asserts the ring has fully drained by `horizon` (typically the
-    /// program's final synchronize): every submitted command serviced.
-    ///
-    /// # Errors
-    /// A description of the leak.
-    pub fn leak_check(&self, horizon: SimTime) -> Result<(), String> {
-        let live = self.in_flight_at(horizon);
-        if live != 0 {
-            return Err(format!(
-                "{live} ring entries still in flight at {}ns",
-                horizon.as_nanos()
-            ));
-        }
-        Ok(())
     }
 
     /// Submits a command that the host wants to enqueue at `want`.
@@ -200,13 +174,13 @@ mod tests {
         let s = cp.submit(SimTime::from_nanos(500));
         assert_eq!(s.admitted, SimTime::from_nanos(500));
         assert!(s.ring_wait.is_zero());
-        assert_eq!(s.service_end - s.service_start, cp.service_time());
+        assert_eq!(s.service_end - s.service_start, cp.service_time);
     }
 
     #[test]
     fn full_ring_blocks_until_retirement() {
         let mut cp = cp_with_depth(2, CcMode::Off);
-        let svc = cp.service_time();
+        let svc = cp.service_time;
         // Two instant submissions fill the ring.
         let s1 = cp.submit(SimTime::ZERO);
         let _s2 = cp.submit(SimTime::ZERO);
@@ -233,7 +207,7 @@ mod tests {
         let calib = GpuCalib::default();
         let base = CommandProcessor::new(&calib, CcMode::Off);
         let cc = CommandProcessor::new(&calib, CcMode::On);
-        let ratio = cc.service_time() / base.service_time();
+        let ratio = cc.service_time / base.service_time;
         assert!((ratio - calib.cc_cp_service_mult).abs() < 0.01);
     }
 
@@ -257,7 +231,7 @@ mod tests {
         for _ in 0..5 {
             cp.submit(SimTime::ZERO);
         }
-        assert_eq!(cp.ring_depth(), 8);
+        assert_eq!(cp.depth, 8);
     }
 
     #[test]

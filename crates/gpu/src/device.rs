@@ -102,7 +102,6 @@ pub struct GpuDevice {
     hbm: DeviceMemory,
     gmmu: Gmmu,
     dispatch: SimDuration,
-    cc: CcMode,
     copied_bytes: [Counter; 3],
 }
 
@@ -111,14 +110,13 @@ impl GpuDevice {
     pub fn new(calib: &GpuCalib, cc: CcMode, hbm_capacity: ByteSize) -> Self {
         GpuDevice {
             cp: CommandProcessor::new(calib, cc),
-            compute: MultiSlot::new("compute", calib.compute_slots),
-            ce_h2d: Resource::new("copy-h2d"),
-            ce_d2h: Resource::new("copy-d2h"),
-            ce_d2d: Resource::new("copy-d2d"),
+            compute: MultiSlot::new(calib.compute_slots),
+            ce_h2d: Resource::default(),
+            ce_d2h: Resource::default(),
+            ce_d2d: Resource::default(),
             hbm: DeviceMemory::new(hbm_capacity),
             gmmu: Gmmu::new(),
             dispatch: dispatch_latency(calib, cc),
-            cc,
             copied_bytes: Default::default(),
         }
     }
@@ -168,16 +166,6 @@ impl GpuDevice {
         );
     }
 
-    /// The CC mode the device was bound in.
-    pub fn cc_mode(&self) -> CcMode {
-        self.cc
-    }
-
-    /// Engine-dispatch latency in effect (the KQT floor).
-    pub fn dispatch_latency(&self) -> SimDuration {
-        self.dispatch
-    }
-
     /// Command processor (read access for queue statistics).
     pub fn command_processor(&self) -> &CommandProcessor {
         &self.cp
@@ -191,11 +179,6 @@ impl GpuDevice {
     /// Device memory, mutable.
     pub fn hbm_mut(&mut self) -> &mut DeviceMemory {
         &mut self.hbm
-    }
-
-    /// GMMU.
-    pub fn gmmu(&self) -> &Gmmu {
-        &self.gmmu
     }
 
     /// GMMU, mutable.
@@ -255,11 +238,6 @@ impl GpuDevice {
         let xfer = engine.schedule(ready, duration);
         CopySchedule { submission, xfer }
     }
-
-    /// Ring wait accumulated by the command processor (device-side ΣLQT).
-    pub fn total_ring_wait(&self) -> SimDuration {
-        self.cp.total_ring_wait()
-    }
 }
 
 #[cfg(test)]
@@ -289,10 +267,7 @@ mod tests {
         let mut g = gpu(CcMode::Off);
         let k = kernel(&mut g, SimDuration::micros(100));
         assert!(k.submission.service_end > SimTime::ZERO);
-        assert_eq!(
-            k.exec.start,
-            k.submission.service_end + g.dispatch_latency()
-        );
+        assert_eq!(k.exec.start, k.submission.service_end + g.dispatch);
         assert_eq!(k.exec.end - k.exec.start, SimDuration::micros(100));
         // KQT relative to a launch that ended when the doorbell rang.
         let kqt = k.kqt_since(SimTime::ZERO);
@@ -303,9 +278,8 @@ mod tests {
     fn cc_dispatch_amplifies_kqt_floor() {
         let base = gpu(CcMode::Off);
         let cc = gpu(CcMode::On);
-        let ratio = cc.dispatch_latency() / base.dispatch_latency();
+        let ratio = cc.dispatch / base.dispatch;
         assert!(ratio > 2.0, "ratio {ratio}");
-        assert_eq!(cc.cc_mode(), CcMode::On);
     }
 
     #[test]
@@ -402,12 +376,12 @@ mod tests {
     fn hbm_and_gmmu_accessible() {
         let mut g = gpu(CcMode::Off);
         let ptr = g.hbm_mut().alloc(ByteSize::mib(1)).unwrap();
-        assert_eq!(g.hbm().used(), ByteSize::mib(1));
+        assert_eq!(ByteSize::gib(4) - g.hbm().free_bytes(), ByteSize::mib(1));
         g.hbm_mut().free(ptr).unwrap();
         let id = crate::ManagedId(1);
         g.gmmu_mut()
             .register(id, ByteSize::kib(64), ByteSize::kib(64));
-        assert_eq!(g.gmmu().peek_fault_count(id, 0, 1).unwrap(), 1);
+        assert_eq!(g.gmmu.peek_fault_count(id, 0, 1).unwrap(), 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use hcc_types::{SimDuration, SimTime};
 
 /// Queue-depth and busy-occupancy gauges for a scheduled engine,
 /// sampled in virtual time at every [`Resource::schedule`] /
-/// [`MultiSlot::schedule`] call. Disabled (and free) by default.
+/// `MultiSlot::schedule` call. Disabled (and free) by default.
 #[derive(Debug, Clone, Default)]
 pub struct EngineMetrics {
     /// Operations waiting for the engine (`ready` → `start`).
@@ -18,7 +18,7 @@ pub struct EngineMetrics {
 
 impl EngineMetrics {
     /// Turns recording on.
-    pub fn enable(&mut self) {
+    pub(crate) fn enable(&mut self) {
         self.queue.enable();
         self.busy.enable();
     }
@@ -29,7 +29,7 @@ impl EngineMetrics {
     }
 
     /// Snapshots both gauges as `{prefix}.queue` / `{prefix}.busy`.
-    pub fn export(&self, prefix: &str, set: &mut MetricsSet) {
+    pub(crate) fn export(&self, prefix: &str, set: &mut MetricsSet) {
         set.gauge(&format!("{prefix}.queue"), &self.queue);
         set.gauge(&format!("{prefix}.busy"), &self.busy);
     }
@@ -44,16 +44,14 @@ impl EngineMetrics {
 /// use hcc_gpu::Resource;
 /// use hcc_types::{SimDuration, SimTime};
 ///
-/// let mut ce = Resource::new("h2d");
+/// let mut ce = Resource::default();
 /// let a = ce.schedule(SimTime::ZERO, SimDuration::micros(10));
 /// let b = ce.schedule(SimTime::ZERO, SimDuration::micros(5));
 /// assert_eq!(b.start, a.end); // serialized
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Resource {
-    name: &'static str,
     next_free: SimTime,
-    busy: SimDuration,
     metrics: EngineMetrics,
 }
 
@@ -69,16 +67,6 @@ pub struct Slot {
 }
 
 impl Resource {
-    /// Creates an idle resource.
-    pub fn new(name: &'static str) -> Self {
-        Resource {
-            name,
-            next_free: SimTime::ZERO,
-            busy: SimDuration::ZERO,
-            metrics: EngineMetrics::default(),
-        }
-    }
-
     /// Enables queue/busy gauge recording on this resource.
     pub fn enable_metrics(&mut self) {
         self.metrics.enable();
@@ -88,11 +76,6 @@ impl Resource {
     /// while metrics are disabled).
     pub fn export_metrics(&self, prefix: &str, set: &mut MetricsSet) {
         self.metrics.export(prefix, set);
-    }
-
-    /// Resource label (for reports).
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// Earliest time a new operation could start.
@@ -106,7 +89,6 @@ impl Resource {
         let start = ready.max(self.next_free);
         let end = start + service;
         self.next_free = end;
-        self.busy += service;
         let slot = Slot {
             start,
             end,
@@ -115,21 +97,12 @@ impl Resource {
         self.metrics.record(ready, &slot);
         slot
     }
-
-    /// Utilization over `[SimTime::ZERO, horizon]`, in `[0, 1]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        (self.busy.as_nanos() as f64 / horizon.as_nanos() as f64).min(1.0)
-    }
 }
 
 /// A resource with `n` interchangeable slots (concurrent kernel execution
 /// on the compute engine).
 #[derive(Debug, Clone)]
 pub struct MultiSlot {
-    name: &'static str,
     slots: Vec<SimTime>,
     metrics: EngineMetrics,
 }
@@ -139,33 +112,27 @@ impl MultiSlot {
     ///
     /// # Panics
     /// Panics if `slots` is zero.
-    pub fn new(name: &'static str, slots: usize) -> Self {
+    pub(crate) fn new(slots: usize) -> Self {
         assert!(slots > 0, "need at least one slot");
         MultiSlot {
-            name,
             slots: vec![SimTime::ZERO; slots],
             metrics: EngineMetrics::default(),
         }
     }
 
     /// Enables queue/busy gauge recording on this resource.
-    pub fn enable_metrics(&mut self) {
+    pub(crate) fn enable_metrics(&mut self) {
         self.metrics.enable();
     }
 
     /// Snapshots the gauges as `{prefix}.queue` / `{prefix}.busy` (no-op
     /// while metrics are disabled).
-    pub fn export_metrics(&self, prefix: &str, set: &mut MetricsSet) {
+    pub(crate) fn export_metrics(&self, prefix: &str, set: &mut MetricsSet) {
         self.metrics.export(prefix, set);
     }
 
-    /// Resource label.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Schedules on the earliest-free slot.
-    pub fn schedule(&mut self, ready: SimTime, service: SimDuration) -> Slot {
+    pub(crate) fn schedule(&mut self, ready: SimTime, service: SimDuration) -> Slot {
         // Manual first-minimum scan: same slot choice as
         // `min_by_key` (first of equals wins), but branch-predictable
         // and vectorizable for the 16-slot compute engine.
@@ -202,7 +169,7 @@ mod tests {
 
     #[test]
     fn serial_resource_queues() {
-        let mut r = Resource::new("ce");
+        let mut r = Resource::default();
         let a = r.schedule(at(0), us(10));
         assert_eq!(a.start, at(0));
         assert_eq!(a.end, at(10));
@@ -210,12 +177,11 @@ mod tests {
         let b = r.schedule(at(2), us(5));
         assert_eq!(b.start, at(10));
         assert_eq!(b.wait, us(8));
-        assert_eq!(r.name(), "ce");
     }
 
     #[test]
     fn idle_gaps_are_respected() {
-        let mut r = Resource::new("ce");
+        let mut r = Resource::default();
         r.schedule(at(0), us(5));
         let late = r.schedule(at(100), us(5));
         assert_eq!(late.start, at(100));
@@ -223,17 +189,8 @@ mod tests {
     }
 
     #[test]
-    fn utilization_bounds() {
-        let mut r = Resource::new("ce");
-        r.schedule(at(0), us(50));
-        assert!((r.utilization(at(100)) - 0.5).abs() < 1e-9);
-        assert_eq!(r.utilization(SimTime::ZERO), 0.0);
-        assert_eq!(r.utilization(at(10)), 1.0); // clamped
-    }
-
-    #[test]
     fn multislot_runs_concurrently_up_to_capacity() {
-        let mut m = MultiSlot::new("compute", 2);
+        let mut m = MultiSlot::new(2);
         let a = m.schedule(at(0), us(10));
         let b = m.schedule(at(0), us(10));
         let c = m.schedule(at(0), us(10));
@@ -246,12 +203,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one slot")]
     fn zero_slots_rejected() {
-        let _ = MultiSlot::new("bad", 0);
+        let _ = MultiSlot::new(0);
     }
 
     #[test]
     fn metrics_capture_queue_and_busy_windows() {
-        let mut r = Resource::new("ce");
+        let mut r = Resource::default();
         r.enable_metrics();
         r.schedule(at(0), us(10));
         r.schedule(at(2), us(5)); // waits 8us behind the first op
@@ -268,13 +225,13 @@ mod tests {
 
     #[test]
     fn disabled_metrics_export_nothing() {
-        let mut r = Resource::new("ce");
+        let mut r = Resource::default();
         r.schedule(at(0), us(10));
         let mut set = MetricsSet::new();
         r.export_metrics("x", &mut set);
         assert!(set.gauges.is_empty());
 
-        let mut m = MultiSlot::new("compute", 2);
+        let mut m = MultiSlot::new(2);
         m.schedule(at(0), us(10));
         m.export_metrics("y", &mut set);
         assert!(set.gauges.is_empty());

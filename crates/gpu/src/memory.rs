@@ -13,12 +13,7 @@ use hcc_types::ByteSize;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DevicePtr(u64);
 
-impl DevicePtr {
-    /// Raw address value (for display/debug only).
-    pub fn addr(self) -> u64 {
-        self.0
-    }
-}
+impl DevicePtr {}
 
 impl std::fmt::Display for DevicePtr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -114,16 +109,6 @@ impl DeviceMemory {
             next_addr: 0x7f00_0000_0000,
             allocations: HashMap::new(),
         }
-    }
-
-    /// Total capacity.
-    pub fn capacity(&self) -> ByteSize {
-        self.capacity
-    }
-
-    /// Bytes currently allocated.
-    pub fn used(&self) -> ByteSize {
-        self.used
     }
 
     /// Bytes free.
@@ -246,7 +231,7 @@ mod tests {
         let a = hbm.alloc(ByteSize::mib(4)).unwrap();
         let b = hbm.alloc(ByteSize::mib(4)).unwrap();
         assert_ne!(a, b);
-        assert_eq!(hbm.used(), ByteSize::mib(8));
+        assert_eq!(hbm.used, ByteSize::mib(8));
         assert!(matches!(
             hbm.alloc(ByteSize::mib(4)),
             Err(DeviceMemError::OutOfMemory { .. })

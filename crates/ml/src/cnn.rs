@@ -109,7 +109,7 @@ pub struct CnnEstimator {
 
 impl CnnEstimator {
     /// Creates an estimator with the paper calibration.
-    pub fn new(calib: Calibration) -> Self {
+    pub(crate) fn new(calib: Calibration) -> Self {
         CnnEstimator {
             calib,
             host_per_step: SimDuration::from_micros_f64(1200.0),

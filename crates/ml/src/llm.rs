@@ -77,7 +77,7 @@ pub struct LlmEstimator {
 
 impl LlmEstimator {
     /// Creates an estimator with H100-NVL-class constants.
-    pub fn new(calib: Calibration) -> Self {
+    pub(crate) fn new(calib: Calibration) -> Self {
         LlmEstimator {
             calib,
             hbm_gbs: 3350.0,

@@ -132,3 +132,98 @@ impl LeakAudit {
         self.flight_window_budget = self.flight_window_budget.max(other.flight_window_budget);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A drained run: every ledger balances and the flight store sits
+    /// exactly at its bound.
+    fn clean() -> LeakAudit {
+        LeakAudit {
+            bounce_in_use: ByteSize::ZERO,
+            bounce_reserved: ByteSize::mib(2),
+            bounce_released: ByteSize::mib(2),
+            ring_in_flight: 0,
+            uvm_faults: 8,
+            uvm_pages_migrated: 8,
+            uvm_pages_batched: 8,
+            events: 40,
+            fault: FaultCounts {
+                injected: 3,
+                retries: 2,
+                recovered: 1,
+                degraded: 1,
+                aborted: 1,
+            },
+            flight_kept: 6,
+            flight_windows: 3,
+            flight_window_budget: 2,
+        }
+    }
+
+    /// Each rule fires alone: one field perturbed away from the clean
+    /// audit fails with that rule's message. The flight bound is not
+    /// checked while the flight plane is off (budget 0).
+    #[test]
+    fn each_rule_fires_on_its_own_imbalance() {
+        type Row = (&'static str, fn(&mut LeakAudit), Option<String>);
+        let kib4 = ByteSize::kib(4);
+        let rows: [Row; 9] = [
+            ("clean", |_| {}, None),
+            (
+                "bounce in use",
+                |a| a.bounce_in_use = ByteSize::kib(4),
+                Some(format!("bounce pool holds {kib4} after final sync")),
+            ),
+            (
+                "bounce reserved != released",
+                |a| a.bounce_released = ByteSize::mib(1),
+                Some(format!(
+                    "bounce bytes reserved {} != released {}",
+                    ByteSize::mib(2),
+                    ByteSize::mib(1)
+                )),
+            ),
+            (
+                "ring in flight",
+                |a| a.ring_in_flight = 1,
+                Some("1 ring entries in flight after final sync".into()),
+            ),
+            (
+                "faults != migrated",
+                |a| a.uvm_faults = 9,
+                Some("uvm faults 9 != pages migrated 8".into()),
+            ),
+            (
+                "batched != migrated",
+                |a| a.uvm_pages_batched = 7,
+                Some("uvm pages batched 7 != pages migrated 8".into()),
+            ),
+            (
+                "fault ledger",
+                |a| a.fault.aborted = 2,
+                Some("fault ledger: resolved 4 operations > injected 3 faults".into()),
+            ),
+            (
+                "flight bound, budget > 0",
+                |a| a.flight_kept = 7,
+                Some(
+                    "flight store keeps 7 exemplar entries > bound 6 (3 windows x 2 budget)".into(),
+                ),
+            ),
+            // Six kept entries over three windows would break any bound
+            // of zero, but budget 0 means the plane was off.
+            (
+                "flight bound, budget 0",
+                |a| a.flight_window_budget = 0,
+                None,
+            ),
+        ];
+        for (name, perturb, expected) in rows {
+            let mut audit = clean();
+            perturb(&mut audit);
+            assert_eq!(audit.check().err(), expected, "{name}");
+        }
+    }
+}

@@ -129,7 +129,7 @@ impl SimConfig {
 
     /// The calibration tables in effect.
     #[must_use]
-    pub fn calib(&self) -> &Calibration {
+    pub(crate) fn calib(&self) -> &Calibration {
         &self.calib
     }
 

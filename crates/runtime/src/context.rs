@@ -261,7 +261,7 @@ impl CudaContext {
         let td = TdContext::new(cfg.cc, cfg.calib().tdx.clone());
         let mut bounce = BounceBufferPool::new(cfg.calib().tdx.bounce_pool);
         let mut uvm = UvmDriver::new(cfg.calib().uvm.clone(), cfg.cc);
-        let mut crypto_engine = Resource::new("cpu-crypto");
+        let mut crypto_engine = Resource::default();
         let enabled = cfg.planes.set(Planes::FAULT, !cfg.fault.is_empty());
         if enabled.contains(Planes::METRICS) {
             gpu.enable_metrics();
@@ -322,16 +322,6 @@ impl CudaContext {
     /// Current host-thread virtual time.
     pub fn now(&self) -> SimTime {
         self.clock
-    }
-
-    /// The configured CC mode.
-    pub fn cc_mode(&self) -> CcMode {
-        self.cfg.cc
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
     }
 
     /// The trace recorded so far.

@@ -45,15 +45,6 @@ impl ManagedAccess {
             pages: u64::MAX,
         }
     }
-
-    /// Access to a page window.
-    pub fn window(ptr: ManagedPtr, first_page: u64, pages: u64) -> Self {
-        ManagedAccess {
-            ptr,
-            first_page,
-            pages,
-        }
-    }
 }
 
 /// Descriptor for one kernel launch.
@@ -114,7 +105,5 @@ mod tests {
             .with_managed(ManagedAccess::all(m));
         assert!(k.is_uvm());
         assert_eq!(k.managed[0].pages, u64::MAX);
-        let w = ManagedAccess::window(m, 4, 8);
-        assert_eq!((w.first_page, w.pages), (4, 8));
     }
 }

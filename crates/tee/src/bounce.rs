@@ -162,34 +162,11 @@ impl BounceBufferPool {
         self.in_use
     }
 
-    /// Bytes whose pages have been converted to shared.
-    pub fn converted(&self) -> ByteSize {
-        self.converted
-    }
-
     /// Lifetime byte totals handed out and given back: `(reserved,
     /// released)`. Conservation accessor for soak-scale leak audits —
     /// after every staging window has been released the two are equal.
     pub fn byte_totals(&self) -> (ByteSize, ByteSize) {
         (self.reserved_bytes, self.released_bytes)
-    }
-
-    /// Asserts the pool has fully drained: no bytes in use, and lifetime
-    /// reserved == released.
-    ///
-    /// # Errors
-    /// A description of the first leak found.
-    pub fn leak_check(&self) -> Result<(), String> {
-        if self.in_use != ByteSize::ZERO {
-            return Err(format!("bounce pool holds {} after drain", self.in_use));
-        }
-        if self.reserved_bytes != self.released_bytes {
-            return Err(format!(
-                "bounce byte totals diverge: reserved {} != released {}",
-                self.reserved_bytes, self.released_bytes
-            ));
-        }
-        Ok(())
     }
 
     /// Reserves `size` bytes of staging space, charging conversion costs
@@ -335,7 +312,7 @@ mod tests {
         let mut pool = BounceBufferPool::new(ByteSize::mib(8));
         pool.reserve(&mut td, ByteSize::mib(2)).unwrap();
         pool.reserve(&mut td, ByteSize::mib(2)).unwrap();
-        assert_eq!(pool.converted(), ByteSize::mib(4));
+        assert_eq!(pool.converted, ByteSize::mib(4));
         pool.release(ByteSize::mib(2));
         pool.release(ByteSize::mib(2));
         // Warm reuse below the high-water mark converts nothing more.

@@ -47,7 +47,8 @@ mod proptests {
     const CASES: u32 = 24;
 
     /// Reserve/release cycles never corrupt pool accounting, and the
-    /// converted high-water mark is monotone.
+    /// converted high-water mark (the pages the TD converted) is monotone
+    /// and within the pool.
     #[test]
     fn bounce_pool_accounting() {
         forall!(
@@ -68,9 +69,10 @@ mod proptests {
                         }
                     }
                     ensure!(pool.in_use() <= pool.capacity());
-                    ensure!(pool.converted() >= last_converted);
-                    ensure!(pool.converted() <= pool.capacity());
-                    last_converted = pool.converted();
+                    let converted = ByteSize::kib(4 * td.counters().pages_converted);
+                    ensure!(converted >= last_converted);
+                    ensure!(converted <= pool.capacity());
+                    last_converted = converted;
                 }
             }
         );
@@ -83,10 +85,11 @@ mod proptests {
         forall!(
             Config::new(0x7EE_0002).with_cases(CASES),
             writes in vecs((usizes(0..8000), vecs(bytes(), 1..200), bools()), 1..20) => {
-                let mut mem = PrivateMemory::new(8192, [9u8; 16]);
-                let mut shadow = vec![0u8; mem.size()];
+                let size = 8192;
+                let mut mem = PrivateMemory::new(size, [9u8; 16]);
+                let mut shadow = vec![0u8; size];
                 for (offset, data, convert) in writes {
-                    if offset + data.len() > mem.size() {
+                    if offset + data.len() > size {
                         continue;
                     }
                     mem.write(offset, &data).unwrap();
@@ -94,7 +97,7 @@ mod proptests {
                     if convert {
                         mem.set_memory_decrypted(offset, data.len()).unwrap();
                     }
-                    ensure_eq!(&mem.read(0, mem.size()).unwrap(), &shadow);
+                    ensure_eq!(&mem.read(0, size).unwrap(), &shadow);
                 }
             }
         );
@@ -125,9 +128,9 @@ mod proptests {
     /// Bulk admission is per-request admission summed: over random
     /// interleavings of (tenant, count) batches, in both CC modes, a pool
     /// charged through `admit_n(t, n)` and one charged through `n` calls
-    /// of `admit(t)` agree after every batch in counters, tenants,
-    /// established sessions and the leak check, and close the same
-    /// sessions at the end.
+    /// of `admit(t)` agree after every batch in counters, established
+    /// sessions and the leak check, and close the same sessions at the
+    /// end.
     #[test]
     fn admit_n_is_n_admits() {
         forall!(
@@ -142,12 +145,10 @@ mod proptests {
                             each.admit(tenant);
                         }
                         ensure_eq!(bulk.counters(), each.counters());
-                        ensure_eq!(bulk.tenants(), each.tenants());
                         ensure_eq!(bulk.established(), each.established());
                         ensure_eq!(bulk.leak_check(), each.leak_check());
                     }
                     ensure_eq!(bulk.close_all(), each.close_all());
-                    ensure_eq!(bulk.closed(), each.closed());
                     ensure!(bulk.leak_check().is_ok() && each.leak_check().is_ok());
                 }
             }

@@ -92,11 +92,6 @@ impl PrivateMemory {
         mem
     }
 
-    /// Region size in bytes.
-    pub fn size(&self) -> usize {
-        self.backing.len()
-    }
-
     fn check(&self, offset: usize, len: usize) -> Result<(), PrivMemError> {
         if offset
             .checked_add(len)
@@ -281,6 +276,6 @@ mod tests {
     #[test]
     fn size_rounds_to_pages() {
         let mem = PrivateMemory::new(100, [6u8; 16]);
-        assert_eq!(mem.size(), PAGE_USIZE);
+        assert_eq!(mem.backing.len(), PAGE_USIZE);
     }
 }

@@ -144,11 +144,6 @@ impl SessionPool {
         self.slots.iter().filter(|(_, _, e)| *e).count()
     }
 
-    /// Number of tenants that have admitted at least one request.
-    pub fn tenants(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Tears down every established session (end-of-run drain), returning
     /// how many were closed. Conservation accessor for soak-scale leak
     /// audits: after `close_all`, [`SessionPool::established`] is zero and
@@ -163,11 +158,6 @@ impl SessionPool {
         }
         self.closed += n;
         n
-    }
-
-    /// Sessions torn down over the pool's lifetime.
-    pub fn closed(&self) -> u64 {
-        self.closed
     }
 
     /// Asserts the pool has fully drained: no session still established.
@@ -220,7 +210,7 @@ mod tests {
         assert!(pool.admit(1).cold);
         assert!(pool.admit(2).cold, "second tenant attests independently");
         assert!(!pool.admit(1).cold);
-        assert_eq!(pool.tenants(), 2);
+        assert_eq!(pool.slots.len(), 2);
         assert_eq!(pool.established(), 2);
     }
 
@@ -301,7 +291,7 @@ mod tests {
             let mut pool = SessionPool::new(cc, TdxCalib::default());
             let priced = pool.cold_admission();
             assert_eq!(pool.counters(), TdCounters::default(), "{cc:?}");
-            assert_eq!(pool.tenants(), 0);
+            assert_eq!(pool.slots.len(), 0);
             assert_eq!(priced.cold, cc == CcMode::On);
             for tenant in [1, 1, 2, 1] {
                 let a = pool.admit(tenant);

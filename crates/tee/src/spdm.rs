@@ -50,7 +50,7 @@ impl SpdmStep {
 
     /// Round-trip cost of this exchange: PCIe MMIO transport plus the
     /// device-side work (certificate chains and signatures dominate).
-    pub fn cost(self) -> SimDuration {
+    pub(crate) fn cost(self) -> SimDuration {
         let us = match self {
             SpdmStep::GetVersion => 40.0,
             SpdmStep::GetCapabilities => 45.0,

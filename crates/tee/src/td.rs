@@ -62,7 +62,7 @@ impl TdContext {
     }
 
     /// The mode this context runs in.
-    pub fn cc_mode(&self) -> CcMode {
+    pub(crate) fn cc_mode(&self) -> CcMode {
         self.cc
     }
 
@@ -90,7 +90,7 @@ impl TdContext {
     /// Charges `n` guest→host transitions at once: the counters move
     /// exactly as `n` calls of [`TdContext::hypercall`] move them, and
     /// the return is their summed cost.
-    pub fn hypercalls(&mut self, reason: &'static str, n: u64) -> SimDuration {
+    pub(crate) fn hypercalls(&mut self, reason: &'static str, n: u64) -> SimDuration {
         let _ = reason;
         let cost = self.hypercall_cost * n;
         self.counters.hypercalls += n;

@@ -42,11 +42,6 @@ impl CallFrame {
         &self.name
     }
 
-    /// Child frames.
-    pub fn children(&self) -> &[CallFrame] {
-        &self.children
-    }
-
     /// Mutable child frames, for post-construction annotation passes.
     pub fn children_mut(&mut self) -> &mut [CallFrame] {
         &mut self.children
@@ -92,14 +87,6 @@ impl CallFrame {
         self.cost + self.children.iter().map(CallFrame::total).sum()
     }
 
-    /// Finds the first frame with `name` via depth-first search.
-    pub fn find(&self, name: &str) -> Option<&CallFrame> {
-        if self.name == name {
-            return Some(self);
-        }
-        self.children.iter().find_map(|c| c.find(name))
-    }
-
     /// Renders the tree as indented text with total costs per frame.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -141,14 +128,6 @@ mod tests {
     fn totals_roll_up() {
         let root = sample();
         assert_eq!(root.total(), us(16));
-    }
-
-    #[test]
-    fn find_locates_deep_frames() {
-        let root = sample();
-        let hc = root.find("tdx_hypercall").expect("frame exists");
-        assert_eq!(hc.total(), us(5));
-        assert!(root.find("missing").is_none());
     }
 
     #[test]

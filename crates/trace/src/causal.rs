@@ -53,7 +53,7 @@ pub enum EdgeKind {
 
 impl EdgeKind {
     /// Short tag used in exports.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             EdgeKind::LaunchToExec => "launch_to_exec",
             EdgeKind::StreamOrder => "stream_order",
@@ -123,22 +123,10 @@ impl CausalGraph {
         }
     }
 
-    /// Whether edges are being collected.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records one edge (no-op while disabled).
     pub fn push(&mut self, edge: CausalEdge) {
         if self.enabled {
             self.edges.push(edge);
-        }
-    }
-
-    /// Records every edge in `edges` (no-op while disabled).
-    pub fn extend(&mut self, edges: impl IntoIterator<Item = CausalEdge>) {
-        if self.enabled {
-            self.edges.extend(edges);
         }
     }
 
@@ -203,13 +191,7 @@ mod tests {
             EventId(1),
             EdgeKind::StreamOrder,
         ));
-        g.extend([CausalEdge::new(
-            EventId(1),
-            EventId(2),
-            EdgeKind::LaunchToExec,
-        )]);
         assert!(g.is_empty());
-        assert!(!g.is_enabled());
     }
 
     #[test]

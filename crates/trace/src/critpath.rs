@@ -159,7 +159,7 @@ pub struct Segment {
 
 impl Segment {
     /// Interval length.
-    pub fn duration(&self) -> SimDuration {
+    pub(crate) fn duration(&self) -> SimDuration {
         self.end - self.start
     }
 }
@@ -176,10 +176,10 @@ impl Attribution {
         self.totals[r.index()]
     }
 
-    /// Charges `d` more critical time to `r` — how consumers outside the
-    /// extractor (the flight recorder's shape decompositions, tests)
-    /// assemble an attribution by hand.
-    pub fn add(&mut self, r: ResourceClass, d: SimDuration) {
+    /// Charges `d` more critical time to `r`: how a test assembles an
+    /// attribution by hand.
+    #[cfg(test)]
+    pub(crate) fn add(&mut self, r: ResourceClass, d: SimDuration) {
         self.totals[r.index()] += d;
     }
 

@@ -179,7 +179,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Short tag used in summaries.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             EventKind::Launch { .. } => "launch",
             EventKind::Kernel { .. } => "kernel",
@@ -266,7 +266,7 @@ impl TraceEvent {
     }
 
     /// Stream the operation was issued on, when applicable.
-    pub fn stream(&self) -> Option<StreamId> {
+    pub(crate) fn stream(&self) -> Option<StreamId> {
         (self.stream != NO_STREAM).then_some(StreamId(self.stream))
     }
 

@@ -15,7 +15,7 @@
 //! A kept exemplar stores only its skeleton, its window, its keep flags
 //! and the index of its service shape. The tree follows from the
 //! skeleton and the shape's [`ShapeDecomp`], which the log holds once
-//! per shape, so it is derived on demand ([`FlightLog::spans`]) into a
+//! per shape, so it is derived on demand (`FlightLog::spans`) into a
 //! fixed-capacity [`Spans`] list, never onto the heap.
 //!
 //! Storing 10⁵–10⁶ full trees is unaffordable, so recording is a
@@ -117,7 +117,7 @@ pub struct FlightSkeleton {
 
 impl FlightSkeleton {
     /// End-to-end latency (arrival → settle).
-    pub fn latency(&self) -> SimDuration {
+    pub(crate) fn latency(&self) -> SimDuration {
         self.settle.saturating_since(self.arrival)
     }
 }
@@ -301,7 +301,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Stable snake_case name (render rows, JSON).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             SpanKind::QueueWait => "queue_wait",
             SpanKind::SpdmHandshake => "spdm_handshake",
@@ -345,7 +345,7 @@ impl Spans {
     }
 
     /// Total duration of spans of `kind` (zero when absent).
-    pub fn duration(&self, kind: SpanKind) -> SimDuration {
+    pub(crate) fn duration(&self, kind: SpanKind) -> SimDuration {
         self.iter()
             .filter(|&&(k, _)| k == kind)
             .map(|&(_, d)| d)
@@ -362,7 +362,7 @@ impl std::ops::Deref for Spans {
 }
 
 /// One kept exemplar: the skeleton, where and why it was kept, and its
-/// service shape. Its span tree is [`FlightLog::spans`].
+/// service shape. Its span tree is `FlightLog::spans`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightSample {
     /// The request's compact record.
@@ -385,7 +385,7 @@ impl FlightSample {
     /// The request's ordered span tree when its service shape
     /// decomposes as `decomp`: durations that sum to `settle − arrival`
     /// exactly.
-    pub fn spans(&self, decomp: &ShapeDecomp) -> Spans {
+    pub(crate) fn spans(&self, decomp: &ShapeDecomp) -> Spans {
         let skel = &self.skeleton;
         let mut spans = Spans {
             len: 0,
@@ -464,7 +464,7 @@ impl FlightLog {
 
     /// The decomposition of `sample`'s service shape (an empty one when
     /// the shape tables could not resolve it).
-    pub fn decomp(&self, sample: &FlightSample) -> ShapeDecomp {
+    pub(crate) fn decomp(&self, sample: &FlightSample) -> ShapeDecomp {
         self.decomps
             .get(sample.shape as usize)
             .copied()
@@ -472,7 +472,7 @@ impl FlightLog {
     }
 
     /// `sample`'s ordered span tree.
-    pub fn spans(&self, sample: &FlightSample) -> Spans {
+    pub(crate) fn spans(&self, sample: &FlightSample) -> Spans {
         sample.spans(&self.decomp(sample))
     }
 

@@ -68,12 +68,12 @@ impl Histogram {
 
     /// Exact sum of every recorded sample (not bucket-quantized) — what
     /// a Prometheus `_sum` line must carry for rate math to be honest.
-    pub fn total(&self) -> SimDuration {
+    pub(crate) fn total(&self) -> SimDuration {
         self.total
     }
 
     /// Mean sample.
-    pub fn mean(&self) -> SimDuration {
+    pub(crate) fn mean(&self) -> SimDuration {
         if self.count == 0 {
             SimDuration::ZERO
         } else {
@@ -81,28 +81,8 @@ impl Histogram {
         }
     }
 
-    /// Nearest-rank `p`-quantile (clamped to `[0, 1]`), resolved to the
-    /// lower bound of the bucket holding that rank — the log2 resolution
-    /// is the price of the compact representation. Total on every input:
-    /// an empty histogram yields `SimDuration::ZERO`, and a single-sample
-    /// histogram yields its bucket's lower bound for every `p`.
-    pub fn quantile(&self, p: f64) -> SimDuration {
-        let Some(index) = crate::quantile::nearest_rank_index(self.count as usize, p) else {
-            return SimDuration::ZERO;
-        };
-        let rank = index as u64 + 1;
-        let mut seen = 0u64;
-        for (i, c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return SimDuration::from_nanos(1u64 << i);
-            }
-        }
-        SimDuration::from_nanos(1u64 << (self.buckets.len().max(1) - 1))
-    }
-
     /// Non-empty buckets as `(lower_bound, count)` pairs.
-    pub fn buckets(&self) -> Vec<(SimDuration, u64)> {
+    pub(crate) fn buckets(&self) -> Vec<(SimDuration, u64)> {
         self.buckets
             .iter()
             .enumerate()
@@ -165,35 +145,6 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert_eq!(h.mean(), SimDuration::micros(3));
         assert_eq!(Histogram::new().mean(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn quantile_walks_buckets() {
-        let mut h = Histogram::new();
-        for _ in 0..99 {
-            h.record(SimDuration::from_nanos(100)); // bucket [64, 128)
-        }
-        h.record(SimDuration::micros(100)); // bucket [65536, 131072)
-        assert_eq!(h.quantile(0.5), SimDuration::from_nanos(64));
-        assert_eq!(h.quantile(0.99), SimDuration::from_nanos(64));
-        assert_eq!(h.quantile(0.999), SimDuration::from_nanos(65_536));
-        assert_eq!(h.quantile(1.0), SimDuration::from_nanos(65_536));
-    }
-
-    #[test]
-    fn quantile_degenerate_inputs_are_defined() {
-        let empty = Histogram::new();
-        for p in [0.0, 0.5, 0.99, 0.999] {
-            assert_eq!(empty.quantile(p), SimDuration::ZERO);
-        }
-        let single = Histogram::from_durations([SimDuration::micros(3)]);
-        for p in [0.0, 0.5, 0.99, 0.999] {
-            // One sample in [2048, 4096): every quantile is its bucket floor.
-            assert_eq!(single.quantile(p), SimDuration::from_nanos(2_048), "p={p}");
-        }
-        // Zero-length samples land in bucket 0 (floor 1ns by convention).
-        let zeros = Histogram::from_durations([SimDuration::ZERO]);
-        assert_eq!(zeros.quantile(0.999), SimDuration::from_nanos(1));
     }
 
     #[test]

@@ -62,21 +62,13 @@ impl Counter {
         Counter::default()
     }
 
-    /// An enabled counter starting at zero.
-    pub fn enabled() -> Self {
-        Counter {
-            enabled: true,
-            total: 0,
-        }
-    }
-
     /// Turns recording on (used when a config enables the metrics plane).
     pub fn enable(&mut self) {
         self.enabled = true;
     }
 
     /// Whether this counter records.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
@@ -93,7 +85,7 @@ impl Counter {
     }
 
     /// Current total.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.total
     }
 }
@@ -290,7 +282,7 @@ impl Series {
     }
 
     /// Number of change-points.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.samples.len()
     }
 
@@ -314,45 +306,6 @@ impl Series {
             }
         }
         SimDuration::from_nanos(total)
-    }
-
-    /// Time-weighted `p`-quantile of the values the step function held
-    /// over its observed span (`p` clamped to `[0, 1]`): the smallest
-    /// value `v` such that the series spent at least a `p` fraction of the
-    /// time between its first and last change-point at values `≤ v`.
-    ///
-    /// Total on every input — the degenerate cases the serving CDFs hit:
-    /// an empty series yields 0, and a single-sample series (whose final
-    /// change-point has no dwell time at all) yields that sample's value
-    /// rather than panicking or dividing by zero.
-    pub fn quantile(&self, p: f64) -> i64 {
-        if self.samples.is_empty() {
-            return 0;
-        }
-        // Dwell time per held value: each change-point's value persists
-        // until the next one. The last value has zero dwell by definition.
-        let mut dwells: Vec<(i64, u64)> = self
-            .samples
-            .windows(2)
-            .map(|w| (w[0].1, (w[1].0 - w[0].0).as_nanos()))
-            .collect();
-        let total: u64 = dwells.iter().map(|&(_, d)| d).sum();
-        if total == 0 {
-            // Single change-point (or all at one instant): the only
-            // defensible answer is the value the series ended on.
-            return self.final_value();
-        }
-        dwells.sort_unstable();
-        let p = p.clamp(0.0, 1.0);
-        let target = (p * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (value, dwell) in dwells {
-            seen += dwell;
-            if seen >= target {
-                return value;
-            }
-        }
-        self.final_value()
     }
 
     /// Mean value over `[ZERO, span]` (0 for an empty span).
@@ -512,20 +465,6 @@ impl MetricsSet {
     /// sample anything" check `hcc_lab obs`'s trailer reports.
     pub fn total_samples(&self) -> usize {
         self.gauges.iter().map(Series::len).sum()
-    }
-
-    /// Appends every entry of `other`, prefixing names with `prefix.`.
-    pub fn absorb(&mut self, prefix: &str, other: MetricsSet) {
-        for (n, v) in other.counters {
-            self.counters.push((format!("{prefix}.{n}"), v));
-        }
-        for mut s in other.gauges {
-            s.name = format!("{prefix}.{}", s.name);
-            self.gauges.push(s);
-        }
-        for (n, h) in other.hists {
-            self.hists.push((format!("{prefix}.{n}"), h));
-        }
     }
 }
 
@@ -695,7 +634,8 @@ mod tests {
 
     #[test]
     fn counter_counts() {
-        let mut c = Counter::enabled();
+        let mut c = Counter::new();
+        c.enable();
         c.inc();
         c.add(4);
         assert_eq!(c.total(), 5);
@@ -745,41 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn series_quantile_is_time_weighted() {
-        let mut g = Gauge::enabled();
-        // Depth 1 for 90µs, depth 10 for 10µs: p50 = 1, p99/p999 = 10.
-        g.occupy(t(0), t(100));
-        g.occupy_n(t(90), t(100), 9);
-        let s = g.series("q");
-        assert_eq!(s.quantile(0.5), 1);
-        assert_eq!(s.quantile(0.90), 1);
-        assert_eq!(s.quantile(0.99), 10);
-        assert_eq!(s.quantile(0.999), 10);
-    }
-
-    #[test]
-    fn series_quantile_degenerate_inputs_are_defined() {
-        // Empty: no samples at all.
-        let empty = Gauge::enabled().series("e");
-        for p in [0.0, 0.5, 0.99, 0.999] {
-            assert_eq!(empty.quantile(p), 0);
-        }
-        // Single change-point: zero dwell time, still a defined answer.
-        let mut g = Gauge::enabled();
-        g.add(t(5), 3);
-        let single = g.series("s");
-        assert_eq!(single.len(), 1);
-        for p in [0.0, 0.5, 0.99, 0.999] {
-            assert_eq!(single.quantile(p), 3, "p={p}");
-        }
-        // Several deltas collapsed onto one instant behave like one.
-        let mut h = Gauge::enabled();
-        h.add(t(7), 2);
-        h.add(t(7), 2);
-        assert_eq!(h.series("i").quantile(0.999), 4);
-    }
-
-    #[test]
     fn overlap_time_intersects_positive_regions() {
         let mut a = Gauge::enabled();
         a.occupy(t(0), t(10));
@@ -801,16 +706,16 @@ mod tests {
     }
 
     #[test]
-    fn set_lookup_and_absorb() {
-        let mut inner = MetricsSet::new();
-        inner.push_counter("ops", 3);
+    fn set_lookup() {
+        let mut set = MetricsSet::new();
+        set.push_counter("gpu.ops", 3);
         let mut g = Gauge::enabled();
         g.occupy(t(0), t(4));
-        inner.gauge("queue", &g);
-        inner.push_hist("lat", Histogram::from_durations([SimDuration::micros(1)]));
-
-        let mut set = MetricsSet::new();
-        set.absorb("gpu", inner);
+        set.gauge("gpu.queue", &g);
+        set.push_hist(
+            "gpu.lat",
+            Histogram::from_durations([SimDuration::micros(1)]),
+        );
         assert_eq!(set.counter_total("gpu.ops"), Some(3));
         assert_eq!(
             set.gauge_integral("gpu.queue"),

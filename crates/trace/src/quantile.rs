@@ -1,11 +1,10 @@
 //! The one nearest-rank quantile used everywhere in the trace crate.
 //!
-//! [`crate::Cdf::quantile`], [`crate::Histogram::quantile`], the
-//! rollup windows and [`crate::Tail`] all take their ranks from here, so
-//! the rank math can never drift between the views of the same latency
-//! population. [`nearest_ranks`] reads the same ranks off an unsorted
-//! population by selection, for callers that want a few quantiles and
-//! not the sorted samples.
+//! [`crate::Cdf::quantile`], the rollup windows and [`crate::Tail`] all
+//! take their ranks from here, so the rank math can never drift between
+//! the views of the same latency population. [`nearest_ranks`] reads the
+//! same ranks off an unsorted population by selection, for callers that
+//! want a few quantiles and not the sorted samples.
 
 use hcc_types::SimDuration;
 
@@ -29,7 +28,7 @@ pub(crate) fn nearest_rank_index(len: usize, p: f64) -> Option<usize> {
 /// Nearest-rank `p`-quantile over an ascending-sorted duration slice;
 /// `SimDuration::ZERO` when empty (no latency to report is data, not an
 /// error).
-pub fn nearest_rank(sorted: &[SimDuration], p: f64) -> SimDuration {
+pub(crate) fn nearest_rank(sorted: &[SimDuration], p: f64) -> SimDuration {
     nearest_rank_index(sorted.len(), p)
         .map(|i| sorted[i])
         .unwrap_or(SimDuration::ZERO)

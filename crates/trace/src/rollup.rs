@@ -63,11 +63,6 @@ impl Window {
     pub fn mid(&self) -> SimTime {
         SimTime::from_nanos((self.start.as_nanos() + self.end.as_nanos()) / 2)
     }
-
-    /// Whether `t` falls inside `[start, end)`.
-    pub fn contains(&self, t: SimTime) -> bool {
-        self.start <= t && t < self.end
-    }
 }
 
 /// Non-overlapping windows of `width` tiling `[0, horizon)`; the last
@@ -305,16 +300,6 @@ impl WindowStats {
         self.completed + self.rejected
     }
 
-    /// Rejected fraction of everything that settled, in parts per
-    /// million (0 for an empty window).
-    pub fn reject_ppm(&self) -> u64 {
-        if self.total() == 0 {
-            0
-        } else {
-            self.rejected * 1_000_000 / self.total()
-        }
-    }
-
     /// Completions per virtual second over the window width.
     pub fn throughput_per_sec(&self) -> f64 {
         let w = self.window.width().as_secs_f64();
@@ -404,8 +389,6 @@ mod tests {
         }
         assert_eq!(ws[9].end, t(95), "last window clipped to horizon");
         assert_eq!(ws[9].width(), SimDuration::millis(5));
-        assert!(ws[3].contains(t(35)));
-        assert!(!ws[3].contains(t(40)));
         assert_eq!(ws[3].mid(), t(35));
     }
 
@@ -444,7 +427,6 @@ mod tests {
         assert_eq!(stats[0].completed, 3);
         assert_eq!(stats[0].rejected, 1);
         assert_eq!(stats[0].total(), 4);
-        assert_eq!(stats[0].reject_ppm(), 250_000);
         assert_eq!(stats[0].p50, SimDuration::millis(2));
         assert_eq!(stats[0].p99, SimDuration::millis(100));
         assert_eq!(stats[0].p999, SimDuration::millis(100));
@@ -453,11 +435,9 @@ mod tests {
 
         assert_eq!(stats[1].total(), 0);
         assert_eq!(stats[1].p999, SimDuration::ZERO);
-        assert_eq!(stats[1].reject_ppm(), 0);
 
         assert_eq!(stats[2].completed, 0);
         assert_eq!(stats[2].rejected, 1);
-        assert_eq!(stats[2].reject_ppm(), 1_000_000);
     }
 
     #[test]

@@ -29,17 +29,12 @@ impl Cdf {
     }
 
     /// Number of samples.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.sorted.len()
     }
 
-    /// `true` when there are no samples.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// Sorted samples (ascending).
-    pub fn samples(&self) -> &[SimDuration] {
+    pub(crate) fn samples(&self) -> &[SimDuration] {
         &self.sorted
     }
 
@@ -74,17 +69,6 @@ impl Cdf {
         }
     }
 
-    /// Evaluates the CDF as `(duration, cumulative fraction)` pairs, one
-    /// per sample — the series a figure plots.
-    pub fn points(&self) -> Vec<(SimDuration, f64)> {
-        let n = self.sorted.len() as f64;
-        self.sorted
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (*d, (i + 1) as f64 / n))
-            .collect()
-    }
-
     /// The CDF's [`Tail`]: its count, mean and tail quantiles.
     pub fn tail(&self) -> Tail {
         let [p50, p90, p99, p999] = Tail::QUANTILES.map(|p| self.quantile(p));
@@ -102,8 +86,7 @@ impl Cdf {
 impl ToJson for Cdf {
     /// The CDF's [`Tail`] export. Raw samples are deliberately omitted —
     /// a 10⁵-request serving run would otherwise dump 10⁵ numbers per
-    /// tenant; use [`Cdf::points`] directly when the full curve is
-    /// wanted.
+    /// tenant.
     fn write_json(&self, out: &mut JsonOut<'_>) {
         self.tail().write_json(out);
     }
@@ -269,17 +252,6 @@ mod tests {
         assert_eq!(*trimmed.samples().last().unwrap(), us(1));
         // The paper's Fig. 11 note: averages are over untrimmed data.
         assert!(cdf.mean() > trimmed.mean());
-    }
-
-    #[test]
-    fn points_are_monotone_in_both_axes() {
-        let cdf = Cdf::from_durations((0..50).rev().map(us).collect());
-        let pts = cdf.points();
-        for pair in pts.windows(2) {
-            assert!(pair[0].0 <= pair[1].0);
-            assert!(pair[0].1 < pair[1].1);
-        }
-        assert!((pts.last().unwrap().1 - 1.0).abs() < 1e-12);
     }
 
     #[test]

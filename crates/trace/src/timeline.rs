@@ -67,15 +67,6 @@ impl Timeline {
         Timeline::default()
     }
 
-    /// Creates an empty timeline with room for `n` events before the
-    /// arena reallocates.
-    pub fn with_capacity(n: usize) -> Self {
-        Timeline {
-            events: Vec::with_capacity(n),
-            ..Timeline::default()
-        }
-    }
-
     /// Reserves room for at least `n` more events, so a caller that can
     /// estimate a program's size up front (e.g. the workload runner)
     /// avoids arena regrowth memcpys mid-run.

@@ -39,9 +39,9 @@ impl Calibration {
     /// Stable content fingerprint over every calibration constant.
     ///
     /// Streams the bundle's [`ToJson`](crate::json::ToJson) tokens into
-    /// a [`JsonOut::digest`](crate::json::JsonOut::digest) sink, so the
-    /// field list is the one `impl_to_json!` already keeps and every
-    /// float enters by its bits, never formatted: any perturbation of any
+    /// a `JsonOut::digest` sink, so the field list is the one
+    /// `impl_to_json!` already keeps and every float enters by its bits,
+    /// never formatted: any perturbation of any
     /// constant, NaN and the infinities included, changes the
     /// fingerprint. Nothing is allocated. Used by
     /// `SimConfig::content_hash` so scenario cache keys cannot alias two
@@ -132,11 +132,6 @@ impl TdxCalib {
     /// Effective `tdx_hypercall` latency (vmexit × multiplier).
     pub fn hypercall(&self) -> SimDuration {
         self.vmexit.scale(self.hypercall_mult)
-    }
-
-    /// Extra latency a TD pays per hypercall compared to a regular VM.
-    pub fn hypercall_extra(&self) -> SimDuration {
-        self.hypercall().saturating_sub(self.vmexit)
     }
 }
 

@@ -43,7 +43,7 @@ impl FaultSite {
 
     /// Stable index into per-site tables.
     #[must_use]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             FaultSite::GcmTagH2D => 0,
             FaultSite::GcmTagD2H => 1,
@@ -69,7 +69,7 @@ impl FaultSite {
     /// at this site. Non-degradable sites fall back to bounded retry under
     /// [`RecoveryPolicy::Degrade`].
     #[must_use]
-    pub fn degradable(self) -> bool {
+    pub(crate) fn degradable(self) -> bool {
         matches!(
             self,
             FaultSite::GcmTagH2D | FaultSite::GcmTagD2H | FaultSite::BounceExhausted
@@ -91,7 +91,7 @@ pub struct FaultPlan {
     /// Seed mixed with the config seed to derive the injector stream.
     pub seed: u64,
     /// Probability a guarded attempt fails at each site, indexed by
-    /// [`FaultSite::index`]. Values outside [0, 1] are clamped on use.
+    /// `FaultSite::index`. Values outside [0, 1] are clamped on use.
     pub rates: [f64; FaultSite::COUNT],
     /// Upper bound on injected failures per site (0 = unlimited). Keeps a
     /// high-rate plan from starving every retry budget in long programs.
@@ -135,7 +135,7 @@ impl FaultPlan {
 
     /// The injection rate at `site`, clamped to [0, 1].
     #[must_use]
-    pub fn rate(&self, site: FaultSite) -> f64 {
+    pub(crate) fn rate(&self, site: FaultSite) -> f64 {
         self.rates[site.index()].clamp(0.0, 1.0)
     }
 
@@ -149,7 +149,7 @@ impl FaultPlan {
     /// uvm=0.4,max=6`. Keys: `seed`, `max`, one per site name
     /// ([`FaultSite::name`]), plus `gcm` as shorthand for both GCM
     /// directions. Empty string parses to the empty plan. A rate outside
-    /// [0, 1] is held clamped, as [`FaultPlan::rate`] reads it, so a
+    /// [0, 1] is held clamped, as `FaultPlan::rate` reads it, so a
     /// parsed plan renders to a spec that parses back to it; `NaN` is
     /// not a rate.
     ///
@@ -313,7 +313,7 @@ impl RecoveryPolicy {
     /// Zero for [`RecoveryPolicy::Abort`]; [`RecoveryPolicy::Degrade`]
     /// uses the default retry schedule at non-degradable sites.
     #[must_use]
-    pub fn backoff(&self, attempt: u32) -> SimDuration {
+    pub(crate) fn backoff(&self, attempt: u32) -> SimDuration {
         let (base, multiplier) = match self {
             RecoveryPolicy::Retry {
                 base, multiplier, ..
@@ -477,18 +477,6 @@ impl FaultInjector {
             injected: [0; FaultSite::COUNT],
             counts: FaultCounts::default(),
         }
-    }
-
-    /// The plan in force.
-    #[must_use]
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// The recovery policy in force.
-    #[must_use]
-    pub fn policy(&self) -> &RecoveryPolicy {
-        &self.policy
     }
 
     /// Totals so far.

@@ -221,7 +221,7 @@ impl<'a> JsonOut<'a> {
     }
 
     /// A writer folding the token stream into `h`.
-    pub fn digest(h: &'a mut Fnv64) -> Self {
+    pub(crate) fn digest(h: &'a mut Fnv64) -> Self {
         JsonOut {
             sink: Sink::Digest(h),
             comma: false,
@@ -292,33 +292,33 @@ impl<'a> JsonOut<'a> {
     }
 
     /// `null`.
-    pub fn null(&mut self) {
+    pub(crate) fn null(&mut self) {
         self.token(NULL, &[], |s| s.push_str("null"));
     }
 
     /// `true` / `false`.
-    pub fn bool(&mut self, v: bool) {
+    pub(crate) fn bool(&mut self, v: bool) {
         self.token(BOOL, &[u8::from(v)], |s| {
             s.push_str(if v { "true" } else { "false" });
         });
     }
 
     /// An unsigned integer.
-    pub fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         self.token(U64, &v.to_le_bytes(), |s| {
             let _ = write!(s, "{v}");
         });
     }
 
     /// A signed integer.
-    pub fn i64(&mut self, v: i64) {
+    pub(crate) fn i64(&mut self, v: i64) {
         self.token(I64, &v.to_le_bytes(), |s| {
             let _ = write!(s, "{v}");
         });
     }
 
     /// A float; `null` in text when not finite.
-    pub fn f64(&mut self, v: f64) {
+    pub(crate) fn f64(&mut self, v: f64) {
         self.token(F64, &v.to_bits().to_le_bytes(), |s| {
             let _ = if !v.is_finite() {
                 s.write_str("null")

@@ -52,21 +52,15 @@ impl Planes {
         self.0 & other.0 != 0
     }
 
-    /// `true` when no plane is enabled.
-    #[must_use]
-    pub const fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
     /// Returns `self` with the planes in `other` added.
     #[must_use]
-    pub const fn with(self, other: Planes) -> Planes {
+    pub(crate) const fn with(self, other: Planes) -> Planes {
         Planes(self.0 | other.0)
     }
 
     /// Returns `self` with the planes in `other` removed.
     #[must_use]
-    pub const fn without(self, other: Planes) -> Planes {
+    pub(crate) const fn without(self, other: Planes) -> Planes {
         Planes(self.0 & !other.0)
     }
 
@@ -78,12 +72,6 @@ impl Planes {
         } else {
             self.without(mask)
         }
-    }
-
-    /// The raw bit pattern (stable: metrics=1, causal=2, fault=4).
-    #[must_use]
-    pub const fn bits(self) -> u8 {
-        self.0
     }
 }
 
@@ -120,7 +108,7 @@ mod tests {
                     assert_eq!(p.contains(Planes::METRICS), metrics);
                     assert_eq!(p.contains(Planes::CAUSAL), causal);
                     assert_eq!(p.contains(Planes::FAULT), fault);
-                    assert_eq!(p.is_empty(), !metrics && !causal && !fault);
+                    assert_eq!(p == Planes::NONE, !metrics && !causal && !fault);
                 }
             }
         }
@@ -142,6 +130,9 @@ mod tests {
         assert_eq!(p, Planes::METRICS | Planes::FAULT);
         assert_eq!(p.set(Planes::FAULT, false), Planes::METRICS);
         assert_eq!(p.without(Planes::ALL), Planes::NONE);
-        assert_eq!(Planes::ALL.bits(), 0b111);
+        assert_eq!(
+            Planes::ALL,
+            Planes::METRICS | Planes::CAUSAL | Planes::FAULT
+        );
     }
 }

@@ -84,16 +84,6 @@ impl ByteSize {
         ByteSize(self.0.div_ceil(align.0) * align.0)
     }
 
-    /// The smaller of two sizes.
-    pub fn min(self, other: ByteSize) -> ByteSize {
-        ByteSize(self.0.min(other.0))
-    }
-
-    /// The larger of two sizes.
-    pub fn max(self, other: ByteSize) -> ByteSize {
-        ByteSize(self.0.max(other.0))
-    }
-
     /// Difference that saturates at zero.
     pub fn saturating_sub(self, other: ByteSize) -> ByteSize {
         ByteSize(self.0.saturating_sub(other.0))

@@ -80,7 +80,7 @@ pub struct StormProfile {
     /// Stable name (used in CLI flags, reports, and goldens).
     pub name: &'static str,
     /// Per-site fault probability at [`StormIntensity::Peak`], indexed by
-    /// [`FaultSite::index`].
+    /// `FaultSite::index`.
     pub peak: [f64; FaultSite::COUNT],
     /// Factor applied to `peak` during [`StormIntensity::Rising`].
     pub rising_frac: f64,
@@ -225,14 +225,8 @@ pub struct StormWindow {
 impl StormWindow {
     /// Window length.
     #[must_use]
-    pub fn len(&self) -> SimDuration {
+    pub(crate) fn len(&self) -> SimDuration {
         self.end.saturating_since(self.start)
-    }
-
-    /// True when the window covers no time.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.end <= self.start
     }
 }
 
@@ -409,17 +403,7 @@ pub struct LatencyBudget {
     pub max_reject_ppm: u64,
 }
 
-impl LatencyBudget {
-    /// Stable fingerprint folded into report hashes.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = crate::hash::Fnv64::new();
-        h.write_u64(self.p99.as_nanos());
-        h.write_u64(self.p999.as_nanos());
-        h.write_u64(self.max_reject_ppm);
-        h.finish()
-    }
-}
+impl LatencyBudget {}
 
 impl std::fmt::Display for LatencyBudget {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

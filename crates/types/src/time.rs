@@ -43,16 +43,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// The later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
-    }
-
-    /// The earlier of two instants.
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
-    }
-
     /// Duration elapsed since `earlier`, saturating to zero if `earlier`
     /// is actually later than `self`.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
@@ -176,16 +166,6 @@ impl SimDuration {
     /// `true` if the duration is exactly zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// The longer of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
-    }
-
-    /// The shorter of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
     }
 
     /// Difference that saturates to zero instead of panicking.

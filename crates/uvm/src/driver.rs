@@ -77,7 +77,7 @@ pub struct FaultService {
 
 impl FaultService {
     /// An access that faulted nowhere.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         FaultService {
             batches: Vec::new(),
             total_time: SimDuration::ZERO,
@@ -180,11 +180,6 @@ impl UvmDriver {
         }
     }
 
-    /// Calibration in effect.
-    pub fn calib(&self) -> &UvmCalib {
-        &self.calib
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> UvmStats {
         self.stats
@@ -193,27 +188,6 @@ impl UvmDriver {
     /// Pages that rode a service batch over the driver's lifetime.
     pub fn pages_batched(&self) -> u64 {
         self.pages_batched
-    }
-
-    /// Asserts migration conservation: every far fault claimed was
-    /// migrated, and every migrated page rode exactly one batch.
-    ///
-    /// # Errors
-    /// A description of the first imbalance found.
-    pub fn leak_check(&self) -> Result<(), String> {
-        if self.stats.faults != self.stats.pages_migrated {
-            return Err(format!(
-                "uvm faults {} != pages migrated {}",
-                self.stats.faults, self.stats.pages_migrated
-            ));
-        }
-        if self.pages_batched != self.stats.pages_migrated {
-            return Err(format!(
-                "uvm batched pages {} != pages migrated {}",
-                self.pages_batched, self.stats.pages_migrated
-            ));
-        }
-        Ok(())
     }
 
     /// Migration bandwidth for the current mode — the encrypted-paging

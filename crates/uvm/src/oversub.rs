@@ -115,7 +115,7 @@ mod tests {
     #[test]
     fn fitting_working_set_faults_once() {
         let (mut drv, mut gmmu, mut td, id) = setup(CcMode::Off, 16);
-        let pages = ByteSize::mib(16).pages(drv.calib().page);
+        let pages = ByteSize::mib(16).pages(UvmCalib::default().page);
         let r = drv
             .service_streaming_passes(&mut gmmu, &mut td, id, pages, pages * 2, 5)
             .unwrap();
@@ -127,7 +127,7 @@ mod tests {
     #[test]
     fn oversubscription_refaults_every_pass() {
         let (mut drv, mut gmmu, mut td, id) = setup(CcMode::Off, 16);
-        let pages = ByteSize::mib(16).pages(drv.calib().page);
+        let pages = ByteSize::mib(16).pages(UvmCalib::default().page);
         let passes = 5;
         let r = drv
             .service_streaming_passes(&mut gmmu, &mut td, id, pages, pages / 2, passes)
@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn thrash_time_scales_with_passes() {
         let (mut drv, mut gmmu, mut td, id) = setup(CcMode::Off, 16);
-        let pages = ByteSize::mib(16).pages(drv.calib().page);
+        let pages = ByteSize::mib(16).pages(UvmCalib::default().page);
         let one = {
             let (mut d2, mut g2, mut t2, _) = setup(CcMode::Off, 16);
             d2.service_streaming_passes(&mut g2, &mut t2, id, pages, pages / 2, 1)

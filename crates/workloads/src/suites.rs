@@ -468,7 +468,7 @@ pub(crate) fn uvmbench() -> Vec<WorkloadSpec> {
 }
 
 /// Graph-processing apps (GraphBIG + Tigr).
-pub fn graph() -> Vec<WorkloadSpec> {
+pub(crate) fn graph() -> Vec<WorkloadSpec> {
     use HostMemKind::Pageable;
     vec![
         copy_then_execute(
@@ -566,7 +566,7 @@ pub fn multi_launch() -> Vec<WorkloadSpec> {
 }
 
 /// Borrows a standard app from the catalog by name, without cloning it.
-pub fn spec(name: &str) -> Option<&'static WorkloadSpec> {
+pub(crate) fn spec(name: &str) -> Option<&'static WorkloadSpec> {
     catalog().iter().find(|w| w.name == name)
 }
 

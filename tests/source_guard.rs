@@ -16,7 +16,7 @@
 //!   the facade, the benchmark package, a bin or a doc example), except
 //!   the survivors in [`UNREFERENCED_PUB_FNS`]: a function nothing
 //!   outside names is `pub(crate)`, and one nothing at all calls is dead
-//!   code the compiler then reports.
+//!   code the build then refuses (`dead_code` is denied workspace-wide).
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
